@@ -18,15 +18,12 @@ from .coupling import (
     admissible,
     glue,
     lower_coupling,
-    max_envelope,
     min_envelope,
-    upper_coupling,
     verify_coupling,
-    witness_max,
-    witness_min,
 )
 from .errors import (
     AxiomFailure,
+    CouplingFailure,
     EmptySection,
     EmptySubset,
     InputFormatError,

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import InputFormatError, InvalidParams, SpaceMismatch
 from .numerics import Scalar
-from .space import FiniteMetricSpace, PointFunction, PointSubset
+from .space import FiniteMetricSpace, PointFunction
 
 MAX_CAPACITY_POINTS = 12  # 2^n table guard
 
@@ -73,9 +73,6 @@ class Capacity:
             ):
                 null |= bit
         return null
-
-    def v(self, mask: int) -> Scalar:
-        return self.table[mask]
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
         """Choquet integral by the decreasing-rearrangement sum.
@@ -218,10 +215,9 @@ def cvar(
     )
 
 
-def mix_capacities(
-    weights: Sequence[Scalar], components: Sequence[Capacity]
-) -> Capacity:
-    """Convex combination of capacities (the Choquet integral is linear in v)."""
+def check_mixture(weights: Sequence[Scalar], components: Sequence) -> FiniteMetricSpace:
+    """Validate convex weights over components on one space (capacities or
+    measures); returns that space."""
     if len(weights) != len(components) or not components:
         raise InvalidParams("need one weight per component")
     space = components[0].space
@@ -231,6 +227,14 @@ def mix_capacities(
         raise InvalidParams("mixture weights must be nonnegative")
     if abs(sum(weights) - 1) > space.tol:
         raise InvalidParams("mixture weights must sum to 1")
+    return space
+
+
+def mix_capacities(
+    weights: Sequence[Scalar], components: Sequence[Capacity]
+) -> Capacity:
+    """Convex combination of capacities (the Choquet integral is linear in v)."""
+    space = check_mixture(weights, components)
     table = tuple(
         sum(w * c.table[m] for w, c in zip(weights, components))
         for m in range(1 << space.n)
@@ -252,8 +256,3 @@ def pushforward_capacity(
                 pre |= 1 << i
         table.append(v.table[pre])
     return Capacity(target, tuple(table))
-
-
-def subset_indicator_values(v: Capacity, subset: PointSubset) -> Scalar:
-    """Capacity read off by the integral of an indicator."""
-    return v.table[subset.mask]

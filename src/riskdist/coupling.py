@@ -17,41 +17,42 @@ composed with the right projection on S.  Sufficiency: the lower extension
     xi(chi) = max(mu1(left min-envelope of chi), mu2(right min-envelope))
 
 is monotone, translation invariant, normed, reads chi only on S, and under
-(a)+(b)+(c) reproduces both marginals.  On the capacity tier (b) and (c)
-reduce by comonotone layer decomposition to one subset inequality per
-subset, which is checked exhaustively; that reduction is cross-validated
-against independent brute-force oracles in the oracles module.
+(a)+(b)+(c) reproduces both marginals.  The lower extension is the only
+witness formula the module builds, and every envelope the module takes,
+gluing's included, goes through one section-minimum routine.  On the
+capacity tier (b) and (c) reduce by comonotone layer decomposition to one
+subset inequality per subset, which is checked exhaustively; that reduction
+is cross-validated against independent brute-force oracles in the oracles
+module.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
 from .measures import (
     AxiomReport,
-    EqualityResult,
     RiskMeasure,
     Violation,
     black_box,
     equal_measures,
     evaluate_values,
-    probe_functions,
+    grid_draw,
     probe_grid,
     pushforward,
     separating_pair,
     support,
-    to_capacity,
 )
 from .numerics import Scalar
 from .space import (
     FiniteMetricSpace,
     PointFunction,
     Relation,
+    full_relation,
     left_projection_map,
     product_space,
     right_projection_map,
@@ -64,6 +65,25 @@ REFUTATION_SAMPLES = 512
 # envelopes
 
 
+def section_minima(values, lists) -> tuple:
+    """The minimum of ``values`` over each index list in ``lists``.
+
+    This is every envelope the module takes: of a product function over the
+    sections of a relation, of a factor function pulled through a relation,
+    and of a triple-product function over one coordinate.  An empty list
+    takes the maximum over the union of the lists (the maximum of all the
+    values when that union is empty too), which is harmless whenever the
+    relevant marginal is supported inside the projection, as condition (a)
+    guarantees.
+    """
+    mins = [min(values[q] for q in lst) if lst else None for lst in lists]
+    if None in mins:
+        reachable = [values[q] for lst in lists for q in lst]
+        top = max(reachable) if reachable else max(values)
+        mins = [top if m is None else m for m in mins]
+    return tuple(mins)
+
+
 def min_envelope(
     chi: PointFunction, s: Relation, side: str, extend: bool = False
 ) -> PointFunction:
@@ -71,50 +91,17 @@ def min_envelope(
 
     ``side="left"`` maps x to the minimum of chi over the section of x;
     ``side="right"`` uses inverse sections.  Points with empty sections
-    raise, unless ``extend`` fills them with the maximum of chi over S
-    (harmless whenever the relevant marginal is supported inside the
-    projection, which condition (a) guarantees).
+    raise, unless ``extend`` fills them with the maximum of chi over S (see
+    ``section_minima``); an empty S raises either way.
     """
-    values = _min_envelope_values(chi.values, s, side, extend)
-    return PointFunction(s.left if side == "left" else s.right, values)
-
-
-def _min_envelope_values(chi, s: Relation, side: str, extend: bool):
-    n2 = s.right.n
-    if side == "left":
-        mins = [
-            min(chi[i * n2 + j] for j in lst) if lst else None
-            for i, lst in enumerate(s.section_lists)
-        ]
-    elif side == "right":
-        mins = [
-            min(chi[i * n2 + j] for i in lst) if lst else None
-            for j, lst in enumerate(s.inv_section_lists)
-        ]
-    else:
+    if side not in ("left", "right"):
         raise InvalidParams(f"unknown side {side!r}")
-    if None in mins:
-        if not extend:
-            raise EmptySection(side, mins.index(None))
-        present = [m for m in mins if m is not None]
-        if not present:
-            raise EmptySection(side, 0)
-        top = max(
-            max(chi[i * n2 + j] for j in lst)
-            for i, lst in enumerate(s.section_lists)
-            if lst
-        )
-        mins = [top if m is None else m for m in mins]
-    return tuple(mins)
-
-
-def max_envelope(
-    chi: PointFunction, s: Relation, side: str, extend: bool = False
-) -> PointFunction:
-    """Section maxima; mirror of min_envelope, used by the upper extension."""
-    neg = PointFunction(chi.space, tuple(-v for v in chi.values))
-    env = min_envelope(neg, s, side, extend)
-    return PointFunction(env.space, tuple(-v for v in env.values))
+    lists = s.pair_lists if side == "left" else s.inv_pair_lists
+    if () in lists and (not extend or not any(lists)):
+        raise EmptySection(side, lists.index(()))
+    return PointFunction(
+        s.left if side == "left" else s.right, section_minima(chi.values, lists)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +110,13 @@ def max_envelope(
 
 @dataclass(frozen=True)
 class CouplingWitness:
-    """An evaluable coupling with a declared support superset."""
+    """An evaluable coupling with a declared support superset: the lower
+    extension, the only witness formula the module builds."""
 
     left: RiskMeasure
     right: RiskMeasure
     support: Relation
     formula: str = "lower-extension"
-    parts: tuple["CouplingWitness", ...] = field(default=(), compare=False)
     product: FiniteMetricSpace = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -138,24 +125,11 @@ class CouplingWitness:
         )
 
     def evaluate_values(self, chi: tuple[Scalar, ...]) -> Scalar:
-        if self.formula == "lower-extension":
-            lo = _min_envelope_values(chi, self.support, "left", extend=True)
-            hi = _min_envelope_values(chi, self.support, "right", extend=True)
-            return max(
-                evaluate_values(self.left, lo), evaluate_values(self.right, hi)
-            )
-        if self.formula == "upper-extension":
-            neg = tuple(-v for v in chi)
-            lo = tuple(-v for v in _min_envelope_values(neg, self.support, "left", extend=True))
-            hi = tuple(-v for v in _min_envelope_values(neg, self.support, "right", extend=True))
-            return min(
-                evaluate_values(self.left, lo), evaluate_values(self.right, hi)
-            )
-        if self.formula == "lattice-max":
-            return max(p.evaluate_values(chi) for p in self.parts)
-        if self.formula == "lattice-min":
-            return min(p.evaluate_values(chi) for p in self.parts)
-        raise InvalidParams(f"unknown witness formula {self.formula!r}")
+        s = self.support
+        return max(
+            evaluate_values(self.left, section_minima(chi, s.pair_lists)),
+            evaluate_values(self.right, section_minima(chi, s.inv_pair_lists)),
+        )
 
     def __call__(self, chi: PointFunction) -> Scalar:
         if chi.space != self.product:
@@ -179,33 +153,6 @@ def lower_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingW
         # the canonical coupling of two point masses is the product point mass
         s = Relation.from_pairs(s.left, s.right, [(mu1.point, mu2.point)])
     return CouplingWitness(mu1, mu2, s, "lower-extension")
-
-
-def upper_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingWitness:
-    _check_coupling_spaces(mu1, mu2, s)
-    return CouplingWitness(mu1, mu2, s, "upper-extension")
-
-
-def witness_max(w1: CouplingWitness, w2: CouplingWitness) -> CouplingWitness:
-    return _witness_lattice("lattice-max", w1, w2)
-
-
-def witness_min(w1: CouplingWitness, w2: CouplingWitness) -> CouplingWitness:
-    return _witness_lattice("lattice-min", w1, w2)
-
-
-def _witness_lattice(formula, w1, w2) -> CouplingWitness:
-    if (w1.support.left, w1.support.right) != (w2.support.left, w2.support.right):
-        raise SpaceMismatch("witnesses live on different product spaces")
-    union = Relation(
-        w1.support.left,
-        w1.support.right,
-        tuple(
-            tuple(a or b for a, b in zip(r1, r2))
-            for r1, r2 in zip(w1.support.matrix, w2.support.matrix)
-        ),
-    )
-    return CouplingWitness(w1.left, w1.right, union, formula, parts=(w1, w2))
 
 
 def _check_coupling_spaces(mu1, mu2, s: Relation):
@@ -258,7 +205,7 @@ def admissible(
                 "pair": (mu1.point, mu2.point),
             },
         )
-    v1, v2 = to_capacity(mu1), to_capacity(mu2)
+    v1, v2 = mu1.capacity, mu2.capacity
     if v1 is not None and v2 is not None:
         return _admissible_exact(mu1, mu2, v1, v2, s)
     return _admissible_sampled(mu1, mu2, s, seed, samples, supports)
@@ -357,12 +304,12 @@ def _admissible_sampled(
                         },
                     )
     probes = probe_grid(space, seed, max(0, samples - (1 << space.n) - space.n))
-    for side, mua, mub, as_left in (
-        ("left", mu1, mu2, True),
-        ("right", mu2, mu1, False),
+    for side, mua, mub, lists in (
+        ("left", mu1, mu2, s.section_lists),
+        ("right", mu2, mu1, s.inv_section_lists),
     ):
         for psi in probes:
-            env = _marginal_envelope(psi, s, as_left)
+            env = section_minima(psi, lists)
             lhs = evaluate_values(mua, env)
             rhs = evaluate_values(mub, psi)
             if lhs > rhs + tol:
@@ -401,7 +348,8 @@ def _diagnose_marginal_failure(mu1, mu2, s: Relation, report: AxiomReport):
         phi = v.witness["phi"]
         own_left = v.axiom == "marginal-left"
         own, other = (mu1, mu2) if own_left else (mu2, mu1)
-        env = _marginal_envelope(phi, s, psi_on_right=not own_left)
+        # phi on the own factor, pulled through to the other one
+        env = section_minima(phi, s.inv_section_lists if own_left else s.section_lists)
         lhs, rhs = evaluate_values(other, env), evaluate_values(own, phi)
         if lhs > rhs + tol:
             return {
@@ -428,22 +376,6 @@ def _projection_trim(phi, s: Relation, left: bool):
     on_proj = [v for i, v in enumerate(phi) if proj >> i & 1]
     top = max(on_proj) if on_proj else max(phi)
     return tuple(v if proj >> i & 1 else top for i, v in enumerate(phi))
-
-
-def _marginal_envelope(psi, s: Relation, psi_on_right: bool):
-    """Envelope of a factor function pulled through the relation.
-
-    For psi on the right factor this is x -> min over the section of x; the
-    extension value off the projection is max(psi over the reachable side),
-    which condition (a) makes irrelevant.
-    """
-    lists = s.section_lists if psi_on_right else s.inv_section_lists
-    mins = [min(psi[q] for q in lst) if lst else None for lst in lists]
-    if None in mins:
-        reachable = [psi[q] for lst in lists for q in lst]
-        top = max(reachable) if reachable else max(psi)
-        mins = [top if m is None else m for m in mins]
-    return tuple(mins)
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +482,7 @@ def verify_coupling(
 
 
 def _random_product_values(space, rng):
-    if space.exact:
-        return tuple(rng.randint(-32, 32) for _ in range(space.n))
-    return tuple(rng.randint(-32, 32) / 4.0 for _ in range(space.n))
-
-
-def _random_bump(space, rng):
-    if space.exact:
-        return rng.randint(0, 12)
-    return rng.randint(0, 12) / 4.0
+    return tuple(grid_draw(space, rng, -32, 32) for _ in range(space.n))
 
 
 @lru_cache(maxsize=2048)
@@ -568,7 +492,7 @@ def _product_probe_batches(space, seed, samples):
     mono = []
     for _ in range(samples):
         lo = _random_product_values(space, rng)
-        hi = tuple(v + _random_bump(space, rng) for v in lo)
+        hi = tuple(v + grid_draw(space, rng, 0, 12) for v in lo)
         mono.append((lo, hi))
     shifts = []
     for _ in range(samples // 2):
@@ -580,7 +504,7 @@ def _product_probe_batches(space, seed, samples):
     bumps = []
     for _ in range(samples // 2):
         chi = _random_product_values(space, rng)
-        row = tuple(_random_bump(space, rng) for _ in range(space.n))
+        row = tuple(grid_draw(space, rng, 0, 12) for _ in range(space.n))
         bumps.append((chi, row))
     return tuple(mono), tuple(shifts), tuple(bumps)
 
@@ -628,14 +552,17 @@ def glue(
 
         return dirac(triple_space(base), i * n * n + j * n + k)
 
+    # flat triple index (i * n + j) * n + k: the front minimum runs over k,
+    # the section of (i, j) in prod x base; the back one over i, the inverse
+    # section of (j, k) in base x prod
+    front = full_relation(prod, base).pair_lists
+    back = full_relation(base, prod).inv_pair_lists
+
     def glued(chi: tuple[Scalar, ...]) -> Scalar:
-        front = tuple(
-            min(chi[(p * n) + k] for k in range(n)) for p in range(n * n)
+        return max(
+            evaluate_values(m12, section_minima(chi, front)),
+            evaluate_values(m23, section_minima(chi, back)),
         )
-        back = tuple(
-            min(chi[(i * n * n) + q] for i in range(n)) for q in range(n * n)
-        )
-        return max(evaluate_values(m12, front), evaluate_values(m23, back))
 
     return black_box(triple_space(base), glued, name="glue")
 

@@ -10,7 +10,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .capacity import Capacity, expectation, mix_capacities, possibility, unanimity
+from .capacity import Capacity, expectation, possibility, unanimity
 from .measures import (
     RiskMeasure,
     choquet_measure,
@@ -36,6 +36,8 @@ def _frac(rng: random.Random, num_hi: int = 8, den: int = 8) -> Fraction:
 
 
 def random_simplex(rng: random.Random, k: int, exact: bool = True):
+    """k weights drawn as integers in [0, 8], redrawn when all are 0, and
+    normalized to sum to 1."""
     while True:
         raw = [rng.randint(0, 8) for _ in range(k)]
         total = sum(raw)

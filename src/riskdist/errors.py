@@ -94,3 +94,9 @@ class AxiomFailure(RiskdistError):
 
 class OracleDisagreement(RiskdistError):
     """Two independent oracle implementations disagree (build blocking)."""
+
+
+class CouplingFailure(RiskdistError):
+    """A coupling that must exist was not found or did not verify: a
+    distance ladder with no level certified feasible, a witness that fails
+    its check, or a transport oracle refusing the full relation."""

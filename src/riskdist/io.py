@@ -40,8 +40,8 @@ from .measures import (
 )
 from .metric import AuditReport, DistanceResult
 from .numerics import Scalar, format_scalar, parse_scalar
-from .space import FiniteMetricSpace, validate_metric
-from .twopoint import ShapeFunction, TwoPointParams, parse_extended
+from .space import FiniteMetricSpace, PointSubset, validate_metric
+from .twopoint import ShapeFunction, TwoPointParams
 
 
 def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
@@ -93,10 +93,7 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
             return choquet_measure(_capacity_from_json(space, obj["capacity"]))
         if kind == "two-point":
             alphas = tuple(parse_scalar(a, exact=exact) for a in obj["alpha"])
-            lambdas = tuple(
-                parse_extended(parse_scalar(l, exact=exact) if l not in ("-inf", "inf", "+inf") else l)
-                for l in obj["lambda"]
-            )
+            lambdas = tuple(parse_scalar(l, exact=exact) for l in obj["lambda"])
             knots = tuple(
                 (parse_scalar(t, exact=exact), parse_scalar(y, exact=exact))
                 for t, y in obj["f"]["knots"]
@@ -124,26 +121,15 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
             weights = [parse_scalar(w, exact=exact) for w in obj["weights"]]
             level = parse_scalar(obj["level"], exact=exact)
             return choquet_measure(caps.cvar(space, weights, level), name="cvar")
-        if kind == "unanimity":
-            mask = _points_mask(space, obj)
-            return choquet_measure(caps.unanimity(space, mask), name="unanimity")
-        if kind == "possibility":
-            mask = _points_mask(space, obj)
-            return choquet_measure(caps.possibility(space, mask), name="possibility")
+        if kind in ("unanimity", "possibility"):
+            mask = PointSubset.of(space, obj["points"]).mask if "points" in obj else None
+            make = caps.unanimity if kind == "unanimity" else caps.possibility
+            return choquet_measure(make(space, mask), name=kind)
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad measure spec ({kind}): {exc}") from exc
     raise InputFormatError(f"unknown measure type {kind!r}")
-
-
-def _points_mask(space, obj):
-    if "points" not in obj:
-        return None
-    mask = 0
-    for label in obj["points"]:
-        mask |= 1 << space.index(label)
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ representations coexist:
 * ``mixture`` / ``max`` / ``min`` -- convex and lattice combinations,
 * ``blackbox`` -- an arbitrary evaluator, gated through axiom checks.
 
-Dirac measures, Choquet measures and their mixtures convert exactly to a
-single capacity, which unlocks exact axiom checks, supports and equality.
-Everything else falls back to seeded probing, and reports say so.
+Each constructor builds its measure once into the form it is evaluated by.
+Dirac measures, Choquet measures and their mixtures carry a single
+capacity, which unlocks exact axiom checks, supports and equality.  Every
+other measure carries an evaluator: family members and combinations behind
+one bounded memo each, black boxes as given.  Those fall back to seeded
+probing, and reports say so.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .capacity import (
+    MAX_CAPACITY_POINTS,
     Capacity,
+    check_mixture,
     dirac_capacity,
     mix_capacities,
     pushforward_capacity,
@@ -36,32 +42,52 @@ from .twopoint import TwoPointParams, branch_boundaries, two_point_eval
 
 DEFAULT_SUPPORT_PROBES = 256
 
+#: entries kept per measure by the memo of a family member or combination;
+#: ladder scans and audits evaluate one probe grid many times over, and the
+#: largest grid a benchmark matrix request fills per measure is about 2500
+EVAL_MEMO_SIZE = 4096
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class RiskMeasure:
-    """A normed monetary risk measure in one of the evaluable representations."""
+    """A normed monetary risk measure in one of the evaluable representations.
+
+    Capacity-tier measures carry ``capacity``; every other measure carries
+    ``evaluator``, and so does a Dirac measure, which reads its point.
+    Measures compare by identity: functional equality is ``equal_measures``.
+    """
 
     space: FiniteMetricSpace
     kind: str  # dirac | choquet | two-point | mixture | max | min | blackbox
-    point: Optional[int] = None
     capacity: Optional[Capacity] = None
-    params: Optional[TwoPointParams] = None
-    weights: tuple[Scalar, ...] = ()
-    components: tuple["RiskMeasure", ...] = ()
     evaluator: Optional[Callable[[tuple[Scalar, ...]], Scalar]] = field(
-        default=None, compare=False
+        default=None, repr=False
     )
+    point: Optional[int] = None
+    params: Optional[TwoPointParams] = None
     name: str = ""
 
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
 
 
+def _memo(evaluator):
+    # the evaluator closes over the measure's parts, never the measure, so
+    # the memo makes no reference cycle and dies with the measure
+    return lru_cache(maxsize=EVAL_MEMO_SIZE)(evaluator)
+
+
 def dirac(space: FiniteMetricSpace, point) -> RiskMeasure:
     idx = point if isinstance(point, int) else space.index(point)
     if not 0 <= idx < space.n:
         raise InvalidParams(f"point index {idx} out of range")
-    return RiskMeasure(space, "dirac", point=idx, name=f"dirac({space.labels[idx]})")
+    # product spaces can outgrow the capacity table guard; a point mass
+    # there is still evaluable, just not on the capacity tier
+    cap = dirac_capacity(space, idx) if space.n <= MAX_CAPACITY_POINTS else None
+    return RiskMeasure(
+        space, "dirac", capacity=cap, evaluator=itemgetter(idx), point=idx,
+        name=f"dirac({space.labels[idx]})",
+    )
 
 
 def choquet_measure(capacity: Capacity, name: str = "") -> RiskMeasure:
@@ -71,40 +97,53 @@ def choquet_measure(capacity: Capacity, name: str = "") -> RiskMeasure:
 def two_point_measure(space: FiniteMetricSpace, params: TwoPointParams) -> RiskMeasure:
     if space.n != 2:
         raise InvalidParams("the parametric family needs a two-point space")
-    return RiskMeasure(space, "two-point", params=params, name="two-point")
 
+    def evaluator(values):
+        return two_point_eval(params, values[0], values[1]).value
 
-def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> RiskMeasure:
-    if len(weights) != len(components) or not components:
-        raise InvalidParams("need one weight per component")
-    space = components[0].space
-    if any(c.space != space for c in components):
-        raise SpaceMismatch("mixture components live on different spaces")
-    if any(w < 0 for w in weights):
-        raise InvalidParams("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1) > space.tol:
-        raise InvalidParams("mixture weights must sum to 1")
     return RiskMeasure(
-        space, "mixture", weights=tuple(weights), components=tuple(components),
-        name="mixture",
+        space, "two-point", evaluator=_memo(evaluator), params=params, name="two-point"
     )
 
 
+def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> RiskMeasure:
+    """Convex combination.  Capacity components mix into one capacity (the
+    Choquet integral is linear in the capacity); otherwise the weighted sum
+    is evaluated term by term."""
+    space = check_mixture(weights, components)
+    caps = [c.capacity for c in components]
+    if None not in caps:
+        return RiskMeasure(
+            space, "mixture", capacity=mix_capacities(weights, caps), name="mixture"
+        )
+    terms = tuple(zip(weights, components))
+
+    def evaluator(values):
+        return sum(w * evaluate_values(c, values) for w, c in terms)
+
+    return RiskMeasure(space, "mixture", evaluator=_memo(evaluator), name="mixture")
+
+
 def lattice_max(components: Sequence[RiskMeasure]) -> RiskMeasure:
-    return _lattice("max", components)
+    return _lattice("max", max, components)
 
 
 def lattice_min(components: Sequence[RiskMeasure]) -> RiskMeasure:
-    return _lattice("min", components)
+    return _lattice("min", min, components)
 
 
-def _lattice(kind: str, components: Sequence[RiskMeasure]) -> RiskMeasure:
+def _lattice(kind: str, pick, components: Sequence[RiskMeasure]) -> RiskMeasure:
     if not components:
         raise InvalidParams("lattice combination needs components")
     space = components[0].space
     if any(c.space != space for c in components):
         raise SpaceMismatch("lattice components live on different spaces")
-    return RiskMeasure(space, kind, components=tuple(components), name=kind)
+    parts = tuple(components)
+
+    def evaluator(values):
+        return pick(evaluate_values(c, values) for c in parts)
+
+    return RiskMeasure(space, kind, evaluator=_memo(evaluator), name=kind)
 
 
 def black_box(
@@ -112,6 +151,7 @@ def black_box(
     evaluator: Callable[[tuple[Scalar, ...]], Scalar],
     name: str = "blackbox",
 ) -> RiskMeasure:
+    """An arbitrary evaluator, called on every evaluation (no memo)."""
     return RiskMeasure(space, "blackbox", evaluator=evaluator, name=name)
 
 
@@ -122,43 +162,10 @@ def evaluate(mu: RiskMeasure, phi: PointFunction) -> Scalar:
 
 
 def evaluate_values(mu: RiskMeasure, values: tuple[Scalar, ...]) -> Scalar:
-    """Evaluate on a raw value tuple (hot path used by couplings and audits).
-
-    Results are memoized per measure: ladder scans and audits evaluate the
-    same probe grid against the same measure many times over.
-    """
-    kind = mu.kind
-    if kind == "dirac":
-        return values[mu.point]
-    if kind == "choquet":
+    """Evaluate on a raw value tuple (hot path used by couplings and audits)."""
+    if mu.evaluator is None:
         return mu.capacity.choquet(values)
-    try:
-        cache = object.__getattribute__(mu, "_eval_cache")
-    except AttributeError:
-        cache = {}
-        object.__setattr__(mu, "_eval_cache", cache)
-    got = cache.get(values)
-    if got is None:
-        got = _evaluate_fresh(mu, values)
-        cache[values] = got
-    return got
-
-
-def _evaluate_fresh(mu: RiskMeasure, values: tuple[Scalar, ...]) -> Scalar:
-    kind = mu.kind
-    if kind == "two-point":
-        return two_point_eval(mu.params, values[0], values[1]).value
-    if kind == "mixture":
-        return sum(
-            w * evaluate_values(c, values) for w, c in zip(mu.weights, mu.components)
-        )
-    if kind == "max":
-        return max(evaluate_values(c, values) for c in mu.components)
-    if kind == "min":
-        return min(evaluate_values(c, values) for c in mu.components)
-    if kind == "blackbox":
-        return mu.evaluator(values)
-    raise InvalidParams(f"unknown representation {kind!r}")
+    return mu.evaluator(values)
 
 
 def to_capacity(mu: RiskMeasure) -> Optional[Capacity]:
@@ -167,24 +174,10 @@ def to_capacity(mu: RiskMeasure) -> Optional[Capacity]:
     Dirac measures are point-mass capacities; mixtures convert by linearity
     of the Choquet integral in the capacity.  Lattice combinations do not
     convert (the pointwise max of two Choquet integrals is generally not a
-    Choquet integral), nor do family members or black boxes.  The result is
-    memoized on the measure, which is immutable.
+    Choquet integral), nor do family members or black boxes.  The
+    constructor has built it already.
     """
-    try:
-        return object.__getattribute__(mu, "_capacity_cache")
-    except AttributeError:
-        pass
-    if mu.kind == "dirac":
-        cap = dirac_capacity(mu.space, mu.point)
-    elif mu.kind == "choquet":
-        cap = mu.capacity
-    elif mu.kind == "mixture":
-        parts = [to_capacity(c) for c in mu.components]
-        cap = None if any(p is None for p in parts) else mix_capacities(mu.weights, parts)
-    else:
-        cap = None
-    object.__setattr__(mu, "_capacity_cache", cap)
-    return cap
+    return mu.capacity
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +210,15 @@ def _random_values(space: FiniteMetricSpace, rng: random.Random, lo=-32, hi=32):
     return tuple(rng.randint(lo * 4, hi * 4) / 4.0 for _ in range(space.n))
 
 
+def grid_draw(space: FiniteMetricSpace, rng: random.Random, lo: int, hi: int):
+    """An integer in [lo, hi] in exact mode, a quarter of it in float mode."""
+    k = rng.randint(lo, hi)
+    return k if space.exact else k / 4.0
+
+
 def _monotone_pair(space: FiniteMetricSpace, rng: random.Random):
     lo = _random_values(space, rng)
-    if space.exact:
-        bump = tuple(rng.randint(0, 12) for _ in range(space.n))
-    else:
-        bump = tuple(rng.randint(0, 12) / 4.0 for _ in range(space.n))
-    return lo, tuple(a + b for a, b in zip(lo, bump))
+    return lo, tuple(a + grid_draw(space, rng, 0, 12) for a in lo)
 
 
 def _attributed(mu: RiskMeasure, lo, hi) -> dict:
@@ -273,8 +268,7 @@ def verify_axioms(
     """
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
-    cap = to_capacity(mu) if mode != "sampled" else None
-    if cap is not None:
+    if mode != "sampled" and mu.capacity is not None:
         # construction already validated the table; re-assert cheaply
         return AxiomReport("pass", (), "exact")
     if mode == "exact":
@@ -345,46 +339,24 @@ def support(
     Other representations are probed: a point is kept iff some pair of
     functions differing only there separates the measure.
     """
-    cap = to_capacity(mu)
-    if cap is not None:
-        return PointSubset(mu.space, cap.support_mask())
-    try:
-        memo = object.__getattribute__(mu, "_support_cache")
-    except AttributeError:
-        memo = {}
-        object.__setattr__(mu, "_support_cache", memo)
-    key = (probes, seed)
-    if key in memo:
-        return memo[key]
-    space = mu.space
+    if mu.capacity is not None:
+        return PointSubset(mu.space, mu.capacity.support_mask())
     rng = random.Random(seed)
-    tol = space.tol
     mask = 0
-    for i in range(space.n):
-        if _point_matters(mu, i, probes, rng, tol):
+    for i in range(mu.space.n):
+        if _separating_pair(mu, i, probes, rng) is not None:
             mask |= 1 << i
-    out = PointSubset(space, mask)
-    memo[key] = out
-    return out
-
-
-def _point_matters(mu, i, probes, rng, tol) -> bool:
-    space = mu.space
-    for _ in range(probes):
-        values = list(_random_values(space, rng))
-        other = list(values)
-        bump = rng.randint(1, 16)
-        other[i] = other[i] + (bump if space.exact else bump / 2.0)
-        if abs(evaluate_values(mu, tuple(values)) - evaluate_values(mu, tuple(other))) > tol:
-            return True
-    return False
+    return PointSubset(mu.space, mask)
 
 
 def separating_pair(mu: RiskMeasure, i: int, probes: int = 256, seed: int = 0):
     """A pair of functions differing only at point i that the measure tells
     apart, or None when probing finds none."""
+    return _separating_pair(mu, i, probes, random.Random(seed))
+
+
+def _separating_pair(mu: RiskMeasure, i: int, probes: int, rng: random.Random):
     space = mu.space
-    rng = random.Random(seed)
     for _ in range(probes):
         values = list(_random_values(space, rng))
         other = list(values)
@@ -406,7 +378,8 @@ def pushforward(
     """Image measure along a point map: phi |-> mu(phi o f).
 
     Dirac and capacity measures push forward exactly; other representations
-    wrap the evaluator.
+    wrap the evaluator in a black box, which reads the memo of the measure
+    it wraps.
     """
     if len(point_map) != mu.space.n:
         raise SpaceMismatch("point map must be total on the source points")
@@ -414,10 +387,9 @@ def pushforward(
         raise SpaceMismatch("point map hits indices outside the target space")
     if mu.kind == "dirac":
         return dirac(target, point_map[mu.point])
-    cap = to_capacity(mu)
-    if cap is not None:
+    if mu.capacity is not None:
         return choquet_measure(
-            pushforward_capacity(cap, point_map, target),
+            pushforward_capacity(mu.capacity, point_map, target),
             name=f"pushforward({mu.name})",
         )
     src = mu
@@ -477,16 +449,11 @@ def equal_measures(
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
     space = mu1.space
-    c1, c2 = to_capacity(mu1), to_capacity(mu2)
+    c1, c2 = mu1.capacity, mu2.capacity
     if c1 is not None and c2 is not None:
         for mask in range(1 << space.n):
             if abs(c1.table[mask] - c2.table[mask]) > space.tol:
-                one = Fraction(1) if space.exact else 1.0
-                zero = Fraction(0) if space.exact else 0.0
-                wit = tuple(
-                    one if mask >> i & 1 else zero for i in range(space.n)
-                )
-                return EqualityResult("no", wit)
+                return EqualityResult("no", PointFunction.indicator(space, mask).values)
         return EqualityResult("yes")
     for values in probe_grid(space, seed, samples):
         if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:

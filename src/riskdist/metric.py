@@ -22,21 +22,19 @@ from .coupling import (
     verify_coupling,
 )
 from .ensembles import derive_rng, extremal_pair, random_measure
-from .errors import AxiomFailure, SpaceMismatch
+from .errors import AxiomFailure, CouplingFailure, SpaceMismatch
 from .measures import (
     RiskMeasure,
     equal_measures,
     evaluate_values,
     probe_functions,
     support,
-    to_capacity,
     verify_axioms,
 )
 from .numerics import Scalar
 from .space import (
     FiniteMetricSpace,
     PointFunction,
-    PointSubset,
     distance_levels,
     hausdorff_distance,
     modulus_of_continuity,
@@ -49,7 +47,7 @@ class DistanceResult:
     value: Scalar
     witness: Optional[CouplingWitness]
     ladder: tuple[tuple[Scalar, str, str], ...]  # (level, status, tier)
-    certification: str  # "exact" | "interval"
+    certification: str  # "exact" | "sampled" | "interval"
     interval: Optional[tuple[Scalar, Scalar]] = None
     tier: str = "exact-choquet"
 
@@ -62,6 +60,8 @@ class AuditReport:
     failures: tuple[dict, ...] = ()
     discrepancies: tuple[dict, ...] = ()
     stats: dict = field(default_factory=dict)
+    # the measures the payloads index into; reports serialize without it
+    pool: tuple[RiskMeasure, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -86,7 +86,8 @@ def bottleneck_distance(
 
     Unknown verdicts on the ladder degrade the result to a bracketing
     interval instead of guessing; the returned value is then the smallest
-    level certified feasible.
+    level certified feasible.  A level found feasible only by a sampled
+    witness check makes the result "sampled", not "exact".
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -100,7 +101,7 @@ def bottleneck_distance(
     saw_unknown = False
     last_infeasible = None
     supports = None
-    if to_capacity(mu1) is None or to_capacity(mu2) is None:
+    if mu1.capacity is None or mu2.capacity is None:
         supports = (support(mu1, seed=seed).mask, support(mu2, seed=seed).mask)
     for level in distance_levels(space):
         verdict = admissible(
@@ -123,14 +124,14 @@ def bottleneck_distance(
     if chosen is None:
         # the diameter level is always feasible; reaching here means every
         # verdict above the last infeasible one was unknown
-        raise AssertionError("no feasible level found on the ladder")
+        raise CouplingFailure("no feasible level found on the ladder")
     witness = chosen.witness
     if witness is None:
         witness = lower_coupling(mu1, mu2, sublevel_relation(space, value))
     if verify_witness:
         report = verify_coupling(witness, seed=seed)
         if not report.ok:
-            raise AssertionError(
+            raise CouplingFailure(
                 f"witness at level {value} fails verification: "
                 f"{[v.axiom for v in report.violations]}"
             )
@@ -147,7 +148,8 @@ def bottleneck_distance(
             (lo, value),
             tier=chosen.tier,
         )
-    return DistanceResult(value, witness, tuple(ladder), "exact", tier=chosen.tier)
+    certification = "sampled" if chosen.tier == "witness-found" else "exact"
+    return DistanceResult(value, witness, tuple(ladder), certification, tier=chosen.tier)
 
 
 def distance_matrix(
@@ -210,8 +212,8 @@ def distance_matrix(
         for j in range(k):
             for l in range(k):
                 lo_ij = _lower_bound(results[i][j])
-                hi_il = _upper_bound(results[i][l])
-                hi_lj = _upper_bound(results[l][j])
+                hi_il = results[i][l].value
+                hi_lj = results[l][j].value
                 if lo_ij > hi_il + hi_lj + tol:
                     failures.append(
                         {
@@ -240,10 +242,6 @@ def distance_matrix(
 
 def _lower_bound(res: DistanceResult) -> Scalar:
     return res.interval[0] if res.interval else res.value
-
-
-def _upper_bound(res: DistanceResult) -> Scalar:
-    return res.value
 
 
 def _check_witnesses(results, policy: str, seed: int) -> list[dict]:
@@ -313,14 +311,8 @@ def metric_axiom_audit(
         for j in range(i + 1, len(pool)):
             dist_zero = results[i][j].value == zero
             eq = equal_measures(pool[i], pool[j], seed=seed)
-            exact_pair = (
-                to_capacity(pool[i]) is not None and to_capacity(pool[j]) is not None
-            )
-            consistent = (
-                (dist_zero and eq.status in ("yes", "undecided"))
-                or (not dist_zero and eq.status in ("no", "undecided"))
-            )
-            if not consistent:
+            exact_pair = pool[i].capacity is not None and pool[j].capacity is not None
+            if not _identity_consistent(dist_zero, eq.status):
                 payload = {
                     "kind": "identity-mismatch",
                     "pair": (i, j),
@@ -368,7 +360,14 @@ def metric_axiom_audit(
             "seed": seed,
             **matrix_report.stats,
         },
+        pool=tuple(pool),
     )
+
+
+def _identity_consistent(dist_zero: bool, equality: str) -> bool:
+    """Distance zero agrees with functional equality; an undecided equality
+    agrees with either distance."""
+    return equality == "undecided" or (equality == "yes") == dist_zero
 
 
 def lipschitz_control_check(
@@ -383,13 +382,17 @@ def lipschitz_control_check(
     This is the provable direction of the topology statement: any coupling
     at level t forces pointwise gaps below the modulus of continuity.
     """
+    probes = probe_functions(mu1.space, derive_rng(seed, "lipschitz"), randoms=randoms)
+    return _lipschitz_violations(mu1, mu2, result.value, probes)
+
+
+def _lipschitz_violations(mu1, mu2, distance, probes) -> list[dict]:
     space = mu1.space
-    rng = derive_rng(seed, "lipschitz")
     violations = []
-    for values in probe_functions(space, rng, randoms=randoms):
+    for values in probes:
         phi = PointFunction(space, values)
         gap = abs(evaluate_values(mu1, values) - evaluate_values(mu2, values))
-        bound = modulus_of_continuity(phi, result.value)
+        bound = modulus_of_continuity(phi, distance)
         if gap > bound + space.tol:
             violations.append(
                 {
@@ -397,7 +400,7 @@ def lipschitz_control_check(
                     "phi": values,
                     "gap": gap,
                     "bound": bound,
-                    "distance": result.value,
+                    "distance": distance,
                 }
             )
     return violations
@@ -432,20 +435,9 @@ def convergence_audit(
         )
         res = bottleneck_distance(term, limit, seed=seed)
         h = hausdorff_distance(support(term, seed=seed), limit_support)
-        for values in probes:
-            phi = PointFunction(space, values)
-            gap = abs(evaluate_values(term, values) - evaluate_values(limit, values))
-            bound = modulus_of_continuity(phi, res.value)
-            if gap > bound + space.tol:
-                failures.append(
-                    {
-                        "kind": "lipschitz-violation",
-                        "term": n,
-                        "phi": values,
-                        "gap": gap,
-                        "bound": bound,
-                    }
-                )
+        failures.extend(
+            dict(v, term=n) for v in _lipschitz_violations(term, limit, res.value, probes)
+        )
         rows.append({"n": n, "pointwise-gap": g, "metric": res.value, "support-gap": h})
 
     gaps = [r["pointwise-gap"] for r in rows]
@@ -487,8 +479,11 @@ def convergence_audit(
 def reverify_failure(payload: dict, context: dict) -> bool:
     """Re-check an audit failure from its payload alone.
 
-    ``context`` carries the measures/space the payload indexes into.  Returns
-    True when the recorded failure still reproduces.
+    ``context`` carries what the payload indexes into: "measures", the pool
+    of the audit that made it (``AuditReport.pool``), or "pair", the two
+    measures a Lipschitz payload compared (for a convergence payload, the
+    term it names and the limit).  Returns True when the recorded failure
+    still reproduces.
     """
     kind = payload["kind"]
     measures = context.get("measures", [])
@@ -510,11 +505,7 @@ def reverify_failure(payload: dict, context: dict) -> bool:
         res = bottleneck_distance(measures[i], measures[j], seed=seed)
         eq = equal_measures(measures[i], measures[j], seed=seed)
         zero = distance_levels(measures[i].space)[0]
-        dist_zero = res.value == zero
-        return not (
-            (dist_zero and eq.status in ("yes", "undecided"))
-            or (not dist_zero and eq.status in ("no", "undecided"))
-        )
+        return not _identity_consistent(res.value == zero, eq.status)
     if kind == "lipschitz-violation":
         mu1, mu2 = context["pair"]
         phi = PointFunction(mu1.space, payload["phi"])

@@ -58,16 +58,3 @@ def format_scalar(x: Scalar) -> str:
 
 def is_finite(x: Scalar) -> bool:
     return not (isinstance(x, float) and (x == POS_INF or x == NEG_INF))
-
-
-def scalar_eq(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
-    if tol == 0:
-        return a == b
-    return abs(a - b) <= tol
-
-
-def scalar_le(a: Scalar, b: Scalar, tol: Scalar = 0) -> bool:
-    """a <= b, up to the additive tolerance of float mode."""
-    if tol == 0:
-        return a <= b
-    return a <= b + tol

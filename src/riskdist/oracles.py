@@ -3,9 +3,12 @@ coupling module so they can catch derivation errors there.
 
 For probability vectors p, q and a relation S, a probability coupling
 supported inside S exists iff every subset A of the right space satisfies
-q(A) <= p(points whose section meets A).  The same question is also decided
-as a max-flow feasibility problem with exact rational arithmetic; the two
-deciders must agree on every instance.
+q(A) <= p(points whose section meets A).  This is Strassen's theorem on
+measures with given marginals (V. Strassen, The existence of probability
+measures with given marginals, Ann. Math. Statist. 36 (1965) 423-439) in
+its finite form.  The same question is also decided as a max-flow
+feasibility problem with exact rational arithmetic; the two deciders must
+agree on every instance.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvalidParams, OracleDisagreement, SpaceMismatch
+from .ensembles import random_capacity_measure, random_simplex
+from .errors import CouplingFailure, InvalidParams, OracleDisagreement, SpaceMismatch
 from .numerics import Scalar
 from .space import FiniteMetricSpace, Relation, distance_levels, sublevel_relation
 
@@ -123,7 +126,7 @@ def winf_distance(p: ProbabilityVector, q: ProbabilityVector) -> Scalar:
     for level in distance_levels(space):
         if strassen_feasible(p, q, sublevel_relation(space, level)):
             return level
-    raise AssertionError("the full relation always admits a coupling")
+    raise CouplingFailure("the full relation always admits a coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +148,7 @@ class CrossCheckReport:
 def random_probability(
     space: FiniteMetricSpace, rng: random.Random
 ) -> ProbabilityVector:
-    while True:
-        raw = [rng.randint(0, 8) for _ in range(space.n)]
-        total = sum(raw)
-        if total:
-            break
-    if space.exact:
-        weights = tuple(Fraction(r, total) for r in raw)
-    else:
-        weights = tuple(r / total for r in raw)
-    return ProbabilityVector(space, weights)
+    return ProbabilityVector(space, random_simplex(rng, space.n, space.exact))
 
 
 def random_relation(
@@ -184,7 +178,6 @@ def criterion_cross_check(
     witness attempt may succeed where the exact tier refutes.
     """
     from .coupling import admissible, lower_coupling, verify_coupling
-    from .ensembles import random_capacity_measure
     from .measures import choquet_measure, dirac
     from .capacity import expectation
 
@@ -197,11 +190,9 @@ def criterion_cross_check(
         q = random_probability(space, rng)
         s = random_relation(space, rng, density=rng.choice((0.3, 0.5, 0.8)))
         oracle = strassen_feasible(p, q, s)
-        verdict = admissible(
-            choquet_measure(expectation(space, p.weights)),
-            choquet_measure(expectation(space, q.weights)),
-            s,
-        )
+        mu_p = choquet_measure(expectation(space, p.weights))
+        mu_q = choquet_measure(expectation(space, q.weights))
+        verdict = admissible(mu_p, mu_q, s)
         if verdict.status == "unknown" or verdict.feasible != oracle:
             disagreements.append(
                 {
@@ -215,8 +206,6 @@ def criterion_cross_check(
                 }
             )
             continue
-        mu_p = choquet_measure(expectation(space, p.weights))
-        mu_q = choquet_measure(expectation(space, q.weights))
         report = verify_coupling(
             lower_coupling(mu_p, mu_q, s), samples=witness_samples, seed=seed
         )

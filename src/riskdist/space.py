@@ -62,9 +62,6 @@ class FiniteMetricSpace:
     def diameter(self) -> Scalar:
         return max(max(row) for row in self.dist)
 
-    def points(self) -> range:
-        return range(self.n)
-
 
 def validate_metric(
     labels: Sequence[str],
@@ -128,16 +125,6 @@ class PointFunction:
     def __call__(self, i: int) -> Scalar:
         return self.values[i]
 
-    def shift(self, c: Scalar) -> "PointFunction":
-        return PointFunction(self.space, tuple(v + c for v in self.values))
-
-    def leq(self, other: "PointFunction") -> bool:
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    @staticmethod
-    def constant(space: FiniteMetricSpace, c: Scalar) -> "PointFunction":
-        return PointFunction(space, (c,) * space.n)
-
     @staticmethod
     def indicator(space: FiniteMetricSpace, mask: int) -> "PointFunction":
         one = Fraction(1) if space.exact else 1.0
@@ -145,10 +132,6 @@ class PointFunction:
         return PointFunction(
             space, tuple(one if mask >> i & 1 else zero for i in range(space.n))
         )
-
-    @staticmethod
-    def distance_to(space: FiniteMetricSpace, i: int) -> "PointFunction":
-        return PointFunction(space, tuple(space.dist[j][i] for j in range(space.n)))
 
 
 @dataclass(frozen=True)
@@ -187,11 +170,14 @@ class Relation:
     left: FiniteMetricSpace
     right: FiniteMetricSpace
     matrix: tuple[tuple[bool, ...], ...]
-    # derived views of matrix: per-point masks and index lists
+    # derived views of matrix: per-point masks and index lists, the latter
+    # both into the factor points and into the flat product points
     sections: tuple[int, ...] = field(compare=False, default=())
     inv_sections: tuple[int, ...] = field(compare=False, default=())
     section_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
     inv_section_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
+    pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
+    inv_pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
 
     def __post_init__(self):
         if len(self.matrix) != self.left.n or any(
@@ -209,6 +195,13 @@ class Relation:
         object.__setattr__(self, "inv_sections", tuple(sum(1 << i for i in lst) for lst in inv_lists))
         object.__setattr__(self, "section_lists", sec_lists)
         object.__setattr__(self, "inv_section_lists", inv_lists)
+        n2 = self.right.n
+        object.__setattr__(self, "pair_lists", tuple(
+            tuple(i * n2 + j for j in lst) for i, lst in enumerate(sec_lists)
+        ))
+        object.__setattr__(self, "inv_pair_lists", tuple(
+            tuple(i * n2 + j for i in lst) for j, lst in enumerate(inv_lists)
+        ))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair

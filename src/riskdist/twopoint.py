@@ -20,7 +20,9 @@ Branches are evaluated in a fixed order with first match winning:
 As written the table leaves the region {phi0 + l1 < phi1 + l2 and
 phi0 + l3 < phi1 + l4} uncovered (branches 4 and 5 both need the second
 comparison to fail at least weakly).  Evaluation in that region falls back
-to branch 5's weight and flags the result.
+to branch 5's weight and flags the result.  Branch 5's own region lies
+inside branch 4's, which is tested first, so branch 5 is reported only
+through the fallback.
 
 The table is reproduced as printed, and the family it defines is not
 monotone for every valid parameter set.  The branch tests depend on phi only
@@ -51,10 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .errors import InvalidParams
-from .numerics import NEG_INF, POS_INF, Scalar, is_finite
+from .numerics import Scalar, is_finite
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ def _shape_weight(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> tuple[Scalar
         return min(a1 + a3, a2 + a4), 3, False
     if not c1 and c2_ge:
         return min(a1 + a4, a2 + a3), 4, False
-    if not c1 and not c2_le:  # strictly greater on the min side
-        return min(a1, a2 + a3 + a4), 5, False
-    # uncovered region: both comparisons fail strictly
+    # branch 5's own condition (not c1, strictly not c2) implies branch 4's,
+    # so its weight applies only here, in the uncovered region where both
+    # comparisons fail strictly
     return min(a1, a2 + a3 + a4), 5, True
 
 
@@ -213,11 +214,3 @@ def branch_boundaries(p: TwoPointParams) -> list[Scalar]:
         if is_finite(a) and is_finite(b):
             out.append(a - b)
     return sorted(set(out))
-
-
-def parse_extended(value) -> Scalar:
-    if value == "-inf":
-        return NEG_INF
-    if value in ("+inf", "inf"):
-        return POS_INF
-    return value

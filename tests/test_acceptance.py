@@ -125,7 +125,7 @@ def test_criterion_04_metric_axioms(name):
     report = metric_axiom_audit(space, ensemble_size=100, seed=404)
     for payload in report.discrepancies:
         # sampled-tier discrepancies must re-verify from their payloads
-        assert reverify_failure(payload, {"measures": None, "seed": 404}) is not None
+        assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is not None
     assert report.ok, report.failures
     verdict(
         f"04 metric axioms [{name}]",

@@ -98,6 +98,44 @@ class TestDistance:
         assert code == 0
         assert capsys.readouterr().out.startswith("2 (exact")
 
+    def test_sampled_witness_is_labelled_sampled(self, space_file, capsys):
+        uniform = ["1/3", "1/3", "1/3"]
+        cv = {"type": "cvar", "level": "1/2", "weights": uniform}
+        lattice = {
+            "type": "max",
+            "components": [DIRAC_A, {"type": "expectation", "weights": uniform}],
+        }
+        code = main(
+            [
+                "distance",
+                "--space", space_file,
+                "--measure", json.dumps(cv),
+                "--measure", json.dumps(lattice),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("1 (sampled, witness-found)")
+
+    def test_undecided_ladder_exits_one(self, space_file, monkeypatch, capsys):
+        from riskdist import metric
+        from riskdist.coupling import FeasibilityVerdict
+
+        monkeypatch.setattr(
+            metric,
+            "admissible",
+            lambda *args, **kwargs: FeasibilityVerdict("unknown", "refutation-sampled"),
+        )
+        code = main(
+            [
+                "distance",
+                "--space", space_file,
+                "--measure", json.dumps(DIRAC_A),
+                "--measure", json.dumps(DIRAC_C),
+            ]
+        )
+        assert code == 1
+        assert "no feasible level" in capsys.readouterr().err
+
 
 class TestMatrix:
     def test_point_mass_matrix_is_the_distance_matrix(self, space_file, capsys):

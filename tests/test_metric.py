@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,21 @@ class TestBottleneckDistance:
     def test_point_masses_extend_the_base_metric(self, p3):
         res = rd.bottleneck_distance(rd.dirac(p3, "a"), rd.dirac(p3, "c"))
         assert res.value == 2 and res.certification == "exact"
+
+    def test_certification_follows_the_chosen_tier(self, p3):
+        uniform = (F(1, 3),) * 3
+        cv = rd.choquet_measure(rd.cvar(p3, uniform, F(1, 2)))
+        lattice = rd.lattice_max(
+            [rd.dirac(p3, "a"), rd.choquet_measure(rd.expectation(p3, uniform))]
+        )
+        res = rd.bottleneck_distance(cv, lattice)
+        assert res.tier == "witness-found" and res.certification == "sampled"
+        rng = derive_rng(2, "certification")
+        for _ in range(6):
+            mu1 = random_capacity_measure(p3, rng)
+            mu2 = random_capacity_measure(p3, rng)
+            res = rd.bottleneck_distance(mu1, mu2)
+            assert res.tier == "exact-choquet" and res.certification == "exact"
 
     def test_expectations_match_the_transport_oracle(self, p3):
         mu1 = rd.choquet_measure(rd.expectation(p3, (F(1), F(0), F(0))))
@@ -151,6 +168,44 @@ class TestLipschitzControl:
         assert reverify_failure(payload, {"pair": (mu1, mu2)})
         honest = dict(payload, distance=2)
         assert not reverify_failure(honest, {"pair": (mu1, mu2)})
+
+    def test_convergence_payload_reverifies(self, p3, monkeypatch):
+        # an understated distance makes the audit report real violations;
+        # each re-checks from its payload against the term it names
+        from riskdist import metric
+
+        terms, limit = drifting_mixture_sequence(p3, 0, 2, count=3)
+        true_distance = metric.bottleneck_distance
+        monkeypatch.setattr(
+            metric,
+            "bottleneck_distance",
+            lambda mu1, mu2, **kw: dataclasses.replace(true_distance(mu1, mu2, **kw), value=0),
+        )
+        report = rd.convergence_audit(terms, limit, seed=1)
+        assert report.failures
+        for payload in report.failures:
+            assert payload["kind"] == "lipschitz-violation" and payload["distance"] == 0
+            pair = (terms[payload["term"] - 1], limit)
+            assert reverify_failure(payload, {"pair": pair})
+            assert not reverify_failure(dict(payload, distance=2), {"pair": pair})
+
+
+class TestReverifyAuditPayloads:
+    def test_identity_payload_reverifies_against_the_pool(self, p3):
+        report = metric_axiom_audit(p3, ensemble_size=6, seed=5)
+        assert len(report.pool) == report.instances == 6
+        context = {"measures": report.pool, "seed": 5}
+        for i in range(6):
+            for j in range(i + 1, 6):
+                payload = {"kind": "identity-mismatch", "pair": (i, j)}
+                # the audit found no mismatch, so none reproduces
+                assert reverify_failure(payload, context) is False
+
+    def test_pool_stays_out_of_the_serialized_report(self, p3):
+        from riskdist.io import audit_summary
+
+        report = metric_axiom_audit(p3, ensemble_size=4, seed=5)
+        assert "pool" not in json.dumps(audit_summary(report))
 
 
 class TestConvergenceAudit:

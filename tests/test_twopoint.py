@@ -187,3 +187,92 @@ class TestBranchTableDefect:
             p = rd.TwoPointParams(base.alphas, ZEROS, base.shape)
             mu = rd.two_point_measure(two_point, p)
             assert rd.verify_axioms(mu, samples=300, seed=7).ok
+
+
+class TestBranchTable:
+    """Every branch's shape weight, pinned to the table of the module
+    docstring through the value two_point_eval returns.
+
+    The table is transcribed here on its own.  With c1: phi0 + l1 >= phi1 +
+    l2 and c2: phi0 + l3 <= phi1 + l4, the first matching row wins, and the
+    region no row covers falls back to row 5's weight with the gap flag.
+    Points are seeded inside each row's region with t = phi1 - phi0 != 0 and
+    the identity shape, so f(t) = t and a wrong weight changes the value.
+    """
+
+    WEIGHTS = {
+        1: lambda a1, a2, a3, a4: min(a1, a2),
+        2: lambda a1, a2, a3, a4: min(a1 + a3 + a4, a2),
+        3: lambda a1, a2, a3, a4: min(a1 + a3, a2 + a4),
+        4: lambda a1, a2, a3, a4: min(a1 + a4, a2 + a3),
+        5: lambda a1, a2, a3, a4: min(a1, a2 + a3 + a4),
+    }
+
+    @staticmethod
+    def row(p, phi0, phi1):
+        """(row, gap) of the printed table at phi."""
+        _, _, a3, a4 = p.alphas
+        l1, l2, l3, l4 = p.lambdas
+        if a3 == 0 and a4 == 0:
+            return 1, False
+        c1 = phi0 + l1 >= phi1 + l2
+        c2_le = phi0 + l3 <= phi1 + l4
+        c2_ge = phi0 + l3 >= phi1 + l4
+        if c1 and c2_le:
+            return 2, False
+        if c1 and not c2_le:
+            return 3, False
+        if not c1 and c2_ge:
+            return 4, False
+        if not c1 and not c2_le:
+            return 5, False
+        return 5, True
+
+    @staticmethod
+    def seeded_params(rng):
+        alphas = [F(rng.randint(0, 4)) for _ in range(4)]
+        if rng.random() < 0.2:
+            alphas[2] = alphas[3] = F(0)
+        if not sum(alphas):
+            alphas[0] = F(1)
+        total = sum(alphas)
+        k = F(rng.randint(1, 4))
+        neg = rng.choice(((0, 0), (0, -k), (-k, 0), (0, NEG_INF), (NEG_INF, 0)))
+        pos = rng.choice(((0, 0), (0, k), (k, 0), (0, POS_INF), (POS_INF, 0)))
+        return rd.TwoPointParams(
+            tuple(a / total for a in alphas),
+            tuple(F(l) if l not in (NEG_INF, POS_INF) else l for l in neg + pos),
+            rd.ShapeFunction.identity(),
+        )
+
+    def test_weights_match_the_printed_table(self):
+        rng = derive_rng(37, "branch-table")
+        hits = {state: 0 for state in ((1, False), (2, False), (3, False), (4, False), (5, True))}
+        for _ in range(300):
+            p = self.seeded_params(rng)
+            a1, a2, a3, a4 = p.alphas
+            l1, l2, l3, l4 = p.lambdas
+            ts = [F(rng.randint(-24, 24), 4) for _ in range(6)]
+            for b in branch_boundaries(p):
+                ts += [b - F(1, 2), b, b + F(1, 2)]
+            for t in ts:
+                if t == 0:
+                    continue
+                phi0 = F(rng.randint(-16, 16), 4)
+                phi1 = phi0 + t
+                state = self.row(p, phi0, phi1)
+                weight = self.WEIGHTS[state[0]](a1, a2, a3, a4)
+                want = (
+                    a1 * phi0
+                    + a2 * phi1
+                    + a3 * max(phi0 + l1, phi1 + l2)
+                    + a4 * min(phi0 + l3, phi1 + l4)
+                    + weight * t
+                )
+                got = two_point_eval(p, phi0, phi1)
+                assert (got.branch, got.gap) == state, (p, phi0, phi1)
+                assert got.value == want, (p, phi0, phi1, state)
+                # row 5's own region lies inside row 4's
+                assert got.branch != 5 or got.gap
+                hits[state] += 1
+        assert min(hits.values()) >= 50, hits
