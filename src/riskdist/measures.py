@@ -14,8 +14,9 @@ Each constructor builds its measure once into the form it is evaluated by.
 Dirac measures, Choquet measures and their mixtures carry a single
 capacity, which unlocks exact axiom checks, supports and equality.  Every
 other measure carries an evaluator: family members and combinations behind
-one bounded memo each, black boxes as given.  Those fall back to seeded
-probing, and reports say so.
+one bounded memo each, black boxes as given.  Family members on an exact
+space are still checked exactly, from the affine pieces of their formula;
+the others fall back to seeded probing, and reports say so.
 """
 
 from __future__ import annotations
@@ -253,6 +254,97 @@ def _two_point_boundary_pairs(mu: RiskMeasure, rng: random.Random):
     return pairs
 
 
+def _offset(gap, coef, base):
+    """Halve ``base`` until ``coef * eps`` stays below ``gap`` > 0."""
+    eps = base
+    while coef * eps >= gap:
+        eps /= 2
+    return eps
+
+
+def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
+    """Decide a family member on an exact space from a census of its pieces.
+
+    The branch tests and the max and min terms depend on phi only through
+    t = phi1 - phi0 and switch only at the branch boundaries, and the shape
+    is affine between its knots.  So between consecutive breakpoints ({0},
+    the knots and the boundaries) mu is affine on the strip of t, with form
+    alpha*phi0 + beta*phi1 + gamma, and on each breakpoint line it is affine
+    along (1, 1).  Every form is read from evaluations, never from the
+    parameters: three non-collinear points per strip, two per line.
+
+    mu is then a normed monetary risk measure iff alpha + beta = 1 and
+    alpha, beta >= 0 on every strip, the value rises by 1 along every line,
+    g(t) = mu(0, t) meets both one-sided limits at every breakpoint and
+    g(0) = 0.  Each failure becomes a re-checkable violation: a monotone
+    pair inside the strip for a slope outside [0, 1], a monotone pair
+    straddling the breakpoint for a jump (the offset shrinks until the drop
+    shows), a shift for translation invariance and the constant 0 for
+    normedness.
+    """
+    F = Fraction
+    zero, one = F(0), F(1)
+
+    def ev(phi0, phi1):
+        return evaluate_values(mu, (phi0, phi1))
+
+    def monotone(lo, hi):
+        return Violation("monotonicity", _attributed(mu, lo, hi), (ev(*lo), ev(*hi)))
+
+    def shifted(t, base, moved):
+        return Violation(
+            "translation-invariance", {"phi": (zero, t), "shift": one}, (base, moved)
+        )
+
+    points = sorted(
+        {zero, *map(F, branch_boundaries(mu.params)), *(F(t) for t, _ in mu.params.shape.knots)}
+    )
+    ends = [None, *points, None]
+    out: list[Violation] = []
+    forms = []  # (alpha, beta, gamma) of each strip, left to right
+    for lo, hi in zip(ends, ends[1:]):
+        if lo is None:
+            t1, t2 = hi - 2, hi - 1
+        elif hi is None:
+            t1, t2 = lo + 1, lo + 2
+        else:
+            t1, t2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
+        g1, g2, moved = ev(zero, t1), ev(zero, t2), ev(one, one + t1)
+        beta = (g2 - g1) / (t2 - t1)
+        alpha = moved - g1 - beta
+        forms.append((alpha, beta, g1 - beta * t1))
+        if moved != g1 + 1:
+            out.append(shifted(t1, g1, moved))
+        if beta < 0:  # raising phi1 lowers the value
+            out.append(monotone((zero, t1), (zero, t2)))
+        if alpha < 0:  # raising phi0 lowers the value
+            out.append(monotone((zero, t2), (t2 - t1, t2)))
+    for k, b in enumerate(points):
+        here, moved = ev(zero, b), ev(one, one + b)
+        if moved != here + 1:
+            out.append(shifted(b, here, moved))
+        if b == 0 and here != 0:
+            out.append(Violation("normedness", {"constant": zero}, (here,)))
+        (la, lb, lc), (_, rb, rc) = forms[k], forms[k + 1]
+        left = min(one, (b - points[k - 1]) / 2) if k else one
+        right = min(one, (points[k + 1] - b) / 2) if k + 1 < len(points) else one
+        jump = lb * b + lc - here  # left limit over g(b)
+        if jump > 0:  # g drops at b: raise phi1 across it
+            eps = _offset(jump, lb, left)
+            out.append(monotone((zero, b - eps), (zero, b)))
+        elif jump < 0:  # g rises at b: raise phi0 back across it
+            eps = _offset(-jump, la, left)
+            out.append(monotone((zero, b), (eps, b)))
+        jump = here - (rb * b + rc)  # g(b) over the right limit
+        if jump > 0:  # g drops after b: raise phi1 across it
+            eps = _offset(jump, rb, right)
+            out.append(monotone((zero, b), (zero, b + eps)))
+        elif jump < 0:  # g rises after b: raise phi0 back across it
+            eps = _offset(-jump, moved - here - rb, right)
+            out.append(monotone((zero, b + eps), (eps, b + eps)))
+    return out
+
+
 def verify_axioms(
     mu: RiskMeasure,
     mode: str = "auto",
@@ -263,16 +355,25 @@ def verify_axioms(
 
     Capacity-convertible measures are checked exactly: the Capacity
     constructor has already enforced normalization and monotone covers, so
-    the verdict is immediate.  Everything else is probed with seeded
-    samples; discovered violations carry re-checkable witnesses.
+    the verdict is immediate.  Two-point family members on an exact space
+    are decided exactly by a census of the affine pieces of their formula
+    (``_two_point_violations``).  Everything else, and every measure in
+    ``mode="sampled"``, is probed with seeded samples.  Discovered
+    violations carry re-checkable witnesses either way.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
     if mode != "sampled" and mu.capacity is not None:
         # construction already validated the table; re-assert cheaply
         return AxiomReport("pass", (), "exact")
+    if mode != "sampled" and mu.kind == "two-point" and mu.space.exact:
+        found = tuple(_two_point_violations(mu))
+        return AxiomReport("fail" if found else "pass", found, "exact")
     if mode == "exact":
-        raise InvalidParams("exact verification needs a capacity-convertible measure")
+        raise InvalidParams(
+            "exact verification needs a capacity-convertible measure "
+            "or a two-point family member on an exact space"
+        )
 
     rng = random.Random(seed)
     space = mu.space

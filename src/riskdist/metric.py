@@ -11,6 +11,8 @@ switch; the top level (the diameter) is always feasible.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -68,6 +70,31 @@ class AuditReport:
         return not self.failures
 
 
+#: support masks of the measures of the distance matrix being computed,
+#: keyed by measure identity and seed; it lives only as long as the matrix
+#: call, so it holds at most one entry per measure of that matrix
+_matrix_supports: ContextVar[Optional[dict]] = ContextVar("matrix_supports", default=None)
+
+
+@contextmanager
+def _supports_probed_once():
+    token = _matrix_supports.set({})
+    try:
+        yield
+    finally:
+        _matrix_supports.reset(token)
+
+
+def _support_mask(mu: RiskMeasure, seed: int) -> int:
+    memo = _matrix_supports.get()
+    if memo is None:
+        return support(mu, seed=seed).mask
+    key = (mu, seed)
+    if key not in memo:
+        memo[key] = support(mu, seed=seed).mask
+    return memo[key]
+
+
 def _gate_axioms(mu: RiskMeasure, which: str, seed: int):
     report = verify_axioms(mu, seed=seed)
     if not report.ok:
@@ -102,7 +129,7 @@ def bottleneck_distance(
     last_infeasible = None
     supports = None
     if mu1.capacity is None or mu2.capacity is None:
-        supports = (support(mu1, seed=seed).mask, support(mu2, seed=seed).mask)
+        supports = (_support_mask(mu1, seed), _support_mask(mu2, seed))
     for level in distance_levels(space):
         verdict = admissible(
             mu1,
@@ -152,6 +179,7 @@ def bottleneck_distance(
     return DistanceResult(value, witness, tuple(ladder), certification, tier=chosen.tier)
 
 
+@_supports_probed_once()
 def distance_matrix(
     measures: Sequence[RiskMeasure],
     seed: int = 0,
@@ -161,7 +189,9 @@ def distance_matrix(
     """Pairwise distances with a built-in symmetry / diagonal / triangle scan.
 
     Witness verification cost is controlled by ``witness_policy``: "all"
-    verifies every pair, "sample" a seeded subset, "none" skips.
+    verifies every pair, "sample" a seeded subset, "none" skips.  The
+    support of each non-capacity measure is probed once for the whole
+    matrix, not once per pair.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")

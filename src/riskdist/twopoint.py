@@ -27,8 +27,12 @@ through the fallback.
 The table is reproduced as printed, and the family it defines is not
 monotone for every valid parameter set.  The branch tests depend on phi only
 through t = phi1 - phi0, so mu(phi) = phi0 + g(t) with g piecewise linear,
-and mu is monotone iff g is continuous with every slope in [0, 1].  Three
-classes of defect break this:
+and mu is monotone iff g is continuous with every slope in [0, 1].
+``measures.verify_axioms`` decides each member on an exact space this way:
+it reads the affine form of mu on every strip of t between the breakpoints
+(0, the shape knots and ``branch_boundaries``) from evaluations, and reports
+each jump of g and each slope outside [0, 1] with a monotone pair that
+re-checks exactly.  Three classes of defect break monotonicity:
 
     A. fallback jump: the shape weight jumps where t enters the uncovered
        region, and f does not vanish there;
@@ -206,7 +210,8 @@ def branch_boundaries(p: TwoPointParams) -> list[Scalar]:
     """Finite values of phi1 - phi0 where the branch table can switch.
 
     The comparisons depend on phi only through the difference, switching at
-    l1 - l2 and l3 - l4; audits probe monotone pairs straddling these.
+    l1 - l2 and l3 - l4.  The exact axiom check breaks g at these points,
+    and the sampled one aims monotone pairs across them.
     """
     out = []
     l1, l2, l3, l4 = p.lambdas

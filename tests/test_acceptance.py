@@ -2,10 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 9 archives the known defects of the two-point branch
-table, which is non-monotone for some valid parameter sets: an exact census
-sorts every defect into the three classes the twopoint module documents,
-every sampled axiom violation must re-check exactly inside a census defect,
-and the printed payloads show examples of each class.
+table, which is non-monotone for some valid parameter sets: an independent
+exact census sorts every defect into the three classes the twopoint module
+documents, the exact tier of ``verify_axioms`` must fail exactly the
+defective sets, each of its violations must re-check exactly inside a
+census defect and each census defect must be reported, and the printed
+payloads show examples of each class.
 """
 
 import json
@@ -125,7 +127,7 @@ def test_criterion_04_metric_axioms(name):
     report = metric_axiom_audit(space, ensemble_size=100, seed=404)
     for payload in report.discrepancies:
         # sampled-tier discrepancies must re-verify from their payloads
-        assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is not None
+        assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is True
     assert report.ok, report.failures
     verdict(
         f"04 metric axioms [{name}]",
@@ -282,7 +284,7 @@ def two_point_census(params) -> list[Defect]:
 
 
 def recheck_two_point_violation(violation, params):
-    """Re-derive a sampled violation from its witness in exact arithmetic.
+    """Re-derive an axiom violation from its witness in exact arithmetic.
 
     Returns the functions it evaluated, the closed interval of t = phi1 - phi0
     they span, and whether an evaluation went through the uncovered-branch
@@ -324,16 +326,20 @@ def test_criterion_09_two_point_family():
         defective += bool(defects)
         per_class.update({d.cls for d in defects})
         mu = rd.two_point_measure(space, params)
-        report = rd.verify_axioms(mu, samples=1000, seed=index)
+        report = rd.verify_axioms(mu, seed=index)
+        assert report.method == "exact"
+        assert report.ok == (not defects), (params, defects, report.violations)
         if report.ok:
             continue
-        rechecks = [recheck_two_point_violation(v, params) for v in report.violations]
-        assert defects, f"sampled violations on census-sound set {params}"
         caught += 1
-        for violation, (points, lo, hi, gap) in zip(report.violations, rechecks):
-            classes = sorted({d.cls for d in defects if d.meets(lo, hi)})
-            assert classes, (params, violation, defects)
+        reported = set()
+        for violation in report.violations:
+            points, lo, hi, gap = recheck_two_point_violation(violation, params)
+            met = {d for d in defects if d.meets(lo, hi)}
+            assert met, (params, violation, defects)
+            reported |= met
             rechecked += 1
+            classes = sorted({d.cls for d in met})
             for cls in classes:
                 if len(archive[cls]) < 2:
                     archive[cls].append(
@@ -350,12 +356,13 @@ def test_criterion_09_two_point_family():
                             "gap-involved": gap,
                         }
                     )
+        assert reported == set(defects), (params, defects, report.violations)
     verdict(
         "09 two-point family",
         True,
         f"census: {defective}/1000 parameter sets defective "
         f"(A fallback jump {per_class['A']}, B covered-branch jump {per_class['B']}, "
-        f"C branch-4 slope {per_class['C']}); sampled tier caught {caught}/{defective} "
+        f"C branch-4 slope {per_class['C']}); exact tier caught {caught}/{defective} "
         f"with 0 false alarms; {rechecked} violations re-check exactly inside a census defect",
     )
     for cls, entries in archive.items():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,28 @@ class TestDistanceMatrix:
         results, report = rd.distance_matrix(measures, witness_policy="all")
         assert report.ok
         assert report.checks["triangle"] and report.checks["symmetry"]
+
+    def test_supports_are_probed_once_per_matrix(self, p3, monkeypatch):
+        import riskdist.metric
+
+        probed = Counter()
+        real = riskdist.metric.support
+
+        def counting(mu, *args, **kwargs):
+            probed[mu] += 1
+            return real(mu, *args, **kwargs)
+
+        monkeypatch.setattr(riskdist.metric, "support", counting)
+        a = rd.dirac(p3, "a")
+        b = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
+        hi, lo = rd.lattice_max([a, b]), rd.lattice_min([a, b])
+        results, report = rd.distance_matrix([a, b, hi, lo], witness_policy="none")
+        assert report.ok
+        assert probed[hi] == probed[lo] == 1
+        assert set(probed.values()) == {1}
+        # outside a matrix each distance probes afresh, to the same values
+        assert rd.bottleneck_distance(hi, lo).value == results[2][3].value
+        assert probed[hi] == probed[lo] == 2
 
 
 class TestMetricAxiomAudit:

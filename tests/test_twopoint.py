@@ -6,7 +6,9 @@ import riskdist as rd
 from riskdist.ensembles import derive_rng, random_two_point_params
 from riskdist.errors import InvalidParams
 from riskdist.numerics import NEG_INF, POS_INF
-from riskdist.twopoint import branch_boundaries, two_point_eval
+from riskdist.twopoint import TwoPointValue, branch_boundaries, two_point_eval
+
+from test_acceptance import Defect, recheck_two_point_violation, two_point_census
 
 F = Fraction
 ZEROS = (F(0), F(0), F(0), F(0))
@@ -14,6 +16,20 @@ ZEROS = (F(0), F(0), F(0), F(0))
 
 def params(alphas, lambdas=ZEROS, shape=None):
     return rd.TwoPointParams(alphas, lambdas, shape or rd.ShapeFunction.zero())
+
+
+def family_stream(count):
+    """The first ``count`` parameter sets of criterion 09's stream."""
+    rng = derive_rng(909, "family")
+    return [random_two_point_params(rng) for _ in range(count)]
+
+
+def assert_rechecks(report, p):
+    """Every violation re-checks exactly inside a census defect."""
+    defects = two_point_census(p)
+    for v in report.violations:
+        _, lo, hi, _ = recheck_two_point_violation(v, p)
+        assert any(d.meets(lo, hi) for d in defects), (p, v, defects)
 
 
 class TestShapeFunction:
@@ -163,14 +179,31 @@ class TestBranchTableDefect:
             rd.ShapeFunction.identity(),
         )
         mu = rd.two_point_measure(two_point, p)
-        report = rd.verify_axioms(mu, seed=1)
+        report = rd.verify_axioms(mu, mode="sampled", seed=1)
         assert not report.ok
+        assert report.method == "sampled(seed=1, count=200)"
         mono = [v for v in report.violations if v.axiom == "monotonicity"]
         assert mono
         assert any(
             not v.witness["lo_eval"].gap and not v.witness["hi_eval"].gap
             for v in mono
         )
+
+    def test_exact_tier_catches_it(self, two_point):
+        p = rd.TwoPointParams(
+            (F(1, 2), F(0), F(1, 2), F(0)),
+            (F(-1), F(0), F(0), F(0)),
+            rd.ShapeFunction.identity(),
+        )
+        mu = rd.two_point_measure(two_point, p)
+        report = rd.verify_axioms(mu, seed=1)
+        assert not report.ok
+        assert report.method == "exact"
+        assert [v.axiom for v in report.violations] == ["monotonicity"]
+        (v,) = report.violations
+        # the jump at the covered boundary t = -1, away from the fallback
+        assert not v.witness["lo_eval"].gap and not v.witness["hi_eval"].gap
+        assert_rechecks(report, p)
 
     def test_boundary_locations(self):
         p = rd.TwoPointParams(
@@ -187,6 +220,7 @@ class TestBranchTableDefect:
             p = rd.TwoPointParams(base.alphas, ZEROS, base.shape)
             mu = rd.two_point_measure(two_point, p)
             assert rd.verify_axioms(mu, samples=300, seed=7).ok
+            assert rd.verify_axioms(mu, mode="sampled", samples=300, seed=7).ok
 
 
 class TestBranchTable:
@@ -276,3 +310,101 @@ class TestBranchTable:
                 assert got.branch != 5 or got.gap
                 hits[state] += 1
         assert min(hits.values()) >= 50, hits
+
+
+class TestExactTier:
+    """verify_axioms decides family members on an exact space from the
+    affine pieces of their formula; the sampled probes stay a cross-check."""
+
+    def test_small_jumps_the_probes_miss_fail(self, two_point):
+        # sets 144 and 251 of criterion 09's stream: one jump of 1/48 each,
+        # smaller than the boundary probe's bump times the slope
+        stream = family_stream(252)
+        for index in (144, 251):
+            p = stream[index]
+            defects = two_point_census(p)
+            assert len(defects) == 1 and defects[0].lo == defects[0].hi
+            report = rd.verify_axioms(rd.two_point_measure(two_point, p), seed=index)
+            assert not report.ok and report.method == "exact"
+            assert report.violations
+            assert_rechecks(report, p)
+
+    def test_dropped_phi1_term_breaks_translation_invariance(self, two_point, monkeypatch):
+        import riskdist.measures
+
+        def mutated(p, phi0, phi1):
+            out = two_point_eval(p, phi0, phi1)
+            return TwoPointValue(out.value - p.alphas[1] * phi1, out.branch, out.gap)
+
+        monkeypatch.setattr(riskdist.measures, "two_point_eval", mutated)
+        p = params((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), shape=rd.ShapeFunction.identity())
+        report = rd.verify_axioms(rd.two_point_measure(two_point, p))
+        assert not report.ok and report.method == "exact"
+        assert "translation-invariance" in {v.axiom for v in report.violations}
+
+    def test_float_space_keeps_the_probes(self):
+        space = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]], mode="float")
+        p = rd.TwoPointParams(
+            (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0), rd.ShapeFunction.zero()
+        )
+        mu = rd.two_point_measure(space, p)
+        report = rd.verify_axioms(mu, samples=50, seed=3)
+        assert report.ok
+        assert report.method == "sampled(seed=3, count=50)"
+        with pytest.raises(InvalidParams):
+            rd.verify_axioms(mu, mode="exact")
+
+    def test_exact_mode_decides_family_members(self, two_point):
+        sound = params((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), shape=rd.ShapeFunction.identity())
+        report = rd.verify_axioms(rd.two_point_measure(two_point, sound), mode="exact")
+        assert report.ok and report.method == "exact"
+        slope = rd.TwoPointParams(
+            (F(1, 4), F(1, 4), F(1, 4), F(1, 4)),
+            (NEG_INF, F(0), F(0), F(0)),
+            rd.ShapeFunction.identity(),
+        )
+        report = rd.verify_axioms(rd.two_point_measure(two_point, slope), mode="exact")
+        assert not report.ok and report.method == "exact"
+        assert_rechecks(report, slope)
+
+
+def exact_defects(report, p):
+    """The defects of g the exact tier reports, as census defects: a pair
+    with one end on a breakpoint b is a jump at b on the side of its other
+    end, and a pair inside a piece is a slope defect of that piece."""
+    points = sorted({F(0), *branch_boundaries(p), *(t for t, _ in p.shape.knots)})
+    out = []
+    for v in report.violations:
+        assert v.axiom == "monotonicity", v
+        ts = {phi[1] - phi[0] for phi in (v.witness["lo"], v.witness["hi"])}
+        on = ts.intersection(points)
+        if on:
+            (b,) = on
+            (other,) = ts - on
+            out.append(Defect(None, b, b, "left" if other < b else "right"))
+        else:
+            t = min(ts)
+            lo = max((b for b in points if b < t), default=NEG_INF)
+            hi = min((b for b in points if b > t), default=POS_INF)
+            out.append(Defect(None, lo, hi))
+    return out
+
+
+def test_sampled_tier_agrees_with_the_exact_tier(two_point):
+    """The sampled probes, run as an oracle on a prefix of criterion 09's
+    stream, never fail a set the exact tier passes, and each of their
+    violations re-checks inside a defect the exact tier reports."""
+    failed = 0
+    for index, p in enumerate(family_stream(40)):
+        mu = rd.two_point_measure(two_point, p)
+        exact = rd.verify_axioms(mu, seed=index)
+        sampled = rd.verify_axioms(mu, mode="sampled", samples=1000, seed=index)
+        if sampled.ok:
+            continue
+        failed += 1
+        assert not exact.ok, (p, sampled.violations)
+        defects = exact_defects(exact, p)
+        for v in sampled.violations:
+            _, lo, hi, _ = recheck_two_point_violation(v, p)
+            assert any(d.meets(lo, hi) for d in defects), (p, v, defects)
+    assert failed >= 10
