@@ -12,13 +12,20 @@ expectations, quantile capacities give value-at-risk, distortions give
 expected shortfall, the unanimity capacity gives min, the possibility
 capacity gives max.
 
-Tables are stored as full 2^n tuples indexed by subset bitmask.
+Tables are stored as full 2^n tuples indexed by subset bitmask.  In exact
+mode each capacity also builds its table once as integers over one common
+denominator D.  The monotonicity and null-point scans run on those
+integers, the coupling module compares two tables by cross-multiplying
+them, and a Choquet integral of ``int`` values sums its layers in ``int``
+and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed values
+and float mode take the ``Fraction`` (or float) loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InputFormatError, InvalidParams, SpaceMismatch
@@ -27,10 +34,19 @@ from .space import FiniteMetricSpace, PointFunction
 
 MAX_CAPACITY_POINTS = 12  # 2^n table guard
 
+_INT = frozenset((int,))
+
 
 @dataclass(frozen=True)
 class Capacity:
-    """A normalized monotone set function over subset bitmasks."""
+    """A normalized monotone set function over subset bitmasks.
+
+    It also carries ``scaled``, the table times ``scale``.  In exact mode
+    ``scale`` is the least common denominator D of the entries and
+    ``scaled`` holds integers; in float mode they are the table and 1.
+    Both are plain attributes, not fields, so equality and reports see the
+    table alone.
+    """
 
     space: FiniteMetricSpace
     table: tuple[Scalar, ...]
@@ -49,30 +65,28 @@ class Capacity:
             raise InvalidParams("capacity of the empty set must be 0")
         if abs(self.table[-1] - 1) > tol:
             raise InvalidParams("capacity of the full space must be 1")
+        if self.space.exact and all(type(x) in (int, Fraction) for x in self.table):
+            scale = lcm(*(x.denominator for x in self.table))
+            scaled = tuple(x.numerator * (scale // x.denominator) for x in self.table)
+            # the integer sum gives a Fraction for any nonzero layer, which
+            # the Fraction loop does only if every entry a layer can read
+            # (a proper nonempty subset) is a Fraction
+            layers = all(type(x) is Fraction for x in self.table[1:-1])
+        else:
+            scaled, scale, layers = self.table, 1, False
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_int_layers", scaled if layers else None)
+        # tol is 0 wherever the scaled table is not the table itself
         for mask in range(1 << n):
             for i in range(n):
                 if not mask >> i & 1:
-                    if self.table[mask] > self.table[mask | 1 << i] + tol:
+                    if scaled[mask] > scaled[mask | 1 << i] + tol:
                         raise InvalidParams(
                             "capacity not monotone: "
                             f"v({mask}) > v({mask | 1 << i})"
                         )
-        object.__setattr__(self, "null_mask", self._compute_null_mask())
-
-    def _compute_null_mask(self) -> int:
-        """Points whose presence never changes the capacity."""
-        n = self.space.n
-        tol = self.space.tol
-        null = 0
-        for i in range(n):
-            bit = 1 << i
-            if all(
-                abs(self.table[mask | bit] - self.table[mask]) <= tol
-                for mask in range(1 << n)
-                if not mask & bit
-            ):
-                null |= bit
-        return null
+        object.__setattr__(self, "null_mask", _null_mask(scaled, n, tol))
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
         """Choquet integral by the decreasing-rearrangement sum.
@@ -80,9 +94,32 @@ class Capacity:
         Ties are broken by point index; the sum is tie-independent because
         equal adjacent values contribute zero-width layers.  Zero-width
         layers are skipped (v(X) = 1 absorbs the bottom value).
+
+        Integer path: when every value is an ``int`` and the capacity is
+        exact, the layers are summed in ``int`` over ``scaled`` and a single
+        ``Fraction`` is built at the end.  It returns what the ``Fraction``
+        loop returns, type included: the bottom value itself when no layer
+        is nonzero, a ``Fraction`` otherwise.  ``Fraction`` or mixed values,
+        and float mode, take that loop.
         """
         n = self.space.n
         order = sorted(range(n), key=values.__getitem__, reverse=True)
+        ints = self._int_layers
+        if ints is not None and _INT.issuperset(map(type, values)):
+            bottom = values[order[-1]]
+            if values[order[0]] == bottom:
+                return bottom
+            # summed by parts: each value times what its point adds to the
+            # scaled capacity of the upper set
+            acc = 0
+            mask = 0
+            below = 0
+            for i in order:
+                mask |= 1 << i
+                t = ints[mask]
+                acc += values[i] * (t - below)
+                below = t
+            return Fraction(acc, self.scale)
         total = values[order[-1]]
         table = self.table
         mask = 0
@@ -96,6 +133,20 @@ class Capacity:
     def support_mask(self) -> int:
         """Smallest carrier: the points that are not null."""
         return self.space.full_mask & ~self.null_mask
+
+
+def _null_mask(table, n: int, tol) -> int:
+    """Points whose presence never changes the capacity."""
+    null = 0
+    for i in range(n):
+        bit = 1 << i
+        if all(
+            abs(table[mask | bit] - table[mask]) <= tol
+            for mask in range(1 << n)
+            if not mask & bit
+        ):
+            null |= bit
+    return null
 
 
 def choquet_eval(v: Capacity, phi: PointFunction) -> Scalar:

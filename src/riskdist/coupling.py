@@ -76,7 +76,8 @@ def section_minima(values, lists) -> tuple:
     relevant marginal is supported inside the projection, as condition (a)
     guarantees.
     """
-    mins = [min(values[q] for q in lst) if lst else None for lst in lists]
+    get = values.__getitem__
+    mins = [min(map(get, lst)) if lst else None for lst in lists]
     if None in mins:
         reachable = [values[q] for lst in lists for q in lst]
         top = max(reachable) if reachable else max(values)
@@ -257,9 +258,11 @@ def _admissible_exact(mu1, mu2, v1, v2, s: Relation) -> FeasibilityVerdict:
         ("left", v1, v2, left_inner),
         ("right", v2, v1, right_inner),
     ):
+        # va(inner) > vb(b), cross-multiplied over the two scales
+        ta, sa, tb, sb = va.scaled, va.scale, vb.scaled, vb.scale
         for b in range(1 << n):
             inner = inners[b]
-            if va.table[inner] > vb.table[b] + tol:
+            if ta[inner] * sb > tb[b] * sa + tol:
                 return FeasibilityVerdict(
                     "infeasible",
                     "exact-choquet",

@@ -8,7 +8,7 @@ every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -30,6 +30,28 @@ from .numerics import FLOAT_TOL, Scalar, parse_scalar
 MAX_EXACT_POINTS = 12
 
 
+def _hash_once(self) -> int:
+    """The dataclass hash of the compared fields, computed on first use.
+
+    Spaces and relations key the module caches, and a product space's
+    distance matrix is too large to rehash on every lookup.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _state_without_hash(self) -> dict:
+    # string hashes differ between processes: a pickled or copied value
+    # computes its own
+    state = self.__dict__.copy()
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """A labelled finite metric space with an explicit distance matrix."""
@@ -37,6 +59,9 @@ class FiniteMetricSpace:
     labels: tuple[str, ...]
     dist: tuple[tuple[Scalar, ...], ...]
     tol: float = 0  # 0 in exact mode, FLOAT_TOL in float mode
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     @property
     def n(self) -> int:
@@ -178,6 +203,9 @@ class Relation:
     inv_section_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
     pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
     inv_pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __post_init__(self):
         if len(self.matrix) != self.left.n or any(

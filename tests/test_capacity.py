@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import permutations
 
@@ -198,3 +199,138 @@ def test_random_capacities_are_valid(seed):
     cap = random_capacity(space, derive_rng(seed, "gen"))
     assert cap.table[0] == 0
     assert cap.table[-1] == 1
+
+
+# ---------------------------------------------------------------------------
+# integer kernel: exact Choquet sums of int values against Fraction sums
+
+
+FLAVOURS = ("additive", "belief", "distortion", "monotone")
+
+
+def uniform_space(n: int, mode: str = "exact"):
+    return rd.validate_metric(
+        [f"p{i}" for i in range(n)],
+        [[0 if i == j else 1 for j in range(n)] for i in range(n)],
+        mode=mode,
+    )
+
+
+def rearrangement_sum(table, values):
+    """The Fraction loop of the decreasing-rearrangement sum, as it ran
+    before the integer kernel: the reference for result types."""
+    order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
+    total = values[order[-1]]
+    mask = 0
+    for rank in range(len(values) - 1):
+        mask |= 1 << order[rank]
+        d = values[order[rank]] - values[order[rank + 1]]
+        if d:
+            total += d * table[mask]
+    return total
+
+
+@st.composite
+def flavour_tables(draw):
+    """(point count, table) of one of the four capacity flavours the
+    benchmark generates, with Fraction entries as the JSON loader makes
+    them; zero weights, masses and draws give zero entries."""
+    n = draw(st.integers(1, 4))
+    size = 1 << n
+    flavour = draw(st.sampled_from(FLAVOURS))
+    if flavour in ("additive", "distortion"):
+        raw = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n).filter(any))
+        w = [F(r, sum(raw)) for r in raw]
+        k = 1 if flavour == "additive" else draw(st.sampled_from((1, 2, 3)))
+        table = [
+            sum((w[i] for i in range(n) if m >> i & 1), F(0)) ** k for m in range(size)
+        ]
+    elif flavour == "belief":
+        masses = draw(
+            st.dictionaries(
+                st.integers(1, size - 1), st.integers(1, 4), min_size=1, max_size=n + 2
+            )
+        )
+        total = sum(masses.values())
+        table = [
+            F(sum(v for s, v in masses.items() if s & ~m == 0), total)
+            for m in range(size)
+        ]
+    else:
+        draws = draw(st.lists(st.integers(0, 16), min_size=size - 1, max_size=size - 1))
+        table = [F(0)] + [F(r, 16) for r in draws]
+        for m in range(size):
+            for i in range(n):
+                if m >> i & 1:
+                    table[m] = max(table[m], table[m & ~(1 << i)])
+        top = table[-1]
+        if top == 0:
+            table = [F(m == size - 1) for m in range(size)]
+        else:
+            table = [v / top for v in table]
+    return n, tuple(table)
+
+
+INTS = st.integers(-32, 32)
+FRACS = st.fractions(min_value=-32, max_value=32, max_denominator=12)
+
+
+@st.composite
+def kernel_inputs(draw, n):
+    kind = draw(st.sampled_from(("int", "fraction", "mixed", "constant")))
+    if kind == "constant":
+        return (draw(st.one_of(INTS, FRACS)),) * n
+    element = {"int": INTS, "fraction": FRACS, "mixed": st.one_of(INTS, FRACS)}[kind]
+    return tuple(draw(st.lists(element, min_size=n, max_size=n)))
+
+
+class TestIntegerKernel:
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_fraction_sums_in_value_and_type(self, data):
+        n, table = data.draw(flavour_tables())
+        cap = Capacity(uniform_space(n), table)
+        values = data.draw(kernel_inputs(n))
+        got = cap.choquet(values)
+        want = rearrangement_sum(table, values)
+        assert got == want and type(got) is type(want)
+        assert got == layer_cake(cap, values)
+        if len(set(values)) == 1:
+            # a constant input is returned as it is
+            assert any(got is v for v in values)
+        else:
+            assert type(got) is Fraction
+
+    def test_scaled_table_is_the_table_over_one_denominator(self):
+        space = uniform_space(2)
+        cap = Capacity(space, (F(0), F(1, 6), F(3, 4), F(1)))
+        assert cap.scale == 12
+        assert cap.scaled == (0, 2, 9, 12)
+        assert cap == Capacity(space, cap.table)
+        assert [f.name for f in dataclasses.fields(Capacity)] == [
+            "space", "table", "null_mask",
+        ]
+
+    def test_int_entries_keep_the_fraction_loop_types(self, p3, cycle4):
+        # the pushforward of an expectation reads v(empty) = int 0 on
+        # subsets with an empty preimage; an int layer stays an int
+        cap = pushforward_capacity(
+            rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))), (0, 0, 1), cycle4
+        )
+        assert type(cap.table[0b1000]) is int
+        got = cap.choquet((0, 0, 0, 5))
+        assert got == 0 and type(got) is int
+        assert type(cap.choquet((3, 0, 0, 5))) is Fraction
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_float_mode_is_bit_identical_to_the_loop(self, data):
+        n, table = data.draw(flavour_tables())
+        ftable = tuple(float(v) for v in table)
+        cap = Capacity(uniform_space(n, mode="float"), ftable)
+        values = tuple(
+            data.draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n))
+        )
+        values = tuple(v / 4.0 for v in values)
+        got, want = cap.choquet(values), rearrangement_sum(ftable, values)
+        assert type(got) is type(want) and repr(got) == repr(want)

@@ -337,3 +337,76 @@ class TestFloatMode:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("2.0 (exact")
+
+
+# Reports pinned byte for byte, as the program wrote them before exact
+# Choquet sums of integer values moved to integer arithmetic.  A JSON report
+# tells a Fraction ("1") from an int (1) and a float (1.0), so a change in a
+# result's type shows here even where the value is equal.
+GOLDEN_SPACE = json.dumps(P3)
+UNIFORM = ["1/3", "1/3", "1/3"]
+CVAR_HALF = {"type": "cvar", "level": "1/2", "weights": UNIFORM}
+LATTICE_MAX = {
+    "type": "max",
+    "components": [DIRAC_A, {"type": "expectation", "weights": UNIFORM}],
+}
+LATTICE_MIN = {"type": "min", "components": [DIRAC_C, CVAR_HALF]}
+GOLDEN_POOL = [
+    DIRAC_A,
+    DIRAC_C,
+    {"type": "expectation", "weights": ["1/2", "1/4", "1/4"]},
+    CVAR_HALF,
+    LATTICE_MAX,
+    LATTICE_MIN,
+]
+GOLDEN = {
+    "distance": (
+        ["--measure", json.dumps(CVAR_HALF), "--measure", json.dumps(LATTICE_MAX)],
+        '{"command":"distance","distance":{"certification":"sampled","ladder":'
+        '[{"level":"0","status":"infeasible","tier":"refutation-sampled"},'
+        '{"level":"1","status":"feasible","tier":"witness-found"}],'
+        '"tier":"witness-found","value":"1","witness":{"formula":"lower-extension",'
+        '"marginals":["cvar","max"],"support-pairs":[["a","a"],["a","b"],["b","a"],'
+        '["b","b"],["b","c"],["c","b"],["c","c"]]}},"inputs":{"<inline>":'
+        '"7dd20cbbb07c2ff8448baa1f506d35c84a8ad9f781200f33fc663622c9cb43f3"},'
+        '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
+    ),
+    "matrix": (
+        ["--measure", json.dumps(GOLDEN_POOL)],
+        '{"audit":{"checks":{"symmetry":true,"triangle":true,"witnesses":true,'
+        '"zero-diagonal":true},"discrepancies":[],"failures":[],"instances":15,'
+        '"stats":{"intervals":0,"symmetry-rechecks":7},"suite":"distance-matrix"},'
+        '"command":"matrix","csv":"0,2,2,2,2,2\\n2,0,2,2,2,1\\n2,2,0,2,2,2\\n'
+        '2,2,2,0,1,2\\n2,2,2,1,0,2\\n2,1,2,2,2,0\\n","inputs":{"<inline>":'
+        '"59d9e03c2dfd98be10a821217e16e08b32be249a71436c09e036af125b3f9b97"},'
+        '"matrix":[["0","2","2","2","2","2"],["2","0","2","2","2","1"],'
+        '["2","2","0","2","2","2"],["2","2","2","0","1","2"],'
+        '["2","2","2","1","0","2"],["2","1","2","2","2","0"]],'
+        '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
+    ),
+    # the certificate's values are a possibility-capacity Choquet sum of an
+    # integer probe (a Fraction) and a lattice min reading a point mass (an int)
+    "couple": (
+        [
+            "--measure", json.dumps({"type": "possibility"}),
+            "--measure", json.dumps(LATTICE_MIN),
+            "--threshold", "0",
+        ],
+        '{"command":"couple","inputs":{"<inline>":'
+        '"496b1b7ce6eb82ff0a507a23a16f2c9d51dd5c5a854954bdffe099b8d44f2aea"},'
+        '"mode":"exact","seed":0,"tool":"riskdist","verdict":{"certificate":'
+        '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1",0]},'
+        '"status":"infeasible","tier":"refutation-sampled"},"version":"0.1.0"}',
+    ),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_report_bytes_are_pinned(self, command, capsys):
+        args, golden = GOLDEN[command]
+        code = main([command, "--space", GOLDEN_SPACE, *args, "--format", "json"])
+        assert code == 0
+        # the golden strings are compact; the report is that JSON, indented
+        expected = json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected

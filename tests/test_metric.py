@@ -224,6 +224,36 @@ class TestReverifyAuditPayloads:
                 # the audit found no mismatch, so none reproduces
                 assert reverify_failure(payload, context) is False
 
+    def test_sampled_identity_mismatch_reverifies(self, p3, monkeypatch):
+        # distance 0 for the max/min pair of the pool, which equal_measures
+        # separates: the audit archives a sampled-tier identity mismatch,
+        # the discrepancy criterion 04 re-verifies
+        from riskdist import metric
+
+        true_distance = metric.bottleneck_distance
+
+        def understated(mu1, mu2, **kw):
+            res = true_distance(mu1, mu2, **kw)
+            if {mu1.kind, mu2.kind} == {"max", "min"}:
+                return dataclasses.replace(res, value=0)
+            return res
+
+        monkeypatch.setattr(metric, "bottleneck_distance", understated)
+        report = metric_axiom_audit(p3, ensemble_size=6, seed=2)
+        kinds = [mu.kind for mu in report.pool]
+        assert report.discrepancies
+        context = {"measures": report.pool, "seed": 2}
+        for payload in report.discrepancies:
+            i, j = payload["pair"]
+            assert payload["kind"] == "identity-mismatch"
+            assert {kinds[i], kinds[j]} == {"max", "min"}
+            assert payload["distance-zero"] and payload["equality"] == "no"
+            assert reverify_failure(payload, context) is True
+        # with the true distance the same payload no longer reproduces
+        monkeypatch.setattr(metric, "bottleneck_distance", true_distance)
+        for payload in report.discrepancies:
+            assert reverify_failure(payload, context) is False
+
     def test_pool_stays_out_of_the_serialized_report(self, p3):
         from riskdist.io import audit_summary
 

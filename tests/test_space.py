@@ -200,3 +200,66 @@ class TestProducts:
 
     def test_full_relation(self, p3):
         assert len(full_relation(p3, p3).pairs()) == 9
+
+
+class TestCachedHashes:
+    def test_equal_values_built_twice_share_cache_entries(self):
+        from riskdist.coupling import _inner_mask_tables
+
+        a, b = make_space(), make_space()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert product_space(a, a) is product_space(b, b)
+        r1 = rd.Relation.from_pairs(a, b, [(0, 0), (1, 2), (2, 1)])
+        r2 = rd.Relation.from_pairs(b, a, [(0, 0), (1, 2), (2, 1)])
+        assert r1 is not r2 and r1 == r2 and hash(r1) == hash(r2)
+        hits = _inner_mask_tables.cache_info().hits
+        assert _inner_mask_tables(r1) is _inner_mask_tables(r2)
+        assert _inner_mask_tables.cache_info().hits == hits + 1
+
+    def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):
+        space = make_space()
+        rel = diagonal_relation(space)
+        assert hash(space) == hash((space.labels, space.dist, space.tol))
+        assert hash(rel) == hash((rel.left, rel.right, rel.matrix))
+
+    def test_copies_recompute_the_hash(self):
+        import copy
+        import pickle
+
+        space = make_space()
+        rel = diagonal_relation(space)
+        for value in (space, rel):
+            hash(value)
+            for clone in (
+                pickle.loads(pickle.dumps(value)),
+                copy.copy(value),
+                copy.deepcopy(value),
+            ):
+                assert "_hash" not in vars(clone)
+                assert clone == value and hash(clone) == hash(value)
+
+    def test_pickled_space_hashes_as_one_built_in_the_loading_process(self):
+        # string hashes differ between processes, so a hash pickled with
+        # the space would be wrong wherever it is loaded
+        import os
+        import subprocess
+        import sys
+
+        build = (
+            "import riskdist as rd; "
+            "s = rd.validate_metric(['a', 'b'], [[0, 1], [1, 0]]); "
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        blob = subprocess.run(
+            [sys.executable, "-c", build + "import pickle, sys; hash(s); "
+             "sys.stdout.buffer.write(pickle.dumps(s))"],
+            env=dict(env, PYTHONHASHSEED="1"), capture_output=True, check=True,
+        ).stdout
+        check = subprocess.run(
+            [sys.executable, "-c", build + "import pickle, sys; "
+             "t = pickle.loads(sys.stdin.buffer.read()); "
+             "print(hash(t) == hash(s) and {t: 1}.get(s) == 1)"],
+            env=dict(env, PYTHONHASHSEED="2"), input=blob, capture_output=True,
+            check=True,
+        )
+        assert check.stdout.decode().strip() == "True"
