@@ -48,7 +48,6 @@ from .measures import (
     mixture,
     pushforward,
     support,
-    to_capacity,
     two_point_measure,
     verify_axioms,
 )

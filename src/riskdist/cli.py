@@ -148,9 +148,7 @@ def cmd_distance(args) -> int:
     measures = _load_measures(args, space, digests)
     if len(measures) != 2:
         raise InputFormatError("distance needs exactly two measures")
-    res = bottleneck_distance(
-        measures[0], measures[1], seed=args.seed, verify_witness=True
-    )
+    res = bottleneck_distance(measures[0], measures[1], seed=args.seed)
     report = _base_report(args, "distance", digests)
     report["distance"] = distance_summary(res)
     lines = [f"{format_scalar(res.value)} ({res.certification}, {res.tier})"]
@@ -326,12 +324,7 @@ def cmd_oracle(args) -> int:
         _emit(args, report, [format_scalar(value)])
         return 0
     if args.oracle_cmd == "cross-check":
-        result = criterion_cross_check(
-            space,
-            additive_instances=args.size,
-            choquet_instances=args.size,
-            seed=args.seed,
-        )
+        result = criterion_cross_check(space, instances=args.size, seed=args.seed)
         report["cross-check"] = {
             "instances": result.instances,
             "disagreements": jsonable(list(result.disagreements)),

@@ -85,20 +85,17 @@ def section_minima(values, lists) -> tuple:
     return tuple(mins)
 
 
-def min_envelope(
-    chi: PointFunction, s: Relation, side: str, extend: bool = False
-) -> PointFunction:
+def min_envelope(chi: PointFunction, s: Relation, side: str) -> PointFunction:
     """Largest function on one factor whose pullback stays below chi on S.
 
     ``side="left"`` maps x to the minimum of chi over the section of x;
-    ``side="right"`` uses inverse sections.  Points with empty sections
-    raise, unless ``extend`` fills them with the maximum of chi over S (see
-    ``section_minima``); an empty S raises either way.
+    ``side="right"`` uses inverse sections.  A point with an empty section
+    raises ``EmptySection``.
     """
     if side not in ("left", "right"):
         raise InvalidParams(f"unknown side {side!r}")
     lists = s.pair_lists if side == "left" else s.inv_pair_lists
-    if () in lists and (not extend or not any(lists)):
+    if () in lists:
         raise EmptySection(side, lists.index(()))
     return PointFunction(
         s.left if side == "left" else s.right, section_minima(chi.values, lists)
@@ -117,7 +114,7 @@ class CouplingWitness:
     left: RiskMeasure
     right: RiskMeasure
     support: Relation
-    formula: str = "lower-extension"
+    formula = "lower-extension"  # a class constant, not a field
     product: FiniteMetricSpace = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -153,7 +150,7 @@ def lower_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingW
     if mu1.kind == "dirac" and mu2.kind == "dirac" and s.matrix[mu1.point][mu2.point]:
         # the canonical coupling of two point masses is the product point mass
         s = Relation.from_pairs(s.left, s.right, [(mu1.point, mu2.point)])
-    return CouplingWitness(mu1, mu2, s, "lower-extension")
+    return CouplingWitness(mu1, mu2, s)
 
 
 def _check_coupling_spaces(mu1, mu2, s: Relation):
@@ -524,7 +521,6 @@ def glue(
     m12: RiskMeasure,
     m23: RiskMeasure,
     base: FiniteMetricSpace,
-    samples: int = 64,
     seed: int = 0,
 ) -> RiskMeasure:
     """Glue two product measures sharing their middle marginal.
@@ -541,7 +537,7 @@ def glue(
         raise SpaceMismatch("glue inputs must live on the square of the base space")
     mid12 = pushforward(right_projection_map(base, base), m12, base)
     mid23 = pushforward(left_projection_map(base, base), m23, base)
-    eq = equal_measures(mid12, mid23, samples=samples, seed=seed)
+    eq = equal_measures(mid12, mid23, seed=seed)
     if eq.status == "no":
         raise MarginalMismatch(
             "glue inputs disagree on the shared marginal", witness=eq.witness

@@ -41,7 +41,13 @@ from .numerics import Scalar
 from .space import FiniteMetricSpace, PointFunction, PointSubset
 from .twopoint import TwoPointParams, branch_boundaries, two_point_eval
 
-DEFAULT_SUPPORT_PROBES = 256
+#: seeded function pairs tried per point when probing a support
+SUPPORT_PROBES = 256
+
+#: seeded random functions in the probe grid ``equal_measures`` compares
+#: measures without capacities on, and seeded pairs whose max and min it
+#: compares after the grid
+EQUALITY_PROBES = 64
 
 #: entries kept per measure by the memo of a family member or combination;
 #: ladder scans and audits evaluate one probe grid many times over, and the
@@ -167,18 +173,6 @@ def evaluate_values(mu: RiskMeasure, values: tuple[Scalar, ...]) -> Scalar:
     if mu.evaluator is None:
         return mu.capacity.choquet(values)
     return mu.evaluator(values)
-
-
-def to_capacity(mu: RiskMeasure) -> Optional[Capacity]:
-    """Exact capacity form, when the representation admits one.
-
-    Dirac measures are point-mass capacities; mixtures convert by linearity
-    of the Choquet integral in the capacity.  Lattice combinations do not
-    convert (the pointwise max of two Choquet integrals is generally not a
-    Choquet integral), nor do family members or black boxes.  The
-    constructor has built it already.
-    """
-    return mu.capacity
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +424,34 @@ def verify_axioms(
 # supports
 
 
-def support(
-    mu: RiskMeasure, probes: int = DEFAULT_SUPPORT_PROBES, seed: int = 0
-) -> PointSubset:
+def support(mu: RiskMeasure, seed: int = 0) -> PointSubset:
     """Smallest subset the measure's values depend on.
 
     On the capacity tier the support is exactly the set of non-null points
     (removing a point never changes the capacity iff no carrier needs it).
-    Other representations are probed: a point is kept iff some pair of
-    functions differing only there separates the measure.
+    Other representations are probed: a point is kept iff one of
+    ``SUPPORT_PROBES`` seeded pairs of functions differing only there
+    separates the measure.
     """
     if mu.capacity is not None:
         return PointSubset(mu.space, mu.capacity.support_mask())
     rng = random.Random(seed)
     mask = 0
     for i in range(mu.space.n):
-        if _separating_pair(mu, i, probes, rng) is not None:
+        if _separating_pair(mu, i, rng) is not None:
             mask |= 1 << i
     return PointSubset(mu.space, mask)
 
 
-def separating_pair(mu: RiskMeasure, i: int, probes: int = 256, seed: int = 0):
+def separating_pair(mu: RiskMeasure, i: int, seed: int = 0):
     """A pair of functions differing only at point i that the measure tells
     apart, or None when probing finds none."""
-    return _separating_pair(mu, i, probes, random.Random(seed))
+    return _separating_pair(mu, i, random.Random(seed))
 
 
-def _separating_pair(mu: RiskMeasure, i: int, probes: int, rng: random.Random):
+def _separating_pair(mu: RiskMeasure, i: int, rng: random.Random):
     space = mu.space
-    for _ in range(probes):
+    for _ in range(SUPPORT_PROBES):
         values = list(_random_values(space, rng))
         other = list(values)
         bump = rng.randint(1, 16)
@@ -536,9 +529,7 @@ def probe_grid(
     return tuple(probe_functions(space, random.Random(seed), randoms))
 
 
-def equal_measures(
-    mu1: RiskMeasure, mu2: RiskMeasure, samples: int = 64, seed: int = 0
-) -> EqualityResult:
+def equal_measures(mu1: RiskMeasure, mu2: RiskMeasure, seed: int = 0) -> EqualityResult:
     """Functional equality.
 
     Capacity-convertible pairs compare tables (indicators separate distinct
@@ -556,11 +547,11 @@ def equal_measures(
             if abs(c1.table[mask] - c2.table[mask]) > space.tol:
                 return EqualityResult("no", PointFunction.indicator(space, mask).values)
         return EqualityResult("yes")
-    for values in probe_grid(space, seed, samples):
+    for values in probe_grid(space, seed, EQUALITY_PROBES):
         if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:
             return EqualityResult("no", values)
     # lattice combinations of the probes sharpen the grid a little
-    for values in _combo_grid(space, seed, samples):
+    for values in _combo_grid(space, seed, EQUALITY_PROBES):
         if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:
             return EqualityResult("no", values)
     return EqualityResult("undecided", note="probes passed")

@@ -20,11 +20,10 @@ from .coupling import (
     CouplingWitness,
     FeasibilityVerdict,
     admissible,
-    lower_coupling,
     verify_coupling,
 )
 from .ensembles import derive_rng, extremal_pair, random_measure
-from .errors import AxiomFailure, CouplingFailure, SpaceMismatch
+from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
     RiskMeasure,
     equal_measures,
@@ -42,6 +41,12 @@ from .space import (
     modulus_of_continuity,
     sublevel_relation,
 )
+
+#: refutation probes per ladder level of a distance-matrix pair
+MATRIX_SAMPLES = 96
+
+#: seeded random functions in the Lipschitz and convergence probe families
+PROBE_RANDOMS = 32
 
 
 @dataclass(frozen=True)
@@ -107,14 +112,16 @@ def bottleneck_distance(
     seed: int = 0,
     samples: int = 128,
     check_axioms: bool = True,
-    verify_witness: bool = False,
 ) -> DistanceResult:
     """Smallest feasible threshold on the distance ladder, with witness.
 
     Unknown verdicts on the ladder degrade the result to a bracketing
     interval instead of guessing; the returned value is then the smallest
-    level certified feasible.  A level found feasible only by a sampled
-    witness check makes the result "sampled", not "exact".
+    level certified feasible.  Every feasible verdict carries its witness,
+    and nothing re-checks it here: on the Dirac and capacity tiers the
+    verdict is a proof, and a "witness-found" witness has just passed the
+    sampled tier's own verification, which makes the result "sampled", not
+    "exact".
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -153,15 +160,6 @@ def bottleneck_distance(
         # verdict above the last infeasible one was unknown
         raise CouplingFailure("no feasible level found on the ladder")
     witness = chosen.witness
-    if witness is None:
-        witness = lower_coupling(mu1, mu2, sublevel_relation(space, value))
-    if verify_witness:
-        report = verify_coupling(witness, seed=seed)
-        if not report.ok:
-            raise CouplingFailure(
-                f"witness at level {value} fails verification: "
-                f"{[v.axiom for v in report.violations]}"
-            )
     if saw_unknown:
         levels = distance_levels(space)
         lo = levels[0]
@@ -183,15 +181,12 @@ def bottleneck_distance(
 def distance_matrix(
     measures: Sequence[RiskMeasure],
     seed: int = 0,
-    samples: int = 96,
-    witness_policy: str = "sample",
 ) -> tuple[list[list[DistanceResult | None]], AuditReport]:
     """Pairwise distances with a built-in symmetry / diagonal / triangle scan.
 
-    Witness verification cost is controlled by ``witness_policy``: "all"
-    verifies every pair, "sample" a seeded subset, "none" skips.  The
-    support of each non-capacity measure is probed once for the whole
-    matrix, not once per pair.
+    The witnesses of a seeded sample of 24 pairs are verified, and their
+    costs compared with the distances.  The support of each non-capacity
+    measure is probed once for the whole matrix, not once per pair.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")
@@ -201,21 +196,22 @@ def distance_matrix(
     for idx, m in enumerate(measures):
         _gate_axioms(m, f"#{idx}", seed)
 
+    def distance(a, b):
+        return bottleneck_distance(
+            a, b, seed=seed, samples=MATRIX_SAMPLES, check_axioms=False
+        )
+
     k = len(measures)
     results: list[list[Optional[DistanceResult]]] = [[None] * k for _ in range(k)]
     zero = distance_levels(space)[0]
     failures: list[dict] = []
     intervals = 0
     for i in range(k):
-        results[i][i] = bottleneck_distance(
-            measures[i], measures[i], seed=seed, samples=samples, check_axioms=False
-        )
+        results[i][i] = distance(measures[i], measures[i])
         if results[i][i].value != zero:
             failures.append({"kind": "nonzero-diagonal", "index": i})
         for j in range(i + 1, k):
-            res = bottleneck_distance(
-                measures[i], measures[j], seed=seed, samples=samples, check_axioms=False
-            )
+            res = distance(measures[i], measures[j])
             results[i][j] = res
             results[j][i] = res  # computed once; symmetry of the sublevel
             if res.certification == "interval":
@@ -229,9 +225,7 @@ def distance_matrix(
         if i == j:
             continue
         fwd = results[i][j].value
-        rev = bottleneck_distance(
-            measures[j], measures[i], seed=seed, samples=samples, check_axioms=False
-        ).value
+        rev = distance(measures[j], measures[i]).value
         sym_checked += 1
         if fwd != rev:
             failures.append({"kind": "asymmetry", "pair": (i, j), "values": (fwd, rev)})
@@ -253,7 +247,7 @@ def distance_matrix(
                         }
                     )
 
-    witness_failures = _check_witnesses(results, witness_policy, seed)
+    witness_failures = _check_witnesses(results, seed, tol)
     failures.extend(witness_failures)
     report = AuditReport(
         "distance-matrix",
@@ -274,20 +268,17 @@ def _lower_bound(res: DistanceResult) -> Scalar:
     return res.interval[0] if res.interval else res.value
 
 
-def _check_witnesses(results, policy: str, seed: int) -> list[dict]:
-    if policy == "none":
-        return []
+def _check_witnesses(results, seed: int, tol) -> list[dict]:
     k = len(results)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    if policy == "sample":
-        rng = random.Random(seed)
-        rng.shuffle(pairs)
-        pairs = pairs[:24]
+    random.Random(seed).shuffle(pairs)
     failures = []
-    for i, j in pairs:
+    for i, j in pairs[:24]:
         res = results[i][j]
         cost = res.witness.cost()
-        if cost != res.value:
+        # float ladders merge levels within tol, so the support may reach a
+        # distance just above the level it was chosen at
+        if abs(cost - res.value) > tol:
             failures.append(
                 {"kind": "witness-cost-mismatch", "pair": (i, j), "values": (cost, res.value)}
             )
@@ -311,7 +302,6 @@ def metric_axiom_audit(
     space: FiniteMetricSpace,
     ensemble_size: int = 24,
     seed: int = 0,
-    witness_policy: str = "sample",
 ) -> AuditReport:
     """Seeded ensemble check of the metric axioms and the diameter bound.
 
@@ -329,9 +319,7 @@ def metric_axiom_audit(
             pool.append(mu)
         else:
             excluded += 1
-    results, matrix_report = distance_matrix(
-        pool, seed=seed, witness_policy=witness_policy
-    )
+    results, matrix_report = distance_matrix(pool, seed=seed)
     failures = list(matrix_report.failures)
     discrepancies: list[dict] = []
 
@@ -405,14 +393,13 @@ def lipschitz_control_check(
     mu2: RiskMeasure,
     result: DistanceResult,
     seed: int = 0,
-    randoms: int = 32,
 ) -> list[dict]:
     """|mu1(phi) - mu2(phi)| <= modulus of phi at the distance, per probe.
 
     This is the provable direction of the topology statement: any coupling
     at level t forces pointwise gaps below the modulus of continuity.
     """
-    probes = probe_functions(mu1.space, derive_rng(seed, "lipschitz"), randoms=randoms)
+    probes = probe_functions(mu1.space, derive_rng(seed, "lipschitz"), PROBE_RANDOMS)
     return _lipschitz_violations(mu1, mu2, result.value, probes)
 
 
@@ -440,7 +427,6 @@ def convergence_audit(
     terms: Sequence[RiskMeasure],
     limit: RiskMeasure,
     seed: int = 0,
-    randoms: int = 32,
 ) -> AuditReport:
     """Track pointwise gaps, metric values, and support drift along a sequence.
 
@@ -455,7 +441,7 @@ def convergence_audit(
     if any(t.space != space for t in terms):
         raise SpaceMismatch("sequence terms live on different spaces")
     rng = derive_rng(seed, "convergence")
-    probes = probe_functions(space, rng, randoms=randoms)
+    probes = probe_functions(space, rng, PROBE_RANDOMS)
     limit_support = support(limit, seed=seed)
     rows = []
     failures: list[dict] = []
@@ -541,4 +527,4 @@ def reverify_failure(payload: dict, context: dict) -> bool:
         phi = PointFunction(mu1.space, payload["phi"])
         gap = abs(evaluate_values(mu1, phi.values) - evaluate_values(mu2, phi.values))
         return gap > modulus_of_continuity(phi, payload["distance"]) + mu1.space.tol
-    raise ValueError(f"no re-verifier for payload kind {kind!r}")
+    raise InvalidParams(f"no re-verifier for payload kind {kind!r}")

@@ -23,6 +23,9 @@ from .errors import CouplingFailure, InvalidParams, OracleDisagreement, SpaceMis
 from .numerics import Scalar
 from .space import FiniteMetricSpace, Relation, distance_levels, sublevel_relation
 
+#: verification samples for each witness the cross-check builds
+WITNESS_SAMPLES = 48
+
 
 @dataclass(frozen=True)
 class ProbabilityVector:
@@ -164,18 +167,16 @@ def random_relation(
 
 
 def criterion_cross_check(
-    space: FiniteMetricSpace,
-    additive_instances: int = 200,
-    choquet_instances: int = 200,
-    seed: int = 0,
-    witness_samples: int = 48,
+    space: FiniteMetricSpace, instances: int = 200, seed: int = 0
 ) -> CrossCheckReport:
     """Validate the coupling module's derived criterion against the oracles.
 
-    (i) On additive marginals the exact verdict must match strassen_feasible
-    on every sampled (p, q, S); (ii) Dirac pairs must reduce to membership;
-    (iii) every exact "feasible" must yield a witness that verifies; (iv) no
-    witness attempt may succeed where the exact tier refutes.
+    Runs ``instances`` additive and ``instances`` capacity instances, then
+    16 Dirac pairs.  (i) On additive marginals the exact verdict must match
+    strassen_feasible on every sampled (p, q, S); (ii) Dirac pairs must
+    reduce to membership; (iii) every exact "feasible" must yield a witness
+    that verifies with ``WITNESS_SAMPLES`` samples; (iv) no witness attempt
+    may succeed where the exact tier refutes.
     """
     from .coupling import admissible, lower_coupling, verify_coupling
     from .measures import choquet_measure, dirac
@@ -185,7 +186,7 @@ def criterion_cross_check(
     disagreements: list[dict] = []
     feasible_count = 0
 
-    for k in range(additive_instances):
+    for k in range(instances):
         p = random_probability(space, rng)
         q = random_probability(space, rng)
         s = random_relation(space, rng, density=rng.choice((0.3, 0.5, 0.8)))
@@ -207,7 +208,7 @@ def criterion_cross_check(
             )
             continue
         report = verify_coupling(
-            lower_coupling(mu_p, mu_q, s), samples=witness_samples, seed=seed
+            lower_coupling(mu_p, mu_q, s), samples=WITNESS_SAMPLES, seed=seed
         )
         if oracle:
             feasible_count += 1
@@ -233,13 +234,13 @@ def criterion_cross_check(
                 }
             )
 
-    for k in range(choquet_instances):
+    for k in range(instances):
         mu1 = random_capacity_measure(space, rng)
         mu2 = random_capacity_measure(space, rng)
         s = random_relation(space, rng, density=rng.choice((0.4, 0.6, 0.9)))
         verdict = admissible(mu1, mu2, s)
         witness = lower_coupling(mu1, mu2, s)
-        report = verify_coupling(witness, samples=witness_samples, seed=seed + k)
+        report = verify_coupling(witness, samples=WITNESS_SAMPLES, seed=seed + k)
         if verdict.feasible:
             feasible_count += 1
             if not report.ok:
@@ -270,7 +271,7 @@ def criterion_cross_check(
                 {"kind": "dirac-vs-membership", "pair": (x, y), "member": member}
             )
 
-    total = additive_instances + choquet_instances + 16
+    total = 2 * instances + 16
     return CrossCheckReport(
         "criterion-cross-check",
         total,

@@ -78,10 +78,9 @@ def test_criterion_01_point_mass_isometry():
     for space in fixture_spaces():
         for i in range(space.n):
             for j in range(space.n):
-                res = rd.bottleneck_distance(
-                    rd.dirac(space, i), rd.dirac(space, j), verify_witness=True
-                )
+                res = rd.bottleneck_distance(rd.dirac(space, i), rd.dirac(space, j))
                 assert res.value == space.d(i, j)
+                assert rd.verify_coupling(res.witness, seed=0).ok
                 assert res.certification == "exact"
                 checked += 1
     verdict("01 point-mass isometry", True, f"{checked} pairs across 5 spaces, exact")
@@ -90,9 +89,7 @@ def test_criterion_01_point_mass_isometry():
 def test_criterion_02_feasibility_criterion_cross_check():
     total_additive = total_choquet = 0
     for space, seed in ((make_path3(), 202), (make_cycle4(), 203)):
-        report = criterion_cross_check(
-            space, additive_instances=100, choquet_instances=100, seed=seed
-        )
+        report = criterion_cross_check(space, instances=100, seed=seed)
         assert report.ok, report.disagreements
         total_additive += 100
         total_choquet += 100
@@ -141,8 +138,9 @@ def test_criterion_05_diameter():
     for space in fixture_spaces():
         diam = space.diameter()
         lo, hi = extremal_pair(space)
-        res = rd.bottleneck_distance(lo, hi, verify_witness=True)
+        res = rd.bottleneck_distance(lo, hi)
         assert res.value == diam
+        assert rd.verify_coupling(res.witness, seed=0).ok
         pool = ensemble_pool(space, size=8, seed=505)
         for i, a in enumerate(pool):
             for b in pool[i + 1 :]:

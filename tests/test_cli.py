@@ -359,6 +359,10 @@ GOLDEN_POOL = [
     LATTICE_MAX,
     LATTICE_MIN,
 ]
+CONVERGE_SEQUENCE = {
+    "space": P3,
+    "generator": {"type": "drifting-mixture", "base": "a", "far": "c", "count": 4},
+}
 GOLDEN = {
     "distance": (
         ["--measure", json.dumps(CVAR_HALF), "--measure", json.dumps(LATTICE_MAX)],
@@ -398,6 +402,49 @@ GOLDEN = {
         '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1",0]},'
         '"status":"infeasible","tier":"refutation-sampled"},"version":"0.1.0"}',
     ),
+    # these pin the seeded witness sample of the matrix audit, the
+    # cross-check's instance count and the convergence probe family
+    "audit metric": (
+        ["--size", "6"],
+        '{"audit":{"checks":{"diameter":true,"identity":true,"symmetry":true,'
+        '"triangle":true,"witnesses":true,"zero-diagonal":true},'
+        '"discrepancies":[],"failures":[],"instances":6,'
+        '"stats":{"excluded-by-axiom-gate":0,"intervals":0,"seed":0,'
+        '"symmetry-rechecks":7},"suite":"metric-axioms"},'
+        '"command":"audit metric",'
+        '"inputs":{"<inline>":'
+        '"f524644de100a8a6a10dc9cb66ed485961a48b201aea6d24e7041478bc0c0da8"},'
+        '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
+    ),
+    "oracle cross-check": (
+        ["--size", "10"],
+        '{"command":"oracle cross-check","cross-check":{"disagreements":[],'
+        '"instances":36,"stats":{"feasible":4,"seed":0}},'
+        '"inputs":{"<inline>":'
+        '"f524644de100a8a6a10dc9cb66ed485961a48b201aea6d24e7041478bc0c0da8"},'
+        '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
+    ),
+    "converge": (
+        ["--sequence", json.dumps(CONVERGE_SEQUENCE)],
+        '{"audit":{"checks":{"lipschitz-control":true,'
+        '"metric-vanishes":false,"pointwise-gaps-vanish":true,'
+        '"supports-converge":false},'
+        '"discrepancies":[{"kind":"pointwise-convergence-without-metric-convergence",'
+        '"rows":[{"metric":"2","n":1,"pointwise-gap":"41","support-gap":"2"},'
+        '{"metric":"2","n":2,"pointwise-gap":"41/2","support-gap":"2"},'
+        '{"metric":"2","n":3,"pointwise-gap":"41/3","support-gap":"2"},'
+        '{"metric":"2","n":4,"pointwise-gap":"41/4","support-gap":"2"}]}],'
+        '"failures":[],"instances":4,"stats":{"rows":[{"metric":"2","n":1,'
+        '"pointwise-gap":"41","support-gap":"2"},{"metric":"2","n":2,'
+        '"pointwise-gap":"41/2","support-gap":"2"},{"metric":"2","n":3,'
+        '"pointwise-gap":"41/3","support-gap":"2"},{"metric":"2","n":4,'
+        '"pointwise-gap":"41/4","support-gap":"2"}],"seed":0},'
+        '"suite":"convergence"},"command":"converge","csv":"n,pointwise_gap,'
+        'metric,support_gap\\n1,41,2,2\\n2,41/2,2,2\\n3,41/3,2,2\\n4,41/4,2,2\\n",'
+        '"inputs":{"<inline>":'
+        '"37f02b872ad109abc6c679b2e82a935e111c254908d2324bff4bfb0f50a0d09e"},'
+        '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
+    ),
 }
 
 
@@ -405,7 +452,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_report_bytes_are_pinned(self, command, capsys):
         args, golden = GOLDEN[command]
-        code = main([command, "--space", GOLDEN_SPACE, *args, "--format", "json"])
+        code = main([*command.split(), "--space", GOLDEN_SPACE, *args, "--format", "json"])
         assert code == 0
         # the golden strings are compact; the report is that JSON, indented
         expected = json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n"

@@ -92,8 +92,8 @@ class TestAdmissible:
         cert = verdict.certificate
         assert cert["kind"] == "envelope-domination"
         # the certificate re-verifies from its payload
-        v1 = rd.to_capacity(mu1 if cert["side"] == "left" else mu2)
-        v2 = rd.to_capacity(mu2 if cert["side"] == "left" else mu1)
+        v1 = (mu1 if cert["side"] == "left" else mu2).capacity
+        v2 = (mu2 if cert["side"] == "left" else mu1).capacity
         assert v1.table[cert["inner"]] > v2.table[cert["subset"]]
 
     def test_agrees_with_transport_oracle(self, cycle4):

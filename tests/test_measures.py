@@ -55,13 +55,13 @@ class TestEvaluate:
 
     def test_capacity_forms_are_built_once(self, p3):
         mix = rd.mixture((F(1, 2), F(1, 2)), (rd.dirac(p3, "a"), rd.dirac(p3, "c")))
-        assert rd.to_capacity(mix) is mix.capacity is not None
+        assert mix.capacity is not None
         assert mix.capacity.table == rd.mix_capacities(
             (F(1, 2), F(1, 2)), (rd.dirac_capacity(p3, 0), rd.dirac_capacity(p3, 2))
         ).table
         lattice = rd.lattice_max([mix, rd.dirac(p3, "b")])
-        assert rd.to_capacity(lattice) is None
-        assert rd.to_capacity(rd.mixture((F(1, 2), F(1, 2)), (lattice, mix))) is None
+        assert lattice.capacity is None
+        assert rd.mixture((F(1, 2), F(1, 2)), (lattice, mix)).capacity is None
 
     def test_space_mismatch(self, p3, two_point):
         mu = rd.dirac(p3, "a")

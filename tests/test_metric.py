@@ -14,6 +14,7 @@ from riskdist.ensembles import (
     random_capacity_measure,
     random_measure,
 )
+from riskdist.cli import main
 from riskdist.errors import AxiomFailure
 from riskdist.measures import evaluate_values
 from riskdist.metric import (
@@ -60,8 +61,9 @@ class TestBottleneckDistance:
 
     def test_min_measure_to_point_mass_is_eccentricity(self, p3):
         mu = rd.choquet_measure(rd.unanimity(p3), name="min")
-        res = rd.bottleneck_distance(mu, rd.dirac(p3, "b"), verify_witness=True)
+        res = rd.bottleneck_distance(mu, rd.dirac(p3, "b"))
         assert res.value == 1
+        assert rd.verify_coupling(res.witness, seed=0).ok
 
     def test_ladder_has_single_switch(self, cycle4):
         rng = derive_rng(3, "ladder")
@@ -84,8 +86,9 @@ class TestBottleneckDistance:
         for _ in range(8):
             mu1 = random_capacity_measure(p3, rng)
             mu2 = random_capacity_measure(p3, rng)
-            res = rd.bottleneck_distance(mu1, mu2, verify_witness=True)
+            res = rd.bottleneck_distance(mu1, mu2)
             assert res.witness.cost() == res.value
+            assert rd.verify_coupling(res.witness, seed=0).ok
 
     def test_axiom_gate(self, p3):
         bad = rd.black_box(p3, lambda v: v[0] - v[1], name="bad")
@@ -109,14 +112,41 @@ class TestBottleneckDistance:
         assert res.tier in ("witness-found", "refutation-sampled")
 
 
+def assert_every_witness_verifies(results):
+    k = len(results)
+    for i in range(k):
+        for j in range(i + 1, k):
+            res = results[i][j]
+            assert res.witness.cost() == res.value
+            assert rd.verify_coupling(res.witness, seed=0).ok
+
+
 class TestDistanceMatrix:
     def test_point_mass_matrix_recovers_the_space(self, p3):
         measures = [rd.dirac(p3, lab) for lab in p3.labels]
-        results, report = rd.distance_matrix(measures, witness_policy="all")
+        results, report = rd.distance_matrix(measures)
         assert report.ok
+        assert_every_witness_verifies(results)
         for i in range(3):
             for j in range(3):
                 assert results[i][j].value == p3.d(i, j)
+
+    def test_float_witness_cost_within_merged_level(self, tmp_path, capsys):
+        # 1.0 and 1.0000000001 merge into one float ladder level, so the
+        # witness at level 1.0 may reach the slightly longer pair
+        labels = ["a", "b", "c"]
+        dist = [[0.0, 1.0, 1.0000000001], [1.0, 0.0, 1.5], [1.0000000001, 1.5, 0.0]]
+        space = rd.validate_metric(labels, dist, mode="float")
+        results, report = rd.distance_matrix([rd.dirac(space, lab) for lab in labels])
+        assert report.ok, report.failures
+        assert results[0][2].value == 1.0
+
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({"points": labels, "dist": dist}))
+        diracs = json.dumps([{"type": "dirac", "point": lab} for lab in labels])
+        code = main(["matrix", "--space", str(space_file), "--measure", diracs, "--mode", "float"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("audit: ok\n")
 
     def test_single_measure(self, p3):
         results, report = rd.distance_matrix([rd.dirac(p3, "a")])
@@ -125,8 +155,9 @@ class TestDistanceMatrix:
     def test_random_capacity_ensemble(self, cycle4):
         rng = derive_rng(7, "matrix")
         measures = [random_capacity_measure(cycle4, rng) for _ in range(10)]
-        results, report = rd.distance_matrix(measures, witness_policy="all")
+        results, report = rd.distance_matrix(measures)
         assert report.ok
+        assert_every_witness_verifies(results)
         assert report.checks["triangle"] and report.checks["symmetry"]
 
     def test_supports_are_probed_once_per_matrix(self, p3, monkeypatch):
@@ -143,7 +174,7 @@ class TestDistanceMatrix:
         a = rd.dirac(p3, "a")
         b = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
         hi, lo = rd.lattice_max([a, b]), rd.lattice_min([a, b])
-        results, report = rd.distance_matrix([a, b, hi, lo], witness_policy="none")
+        results, report = rd.distance_matrix([a, b, hi, lo])
         assert report.ok
         assert probed[hi] == probed[lo] == 1
         assert set(probed.values()) == {1}
@@ -191,6 +222,12 @@ class TestLipschitzControl:
         assert reverify_failure(payload, {"pair": (mu1, mu2)})
         honest = dict(payload, distance=2)
         assert not reverify_failure(honest, {"pair": (mu1, mu2)})
+
+    def test_reverifier_rejects_kinds_it_cannot_recheck(self):
+        # kinds the audits emit that carry no re-checkable payload
+        for kind in ("witness-cost-mismatch", "nonzero-diagonal", "diameter-exceeded"):
+            with pytest.raises(rd.InvalidParams, match=kind):
+                reverify_failure({"kind": kind}, {})
 
     def test_convergence_payload_reverifies(self, p3, monkeypatch):
         # an understated distance makes the audit report real violations;

@@ -97,9 +97,7 @@ class TestWinfDistance:
 
 class TestCrossCheck:
     def test_small_run_has_no_disagreements(self, p3):
-        report = criterion_cross_check(
-            p3, additive_instances=40, choquet_instances=40, seed=17
-        )
+        report = criterion_cross_check(p3, instances=40, seed=17)
         assert report.ok, report.disagreements
         assert report.instances == 96
         assert report.stats["feasible"] > 0

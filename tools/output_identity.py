@@ -1,0 +1,56 @@
+"""Fingerprint the CLI's output on every benchmark request of seeds 1-3.
+
+    python3 tools/output_identity.py --src src > new.txt
+    python3 tools/output_identity.py --src ../old/src > old.txt
+    diff old.txt new.txt
+
+Run from the repository root.  The requests are the rounds of seeds 1, 2
+and 3 of each workload in ``bench/workloads.py``, written by ``bench/run.py``'s
+``write_inputs`` into one fixed work directory, so that the input paths,
+and with them the input digests in the reports, are the same for every tree
+compared.  Each request goes through ``riskdist.cli.main`` of the ``src``
+tree given, in this process.  One line per request: workload, seed, index,
+exit code and the sha256 of its standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (1, 2, 3)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="the src directory whose riskdist runs")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(BENCH)]
+    import run  # noqa: E402  (bench/run.py)
+    import workloads  # noqa: E402
+    from riskdist.cli import main as cli_main  # noqa: E402
+
+    workdir = Path(tempfile.gettempdir()) / "riskdist-output-identity"
+    try:
+        for workload in sorted(workloads.ROUNDS):
+            for seed in SEEDS:
+                for i, op in enumerate(run.write_inputs(workload, seed, workdir)):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                        code = cli_main(op.argv)
+                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                    print(f"{workload} {seed} {i} {code} {digest}")
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
