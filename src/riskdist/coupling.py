@@ -24,13 +24,55 @@ capacity tier (b) and (c) reduce by comonotone layer decomposition to one
 subset inequality per subset, which is checked exhaustively; that reduction
 is cross-validated against independent brute-force oracles in the oracles
 module.
+
+The exact lattice tier decides pairs where each measure is a capacity or a
+max/min of capacities (``measures.normal_forms``), at least one is not a
+capacity, the space is exact and the relation's projections contain every
+part's support (always true on the distance ladder, whose relations are
+reflexive).  Take mu1 = max_i min_j A_ij and mu2 = min_q max_p B_pq.  Then
+(b) holds iff for every check (i, q)
+
+    min_j A_ij(P_S psi) <= max_p B_pq(psi)   for every psi,
+
+and (c) is the mirror with the forms of mu2 and mu1 swapped.  Fix a maximal
+chain U_1 > ... > U_(n-1) of proper nonempty subsets.  On its cone psi =
+c + sum_k t_k 1_(U_k) with t >= 0, and P_S psi = c + sum_k t_k
+1_(inner U_k), because section minima of a comonotone sum are the sum over
+the inner sets; so every Choquet part is linear in t there (Schmeidler
+1986; Denneberg 1994).  With columns c = (j, p) and m_c(U) = A_j(inner U) -
+B_p(U), the check fails on the chain iff some t >= 0 makes sum_k t_k
+m_c(U_k) > 0 for every column; by Ville's alternative it holds iff some
+convex lambda over the columns has sum_c lambda_c m_c(U_k) <= 0 on every
+set of the chain.  The m_c are integers over the common scale of the
+capacities' ``scaled`` tables, and the tier runs three steps:
+
+  1. indicator scan: a subset U where the whole pair compares the wrong way
+     at psi = 1_U refutes (b) or (c) outright;
+  2. chain cover: a search down the chains from the full set, with state
+     (U, columns nonpositive on every set so far), proves each chain on
+     which some column survives (lambda a unit vector);
+  3. exact LP: on each chain no column covers, a ``Fraction`` simplex looks
+     for t >= 0 with sum_k t_k m_c(U_k) >= 1 for every column; one refutes
+     with psi = sum_k t_k 1_(U_k), scaled to integers, and none proves the
+     chain.  Sets where every column is nonpositive are left out, and
+     chains with the same remaining sets share one LP.
+
+An infeasible verdict carries an ``envelope-domination`` certificate (side,
+psi, values) whose values are the two measures evaluated at psi, so it
+re-checks by evaluation; a feasible one carries the lower extension.
+Black boxes, two-point family members and combinations with such parts
+stay on the sampled tier, and so does a pair whose uncovered chains
+outgrow ``CHAIN_BUDGET``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
+from math import lcm
+from operator import and_
 from typing import Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
@@ -42,6 +84,7 @@ from .measures import (
     equal_measures,
     evaluate_values,
     grid_draw,
+    normal_forms,
     probe_grid,
     pushforward,
     separating_pair,
@@ -59,6 +102,10 @@ from .space import (
 )
 
 REFUTATION_SAMPLES = 512
+
+#: most chain traces the exact lattice tier keeps while it searches one
+#: check; past it the pair goes to the sampled tier, and is labelled so
+CHAIN_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +212,11 @@ def _check_coupling_spaces(mu1, mu2, s: Relation):
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     status: str  # "feasible" | "infeasible" | "unknown"
-    tier: str  # "exact-choquet" | "dirac" | "refutation-sampled" | "witness-found"
+    # proofs: "dirac", "exact-choquet" (two capacities), "exact-lattice" (a
+    # max/min of capacities against a capacity or another such); sampled:
+    # "refutation-sampled" (a probe refuted, or nothing decided) and
+    # "witness-found" (the witness passed its probe check)
+    tier: str
     certificate: Optional[dict] = None
     witness: Optional[CouplingWitness] = None
 
@@ -206,7 +257,42 @@ def admissible(
     v1, v2 = mu1.capacity, mu2.capacity
     if v1 is not None and v2 is not None:
         return _admissible_exact(mu1, mu2, v1, v2, s)
+    forms = _pair_forms(mu1, mu2)
+    if (
+        forms is not None
+        and _parts_inside(forms[0], s.left_projection)
+        and _parts_inside(forms[1], s.right_projection)
+    ):
+        try:
+            return _admissible_lattice(mu1, mu2, *forms, s)
+        except _ChainBudgetExceeded:
+            pass  # too many chains to solve one by one: probe instead
     return _admissible_sampled(mu1, mu2, s, seed, samples, supports)
+
+
+def decided_exactly(mu1: RiskMeasure, mu2: RiskMeasure) -> bool:
+    """Whether ``admissible`` decides the pair without probing on every
+    relation whose projections contain the measures' supports, as the
+    reflexive relations of the distance ladder do."""
+    return (
+        mu1.kind == "dirac" and mu2.kind == "dirac"
+        or mu1.capacity is not None and mu2.capacity is not None
+        or _pair_forms(mu1, mu2) is not None
+    )
+
+
+def _pair_forms(mu1, mu2):
+    """Both measures' normal forms, on an exact space, or None."""
+    forms = normal_forms(mu1), normal_forms(mu2)
+    if mu1.space.exact and None not in forms:
+        return forms
+    return None
+
+
+def _parts_inside(forms, projection: int) -> bool:
+    return all(
+        not cap.support_mask() & ~projection for row in forms[0] for cap in row
+    )
 
 
 @lru_cache(maxsize=4096)
@@ -274,6 +360,183 @@ def _admissible_exact(mu1, mu2, v1, v2, s: Relation) -> FeasibilityVerdict:
     return FeasibilityVerdict(
         "feasible", "exact-choquet", witness=lower_coupling(mu1, mu2, s)
     )
+
+
+def _admissible_lattice(mu1, mu2, f1, f2, s: Relation) -> FeasibilityVerdict:
+    """The exact lattice tier; the module docstring gives the argument."""
+    n = s.left.n
+    caps = {id(c): c for f in (f1, f2) for row in f[0] for c in row}
+    scale = lcm(*(c.scale for c in caps.values()))
+    lifted = {
+        key: c.scaled if c.scale == scale
+        else tuple(x * (scale // c.scale) for x in c.scaled)
+        for key, c in caps.items()
+    }
+    left_inner, right_inner = _inner_mask_tables(s)
+    sides = []
+    for side, mua, mub, fa, fb, inner, lists in (
+        ("left", mu1, mu2, f1, f2, left_inner, s.section_lists),
+        ("right", mu2, mu1, f2, f1, right_inner, s.inv_section_lists),
+    ):
+        # the left-hand measure's rows read A(inner U), the right-hand
+        # measure's groups B(U), both indexed by U
+        rows = [
+            [tuple(map(lifted[id(c)].__getitem__, inner)) for c in row]
+            for row in fa[0]
+        ]
+        groups = [[lifted[id(c)] for c in group] for group in fb[1]]
+        sides.append((side, mua, mub, rows, groups, lists))
+
+    def refuted(side, mua, mub, psi, lists):
+        lhs = evaluate_values(mua, section_minima(psi, lists))
+        rhs = evaluate_values(mub, psi)
+        return FeasibilityVerdict(
+            "infeasible",
+            "exact-lattice",
+            certificate={
+                "kind": "envelope-domination",
+                "side": side,
+                "psi": psi,
+                "values": (lhs, rhs),
+            },
+        )
+
+    # 1. indicator scan, in the sampled tier's probe order: the two whole
+    # measures at 1_U, subset by subset
+    for side, mua, mub, rows, groups, lists in sides:
+        lhs = _pointwise(max, [_pointwise(min, row) for row in rows])
+        rhs = _pointwise(min, [_pointwise(max, group) for group in groups])
+        u = next((u for u, (x, y) in enumerate(zip(lhs, rhs)) if x > y), None)
+        if u is not None:
+            return refuted(side, mua, mub, tuple(u >> x & 1 for x in range(n)), lists)
+    # 2. and 3., one check per (row, group)
+    for side, mua, mub, rows, groups, lists in sides:
+        for row in rows:
+            for group in groups:
+                found = _refuting_chain([(a, b) for a in row for b in group], n)
+                if found is not None:
+                    sets, weights = found
+                    psi = tuple(
+                        sum(w for u, w in zip(sets, weights) if u >> x & 1)
+                        for x in range(n)
+                    )
+                    return refuted(side, mua, mub, psi, lists)
+    return FeasibilityVerdict("feasible", "exact-lattice", witness=lower_coupling(mu1, mu2, s))
+
+
+def _pointwise(pick, tables):
+    return tables[0] if len(tables) == 1 else tuple(map(pick, *tables))
+
+
+def _refuting_chain(columns, n: int):
+    """The sets U_k of one chain's trace and integer weights t_k >= 0 with
+    sum_k t_k (a(U_k) - b(U_k)) > 0 for every column (a, b), or None when
+    every maximal chain admits none.  Called after the indicator scan, so a
+    single column is already decided."""
+    if len(columns) == 1:
+        return None
+    everything = (1 << len(columns)) - 1
+    covered = [0] * (1 << n)  # columns with a(U) <= b(U), per subset U
+    for c, (a, b) in enumerate(columns):
+        bit = 1 << c
+        for u, (x, y) in enumerate(zip(a, b)):
+            if x <= y:
+                covered[u] |= bit
+    if reduce(and_, covered):
+        return None  # one column is nonpositive on every subset
+    for live in sorted(_uncovered_traces(covered, n, everything)):
+        t = _positive_combination([[a[u] - b[u] for a, b in columns] for u in live])
+        if t is not None:
+            den = lcm(*(x.denominator for x in t))
+            return live, [int(x * den) for x in t]
+    return None
+
+
+class _ChainBudgetExceeded(Exception):
+    """More chain traces than ``CHAIN_BUDGET``; the pair is probed instead."""
+
+
+def _uncovered_traces(covered, n: int, everything: int) -> set:
+    """The traces of the maximal chains of proper nonempty subsets on which
+    no column stays nonpositive throughout.
+
+    A chain's trace is its sets where some column is positive, largest
+    first: a set where every column is nonpositive only lowers the sums, so
+    the LP of a chain is the LP of its trace, and chains with one trace
+    share it.  A search down from the full set with state (U, the columns
+    still nonpositive on every set so far), memoised per state.
+    """
+    memo = {}
+    kept = 0
+
+    def traces(u, mask):
+        nonlocal kept
+        if not u & (u - 1):  # a singleton ends the chain
+            return {()} if not mask else set()
+        key = (u, mask)
+        if key not in memo:
+            out = set()
+            for x in range(n):
+                if u >> x & 1:
+                    v = u & ~(1 << x)
+                    head = (v,) if covered[v] != everything else ()
+                    out.update(head + t for t in traces(v, mask & covered[v]))
+            kept += len(out)
+            if kept > CHAIN_BUDGET:
+                raise _ChainBudgetExceeded
+            memo[key] = out
+        return memo[key]
+
+    return traces((1 << n) - 1, everything)
+
+
+def _positive_combination(rows):
+    """Weights t >= 0 with sum_k t_k rows[k][c] >= 1 for every column c, or
+    None when there are none.
+
+    Phase one of the simplex method in ``Fraction``s with Bland's rule, on
+    sum_k rows[k][c] t_k - s_c + r_c = 1 with surplus s and artificial r,
+    minimising sum r.  A positive minimum means no t exists.
+    """
+    K, C = len(rows), len(rows[0])
+    width = K + 2 * C
+    one, zero = Fraction(1), Fraction(0)
+    table = []
+    for c in range(C):
+        line = [Fraction(row[c]) for row in rows] + [zero] * (2 * C) + [one]
+        line[K + c] = -one
+        line[K + C + c] = one
+        table.append(line)
+    basis = [K + C + c for c in range(C)]
+    # reduced costs of sum r over the starting basis, the value negated last
+    cost = [-sum(line[v] for line in table) for v in range(width + 1)]
+    for c in range(C):
+        cost[K + C + c] = zero
+    while True:
+        enter = next((v for v in range(width) if cost[v] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for c, line in enumerate(table):
+            if line[enter] > 0:
+                ratio = line[-1] / line[enter]
+                if leave is None or (ratio, basis[c]) < (best, basis[leave]):
+                    leave, best = c, ratio
+        pivot = table[leave]
+        factor = pivot[enter]
+        pivot[:] = [x / factor for x in pivot]
+        for line in (*table, cost):
+            if line is not pivot and line[enter]:
+                f = line[enter]
+                line[:] = [x - f * y for x, y in zip(line, pivot)]
+        basis[leave] = enter
+    if cost[-1]:
+        return None
+    t = [zero] * K
+    for c, v in enumerate(basis):
+        if v < K:
+            t[v] = table[c][-1]
+    return t
 
 
 def _admissible_sampled(

@@ -14,9 +14,23 @@ Each constructor builds its measure once into the form it is evaluated by.
 Dirac measures, Choquet measures and their mixtures carry a single
 capacity, which unlocks exact axiom checks, supports and equality.  Every
 other measure carries an evaluator: family members and combinations behind
-one bounded memo each, black boxes as given.  Family members on an exact
-space are still checked exactly, from the affine pieces of their formula;
-the others fall back to seeded probing, and reports say so.
+one bounded memo each, black boxes as given.  Combinations also keep their
+parts, so the axiom check can pass them from their parts: max, min and
+convex combinations keep monotonicity, translation invariance and
+normedness.  Family members on an exact space are checked exactly, from the
+affine pieces of their formula; the others fall back to seeded probing, and
+reports say so.
+
+Lattice normal forms.  A max or min whose parts are capacities, or max and
+min of such, keeps two normal forms over ``Capacity`` objects:
+
+    max-of-min   mu = max_i min_j A_ij      (rows of capacities)
+    min-of-max   mu = min_q max_p B_pq      (groups of capacities)
+
+max joins the parts' rows and spreads their groups (one group per choice of
+a group from each part: max distributes over min); min is the dual.  A
+capacity is its own one-entry form.  The coupling module decides pairs of
+such measures exactly from these forms.
 """
 
 from __future__ import annotations
@@ -25,6 +39,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -54,13 +70,22 @@ EQUALITY_PROBES = 64
 #: largest grid a benchmark matrix request fills per measure is about 2500
 EVAL_MEMO_SIZE = 4096
 
+#: most capacities one lattice normal form may list; a nesting whose spread
+#: form would list more keeps no form, and its pairs stay on the sampled tier
+MAX_FORM_TERMS = 64
+
+#: rows of a max-of-min form, or groups of a min-of-max form
+Form = tuple[tuple[Capacity, ...], ...]
+
 
 @dataclass(frozen=True, eq=False)
 class RiskMeasure:
     """A normed monetary risk measure in one of the evaluable representations.
 
     Capacity-tier measures carry ``capacity``; every other measure carries
-    ``evaluator``, and so does a Dirac measure, which reads its point.
+    ``evaluator``, and so does a Dirac measure, which reads its point.  A
+    mixture without a capacity, a max and a min keep their ``parts``; a max
+    or min of capacities keeps its ``forms`` (max-of-min, min-of-max).
     Measures compare by identity: functional equality is ``equal_measures``.
     """
 
@@ -73,6 +98,8 @@ class RiskMeasure:
     point: Optional[int] = None
     params: Optional[TwoPointParams] = None
     name: str = ""
+    parts: tuple["RiskMeasure", ...] = field(default=(), repr=False)
+    forms: Optional[tuple[Form, Form]] = field(default=None, repr=False)
 
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
@@ -128,7 +155,9 @@ def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> Ris
     def evaluator(values):
         return sum(w * evaluate_values(c, values) for w, c in terms)
 
-    return RiskMeasure(space, "mixture", evaluator=_memo(evaluator), name="mixture")
+    return RiskMeasure(
+        space, "mixture", evaluator=_memo(evaluator), name="mixture", parts=tuple(components)
+    )
 
 
 def lattice_max(components: Sequence[RiskMeasure]) -> RiskMeasure:
@@ -150,7 +179,39 @@ def _lattice(kind: str, pick, components: Sequence[RiskMeasure]) -> RiskMeasure:
     def evaluator(values):
         return pick(evaluate_values(c, values) for c in parts)
 
-    return RiskMeasure(space, kind, evaluator=_memo(evaluator), name=kind)
+    return RiskMeasure(
+        space, kind, evaluator=_memo(evaluator), name=kind, parts=parts,
+        forms=_lattice_forms(kind, parts),
+    )
+
+
+def normal_forms(mu: RiskMeasure) -> Optional[tuple[Form, Form]]:
+    """mu's (max-of-min, min-of-max) forms over capacities, or None when mu
+    is no lattice combination of capacities."""
+    if mu.capacity is not None:
+        form = ((mu.capacity,),)
+        return form, form
+    return mu.forms
+
+
+def _lattice_forms(kind: str, parts) -> Optional[tuple[Form, Form]]:
+    forms = [normal_forms(c) for c in parts]
+    if None in forms:
+        return None
+    # max(min_j A1j, min_j A2j) lists both rows, and
+    # max(min_q max_p B1pq, min_r max_p B2pr) = min_(q,r) max(B1.q, B2.r):
+    # max joins rows and spreads groups; min joins groups and spreads rows
+    join, spread = (0, 1) if kind == "max" else (1, 0)
+    joined = tuple(row for f in forms for row in f[join])
+    spreads = [f[spread] for f in forms]
+    widest = sum(max(map(len, form)) for form in spreads)
+    if (
+        sum(map(len, joined)) > MAX_FORM_TERMS
+        or prod(map(len, spreads)) * widest > MAX_FORM_TERMS
+    ):
+        return None
+    spread_out = tuple(sum(pick, ()) for pick in product(*spreads))
+    return (joined, spread_out) if kind == "max" else (spread_out, joined)
 
 
 def black_box(
@@ -339,6 +400,21 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
     return out
 
 
+def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
+    """The exact verdict on mu, or None where only probing can check it."""
+    if mu.capacity is not None:
+        # construction already validated the table; re-assert cheaply
+        return AxiomReport("pass", (), "exact")
+    if mu.kind == "two-point" and mu.space.exact:
+        found = tuple(_two_point_violations(mu))
+        return AxiomReport("fail" if found else "pass", found, "exact")
+    if mu.parts and all(
+        (report := _exact_report(p)) is not None and report.ok for p in mu.parts
+    ):
+        return AxiomReport("pass", (), "exact")
+    return None
+
+
 def verify_axioms(
     mu: RiskMeasure,
     mode: str = "auto",
@@ -351,22 +427,24 @@ def verify_axioms(
     constructor has already enforced normalization and monotone covers, so
     the verdict is immediate.  Two-point family members on an exact space
     are decided exactly by a census of the affine pieces of their formula
-    (``_two_point_violations``).  Everything else, and every measure in
-    ``mode="sampled"``, is probed with seeded samples.  Discovered
-    violations carry re-checkable witnesses either way.
+    (``_two_point_violations``).  A max, min or mixture whose parts all
+    pass exactly passes exactly too: max, min and convex combinations keep
+    the three axioms.  Everything else, a combination with a failing or
+    unstructured part included, and every measure in ``mode="sampled"``, is
+    probed with seeded samples.  Discovered violations carry re-checkable
+    witnesses either way.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
-    if mode != "sampled" and mu.capacity is not None:
-        # construction already validated the table; re-assert cheaply
-        return AxiomReport("pass", (), "exact")
-    if mode != "sampled" and mu.kind == "two-point" and mu.space.exact:
-        found = tuple(_two_point_violations(mu))
-        return AxiomReport("fail" if found else "pass", found, "exact")
+    if mode != "sampled":
+        report = _exact_report(mu)
+        if report is not None:
+            return report
     if mode == "exact":
         raise InvalidParams(
-            "exact verification needs a capacity-convertible measure "
-            "or a two-point family member on an exact space"
+            "exact verification needs a capacity-convertible measure, a "
+            "two-point family member on an exact space, or a combination "
+            "of measures that pass exactly"
         )
 
     rng = random.Random(seed)

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from math import lcm
+from numbers import Rational
+from operator import add
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,6 +23,7 @@ from .coupling import (
     CouplingWitness,
     FeasibilityVerdict,
     admissible,
+    decided_exactly,
     verify_coupling,
 )
 from .ensembles import derive_rng, extremal_pair, random_measure
@@ -118,10 +122,11 @@ def bottleneck_distance(
     Unknown verdicts on the ladder degrade the result to a bracketing
     interval instead of guessing; the returned value is then the smallest
     level certified feasible.  Every feasible verdict carries its witness,
-    and nothing re-checks it here: on the Dirac and capacity tiers the
-    verdict is a proof, and a "witness-found" witness has just passed the
-    sampled tier's own verification, which makes the result "sampled", not
-    "exact".
+    and nothing re-checks it here: on the Dirac, capacity and lattice tiers
+    the verdict is a proof, and a "witness-found" witness has just passed
+    the sampled tier's own verification, which makes the result "sampled",
+    not "exact".  Supports are probed only for a pair that goes to the
+    sampled tier.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -135,7 +140,7 @@ def bottleneck_distance(
     saw_unknown = False
     last_infeasible = None
     supports = None
-    if mu1.capacity is None or mu2.capacity is None:
+    if not decided_exactly(mu1, mu2):
         supports = (_support_mask(mu1, seed), _support_mask(mu2, seed))
     for level in distance_levels(space):
         verdict = admissible(
@@ -230,23 +235,8 @@ def distance_matrix(
         if fwd != rev:
             failures.append({"kind": "asymmetry", "pair": (i, j), "values": (fwd, rev)})
 
-    # triangle scan (conservative on intervals: flag only definite violations)
     tol = space.tol
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                lo_ij = _lower_bound(results[i][j])
-                hi_il = results[i][l].value
-                hi_lj = results[l][j].value
-                if lo_ij > hi_il + hi_lj + tol:
-                    failures.append(
-                        {
-                            "kind": "triangle-violation",
-                            "triple": (i, j, l),
-                            "values": (lo_ij, hi_il, hi_lj),
-                        }
-                    )
-
+    failures.extend(_triangle_violations(results, space))
     witness_failures = _check_witnesses(results, seed, tol)
     failures.extend(witness_failures)
     report = AuditReport(
@@ -266,6 +256,48 @@ def distance_matrix(
 
 def _lower_bound(res: DistanceResult) -> Scalar:
     return res.interval[0] if res.interval else res.value
+
+
+def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
+    """Every triple (i, j, l) whose lower bound on d(i, j) exceeds
+    d(i, l) + d(l, j); conservative on intervals, it flags only definite
+    violations.
+
+    Every value is a ladder level, so in exact mode the scan runs on the
+    integers value * D over the values' common denominator D.  Each (i, j)
+    takes the min-plus over l first, and lists the l's only when that
+    minimum is violated.
+    """
+    k = len(results)
+    tol = space.tol
+    values = {v for row in results for res in row for v in (res.value, _lower_bound(res))}
+    if all(isinstance(v, Rational) for v in values):
+        den = lcm(*(v.denominator for v in values))
+
+        def key(value):
+            return value.numerator * (den // value.denominator)
+    else:
+        def key(value):
+            return value
+    hi = [[key(res.value) for res in row] for row in results]
+    cols = list(zip(*hi))
+    found = []
+    for i in range(k):
+        row = hi[i]
+        for j in range(k):
+            lo_ij = _lower_bound(results[i][j])
+            lo = key(lo_ij)
+            if lo > min(map(add, row, cols[j])) + tol:
+                found.extend(
+                    {
+                        "kind": "triangle-violation",
+                        "triple": (i, j, l),
+                        "values": (lo_ij, results[i][l].value, results[l][j].value),
+                    }
+                    for l in range(k)
+                    if lo > row[l] + cols[j][l] + tol
+                )
+    return found
 
 
 def _check_witnesses(results, seed: int, tol) -> list[dict]:
@@ -499,26 +531,40 @@ def reverify_failure(payload: dict, context: dict) -> bool:
     of the audit that made it (``AuditReport.pool``), or "pair", the two
     measures a Lipschitz payload compared (for a convergence payload, the
     term it names and the limit).  Returns True when the recorded failure
-    still reproduces.
+    still reproduces.  A diameter payload re-checks on the space of the
+    pool, whose extremal pair ``metric_axiom_audit`` measured.
     """
     kind = payload["kind"]
     measures = context.get("measures", [])
     seed = context.get("seed", 0)
+
+    def distance(i, j):
+        return bottleneck_distance(measures[i], measures[j], seed=seed)
+
+    if kind == "nonzero-diagonal":
+        i = payload["index"]
+        return distance(i, i).value != distance_levels(measures[i].space)[0]
+    if kind == "witness-cost-mismatch":
+        res = distance(*payload["pair"])
+        return abs(res.witness.cost() - res.value) > measures[0].space.tol
+    if kind == "witness-verification":
+        return not verify_coupling(distance(*payload["pair"]).witness, seed=seed).ok
+    if kind == "diameter-exceeded":
+        diam = measures[0].space.diameter()
+        return any(distance(i, j).value > diam for i, j in payload["pairs"])
+    if kind == "diameter-not-attained":
+        space = measures[0].space
+        lo_mu, hi_mu = extremal_pair(space)
+        return bottleneck_distance(lo_mu, hi_mu, seed=seed).value != space.diameter()
     if kind == "triangle-violation":
         i, j, l = payload["triple"]
-        dij = bottleneck_distance(measures[i], measures[j], seed=seed).value
-        dil = bottleneck_distance(measures[i], measures[l], seed=seed).value
-        dlj = bottleneck_distance(measures[l], measures[j], seed=seed).value
-        return dij > dil + dlj
+        return distance(i, j).value > distance(i, l).value + distance(l, j).value
     if kind == "asymmetry":
         i, j = payload["pair"]
-        return (
-            bottleneck_distance(measures[i], measures[j], seed=seed).value
-            != bottleneck_distance(measures[j], measures[i], seed=seed).value
-        )
+        return distance(i, j).value != distance(j, i).value
     if kind == "identity-mismatch":
         i, j = payload["pair"]
-        res = bottleneck_distance(measures[i], measures[j], seed=seed)
+        res = distance(i, j)
         eq = equal_measures(measures[i], measures[j], seed=seed)
         zero = distance_levels(measures[i].space)[0]
         return not _identity_consistent(res.value == zero, eq.status)

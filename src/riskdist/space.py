@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import (
     Asymmetry,
@@ -97,6 +98,9 @@ def validate_metric(
 
     Checks squareness, zero diagonal, symmetry, positivity off the diagonal,
     and the triangle inequality; each failure names the offending indices.
+    Equal inputs give one shared space while it is alive, so the module
+    caches keyed by spaces and the space checks of later requests compare
+    it with itself instead of entry by entry.
     """
     if mode not in ("exact", "float"):
         raise InputFormatError(f"unknown arithmetic mode {mode!r}")
@@ -117,6 +121,10 @@ def validate_metric(
     rows = tuple(
         tuple(parse_scalar(v, exact=exact) for v in row) for row in dist
     )
+    key = (tuple(labels), rows, tol)
+    space = _loaded.get(key)
+    if space is not None:
+        return space  # validated when it was first loaded
     for i in range(n):
         if abs(rows[i][i]) > tol:
             raise NonzeroDiagonal(i)
@@ -133,7 +141,12 @@ def validate_metric(
             for k in range(n):
                 if rows[i][j] > rows[i][k] + rows[k][j] + tol:
                     raise TriangleViolation(i, j, k)
-    return FiniteMetricSpace(tuple(labels), rows, tol)
+    space = _loaded[key] = FiniteMetricSpace(*key)
+    return space
+
+
+#: every validated space still alive, by (labels, dist, tol)
+_loaded: WeakValueDictionary = WeakValueDictionary()
 
 
 @dataclass(frozen=True)

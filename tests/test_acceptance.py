@@ -118,19 +118,42 @@ def test_criterion_03_bottleneck_transport_agreement():
     verdict("03 transport agreement", True, f"{pairs} probability pairs, exact equality")
 
 
+def structured(mu) -> bool:
+    """No two-point member and no black box anywhere in mu."""
+    return mu.kind not in ("two-point", "blackbox") and all(map(structured, mu.parts))
+
+
 @pytest.mark.parametrize("name", list(SPACES))
-def test_criterion_04_metric_axioms(name):
+def test_criterion_04_metric_axioms(name, monkeypatch):
+    from riskdist import metric
+
+    # every ladder verdict, by tier; pairs of capacities and lattices of
+    # capacities must be decided by a proof
+    tiers = Counter()
+    sampled_structured = []
+    admissible = metric.admissible
+
+    def counted(mu1, mu2, s, **kwargs):
+        verdict = admissible(mu1, mu2, s, **kwargs)
+        tiers["unknown" if verdict.status == "unknown" else verdict.tier] += 1
+        if verdict.tier in ("refutation-sampled", "witness-found") and structured(mu1) and structured(mu2):
+            sampled_structured.append((mu1.kind, mu2.kind, verdict.tier))
+        return verdict
+
+    monkeypatch.setattr(metric, "admissible", counted)
     space = SPACES[name]()
     report = metric_axiom_audit(space, ensemble_size=100, seed=404)
     for payload in report.discrepancies:
         # sampled-tier discrepancies must re-verify from their payloads
         assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is True
     assert report.ok, report.failures
+    assert not sampled_structured, sampled_structured[:5]
     verdict(
         f"04 metric axioms [{name}]",
         report.ok,
         f"{report.instances} measures, checks {report.checks}, "
-        f"{len(report.discrepancies)} archived sampled-tier discrepancies",
+        f"{len(report.discrepancies)} archived sampled-tier discrepancies, "
+        f"ladder tiers {dict(sorted(tiers.items()))}",
     )
 
 

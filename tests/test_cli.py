@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import riskdist as rd
 from riskdist.cli import main
 
 P3 = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
@@ -98,22 +99,33 @@ class TestDistance:
         assert code == 0
         assert capsys.readouterr().out.startswith("2 (exact")
 
-    def test_sampled_witness_is_labelled_sampled(self, space_file, capsys):
+    def test_sampled_witness_is_labelled_sampled(self, space_file, monkeypatch, capsys):
+        import riskdist.io
+
         uniform = ["1/3", "1/3", "1/3"]
         cv = {"type": "cvar", "level": "1/2", "weights": uniform}
         lattice = {
             "type": "max",
             "components": [DIRAC_A, {"type": "expectation", "weights": uniform}],
         }
-        code = main(
-            [
-                "distance",
-                "--space", space_file,
-                "--measure", json.dumps(cv),
-                "--measure", json.dumps(lattice),
-            ]
-        )
-        assert code == 0
+        argv = [
+            "distance",
+            "--space", space_file,
+            "--measure", json.dumps(cv),
+            "--measure", json.dumps(lattice),
+        ]
+        # the lattice itself is decided exactly
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("1 (exact, exact-lattice)")
+        # a black-box copy of it, with no normal form, goes to the sampled tier
+        real = riskdist.io.lattice_max
+
+        def black_box_copy(components):
+            mu = real(components)
+            return rd.black_box(mu.space, mu.evaluator, name=mu.name)
+
+        monkeypatch.setattr(riskdist.io, "lattice_max", black_box_copy)
+        assert main(argv) == 0
         assert capsys.readouterr().out.startswith("1 (sampled, witness-found)")
 
     def test_undecided_ladder_exits_one(self, space_file, monkeypatch, capsys):
@@ -342,7 +354,9 @@ class TestFloatMode:
 # Reports pinned byte for byte, as the program wrote them before exact
 # Choquet sums of integer values moved to integer arithmetic.  A JSON report
 # tells a Fraction ("1") from an int (1) and a float (1.0), so a change in a
-# result's type shows here even where the value is equal.
+# result's type shows here even where the value is equal.  The "distance" and
+# "couple" reports were re-pinned when lattice pairs moved to the exact
+# lattice tier: only their certification and tier labels changed.
 GOLDEN_SPACE = json.dumps(P3)
 UNIFORM = ["1/3", "1/3", "1/3"]
 CVAR_HALF = {"type": "cvar", "level": "1/2", "weights": UNIFORM}
@@ -366,10 +380,10 @@ CONVERGE_SEQUENCE = {
 GOLDEN = {
     "distance": (
         ["--measure", json.dumps(CVAR_HALF), "--measure", json.dumps(LATTICE_MAX)],
-        '{"command":"distance","distance":{"certification":"sampled","ladder":'
-        '[{"level":"0","status":"infeasible","tier":"refutation-sampled"},'
-        '{"level":"1","status":"feasible","tier":"witness-found"}],'
-        '"tier":"witness-found","value":"1","witness":{"formula":"lower-extension",'
+        '{"command":"distance","distance":{"certification":"exact","ladder":'
+        '[{"level":"0","status":"infeasible","tier":"exact-lattice"},'
+        '{"level":"1","status":"feasible","tier":"exact-lattice"}],'
+        '"tier":"exact-lattice","value":"1","witness":{"formula":"lower-extension",'
         '"marginals":["cvar","max"],"support-pairs":[["a","a"],["a","b"],["b","a"],'
         '["b","b"],["b","c"],["c","b"],["c","c"]]}},"inputs":{"<inline>":'
         '"7dd20cbbb07c2ff8448baa1f506d35c84a8ad9f781200f33fc663622c9cb43f3"},'
@@ -400,7 +414,7 @@ GOLDEN = {
         '"496b1b7ce6eb82ff0a507a23a16f2c9d51dd5c5a854954bdffe099b8d44f2aea"},'
         '"mode":"exact","seed":0,"tool":"riskdist","verdict":{"certificate":'
         '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1",0]},'
-        '"status":"infeasible","tier":"refutation-sampled"},"version":"0.1.0"}',
+        '"status":"infeasible","tier":"exact-lattice"},"version":"0.1.0"}',
     ),
     # these pin the seeded witness sample of the matrix audit, the
     # cross-check's instance count and the convergence probe family

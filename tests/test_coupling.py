@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,184 @@ class TestAdmissible:
             rel,
         )
         assert verdict.status == "infeasible"
+
+
+def random_lattice(space, rng):
+    """A random max or min of 2-3 capacities, sometimes nested one deep."""
+    parts = [rd.choquet_measure(random_capacity(space, rng)) for _ in range(rng.randint(2, 3))]
+    pick = rng.choice((rd.lattice_max, rd.lattice_min))
+    if rng.random() < 0.2:
+        other = rd.lattice_max if pick is rd.lattice_min else rd.lattice_min
+        return pick([other(parts[:2]), *parts[2:], rd.dirac(space, 0)])
+    return pick(parts)
+
+
+def shadow(mu):
+    """A black-box copy: the same values, no capacity and no normal form."""
+    return rd.black_box(mu.space, lambda values: evaluate_values(mu, values), name="shadow")
+
+
+def assert_certificate_rechecks(mu1, mu2, s, certificate):
+    """An envelope-domination certificate re-checks by evaluation."""
+    from riskdist.coupling import section_minima
+
+    left = certificate["side"] == "left"
+    mua, mub = (mu1, mu2) if left else (mu2, mu1)
+    lists = s.section_lists if left else s.inv_section_lists
+    psi = certificate["psi"]
+    lhs = evaluate_values(mua, section_minima(psi, lists))
+    rhs = evaluate_values(mub, psi)
+    assert lhs > rhs and (lhs, rhs) == certificate["values"]
+
+
+@pytest.fixture
+def counted_lp(monkeypatch):
+    """Records each exact LP the lattice tier solves, with its answer."""
+    from riskdist import coupling
+
+    calls = []
+    real = coupling._positive_combination
+
+    def counting(rows):
+        t = real(rows)
+        calls.append((rows, t))
+        return t
+
+    monkeypatch.setattr(coupling, "_positive_combination", counting)
+    return calls
+
+
+class TestExactLatticeTier:
+    def test_agrees_with_the_sampled_tier_on_black_box_shadows(self, p3, cycle4):
+        from conftest import make_star5
+
+        decided = Counter()
+        for space in (p3, cycle4, make_star5()):
+            rng = derive_rng(83, f"lattice-tier-{space.n}")
+            for _ in range(40):
+                mu1 = random_lattice(space, rng)
+                mu2 = random_lattice(space, rng) if rng.random() < 0.7 else random_capacity_measure(space, rng)
+                if rng.random() < 0.2:
+                    rel = random_relation(space, rng, density=0.5)
+                else:
+                    # reflexive, as on the ladder, plus random pairs
+                    level = rng.choice(rd.distance_levels(space))
+                    rel = Relation.from_pairs(space, space, [
+                        (i, j) for i in range(space.n) for j in range(space.n)
+                        if space.d(i, j) <= level or rng.random() < 0.2
+                    ])
+                exact = rd.admissible(mu1, mu2, rel)
+                inside = rel.left_projection == rel.right_projection == space.full_mask
+                if inside:
+                    assert exact.tier == "exact-lattice"
+                if exact.tier != "exact-lattice":
+                    continue
+                decided[exact.status] += 1
+                if exact.feasible:
+                    assert exact.witness.support == rel
+                else:
+                    assert_certificate_rechecks(mu1, mu2, rel, exact.certificate)
+                sampled = rd.admissible(shadow(mu1), shadow(mu2), rel, seed=9)
+                assert sampled.tier in ("refutation-sampled", "witness-found")
+                if sampled.status != "unknown":
+                    assert exact.feasible == sampled.feasible
+        assert decided["feasible"] >= 20 and decided["infeasible"] >= 20, decided
+
+    def test_supports_outside_the_projections_stay_sampled(self, p3):
+        mu = rd.lattice_max([rd.dirac(p3, "a"), rd.dirac(p3, "c")])
+        # no pair leaves c, so the left projection misses part of mu's support
+        rel = Relation.from_pairs(p3, p3, [(0, 0), (1, 1)])
+        verdict = rd.admissible(mu, rd.dirac(p3, "a"), rel)
+        assert verdict.tier in ("refutation-sampled", "witness-found")
+        assert not verdict.feasible
+
+    def test_float_spaces_stay_sampled(self):
+        space = rd.validate_metric(["a", "b"], [[0, 1.0], [1.0, 0]], mode="float")
+        mu = rd.lattice_min([rd.dirac(space, "a"), rd.dirac(space, "b")])
+        verdict = rd.admissible(mu, mu, diagonal_relation(space))
+        assert verdict.tier in ("refutation-sampled", "witness-found")
+
+    def test_the_lp_step_refutes(self, p3, counted_lp):
+        # min(A1, A2) and the capacity B = min(A1(U), A2(U)) agree on every
+        # indicator, so the indicator scan passes at level 0; the chain
+        # {a, b} > {a} switches the smaller part, so no column covers it and
+        # the LP finds psi = 1_(a,b) + 1_(a)
+        a1 = rd.expectation(p3, (F(1, 2), F(0), F(1, 2)))
+        a2 = rd.dirac_capacity(p3, 1)
+        b = rd.Capacity(p3, tuple(map(min, a1.table, a2.table)))
+        mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
+        mu2 = rd.choquet_measure(b)
+        diag = sublevel_relation(p3, 0)
+        verdict = rd.admissible(mu1, mu2, diag)
+        assert verdict.status == "infeasible" and verdict.tier == "exact-lattice"
+        assert [t is not None for _, t in counted_lp] == [True]
+        assert verdict.certificate["psi"] == (2, 1, 0)
+        assert_certificate_rechecks(mu1, mu2, diag, verdict.certificate)
+        assert not rd.admissible(shadow(mu1), shadow(mu2), diag, seed=1).feasible
+        res = rd.bottleneck_distance(mu1, mu2)
+        assert (res.value, res.certification, res.tier) == (1, "exact", "exact-lattice")
+        assert rd.verify_coupling(res.witness, seed=3).ok
+
+    def test_lp_against_grid_searches_of_both_alternatives(self):
+        # on small integer games a grid over t finds a solution, or a grid
+        # over convex lambda finds Ville's certificate that none exists
+        from itertools import product
+
+        from riskdist.coupling import _positive_combination
+
+        rng = derive_rng(97, "ville")
+        grid = range(7)
+        decided = 0
+        for _ in range(150):
+            k, c = rng.randint(1, 4), rng.randint(2, 3)
+            rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+            t = _positive_combination(rows)
+            if t is not None:
+                assert all(x >= 0 for x in t)
+                assert all(sum(x * row[j] for x, row in zip(t, rows)) >= 1 for j in range(c))
+            primal = any(
+                all(sum(x * row[j] for x, row in zip(w, rows)) > 0 for j in range(c))
+                for w in product(grid, repeat=k)
+            )
+            dual = any(
+                any(lam) and all(sum(l * v for l, v in zip(lam, row)) <= 0 for row in rows)
+                for lam in product(grid, repeat=c)
+            )
+            assert not (primal and dual)
+            if primal or dual:
+                decided += 1
+                assert (t is not None) == primal
+        assert decided >= 140
+
+    def test_chain_budget_sends_the_pair_to_the_sampled_tier(self, p3, monkeypatch):
+        from riskdist import coupling
+
+        a1 = rd.expectation(p3, (F(1, 2), F(0), F(1, 2)))
+        a2 = rd.dirac_capacity(p3, 1)
+        b = rd.Capacity(p3, tuple(map(min, a1.table, a2.table)))
+        mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
+        mu2 = rd.choquet_measure(b)
+        monkeypatch.setattr(coupling, "CHAIN_BUDGET", 0)
+        verdict = rd.admissible(mu1, mu2, sublevel_relation(p3, 0))
+        assert verdict.tier == "refutation-sampled" and not verdict.feasible
+
+    def test_the_lp_step_proves(self, p3, counted_lp):
+        # two chains stay uncovered, and on both no t >= 0 makes every
+        # column positive, so the pair is feasible by Ville's alternative
+        def cap(*entries):
+            return rd.Capacity(p3, tuple(F(e) for e in entries))
+
+        a1 = cap(0, "3/14", "1/14", 1, "5/7", "5/7", "5/7", 1)
+        a2 = cap(0, "4/11", "6/11", "10/11", "1/11", "5/11", "7/11", 1)
+        b = cap(0, "39/112", "1/16", "41/44", 0, "93/176", "1/16", 1)
+        mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
+        mu2 = rd.choquet_measure(b)
+        rel = Relation.from_pairs(p3, p3, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2)])
+        verdict = rd.admissible(mu1, mu2, rel)
+        assert verdict.status == "feasible" and verdict.tier == "exact-lattice"
+        assert len(counted_lp) == 2 and all(t is None for _, t in counted_lp)
+        assert rd.verify_coupling(verdict.witness, samples=256, seed=3).ok
+        assert rd.admissible(shadow(mu1), shadow(mu2), rel, seed=1).feasible
 
 
 def tuple_simplex(rng, k):

@@ -98,7 +98,65 @@ class TestVerifyAxioms:
             rd.lattice_min(parts),
             rd.mixture((F(1, 4), F(1, 4), F(1, 2)), parts),
         ):
-            assert rd.verify_axioms(combo, seed=8).ok
+            assert rd.verify_axioms(combo, mode="sampled", seed=8).ok
+
+    def test_combinations_of_exact_parts_pass_exactly(self, cycle4, two_point):
+        rng = derive_rng(7, "exact-combos")
+        parts = [rd.choquet_measure(random_capacity(cycle4, rng)) for _ in range(3)]
+        hi, lo = rd.lattice_max(parts), rd.lattice_min(parts[:2])
+        nested = rd.mixture((F(1, 3), F(2, 3)), (hi, rd.lattice_max([lo, parts[2]])))
+        for combo in (hi, lo, nested):
+            report = rd.verify_axioms(combo, mode="exact")
+            assert report.ok and report.method == "exact" and not report.violations
+        # a black-box part leaves only probing, and mode="exact" refuses
+        boxed = rd.lattice_max([parts[0], rd.black_box(cycle4, parts[1].capacity.choquet)])
+        assert rd.verify_axioms(boxed, seed=2).method.startswith("sampled")
+        with pytest.raises(rd.InvalidParams):
+            rd.verify_axioms(boxed, mode="exact")
+        # a family member that fails its census also sends the max to probing
+        params = rd.TwoPointParams(
+            (F(1, 4), F(5, 24), F(1, 3), F(5, 24)),
+            (F(0), F(-2), F(0), F(0)),
+            rd.ShapeFunction(
+                tuple((F(t), F(y)) for t, y in ((-7, "-3/2"), (-4, 0), (-2, 0), (0, 0), (3, "3/4")))
+            ),
+        )
+        member = rd.two_point_measure(two_point, params)
+        assert not rd.verify_axioms(member).ok
+        combo = rd.lattice_max([member, rd.dirac(two_point, "x")])
+        assert rd.verify_axioms(combo, seed=1).method.startswith("sampled")
+
+
+class TestNormalForms:
+    def test_forms_evaluate_to_the_measure(self, cycle4):
+        from riskdist.measures import normal_forms
+
+        rng = derive_rng(8, "forms")
+        a, b, c, d = (rd.choquet_measure(random_capacity(cycle4, rng)) for _ in range(4))
+        mu = rd.lattice_min([rd.lattice_max([a, b]), rd.lattice_max([c, rd.lattice_min([a, d])])])
+        maxmin, minmax = normal_forms(mu)
+        caps = lambda *ms: tuple(m.capacity for m in ms)
+        assert maxmin == (caps(a, c), caps(a, a, d), caps(b, c), caps(b, a, d))
+        assert minmax == (caps(a, b), caps(c, a), caps(c, d))
+        for _ in range(30):
+            phi = tuple(rng.randint(-9, 9) for _ in range(4))
+            want = evaluate_values(mu, phi)
+            assert max(min(v.choquet(phi) for v in row) for row in maxmin) == want
+            assert min(max(v.choquet(phi) for v in group) for group in minmax) == want
+
+    def test_only_lattices_of_capacities_have_forms(self, p3, two_point):
+        from riskdist.measures import MAX_FORM_TERMS, normal_forms
+
+        a, b = rd.dirac(p3, "a"), rd.dirac(p3, "b")
+        assert normal_forms(a) == (((a.capacity,),), ((a.capacity,),))
+        assert normal_forms(rd.lattice_max([a, rd.black_box(p3, max)])) is None
+        boxed_mix = rd.mixture((F(1, 2), F(1, 2)), (rd.lattice_max([a, b]), a))
+        assert boxed_mix.capacity is None and normal_forms(boxed_mix) is None
+        # a nesting whose spread form outgrows the bound keeps no form
+        pair = rd.lattice_min([a, b])
+        wide = rd.lattice_max([pair] * 7)
+        assert 2 ** 7 * 7 > MAX_FORM_TERMS and normal_forms(wide) is None
+        assert normal_forms(rd.lattice_max([pair] * 2)) is not None
 
 
 class TestSupport:

@@ -15,6 +15,7 @@ from riskdist.ensembles import (
     random_measure,
 )
 from riskdist.cli import main
+from riskdist.coupling import CouplingWitness
 from riskdist.errors import AxiomFailure
 from riskdist.measures import evaluate_values
 from riskdist.metric import (
@@ -22,6 +23,7 @@ from riskdist.metric import (
     metric_axiom_audit,
     reverify_failure,
 )
+from riskdist.space import diagonal_relation
 
 F = Fraction
 
@@ -46,6 +48,10 @@ class TestBottleneckDistance:
             [rd.dirac(p3, "a"), rd.choquet_measure(rd.expectation(p3, uniform))]
         )
         res = rd.bottleneck_distance(cv, lattice)
+        assert res.tier == "exact-lattice" and res.certification == "exact"
+        # a black-box copy of the lattice has no normal form: sampled tier
+        copy = rd.black_box(p3, lattice.evaluator, name="max")
+        res = rd.bottleneck_distance(cv, copy)
         assert res.tier == "witness-found" and res.certification == "sampled"
         rng = derive_rng(2, "certification")
         for _ in range(6):
@@ -173,11 +179,19 @@ class TestDistanceMatrix:
         monkeypatch.setattr(riskdist.metric, "support", counting)
         a = rd.dirac(p3, "a")
         b = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
-        hi, lo = rd.lattice_max([a, b]), rd.lattice_min([a, b])
+        # lattice pairs go to the exact lattice tier and probe nothing
+        lattices = [rd.lattice_max([a, b]), rd.lattice_min([a, b])]
+        exact_results, report = rd.distance_matrix([a, b, *lattices])
+        assert report.ok and not probed
+        # black-box copies of them go to the sampled tier
+        hi, lo = (rd.black_box(p3, mu.evaluator, name=mu.kind) for mu in lattices)
         results, report = rd.distance_matrix([a, b, hi, lo])
         assert report.ok
         assert probed[hi] == probed[lo] == 1
         assert set(probed.values()) == {1}
+        assert [[r.value for r in row] for row in results] == [
+            [r.value for r in row] for row in exact_results
+        ]
         # outside a matrix each distance probes afresh, to the same values
         assert rd.bottleneck_distance(hi, lo).value == results[2][3].value
         assert probed[hi] == probed[lo] == 2
@@ -224,10 +238,9 @@ class TestLipschitzControl:
         assert not reverify_failure(honest, {"pair": (mu1, mu2)})
 
     def test_reverifier_rejects_kinds_it_cannot_recheck(self):
-        # kinds the audits emit that carry no re-checkable payload
-        for kind in ("witness-cost-mismatch", "nonzero-diagonal", "diameter-exceeded"):
-            with pytest.raises(rd.InvalidParams, match=kind):
-                reverify_failure({"kind": kind}, {})
+        # no audit emits this kind, so nothing can re-check it
+        with pytest.raises(rd.InvalidParams, match="no-such-kind"):
+            reverify_failure({"kind": "no-such-kind"}, {})
 
     def test_convergence_payload_reverifies(self, p3, monkeypatch):
         # an understated distance makes the audit report real violations;
@@ -248,6 +261,36 @@ class TestLipschitzControl:
             pair = (terms[payload["term"] - 1], limit)
             assert reverify_failure(payload, {"pair": pair})
             assert not reverify_failure(dict(payload, distance=2), {"pair": pair})
+
+
+def _diagonal_witness(mu1, mu2, res):
+    # the lower extension on the diagonal fails its marginals unless the
+    # two measures are equal
+    if res.value == 0:
+        return res
+    w = res.witness
+    return dataclasses.replace(
+        res, witness=CouplingWitness(w.left, w.right, diagonal_relation(w.left.space))
+    )
+
+
+AUDIT_FAULTS = {
+    "nonzero-diagonal": lambda mu1, mu2, res: (
+        dataclasses.replace(res, value=res.value + 1) if mu1 is mu2 else res
+    ),
+    "witness-cost-mismatch": lambda mu1, mu2, res: (
+        res if mu1 is mu2 else dataclasses.replace(res, value=res.value + 1)
+    ),
+    "witness-verification": _diagonal_witness,
+    "diameter-exceeded": lambda mu1, mu2, res: (
+        res if mu1 is mu2 else dataclasses.replace(res, value=mu1.space.diameter() + 1)
+    ),
+    "diameter-not-attained": lambda mu1, mu2, res: (
+        dataclasses.replace(res, value=0)
+        if (mu1.kind, mu1.name, mu2.name) == ("choquet", "min", "max")
+        else res
+    ),
+}
 
 
 class TestReverifyAuditPayloads:
@@ -296,6 +339,85 @@ class TestReverifyAuditPayloads:
 
         report = metric_axiom_audit(p3, ensemble_size=4, seed=5)
         assert "pool" not in json.dumps(audit_summary(report))
+
+    @pytest.mark.parametrize("kind", sorted(AUDIT_FAULTS))
+    def test_matrix_and_diameter_payloads_reverify(self, p3, monkeypatch, kind):
+        # a payload made under a fault re-checks True while the fault is in
+        # place and False once it is gone
+        from riskdist import metric
+
+        true_distance = metric.bottleneck_distance
+        fault = AUDIT_FAULTS[kind]
+        monkeypatch.setattr(
+            metric,
+            "bottleneck_distance",
+            lambda mu1, mu2, **kw: fault(mu1, mu2, true_distance(mu1, mu2, **kw)),
+        )
+        report = metric_axiom_audit(p3, ensemble_size=4, seed=5)
+        payloads = [f for f in report.failures if f["kind"] == kind]
+        assert payloads
+        context = {"measures": report.pool, "seed": 5}
+        for payload in payloads:
+            assert reverify_failure(payload, context) is True
+        monkeypatch.setattr(metric, "bottleneck_distance", true_distance)
+        for payload in payloads:
+            assert reverify_failure(payload, context) is False
+
+
+def fraction_triangle_scan(results, tol):
+    """The matrix's triangle scan as it ran before the integer min-plus."""
+    k = len(results)
+    found = []
+    for i in range(k):
+        for j in range(k):
+            for l in range(k):
+                res = results[i][j]
+                lo_ij = res.interval[0] if res.interval else res.value
+                hi_il = results[i][l].value
+                hi_lj = results[l][j].value
+                if lo_ij > hi_il + hi_lj + tol:
+                    found.append(
+                        {
+                            "kind": "triangle-violation",
+                            "triple": (i, j, l),
+                            "values": (lo_ij, hi_il, hi_lj),
+                        }
+                    )
+    return found
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_triangle_scan_flags_what_the_fraction_scan_flags(monkeypatch, mode):
+    from riskdist import metric
+
+    space = rd.validate_metric(
+        ["a", "b", "c", "d"],
+        [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
+        mode=mode,
+    )
+    rng = derive_rng(17, "triangle")
+    pool = [random_capacity_measure(space, rng) for _ in range(6)]
+    levels = rd.distance_levels(space)
+    true_distance = metric.bottleneck_distance
+
+    def injected(mu1, mu2, **kw):
+        res = true_distance(mu1, mu2, **kw)
+        pair = {pool.index(mu1), pool.index(mu2)}
+        if pair in ({0, 1}, {1, 2}):
+            return dataclasses.replace(res, value=levels[0])  # understated
+        if pair == {3, 4}:
+            # an interval whose lower end sits on the top level
+            return dataclasses.replace(
+                res, value=levels[-1], interval=(levels[-1], levels[-1]),
+                certification="interval",
+            )
+        return res
+
+    monkeypatch.setattr(metric, "bottleneck_distance", injected)
+    results, report = rd.distance_matrix(pool)
+    flagged = [f for f in report.failures if f["kind"] == "triangle-violation"]
+    assert flagged
+    assert flagged == fraction_triangle_scan(results, space.tol)
 
 
 class TestConvergenceAudit:

@@ -206,7 +206,9 @@ class TestCachedHashes:
     def test_equal_values_built_twice_share_cache_entries(self):
         from riskdist.coupling import _inner_mask_tables
 
-        a, b = make_space(), make_space()
+        # loaded spaces are interned, so build the equal twin directly
+        a = make_space()
+        b = rd.FiniteMetricSpace(a.labels, a.dist, a.tol)
         assert a is not b and a == b and hash(a) == hash(b)
         assert product_space(a, a) is product_space(b, b)
         r1 = rd.Relation.from_pairs(a, b, [(0, 0), (1, 2), (2, 1)])
@@ -215,6 +217,31 @@ class TestCachedHashes:
         hits = _inner_mask_tables.cache_info().hits
         assert _inner_mask_tables(r1) is _inner_mask_tables(r2)
         assert _inner_mask_tables.cache_info().hits == hits + 1
+
+    def test_equal_loads_are_one_object(self):
+        a, b = make_space(), make_space()
+        assert a is b
+        labels = ["a", "b", "c", "d"]
+        dist = [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]
+        # the same values written another way load to the same space
+        assert rd.validate_metric(labels, [[str(v) for v in row] for row in dist]) is a
+        longer = [[2 * v for v in row] for row in dist]
+        assert rd.validate_metric(labels, longer) is not a
+        floats = rd.validate_metric(labels, dist, mode="float")
+        assert floats is not a and floats.tol != a.tol
+        assert rd.validate_metric(labels, dist, mode="float") is floats
+        # an interned space pickles without its cached hash
+        import pickle
+
+        hash(a)
+        clone = pickle.loads(pickle.dumps(a))
+        assert "_hash" not in vars(clone)
+        assert clone == a and hash(clone) == hash(a)
+
+    def test_interned_space_still_validates_new_inputs(self):
+        make_space()
+        with pytest.raises(rd.MetricError):
+            rd.validate_metric(["a", "b"], [[0, 1], [2, 0]])
 
     def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):
         space = make_space()
