@@ -71,6 +71,20 @@ def _read_json(arg: str, digests: dict) -> object:
         raise InputFormatError(f"bad JSON in {label}: {exc}") from exc
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]`` of a JSON object, or an input error naming what lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise InputFormatError(f'{what} JSON needs "{key}"')
+    return obj[key]
+
+
+def _scalar(value, exact: bool, what: str):
+    try:
+        return parse_scalar(value, exact=exact)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputFormatError(f"bad {what} {value!r}: {exc}") from exc
+
+
 def _emit(args, report: dict, text_lines: list[str]):
     if args.format == "json":
         payload = dump_report(report)
@@ -193,20 +207,27 @@ def cmd_audit(args) -> int:
 def cmd_converge(args) -> int:
     digests: dict = {}
     spec = _read_json(args.sequence, digests)
-    space = load_space(spec["space"], mode=args.mode)
+    space = load_space(_field(spec, "space", "sequence"), mode=args.mode)
     if "generator" in spec:
         gen = spec["generator"]
-        if gen.get("type") != "drifting-mixture":
-            raise InputFormatError(f"unknown sequence generator {gen.get('type')!r}")
+        kind = _field(gen, "type", "generator")
+        if kind != "drifting-mixture":
+            raise InputFormatError(f"unknown sequence generator {kind!r}")
+        try:
+            count = int(gen.get("count", 8))
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"bad sequence count: {exc}") from exc
         terms, limit = drifting_mixture_sequence(
             space,
-            space.index(gen["base"]),
-            space.index(gen["far"]),
-            int(gen.get("count", 8)),
+            space.index(_field(gen, "base", "generator")),
+            space.index(_field(gen, "far", "generator")),
+            count,
         )
     else:
-        limit = load_measure(spec["limit"], space)
-        terms = [load_measure(t, space) for t in spec["terms"]]
+        limit = load_measure(_field(spec, "limit", "sequence"), space)
+        terms = [load_measure(t, space) for t in _field(spec, "terms", "sequence")]
+    if not terms:
+        raise InputFormatError("a sequence needs at least one term")
     audit = convergence_audit(terms, limit, seed=args.seed)
     report = _base_report(args, "converge", digests)
     report["audit"] = audit_summary(audit)
@@ -229,10 +250,13 @@ def cmd_converge(args) -> int:
 
 def _relation_from_args(args, space, digests) -> Relation:
     if args.threshold is not None:
-        return sublevel_relation(space, parse_scalar(args.threshold, exact=space.exact))
+        return sublevel_relation(space, _scalar(args.threshold, space.exact, "threshold"))
     if args.pairs:
         obj = _read_json(args.pairs, digests)
-        pairs = [(space.index(a), space.index(b)) for a, b in obj["pairs"]]
+        try:
+            pairs = [(space.index(a), space.index(b)) for a, b in _field(obj, "pairs", "--pairs")]
+        except (TypeError, ValueError) as exc:
+            raise InputFormatError(f"bad --pairs entry: {exc}") from exc
         return Relation.from_pairs(space, space, pairs)
     raise InputFormatError("couple needs --threshold or --pairs")
 
@@ -311,7 +335,10 @@ def cmd_oracle(args) -> int:
         ps = []
         for spec in args.measure:
             obj = _read_json(spec, digests)
-            weights = [parse_scalar(w, exact=space.exact) for w in obj["weights"]]
+            weights = [
+                _scalar(w, space.exact, "weight")
+                for w in _field(obj, "weights", "probability vector")
+            ]
             ps.append(ProbabilityVector(space, tuple(weights)))
         if args.oracle_cmd == "strassen":
             relation = _relation_from_args(args, space, digests)

@@ -231,12 +231,12 @@ def admissible(
     s: Relation,
     seed: int = 0,
     samples: int = REFUTATION_SAMPLES,
-    supports: Optional[tuple[int, int]] = None,
 ) -> FeasibilityVerdict:
     """Decide whether some coupling of (mu1, mu2) is supported inside S.
 
-    ``supports`` optionally carries precomputed support masks so callers
-    scanning many relations do not re-probe them per level.
+    Supports are probed only on the sampled tier, and there only for a side
+    whose projection of S misses a point.  The reflexive relations of the
+    distance ladder have full projections, so a ladder scan probes none.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("marginals live on different spaces")
@@ -267,18 +267,7 @@ def admissible(
             return _admissible_lattice(mu1, mu2, *forms, s)
         except _ChainBudgetExceeded:
             pass  # too many chains to solve one by one: probe instead
-    return _admissible_sampled(mu1, mu2, s, seed, samples, supports)
-
-
-def decided_exactly(mu1: RiskMeasure, mu2: RiskMeasure) -> bool:
-    """Whether ``admissible`` decides the pair without probing on every
-    relation whose projections contain the measures' supports, as the
-    reflexive relations of the distance ladder do."""
-    return (
-        mu1.kind == "dirac" and mu2.kind == "dirac"
-        or mu1.capacity is not None and mu2.capacity is not None
-        or _pair_forms(mu1, mu2) is not None
-    )
+    return _admissible_sampled(mu1, mu2, s, seed, samples)
 
 
 def _pair_forms(mu1, mu2):
@@ -539,19 +528,23 @@ def _positive_combination(rows):
     return t
 
 
-def _admissible_sampled(
-    mu1, mu2, s: Relation, seed, samples, supports=None
-) -> FeasibilityVerdict:
+def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerdict:
+    """Probe (a), (b) and (c) for a refutation; failing one, build the lower
+    extension and accept it if a short probe check passes.
+
+    A support escape is possible only on a side whose projection misses a
+    point, so the support is probed only there.
+    """
     space = mu1.space
     tol = space.tol
-    rng = random.Random(seed)
-    if supports is None:
-        supports = (support(mu1, seed=seed).mask, support(mu2, seed=seed).mask)
-    for side, mu, own_mask, proj in (
-        ("left", mu1, supports[0], s.left_projection),
-        ("right", mu2, supports[1], s.right_projection),
+    everything = (1 << space.n) - 1
+    for side, mu, proj in (
+        ("left", mu1, s.left_projection),
+        ("right", mu2, s.right_projection),
     ):
-        outside = own_mask & ~proj
+        if proj == everything:
+            continue
+        outside = support(mu, seed=seed).mask & ~proj
         for i in range(space.n):
             if outside >> i & 1:
                 pair = separating_pair(mu, i, seed=seed)

@@ -11,11 +11,9 @@ switch; the top level (the diameter) is always feasible.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from math import lcm
 from numbers import Rational
 from operator import add
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,7 +21,6 @@ from .coupling import (
     CouplingWitness,
     FeasibilityVerdict,
     admissible,
-    decided_exactly,
     verify_coupling,
 )
 from .ensembles import derive_rng, extremal_pair, random_measure
@@ -79,31 +76,6 @@ class AuditReport:
         return not self.failures
 
 
-#: support masks of the measures of the distance matrix being computed,
-#: keyed by measure identity and seed; it lives only as long as the matrix
-#: call, so it holds at most one entry per measure of that matrix
-_matrix_supports: ContextVar[Optional[dict]] = ContextVar("matrix_supports", default=None)
-
-
-@contextmanager
-def _supports_probed_once():
-    token = _matrix_supports.set({})
-    try:
-        yield
-    finally:
-        _matrix_supports.reset(token)
-
-
-def _support_mask(mu: RiskMeasure, seed: int) -> int:
-    memo = _matrix_supports.get()
-    if memo is None:
-        return support(mu, seed=seed).mask
-    key = (mu, seed)
-    if key not in memo:
-        memo[key] = support(mu, seed=seed).mask
-    return memo[key]
-
-
 def _gate_axioms(mu: RiskMeasure, which: str, seed: int):
     report = verify_axioms(mu, seed=seed)
     if not report.ok:
@@ -125,8 +97,8 @@ def bottleneck_distance(
     and nothing re-checks it here: on the Dirac, capacity and lattice tiers
     the verdict is a proof, and a "witness-found" witness has just passed
     the sampled tier's own verification, which makes the result "sampled",
-    not "exact".  Supports are probed only for a pair that goes to the
-    sampled tier.
+    not "exact".  Every ladder relation holds the diagonal, so its
+    projections are full and no level probes a support.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -139,17 +111,9 @@ def bottleneck_distance(
     value = None
     saw_unknown = False
     last_infeasible = None
-    supports = None
-    if not decided_exactly(mu1, mu2):
-        supports = (_support_mask(mu1, seed), _support_mask(mu2, seed))
     for level in distance_levels(space):
         verdict = admissible(
-            mu1,
-            mu2,
-            sublevel_relation(space, level),
-            seed=seed,
-            samples=samples,
-            supports=supports,
+            mu1, mu2, sublevel_relation(space, level), seed=seed, samples=samples
         )
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
@@ -182,16 +146,15 @@ def bottleneck_distance(
     return DistanceResult(value, witness, tuple(ladder), certification, tier=chosen.tier)
 
 
-@_supports_probed_once()
 def distance_matrix(
     measures: Sequence[RiskMeasure],
     seed: int = 0,
 ) -> tuple[list[list[DistanceResult | None]], AuditReport]:
     """Pairwise distances with a built-in symmetry / diagonal / triangle scan.
 
-    The witnesses of a seeded sample of 24 pairs are verified, and their
-    costs compared with the distances.  The support of each non-capacity
-    measure is probed once for the whole matrix, not once per pair.
+    A seeded sample of 24 pairs has its witness costs compared with the
+    distances, and the witnesses of the unproved ones among them (those not
+    certified "exact") re-sampled by ``verify_coupling``.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")
@@ -301,6 +264,9 @@ def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
 
 
 def _check_witnesses(results, seed: int, tol) -> list[dict]:
+    """Cost and witness checks on a seeded sample of 24 pairs; a witness is
+    re-sampled only when its result is not certified "exact", since the
+    Dirac, capacity and lattice tiers prove theirs."""
     k = len(results)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     random.Random(seed).shuffle(pairs)
@@ -314,6 +280,8 @@ def _check_witnesses(results, seed: int, tol) -> list[dict]:
             failures.append(
                 {"kind": "witness-cost-mismatch", "pair": (i, j), "values": (cost, res.value)}
             )
+        if res.certification == "exact":
+            continue
         report = verify_coupling(res.witness, seed=seed)
         if not report.ok:
             failures.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
@@ -96,8 +97,9 @@ def validate_metric(
 ) -> FiniteMetricSpace:
     """Validate a distance matrix and build a space.
 
-    Checks squareness, zero diagonal, symmetry, positivity off the diagonal,
-    and the triangle inequality; each failure names the offending indices.
+    Checks squareness, finite entries, zero diagonal, symmetry, positivity
+    off the diagonal, and the triangle inequality; each failure names the
+    offending indices.
     Equal inputs give one shared space while it is alive, so the module
     caches keyed by spaces and the space checks of later requests compare
     it with itself instead of entry by entry.
@@ -125,6 +127,10 @@ def validate_metric(
     space = _loaded.get(key)
     if space is not None:
         return space  # validated when it was first loaded
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if isinstance(v, float) and not isfinite(v):
+                raise InputFormatError(f"dist[{i}][{j}] = {v} is not finite")
     for i in range(n):
         if abs(rows[i][i]) > tol:
             raise NonzeroDiagonal(i)

@@ -299,6 +299,40 @@ class TestConvergeAndAudit:
         assert "triangle: ok" in capsys.readouterr().out
 
 
+DRIFT = {"type": "drifting-mixture", "base": "a", "far": "c"}
+PAIR_OF_A = ["--measure", json.dumps(DIRAC_A), "--measure", json.dumps(DIRAC_A)]
+MALFORMED = {
+    "couple threshold": ["couple", *PAIR_OF_A, "--threshold", "abc"],
+    "couple pairs": ["couple", *PAIR_OF_A, "--pairs", "{}"],
+    "couple pair entry": ["couple", *PAIR_OF_A, "--pairs", '{"pairs": [["a"]]}'],
+    "oracle weight": [
+        "oracle", "winf",
+        "--measure", '{"weights": ["x", 0, 0]}', "--measure", '{"weights": [1, 0, 0]}',
+    ],
+    "converge space": ["converge", "--sequence", json.dumps({"generator": DRIFT})],
+    "converge count": [
+        "converge", "--sequence", json.dumps({"space": P3, "generator": dict(DRIFT, count="x")}),
+    ],
+    "converge no terms": [
+        "converge", "--sequence", json.dumps({"space": P3, "limit": DIRAC_A, "terms": []}),
+    ],
+    "validate nan": [
+        "validate", "--mode", "float",
+        "--space", '{"points": ["a", "b"], "dist": [[0, NaN], [NaN, 0]]}',
+    ],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_two_with_input_error(self, case, space_file, capsys):
+        argv = MALFORMED[case]
+        if "--space" not in argv:
+            argv = [*argv, "--space", space_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error")
+
+
 class TestDeterminism:
     def test_identical_config_gives_identical_bytes(self, space_file, tmp_path):
         args = [
@@ -373,6 +407,13 @@ GOLDEN_POOL = [
     LATTICE_MAX,
     LATTICE_MIN,
 ]
+TWO_POINT = {"points": ["x", "y"], "dist": [[0, "5/2"], ["5/2", 0]]}
+FAMILY_MEMBER = {
+    "type": "two-point",
+    "alpha": ["1/2", "1/2", "0", "0"],
+    "lambda": ["0", "0", "0", "0"],
+    "f": {"knots": [["0", "0"], ["1", "1"]]},
+}
 CONVERGE_SEQUENCE = {
     "space": P3,
     "generator": {"type": "drifting-mixture", "base": "a", "far": "c", "count": 4},
@@ -415,6 +456,25 @@ GOLDEN = {
         '"mode":"exact","seed":0,"tool":"riskdist","verdict":{"certificate":'
         '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1",0]},'
         '"status":"infeasible","tier":"exact-lattice"},"version":"0.1.0"}',
+    ),
+    # the relation's left projection misses y, which the family member
+    # reads, so the sampled tier probes its support and pins the seeded
+    # separating pair of the support escape
+    "couple on two-point": (
+        [
+            "--space", json.dumps(TWO_POINT),
+            "--measure", json.dumps(FAMILY_MEMBER),
+            "--measure", json.dumps({"type": "dirac", "point": "y"}),
+            "--pairs", json.dumps({"pairs": [["x", "y"]]}),
+        ],
+        (
+            '{"command":"couple","inputs":{"<inline>":'
+            '"637780835b73f7d6e2c3e9ed117df8d90387c823fedfda7e1ae602b9948bb71d"},'
+            '"mode":"exact","seed":0,"tool":"riskdist","verdict":{"certificate":'
+            '{"kind":"support-escape","point":1,"separating":[[17,21],[17,23]],'
+            '"side":"left"},"status":"infeasible","tier":"refutation-sampled"},'
+            '"version":"0.1.0"}'
+        ),
     ),
     # these pin the seeded witness sample of the matrix audit, the
     # cross-check's instance count and the convergence probe family
@@ -465,8 +525,13 @@ GOLDEN = {
 class TestGoldenOutputs:
     @pytest.mark.parametrize("command", sorted(GOLDEN))
     def test_report_bytes_are_pinned(self, command, capsys):
+        # a key is the command's words, then " on <space>" when its args
+        # give a space of their own
         args, golden = GOLDEN[command]
-        code = main([*command.split(), "--space", GOLDEN_SPACE, *args, "--format", "json"])
+        words = command.split(" on ")[0].split()
+        if "--space" not in args:
+            args = ["--space", GOLDEN_SPACE, *args]
+        code = main([*words, *args, "--format", "json"])
         assert code == 0
         # the golden strings are compact; the report is that JSON, indented
         expected = json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n"

@@ -159,42 +159,87 @@ class TestDistanceMatrix:
         assert report.ok and results[0][0].value == 0
 
     def test_random_capacity_ensemble(self, cycle4):
+        # the matrix audit re-samples only unproved witnesses, so every
+        # capacity and lattice witness is verified here
         rng = derive_rng(7, "matrix")
         measures = [random_capacity_measure(cycle4, rng) for _ in range(10)]
-        results, report = rd.distance_matrix(measures)
+        lattices = [
+            rd.lattice_max(measures[:2]),
+            rd.lattice_min(measures[2:4]),
+            rd.lattice_max([measures[4], rd.lattice_min(measures[5:7])]),
+        ]
+        results, report = rd.distance_matrix([*measures, *lattices])
         assert report.ok
         assert_every_witness_verifies(results)
         assert report.checks["triangle"] and report.checks["symmetry"]
+        assert {r.tier for row in results for r in row} == {"exact-choquet", "exact-lattice"}
 
-    def test_supports_are_probed_once_per_matrix(self, p3, monkeypatch):
-        import riskdist.metric
+    def test_ladder_scans_probe_no_supports(self, p3, monkeypatch):
+        # every ladder relation holds the diagonal, so both projections are
+        # full and no level can see a support escape
+        import riskdist.coupling
 
         probed = Counter()
-        real = riskdist.metric.support
+        real = riskdist.coupling.support
 
         def counting(mu, *args, **kwargs):
             probed[mu] += 1
             return real(mu, *args, **kwargs)
 
-        monkeypatch.setattr(riskdist.metric, "support", counting)
+        monkeypatch.setattr(riskdist.coupling, "support", counting)
         a = rd.dirac(p3, "a")
         b = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
-        # lattice pairs go to the exact lattice tier and probe nothing
         lattices = [rd.lattice_max([a, b]), rd.lattice_min([a, b])]
         exact_results, report = rd.distance_matrix([a, b, *lattices])
-        assert report.ok and not probed
+        assert report.ok
         # black-box copies of them go to the sampled tier
         hi, lo = (rd.black_box(p3, mu.evaluator, name=mu.kind) for mu in lattices)
         results, report = rd.distance_matrix([a, b, hi, lo])
         assert report.ok
-        assert probed[hi] == probed[lo] == 1
-        assert set(probed.values()) == {1}
+        assert results[2][3].tier == "witness-found"
         assert [[r.value for r in row] for row in results] == [
             [r.value for r in row] for row in exact_results
         ]
-        # outside a matrix each distance probes afresh, to the same values
         assert rd.bottleneck_distance(hi, lo).value == results[2][3].value
-        assert probed[hi] == probed[lo] == 2
+        assert not probed
+        # off the ladder, a projection that misses a point probes that side
+        s = rd.Relation.from_pairs(p3, p3, [(0, 0), (1, 1), (0, 2)])
+        verdict = rd.admissible(hi, a, s)
+        assert verdict.certificate["kind"] == "support-escape"
+        assert probed == {hi: 1}
+
+    def test_matrix_resamples_only_unproved_witnesses(self, p3, monkeypatch):
+        import riskdist.metric
+
+        verified = []
+        real = riskdist.metric.verify_coupling
+
+        def recording(witness, *args, **kwargs):
+            verified.append(witness)
+            return real(witness, *args, **kwargs)
+
+        monkeypatch.setattr(riskdist.metric, "verify_coupling", recording)
+        rng = derive_rng(3, "matrix")
+        measures = [random_capacity_measure(p3, rng) for _ in range(4)]
+        lattices = [rd.lattice_max(measures[:2]), rd.lattice_min(measures[1:3])]
+        results, report = rd.distance_matrix([*measures, *lattices])
+        assert report.ok and report.checks["witnesses"]
+        assert results[0][4].tier == "exact-lattice"
+        assert verified == []
+        # black-box shadows of the lattices go to the sampled tier; the 15
+        # pairs all fall in the audit's sample of 24, so each unproved
+        # witness is re-sampled once
+        shadows = [rd.black_box(p3, mu.evaluator, name=mu.kind) for mu in lattices]
+        results, report = rd.distance_matrix([*measures, *shadows])
+        assert report.ok
+        unproved = [
+            results[i][j].witness
+            for i in range(6)
+            for j in range(i + 1, 6)
+            if results[i][j].certification != "exact"
+        ]
+        assert unproved
+        assert sorted(map(id, verified)) == sorted(map(id, unproved))
 
 
 class TestMetricAxiomAudit:
@@ -265,12 +310,16 @@ class TestLipschitzControl:
 
 def _diagonal_witness(mu1, mu2, res):
     # the lower extension on the diagonal fails its marginals unless the
-    # two measures are equal
+    # two measures are equal; labelled sampled, since the matrix audit
+    # re-samples only witnesses that no exact tier proved
     if res.value == 0:
         return res
     w = res.witness
     return dataclasses.replace(
-        res, witness=CouplingWitness(w.left, w.right, diagonal_relation(w.left.space))
+        res,
+        witness=CouplingWitness(w.left, w.right, diagonal_relation(w.left.space)),
+        certification="sampled",
+        tier="witness-found",
     )
 
 

@@ -42,6 +42,15 @@ class TestValidateMetric:
         with pytest.raises(NonzeroDiagonal):
             rd.validate_metric(["a"], [[1]])
 
+    @pytest.mark.parametrize(
+        "entry, mode",
+        [(float("nan"), "float"), ("inf", "float"), ("inf", "exact")],
+    )
+    def test_non_finite_entry(self, entry, mode):
+        dist = [[0, entry, 1], [entry, 0, 1], [1, 1, 0]]
+        with pytest.raises(InputFormatError, match="not finite"):
+            rd.validate_metric(["a", "b", "c"], dist, mode=mode)
+
     def test_zero_off_diagonal(self):
         with pytest.raises(ZeroOffDiagonal):
             rd.validate_metric(["a", "b"], [[0, 0], [0, 0]])
