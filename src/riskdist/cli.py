@@ -40,6 +40,7 @@ from .metric import (
     bottleneck_distance,
     convergence_audit,
     distance_matrix,
+    gate_axioms,
     metric_axiom_audit,
 )
 from .numerics import format_scalar, parse_scalar
@@ -176,6 +177,8 @@ def cmd_matrix(args) -> int:
     digests: dict = {}
     space = load_space(_read_json(args.space, digests), mode=args.mode)
     measures = _load_measures(args, space, digests)
+    if not measures:
+        raise InputFormatError("matrix needs at least one measure")
     results, audit = distance_matrix(measures, seed=args.seed)
     cells = [
         [format_scalar(results[i][j].value) for j in range(len(measures))]
@@ -195,6 +198,8 @@ def cmd_matrix(args) -> int:
 def cmd_audit(args) -> int:
     digests: dict = {}
     space = load_space(_read_json(args.space, digests), mode=args.mode)
+    if args.size < 1:
+        raise InputFormatError("audit needs --size of at least 1")
     report_obj = metric_axiom_audit(space, ensemble_size=args.size, seed=args.seed)
     report = _base_report(args, "audit metric", digests)
     report["audit"] = audit_summary(report_obj)
@@ -268,6 +273,8 @@ def cmd_couple(args) -> int:
     if len(measures) != 2:
         raise InputFormatError("couple needs exactly two measures")
     relation = _relation_from_args(args, space, digests)
+    gate_axioms(measures[0], "first", args.seed)
+    gate_axioms(measures[1], "second", args.seed)
     verdict = admissible(measures[0], measures[1], relation, seed=args.seed)
     report = _base_report(args, "couple", digests)
     report["verdict"] = {

@@ -62,7 +62,11 @@ psi, values) whose values are the two measures evaluated at psi, so it
 re-checks by evaluation; a feasible one carries the lower extension.
 Black boxes, two-point family members and combinations with such parts
 stay on the sampled tier, and so does a pair whose uncovered chains
-outgrow ``CHAIN_BUDGET``.
+outgrow ``CHAIN_BUDGET``.  That tier is one seeded probe scan of (a), (b)
+and (c): a probe that refutes gives an infeasible verdict with a
+certificate that re-checks by evaluation, and a scan with no refutation
+gives the lower extension as a "witness-found" verdict, which says that no
+probe refuted and proves nothing more.
 """
 
 from __future__ import annotations
@@ -211,11 +215,11 @@ def _check_coupling_spaces(mu1, mu2, s: Relation):
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    status: str  # "feasible" | "infeasible" | "unknown"
+    status: str  # "feasible" | "infeasible"
     # proofs: "dirac", "exact-choquet" (two capacities), "exact-lattice" (a
     # max/min of capacities against a capacity or another such); sampled:
-    # "refutation-sampled" (a probe refuted, or nothing decided) and
-    # "witness-found" (the witness passed its probe check)
+    # "refutation-sampled" (a probe refuted) and "witness-found" (no probe
+    # of the scan refuted)
     tier: str
     certificate: Optional[dict] = None
     witness: Optional[CouplingWitness] = None
@@ -233,6 +237,12 @@ def admissible(
     samples: int = REFUTATION_SAMPLES,
 ) -> FeasibilityVerdict:
     """Decide whether some coupling of (mu1, mu2) is supported inside S.
+
+    Both measures must pass their axioms (``verify_axioms``); callers gate
+    them first, as ``bottleneck_distance`` and the CLI do.  The lower
+    extension couples only such measures, and the sampled tier's
+    "witness-found" verdict relies on it: that tier probes the coupling
+    conditions, not the witness's own axioms.
 
     Supports are probed only on the sampled tier, and there only for a side
     whose projection of S misses a point.  The reflexive relations of the
@@ -529,21 +539,30 @@ def _positive_combination(rows):
 
 
 def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerdict:
-    """Probe (a), (b) and (c) for a refutation; failing one, build the lower
-    extension and accept it if a short probe check passes.
+    """Probe (a), (b) and (c) on a seeded grid; with no refutation, return
+    the lower extension as "witness-found".
 
-    A support escape is possible only on a side whose projection misses a
-    point, so the support is probed only there.
+    (a) is probed only on a side whose projection misses a point: first by
+    pairs that differ at one point outside it, then, after (b) and (c), by
+    each probe against its trim, the probe set to its projection maximum
+    off the projection (all of it that the lower extension reads).  A
+    marginal identity of the lower extension holds at phi when the other
+    side's envelope comparison and the trim comparison hold there, and the
+    grid starts with the marginal probes of ``verify_coupling(witness,
+    samples=32)``, so that check cannot refute a witness this returns.
     """
     space = mu1.space
     tol = space.tol
     everything = (1 << space.n) - 1
-    for side, mu, proj in (
-        ("left", mu1, s.left_projection),
-        ("right", mu2, s.right_projection),
-    ):
-        if proj == everything:
-            continue
+    gaps = [
+        (side, mu, proj)
+        for side, mu, proj in (
+            ("left", mu1, s.left_projection),
+            ("right", mu2, s.right_projection),
+        )
+        if proj != everything
+    ]
+    for side, mu, proj in gaps:
         outside = support(mu, seed=seed).mask & ~proj
         for i in range(space.n):
             if outside >> i & 1:
@@ -559,7 +578,7 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
                             "separating": pair,
                         },
                     )
-    probes = probe_grid(space, seed, max(0, samples - (1 << space.n) - space.n))
+    probes = probe_grid(space, seed, max(16, samples - (1 << space.n) - space.n))
     for side, mua, mub, lists in (
         ("left", mu1, mu2, s.section_lists),
         ("right", mu2, mu1, s.inv_section_lists),
@@ -579,59 +598,26 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
                         "values": (lhs, rhs),
                     },
                 )
-    witness = lower_coupling(mu1, mu2, s)
-    report = verify_coupling(witness, samples=32, seed=seed)
-    if report.ok:
-        return FeasibilityVerdict("feasible", "witness-found", witness=witness)
-    cert = _diagnose_marginal_failure(mu1, mu2, s, report)
-    if cert is not None:
-        return FeasibilityVerdict("infeasible", "refutation-sampled", certificate=cert)
-    return FeasibilityVerdict("unknown", "refutation-sampled")
-
-
-def _diagnose_marginal_failure(mu1, mu2, s: Relation, report: AxiomReport):
-    """Turn a failed marginal identity into a re-checkable certificate.
-
-    The lower extension evaluates a pulled-back phi as the max of the honest
-    marginal and the opposite envelope term, so a mismatch means either the
-    envelope condition fails at phi, or phi separates a marginal from its
-    projection-trimmed copy (a support escape).
-    """
-    tol = mu1.space.tol
-    for v in report.violations:
-        if v.axiom not in ("marginal-left", "marginal-right"):
-            continue
-        phi = v.witness["phi"]
-        own_left = v.axiom == "marginal-left"
-        own, other = (mu1, mu2) if own_left else (mu2, mu1)
-        # phi on the own factor, pulled through to the other one
-        env = section_minima(phi, s.inv_section_lists if own_left else s.section_lists)
-        lhs, rhs = evaluate_values(other, env), evaluate_values(own, phi)
-        if lhs > rhs + tol:
-            return {
-                "kind": "envelope-domination",
-                "side": "right" if own_left else "left",
-                "psi": phi,
-                "values": (lhs, rhs),
-            }
-        tilde = _projection_trim(phi, s, left=own_left)
-        a, b = evaluate_values(own, tilde), evaluate_values(own, phi)
-        if abs(a - b) > tol:
-            return {
-                "kind": "support-escape",
-                "side": "left" if own_left else "right",
-                "separating": (phi, tilde),
-                "values": (b, a),
-            }
-    return None
-
-
-def _projection_trim(phi, s: Relation, left: bool):
-    """phi on the projection, its projection maximum elsewhere."""
-    proj = s.left_projection if left else s.right_projection
-    on_proj = [v for i, v in enumerate(phi) if proj >> i & 1]
-    top = max(on_proj) if on_proj else max(phi)
-    return tuple(v if proj >> i & 1 else top for i, v in enumerate(phi))
+    for side, mu, proj in gaps:
+        inside = [i for i in range(space.n) if proj >> i & 1] or range(space.n)
+        for psi in probes:
+            top = max(psi[i] for i in inside)
+            trim = tuple(v if proj >> i & 1 else top for i, v in enumerate(psi))
+            a, b = evaluate_values(mu, psi), evaluate_values(mu, trim)
+            if abs(a - b) > tol:
+                return FeasibilityVerdict(
+                    "infeasible",
+                    "refutation-sampled",
+                    certificate={
+                        "kind": "support-escape",
+                        "side": side,
+                        "separating": (psi, trim),
+                        "values": (a, b),
+                    },
+                )
+    return FeasibilityVerdict(
+        "feasible", "witness-found", witness=lower_coupling(mu1, mu2, s)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
     exact = space.exact
     try:
         if kind == "dirac":
-            return dirac(space, obj["point"])
+            return dirac(space, space.index(obj["point"]))
         if kind == "choquet":
             return choquet_measure(_capacity_from_json(space, obj["capacity"]))
         if kind == "two-point":
@@ -170,7 +170,7 @@ def witness_summary(w: CouplingWitness) -> dict:
 
 
 def distance_summary(res: DistanceResult) -> dict:
-    out = {
+    return {
         "value": format_scalar(res.value),
         "certification": res.certification,
         "tier": res.tier,
@@ -180,9 +180,6 @@ def distance_summary(res: DistanceResult) -> dict:
         ],
         "witness": witness_summary(res.witness) if res.witness else None,
     }
-    if res.interval:
-        out["interval"] = [format_scalar(res.interval[0]), format_scalar(res.interval[1])]
-    return out
 
 
 def audit_summary(report: AuditReport) -> dict:

@@ -17,12 +17,7 @@ from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coupling import (
-    CouplingWitness,
-    FeasibilityVerdict,
-    admissible,
-    verify_coupling,
-)
+from .coupling import CouplingWitness, admissible, verify_coupling
 from .ensembles import derive_rng, extremal_pair, random_measure
 from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
@@ -55,8 +50,7 @@ class DistanceResult:
     value: Scalar
     witness: Optional[CouplingWitness]
     ladder: tuple[tuple[Scalar, str, str], ...]  # (level, status, tier)
-    certification: str  # "exact" | "sampled" | "interval"
-    interval: Optional[tuple[Scalar, Scalar]] = None
+    certification: str  # "exact" | "sampled"
     tier: str = "exact-choquet"
 
 
@@ -76,7 +70,8 @@ class AuditReport:
         return not self.failures
 
 
-def _gate_axioms(mu: RiskMeasure, which: str, seed: int):
+def gate_axioms(mu: RiskMeasure, which: str, seed: int):
+    """Raise ``AxiomFailure`` unless mu passes ``verify_axioms``."""
     report = verify_axioms(mu, seed=seed)
     if not report.ok:
         raise AxiomFailure(which, report)
@@ -91,59 +86,33 @@ def bottleneck_distance(
 ) -> DistanceResult:
     """Smallest feasible threshold on the distance ladder, with witness.
 
-    Unknown verdicts on the ladder degrade the result to a bracketing
-    interval instead of guessing; the returned value is then the smallest
-    level certified feasible.  Every feasible verdict carries its witness,
-    and nothing re-checks it here: on the Dirac, capacity and lattice tiers
-    the verdict is a proof, and a "witness-found" witness has just passed
-    the sampled tier's own verification, which makes the result "sampled",
-    not "exact".  Every ladder relation holds the diagonal, so its
-    projections are full and no level probes a support.
+    The scan stops at the first feasible level.  Every feasible verdict
+    carries its witness, and nothing re-checks it here: on the Dirac,
+    capacity and lattice tiers the verdict is a proof, which makes the
+    result "exact"; a "witness-found" verdict says only that no probe of the
+    sampled tier's scan refuted, which makes it "sampled".  Every ladder
+    relation holds the diagonal, so its projections are full and no level
+    probes a support.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
     if check_axioms:
-        _gate_axioms(mu1, "first", seed)
-        _gate_axioms(mu2, "second", seed)
+        gate_axioms(mu1, "first", seed)
+        gate_axioms(mu2, "second", seed)
     space = mu1.space
     ladder: list[tuple[Scalar, str, str]] = []
-    chosen: Optional[FeasibilityVerdict] = None
-    value = None
-    saw_unknown = False
-    last_infeasible = None
     for level in distance_levels(space):
         verdict = admissible(
             mu1, mu2, sublevel_relation(space, level), seed=seed, samples=samples
         )
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
-            chosen = verdict
-            value = level
-            break
-        if verdict.status == "unknown":
-            saw_unknown = True
-        else:
-            last_infeasible = level
-    if chosen is None:
-        # the diameter level is always feasible; reaching here means every
-        # verdict above the last infeasible one was unknown
-        raise CouplingFailure("no feasible level found on the ladder")
-    witness = chosen.witness
-    if saw_unknown:
-        levels = distance_levels(space)
-        lo = levels[0]
-        if last_infeasible is not None:
-            lo = levels[levels.index(last_infeasible) + 1]
-        return DistanceResult(
-            value,
-            witness,
-            tuple(ladder),
-            "interval",
-            (lo, value),
-            tier=chosen.tier,
-        )
-    certification = "sampled" if chosen.tier == "witness-found" else "exact"
-    return DistanceResult(value, witness, tuple(ladder), certification, tier=chosen.tier)
+            certification = "sampled" if verdict.tier == "witness-found" else "exact"
+            return DistanceResult(
+                level, verdict.witness, tuple(ladder), certification, tier=verdict.tier
+            )
+    # the diameter level admits every coupling, so only a faulty tier ends here
+    raise CouplingFailure("no feasible level found on the ladder")
 
 
 def distance_matrix(
@@ -152,9 +121,11 @@ def distance_matrix(
 ) -> tuple[list[list[DistanceResult | None]], AuditReport]:
     """Pairwise distances with a built-in symmetry / diagonal / triangle scan.
 
-    A seeded sample of 24 pairs has its witness costs compared with the
-    distances, and the witnesses of the unproved ones among them (those not
-    certified "exact") re-sampled by ``verify_coupling``.
+    Each distance is the ladder value of ``bottleneck_distance``: proved on
+    the exact tiers, "sampled" on the witness-found one.  A seeded sample of
+    24 pairs has its witness costs compared with the distances, and the
+    witnesses of the unproved ones among them (those not certified "exact")
+    re-sampled by ``verify_coupling``.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")
@@ -162,7 +133,7 @@ def distance_matrix(
     if any(m.space != space for m in measures):
         raise SpaceMismatch("all measures must share one space")
     for idx, m in enumerate(measures):
-        _gate_axioms(m, f"#{idx}", seed)
+        gate_axioms(m, f"#{idx}", seed)
 
     def distance(a, b):
         return bottleneck_distance(
@@ -173,7 +144,6 @@ def distance_matrix(
     results: list[list[Optional[DistanceResult]]] = [[None] * k for _ in range(k)]
     zero = distance_levels(space)[0]
     failures: list[dict] = []
-    intervals = 0
     for i in range(k):
         results[i][i] = distance(measures[i], measures[i])
         if results[i][i].value != zero:
@@ -182,8 +152,6 @@ def distance_matrix(
             res = distance(measures[i], measures[j])
             results[i][j] = res
             results[j][i] = res  # computed once; symmetry of the sublevel
-            if res.certification == "interval":
-                intervals += 1
 
     # symmetry recheck by explicit reversed computation on a seeded sample
     rng = random.Random(seed)
@@ -212,19 +180,13 @@ def distance_matrix(
             "witnesses": not witness_failures,
         },
         tuple(failures),
-        stats={"intervals": intervals, "symmetry-rechecks": sym_checked},
+        stats={"symmetry-rechecks": sym_checked},
     )
     return results, report
 
 
-def _lower_bound(res: DistanceResult) -> Scalar:
-    return res.interval[0] if res.interval else res.value
-
-
 def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
-    """Every triple (i, j, l) whose lower bound on d(i, j) exceeds
-    d(i, l) + d(l, j); conservative on intervals, it flags only definite
-    violations.
+    """Every triple (i, j, l) with d(i, j) > d(i, l) + d(l, j).
 
     Every value is a ladder level, so in exact mode the scan runs on the
     integers value * D over the values' common denominator D.  Each (i, j)
@@ -233,7 +195,7 @@ def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
     """
     k = len(results)
     tol = space.tol
-    values = {v for row in results for res in row for v in (res.value, _lower_bound(res))}
+    values = {res.value for row in results for res in row}
     if all(isinstance(v, Rational) for v in values):
         den = lcm(*(v.denominator for v in values))
 
@@ -242,23 +204,22 @@ def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
     else:
         def key(value):
             return value
-    hi = [[key(res.value) for res in row] for row in results]
-    cols = list(zip(*hi))
+    keyed = [[key(res.value) for res in row] for row in results]
+    cols = list(zip(*keyed))
     found = []
     for i in range(k):
-        row = hi[i]
+        row = keyed[i]
         for j in range(k):
-            lo_ij = _lower_bound(results[i][j])
-            lo = key(lo_ij)
-            if lo > min(map(add, row, cols[j])) + tol:
+            d_ij = row[j]
+            if d_ij > min(map(add, row, cols[j])) + tol:
                 found.extend(
                     {
                         "kind": "triangle-violation",
                         "triple": (i, j, l),
-                        "values": (lo_ij, results[i][l].value, results[l][j].value),
+                        "values": (results[i][j].value, results[i][l].value, results[l][j].value),
                     }
                     for l in range(k)
-                    if lo > row[l] + cols[j][l] + tol
+                    if d_ij > row[l] + cols[j][l] + tol
                 )
     return found
 

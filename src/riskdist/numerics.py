@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .errors import InputFormatError
+
 Scalar = Union[Fraction, float]
 
 NEG_INF = float("-inf")
@@ -20,7 +22,11 @@ FLOAT_TOL = 1e-9
 
 
 def parse_scalar(value, exact: bool = True) -> Scalar:
-    """Parse a JSON number, a ``"p/q"`` rational string, or ``"±inf"``."""
+    """Parse a JSON number, a ``"p/q"`` rational string, or ``"±inf"``.
+
+    A NaN (which Python's JSON reader accepts) raises ``InputFormatError``:
+    every comparison with it is False, so it would pass any check.
+    """
     if isinstance(value, str):
         text = value.strip()
         if text in ("inf", "+inf"):
@@ -36,6 +42,8 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
     if isinstance(value, Fraction):
         return value if exact else float(value)
     if isinstance(value, float):
+        if value != value:
+            raise InputFormatError(f"{value!r} is not finite")
         if value == POS_INF or value == NEG_INF:
             return value
         if exact:

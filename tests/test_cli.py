@@ -9,6 +9,13 @@ from riskdist.cli import main
 P3 = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 DIRAC_A = {"type": "dirac", "point": "a"}
 DIRAC_C = {"type": "dirac", "point": "c"}
+# class C's example member in twopoint.py: a branch-4 slope above 1
+NONMONOTONE_MEMBER = {
+    "type": "two-point",
+    "alpha": ["1/4", "1/4", "1/4", "1/4"],
+    "lambda": ["-inf", "0", "0", "0"],
+    "f": {"knots": [["0", "0"], ["1", "1"]]},
+}
 
 
 def write(tmp_path, name, obj):
@@ -135,7 +142,7 @@ class TestDistance:
         monkeypatch.setattr(
             metric,
             "admissible",
-            lambda *args, **kwargs: FeasibilityVerdict("unknown", "refutation-sampled"),
+            lambda *args, **kwargs: FeasibilityVerdict("infeasible", "refutation-sampled"),
         )
         code = main(
             [
@@ -196,6 +203,20 @@ class TestCouple:
         )
         assert code == 0
         assert "infeasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threshold", ["0", "5/2"])
+    def test_measure_failing_its_axioms_exits_one(self, threshold, capsys):
+        code = main(
+            [
+                "couple",
+                "--space", json.dumps(TWO_POINT),
+                "--measure", json.dumps(NONMONOTONE_MEMBER),
+                "--measure", json.dumps(NONMONOTONE_MEMBER),
+                "--threshold", threshold,
+            ]
+        )
+        assert code == 1
+        assert "fails the risk-measure axioms" in capsys.readouterr().err
 
 
 class TestGlue:
@@ -316,9 +337,23 @@ MALFORMED = {
     "converge no terms": [
         "converge", "--sequence", json.dumps({"space": P3, "limit": DIRAC_A, "terms": []}),
     ],
+    "dirac point not a label": ["validate", "--measure", '{"type": "dirac", "point": true}'],
+    "matrix no measures": ["matrix"],
+    "audit size": ["audit", "metric", "--size", "0"],
     "validate nan": [
         "validate", "--mode", "float",
         "--space", '{"points": ["a", "b"], "dist": [[0, NaN], [NaN, 0]]}',
+    ],
+    "validate nan weight": [
+        "validate", "--mode", "float",
+        "--measure", '{"type": "expectation", "weights": [NaN, 1, 0]}',
+    ],
+    "validate nan capacity": [
+        "validate", "--mode", "float",
+        "--measure", json.dumps({
+            "type": "choquet",
+            "capacity": {"a": float("nan"), "b": 0, "c": 0, "a,b": 1, "a,c": 1, "b,c": 1, "a,b,c": 1},
+        }),
     ],
 }
 
@@ -434,7 +469,7 @@ GOLDEN = {
         ["--measure", json.dumps(GOLDEN_POOL)],
         '{"audit":{"checks":{"symmetry":true,"triangle":true,"witnesses":true,'
         '"zero-diagonal":true},"discrepancies":[],"failures":[],"instances":15,'
-        '"stats":{"intervals":0,"symmetry-rechecks":7},"suite":"distance-matrix"},'
+        '"stats":{"symmetry-rechecks":7},"suite":"distance-matrix"},'
         '"command":"matrix","csv":"0,2,2,2,2,2\\n2,0,2,2,2,1\\n2,2,0,2,2,2\\n'
         '2,2,2,0,1,2\\n2,2,2,1,0,2\\n2,1,2,2,2,0\\n","inputs":{"<inline>":'
         '"59d9e03c2dfd98be10a821217e16e08b32be249a71436c09e036af125b3f9b97"},'
@@ -483,7 +518,7 @@ GOLDEN = {
         '{"audit":{"checks":{"diameter":true,"identity":true,"symmetry":true,'
         '"triangle":true,"witnesses":true,"zero-diagonal":true},'
         '"discrepancies":[],"failures":[],"instances":6,'
-        '"stats":{"excluded-by-axiom-gate":0,"intervals":0,"seed":0,'
+        '"stats":{"excluded-by-axiom-gate":0,"seed":0,'
         '"symmetry-rechecks":7},"suite":"metric-axioms"},'
         '"command":"audit metric",'
         '"inputs":{"<inline>":'

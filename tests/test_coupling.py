@@ -161,8 +161,7 @@ class TestAdmissible:
             exact = rd.admissible(mu1, mu2, rel)
             sampled = rd.admissible(shadow1, shadow2, rel, seed=9)
             assert sampled.tier in ("refutation-sampled", "witness-found")
-            if sampled.status != "unknown":
-                assert exact.feasible == sampled.feasible
+            assert exact.feasible == sampled.feasible
 
     def test_empty_relation_is_infeasible(self, p3):
         rel = Relation.from_pairs(p3, p3, [])
@@ -251,8 +250,7 @@ class TestExactLatticeTier:
                     assert_certificate_rechecks(mu1, mu2, rel, exact.certificate)
                 sampled = rd.admissible(shadow(mu1), shadow(mu2), rel, seed=9)
                 assert sampled.tier in ("refutation-sampled", "witness-found")
-                if sampled.status != "unknown":
-                    assert exact.feasible == sampled.feasible
+                assert exact.feasible == sampled.feasible
         assert decided["feasible"] >= 20 and decided["infeasible"] >= 20, decided
 
     def test_supports_outside_the_projections_stay_sampled(self, p3):
@@ -358,6 +356,72 @@ def tuple_simplex(rng, k):
         raw[0] = 1
     total = sum(raw)
     return tuple(F(r, total) for r in raw)
+
+
+class TestSampledTier:
+    def test_witness_found_witnesses_pass_the_probe_check(self, p3, cycle4):
+        # the 32-probe verify_coupling the tier ran on every witness before
+        # it returned one; its scan now covers that check
+        from conftest import make_star5
+
+        found = 0
+        for space in (p3, cycle4, make_star5()):
+            rng = derive_rng(89, f"sampled-tier-{space.n}")
+            for seed in range(30):
+                pick = (random_lattice, random_capacity_measure)
+                mu1, mu2 = (rng.choice(pick)(space, rng) for _ in range(2))
+                if rng.random() < 0.3:
+                    rel = random_relation(space, rng, density=0.6)
+                else:
+                    rel = sublevel_relation(space, rng.choice(rd.distance_levels(space)))
+                verdict = rd.admissible(shadow(mu1), shadow(mu2), rel, seed=seed)
+                if verdict.tier == "witness-found":
+                    found += 1
+                    assert rd.verify_coupling(verdict.witness, samples=32, seed=seed).ok
+        assert found >= 20, found
+
+    @pytest.mark.parametrize("samples", [8, 96, 128, 512])
+    def test_the_grid_starts_with_the_probe_checks_grid(self, p3, grid6, monkeypatch, samples):
+        from riskdist import coupling
+        from riskdist.measures import probe_grid
+
+        grids = []
+
+        def recorded(space, seed, randoms):
+            grids.append(probe_grid(space, seed, randoms))
+            return grids[-1]
+
+        monkeypatch.setattr(coupling, "probe_grid", recorded)
+        for space in (p3, grid6):
+            mu = shadow(rd.choquet_measure(rd.expectation(space, (F(1, space.n),) * space.n)))
+            for seed in (0, 5):
+                grids.clear()
+                rd.admissible(mu, mu, diagonal_relation(space), seed=seed, samples=samples)
+                (grid,) = grids
+                prefix = probe_grid(space, seed, 16)
+                assert grid[: len(prefix)] == prefix
+
+    def test_a_support_escape_the_pair_probes_miss_gets_the_trim_certificate(
+        self, p3, monkeypatch
+    ):
+        # max(phi) reads c, which the relation's projections miss, yet
+        # passes (b) and (c): max over {a, b} is below max and equals
+        # itself.  With the pair probes finding nothing, the trim loop
+        # refutes on the first probe whose maximum sits at c alone.
+        from riskdist import coupling
+
+        monkeypatch.setattr(coupling, "separating_pair", lambda *args, **kwargs: None)
+        mu = shadow(rd.choquet_measure(rd.possibility(p3)))
+        rel = Relation.from_pairs(p3, p3, [(0, 0), (1, 1)])
+        verdict = rd.admissible(mu, mu, rel)
+        assert (verdict.status, verdict.tier) == ("infeasible", "refutation-sampled")
+        cert = verdict.certificate
+        assert (cert["kind"], cert["side"]) == ("support-escape", "left")
+        psi, trim = cert["separating"]
+        assert psi == (0, 0, 1) and trim == (0, 0, 0)
+        assert psi[:2] == trim[:2] and trim[2] == max(psi[:2])
+        values = (evaluate_values(mu, psi), evaluate_values(mu, trim))
+        assert values == cert["values"] and values[0] != values[1]
 
 
 class TestLowerCoupling:
