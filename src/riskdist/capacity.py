@@ -13,19 +13,30 @@ expected shortfall, the unanimity capacity gives min, the possibility
 capacity gives max.
 
 Tables are stored as full 2^n tuples indexed by subset bitmask.  In exact
-mode each capacity also builds its table once as integers over one common
-denominator D.  The monotonicity and null-point scans run on those
-integers, the coupling module compares two tables by cross-multiplying
-them, and a Choquet integral of ``int`` values sums its layers in ``int``
-and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed values
-and float mode take the ``Fraction`` (or float) loop.
+mode a capacity also carries its table as integers over one common
+denominator D, ``scaled``, and exact tables are built as integers first:
+expectations, VaR, CVaR, mixtures and the 0/1 capacities compute their
+entries times D in ``int`` arithmetic, and a table given by its values (a
+JSON table, a pushforward) is scaled once on construction.  The
+monotonicity and null-point scans compare those integers.  Fractions
+appear only at the JSON edge, where a ``choquet`` spec's entries are
+parsed, and in ``table``, which holds each entry as the ``Fraction`` it
+equals, typed as the Fraction arithmetic of the definitions types it.  The
+coupling module compares two tables by cross-multiplying their ``scaled``
+integers, and a Choquet integral of ``int`` values sums its layers in
+``int`` and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed
+values and float mode take the ``Fraction`` (or float) loop.  Float tables
+are computed by the definitions' own expressions, in their order, so their
+floats are the same bits as before the integer path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
+from operator import itemgetter, le, mul
 from typing import Sequence
 
 from .errors import InputFormatError, InvalidParams, SpaceMismatch
@@ -35,6 +46,8 @@ from .space import FiniteMetricSpace, PointFunction
 MAX_CAPACITY_POINTS = 12  # 2^n table guard
 
 _INT = frozenset((int,))
+_FRACTION = frozenset((Fraction,))
+_RATIONAL = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -53,40 +66,64 @@ class Capacity:
     null_mask: int = field(compare=False, default=0)
 
     def __post_init__(self):
+        self._check()
+
+    @classmethod
+    def _of_scaled(cls, space, table, scaled, scale) -> "Capacity":
+        """A capacity whose entries the caller already has over their least
+        common denominator: ``scaled`` is ``table`` times ``scale``, as
+        ints.  It is checked as the constructor checks a table."""
+        cap = object.__new__(cls)
+        object.__setattr__(cap, "space", space)
+        object.__setattr__(cap, "table", table)
+        cap._check(scaled, scale)
+        return cap
+
+    def _check(self, scaled=None, scale=1):
         n = self.space.n
         if n > MAX_CAPACITY_POINTS:
             raise InputFormatError(
                 f"capacity tables are guarded to {MAX_CAPACITY_POINTS} points"
             )
-        if len(self.table) != 1 << n:
+        table = self.table
+        if len(table) != 1 << n:
             raise InvalidParams("capacity table must have 2^n entries")
         tol = self.space.tol
-        if abs(self.table[0]) > tol:
+        if abs(table[0]) > tol:
             raise InvalidParams("capacity of the empty set must be 0")
-        if abs(self.table[-1] - 1) > tol:
+        if abs(table[-1] - 1) > tol:
             raise InvalidParams("capacity of the full space must be 1")
-        if self.space.exact and all(type(x) in (int, Fraction) for x in self.table):
-            scale = lcm(*(x.denominator for x in self.table))
-            scaled = tuple(x.numerator * (scale // x.denominator) for x in self.table)
-            # the integer sum gives a Fraction for any nonzero layer, which
-            # the Fraction loop does only if every entry a layer can read
-            # (a proper nonempty subset) is a Fraction
-            layers = all(type(x) is Fraction for x in self.table[1:-1])
-        else:
-            scaled, scale, layers = self.table, 1, False
+        if scaled is None:
+            if self.space.exact and _RATIONAL.issuperset(map(type, table)):
+                scale = lcm(*[x.denominator for x in table])
+                scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
+            else:
+                scaled = table
+        # the integer sum gives a Fraction for any nonzero layer, which the
+        # Fraction loop does only if every entry a layer can read (a proper
+        # nonempty subset) is a Fraction
+        # (scaled is the table itself unless it holds ints)
+        layers = scaled is not table and _FRACTION.issuperset(map(type, table[1:-1]))
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_int_layers", scaled if layers else None)
-        # tol is 0 wherever the scaled table is not the table itself
-        for mask in range(1 << n):
-            for i in range(n):
-                if not mask >> i & 1:
-                    if scaled[mask] > scaled[mask | 1 << i] + tol:
-                        raise InvalidParams(
-                            "capacity not monotone: "
-                            f"v({mask}) > v({mask | 1 << i})"
-                        )
-        object.__setattr__(self, "null_mask", _null_mask(scaled, n, tol))
+        # per point i, the entries of the subsets without i against the same
+        # subsets with i: a rise is a monotonicity failure, no change at all
+        # makes i a null point (tol is 0 wherever scaled is not the table)
+        null = 0
+        for i, (without, with_) in enumerate(_covers(n)):
+            below, above = without(scaled), with_(scaled)
+            if tol == 0:
+                if not all(map(le, below, above)):
+                    _raise_first_rise(scaled, n, tol)
+                if below == above:
+                    null |= 1 << i
+            else:
+                if any(a > b + tol for a, b in zip(below, above)):
+                    _raise_first_rise(scaled, n, tol)
+                if all(abs(b - a) <= tol for a, b in zip(below, above)):
+                    null |= 1 << i
+        object.__setattr__(self, "null_mask", null)
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
         """Choquet integral by the decreasing-rearrangement sum.
@@ -135,18 +172,34 @@ class Capacity:
         return self.space.full_mask & ~self.null_mask
 
 
-def _null_mask(table, n: int, tol) -> int:
-    """Points whose presence never changes the capacity."""
-    null = 0
+@lru_cache(maxsize=MAX_CAPACITY_POINTS)
+def _covers(n: int) -> tuple:
+    """Per point i, getters of the entries of the subsets without i and of
+    the same subsets with i, in mask order; one entry per table size."""
+    out = []
     for i in range(n):
         bit = 1 << i
-        if all(
-            abs(table[mask | bit] - table[mask]) <= tol
-            for mask in range(1 << n)
-            if not mask & bit
-        ):
-            null |= bit
-    return null
+        without = [m for m in range(1 << n) if not m & bit]
+        out.append((_getter(without), _getter([m | bit for m in without])))
+    return tuple(out)
+
+
+def _getter(index: list[int]):
+    if len(index) == 1:
+        # itemgetter of a single index returns the entry, not a 1-tuple
+        k = index[0]
+        return lambda t: (t[k],)
+    return itemgetter(*index)
+
+
+def _raise_first_rise(table, n: int, tol):
+    """Name the first pair v(mask) > v(mask | bit) in mask-major order."""
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask >> i & 1 and table[mask] > table[mask | 1 << i] + tol:
+                raise InvalidParams(
+                    f"capacity not monotone: v({mask}) > v({mask | 1 << i})"
+                )
 
 
 def choquet_eval(v: Capacity, phi: PointFunction) -> Scalar:
@@ -186,27 +239,66 @@ def _one_zero(space: FiniteMetricSpace) -> tuple[Scalar, Scalar]:
     return 1.0, 0.0
 
 
+def _from_ints(space: FiniteMetricSpace, scaled, scale: int, empty=None) -> Capacity:
+    """The exact capacity with entries scaled[B] / scale, each a Fraction;
+    ``empty``, when given, is the entry of the empty set instead."""
+    g = gcd(scale, *scaled)
+    if g > 1:
+        scale //= g
+        scaled = [s // g for s in scaled]
+    value = {s: Fraction(s, scale) for s in set(scaled)}
+    table = tuple(map(value.__getitem__, scaled))
+    if empty is not None:
+        table = (empty, *table[1:])
+    return Capacity._of_scaled(space, table, tuple(scaled), scale)
+
+
+def _from_bits(space: FiniteMetricSpace, bits) -> Capacity:
+    """The capacity that is 1 on the subsets B with bits[B] = 1, else 0."""
+    one, zero = _one_zero(space)
+    table = tuple(map((zero, one).__getitem__, bits))
+    if space.exact:
+        return Capacity._of_scaled(space, table, tuple(bits), 1)
+    return Capacity(space, table)
+
+
+def _integral(v: Capacity) -> bool:
+    """True iff v's table is exact with int ``scaled`` entries."""
+    return v.space.exact and _INT.issuperset(map(type, v.scaled))
+
+
+def _subset_sums(weights: Sequence) -> list:
+    """Entry B is the sum of the weights over B, added in point order from
+    the int 0, as ``sum`` adds them: float sums come out bit-identical."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def expectation(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> Capacity:
     """Additive capacity v(B) = sum of weights over B."""
     if len(weights) != space.n:
         raise InvalidParams("weight vector length must match point count")
+    if space.exact and _FRACTION.issuperset(map(type, weights)):
+        scale = lcm(*[w.denominator for w in weights])
+        ints = [w.numerator * (scale // w.denominator) for w in weights]
+        _check_weights(ints, scale, 0)
+        # the empty sum is the int 0, as sum() gives it
+        return _from_ints(space, _subset_sums(ints), scale, empty=0)
+    _check_weights(weights, 1, space.tol)
+    return Capacity(space, tuple(_subset_sums(weights)))
+
+
+def _check_weights(weights, total, tol):
     if any(w < 0 for w in weights):
         raise InvalidParams("weights must be nonnegative")
-    total = sum(weights)
-    if abs(total - 1) > space.tol:
+    if abs(sum(weights) - total) > tol:
         raise InvalidParams("weights must sum to 1")
-    table = []
-    for mask in range(1 << space.n):
-        table.append(sum(w for i, w in enumerate(weights) if mask >> i & 1))
-    return Capacity(space, tuple(table))
 
 
 def dirac_capacity(space: FiniteMetricSpace, point: int) -> Capacity:
-    one, zero = _one_zero(space)
-    return Capacity(
-        space,
-        tuple(one if mask >> point & 1 else zero for mask in range(1 << space.n)),
-    )
+    return _from_bits(space, [m >> point & 1 for m in range(1 << space.n)])
 
 
 def unanimity(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
@@ -214,11 +306,7 @@ def unanimity(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     need = space.full_mask if mask is None else mask
     if need == 0:
         raise InvalidParams("unanimity needs a nonempty subset")
-    one, zero = _one_zero(space)
-    return Capacity(
-        space,
-        tuple(one if m & need == need else zero for m in range(1 << space.n)),
-    )
+    return _from_bits(space, [int(m & need == need) for m in range(1 << space.n)])
 
 
 def possibility(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
@@ -226,11 +314,7 @@ def possibility(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     hit = space.full_mask if mask is None else mask
     if hit == 0:
         raise InvalidParams("possibility needs a nonempty subset")
-    one, zero = _one_zero(space)
-    return Capacity(
-        space,
-        tuple(one if m & hit else zero for m in range(1 << space.n)),
-    )
+    return _from_bits(space, [int(m & hit != 0) for m in range(1 << space.n)])
 
 
 def var_quantile(
@@ -240,15 +324,17 @@ def var_quantile(
     if not 0 <= level <= 1:
         raise InvalidParams("level must lie in [0, 1]")
     p = expectation(space, weights)
-    one, zero = _one_zero(space)
-    cut = 1 - level
-    table = tuple(
-        one if p.table[m] > cut + space.tol else zero
-        for m in range(1 << space.n)
-    )
+    if _integral(p) and type(level) in _RATIONAL:
+        # p(B) = s / D > 1 - a / b, multiplied out by D * b
+        a, b = level.numerator, level.denominator
+        bound = p.scale * (b - a)
+        bits = [int(s * b > bound) for s in p.scaled]
+    else:
+        cut = 1 - level
+        bits = [int(v > cut + space.tol) for v in p.table]
     # p(X) = 1 > 1 - level can fail at level = 0; pin normalization
-    table = table[:-1] + (one,)
-    return Capacity(space, table)
+    bits[-1] = 1
+    return _from_bits(space, bits)
 
 
 def cvar(
@@ -258,6 +344,11 @@ def cvar(
     if not 0 <= level < 1:
         raise InvalidParams("level must lie in [0, 1)")
     p = expectation(space, weights)
+    if _integral(p) and type(level) is Fraction:
+        # (s / D) / ((b - a) / b) = s * b / (D * (b - a)), capped at 1
+        a, b = level.numerator, level.denominator
+        scale = p.scale * (b - a)
+        return _from_ints(space, [min(s * b, scale) for s in p.scaled], scale)
     one = _one_zero(space)[0]
     denom = 1 - level
     return Capacity(
@@ -286,6 +377,13 @@ def mix_capacities(
 ) -> Capacity:
     """Convex combination of capacities (the Choquet integral is linear in v)."""
     space = check_mixture(weights, components)
+    if _FRACTION.issuperset(map(type, weights)) and all(map(_integral, components)):
+        # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
+        dens = [w.denominator * c.scale for w, c in zip(weights, components)]
+        scale = lcm(*dens)
+        coefs = [w.numerator * (scale // d) for w, d in zip(weights, dens)]
+        columns = zip(*(c.scaled for c in components))
+        return _from_ints(space, [sum(map(mul, coefs, col)) for col in columns], scale)
     table = tuple(
         sum(w * c.table[m] for w, c in zip(weights, components))
         for m in range(1 << space.n)

@@ -91,8 +91,7 @@ from .measures import (
     normal_forms,
     probe_grid,
     pushforward,
-    separating_pair,
-    support,
+    separating_pairs,
 )
 from .numerics import Scalar
 from .space import (
@@ -543,13 +542,15 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
     the lower extension as "witness-found".
 
     (a) is probed only on a side whose projection misses a point: first by
-    pairs that differ at one point outside it, then, after (b) and (c), by
-    each probe against its trim, the probe set to its projection maximum
-    off the projection (all of it that the lower extension reads).  A
-    marginal identity of the lower extension holds at phi when the other
-    side's envelope comparison and the trim comparison hold there, and the
-    grid starts with the marginal probes of ``verify_coupling(witness,
-    samples=32)``, so that check cannot refute a witness this returns.
+    pairs that differ at one point outside it (each such point is probed
+    once, on one seeded stream, and a capacity's null points not at all),
+    then, after (b) and (c), by each probe against its trim, the probe set
+    to its projection maximum off the projection (all of it that the lower
+    extension reads).  A marginal identity of the lower extension holds at
+    phi when the other side's envelope comparison and the trim comparison
+    hold there, and the grid starts with the marginal probes of
+    ``verify_coupling(witness, samples=32)``, so that check cannot refute a
+    witness this returns.
     """
     space = mu1.space
     tol = space.tol
@@ -563,21 +564,21 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
         if proj != everything
     ]
     for side, mu, proj in gaps:
-        outside = support(mu, seed=seed).mask & ~proj
-        for i in range(space.n):
-            if outside >> i & 1:
-                pair = separating_pair(mu, i, seed=seed)
-                if pair is not None:
-                    return FeasibilityVerdict(
-                        "infeasible",
-                        "refutation-sampled",
-                        certificate={
-                            "kind": "support-escape",
-                            "side": side,
-                            "point": i,
-                            "separating": pair,
-                        },
-                    )
+        outside = everything & ~proj
+        if mu.capacity is not None:
+            outside &= mu.capacity.support_mask()  # null points never separate
+        escape = next(separating_pairs(mu, outside, seed=seed), None)
+        if escape is not None:
+            return FeasibilityVerdict(
+                "infeasible",
+                "refutation-sampled",
+                certificate={
+                    "kind": "support-escape",
+                    "side": side,
+                    "point": escape[0],
+                    "separating": escape[1],
+                },
+            )
     probes = probe_grid(space, seed, max(16, samples - (1 << space.n) - space.n))
     for side, mua, mub, lists in (
         ("left", mu1, mu2, s.section_lists),

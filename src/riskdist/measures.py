@@ -513,18 +513,22 @@ def support(mu: RiskMeasure, seed: int = 0) -> PointSubset:
     """
     if mu.capacity is not None:
         return PointSubset(mu.space, mu.capacity.support_mask())
+    found = separating_pairs(mu, mu.space.full_mask, seed=seed)
+    return PointSubset(mu.space, sum(1 << i for i, _ in found))
+
+
+def separating_pairs(mu: RiskMeasure, mask: int, seed: int = 0):
+    """Yield (i, pair) for each point i of ``mask`` at which probing finds a
+    pair of functions differing only there that the measure tells apart.
+
+    The points are probed lazily, in index order, on one seeded stream.
+    """
     rng = random.Random(seed)
-    mask = 0
     for i in range(mu.space.n):
-        if _separating_pair(mu, i, rng) is not None:
-            mask |= 1 << i
-    return PointSubset(mu.space, mask)
-
-
-def separating_pair(mu: RiskMeasure, i: int, seed: int = 0):
-    """A pair of functions differing only at point i that the measure tells
-    apart, or None when probing finds none."""
-    return _separating_pair(mu, i, random.Random(seed))
+        if mask >> i & 1:
+            pair = _separating_pair(mu, i, rng)
+            if pair is not None:
+                yield i, pair
 
 
 def _separating_pair(mu: RiskMeasure, i: int, rng: random.Random):

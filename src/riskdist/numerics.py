@@ -33,7 +33,13 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
             return POS_INF
         if text == "-inf":
             return NEG_INF
-        frac = Fraction(text)  # accepts "3/4", "-2", "0.25"
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isdigit() and den.isdigit() == bool(slash) and text.isascii():
+            # "p/q" or "p" in ASCII digits, which Fraction(text) reads as this
+            frac = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            frac = Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
         return frac if exact else float(frac)
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")

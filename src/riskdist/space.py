@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
@@ -77,10 +77,15 @@ class FiniteMetricSpace:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        """Point index by label, built once per (interned) space."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._label_index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputFormatError(f"unknown point label {label!r}") from None
 
     def d(self, i: int, j: int) -> Scalar:

@@ -161,6 +161,18 @@ class TwoPointParams:
         if min(l3, l4) != 0:
             raise InvalidParams("min of the last two shifts must be 0")
 
+    @cached_property
+    def _branch_weights(self) -> tuple[Scalar, ...]:
+        """The shape term's weight on each of the five branches, in order."""
+        a1, a2, a3, a4 = self.alphas
+        return (
+            min(a1, a2),
+            min(a1 + a3 + a4, a2),
+            min(a1 + a3, a2 + a4),
+            min(a1 + a4, a2 + a3),
+            min(a1, a2 + a3 + a4),
+        )
+
 
 @dataclass(frozen=True)
 class TwoPointValue:
@@ -169,41 +181,34 @@ class TwoPointValue:
     gap: bool  # True iff the uncovered-branch fallback fired
 
 
-def _shape_weight(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> tuple[Scalar, int, bool]:
-    a1, a2, a3, a4 = p.alphas
-    l1, l2, l3, l4 = p.lambdas
-    if a3 == 0 and a4 == 0:
-        return min(a1, a2), 1, False
-    c1 = phi0 + l1 >= phi1 + l2  # which argument wins the max term
-    c2_le = phi0 + l3 <= phi1 + l4  # which argument wins the min term
-    c2_ge = phi0 + l3 >= phi1 + l4
-    if c1 and c2_le:
-        return min(a1 + a3 + a4, a2), 2, False
-    if c1 and not c2_le:
-        return min(a1 + a3, a2 + a4), 3, False
-    if not c1 and c2_ge:
-        return min(a1 + a4, a2 + a3), 4, False
-    # branch 5's own condition (not c1, strictly not c2) implies branch 4's,
-    # so its weight applies only here, in the uncovered region where both
-    # comparisons fail strictly
-    return min(a1, a2 + a3 + a4), 5, True
-
-
 def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointValue:
-    """Evaluate a family member; infinite shifts never win their max/min."""
+    """Evaluate a family member; infinite shifts never win their max/min.
+
+    Each shifted argument is formed once and read by both its max/min term
+    and the branch test; branch 5's own condition (not c1, strictly not c2)
+    implies branch 4's, so its weight applies only in the uncovered region
+    where both comparisons fail strictly.
+    """
     a1, a2, a3, a4 = p.alphas
     l1, l2, l3, l4 = p.lambdas
     total = a1 * phi0 + a2 * phi1
-    if a3 != 0:
-        hi = max(phi0 + l1, phi1 + l2)  # finite: at least one shift is 0
-        total += a3 * hi
-    if a4 != 0:
-        lo = min(phi0 + l3, phi1 + l4)
-        total += a4 * lo
-    weight, branch, gap = _shape_weight(p, phi0, phi1)
+    if a3 == 0 and a4 == 0:
+        branch = 1
+    else:
+        hi0, hi1 = phi0 + l1, phi1 + l2  # the max term's arguments
+        lo0, lo1 = phi0 + l3, phi1 + l4  # the min term's arguments
+        if a3 != 0:
+            total += a3 * max(hi0, hi1)  # finite: at least one shift is 0
+        if a4 != 0:
+            total += a4 * min(lo0, lo1)
+        if hi0 >= hi1:  # c1
+            branch = 2 if lo0 <= lo1 else 3
+        else:
+            branch = 4 if lo0 >= lo1 else 5
+    weight = p._branch_weights[branch - 1]
     if weight != 0:
         total += weight * p.shape(phi1 - phi0)
-    return TwoPointValue(total, branch, gap)
+    return TwoPointValue(total, branch, branch == 5)
 
 
 def branch_boundaries(p: TwoPointParams) -> list[Scalar]:

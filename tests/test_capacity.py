@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,11 @@ from riskdist.capacity import (
     exhaustive_support_mask,
     pushforward_capacity,
 )
-from riskdist.ensembles import derive_rng, random_capacity
-from riskdist.errors import InvalidParams
+from riskdist.ensembles import derive_rng, random_capacity, random_simplex
+from riskdist.errors import InputFormatError, InvalidParams
+from riskdist.io import load_measure
+
+from conftest import fixture_spaces
 
 F = Fraction
 
@@ -334,3 +338,272 @@ class TestIntegerKernel:
         values = tuple(v / 4.0 for v in values)
         got, want = cap.choquet(values), rearrangement_sum(ftable, values)
         assert type(got) is type(want) and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# constructors built on integers against the Fraction formulas they replace
+
+
+def formula_expectation(space, weights):
+    return tuple(
+        sum(w for i, w in enumerate(weights) if mask >> i & 1)
+        for mask in range(1 << space.n)
+    )
+
+
+def _one_zero(space):
+    return (F(1), F(0)) if space.exact else (1.0, 0.0)
+
+
+def formula_var(space, weights, level):
+    p = formula_expectation(space, weights)
+    one, zero = _one_zero(space)
+    cut = 1 - level
+    table = tuple(one if v > cut + space.tol else zero for v in p)
+    return table[:-1] + (one,)
+
+
+def formula_cvar(space, weights, level):
+    p = formula_expectation(space, weights)
+    one = _one_zero(space)[0]
+    return tuple(min(v / (1 - level), one) for v in p)
+
+
+def formula_mixture(weights, tables):
+    return tuple(
+        sum(w * t[m] for w, t in zip(weights, tables)) for m in range(len(tables[0]))
+    )
+
+
+def formula_zero_one(space, member):
+    one, zero = _one_zero(space)
+    return tuple(one if member(m) else zero for m in range(1 << space.n))
+
+
+def formula_json_table(space, capacity):
+    exact = space.exact
+    table = [F(0) if exact else 0.0] + [None] * (space.full_mask)
+    for key, raw in capacity.items():
+        mask = 0
+        if key.strip():
+            for label in key.split(","):
+                mask |= 1 << space.labels.index(label.strip())
+        frac = F(raw.strip())
+        table[mask] = frac if exact else float(frac)
+    return tuple(table)
+
+
+def formula_null_mask(table, n, tol):
+    null = 0
+    for i in range(n):
+        bit = 1 << i
+        if all(
+            abs(table[m | bit] - table[m]) <= tol for m in range(1 << n) if not m & bit
+        ):
+            null |= bit
+    return null
+
+
+def formula_first_rise(table, n, tol):
+    for mask in range(1 << n):
+        for i in range(n):
+            if not mask >> i & 1 and table[mask] > table[mask | 1 << i] + tol:
+                return f"capacity not monotone: v({mask}) > v({mask | 1 << i})"
+    return None
+
+
+def same_entries(got, want):
+    """Equal in value and type, floats bit for bit."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and a == b, (a, b)
+        if isinstance(a, float):
+            assert repr(a) == repr(b)
+
+
+def assert_built_like(cap: Capacity, want):
+    same_entries(cap.table, want)
+    space = cap.space
+    assert cap.null_mask == formula_null_mask(want, space.n, space.tol)
+    if space.exact and all(type(x) in (int, F) for x in want):
+        scale = lcm(*(x.denominator for x in want))
+        assert cap.scale == scale
+        assert cap.scaled == tuple(x.numerator * (scale // x.denominator) for x in want)
+        assert all(type(x) is int for x in cap.scaled)
+    else:
+        # float mode, or an exact table holding a float (an int level 0
+        # makes CVaR divide int 0 by int 1)
+        assert cap.scaled == cap.table and cap.scale == 1
+
+
+def one_point(mode="exact"):
+    return rd.validate_metric(["o"], [[0]], mode=mode)
+
+
+def as_float_space(space):
+    return rd.validate_metric(
+        list(space.labels), [[float(d) for d in row] for row in space.dist], mode="float"
+    )
+
+
+def all_spaces():
+    exact = [*fixture_spaces(), one_point()]
+    return exact + [as_float_space(s) for s in exact]
+
+
+def weight_vectors(space, rng):
+    """Fraction simplices with zeros, an int point mass and mixed types."""
+    n = space.n
+    out = [random_simplex(rng, n, space.exact) for _ in range(4)]
+    if space.exact:
+        out.append(tuple(1 if i == n - 1 else 0 for i in range(n)))
+        out.append((F(1, 1),) + (0,) * (n - 1))
+    return out
+
+
+LEVELS = (F(0), F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1), 0, 1)
+
+
+def space_id(space):
+    return f"{space.n}-{'exact' if space.exact else 'float'}"
+
+
+@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+class TestConstructorsKeepTheFractionFormulas:
+    def test_expectation_var_and_cvar(self, space):
+        rng = derive_rng(space.n, "formulas")
+        for weights in weight_vectors(space, rng):
+            assert_built_like(rd.expectation(space, weights), formula_expectation(space, weights))
+            for level in LEVELS:
+                if not space.exact:
+                    level = float(level)
+                assert_built_like(
+                    rd.var_quantile(space, weights, level), formula_var(space, weights, level)
+                )
+                if level < 1:
+                    assert_built_like(
+                        rd.cvar(space, weights, level), formula_cvar(space, weights, level)
+                    )
+
+    def test_zero_one_capacities(self, space):
+        for point in range(space.n):
+            assert_built_like(
+                rd.dirac_capacity(space, point),
+                formula_zero_one(space, lambda m: m >> point & 1),
+            )
+        for mask in range(1, 1 << space.n):
+            assert_built_like(
+                rd.unanimity(space, mask), formula_zero_one(space, lambda m: m & mask == mask)
+            )
+            assert_built_like(
+                rd.possibility(space, mask), formula_zero_one(space, lambda m: m & mask)
+            )
+
+    def test_mixtures(self, space):
+        rng = derive_rng(space.n, "mixtures")
+        for _ in range(6):
+            parts = [random_capacity(space, rng) for _ in range(rng.randint(1, 3))]
+            parts.append(rd.dirac_capacity(space, rng.randrange(space.n)))
+            for weights in (random_simplex(rng, len(parts), space.exact),
+                            (1,) + (0,) * (len(parts) - 1)):
+                want = formula_mixture(weights, [c.table for c in parts])
+                assert_built_like(rd.mix_capacities(weights, parts), want)
+
+    def test_pushforwards(self, space):
+        rng = derive_rng(space.n, "pushforwards")
+        for target in (one_point(), space):
+            if target.exact != space.exact:
+                continue
+            for _ in range(6):
+                cap = random_capacity(space, rng)
+                fmap = tuple(rng.randrange(target.n) for _ in range(space.n))
+                want = tuple(
+                    cap.table[sum(1 << i for i, t in enumerate(fmap) if m >> t & 1)]
+                    for m in range(1 << target.n)
+                )
+                assert_built_like(pushforward_capacity(cap, fmap, target), want)
+
+    def test_json_tables(self, space):
+        rng = derive_rng(space.n, "json")
+        for _ in range(6):
+            cap = random_capacity(space, rng)
+            spec = {}
+            for m in range(1, 1 << space.n):
+                labels = [space.labels[i] for i in range(space.n) if m >> i & 1]
+                rng.shuffle(labels)
+                spec[" , ".join(labels)] = f" {F(cap.table[m])} "
+            loaded = load_measure({"type": "choquet", "capacity": spec}, space).capacity
+            assert_built_like(loaded, formula_json_table(space, spec))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_non_monotone_table_names_the_mask_major_first_rise(n, mode):
+    space = uniform_space(n, mode)
+    rng = derive_rng(n, f"rises-{mode}")
+    hits = 0
+    for _ in range(40):
+        table = [F(rng.randint(0, 12), 8) for _ in range(1 << n)]
+        table[0], table[-1] = F(0), F(1)
+        if mode == "float":
+            # steps inside the tolerance are neither rises nor changes
+            table = [float(v) + rng.choice((0.0, 4e-10, -4e-10)) for v in table]
+        want = formula_first_rise(table, n, space.tol)
+        if want is None:
+            assert Capacity(space, tuple(table)).null_mask == formula_null_mask(
+                table, n, space.tol
+            )
+            continue
+        hits += 1
+        with pytest.raises(InvalidParams) as err:
+            Capacity(space, tuple(table))
+        assert str(err.value) == want
+    assert hits
+
+
+P3_EXACT = ("exact", ["1/2", "1/4", "1/4"])
+P3_FLOAT = ("float", [0.5, 0.25, 0.25])
+PAIR = [{"type": "possibility"}, {"type": "unanimity"}]
+P3_KEYS = ("a", "b", "c", "a,b", "a,c", "b,c", "a,b,c")
+
+
+def p3_table(*values, **extra):
+    """A choquet spec on path3 with the values in P3_KEYS order."""
+    return {"type": "choquet", "capacity": {**dict(zip(P3_KEYS, values)), **extra}}
+
+
+HALVES = ("1/2", "1/2", "1/2")
+
+
+@pytest.mark.parametrize("mode,weights", [P3_EXACT, P3_FLOAT])
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"type": "expectation", "weights": ["-1/2", "1", "1/2"]}, "weights must be nonnegative"),
+        ({"type": "expectation", "weights": ["1/2", "1/4", "1/2"]}, "weights must sum to 1"),
+        ({"type": "expectation", "weights": ["1/2", "1/2"]},
+         "weight vector length must match point count"),
+        ({"type": "var", "level": "5/4", "weights": None}, "level must lie in [0, 1]"),
+        ({"type": "cvar", "level": "1", "weights": None}, "level must lie in [0, 1)"),
+        ({"type": "cvar", "level": "1/2", "weights": ["1/2", "-1/4", "3/4"]},
+         "weights must be nonnegative"),
+        ({"type": "mixture", "weights": ["1/2", "1/4"], "components": PAIR},
+         "mixture weights must sum to 1"),
+        ({"type": "mixture", "weights": ["3/2", "-1/2"], "components": PAIR},
+         "mixture weights must be nonnegative"),
+        (p3_table(*HALVES, "1/4", "1", "1", "1"), "capacity not monotone: v(1) > v(3)"),
+        (p3_table(*HALVES, "1", "1", "1", "2"), "capacity of the full space must be 1"),
+        (p3_table(*HALVES, "1", "1", "1", "1", **{"": "1/4"}),
+         "capacity of the empty set must be 0"),
+        (p3_table(*HALVES, "1", "1", "1"),
+         "capacity table is missing 1 subsets (full table required)"),
+    ],
+)
+def test_constructors_reject_with_the_same_messages(spec, message, mode, weights, p3):
+    space = p3 if mode == "exact" else as_float_space(p3)
+    spec = dict(spec)
+    if spec.get("weights", ()) is None:
+        spec["weights"] = weights
+    with pytest.raises((InvalidParams, InputFormatError)) as err:
+        load_measure(spec, space)
+    assert str(err.value) == message

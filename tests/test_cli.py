@@ -188,7 +188,8 @@ class TestCouple:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "feasible" in out and "witness: pass" in out
+        # a Dirac pair's witness is a proof: it is not re-sampled
+        assert "feasible [dirac]" in out and "witness: proved" in out
 
     def test_explicit_pairs(self, space_file, tmp_path, capsys):
         pairs = write(tmp_path, "pairs.json", {"pairs": [["a", "a"], ["b", "b"], ["c", "c"]]})

@@ -401,6 +401,37 @@ class TestSampledTier:
                 prefix = probe_grid(space, seed, 16)
                 assert grid[: len(prefix)] == prefix
 
+    def test_a_support_escape_probes_each_outside_point_once(self, two_point, monkeypatch):
+        # the family member reads y, which the relation's left projection
+        # misses: y alone is probed, on one stream, and its pair refutes;
+        # the Dirac at y on the right has no non-null point outside {y}
+        from riskdist import measures
+
+        probed = []
+        search = measures._separating_pair
+
+        def counted(mu, i, rng):
+            probed.append((mu.kind, i))
+            return search(mu, i, rng)
+
+        monkeypatch.setattr(measures, "_separating_pair", counted)
+        member = rd.two_point_measure(
+            two_point,
+            rd.TwoPointParams(
+                (F(1, 2), F(1, 2), F(0), F(0)),
+                (F(0), F(0), F(0), F(0)),
+                rd.ShapeFunction(((F(0), F(0)), (F(1), F(1)))),
+            ),
+        )
+        rel = Relation.from_pairs(two_point, two_point, [(0, 1)])
+        verdict = rd.admissible(member, rd.dirac(two_point, "y"), rel)
+        assert (verdict.status, verdict.tier) == ("infeasible", "refutation-sampled")
+        cert = verdict.certificate
+        assert (cert["kind"], cert["side"], cert["point"]) == ("support-escape", "left", 1)
+        assert probed == [("two-point", 1)]
+        lo, hi = cert["separating"]
+        assert lo[0] == hi[0] and evaluate_values(member, lo) != evaluate_values(member, hi)
+
     def test_a_support_escape_the_pair_probes_miss_gets_the_trim_certificate(
         self, p3, monkeypatch
     ):
@@ -410,7 +441,7 @@ class TestSampledTier:
         # refutes on the first probe whose maximum sits at c alone.
         from riskdist import coupling
 
-        monkeypatch.setattr(coupling, "separating_pair", lambda *args, **kwargs: None)
+        monkeypatch.setattr(coupling, "separating_pairs", lambda *args, **kwargs: iter(()))
         mu = shadow(rd.choquet_measure(rd.possibility(p3)))
         rel = Relation.from_pairs(p3, p3, [(0, 0), (1, 1)])
         verdict = rd.admissible(mu, mu, rel)

@@ -6,7 +6,7 @@ import riskdist as rd
 from riskdist.capacity import Capacity
 from riskdist.ensembles import derive_rng, random_capacity, random_measure
 from riskdist.errors import SpaceMismatch
-from riskdist.measures import EVAL_MEMO_SIZE, evaluate_values, separating_pair
+from riskdist.measures import EVAL_MEMO_SIZE, evaluate_values, separating_pairs
 from riskdist.space import left_projection_map, product_space
 
 F = Fraction
@@ -255,5 +255,8 @@ class TestEquality:
 
     def test_separating_pair_finds_dependence(self, p3):
         mu = rd.black_box(p3, lambda v: max(v[0], v[1]), name="max-ab")
-        assert separating_pair(mu, 0, seed=1) is not None
-        assert separating_pair(mu, 2, seed=1) is None
+        found = dict(separating_pairs(mu, 0b101, seed=1))
+        assert list(found) == [0]
+        values, other = found[0]
+        assert values[1:] == other[1:] and values[0] != other[0]
+        assert evaluate_values(mu, values) != evaluate_values(mu, other)

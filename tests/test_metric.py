@@ -180,13 +180,13 @@ class TestDistanceMatrix:
         import riskdist.coupling
 
         probed = Counter()
-        real = riskdist.coupling.support
+        real = riskdist.coupling.separating_pairs
 
         def counting(mu, *args, **kwargs):
             probed[mu] += 1
             return real(mu, *args, **kwargs)
 
-        monkeypatch.setattr(riskdist.coupling, "support", counting)
+        monkeypatch.setattr(riskdist.coupling, "separating_pairs", counting)
         a = rd.dirac(p3, "a")
         b = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
         lattices = [rd.lattice_max([a, b]), rd.lattice_min([a, b])]

@@ -408,3 +408,67 @@ def test_sampled_tier_agrees_with_the_exact_tier(two_point):
             _, lo, hi, _ = recheck_two_point_violation(v, p)
             assert any(d.meets(lo, hi) for d in defects), (p, v, defects)
     assert failed >= 10
+
+
+def reference_two_point_eval(p, phi0, phi1):
+    """(value, branch, gap) by two_point_eval's formula as first written,
+    with each shifted argument formed again for the branch test."""
+    a1, a2, a3, a4 = p.alphas
+    l1, l2, l3, l4 = p.lambdas
+    total = a1 * phi0 + a2 * phi1
+    if a3 != 0:
+        total += a3 * max(phi0 + l1, phi1 + l2)
+    if a4 != 0:
+        total += a4 * min(phi0 + l3, phi1 + l4)
+    c1 = phi0 + l1 >= phi1 + l2
+    c2_le = phi0 + l3 <= phi1 + l4
+    c2_ge = phi0 + l3 >= phi1 + l4
+    if a3 == 0 and a4 == 0:
+        weight, branch, gap = min(a1, a2), 1, False
+    elif c1 and c2_le:
+        weight, branch, gap = min(a1 + a3 + a4, a2), 2, False
+    elif c1 and not c2_le:
+        weight, branch, gap = min(a1 + a3, a2 + a4), 3, False
+    elif not c1 and c2_ge:
+        weight, branch, gap = min(a1 + a4, a2 + a3), 4, False
+    else:
+        weight, branch, gap = min(a1, a2 + a3 + a4), 5, True
+    if weight != 0:
+        total += weight * p.shape(phi1 - phi0)
+    return total, branch, gap
+
+
+def as_float_params(p):
+    """p with every number a float, or None when rounding breaks a check."""
+    try:
+        return rd.TwoPointParams(
+            tuple(map(float, p.alphas)),
+            tuple(map(float, p.lambdas)),
+            rd.ShapeFunction(tuple((float(t), float(y)) for t, y in p.shape.knots)),
+        )
+    except InvalidParams:
+        return None
+
+
+def test_two_point_eval_matches_the_reference_formula():
+    rng = derive_rng(41, "two-point-reference")
+    exact = family_stream(150) + [TestBranchTable.seeded_params(rng) for _ in range(150)]
+    cases = [(p, False) for p in exact]
+    cases += [(q, True) for q in map(as_float_params, exact) if q is not None]
+    branches = set()
+    for p, floats in cases:
+        ts = [F(rng.randint(-24, 24), 4) for _ in range(4)]
+        for b in branch_boundaries(p):
+            ts += [b - F(1, 3), b, b + F(1, 3)]
+        for t in ts:
+            phi0 = rng.choice((0, rng.randint(-9, 9), F(rng.randint(-16, 16), 3)))
+            phi1 = phi0 + t
+            if floats:
+                phi0, phi1 = float(phi0), float(phi1)
+            got = two_point_eval(p, phi0, phi1)
+            value, branch, gap = reference_two_point_eval(p, phi0, phi1)
+            assert type(got.value) is type(value) and got.value == value, (p, phi0, phi1)
+            assert repr(got.value) == repr(value)
+            assert (got.branch, got.gap) == (branch, gap)
+            branches.add((branch, floats))
+    assert branches == {(b, f) for b in range(1, 6) for f in (False, True)}
