@@ -32,7 +32,7 @@ floats are the same bits as before the integer path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -54,16 +54,16 @@ _RATIONAL = frozenset((int, Fraction))
 class Capacity:
     """A normalized monotone set function over subset bitmasks.
 
-    It also carries ``scaled``, the table times ``scale``.  In exact mode
-    ``scale`` is the least common denominator D of the entries and
-    ``scaled`` holds integers; in float mode they are the table and 1.
-    Both are plain attributes, not fields, so equality and reports see the
-    table alone.
+    It also carries ``scaled``, the table times ``scale``, and
+    ``null_mask``, its null points.  In exact mode ``scale`` is the least
+    common denominator D of the entries and ``scaled`` holds integers; in
+    float mode they are the table and 1.  All three are plain attributes,
+    not fields, so the constructor, equality and reports see the table
+    alone.
     """
 
     space: FiniteMetricSpace
     table: tuple[Scalar, ...]
-    null_mask: int = field(compare=False, default=0)
 
     def __post_init__(self):
         self._check()

@@ -66,13 +66,16 @@ outgrow ``CHAIN_BUDGET``.  That tier is one seeded probe scan of (a), (b)
 and (c): a probe that refutes gives an infeasible verdict with a
 certificate that re-checks by evaluation, and a scan with no refutation
 gives the lower extension as a "witness-found" verdict, which says that no
-probe refuted and proves nothing more.
+probe refuted and proves nothing more.  ``verify_coupling`` re-checks such a
+witness with ``measures.probe_axioms``, the seeded prober that also checks
+measures: with the default 64 samples, 64 monotone pairs, 32 integer shifts
+and four constants on the product, then the product-point indicators,
+support confinement on 32 of the pairs and the marginal identities.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -87,10 +90,12 @@ from .measures import (
     black_box,
     equal_measures,
     evaluate_values,
-    grid_draw,
     normal_forms,
+    probe_axioms,
+    probe_batch,
     probe_grid,
     pushforward,
+    sampled_report,
     separating_pairs,
 )
 from .numerics import Scalar
@@ -165,9 +170,9 @@ class CouplingWitness:
     right: RiskMeasure
     support: Relation
     formula = "lower-extension"  # a class constant, not a field
-    product: FiniteMetricSpace = field(init=False, compare=False, default=None)
 
     def __post_init__(self):
+        # the product space is a plain attribute, not a field
         object.__setattr__(
             self, "product", product_space(self.support.left, self.support.right)
         )
@@ -630,126 +635,58 @@ def verify_coupling(
 ) -> AxiomReport:
     """Probe-grid check of the coupling contract.
 
-    The grid holds every product-point indicator, the pullback of every
-    subset indicator and every point-distance function on both factors (the
-    marginal identities quantify over those), and seeded random functions.
-    Support confinement is checked with pairs that agree on S and differ
-    elsewhere.
+    The axioms go through ``probe_axioms``, the prober ``verify_axioms``
+    runs on measures: ``samples`` monotone pairs held to the value
+    envelope, ``samples // 2`` shifts and four constants on the product.
+    What is specific to couplings follows: every product-point indicator
+    stays inside [0, 1]; the first ``samples // 2`` monotone pairs, with the
+    lower end kept on S and the upper end taken off it, check that values
+    off S never matter; and the marginal identities are checked on
+    ``probe_grid(factor, seed, samples // 2)`` of each factor, which holds
+    the pullback of every subset indicator and every point-distance
+    function (the identities quantify over those) and seeded random
+    functions.
     """
     space = witness.product
-    left_space = witness.support.left
-    right_space = witness.support.right
-    n1, n2 = left_space.n, right_space.n
-    tol = max(space.tol, left_space.tol)
-    rng = random.Random(seed)
-    violations: list[Violation] = []
+    support = witness.support
+    tol = space.tol
+    evaluate = witness.evaluate_values
 
-    if not witness.support.pairs():
+    if not support.pairs():
         # an empty support admits no normed functional at all
-        return AxiomReport(
-            "fail",
-            (Violation("empty-support", {}, ()),),
-            f"sampled(seed={seed}, count={samples})",
-        )
+        return sampled_report([Violation("empty-support", {}, ())], seed, samples)
 
-    def record(axiom, wit, values):
-        violations.append(Violation(axiom, wit, values))
-
+    violations = probe_axioms(evaluate, space, seed, samples)
     one, zero = (1, 0) if space.exact else (1.0, 0.0)
-
-    # normedness and product-point indicators stay inside [0, 1]
-    for c in (0, 1, -2):
-        cval = c if space.exact else float(c)
-        got = witness.evaluate_values((cval,) * space.n)
-        if abs(got - cval) > tol:
-            record("normedness", {"constant": cval}, (got,))
     for p in range(space.n):
-        chi = tuple(one if q == p else zero for q in range(space.n))
-        got = witness.evaluate_values(chi)
+        got = evaluate(tuple(one if q == p else zero for q in range(space.n)))
         if got < -tol or got > 1 + tol:
-            record("monotonicity", {"indicator": p}, (got,))
-
-    # marginal identities over the factor probe grids
-    for axiom, mu, on_left in (
-        ("marginal-left", witness.left, True),
-        ("marginal-right", witness.right, False),
-    ):
-        factor = left_space if on_left else right_space
-        for phi in probe_grid(factor, seed, samples // 2):
-            if on_left:
-                chi = tuple(phi[p // n2] for p in range(space.n))
-            else:
-                chi = tuple(phi[p % n2] for p in range(space.n))
-            got = witness.evaluate_values(chi)
-            want = evaluate_values(mu, phi)
-            if abs(got - want) > tol:
-                record(axiom, {"phi": phi}, (got, want))
-
-    # monotone pairs and translation invariance on the product
-    mono, shifts, bumps = _product_probe_batches(space, seed, samples)
-    for lo, hi in mono:
-        a, b = witness.evaluate_values(lo), witness.evaluate_values(hi)
-        if a > b + tol:
-            record("monotonicity", {"lo": lo, "hi": hi}, (a, b))
-    for chi, shift in shifts:
-        a = witness.evaluate_values(chi)
-        b = witness.evaluate_values(tuple(v + shift for v in chi))
-        if abs(b - (a + shift)) > tol:
-            record("translation-invariance", {"chi": chi, "shift": shift}, (a, b))
+            violations.append(Violation("monotonicity", {"indicator": p}, (got,)))
 
     # support confinement: values off S never matter
-    off = [
-        i * n2 + j
-        for i in range(n1)
-        for j in range(n2)
-        if not witness.support.matrix[i][j]
-    ]
-    if off:
-        for chi, bump_row in bumps:
-            other = list(chi)
-            for p in off:
-                other[p] = other[p] + bump_row[p]
-            a = witness.evaluate_values(chi)
-            b = witness.evaluate_values(tuple(other))
+    off = [not x for row in support.matrix for x in row]
+    if any(off):
+        pairs = probe_batch(space, seed, samples)[0][: samples // 2]
+        for chi, hi, *_ in pairs:
+            other = tuple(h if o else v for v, h, o in zip(chi, hi, off))
+            a, b = evaluate(chi), evaluate(other)
             if abs(a - b) > tol:
-                record(
-                    "support-confinement",
-                    {"chi": chi, "other": tuple(other)},
-                    (a, b),
-                )
+                wit = {"chi": chi, "other": other}
+                violations.append(Violation("support-confinement", wit, (a, b)))
 
-    verdict = "pass" if not violations else "fail"
-    return AxiomReport(
-        verdict, tuple(violations), f"sampled(seed={seed}, count={samples})"
-    )
+    # marginal identities over the factor probe grids
+    left, right = support.left, support.right
+    for axiom, mu, factor, points in (
+        ("marginal-left", witness.left, left, left_projection_map(left, right)),
+        ("marginal-right", witness.right, right, right_projection_map(left, right)),
+    ):
+        for phi in probe_grid(factor, seed, samples // 2):
+            got = evaluate(tuple(map(phi.__getitem__, points)))
+            want = evaluate_values(mu, phi)
+            if abs(got - want) > tol:
+                violations.append(Violation(axiom, {"phi": phi}, (got, want)))
 
-
-def _random_product_values(space, rng):
-    return tuple(grid_draw(space, rng, -32, 32) for _ in range(space.n))
-
-
-@lru_cache(maxsize=2048)
-def _product_probe_batches(space, seed, samples):
-    """Cached random batches for monotone / shift / off-support probes."""
-    rng = random.Random(seed + 0xC0FFEE)
-    mono = []
-    for _ in range(samples):
-        lo = _random_product_values(space, rng)
-        hi = tuple(v + grid_draw(space, rng, 0, 12) for v in lo)
-        mono.append((lo, hi))
-    shifts = []
-    for _ in range(samples // 2):
-        chi = _random_product_values(space, rng)
-        shift = rng.randint(-8, 8)
-        if not space.exact:
-            shift = shift / 2.0
-        shifts.append((chi, shift))
-    bumps = []
-    for _ in range(samples // 2):
-        chi = _random_product_values(space, rng)
-        row = tuple(grid_draw(space, rng, 0, 12) for _ in range(space.n))
-        bumps.append((chi, row))
-    return tuple(mono), tuple(shifts), tuple(bumps)
+    return sampled_report(violations, seed, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -136,30 +136,17 @@ def random_two_point_params(rng: random.Random) -> TwoPointParams:
     finite shifts, infinite shifts, and all-zero shifts all occur."""
     alphas = random_simplex(rng, 4)
 
-    def neg_pair():
+    def shift_pair(sign, infinite):
         pattern = rng.choice(("zero", "one-finite", "one-inf"))
         if pattern == "zero":
             return Fraction(0), Fraction(0)
-        other = (
-            NEG_INF if pattern == "one-inf" else Fraction(-rng.randint(1, 4))
-        )
+        other = infinite if pattern == "one-inf" else Fraction(sign * rng.randint(1, 4))
         pair = [Fraction(0), other]
         rng.shuffle(pair)
         return tuple(pair)
 
-    def pos_pair():
-        pattern = rng.choice(("zero", "one-finite", "one-inf"))
-        if pattern == "zero":
-            return Fraction(0), Fraction(0)
-        other = (
-            POS_INF if pattern == "one-inf" else Fraction(rng.randint(1, 4))
-        )
-        pair = [Fraction(0), other]
-        rng.shuffle(pair)
-        return tuple(pair)
-
-    l1, l2 = neg_pair()
-    l3, l4 = pos_pair()
+    l1, l2 = shift_pair(-1, NEG_INF)
+    l3, l4 = shift_pair(1, POS_INF)
     return TwoPointParams(tuple(alphas), (l1, l2, l3, l4), random_shape(rng))
 
 

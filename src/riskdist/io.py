@@ -152,7 +152,7 @@ def jsonable(x: Any) -> Any:
         return {
             f: jsonable(getattr(x, f))
             for f in x.__dataclass_fields__
-            if f not in ("space", "evaluator", "product")
+            if f not in ("space", "evaluator")
         }
     return repr(x)
 

@@ -38,10 +38,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
+from itertools import chain, product
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Optional, Sequence
 
 from .capacity import (
@@ -266,23 +266,90 @@ def _random_values(space: FiniteMetricSpace, rng: random.Random, lo=-32, hi=32):
     return tuple(rng.randint(lo * 4, hi * 4) / 4.0 for _ in range(space.n))
 
 
-def grid_draw(space: FiniteMetricSpace, rng: random.Random, lo: int, hi: int):
-    """An integer in [lo, hi] in exact mode, a quarter of it in float mode."""
-    k = rng.randint(lo, hi)
-    return k if space.exact else k / 4.0
-
-
 def _monotone_pair(space: FiniteMetricSpace, rng: random.Random):
     lo = _random_values(space, rng)
-    return lo, tuple(a + grid_draw(space, rng, 0, 12) for a in lo)
+    bumps = (rng.randint(0, 12) for _ in lo)
+    if not space.exact:
+        bumps = (k / 4.0 for k in bumps)
+    return lo, tuple(map(add, lo, bumps))
 
 
-def _attributed(mu: RiskMeasure, lo, hi) -> dict:
-    wit = {"lo": lo, "hi": hi}
-    if mu.kind == "two-point":
-        wit["lo_eval"] = two_point_eval(mu.params, lo[0], lo[1])
-        wit["hi_eval"] = two_point_eval(mu.params, hi[0], hi[1])
-    return wit
+def _bounded(lo, hi):
+    """A monotone pair with the value envelope (min, max) of each end."""
+    return lo, hi, (min(lo), max(lo)), (min(hi), max(hi))
+
+
+@lru_cache(maxsize=2048)
+def probe_batch(space: FiniteMetricSpace, seed: int, samples: int):
+    """The draws of every sampled axiom check: ``samples`` monotone pairs,
+    each with its ends' envelopes, and ``samples // 2`` (function, integer
+    shift) probes, on one seeded stream.  Integer shifts keep exact probes
+    on the integer Choquet kernel.
+    """
+    rng = random.Random(seed)
+    pairs = tuple(_bounded(*_monotone_pair(space, rng)) for _ in range(samples))
+    shifts = tuple(
+        (_random_values(space, rng), rng.randint(-8, 8)) for _ in range(samples // 2)
+    )
+    return pairs, shifts
+
+
+def probe_axioms(
+    evaluate: Callable[[tuple[Scalar, ...]], Scalar],
+    space: FiniteMetricSpace,
+    seed: int,
+    samples: int,
+    pairs: Sequence = (),
+) -> list[Violation]:
+    """Probe monotonicity, translation invariance and normedness of
+    ``evaluate`` on ``space`` with ``probe_batch(space, seed, samples)``.
+
+    Each monotone pair, the batch's and then the extra ``pairs``, costs two
+    evaluations, and both values are also held to the value envelope [min
+    phi, max phi] that the three axioms together force: a breakout is
+    reported as its own derived axiom, so its witness re-checks standalone.
+    Each shift probe costs two evaluations and the constants -3, 0, 1 and 5
+    one each.
+    """
+    tol = space.tol
+    batch, shifts = probe_batch(space, seed, samples)
+    out: list[Violation] = []
+    for lo, hi, lo_env, hi_env in chain(batch, (_bounded(*p) for p in pairs)):
+        a, b = evaluate(lo), evaluate(hi)
+        if a > b + tol:
+            out.append(Violation("monotonicity", {"lo": lo, "hi": hi}, (a, b)))
+        for phi, got, (least, most) in ((lo, a, lo_env), (hi, b, hi_env)):
+            if got > most + tol or got < least - tol:
+                wit = {"phi": phi, "lo": least, "hi": most}
+                out.append(Violation("value-envelope", wit, (got,)))
+    for phi, shift in shifts:
+        base, moved = evaluate(phi), evaluate(tuple(v + shift for v in phi))
+        if abs(moved - (base + shift)) > tol:
+            wit = {"phi": phi, "shift": shift}
+            out.append(Violation("translation-invariance", wit, (base, moved)))
+    for c in (-3, 0, 1, 5):
+        cval = c if space.exact else float(c)
+        got = evaluate((cval,) * space.n)
+        if abs(got - cval) > tol:
+            out.append(Violation("normedness", {"constant": cval}, (got,)))
+    return out
+
+
+def sampled_report(violations, seed: int, samples: int) -> AxiomReport:
+    return AxiomReport(
+        "fail" if violations else "pass",
+        tuple(violations),
+        f"sampled(seed={seed}, count={samples})",
+    )
+
+
+def _with_branches(params: TwoPointParams, v: Violation) -> Violation:
+    """v with the family's evaluation (value, branch, gap) of each function
+    its witness names, so that a report shows which branches it crossed."""
+    names = {"monotonicity": ("lo", "hi"), "value-envelope": ("phi",)}.get(v.axiom, ())
+    for name in names:
+        v.witness[f"{name}_eval"] = two_point_eval(params, *v.witness[name])
+    return v
 
 
 def _two_point_boundary_pairs(mu: RiskMeasure, rng: random.Random):
@@ -344,7 +411,8 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
         return evaluate_values(mu, (phi0, phi1))
 
     def monotone(lo, hi):
-        return Violation("monotonicity", _attributed(mu, lo, hi), (ev(*lo), ev(*hi)))
+        wit = {"lo": lo, "hi": hi}
+        return _with_branches(mu.params, Violation("monotonicity", wit, (ev(*lo), ev(*hi))))
 
     def shifted(t, base, moved):
         return Violation(
@@ -431,8 +499,11 @@ def verify_axioms(
     pass exactly passes exactly too: max, min and convex combinations keep
     the three axioms.  Everything else, a combination with a failing or
     unstructured part included, and every measure in ``mode="sampled"``, is
-    probed with seeded samples.  Discovered violations carry re-checkable
-    witnesses either way.
+    probed by ``probe_axioms``, the prober ``verify_coupling`` runs on
+    witnesses too: ``samples`` monotone pairs, ``samples // 2`` shifts and
+    four constants, plus, for a family member, 32 pairs across each of its
+    branch boundaries, whose violations name the branches they evaluated.
+    Discovered violations carry re-checkable witnesses either way.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
@@ -447,55 +518,13 @@ def verify_axioms(
             "of measures that pass exactly"
         )
 
-    rng = random.Random(seed)
-    space = mu.space
-    tol = space.tol
-    violations: list[Violation] = []
-
-    def record(axiom, witness, values):
-        violations.append(Violation(axiom, witness, values))
-
-    def envelope_check(values):
-        # monotonicity + translation invariance + normedness pin values to
-        # [min phi, max phi]; a breakout is recorded as its own derived axiom
-        # so the witness re-verifies standalone
-        got = evaluate_values(mu, values)
-        if got > max(values) + tol or got < min(values) - tol:
-            wit = {"phi": values, "lo": min(values), "hi": max(values)}
-            if mu.kind == "two-point":
-                wit["phi_eval"] = two_point_eval(mu.params, values[0], values[1])
-            record("value-envelope", wit, (got,))
-
-    probe_pairs = [_monotone_pair(space, rng) for _ in range(samples)]
+    pairs = ()
     if mu.kind == "two-point":
-        probe_pairs.extend(_two_point_boundary_pairs(mu, rng))
-    for lo, hi in probe_pairs:
-        a, b = evaluate_values(mu, lo), evaluate_values(mu, hi)
-        if a > b + tol:
-            record("monotonicity", _attributed(mu, lo, hi), (a, b))
-        envelope_check(lo)
-        envelope_check(hi)
-    for _ in range(samples):
-        values = _random_values(space, rng)
-        shift = Fraction(rng.randint(-8, 8), 2)
-        if not space.exact:
-            shift = float(shift)
-        base = evaluate_values(mu, values)
-        moved = evaluate_values(mu, tuple(v + shift for v in values))
-        if abs(moved - (base + shift)) > tol:
-            record(
-                "translation-invariance",
-                {"phi": values, "shift": shift},
-                (base, moved),
-            )
-    for c in (-3, 0, 1, 5):
-        cval = Fraction(c) if space.exact else float(c)
-        got = evaluate_values(mu, (cval,) * space.n)
-        if abs(got - cval) > tol:
-            record("normedness", {"constant": cval}, (got,))
-
-    verdict = "pass" if not violations else "fail"
-    return AxiomReport(verdict, tuple(violations), f"sampled(seed={seed}, count={samples})")
+        pairs = _two_point_boundary_pairs(mu, random.Random(seed))
+    found = probe_axioms(partial(evaluate_values, mu), mu.space, seed, samples, pairs)
+    if mu.kind == "two-point":
+        found = [_with_branches(mu.params, v) for v in found]
+    return sampled_report(found, seed, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite
@@ -214,19 +214,18 @@ class PointSubset:
 
 @dataclass(frozen=True)
 class Relation:
-    """A set of (left point, right point) pairs between two spaces."""
+    """A set of (left point, right point) pairs between two spaces.
+
+    It also carries derived views of ``matrix``, per left point (inverse:
+    per right point): ``sections`` and ``inv_sections`` as masks,
+    ``section_lists`` and ``inv_section_lists`` as factor indices, and
+    ``pair_lists`` and ``inv_pair_lists`` as flat product indices.  They are
+    plain attributes, not fields, so the constructor takes the matrix alone.
+    """
 
     left: FiniteMetricSpace
     right: FiniteMetricSpace
     matrix: tuple[tuple[bool, ...], ...]
-    # derived views of matrix: per-point masks and index lists, the latter
-    # both into the factor points and into the flat product points
-    sections: tuple[int, ...] = field(compare=False, default=())
-    inv_sections: tuple[int, ...] = field(compare=False, default=())
-    section_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
-    inv_section_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
-    pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
-    inv_pair_lists: tuple[tuple[int, ...], ...] = field(compare=False, default=())
 
     __hash__ = _hash_once
     __getstate__ = _state_without_hash

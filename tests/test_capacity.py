@@ -311,9 +311,9 @@ class TestIntegerKernel:
         assert cap.scale == 12
         assert cap.scaled == (0, 2, 9, 12)
         assert cap == Capacity(space, cap.table)
-        assert [f.name for f in dataclasses.fields(Capacity)] == [
-            "space", "table", "null_mask",
-        ]
+        assert [f.name for f in dataclasses.fields(Capacity)] == ["space", "table"]
+        with pytest.raises(TypeError):
+            Capacity(space, cap.table, null_mask=0)
 
     def test_int_entries_keep_the_fraction_loop_types(self, p3, cycle4):
         # the pushforward of an expectation reads v(empty) = int 0 on

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -480,6 +481,16 @@ class TestLowerCoupling:
         chi = (1, 0, 0, 0)
         assert w.evaluate_values(chi) == F(1, 2)
 
+    def test_the_product_space_is_not_a_field(self, p3):
+        s = diagonal_relation(p3)
+        mu = rd.dirac(p3, "a")
+        assert [f.name for f in dataclasses.fields(rd.CouplingWitness)] == [
+            "left", "right", "support",
+        ]
+        assert rd.CouplingWitness(mu, mu, s).product is product_space(p3, p3)
+        with pytest.raises(TypeError):
+            rd.CouplingWitness(mu, mu, s, product=product_space(p3, p3))
+
     def test_cost_is_max_distance_over_support(self, p3):
         s = sublevel_relation(p3, 1)
         mu = rd.choquet_measure(rd.expectation(p3, (F(1, 3),) * 3))
@@ -503,6 +514,39 @@ class TestVerifyCoupling:
         phi = bad[0].witness["phi"]
         got, want = bad[0].values
         assert got != want
+
+    @staticmethod
+    def broken(p3, change):
+        """The diagonal lower extension of the uniform expectation on p3,
+        its value v at chi replaced by ``change(chi, v)``."""
+        mu = rd.choquet_measure(rd.expectation(p3, (F(1, 3),) * 3))
+
+        class Broken(rd.CouplingWitness):
+            def evaluate_values(self, chi):
+                return change(chi, super().evaluate_values(chi))
+
+        return Broken(mu, mu, diagonal_relation(p3))
+
+    @pytest.mark.parametrize(
+        "change, kinds",
+        [
+            # a drop of 13 once the value passes 4
+            (lambda chi, v: v - 13 if v > 4 else v, {"monotonicity", "value-envelope"}),
+            (lambda chi, v: v + 1, {"normedness"}),
+            # the value rises at half speed past 5, so a shift moves it less
+            (lambda chi, v: v if v <= 5 else 5 + (v - 5) / 2, {"translation-invariance"}),
+            # reads (a, b), which the diagonal support leaves out
+            (lambda chi, v: max(v, chi[1]), {"support-confinement"}),
+        ],
+        ids=["monotone-step", "constant", "shift", "off-support"],
+    )
+    def test_each_broken_contract_is_reported(self, p3, change, kinds):
+        intact = self.broken(p3, lambda chi, v: v)
+        assert rd.verify_coupling(intact, seed=1).ok
+        for seed in range(3):
+            report = rd.verify_coupling(self.broken(p3, change), seed=seed)
+            assert not report.ok
+            assert kinds & {v.axiom for v in report.violations}, report.violations
 
     def test_feasible_ensemble_witnesses_pass(self, p3):
         rng = derive_rng(67, "ensemble-verify")

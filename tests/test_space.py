@@ -210,6 +210,12 @@ class TestProducts:
     def test_full_relation(self, p3):
         assert len(full_relation(p3, p3).pairs()) == 9
 
+    def test_derived_views_are_not_constructor_arguments(self, p3):
+        s = rd.sublevel_relation(p3, 1)
+        with pytest.raises(TypeError):
+            rd.Relation(p3, p3, s.matrix, sections=(0b111,) * 3)
+        assert rd.Relation(p3, p3, s.matrix).sections == s.sections == (0b011, 0b111, 0b110)
+
 
 class TestCachedHashes:
     def test_equal_values_built_twice_share_cache_entries(self):

@@ -1,4 +1,5 @@
-"""Fingerprint the CLI's output on every benchmark request of seeds 1-3.
+"""Fingerprint the CLI's output on every benchmark request of seeds 1-3,
+in exact and in float mode.
 
     python3 tools/output_identity.py --src src > new.txt
     python3 tools/output_identity.py --src ../old/src > old.txt
@@ -9,8 +10,9 @@ and 3 of each workload in ``bench/workloads.py``, written by ``bench/run.py``'s
 ``write_inputs`` into one fixed work directory, so that the input paths,
 and with them the input digests in the reports, are the same for every tree
 compared.  Each request goes through ``riskdist.cli.main`` of the ``src``
-tree given, in this process.  One line per request: workload, seed, index,
-exit code and the sha256 of its standard output.
+tree given, in this process, once as written (exact mode) and once more
+with ``--mode float``.  One line per request and mode: workload, seed,
+index, mode, exit code and the sha256 of its standard output.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (1, 2, 3)
+MODES = ("exact", "float")
 
 
 def main(argv=None) -> int:
@@ -42,11 +45,12 @@ def main(argv=None) -> int:
         for workload in sorted(workloads.ROUNDS):
             for seed in SEEDS:
                 for i, op in enumerate(run.write_inputs(workload, seed, workdir)):
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                        code = cli_main(op.argv)
-                    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                    print(f"{workload} {seed} {i} {code} {digest}")
+                    for mode in MODES:
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                            code = cli_main(op.argv + ["--mode", mode])
+                        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                        print(f"{workload} {seed} {i} {mode} {code} {digest}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
