@@ -17,6 +17,14 @@ Measures, one of:
   {"type": "var", "level": "19/20", "weights": [...]}
   {"type": "cvar", "level": "19/20", "weights": [...]}
   {"type": "unanimity"} / {"type": "possibility"}  (optional "points" list)
+
+Reports are written as ``json.dumps(report, indent=2, sort_keys=True)``
+writes them, plus a final newline, byte for byte: keys sorted, two spaces
+of indent per level with ``",\\n"`` between items and ``": "`` after keys,
+``{}`` and ``[]`` for empty containers, strings and keys with every
+non-ASCII or control character escaped (``\\uXXXX``), ints by ``repr``.
+``dump_report`` encodes them directly, since ``json`` falls back to its
+pure-Python encoder whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from . import capacity as caps
@@ -40,11 +49,22 @@ from .measures import (
 )
 from .metric import AuditReport, DistanceResult
 from .numerics import Scalar, format_scalar, parse_scalar
-from .space import FiniteMetricSpace, PointSubset, validate_metric
+from .space import FiniteMetricSpace, PointSubset, _loaded, validate_metric
 from .twopoint import ShapeFunction, TwoPointParams
 
 
 def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
+    """Validate a space's JSON and return the interned space.
+
+    A space still alive is found by the JSON text of its distance matrix
+    before any entry is parsed: the key is ``(mode, labels, json.dumps(dist))``
+    in the intern table of ``validate_metric``, which keys the same space by
+    its parsed values.  The text tells ``1``, ``1.0``, ``"1"`` and ``true``
+    apart, so only a matrix written exactly as one that was already
+    validated is found this way; any other goes through ``validate_metric``,
+    which validates it or finds an equal space by value, and then its text
+    is keyed too.
+    """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise InputFormatError('space JSON needs "points" and "dist"')
     points = obj["points"]
@@ -52,10 +72,26 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
         raise InputFormatError('"points" must be a list of strings')
     if any("," in p or "*" in p for p in points):
         raise InputFormatError("labels must not contain ',' or '*'")
+    dist = obj["dist"]
+    # only a list of lists, as JSON gives it: json.dumps writes a dict's
+    # int and str keys alike
+    key = None
+    if type(dist) is list and all(type(row) is list for row in dist):
+        try:
+            key = (mode, tuple(points), json.dumps(dist))
+        except (TypeError, ValueError):  # not JSON values: parsed below
+            pass
+        else:
+            space = _loaded.get(key)
+            if space is not None:
+                return space
     try:
-        return validate_metric(points, obj["dist"], mode=mode)
+        space = validate_metric(points, dist, mode=mode)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad distance entry: {exc}") from exc
+    if key is not None:
+        _loaded[key] = space
+    return space
 
 
 def _subset_mask(space: FiniteMetricSpace, key: str) -> int:
@@ -71,8 +107,20 @@ def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
     exact = space.exact
     table: list[Scalar | None] = [None] * (1 << space.n)
     table[0] = Fraction(0) if exact else 0.0
+    masks = space._subset_masks
+    parsed: dict[str, Scalar] = {}  # most entries repeat an earlier string
     for key, raw in obj.items():
-        table[_subset_mask(space, key)] = parse_scalar(raw, exact=exact)
+        mask = masks.get(key)
+        if mask is None:
+            mask = _subset_mask(space, key)
+        # strings only: 1, 1.0 and True are one dict key, not one entry
+        if type(raw) is str:
+            value = parsed.get(raw)
+            if value is None:
+                value = parsed[raw] = parse_scalar(raw, exact=exact)
+        else:
+            value = parse_scalar(raw, exact=exact)
+        table[mask] = value
     missing = [m for m, v in enumerate(table) if v is None]
     if missing:
         raise InputFormatError(
@@ -198,4 +246,77 @@ def digest_text(text: str) -> str:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    out: list[str] = []
+    _encode(report, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}.__getitem__
+#: the JSON text of a leaf, by its exact type
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: _CONSTANTS,
+    type(None): _CONSTANTS,
+}
+
+
+def _encode(o: Any, out: list[str], newline: str) -> None:
+    """Append the indented JSON of ``o``; ``newline`` is a line break plus
+    the indent of the line ``o`` starts on."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            head = sep + (_quote(k) if type(k) is str else _key(k)) + ": "
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                out.append(head)
+                _encode(v, out, inner)
+            else:
+                out.append(head + leaf(v))
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is str for v in o):
+            out.append("[" + inner + ("," + inner).join(map(_quote, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            leaf = _LEAVES.get(type(v))
+            if leaf is None:
+                out.append(sep)
+                _encode(v, out, inner)
+            else:
+                out.append(sep + leaf(v))
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_leaf(o))
+
+
+def _leaf(o: Any) -> str:
+    """The JSON text of a leaf, a subclass of str, int or float included."""
+    leaf = _LEAVES.get(type(o))
+    if leaf is not None:
+        return leaf(o)
+    for base in (str, int, float):
+        if isinstance(o, base):
+            return _LEAVES[base](o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k: Any) -> str:
+    """A dict key as ``json`` writes it: a leaf's JSON text, as a string."""
+    text = _leaf(k)
+    return text if isinstance(k, str) else _quote(text)

@@ -82,6 +82,34 @@ class FiniteMetricSpace:
         """Point index by label, built once per (interned) space."""
         return {label: i for i, label in enumerate(self.labels)}
 
+    @cached_property
+    def _subset_masks(self) -> dict[str, int]:
+        """Subset bitmask by the canonical key of a capacity table: the
+        subset's labels joined by commas in point order (``"a,c"``).
+
+        Built once per (interned) space.  It is empty past the exact point
+        guard, or when a label is blank or padded with spaces, which the
+        label-by-label reading of a key strips; keys are then read that way.
+        """
+        labels = self.labels
+        if self.n > MAX_EXACT_POINTS or not all(l and l == l.strip() for l in labels):
+            return {}
+        keys = [""]
+        for label in labels:  # mask order: the subsets with point i follow
+            keys += [f"{k},{label}" if k else label for k in keys]
+        return {k: m for m, k in enumerate(keys)}
+
+    @cached_property
+    def _levels(self) -> tuple[Scalar, ...]:
+        values = sorted({v for row in self.dist for v in row})
+        if self.exact:
+            return tuple(values)
+        merged: list[Scalar] = []
+        for v in values:
+            if not merged or v - merged[-1] > self.tol:
+                merged.append(v)
+        return tuple(merged)
+
     def index(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -107,7 +135,11 @@ def validate_metric(
     offending indices.
     Equal inputs give one shared space while it is alive, so the module
     caches keyed by spaces and the space checks of later requests compare
-    it with itself instead of entry by entry.
+    it with itself instead of entry by entry.  The intern table ``_loaded``
+    keys a space two ways: here by ``(labels, parsed rows, tol)``, which
+    finds it under any spelling of equal values, and in ``io.load_space``
+    by ``(mode, labels, JSON text of the matrix)``, which finds it before
+    any entry is parsed.
     """
     if mode not in ("exact", "float"):
         raise InputFormatError(f"unknown arithmetic mode {mode!r}")
@@ -156,7 +188,8 @@ def validate_metric(
     return space
 
 
-#: every validated space still alive, by (labels, dist, tol)
+#: every validated space still alive, by (labels, dist, tol) and, when it
+#: was loaded from JSON, by (mode, labels, json.dumps(dist))
 _loaded: WeakValueDictionary = WeakValueDictionary()
 
 
@@ -342,15 +375,9 @@ def distance_levels(space: FiniteMetricSpace) -> list[Scalar]:
     """Sorted distinct distance values, starting at 0.
 
     In float mode, values within the tolerance of each other are merged.
+    They are computed once per space; each call returns a new list.
     """
-    values = sorted({space.dist[i][j] for i in range(space.n) for j in range(space.n)})
-    if space.exact:
-        return values
-    merged: list[Scalar] = []
-    for v in values:
-        if not merged or v - merged[-1] > space.tol:
-            merged.append(v)
-    return merged
+    return list(space._levels)
 
 
 def hausdorff_distance(a: PointSubset, b: PointSubset) -> Scalar:

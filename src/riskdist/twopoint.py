@@ -54,6 +54,7 @@ transcription of its table is unsettled: only the abstract is at hand.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,6 +91,10 @@ class ShapeFunction:
             for i in range(len(ks) - 1)
         )
 
+    @cached_property
+    def _ts(self) -> tuple[Scalar, ...]:
+        return tuple(t for t, _ in self.knots)
+
     def _validate(self):
         if len(self.knots) == 1 and self.knots[0][1] != 0:
             raise InvalidParams("a single knot must have value 0")
@@ -123,10 +128,10 @@ class ShapeFunction:
             return ks[0][1] + slopes[0] * (t - ks[0][0])
         if t >= ks[-1][0]:
             return ks[-1][1] + slopes[-1] * (t - ks[-1][0])
-        for i in range(len(ks) - 1):
-            if ks[i][0] <= t <= ks[i + 1][0]:
-                return ks[i][1] + slopes[i] * (t - ks[i][0])
-        raise AssertionError("unreachable")
+        # the segment ending at the first knot >= t: at an interior knot,
+        # the one on its left
+        i = bisect_left(self._ts, t, 1, len(ks) - 1) - 1
+        return ks[i][1] + slopes[i] * (t - ks[i][0])
 
     @staticmethod
     def zero() -> "ShapeFunction":

@@ -5,6 +5,7 @@ import pytest
 
 import riskdist as rd
 from riskdist.cli import main
+from riskdist.io import load_space
 
 P3 = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}
 DIRAC_A = {"type": "dirac", "point": "a"}
@@ -367,6 +368,40 @@ class TestMalformedInput:
             argv = [*argv, "--space", space_file]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error")
+
+
+class TestInternedSpaces:
+    """A space loaded earlier in the process is found again by its JSON
+    text; a matrix written any other way is still validated."""
+
+    PAIR = {"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}
+
+    def test_a_true_entry_exits_two_after_the_number(self, capsys):
+        kept = load_space(self.PAIR)
+        bad = {"points": ["a", "b"], "dist": [[0, True], [True, 0]]}
+        assert main(["validate", "--space", json.dumps(bad)]) == 2
+        assert capsys.readouterr().err.startswith("input error")
+        assert load_space(self.PAIR) is kept
+
+    @pytest.mark.parametrize("entry", ["1", 1.0, 1])
+    def test_other_spellings_validate_to_the_same_space(self, entry, capsys):
+        kept = load_space(self.PAIR)
+        obj = {"points": ["a", "b"], "dist": [[0, entry], [entry, 0]]}
+        assert main(["validate", "--space", json.dumps(obj)]) == 0
+        assert capsys.readouterr().out == "space: 2 points, ok\n"
+        assert load_space(obj) is kept
+
+    def test_float_mode_is_its_own_space(self, capsys):
+        kept = load_space(self.PAIR)
+        assert main(["validate", "--mode", "float", "--space", json.dumps(self.PAIR)]) == 0
+        floats = load_space(self.PAIR, mode="float")
+        assert floats is not kept and not floats.exact
+
+    def test_a_bad_matrix_still_fails_after_a_good_one(self, capsys):
+        kept = load_space(self.PAIR)
+        bad = {"points": ["a", "b"], "dist": [[0, 1], [2, 0]]}
+        assert main(["validate", "--space", json.dumps(bad)]) == 1
+        assert load_space(self.PAIR) is kept
 
 
 class TestDeterminism:

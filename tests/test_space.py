@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from riskdist.errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
+from riskdist.io import load_space
 from riskdist.space import (
     compose_relations,
     diagonal_relation,
@@ -122,6 +124,27 @@ class TestDistanceLevels:
     def test_single_point(self):
         space = rd.validate_metric(["a"], [[0]])
         assert rd.distance_levels(space) == [0]
+
+    def test_each_call_returns_a_new_list(self, p3):
+        levels = rd.distance_levels(p3)
+        levels.append(99)
+        levels[0] = -1
+        assert rd.distance_levels(p3) == [0, 1, 2]
+        assert rd.distance_levels(p3) is not rd.distance_levels(p3)
+
+    def test_levels_are_computed_once_per_space(self):
+        # built directly, not interned: the planted tuple stays in this test
+        space = rd.FiniteMetricSpace(("a", "b"), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
+        assert rd.distance_levels(space) == [0, 1]
+        assert vars(space)["_levels"] == (0, 1)
+        vars(space)["_levels"] = (0, 7)
+        assert rd.distance_levels(space) == [0, 7]
+
+    def test_float_levels_merge_within_the_tolerance(self):
+        space = rd.validate_metric(
+            ["a", "b", "c"], [[0, 1, 1 + 1e-12], [1, 0, 2], [1 + 1e-12, 2, 0]], mode="float"
+        )
+        assert rd.distance_levels(space) == [0.0, 1.0, 2.0]
 
 
 class TestHausdorff:
@@ -257,6 +280,47 @@ class TestCachedHashes:
         make_space()
         with pytest.raises(rd.MetricError):
             rd.validate_metric(["a", "b"], [[0, 1], [2, 0]])
+
+    def test_json_text_finds_the_space_without_parsing(self, monkeypatch):
+        import riskdist.space
+
+        obj = {"points": ["a", "b"], "dist": [[0, "3/2"], ["3/2", 0]]}
+        first = load_space(obj)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a loaded space's text was parsed again")
+
+        monkeypatch.setattr(riskdist.space, "parse_scalar", refuse)
+        assert load_space(json.loads(json.dumps(obj))) is first
+        assert load_space(obj, mode="exact") is first
+
+    def test_text_key_tells_spellings_apart(self):
+        first = load_space({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]})
+        # a JSON true is not the number 1, however the text is keyed
+        with pytest.raises(InputFormatError):
+            load_space({"points": ["a", "b"], "dist": [[0, True], [True, 0]]})
+        # equal values written another way are the same space, by value
+        for spelling in ("1", 1.0, " 1 ", "2/2"):
+            dist = [[0, spelling], [spelling, 0]]
+            assert load_space({"points": ["a", "b"], "dist": dist}) is first
+            assert load_space({"points": ["a", "b"], "dist": dist}) is first
+        floats = load_space({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}, mode="float")
+        assert floats is not first and floats.tol != first.tol
+        relabelled = load_space({"points": ["b", "a"], "dist": [[0, 1], [1, 0]]})
+        assert relabelled is not first
+
+    def test_text_key_dies_with_the_space(self):
+        import gc
+
+        from riskdist.space import _loaded
+
+        labels = ("short-lived", "space")
+        space = load_space({"points": list(labels), "dist": [[0, "17/3"], ["17/3", 0]]})
+        # both keys, by value and by text, hold the labels
+        assert len([k for k in _loaded.keys() if labels in k]) == 2
+        del space
+        gc.collect()
+        assert not [k for k in _loaded.keys() if labels in k]
 
     def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):
         space = make_space()

@@ -62,6 +62,37 @@ class TestShapeFunction:
         with pytest.raises(InvalidParams):
             rd.ShapeFunction(((F(0), F(0)), (F(1), F(1)), (F(3), F(1))))
 
+    def test_segments_are_found_as_the_linear_scan_found_them(self):
+        """At an interior knot the left segment is used, so float values
+        keep their bits."""
+
+        def scan(f, t):
+            ks, slopes = f.knots, f._slopes
+            if len(ks) == 1:
+                return ks[0][1] * 0
+            if t <= ks[0][0]:
+                return ks[0][1] + slopes[0] * (t - ks[0][0])
+            if t >= ks[-1][0]:
+                return ks[-1][1] + slopes[-1] * (t - ks[-1][0])
+            for i in range(len(ks) - 1):
+                if ks[i][0] <= t <= ks[i + 1][0]:
+                    return ks[i][1] + slopes[i] * (t - ks[i][0])
+
+        shapes = [
+            rd.ShapeFunction.zero(),
+            rd.ShapeFunction.identity(),
+            rd.ShapeFunction(((F(-2), F(-3, 2)), (F(-1), F(-1, 2)), (F(0), F(0)), (F(2), F(1)))),
+            rd.ShapeFunction(((-2.2, -1.1), (-0.7, -0.1), (0.0, 0.0), (0.3, 0.1), (1.9, 1.3))),
+            rd.ShapeFunction(((-3.0, -0.9), (-1.0, -0.3), (0.0, 0.0), (0.1, 0.0), (0.7, 0.2), (5.0, 4.1))),
+        ]
+        for f in shapes:
+            ts = [t for t, _ in f.knots]
+            probes = ts + [(a + b) / 2 for a, b in zip(ts, ts[1:])] + [ts[0] - 1, ts[-1] + 1]
+            probes += [t + d for t in ts for d in (1e-9, -1e-9, 0.1, -0.1)]
+            for t in probes:
+                value, reference = f(t), scan(f, t)
+                assert value == reference and repr(value) == repr(reference), (f, t)
+
     def test_kinked_valid_shape(self):
         f = rd.ShapeFunction(
             ((F(-2), F(-3, 2)), (F(-1), F(-1, 2)), (F(0), F(0)), (F(2), F(1)))
