@@ -82,7 +82,7 @@ def _field(obj, key: str, what: str):
 def _scalar(value, exact: bool, what: str):
     try:
         return parse_scalar(value, exact=exact)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad {what} {value!r}: {exc}") from exc
 
 

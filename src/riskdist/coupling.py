@@ -19,18 +19,15 @@ composed with the right projection on S.  Sufficiency: the lower extension
 is monotone, translation invariant, normed, reads chi only on S, and under
 (a)+(b)+(c) reproduces both marginals.  The lower extension is the only
 witness formula the module builds, and every envelope the module takes,
-gluing's included, goes through one section-minimum routine.  On the
-capacity tier (b) and (c) reduce by comonotone layer decomposition to one
-subset inequality per subset, which is checked exhaustively; that reduction
-is cross-validated against independent brute-force oracles in the oracles
-module.
+gluing's included, goes through one section-minimum routine.
 
-The exact lattice tier decides pairs where each measure is a capacity or a
-max/min of capacities (``measures.normal_forms``), at least one is not a
-capacity, the space is exact and the relation's projections contain every
-part's support (always true on the distance ladder, whose relations are
-reflexive).  Take mu1 = max_i min_j A_ij and mu2 = min_q max_p B_pq.  Then
-(b) holds iff for every check (i, q)
+One exact decider takes every pair where each measure is a capacity or a
+max/min of capacities (``measures.normal_forms``): two capacities on any
+space ("exact-choquet"), any other such pair on an exact space whose
+relation's projections contain every part's support ("exact-lattice"; the
+reflexive relations of the distance ladder always do).  Take mu1 = max_i
+min_j A_ij and mu2 = min_q max_p B_pq.  Then (b) holds iff for every check
+(i, q)
 
     min_j A_ij(P_S psi) <= max_p B_pq(psi)   for every psi,
 
@@ -43,30 +40,36 @@ the inner sets; so every Choquet part is linear in t there (Schmeidler
 B_p(U), the check fails on the chain iff some t >= 0 makes sum_k t_k
 m_c(U_k) > 0 for every column; by Ville's alternative it holds iff some
 convex lambda over the columns has sum_c lambda_c m_c(U_k) <= 0 on every
-set of the chain.  The m_c are integers over the common scale of the
-capacities' ``scaled`` tables, and the tier runs three steps:
+set of the chain.  The decider runs three steps:
 
-  1. indicator scan: a subset U where the whole pair compares the wrong way
-     at psi = 1_U refutes (b) or (c) outright;
-  2. chain cover: a search down the chains from the full set, with state
-     (U, columns nonpositive on every set so far), proves each chain on
-     which some column survives (lambda a unit vector);
+  1. indicator scan: each measure's table of mu(1_B), a capacity's own
+     ``scaled`` table or a lattice's max-of-min of its parts lifted to one
+     scale, is read at inner U against U for every U, cross-multiplied over
+     the two scales.  A subset where the pair compares the wrong way
+     refutes (b) or (c) outright.  A check with one column fails iff some
+     U has m(U) > 0, which this scan sees, so for two capacities it is the
+     whole decision: the subset test A(inner U) <= B(U), cross-validated
+     against independent brute-force oracles in the oracles module;
+  2. chain cover, for checks with more than one column, over the parts'
+     tables as integers on one scale: a search down the chains from the
+     full set, with state (U, columns nonpositive on every set so far),
+     proves each chain on which some column survives (lambda a unit
+     vector);
   3. exact LP: on each chain no column covers, a ``Fraction`` simplex looks
      for t >= 0 with sum_k t_k m_c(U_k) >= 1 for every column; one refutes
      with psi = sum_k t_k 1_(U_k), scaled to integers, and none proves the
      chain.  Sets where every column is nonpositive are left out, and
      chains with the same remaining sets share one LP.
 
-An infeasible verdict carries an ``envelope-domination`` certificate (side,
-psi, values) whose values are the two measures evaluated at psi, so it
-re-checks by evaluation; a feasible one carries the lower extension.
-Black boxes, two-point family members and combinations with such parts
-stay on the sampled tier, and so does a pair whose uncovered chains
-outgrow ``CHAIN_BUDGET``.  That tier is one seeded probe scan of (a), (b)
-and (c): a probe that refutes gives an infeasible verdict with a
-certificate that re-checks by evaluation, and a scan with no refutation
-gives the lower extension as a "witness-found" verdict, which says that no
-probe refuted and proves nothing more.  ``verify_coupling`` re-checks such a
+An infeasible verdict carries a certificate that re-checks by evaluation
+(``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
+extension.  Black boxes, two-point family members and combinations with
+such parts stay on the sampled tier, and so does a pair whose uncovered
+chains outgrow ``CHAIN_BUDGET``.  That tier is one seeded probe scan of
+(a), (b) and (c): a probe that refutes gives an infeasible verdict with a
+certificate, and a scan with no refutation gives the lower extension as a
+"witness-found" verdict, which says that no probe refuted and proves
+nothing more.  ``verify_coupling`` re-checks such a
 witness with ``measures.probe_axioms``, the seeded prober that also checks
 measures: with the default 64 samples, 64 monotone pairs, 32 integer shifts
 and four constants on the product, then the product-point indicators,
@@ -219,11 +222,32 @@ def _check_coupling_spaces(mu1, mu2, s: Relation):
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """The answer of ``admissible``.
+
+    ``tier`` names how it was reached: the proofs "dirac" (two point
+    masses), "exact-choquet" (two capacities, float spaces included) and
+    "exact-lattice" (any other pair with normal forms, on exact spaces), or
+    the sampled "refutation-sampled" (a probe refuted) and "witness-found"
+    (no probe refuted).  A feasible verdict carries the lower extension as
+    ``witness``; an infeasible one a ``certificate`` of one "kind":
+
+    * "pair-outside-support", ``pair`` = (i, j): two point masses whose
+      pair is not in S; re-checks by reading ``S.matrix[i][j]``.
+    * "support-escape", ``side``: that side's measure reads a point outside
+      its projection of S.  On "exact-choquet", ``point`` is not null for
+      the capacity, which its table shows; on "refutation-sampled",
+      ``point`` with ``separating``, two functions equal off that point,
+      or ``separating`` = (psi, trim), trim equal to psi on the projection,
+      with ``values`` = (mu(psi), mu(trim)); the measure differs on the
+      pair, which re-checks by evaluation.
+    * "envelope-domination", ``side``, ``psi``, ``values``: with (mua, mub,
+      lists) = (mu1, mu2, ``S.section_lists``) on side "left" and (mu2,
+      mu1, ``S.inv_section_lists``) on "right", ``values`` = (mua(
+      section_minima(psi, lists)), mub(psi)) and values[0] > values[1] +
+      tol, which breaks (b) or (c); re-checks by evaluation on every tier.
+    """
+
     status: str  # "feasible" | "infeasible"
-    # proofs: "dirac", "exact-choquet" (two capacities), "exact-lattice" (a
-    # max/min of capacities against a capacity or another such); sampled:
-    # "refutation-sampled" (a probe refuted) and "witness-found" (no probe
-    # of the scan refuted)
     tier: str
     certificate: Optional[dict] = None
     witness: Optional[CouplingWitness] = None
@@ -241,6 +265,13 @@ def admissible(
     samples: int = REFUTATION_SAMPLES,
 ) -> FeasibilityVerdict:
     """Decide whether some coupling of (mu1, mu2) is supported inside S.
+
+    Two point masses read S at their pair.  Every other pair that has
+    normal forms goes to one exact decider: two capacities on any space
+    ("exact-choquet", after a support check of each capacity against its
+    projection of S), any other such pair on an exact space when the
+    projections hold every part's support ("exact-lattice").  The rest, and
+    a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -270,30 +301,36 @@ def admissible(
         )
     v1, v2 = mu1.capacity, mu2.capacity
     if v1 is not None and v2 is not None:
-        return _admissible_exact(mu1, mu2, v1, v2, s)
-    forms = _pair_forms(mu1, mu2)
+        for side, cap, proj in (
+            ("left", v1, s.left_projection),
+            ("right", v2, s.right_projection),
+        ):
+            escaped = cap.support_mask() & ~proj
+            if escaped:
+                point = (escaped & -escaped).bit_length() - 1
+                return _refuted("exact-choquet", "support-escape", side, point=point)
+        return _decide(mu1, mu2, s, "exact-choquet")
     if (
-        forms is not None
-        and _parts_inside(forms[0], s.left_projection)
-        and _parts_inside(forms[1], s.right_projection)
+        mu1.space.exact
+        and _parts_inside(mu1, s.left_projection)
+        and _parts_inside(mu2, s.right_projection)
     ):
         try:
-            return _admissible_lattice(mu1, mu2, *forms, s)
+            return _decide(mu1, mu2, s, "exact-lattice")
         except _ChainBudgetExceeded:
             pass  # too many chains to solve one by one: probe instead
     return _admissible_sampled(mu1, mu2, s, seed, samples)
 
 
-def _pair_forms(mu1, mu2):
-    """Both measures' normal forms, on an exact space, or None."""
-    forms = normal_forms(mu1), normal_forms(mu2)
-    if mu1.space.exact and None not in forms:
-        return forms
-    return None
+def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
+    return FeasibilityVerdict(
+        "infeasible", tier, certificate={"kind": kind, "side": side, **fields}
+    )
 
 
-def _parts_inside(forms, projection: int) -> bool:
-    return all(
+def _parts_inside(mu, projection: int) -> bool:
+    forms = normal_forms(mu)
+    return forms is not None and all(
         not cap.support_mask() & ~projection for row in forms[0] for cap in row
     )
 
@@ -319,112 +356,81 @@ def _inner_mask_tables(s: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(out)
 
 
-def _admissible_exact(mu1, mu2, v1, v2, s: Relation) -> FeasibilityVerdict:
+def _decide(mu1, mu2, s: Relation, tier: str) -> FeasibilityVerdict:
+    """The exact decider of every pair with normal forms; the module
+    docstring gives the argument."""
     space = mu1.space
-    tol = space.tol
-    n = space.n
-    for side, cap, proj in (
-        ("left", v1, s.left_projection),
-        ("right", v2, s.right_projection),
-    ):
-        escaped = cap.support_mask() & ~proj
-        if escaped:
-            point = next(i for i in range(n) if escaped >> i & 1)
-            return FeasibilityVerdict(
-                "infeasible",
-                "exact-choquet",
-                certificate={
-                    "kind": "support-escape",
-                    "side": side,
-                    "point": point,
-                },
-            )
+    n, tol = space.n, space.tol
     left_inner, right_inner = _inner_mask_tables(s)
-    for side, va, vb, inners in (
-        ("left", v1, v2, left_inner),
-        ("right", v2, v1, right_inner),
-    ):
-        # va(inner) > vb(b), cross-multiplied over the two scales
-        ta, sa, tb, sb = va.scaled, va.scale, vb.scaled, vb.scale
-        for b in range(1 << n):
-            inner = inners[b]
-            if ta[inner] * sb > tb[b] * sa + tol:
-                return FeasibilityVerdict(
-                    "infeasible",
-                    "exact-choquet",
-                    certificate={
-                        "kind": "envelope-domination",
-                        "side": side,
-                        "subset": b,
-                        "inner": inner,
-                        "values": (va.table[inner], vb.table[b]),
-                    },
-                )
-    return FeasibilityVerdict(
-        "feasible", "exact-choquet", witness=lower_coupling(mu1, mu2, s)
+    i1, i2 = _indicators(mu1), _indicators(mu2)
+    sides = (
+        ("left", mu1, mu2, i1, i2, left_inner, s.section_lists),
+        ("right", mu2, mu1, i2, i1, right_inner, s.inv_section_lists),
     )
 
+    # 1. indicator scan: mua(1_(inner U)) against mub(1_U), cross-multiplied
+    # over the two tables' scales
+    for side, _, _, (ta, da, va), (tb, db, vb), inners, _ in sides:
+        for u in range(1 << n):
+            inner = inners[u]
+            if ta[inner] * db > tb[u] * da + tol:
+                psi = tuple([u >> x & 1 for x in range(n)])
+                values = (va(inner), vb(u))
+                return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+    # 2. and 3., one check per (row, group) with more than one column, over
+    # the parts' tables lifted to one scale; a check with one column is a
+    # comparison the scan has made, and two capacities have no other
+    if mu1.capacity is not None and mu2.capacity is not None:
+        return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
+    lifted = None
+    for side, mua, mub, *_, inners, lists in sides:
+        groups = normal_forms(mub)[1]
+        for row in normal_forms(mua)[0]:
+            for group in groups:
+                if len(row) * len(group) == 1:
+                    continue
+                if lifted is None:
+                    parts = (c for mu in (mu1, mu2) for r in normal_forms(mu)[0] for c in r)
+                    lifted = _lift(parts)[1]
+                columns = [
+                    (tuple(map(lifted[id(a)].__getitem__, inners)), lifted[id(b)])
+                    for a in row
+                    for b in group
+                ]
+                psi = _refuting_chain(columns, n)
+                if psi is not None:
+                    values = (
+                        evaluate_values(mua, section_minima(psi, lists)),
+                        evaluate_values(mub, psi),
+                    )
+                    return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+    return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
 
-def _admissible_lattice(mu1, mu2, f1, f2, s: Relation) -> FeasibilityVerdict:
-    """The exact lattice tier; the module docstring gives the argument."""
-    n = s.left.n
-    caps = {id(c): c for f in (f1, f2) for row in f[0] for c in row}
+
+def _indicators(mu):
+    """mu(1_B) for every subset B: a table, its scale and a getter of the
+    value at B.  A capacity gives its ``scaled``, ``scale`` and ``table``
+    as they are; a lattice the max-of-min of its parts' tables, lifted to
+    their common scale, with each value built as a Fraction when read."""
+    cap = mu.capacity
+    if cap is not None:
+        return cap.scaled, cap.scale, cap.table.__getitem__
+    rows = normal_forms(mu)[0]
+    scale, lifted = _lift(c for row in rows for c in row)
+    table = _pointwise(max, [_pointwise(min, [lifted[id(c)] for c in row]) for row in rows])
+    return table, scale, lambda b: Fraction(table[b], scale)
+
+
+def _lift(parts):
+    """The least common scale of exact capacities, and each one's table of
+    integers over it, keyed by ``id``."""
+    caps = {id(c): c for c in parts}
     scale = lcm(*(c.scale for c in caps.values()))
-    lifted = {
+    return scale, {
         key: c.scaled if c.scale == scale
         else tuple(x * (scale // c.scale) for x in c.scaled)
         for key, c in caps.items()
     }
-    left_inner, right_inner = _inner_mask_tables(s)
-    sides = []
-    for side, mua, mub, fa, fb, inner, lists in (
-        ("left", mu1, mu2, f1, f2, left_inner, s.section_lists),
-        ("right", mu2, mu1, f2, f1, right_inner, s.inv_section_lists),
-    ):
-        # the left-hand measure's rows read A(inner U), the right-hand
-        # measure's groups B(U), both indexed by U
-        rows = [
-            [tuple(map(lifted[id(c)].__getitem__, inner)) for c in row]
-            for row in fa[0]
-        ]
-        groups = [[lifted[id(c)] for c in group] for group in fb[1]]
-        sides.append((side, mua, mub, rows, groups, lists))
-
-    def refuted(side, mua, mub, psi, lists):
-        lhs = evaluate_values(mua, section_minima(psi, lists))
-        rhs = evaluate_values(mub, psi)
-        return FeasibilityVerdict(
-            "infeasible",
-            "exact-lattice",
-            certificate={
-                "kind": "envelope-domination",
-                "side": side,
-                "psi": psi,
-                "values": (lhs, rhs),
-            },
-        )
-
-    # 1. indicator scan, in the sampled tier's probe order: the two whole
-    # measures at 1_U, subset by subset
-    for side, mua, mub, rows, groups, lists in sides:
-        lhs = _pointwise(max, [_pointwise(min, row) for row in rows])
-        rhs = _pointwise(min, [_pointwise(max, group) for group in groups])
-        u = next((u for u, (x, y) in enumerate(zip(lhs, rhs)) if x > y), None)
-        if u is not None:
-            return refuted(side, mua, mub, tuple(u >> x & 1 for x in range(n)), lists)
-    # 2. and 3., one check per (row, group)
-    for side, mua, mub, rows, groups, lists in sides:
-        for row in rows:
-            for group in groups:
-                found = _refuting_chain([(a, b) for a in row for b in group], n)
-                if found is not None:
-                    sets, weights = found
-                    psi = tuple(
-                        sum(w for u, w in zip(sets, weights) if u >> x & 1)
-                        for x in range(n)
-                    )
-                    return refuted(side, mua, mub, psi, lists)
-    return FeasibilityVerdict("feasible", "exact-lattice", witness=lower_coupling(mu1, mu2, s))
 
 
 def _pointwise(pick, tables):
@@ -432,12 +438,9 @@ def _pointwise(pick, tables):
 
 
 def _refuting_chain(columns, n: int):
-    """The sets U_k of one chain's trace and integer weights t_k >= 0 with
-    sum_k t_k (a(U_k) - b(U_k)) > 0 for every column (a, b), or None when
-    every maximal chain admits none.  Called after the indicator scan, so a
-    single column is already decided."""
-    if len(columns) == 1:
-        return None
+    """psi = sum_k t_k 1_(U_k) over the sets U_k of one chain's trace, with
+    integers t_k >= 0 and sum_k t_k (a(U_k) - b(U_k)) > 0 for every column
+    (a, b), or None when every maximal chain admits none."""
     everything = (1 << len(columns)) - 1
     covered = [0] * (1 << n)  # columns with a(U) <= b(U), per subset U
     for c, (a, b) in enumerate(columns):
@@ -451,7 +454,10 @@ def _refuting_chain(columns, n: int):
         t = _positive_combination([[a[u] - b[u] for a, b in columns] for u in live])
         if t is not None:
             den = lcm(*(x.denominator for x in t))
-            return live, [int(x * den) for x in t]
+            weights = [int(x * den) for x in t]
+            return tuple(
+                sum(w for u, w in zip(live, weights) if u >> x & 1) for x in range(n)
+            )
     return None
 
 
@@ -574,15 +580,9 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
             outside &= mu.capacity.support_mask()  # null points never separate
         escape = next(separating_pairs(mu, outside, seed=seed), None)
         if escape is not None:
-            return FeasibilityVerdict(
-                "infeasible",
-                "refutation-sampled",
-                certificate={
-                    "kind": "support-escape",
-                    "side": side,
-                    "point": escape[0],
-                    "separating": escape[1],
-                },
+            point, separating = escape
+            return _refuted(
+                "refutation-sampled", "support-escape", side, point=point, separating=separating
             )
     probes = probe_grid(space, seed, max(16, samples - (1 << space.n) - space.n))
     for side, mua, mub, lists in (
@@ -594,15 +594,8 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
             lhs = evaluate_values(mua, env)
             rhs = evaluate_values(mub, psi)
             if lhs > rhs + tol:
-                return FeasibilityVerdict(
-                    "infeasible",
-                    "refutation-sampled",
-                    certificate={
-                        "kind": "envelope-domination",
-                        "side": side,
-                        "psi": psi,
-                        "values": (lhs, rhs),
-                    },
+                return _refuted(
+                    "refutation-sampled", "envelope-domination", side, psi=psi, values=(lhs, rhs)
                 )
     for side, mu, proj in gaps:
         inside = [i for i in range(space.n) if proj >> i & 1] or range(space.n)
@@ -611,15 +604,9 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
             trim = tuple(v if proj >> i & 1 else top for i, v in enumerate(psi))
             a, b = evaluate_values(mu, psi), evaluate_values(mu, trim)
             if abs(a - b) > tol:
-                return FeasibilityVerdict(
-                    "infeasible",
-                    "refutation-sampled",
-                    certificate={
-                        "kind": "support-escape",
-                        "side": side,
-                        "separating": (psi, trim),
-                        "values": (a, b),
-                    },
+                return _refuted(
+                    "refutation-sampled", "support-escape", side,
+                    separating=(psi, trim), values=(a, b),
                 )
     return FeasibilityVerdict(
         "feasible", "witness-found", witness=lower_coupling(mu1, mu2, s)

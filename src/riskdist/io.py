@@ -104,6 +104,8 @@ def _subset_mask(space: FiniteMetricSpace, key: str) -> int:
 
 
 def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
+    if not isinstance(obj, dict):
+        raise TypeError('"capacity" must be an object of subset entries')
     exact = space.exact
     table: list[Scalar | None] = [None] * (1 << space.n)
     table[0] = Fraction(0) if exact else 0.0
@@ -170,7 +172,10 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
             level = parse_scalar(obj["level"], exact=exact)
             return choquet_measure(caps.cvar(space, weights, level), name="cvar")
         if kind in ("unanimity", "possibility"):
-            mask = PointSubset.of(space, obj["points"]).mask if "points" in obj else None
+            points = obj.get("points", [])
+            if type(points) is not list:  # a string would be read as its characters
+                raise TypeError('"points" must be a list of labels')
+            mask = PointSubset.of(space, points).mask if "points" in obj else None
             make = caps.unanimity if kind == "unanimity" else caps.possibility
             return choquet_measure(make(space, mask), name=kind)
     except InputFormatError:

@@ -25,7 +25,8 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
     """Parse a JSON number, a ``"p/q"`` rational string, or ``"±inf"``.
 
     A NaN (which Python's JSON reader accepts) raises ``InputFormatError``:
-    every comparison with it is False, so it would pass any check.
+    every comparison with it is False, so it would pass any check.  A zero
+    denominator raises ``ValueError``, as any other malformed string does.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -35,11 +36,14 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
             return NEG_INF
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
-        if digits.isdigit() and den.isdigit() == bool(slash) and text.isascii():
-            # "p/q" or "p" in ASCII digits, which Fraction(text) reads as this
-            frac = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        else:
-            frac = Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
+        try:
+            if digits.isdigit() and den.isdigit() == bool(slash) and text.isascii():
+                # "p/q" or "p" in ASCII digits, which Fraction(text) reads as this
+                frac = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            else:
+                frac = Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
         return frac if exact else float(frac)
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")

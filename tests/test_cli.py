@@ -357,6 +357,18 @@ MALFORMED = {
             "capacity": {"a": float("nan"), "b": 0, "c": 0, "a,b": 1, "a,c": 1, "b,c": 1, "a,b,c": 1},
         }),
     ],
+    "validate zero denominator distance": [
+        "validate", "--space", '{"points": ["a", "b"], "dist": [[0, "1/0"], ["1/0", 0]]}',
+    ],
+    "validate zero denominator weight": [
+        "validate", "--measure", '{"type": "expectation", "weights": ["1/0", 0, 0]}',
+    ],
+    "validate capacity not an object": [
+        "validate", "--measure", '{"type": "choquet", "capacity": [0, 1, 1, 1, 1, 1, 1, 1]}',
+    ],
+    "validate unanimity points a string": [
+        "validate", "--measure", '{"type": "unanimity", "points": "ba"}',
+    ],
 }
 
 
@@ -514,8 +526,8 @@ GOLDEN = {
         '["2","2","2","1","0","2"],["2","1","2","2","2","0"]],'
         '"mode":"exact","seed":0,"tool":"riskdist","version":"0.1.0"}',
     ),
-    # the certificate's values are a possibility-capacity Choquet sum of an
-    # integer probe (a Fraction) and a lattice min reading a point mass (an int)
+    # the certificate's values come from the two measures' indicator tables,
+    # so both are Fractions, the lattice min's included
     "couple": (
         [
             "--measure", json.dumps({"type": "possibility"}),
@@ -525,7 +537,7 @@ GOLDEN = {
         '{"command":"couple","inputs":{"<inline>":'
         '"496b1b7ce6eb82ff0a507a23a16f2c9d51dd5c5a854954bdffe099b8d44f2aea"},'
         '"mode":"exact","seed":0,"tool":"riskdist","verdict":{"certificate":'
-        '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1",0]},'
+        '{"kind":"envelope-domination","psi":[1,0,0],"side":"left","values":["1","0"]},'
         '"status":"infeasible","tier":"exact-lattice"},"version":"0.1.0"}',
     ),
     # the relation's left projection misses y, which the family member

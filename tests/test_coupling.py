@@ -89,14 +89,13 @@ class TestAdmissible:
     def test_expectation_pair_refuted_with_certificate(self, p3):
         mu1 = rd.choquet_measure(rd.expectation(p3, (F(1), F(0), F(0))))
         mu2 = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(0), F(1, 2))))
-        verdict = rd.admissible(mu1, mu2, sublevel_relation(p3, 1))
+        rel = sublevel_relation(p3, 1)
+        verdict = rd.admissible(mu1, mu2, rel)
         assert verdict.status == "infeasible"
         cert = verdict.certificate
         assert cert["kind"] == "envelope-domination"
         # the certificate re-verifies from its payload
-        v1 = (mu1 if cert["side"] == "left" else mu2).capacity
-        v2 = (mu2 if cert["side"] == "left" else mu1).capacity
-        assert v1.table[cert["inner"]] > v2.table[cert["subset"]]
+        assert_certificate_rechecks(mu1, mu2, rel, cert)
 
     def test_agrees_with_transport_oracle(self, cycle4):
         rng = derive_rng(41, "vs-oracle")
@@ -349,6 +348,39 @@ class TestExactLatticeTier:
         assert len(counted_lp) == 2 and all(t is None for _, t in counted_lp)
         assert rd.verify_coupling(verdict.witness, samples=256, seed=3).ok
         assert rd.admissible(shadow(mu1), shadow(mu2), rel, seed=1).feasible
+
+
+def test_every_envelope_domination_certificate_rechecks_by_evaluation():
+    from conftest import fixture_spaces
+
+    checked = Counter()
+    for base in fixture_spaces():
+        floats = [[float(d) for d in row] for row in base.dist]
+        for space in (base, rd.validate_metric(base.labels, floats, mode="float")):
+            rng = derive_rng(107, f"certificates-{space.n}-{space.exact}")
+            for _ in range(24):
+                mu1, mu2 = (random_capacity_measure(space, rng) for _ in range(2))
+                pick = rng.random()
+                if pick < 0.4 and space.exact:
+                    mu1 = random_lattice(space, rng)
+                elif pick < 0.6:
+                    mu1, mu2 = shadow(mu1), shadow(mu2)
+                s = sublevel_relation(space, rng.choice(rd.distance_levels(space)))
+                verdict = rd.admissible(mu1, mu2, s, seed=5)
+                cert = verdict.certificate or {}
+                if cert.get("kind") != "envelope-domination":
+                    continue
+                assert_certificate_rechecks(mu1, mu2, s, cert)
+                assert cert["values"][0] > cert["values"][1] + space.tol
+                checked[verdict.tier, space.exact] += 1
+    for key in (
+        ("exact-choquet", True),
+        ("exact-choquet", False),
+        ("exact-lattice", True),
+        ("refutation-sampled", True),
+        ("refutation-sampled", False),
+    ):
+        assert checked[key] >= 5, checked
 
 
 def tuple_simplex(rng, k):

@@ -68,6 +68,21 @@ class TestEvaluate:
         with pytest.raises(SpaceMismatch):
             rd.evaluate(mu, rd.PointFunction(two_point, (1, 2)))
 
+    def test_a_mixture_with_lattice_parts_evaluates_term_by_term(self, cycle4):
+        from riskdist.measures import probe_grid
+
+        rng = derive_rng(7, "exact-combos")
+        parts = [rd.choquet_measure(random_capacity(cycle4, rng)) for _ in range(3)]
+        hi, lo = rd.lattice_max(parts), rd.lattice_min(parts[:2])
+        inner = rd.lattice_max([lo, parts[2]])
+        nested = rd.mixture((F(1, 3), F(2, 3)), (hi, inner))
+        assert nested.capacity is None and nested.parts == (hi, inner)
+        for values in probe_grid(cycle4, 3):
+            want = F(1, 3) * evaluate_values(hi, values) + F(2, 3) * evaluate_values(inner, values)
+            assert evaluate_values(nested, values) == want
+        res = rd.bottleneck_distance(nested, nested)
+        assert res.value == 0 and res.tier == "witness-found"
+
 
 class TestVerifyAxioms:
     def test_choquet_is_exact(self, p3):

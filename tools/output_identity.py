@@ -1,5 +1,6 @@
 """Fingerprint the CLI's output on every benchmark request of seeds 1-3,
-in exact and in float mode.
+in exact and in float mode, and on a ``couple --threshold 0`` run of each
+exact-distance request.
 
     python3 tools/output_identity.py --src src > new.txt
     python3 tools/output_identity.py --src ../old/src > old.txt
@@ -12,7 +13,10 @@ and with them the input digests in the reports, are the same for every tree
 compared.  Each request goes through ``riskdist.cli.main`` of the ``src``
 tree given, in this process, once as written (exact mode) and once more
 with ``--mode float``.  One line per request and mode: workload, seed,
-index, mode, exit code and the sha256 of its standard output.
+index, mode, exit code and the sha256 of its standard output.  Each
+exact-distance request is also run as ``couple`` with ``--threshold 0``
+on the same space and measures, whose report holds the verdict's
+certificate bytes; its lines name the workload ``exact-distance/couple``.
 """
 
 from __future__ import annotations
@@ -45,12 +49,17 @@ def main(argv=None) -> int:
         for workload in sorted(workloads.ROUNDS):
             for seed in SEEDS:
                 for i, op in enumerate(run.write_inputs(workload, seed, workdir)):
-                    for mode in MODES:
-                        out = io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                            code = cli_main(op.argv + ["--mode", mode])
-                        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                        print(f"{workload} {seed} {i} {mode} {code} {digest}")
+                    runs = [(workload, op.argv)]
+                    if workload == "exact-distance":
+                        couple = ["couple", *op.argv[1:], "--threshold", "0"]
+                        runs.append((f"{workload}/couple", couple))
+                    for name, argv in runs:
+                        for mode in MODES:
+                            out = io.StringIO()
+                            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                                code = cli_main(argv + ["--mode", mode])
+                            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                            print(f"{name} {seed} {i} {mode} {code} {digest}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
