@@ -1,6 +1,10 @@
 """Batch front-end: validate inputs, compute distances and matrices, run
 audits, emit reports.
 
+Each command takes only the options it reads: ``--space`` and ``--measure``
+where it loads a space or measures of its own (``converge`` reads both from
+its sequence), and ``--seed``, ``--mode``, ``--out`` and ``--format``.
+
 Exit codes: 0 on success, 1 when a check fails or a verified counterexample
 is found, 2 on malformed input.  Reports embed the tool version, input
 digests, the arithmetic mode and the seed; identical configurations produce
@@ -30,6 +34,7 @@ from .io import (
     digest_text,
     distance_summary,
     dump_report,
+    json_list,
     jsonable,
     load_measure,
     load_space,
@@ -218,10 +223,9 @@ def cmd_converge(args) -> int:
         kind = _field(gen, "type", "generator")
         if kind != "drifting-mixture":
             raise InputFormatError(f"unknown sequence generator {kind!r}")
-        try:
-            count = int(gen.get("count", 8))
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad sequence count: {exc}") from exc
+        count = gen.get("count", 8)
+        if type(count) is not int:
+            raise InputFormatError(f"sequence count must be a JSON integer, not {count!r}")
         terms, limit = drifting_mixture_sequence(
             space,
             space.index(_field(gen, "base", "generator")),
@@ -230,7 +234,9 @@ def cmd_converge(args) -> int:
         )
     else:
         limit = load_measure(_field(spec, "limit", "sequence"), space)
-        terms = [load_measure(t, space) for t in _field(spec, "terms", "sequence")]
+        terms = [
+            load_measure(t, space) for t in json_list(_field(spec, "terms", "sequence"), '"terms"')
+        ]
     if not terms:
         raise InputFormatError("a sequence needs at least one term")
     audit = convergence_audit(terms, limit, seed=args.seed)
@@ -258,9 +264,10 @@ def _relation_from_args(args, space, digests) -> Relation:
         return sublevel_relation(space, _scalar(args.threshold, space.exact, "threshold"))
     if args.pairs:
         obj = _read_json(args.pairs, digests)
+        entries = json_list(_field(obj, "pairs", "--pairs"), '"pairs"', of_lists=True)
         try:
-            pairs = [(space.index(a), space.index(b)) for a, b in _field(obj, "pairs", "--pairs")]
-        except (TypeError, ValueError) as exc:
+            pairs = [(space.index(a), space.index(b)) for a, b in entries]
+        except ValueError as exc:
             raise InputFormatError(f"bad --pairs entry: {exc}") from exc
         return Relation.from_pairs(space, space, pairs)
     raise InputFormatError("couple needs --threshold or --pairs")
@@ -349,7 +356,7 @@ def cmd_oracle(args) -> int:
             obj = _read_json(spec, digests)
             weights = [
                 _scalar(w, space.exact, "weight")
-                for w in _field(obj, "weights", "probability vector")
+                for w in json_list(_field(obj, "weights", "probability vector"), '"weights"')
             ]
             ps.append(ProbabilityVector(space, tuple(weights)))
         if args.oracle_cmd == "strassen":
@@ -362,20 +369,18 @@ def cmd_oracle(args) -> int:
         report["distance"] = format_scalar(value)
         _emit(args, report, [format_scalar(value)])
         return 0
-    if args.oracle_cmd == "cross-check":
-        result = criterion_cross_check(space, instances=args.size, seed=args.seed)
-        report["cross-check"] = {
-            "instances": result.instances,
-            "disagreements": jsonable(list(result.disagreements)),
-            "stats": jsonable(result.stats),
-        }
-        lines = [
-            f"instances: {result.instances}",
-            f"disagreements: {len(result.disagreements)}",
-        ]
-        _emit(args, report, lines)
-        return 0 if result.ok else 1
-    raise InputFormatError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    result = criterion_cross_check(space, instances=args.size, seed=args.seed)
+    report["cross-check"] = {
+        "instances": result.instances,
+        "disagreements": jsonable(list(result.disagreements)),
+        "stats": jsonable(result.stats),
+    }
+    lines = [
+        f"instances: {result.instances}",
+        f"disagreements: {len(result.disagreements)}",
+    ]
+    _emit(args, report, lines)
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--space", required=True, help="space JSON file or inline")
-        p.add_argument("--measure", action="append", help="measure JSON file or inline")
+    def common(p, space=True, measure=True):
+        if space:
+            p.add_argument("--space", required=True, help="space JSON file or inline")
+        if measure:
+            p.add_argument("--measure", action="append", help="measure JSON file or inline")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
         p.add_argument("--out", help="output path (default stdout)")
@@ -411,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit suites")
     audit_sub = p.add_subparsers(dest="audit_cmd", required=True)
     pm = audit_sub.add_parser("metric", help="metric axiom audit")
-    common(pm)
+    common(pm, measure=False)
     pm.add_argument("--size", type=int, default=24, help="ensemble size")
     pm.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("converge", help="convergence audit of a sequence")
-    common(p)
+    common(p, space=False, measure=False)
     p.add_argument("--sequence", required=True, help="sequence spec JSON")
     p.set_defaults(func=cmd_converge)
 
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couple)
 
     p = sub.add_parser("glue", help="glue two product measures")
-    common(p)
+    common(p, measure=False)
     p.add_argument("--first", required=True, help="measure on the square")
     p.add_argument("--second", required=True, help="measure on the square")
     p.set_defaults(func=cmd_glue)
@@ -436,14 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle_sub = p.add_subparsers(dest="oracle_cmd", required=True)
     for name in ("strassen", "winf", "cross-check"):
         po = oracle_sub.add_parser(name)
-        common(po)
+        common(po, measure=name != "cross-check")
         if name == "strassen":
             po.add_argument("--threshold")
             po.add_argument("--pairs")
         if name == "cross-check":
             po.add_argument("--size", type=int, default=50)
         po.set_defaults(func=cmd_oracle)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

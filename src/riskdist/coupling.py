@@ -65,15 +65,16 @@ An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
 extension.  Black boxes, two-point family members and combinations with
 such parts stay on the sampled tier, and so does a pair whose uncovered
-chains outgrow ``CHAIN_BUDGET``.  That tier is one seeded probe scan of
-(a), (b) and (c): a probe that refutes gives an infeasible verdict with a
-certificate, and a scan with no refutation gives the lower extension as a
-"witness-found" verdict, which says that no probe refuted and proves
-nothing more.  ``verify_coupling`` re-checks such a
-witness with ``measures.probe_axioms``, the seeded prober that also checks
-measures: with the default 64 samples, 64 monotone pairs, 32 integer shifts
-and four constants on the product, then the product-point indicators,
-support confinement on 32 of the pairs and the marginal identities.
+chains outgrow ``CHAIN_BUDGET``.  That tier scans (a), (b) and (c) over
+one fixed grid, whatever the caller: ``probe_grid(space, seed,
+REFUTATION_RANDOMS)``.  A probe that refutes gives an infeasible verdict
+with a certificate, and a scan with no refutation gives the lower extension
+as a "witness-found" verdict, which says that no probe refuted and proves
+nothing more.  ``verify_coupling`` re-checks such a witness with
+``measures.probe_axioms``, the seeded prober that also checks measures:
+with the default 64 samples, 64 monotone pairs, 32 integer shifts and four
+constants on the product, then the product-point indicators, support
+confinement on 32 of the pairs and the marginal identities.
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ from .space import (
     right_projection_map,
 )
 
-REFUTATION_SAMPLES = 512
+#: seeded random functions on the sampled tier's probe grid, after its subset
+#: indicators and point-distance functions
+REFUTATION_RANDOMS = 90
 
 #: most chain traces the exact lattice tier keeps while it searches one
 #: check; past it the pair goes to the sampled tier, and is labelled so
@@ -262,7 +265,6 @@ def admissible(
     mu2: RiskMeasure,
     s: Relation,
     seed: int = 0,
-    samples: int = REFUTATION_SAMPLES,
 ) -> FeasibilityVerdict:
     """Decide whether some coupling of (mu1, mu2) is supported inside S.
 
@@ -319,7 +321,7 @@ def admissible(
             return _decide(mu1, mu2, s, "exact-lattice")
         except _ChainBudgetExceeded:
             pass  # too many chains to solve one by one: probe instead
-    return _admissible_sampled(mu1, mu2, s, seed, samples)
+    return _admissible_sampled(mu1, mu2, s, seed)
 
 
 def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
@@ -548,8 +550,8 @@ def _positive_combination(rows):
     return t
 
 
-def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerdict:
-    """Probe (a), (b) and (c) on a seeded grid; with no refutation, return
+def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
+    """Probe (a), (b) and (c) on the fixed grid; with no refutation, return
     the lower extension as "witness-found".
 
     (a) is probed only on a side whose projection misses a point: first by
@@ -559,9 +561,10 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
     to its projection maximum off the projection (all of it that the lower
     extension reads).  A marginal identity of the lower extension holds at
     phi when the other side's envelope comparison and the trim comparison
-    hold there, and the grid starts with the marginal probes of
-    ``verify_coupling(witness, samples=32)``, so that check cannot refute a
-    witness this returns.
+    hold there, and the grid, ``probe_grid(space, seed, REFUTATION_RANDOMS)``,
+    starts with the marginal grid of ``verify_coupling(witness)`` at its
+    default 64 samples, ``probe_grid(space, seed, 32)``, so that check cannot
+    refute a witness this returns.
     """
     space = mu1.space
     tol = space.tol
@@ -584,7 +587,7 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed, samples) -> FeasibilityVerd
             return _refuted(
                 "refutation-sampled", "support-escape", side, point=point, separating=separating
             )
-    probes = probe_grid(space, seed, max(16, samples - (1 << space.n) - space.n))
+    probes = probe_grid(space, seed, REFUTATION_RANDOMS)
     for side, mua, mub, lists in (
         ("left", mu1, mu2, s.section_lists),
         ("right", mu2, mu1, s.inv_section_lists),

@@ -25,10 +25,15 @@ from .twopoint import ShapeFunction, TwoPointParams
 from .numerics import NEG_INF, POS_INF
 
 
+def derive_seed(seed: int, name: str) -> int:
+    """A named deterministic seed derived from the run seed."""
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def derive_rng(seed: int, name: str) -> random.Random:
     """A named deterministic generator derived from the run seed."""
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(derive_seed(seed, name))
 
 
 def _frac(rng: random.Random, num_hi: int = 8, den: int = 8) -> Fraction:

@@ -18,6 +18,11 @@ Measures, one of:
   {"type": "cvar", "level": "19/20", "weights": [...]}
   {"type": "unanimity"} / {"type": "possibility"}  (optional "points" list)
 
+Every list field must be a JSON list (``json_list``), not a string, which
+would be read one character at a time: ``dist`` and its rows, ``weights``,
+``alpha``, ``lambda``, ``knots`` and each knot, ``components``, ``points``,
+and the CLI's ``--pairs`` entries and sequence ``terms``.
+
 Reports are written as ``json.dumps(report, indent=2, sort_keys=True)``
 writes them, plus a final newline, byte for byte: keys sorted, two spaces
 of indent per level with ``",\\n"`` between items and ``": "`` after keys,
@@ -72,19 +77,16 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
         raise InputFormatError('"points" must be a list of strings')
     if any("," in p or "*" in p for p in points):
         raise InputFormatError("labels must not contain ',' or '*'")
-    dist = obj["dist"]
-    # only a list of lists, as JSON gives it: json.dumps writes a dict's
-    # int and str keys alike
+    dist = json_list(obj["dist"], '"dist"', of_lists=True)
     key = None
-    if type(dist) is list and all(type(row) is list for row in dist):
-        try:
-            key = (mode, tuple(points), json.dumps(dist))
-        except (TypeError, ValueError):  # not JSON values: parsed below
-            pass
-        else:
-            space = _loaded.get(key)
-            if space is not None:
-                return space
+    try:
+        key = (mode, tuple(points), json.dumps(dist))
+    except (TypeError, ValueError):  # not JSON values: parsed below
+        pass
+    else:
+        space = _loaded.get(key)
+        if space is not None:
+            return space
     try:
         space = validate_metric(points, dist, mode=mode)
     except (ValueError, TypeError) as exc:
@@ -92,6 +94,15 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
     if key is not None:
         _loaded[key] = space
     return space
+
+
+def json_list(value: Any, what: str, of_lists: bool = False) -> list:
+    """``value``, which must be a JSON list (of lists, with ``of_lists``),
+    or an input error naming ``what``."""
+    if type(value) is not list or of_lists and any(type(v) is not list for v in value):
+        shape = "a JSON list of lists" if of_lists else "a JSON list"
+        raise InputFormatError(f"{what} must be {shape}")
+    return value
 
 
 def _subset_mask(space: FiniteMetricSpace, key: str) -> int:
@@ -136,45 +147,47 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
         raise InputFormatError('measure JSON needs a "type"')
     kind = obj["type"]
     exact = space.exact
+
+    def scalars(values, what):
+        return tuple(parse_scalar(v, exact=exact) for v in json_list(values, what))
+
+    def components():
+        return [load_measure(c, space) for c in json_list(obj["components"], '"components"')]
+
     try:
         if kind == "dirac":
             return dirac(space, space.index(obj["point"]))
         if kind == "choquet":
             return choquet_measure(_capacity_from_json(space, obj["capacity"]))
         if kind == "two-point":
-            alphas = tuple(parse_scalar(a, exact=exact) for a in obj["alpha"])
-            lambdas = tuple(parse_scalar(l, exact=exact) for l in obj["lambda"])
-            knots = tuple(
-                (parse_scalar(t, exact=exact), parse_scalar(y, exact=exact))
-                for t, y in obj["f"]["knots"]
+            knots = json_list(obj["f"]["knots"], '"knots"')
+            params = TwoPointParams(
+                scalars(obj["alpha"], '"alpha"'),
+                scalars(obj["lambda"], '"lambda"'),
+                ShapeFunction(tuple(scalars(k, 'a "knots" entry') for k in knots)),
             )
-            params = TwoPointParams(alphas, lambdas, ShapeFunction(knots))
             return two_point_measure(space, params)
         if kind == "mixture":
-            weights = tuple(parse_scalar(w, exact=exact) for w in obj["weights"])
-            comps = [load_measure(c, space) for c in obj["components"]]
-            return mixture(weights, comps)
+            return mixture(scalars(obj["weights"], '"weights"'), components())
         if kind == "max":
-            return lattice_max([load_measure(c, space) for c in obj["components"]])
+            return lattice_max(components())
         if kind == "min":
-            return lattice_min([load_measure(c, space) for c in obj["components"]])
+            return lattice_min(components())
         if kind == "expectation":
-            weights = [parse_scalar(w, exact=exact) for w in obj["weights"]]
+            weights = scalars(obj["weights"], '"weights"')
             return choquet_measure(caps.expectation(space, weights), name="expectation")
         if kind == "var":
-            weights = [parse_scalar(w, exact=exact) for w in obj["weights"]]
+            weights = scalars(obj["weights"], '"weights"')
             level = parse_scalar(obj["level"], exact=exact)
             return choquet_measure(
                 caps.var_quantile(space, weights, level), name="var"
             )
         if kind == "cvar":
-            weights = [parse_scalar(w, exact=exact) for w in obj["weights"]]
+            weights = scalars(obj["weights"], '"weights"')
             level = parse_scalar(obj["level"], exact=exact)
             return choquet_measure(caps.cvar(space, weights, level), name="cvar")
         if kind in ("unanimity", "possibility"):
-            points = obj.get("points", [])
-            if type(points) is not list:  # a string would be read as its characters
-                raise TypeError('"points" must be a list of labels')
+            points = json_list(obj.get("points", []), '"points"')
             mask = PointSubset.of(space, points).mask if "points" in obj else None
             make = caps.unanimity if kind == "unanimity" else caps.possibility
             return choquet_measure(make(space, mask), name=kind)

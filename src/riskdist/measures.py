@@ -61,9 +61,8 @@ from .twopoint import TwoPointParams, branch_boundaries, two_point_eval
 SUPPORT_PROBES = 256
 
 #: seeded random functions in the probe grid ``equal_measures`` compares
-#: measures without capacities on, and seeded pairs whose max and min it
-#: compares after the grid
-EQUALITY_PROBES = 64
+#: measures without capacities on
+EQUALITY_PROBES = 192
 
 #: entries kept per measure by the memo of a family member or combination;
 #: ladder scans and audits evaluate one probe grid many times over, and the
@@ -615,11 +614,14 @@ class EqualityResult:
         return self.status == "yes"
 
 
-def probe_functions(
-    space: FiniteMetricSpace, rng: random.Random, randoms: int = 64
-) -> list[tuple[Scalar, ...]]:
+@lru_cache(maxsize=2048)
+def probe_grid(
+    space: FiniteMetricSpace, seed: int, randoms: int = 64
+) -> tuple[tuple[Scalar, ...], ...]:
     """Deterministic probe family: subset indicators, distances to each
-    point, and seeded random functions."""
+    point, and ``randoms`` random functions drawn from ``Random(seed)``, so
+    a grid with fewer randoms is a prefix of one with more.  Cached; ladder
+    scans reuse it across levels and pairs."""
     one, zero = (1, 0) if space.exact else (1.0, 0.0)
     probes = [
         tuple(one if mask >> i & 1 else zero for i in range(space.n))
@@ -628,16 +630,9 @@ def probe_functions(
     probes.extend(
         tuple(space.dist[j][i] for j in range(space.n)) for i in range(space.n)
     )
+    rng = random.Random(seed)
     probes.extend(_random_values(space, rng) for _ in range(randoms))
-    return probes
-
-
-@lru_cache(maxsize=2048)
-def probe_grid(
-    space: FiniteMetricSpace, seed: int, randoms: int = 64
-) -> tuple[tuple[Scalar, ...], ...]:
-    """Cached probe family; ladder scans reuse it across levels and pairs."""
-    return tuple(probe_functions(space, random.Random(seed), randoms))
+    return tuple(probes)
 
 
 def equal_measures(mu1: RiskMeasure, mu2: RiskMeasure, seed: int = 0) -> EqualityResult:
@@ -661,19 +656,4 @@ def equal_measures(mu1: RiskMeasure, mu2: RiskMeasure, seed: int = 0) -> Equalit
     for values in probe_grid(space, seed, EQUALITY_PROBES):
         if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:
             return EqualityResult("no", values)
-    # lattice combinations of the probes sharpen the grid a little
-    for values in _combo_grid(space, seed, EQUALITY_PROBES):
-        if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:
-            return EqualityResult("no", values)
     return EqualityResult("undecided", note="probes passed")
-
-
-@lru_cache(maxsize=2048)
-def _combo_grid(space, seed, samples):
-    rng = random.Random(seed + 0x5EED)
-    out = []
-    for _ in range(samples):
-        a, b = _random_values(space, rng), _random_values(space, rng)
-        out.append(tuple(map(max, a, b)))
-        out.append(tuple(map(min, a, b)))
-    return tuple(out)

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coupling import CouplingWitness, admissible, verify_coupling
-from .ensembles import derive_rng, extremal_pair, random_measure
+from .ensembles import derive_rng, derive_seed, extremal_pair, random_measure
 from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
     RiskMeasure,
     equal_measures,
     evaluate_values,
-    probe_functions,
+    probe_grid,
     support,
     verify_axioms,
 )
@@ -38,10 +38,9 @@ from .space import (
     sublevel_relation,
 )
 
-#: refutation probes per ladder level of a distance-matrix pair
-MATRIX_SAMPLES = 96
-
-#: seeded random functions in the Lipschitz and convergence probe families
+#: seeded random functions in the Lipschitz and convergence probe families.
+#: Each family seeds its grid from its own name: a sampled distance passed
+#: every probe of the refutation grid, so a gap check there could not fail
 PROBE_RANDOMS = 32
 
 
@@ -81,7 +80,6 @@ def bottleneck_distance(
     mu1: RiskMeasure,
     mu2: RiskMeasure,
     seed: int = 0,
-    samples: int = 128,
     check_axioms: bool = True,
 ) -> DistanceResult:
     """Smallest feasible threshold on the distance ladder, with witness.
@@ -90,9 +88,9 @@ def bottleneck_distance(
     carries its witness, and nothing re-checks it here: on the Dirac,
     capacity and lattice tiers the verdict is a proof, which makes the
     result "exact"; a "witness-found" verdict says only that no probe of the
-    sampled tier's scan refuted, which makes it "sampled".  Every ladder
-    relation holds the diagonal, so its projections are full and no level
-    probes a support.
+    sampled tier's one fixed grid refuted, which makes it "sampled".  Every
+    ladder relation holds the diagonal, so its projections are full and no
+    level probes a support.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -102,9 +100,7 @@ def bottleneck_distance(
     space = mu1.space
     ladder: list[tuple[Scalar, str, str]] = []
     for level in distance_levels(space):
-        verdict = admissible(
-            mu1, mu2, sublevel_relation(space, level), seed=seed, samples=samples
-        )
+        verdict = admissible(mu1, mu2, sublevel_relation(space, level), seed=seed)
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
             certification = "sampled" if verdict.tier == "witness-found" else "exact"
@@ -122,7 +118,9 @@ def distance_matrix(
     """Pairwise distances with a built-in symmetry / diagonal / triangle scan.
 
     Each distance is the ladder value of ``bottleneck_distance``: proved on
-    the exact tiers, "sampled" on the witness-found one.  A seeded sample of
+    the exact tiers, "sampled" on the witness-found one, which scans the grid
+    every caller scans, so a payload re-verifies as the matrix ran it.  A
+    seeded sample of
     24 pairs has its witness costs compared with the distances, and the
     witnesses of the unproved ones among them (those not certified "exact")
     re-sampled by ``verify_coupling``.
@@ -136,9 +134,7 @@ def distance_matrix(
         gate_axioms(m, f"#{idx}", seed)
 
     def distance(a, b):
-        return bottleneck_distance(
-            a, b, seed=seed, samples=MATRIX_SAMPLES, check_axioms=False
-        )
+        return bottleneck_distance(a, b, seed=seed, check_axioms=False)
 
     k = len(measures)
     results: list[list[Optional[DistanceResult]]] = [[None] * k for _ in range(k)]
@@ -360,7 +356,7 @@ def lipschitz_control_check(
     This is the provable direction of the topology statement: any coupling
     at level t forces pointwise gaps below the modulus of continuity.
     """
-    probes = probe_functions(mu1.space, derive_rng(seed, "lipschitz"), PROBE_RANDOMS)
+    probes = probe_grid(mu1.space, derive_seed(seed, "lipschitz"), PROBE_RANDOMS)
     return _lipschitz_violations(mu1, mu2, result.value, probes)
 
 
@@ -401,8 +397,7 @@ def convergence_audit(
     space = limit.space
     if any(t.space != space for t in terms):
         raise SpaceMismatch("sequence terms live on different spaces")
-    rng = derive_rng(seed, "convergence")
-    probes = probe_functions(space, rng, PROBE_RANDOMS)
+    probes = probe_grid(space, derive_seed(seed, "convergence"), PROBE_RANDOMS)
     limit_support = support(limit, seed=seed)
     rows = []
     failures: list[dict] = []

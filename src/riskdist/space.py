@@ -252,8 +252,10 @@ class Relation:
     It also carries derived views of ``matrix``, per left point (inverse:
     per right point): ``sections`` and ``inv_sections`` as masks,
     ``section_lists`` and ``inv_section_lists`` as factor indices, and
-    ``pair_lists`` and ``inv_pair_lists`` as flat product indices.  They are
-    plain attributes, not fields, so the constructor takes the matrix alone.
+    ``pair_lists`` and ``inv_pair_lists`` as flat product indices; and the
+    masks ``left_projection`` and ``right_projection`` of the points with a
+    nonempty section (inverse section).  They are plain attributes, not
+    fields, so the constructor takes the matrix alone.
     """
 
     left: FiniteMetricSpace
@@ -286,6 +288,8 @@ class Relation:
         object.__setattr__(self, "inv_pair_lists", tuple(
             tuple(i * n2 + j for i in lst) for j, lst in enumerate(inv_lists)
         ))
+        object.__setattr__(self, "left_projection", sum(1 << i for i, l in enumerate(sec_lists) if l))
+        object.__setattr__(self, "right_projection", sum(1 << j for j, l in enumerate(inv_lists) if l))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair
@@ -298,14 +302,6 @@ class Relation:
             for j in range(self.right.n)
             if self.matrix[i][j]
         ]
-
-    @property
-    def left_projection(self) -> int:
-        return sum(1 << i for i, s in enumerate(self.sections) if s)
-
-    @property
-    def right_projection(self) -> int:
-        return sum(1 << j for j, s in enumerate(self.inv_sections) if s)
 
     def is_subrelation(self, other: "Relation") -> bool:
         return all(

@@ -299,7 +299,6 @@ class TestConvergeAndAudit:
         code = main(
             [
                 "converge",
-                "--space", json.dumps(P3),
                 "--sequence", write(tmp_path, "seq.json", seq),
                 "--format", "csv",
             ]
@@ -308,6 +307,13 @@ class TestConvergeAndAudit:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "n,pointwise_gap,metric,support_gap"
         assert ",2,2" in out
+
+    def test_converge_reads_its_space_from_the_sequence(self, capsys):
+        # converge takes no --space: the sequence carries its own
+        seq = {"space": P3, "limit": DIRAC_A, "terms": [DIRAC_C, DIRAC_A]}
+        assert main(["converge", "--sequence", json.dumps(seq), "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row.split(",")[2] for row in rows] == ["2", "0"]  # the metric
 
     def test_audit_metric(self, space_file, capsys):
         code = main(
@@ -323,6 +329,13 @@ class TestConvergeAndAudit:
 
 
 DRIFT = {"type": "drifting-mixture", "base": "a", "far": "c"}
+TWO_POINT = {"points": ["x", "y"], "dist": [[0, "5/2"], ["5/2", 0]]}
+FAMILY_MEMBER = {
+    "type": "two-point",
+    "alpha": ["1/2", "1/2", "0", "0"],
+    "lambda": ["0", "0", "0", "0"],
+    "f": {"knots": [["0", "0"], ["1", "1"]]},
+}
 PAIR_OF_A = ["--measure", json.dumps(DIRAC_A), "--measure", json.dumps(DIRAC_A)]
 MALFORMED = {
     "couple threshold": ["couple", *PAIR_OF_A, "--threshold", "abc"],
@@ -369,6 +382,40 @@ MALFORMED = {
     "validate unanimity points a string": [
         "validate", "--measure", '{"type": "unanimity", "points": "ba"}',
     ],
+    # a string where a list belongs was read one character at a time
+    "validate expectation weights a string": [
+        "validate", "--measure", '{"type": "expectation", "weights": "100"}',
+    ],
+    "validate mixture weights a string": [
+        "validate", "--measure",
+        json.dumps({"type": "mixture", "weights": "11", "components": [DIRAC_A, DIRAC_C]}),
+    ],
+    "validate two-point alpha a string": [
+        "validate", "--space", json.dumps(TWO_POINT),
+        "--measure", json.dumps(dict(FAMILY_MEMBER, alpha="1000")),
+    ],
+    "validate two-point lambda a string": [
+        "validate", "--space", json.dumps(TWO_POINT),
+        "--measure", json.dumps(dict(FAMILY_MEMBER, **{"lambda": "0000"})),
+    ],
+    "validate two-point knot a string": [
+        "validate", "--space", json.dumps(TWO_POINT),
+        "--measure", json.dumps(dict(FAMILY_MEMBER, f={"knots": ["00", "11"]})),
+    ],
+    "validate distance rows strings": [
+        "validate", "--space", '{"points": ["a", "b", "c"], "dist": ["012", "101", "210"]}',
+    ],
+    "couple pair entry a string": ["couple", *PAIR_OF_A, "--pairs", '{"pairs": ["ab"]}'],
+    "oracle weights a string": [
+        "oracle", "winf",
+        "--measure", '{"weights": "100"}', "--measure", '{"weights": [1, 0, 0]}',
+    ],
+    "converge count a float": [
+        "converge", "--sequence", json.dumps({"space": P3, "generator": dict(DRIFT, count=2.9)}),
+    ],
+    "converge count a bool": [
+        "converge", "--sequence", json.dumps({"space": P3, "generator": dict(DRIFT, count=True)}),
+    ],
 }
 
 
@@ -376,10 +423,32 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_two_with_input_error(self, case, space_file, capsys):
         argv = MALFORMED[case]
-        if "--space" not in argv:
+        if "--space" not in argv and argv[0] != "converge":
             argv = [*argv, "--space", space_file]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error")
+
+
+DRIFTING = json.dumps({"space": P3, "generator": DRIFT})
+UNREAD_OPTIONS = {
+    "converge --space": ["converge", "--sequence", DRIFTING, "--space", json.dumps(P3)],
+    "converge --measure": ["converge", "--sequence", DRIFTING, "--measure", json.dumps(DIRAC_A)],
+    "audit metric --measure": ["audit", "metric", "--measure", "garbage"],
+    "glue --measure": ["glue", "--first", "{}", "--second", "{}", "--measure", "garbage"],
+    "oracle cross-check --measure": ["oracle", "cross-check", "--measure", "garbage"],
+}
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+    def test_argparse_refuses_an_option_the_command_does_not_read(self, case, space_file, capsys):
+        argv = UNREAD_OPTIONS[case]
+        if argv[0] != "converge":
+            argv = [*argv, "--space", space_file]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInternedSpaces:
@@ -490,13 +559,6 @@ GOLDEN_POOL = [
     LATTICE_MAX,
     LATTICE_MIN,
 ]
-TWO_POINT = {"points": ["x", "y"], "dist": [[0, "5/2"], ["5/2", 0]]}
-FAMILY_MEMBER = {
-    "type": "two-point",
-    "alpha": ["1/2", "1/2", "0", "0"],
-    "lambda": ["0", "0", "0", "0"],
-    "f": {"knots": [["0", "0"], ["1", "1"]]},
-}
 CONVERGE_SEQUENCE = {
     "space": P3,
     "generator": {"type": "drifting-mixture", "base": "a", "far": "c", "count": 4},
@@ -612,7 +674,7 @@ class TestGoldenOutputs:
         # give a space of their own
         args, golden = GOLDEN[command]
         words = command.split(" on ")[0].split()
-        if "--space" not in args:
+        if "--space" not in args and command != "converge":
             args = ["--space", GOLDEN_SPACE, *args]
         code = main([*words, *args, "--format", "json"])
         assert code == 0

@@ -413,8 +413,12 @@ class TestSampledTier:
                     assert rd.verify_coupling(verdict.witness, samples=32, seed=seed).ok
         assert found >= 20, found
 
-    @pytest.mark.parametrize("samples", [8, 96, 128, 512])
-    def test_the_grid_starts_with_the_probe_checks_grid(self, p3, grid6, monkeypatch, samples):
+    def test_every_caller_scans_one_grid_that_starts_with_the_probe_checks_grid(
+        self, monkeypatch
+    ):
+        # admissible, a distance and a matrix scan the same grid, and
+        # verify_coupling's marginal grid at its default size is a prefix
+        from conftest import fixture_spaces
         from riskdist import coupling
         from riskdist.measures import probe_grid
 
@@ -425,14 +429,21 @@ class TestSampledTier:
             return grids[-1]
 
         monkeypatch.setattr(coupling, "probe_grid", recorded)
-        for space in (p3, grid6):
+        for space in fixture_spaces():
             mu = shadow(rd.choquet_measure(rd.expectation(space, (F(1, space.n),) * space.n)))
             for seed in (0, 5):
+                scanned = probe_grid(space, seed, coupling.REFUTATION_RANDOMS)
                 grids.clear()
-                rd.admissible(mu, mu, diagonal_relation(space), seed=seed, samples=samples)
-                (grid,) = grids
-                prefix = probe_grid(space, seed, 16)
-                assert grid[: len(prefix)] == prefix
+                verdict = rd.admissible(mu, mu, diagonal_relation(space), seed=seed)
+                rd.bottleneck_distance(mu, mu, seed=seed, check_axioms=False)
+                rd.distance_matrix([mu], seed=seed)
+                assert verdict.tier == "witness-found"
+                assert grids and all(grid == scanned for grid in grids)
+                grids.clear()
+                assert rd.verify_coupling(verdict.witness, seed=seed).ok
+                assert len(grids) == 2
+                for grid in grids:
+                    assert scanned[: len(grid)] == grid
 
     def test_a_support_escape_probes_each_outside_point_once(self, two_point, monkeypatch):
         # the family member reads y, which the relation's left projection

@@ -1,6 +1,7 @@
 """Fingerprint the CLI's output on every benchmark request of seeds 1-3,
-in exact and in float mode, and on a ``couple --threshold 0`` run of each
-exact-distance request.
+in exact and in float mode, on a ``couple --threshold 0`` run of each
+exact-distance request, and on ``distance`` and ``couple --threshold 0``
+runs of every pair of each mixed-matrix pool on the two-point space.
 
     python3 tools/output_identity.py --src src > new.txt
     python3 tools/output_identity.py --src ../old/src > old.txt
@@ -17,6 +18,11 @@ index, mode, exit code and the sha256 of its standard output.  Each
 exact-distance request is also run as ``couple`` with ``--threshold 0``
 on the same space and measures, whose report holds the verdict's
 certificate bytes; its lines name the workload ``exact-distance/couple``.
+Each pair (a, b), a before b, of a mixed-matrix pool on the two-point space,
+the only benchmark pool with sampled-tier pairs, is run as ``distance`` and
+as ``couple --threshold 0`` on its measures, each written to its own file;
+their lines name the workloads ``mixed-matrix/distance`` and
+``mixed-matrix/couple``, with the index ``<request>:<a>:<b>``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shutil
 import sys
 import tempfile
@@ -49,20 +56,41 @@ def main(argv=None) -> int:
         for workload in sorted(workloads.ROUNDS):
             for seed in SEEDS:
                 for i, op in enumerate(run.write_inputs(workload, seed, workdir)):
-                    runs = [(workload, op.argv)]
+                    runs = [(workload, i, op.argv)]
                     if workload == "exact-distance":
                         couple = ["couple", *op.argv[1:], "--threshold", "0"]
-                        runs.append((f"{workload}/couple", couple))
-                    for name, argv in runs:
+                        runs.append((f"{workload}/couple", i, couple))
+                    if workload == "mixed-matrix" and op.req["space_json"]["points"] == ["x", "y"]:
+                        runs.extend(pair_runs(i, op, workdir))
+                    for name, index, argv in runs:
                         for mode in MODES:
                             out = io.StringIO()
                             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                                 code = cli_main(argv + ["--mode", mode])
                             digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                            print(f"{name} {seed} {i} {mode} {code} {digest}")
+                            print(f"{name} {seed} {index} {mode} {code} {digest}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
+
+
+def pair_runs(i: int, op, workdir: Path) -> list:
+    """(name, index, argv) of ``distance`` and ``couple --threshold 0`` on
+    every pair of the pool of matrix request ``i``."""
+    space, common = op.argv[1:3], op.argv[-4:]  # --space FILE; --seed 0 --format json
+    files = []
+    for k, member in enumerate(op.req["pool"]):
+        path = workdir / f"pool{i}-member{k}.json"
+        path.write_text(json.dumps(member["spec"]))
+        files.append(str(path))
+    runs = []
+    for a in range(len(files)):
+        for b in range(a + 1, len(files)):
+            argv = [*space, "--measure", files[a], "--measure", files[b], *common]
+            runs.append(("mixed-matrix/distance", f"{i}:{a}:{b}", ["distance", *argv]))
+            couple = ["couple", *argv, "--threshold", "0"]
+            runs.append(("mixed-matrix/couple", f"{i}:{a}:{b}", couple))
+    return runs
 
 
 if __name__ == "__main__":
