@@ -61,10 +61,28 @@ set of the chain.  The decider runs three steps:
      chain.  Sets where every column is nonpositive are left out, and
      chains with the same remaining sets share one LP.
 
+A second exact decider takes every other pair on an exact two-point space
+whose relation has full projections, so that (a) holds, when both measures
+have ``RiskMeasure.breakpoints`` ("exact-two-point"): family members that
+pass their exact axiom check, capacities, and mixtures, max and min of
+these.  By translation invariance (b) and (c) need only psi = (0, t).  The
+section minima of psi are 0, t or min(0, t), and mu(a, b) = a + g(b - a)
+with g(t) = mu(0, t), so each side's gap mua(section_minima(psi, lists)) -
+mub(psi) is piecewise affine in t with kinks in T = {0} and +-K1 and +-K2,
+K the breakpoints of each measure.  Monotone translation invariant measures
+are 1-Lipschitz in the sup norm (Foellmer and Schied, Stochastic Finance,
+2004), so the gap is continuous, and its supremum is reached at a point of
+T unless it rises without bound along one of the two rays past T.  The
+decider evaluates the gap on T and one step past each end: a positive value
+refutes, and so does a ray on which the gap rises, at the first whole step
+where it turns positive; otherwise the pair is feasible.  Either verdict is
+a proof.
+
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
-extension.  Black boxes, two-point family members and combinations with
-such parts stay on the sampled tier, and so does a pair whose uncovered
+extension.  Black boxes, pushforwards and combinations with such parts stay
+on the sampled tier, and so do float spaces, relations with a projection
+that misses a point, defective family members and a pair whose uncovered
 chains outgrow ``CHAIN_BUDGET``.  That tier scans (a), (b) and (c) over
 one fixed grid, whatever the caller: ``probe_grid(space, seed,
 REFUTATION_RANDOMS)``.  A probe that refutes gives an infeasible verdict
@@ -228,10 +246,12 @@ class FeasibilityVerdict:
     """The answer of ``admissible``.
 
     ``tier`` names how it was reached: the proofs "dirac" (two point
-    masses), "exact-choquet" (two capacities, float spaces included) and
-    "exact-lattice" (any other pair with normal forms, on exact spaces), or
-    the sampled "refutation-sampled" (a probe refuted) and "witness-found"
-    (no probe refuted).  A feasible verdict carries the lower extension as
+    masses), "exact-choquet" (two capacities, float spaces included),
+    "exact-lattice" (any other pair with normal forms, on exact spaces) and
+    "exact-two-point" (any other pair with breakpoints, on an exact
+    two-point space with full projections), or the sampled
+    "refutation-sampled" (a probe refuted) and "witness-found" (no probe
+    refuted).  A feasible verdict carries the lower extension as
     ``witness``; an infeasible one a ``certificate`` of one "kind":
 
     * "pair-outside-support", ``pair`` = (i, j): two point masses whose
@@ -272,8 +292,10 @@ def admissible(
     normal forms goes to one exact decider: two capacities on any space
     ("exact-choquet", after a support check of each capacity against its
     projection of S), any other such pair on an exact space when the
-    projections hold every part's support ("exact-lattice").  The rest, and
-    a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
+    projections hold every part's support ("exact-lattice").  On an exact
+    two-point space with full projections, any other pair whose measures
+    both have breakpoints goes to the second ("exact-two-point").  The
+    rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -312,8 +334,9 @@ def admissible(
                 point = (escaped & -escaped).bit_length() - 1
                 return _refuted("exact-choquet", "support-escape", side, point=point)
         return _decide(mu1, mu2, s, "exact-choquet")
+    space = mu1.space
     if (
-        mu1.space.exact
+        space.exact
         and _parts_inside(mu1, s.left_projection)
         and _parts_inside(mu2, s.right_projection)
     ):
@@ -321,6 +344,14 @@ def admissible(
             return _decide(mu1, mu2, s, "exact-lattice")
         except _ChainBudgetExceeded:
             pass  # too many chains to solve one by one: probe instead
+    elif (
+        space.exact
+        and space.n == 2
+        and s.left_projection == s.right_projection == space.full_mask
+        and mu1.breakpoints is not None
+        and mu2.breakpoints is not None
+    ):
+        return _decide_two_point(mu1, mu2, s)
     return _admissible_sampled(mu1, mu2, s, seed)
 
 
@@ -548,6 +579,46 @@ def _positive_combination(rows):
         if v < K:
             t[v] = table[c][-1]
     return t
+
+
+def _decide_two_point(mu1, mu2, s: Relation) -> FeasibilityVerdict:
+    """The exact decider of a pair on an exact two-point space, with full
+    projections, from the measures' breakpoints; the module docstring gives
+    the argument."""
+    tol = mu1.space.tol
+    zero = Fraction(0)
+    kinks = {zero, *mu1.breakpoints, *mu2.breakpoints}
+    points = sorted({*kinks, *(-t for t in kinks)})
+    first, last = points[0] - 1, points[-1] + 1
+    for side, mua, mub, lists in (
+        ("left", mu1, mu2, s.section_lists),
+        ("right", mu2, mu1, s.inv_section_lists),
+    ):
+        def values(t):
+            psi = (zero, t)
+            return psi, (
+                evaluate_values(mua, section_minima(psi, lists)),
+                evaluate_values(mub, psi),
+            )
+
+        gaps = {}
+        for t in (first, *points, last):
+            psi, (lhs, rhs) = values(t)
+            if lhs > rhs + tol:
+                return _refuted(
+                    "exact-two-point", "envelope-domination", side, psi=psi, values=(lhs, rhs)
+                )
+            gaps[t] = lhs - rhs
+        # past the outer points the gap is affine: one that rises outwards
+        # turns positive some whole number of steps further out
+        for end, step in ((first, -1), (last, 1)):
+            rise = gaps[end] - gaps[end - step]
+            if rise > 0:
+                psi, pair = values(end + step * (-gaps[end] // rise + 1))
+                return _refuted(
+                    "exact-two-point", "envelope-domination", side, psi=psi, values=pair
+                )
+    return FeasibilityVerdict("feasible", "exact-two-point", witness=lower_coupling(mu1, mu2, s))
 
 
 def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:

@@ -68,7 +68,9 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
     apart, so only a matrix written exactly as one that was already
     validated is found this way; any other goes through ``validate_metric``,
     which validates it or finds an equal space by value, and then its text
-    is keyed too.
+    is keyed too.  The table holds spaces weakly, so the space returned
+    last is also held here, in one slot: a run of requests on one space,
+    each of which drops its measures when it returns, finds it by its text.
     """
     if not isinstance(obj, dict) or "points" not in obj or "dist" not in obj:
         raise InputFormatError('space JSON needs "points" and "dist"')
@@ -86,6 +88,7 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
     else:
         space = _loaded.get(key)
         if space is not None:
+            _last_loaded[0] = space
             return space
     try:
         space = validate_metric(points, dist, mode=mode)
@@ -93,7 +96,12 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
         raise InputFormatError(f"bad distance entry: {exc}") from exc
     if key is not None:
         _loaded[key] = space
+    _last_loaded[0] = space
     return space
+
+
+#: the space ``load_space`` returned last, held strongly
+_last_loaded: list = [None]
 
 
 def json_list(value: Any, what: str, of_lists: bool = False) -> list:

@@ -31,6 +31,20 @@ max joins the parts' rows and spreads their groups (one group per choice of
 a group from each part: max distributes over min); min is the dual.  A
 capacity is its own one-entry form.  The coupling module decides pairs of
 such measures exactly from these forms.
+
+Breakpoints.  On an exact two-point space a measure is mu(phi) = phi0 +
+g(phi1 - phi0) by translation invariance, and ``RiskMeasure.breakpoints``
+lists finitely many t between which g(t) = mu(0, t) is affine, or is None
+where no such list is known.  A measure with normal forms is positively
+homogeneous, so g is affine on each side of 0; a family member that passes
+its exact axiom check breaks at ``twopoint.breakpoints``; a mixture
+without a capacity at its parts' points; a max or min at its parts' points
+and at every crossing of two parts' affine pieces, each piece read from two
+evaluations.  Black boxes, pushforwards and defective family members have
+none, and neither has a combination with one of them among its parts.  So
+a measure with breakpoints passes its axioms exactly, and its g is
+continuous.  The coupling module decides two-point pairs exactly from these
+points.
 """
 
 from __future__ import annotations
@@ -38,8 +52,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import chain, product
+from functools import cached_property, lru_cache, partial
+from itertools import chain, combinations, product
 from math import prod
 from operator import add, itemgetter
 from typing import Callable, Optional, Sequence
@@ -55,7 +69,7 @@ from .capacity import (
 from .errors import InvalidParams, SpaceMismatch
 from .numerics import Scalar
 from .space import FiniteMetricSpace, PointFunction, PointSubset
-from .twopoint import TwoPointParams, branch_boundaries, two_point_eval
+from .twopoint import TwoPointParams, branch_boundaries, breakpoints, two_point_eval
 
 #: seeded function pairs tried per point when probing a support
 SUPPORT_PROBES = 256
@@ -71,6 +85,7 @@ EVAL_MEMO_SIZE = 4096
 
 #: most capacities one lattice normal form may list; a nesting whose spread
 #: form would list more keeps no form, and its pairs stay on the sampled tier
+#: except on an exact two-point space, where its breakpoints decide them
 MAX_FORM_TERMS = 64
 
 #: rows of a max-of-min form, or groups of a min-of-max form
@@ -102,6 +117,14 @@ class RiskMeasure:
 
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
+
+    @cached_property
+    def breakpoints(self) -> Optional[tuple[Fraction, ...]]:
+        """The sorted t between which g(t) = mu(0, t) is affine, on an exact
+        two-point space, or None for a black box, a pushforward, a
+        defective family member and any combination with one among its
+        parts; the module docstring lists the cases."""
+        return _breakpoints(self)
 
 
 def _memo(evaluator):
@@ -191,6 +214,50 @@ def normal_forms(mu: RiskMeasure) -> Optional[tuple[Form, Form]]:
         form = ((mu.capacity,),)
         return form, form
     return mu.forms
+
+
+def _breakpoints(mu: RiskMeasure) -> Optional[tuple[Fraction, ...]]:
+    zero = Fraction(0)
+    if normal_forms(mu) is not None:
+        return (zero,)  # positively homogeneous
+    if mu.kind == "two-point":
+        report = _exact_report(mu)
+        if report is None or not report.ok:
+            return None  # g may jump, where no list of points can show it
+        return tuple(map(Fraction, breakpoints(mu.params)))
+    if not mu.parts:
+        return None  # a black box or a pushforward
+    parts = [p.breakpoints for p in mu.parts]
+    if None in parts:
+        return None
+    points = sorted(set(chain.from_iterable(parts)))
+    if mu.kind == "mixture":
+        return tuple(points)
+    # a max or min: each part is affine between consecutive points, and so
+    # is the pick, except where two parts cross
+    crossings = set()
+    ends = [None, *points, None]
+    for lo, hi in zip(ends, ends[1:]):
+        t1, t2 = _two_inside(lo, hi)
+        lines = []  # (slope, value at t1) of each part
+        for p in mu.parts:
+            y1, y2 = evaluate_values(p, (zero, t1)), evaluate_values(p, (zero, t2))
+            lines.append(((y2 - y1) / (t2 - t1), y1))
+        for (s1, y1), (s2, y2) in combinations(lines, 2):
+            if s1 != s2:
+                t = t1 + (y2 - y1) / (s1 - s2)
+                if (lo is None or t > lo) and (hi is None or t < hi):
+                    crossings.add(t)
+    return tuple(sorted({*points, *crossings}))
+
+
+def _two_inside(lo, hi):
+    """Two points inside the interval from lo to hi; None is an open end."""
+    if lo is None:
+        return hi - 2, hi - 1
+    if hi is None:
+        return lo + 1, lo + 2
+    return lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
 
 
 def _lattice_forms(kind: str, parts) -> Optional[tuple[Form, Form]]:
@@ -418,19 +485,12 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
             "translation-invariance", {"phi": (zero, t), "shift": one}, (base, moved)
         )
 
-    points = sorted(
-        {zero, *map(F, branch_boundaries(mu.params)), *(F(t) for t, _ in mu.params.shape.knots)}
-    )
+    points = [F(t) for t in breakpoints(mu.params)]
     ends = [None, *points, None]
     out: list[Violation] = []
     forms = []  # (alpha, beta, gamma) of each strip, left to right
     for lo, hi in zip(ends, ends[1:]):
-        if lo is None:
-            t1, t2 = hi - 2, hi - 1
-        elif hi is None:
-            t1, t2 = lo + 1, lo + 2
-        else:
-            t1, t2 = lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
+        t1, t2 = _two_inside(lo, hi)
         g1, g2, moved = ev(zero, t1), ev(zero, t2), ev(one, one + t1)
         beta = (g2 - g1) / (t2 - t1)
         alpha = moved - g1 - beta

@@ -86,11 +86,11 @@ def bottleneck_distance(
 
     The scan stops at the first feasible level.  Every feasible verdict
     carries its witness, and nothing re-checks it here: on the Dirac,
-    capacity and lattice tiers the verdict is a proof, which makes the
-    result "exact"; a "witness-found" verdict says only that no probe of the
-    sampled tier's one fixed grid refuted, which makes it "sampled".  Every
-    ladder relation holds the diagonal, so its projections are full and no
-    level probes a support.
+    capacity, lattice and two-point tiers the verdict is a proof, which
+    makes the result "exact"; a "witness-found" verdict says only that no
+    probe of the sampled tier's one fixed grid refuted, which makes it
+    "sampled".  Every ladder relation holds the diagonal, so its
+    projections are full and no level probes a support.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -223,7 +223,7 @@ def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
 def _check_witnesses(results, seed: int, tol) -> list[dict]:
     """Cost and witness checks on a seeded sample of 24 pairs; a witness is
     re-sampled only when its result is not certified "exact", since the
-    Dirac, capacity and lattice tiers prove theirs."""
+    Dirac, capacity, lattice and two-point tiers prove theirs."""
     k = len(results)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     random.Random(seed).shuffle(pairs)

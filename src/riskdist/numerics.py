@@ -64,8 +64,9 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Render a scalar the way the JSON interfaces expect it."""
-    if isinstance(x, Fraction):
+    """Render a scalar the way the JSON interfaces expect it: an exact
+    value (a ``Fraction`` or an ``int`` that is no ``bool``) as ``str``."""
+    if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
         return str(x)
     if x == POS_INF:
         return "+inf"

@@ -29,10 +29,10 @@ monotone for every valid parameter set.  The branch tests depend on phi only
 through t = phi1 - phi0, so mu(phi) = phi0 + g(t) with g piecewise linear,
 and mu is monotone iff g is continuous with every slope in [0, 1].
 ``measures.verify_axioms`` decides each member on an exact space this way:
-it reads the affine form of mu on every strip of t between the breakpoints
-(0, the shape knots and ``branch_boundaries``) from evaluations, and reports
-each jump of g and each slope outside [0, 1] with a monotone pair that
-re-checks exactly.  Three classes of defect break monotonicity:
+it reads the affine form of mu on every strip of t between the
+``breakpoints`` (0, the shape knots and ``branch_boundaries``) from
+evaluations, and reports each jump of g and each slope outside [0, 1] with
+a monotone pair that re-checks exactly.  Three classes of defect break monotonicity:
 
     A. fallback jump: the shape weight jumps where t enters the uncovered
        region, and f does not vanish there;
@@ -229,3 +229,13 @@ def branch_boundaries(p: TwoPointParams) -> list[Scalar]:
         if is_finite(a) and is_finite(b):
             out.append(a - b)
     return sorted(set(out))
+
+
+def breakpoints(p: TwoPointParams) -> list[Scalar]:
+    """0, the branch boundaries and the shape knots, sorted: the values of
+    t = phi1 - phi0 between which a member is affine on its strip of t.
+
+    The branch tests and the max and min terms switch only at the
+    boundaries, and the shape is affine between its knots.
+    """
+    return sorted({0, *branch_boundaries(p), *(t for t, _ in p.shape.knots)})

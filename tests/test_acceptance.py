@@ -119,16 +119,16 @@ def test_criterion_03_bottleneck_transport_agreement():
 
 
 def structured(mu) -> bool:
-    """No two-point member and no black box anywhere in mu."""
-    return mu.kind not in ("two-point", "blackbox") and all(map(structured, mu.parts))
+    """No black box anywhere in mu."""
+    return mu.kind != "blackbox" and all(map(structured, mu.parts))
 
 
 @pytest.mark.parametrize("name", list(SPACES))
 def test_criterion_04_metric_axioms(name, monkeypatch):
     from riskdist import metric
 
-    # every ladder verdict, by tier; pairs of capacities and lattices of
-    # capacities must be decided by a proof
+    # every ladder verdict, by tier; every pair without a black box must be
+    # decided by a proof
     tiers = Counter()
     sampled_structured = []
     admissible = metric.admissible

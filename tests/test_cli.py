@@ -315,6 +315,16 @@ class TestConvergeAndAudit:
         rows = capsys.readouterr().out.splitlines()[1:3]
         assert [row.split(",")[2] for row in rows] == ["2", "0"]  # the metric
 
+    def test_converge_prints_an_exact_integer_gap_as_an_integer(self, capsys):
+        # Dirac measures read integer probes back as ints, which print as
+        # written, not as floats
+        seq = {"space": P3, "limit": DIRAC_A, "terms": [DIRAC_C, DIRAC_A]}
+        assert main(["converge", "--sequence", json.dumps(seq), "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        gaps = [row.split(",")[1] for row in rows]
+        assert all(gap.lstrip("-").isdigit() for gap in gaps), gaps
+        assert gaps[1] == "0"
+
     def test_audit_metric(self, space_file, capsys):
         code = main(
             [

@@ -6,7 +6,9 @@ import pytest
 
 import riskdist as rd
 from riskdist.coupling import (
+    _admissible_sampled,
     _inner_mask_tables,
+    section_minima,
     triple_projection_map,
     triple_space,
 )
@@ -351,7 +353,7 @@ class TestExactLatticeTier:
 
 
 def test_every_envelope_domination_certificate_rechecks_by_evaluation():
-    from conftest import fixture_spaces
+    from conftest import fixture_spaces, make_two_point
 
     checked = Counter()
     for base in fixture_spaces():
@@ -373,10 +375,23 @@ def test_every_envelope_domination_certificate_rechecks_by_evaluation():
                 assert_certificate_rechecks(mu1, mu2, s, cert)
                 assert cert["values"][0] > cert["values"][1] + space.tol
                 checked[verdict.tier, space.exact] += 1
+    # family members and their combinations on the two-point space, on
+    # every relation with full projections
+    space = make_two_point()
+    rng = derive_rng(107, "certificates-family")
+    for _ in range(24):
+        mu1, mu2 = random_family_combo(space, rng), random_family_combo(space, rng)
+        s = rng.choice(full_projection_relations(space))
+        verdict = rd.admissible(mu1, mu2, s, seed=5)
+        cert = verdict.certificate or {}
+        if cert.get("kind") == "envelope-domination":
+            assert_certificate_rechecks(mu1, mu2, s, cert)
+            checked[verdict.tier, space.exact] += 1
     for key in (
         ("exact-choquet", True),
         ("exact-choquet", False),
         ("exact-lattice", True),
+        ("exact-two-point", True),
         ("refutation-sampled", True),
         ("refutation-sampled", False),
     ):
@@ -389,6 +404,100 @@ def tuple_simplex(rng, k):
         raw[0] = 1
     total = sum(raw)
     return tuple(F(r, total) for r in raw)
+
+
+def full_projection_relations(space):
+    """Every relation on the space with both projections full."""
+    pairs = [(i, j) for i in range(space.n) for j in range(space.n)]
+    out = []
+    for mask in range(1, 1 << len(pairs)):
+        s = Relation.from_pairs(space, space, [p for b, p in enumerate(pairs) if mask >> b & 1])
+        if s.left_projection == s.right_projection == space.full_mask:
+            out.append(s)
+    return out
+
+
+def random_family_combo(space, rng):
+    """A sound family member, or a max, min or mixture of one with a
+    capacity or another member."""
+    from test_twopoint import random_family_member
+
+    mu = random_family_member(space, rng)
+    pick = rng.random()
+    if pick < 0.4:
+        return mu
+    other = rng.choice((random_family_member, random_capacity_measure))(space, rng)
+    if pick < 0.6:
+        return rd.mixture((F(1, 4), F(3, 4)), [mu, other])
+    return (rd.lattice_max if pick < 0.8 else rd.lattice_min)([mu, other])
+
+
+class TestTwoPointTier:
+    """Pairs without normal forms on an exact two-point space, decided at
+    their breakpoints."""
+
+    def test_decides_every_full_projection_relation(self, two_point):
+        # refutations re-check, a sampled refutation is never missed, and
+        # no psi = (0, t) on a fine grid refutes a feasible verdict
+        relations = full_projection_relations(two_point)
+        assert len(relations) == 7
+        rng = derive_rng(1616, "two-point-tier")
+        grid = [F(k, 8) for k in range(-320, 321)]
+        statuses = Counter()
+        for _ in range(12):
+            mu1, mu2 = random_family_combo(two_point, rng), random_family_combo(two_point, rng)
+            for s in relations:
+                verdict = rd.admissible(mu1, mu2, s, seed=3)
+                assert verdict.tier == "exact-two-point"
+                statuses[verdict.status] += 1
+                sampled = _admissible_sampled(mu1, mu2, s, 3)
+                if verdict.feasible:
+                    assert sampled.feasible
+                    for side, mua, mub, lists in (
+                        ("left", mu1, mu2, s.section_lists),
+                        ("right", mu2, mu1, s.inv_section_lists),
+                    ):
+                        for t in grid:
+                            psi = (F(0), t)
+                            lhs = evaluate_values(mua, section_minima(psi, lists))
+                            assert lhs <= evaluate_values(mub, psi), (side, t)
+                    assert rd.verify_coupling(verdict.witness, samples=32, seed=3).ok
+                else:
+                    assert_certificate_rechecks(mu1, mu2, s, verdict.certificate)
+        assert min(statuses["feasible"], statuses["infeasible"]) >= 20, statuses
+
+    def test_refutes_where_the_gap_rises_past_the_outer_points(self, two_point):
+        # S = {(x, x), (x, y), (y, y)}: for t >= 0 the left check reads
+        # g1(t) = max(0, t - 20) against g2(t) = min(t, 10); both break at
+        # 0, 10 and 20 only, and the gap first turns positive past t = 30
+        from test_twopoint import member
+
+        zero = F(0)
+        mu1 = member(two_point, (zero, zero, F(1), zero), (zero, F(-20), zero, zero))
+        mu2 = member(two_point, (zero, zero, zero, F(1)), (zero, zero, F(10), zero))
+        s = Relation.from_pairs(two_point, two_point, [(0, 0), (0, 1), (1, 1)])
+        verdict = rd.admissible(mu1, mu2, s)
+        assert (verdict.status, verdict.tier) == ("infeasible", "exact-two-point")
+        assert verdict.certificate["side"] == "left"
+        assert verdict.certificate["psi"][1] > 30
+        assert_certificate_rechecks(mu1, mu2, s, verdict.certificate)
+
+    def test_black_boxes_gaps_and_floats_stay_sampled(self, two_point):
+        from test_twopoint import member
+
+        half = (F(1, 2), F(1, 2), F(0), F(0))
+        mu = member(two_point, half, knots=rd.ShapeFunction.identity().knots)
+        other = member(two_point, half)
+        full = sublevel_relation(two_point, F(5, 2))
+        assert rd.admissible(mu, other, full).tier == "exact-two-point"
+        assert rd.admissible(shadow(mu), other, full).tier == "witness-found"
+        gap = Relation.from_pairs(two_point, two_point, [(0, 0), (0, 1)])
+        assert rd.admissible(mu, other, gap).tier in ("witness-found", "refutation-sampled")
+        floats = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]], mode="float")
+        p = rd.TwoPointParams((0.5, 0.5, 0.0, 0.0), (0.0,) * 4, rd.ShapeFunction.zero())
+        mu = rd.two_point_measure(floats, p)
+        verdict = rd.admissible(mu, mu, sublevel_relation(floats, 0.0))
+        assert verdict.tier == "witness-found"
 
 
 class TestSampledTier:

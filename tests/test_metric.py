@@ -103,8 +103,8 @@ class TestBottleneckDistance:
 
     def test_family_pair_two_point_ladder(self, two_point):
         # ladder on a two-point space is {0, d}; members differing only in
-        # the shape function probe as equal, so the distance is 0 at the
-        # sampled tier
+        # the shape function are distinct (phi1 against the mean), so level
+        # 0 is refuted and the pair sits at d, both decided exactly
         base = (F(1, 2), F(1, 2), F(0), F(0))
         zeros = (F(0),) * 4
         mu_f = rd.two_point_measure(
@@ -114,8 +114,25 @@ class TestBottleneckDistance:
             two_point, rd.TwoPointParams(base, zeros, rd.ShapeFunction.zero())
         )
         res = rd.bottleneck_distance(mu_f, mu_g, seed=4)
-        assert res.value in (0, F(5, 2))
-        assert res.tier in ("witness-found", "refutation-sampled")
+        assert res.value == F(5, 2)
+        assert res.tier == "exact-two-point" and res.certification == "exact"
+        assert [tier for _, _, tier in res.ladder] == ["exact-two-point"] * 2
+
+    def test_members_equal_at_every_probe_are_told_apart(self, two_point):
+        # g1 = g2 wherever t is an integer or +-5/2, which is every probe
+        # of the refutation grid; they differ at t = 1/2 (1/4 against 3/8)
+        base = (F(1, 2), F(1, 2), F(0), F(0))
+        zeros = (F(0),) * 4
+        f1 = ((F(-1), F(0)), (F(0), F(0)), (F(1, 2), F(0)), (F(1), F(1, 2)))
+        f2 = ((F(-1), F(0)), (F(0), F(0)), (F(1), F(1, 2)), (F(2), F(3, 2)))
+        mu1, mu2 = (
+            rd.two_point_measure(two_point, rd.TwoPointParams(base, zeros, rd.ShapeFunction(f)))
+            for f in (f1, f2)
+        )
+        assert rd.verify_axioms(mu1).ok and rd.verify_axioms(mu2).ok
+        assert [evaluate_values(mu, (F(0), F(1, 2))) for mu in (mu1, mu2)] == [F(1, 4), F(3, 8)]
+        res = rd.bottleneck_distance(mu1, mu2)
+        assert (res.value, res.tier, res.certification) == (F(5, 2), "exact-two-point", "exact")
 
 
 def assert_every_witness_verifies(results):

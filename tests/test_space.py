@@ -320,6 +320,10 @@ class TestCachedHashes:
         assert len([k for k in _loaded.keys() if labels in k]) == 2
         del space
         gc.collect()
+        # load_space holds the space it returned last, and only that one
+        assert len([k for k in _loaded.keys() if labels in k]) == 2
+        load_space({"points": ["other"], "dist": [[0]]})
+        gc.collect()
         assert not [k for k in _loaded.keys() if labels in k]
 
     def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):

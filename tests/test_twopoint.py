@@ -1,12 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import riskdist as rd
-from riskdist.ensembles import derive_rng, random_two_point_params
+from riskdist.ensembles import derive_rng, random_measure, random_two_point_params
 from riskdist.errors import InvalidParams
+from riskdist.measures import evaluate_values, normal_forms
 from riskdist.numerics import NEG_INF, POS_INF
-from riskdist.twopoint import TwoPointValue, branch_boundaries, two_point_eval
+from riskdist.twopoint import TwoPointValue, branch_boundaries, breakpoints, two_point_eval
 
 from test_acceptance import Defect, recheck_two_point_violation, two_point_census
 
@@ -397,6 +399,107 @@ class TestExactTier:
         report = rd.verify_axioms(rd.two_point_measure(two_point, slope), mode="exact")
         assert not report.ok and report.method == "exact"
         assert_rechecks(report, slope)
+
+
+#: a sound member whose g breaks at -4, -2, -1, 0, 1 and 3
+KINKED_SHIFTS = (F(-2), F(0), F(0), F(1))
+KINKED_KNOTS = ((F(-4), F(-1)), (F(-2), F(0)), (F(0), F(0)), (F(1), F(0)), (F(3), F(1)))
+
+
+def member(space, alphas, lambdas=ZEROS, knots=None):
+    shape = rd.ShapeFunction(knots) if knots else rd.ShapeFunction.zero()
+    return rd.two_point_measure(space, rd.TwoPointParams(alphas, lambdas, shape))
+
+
+def random_family_member(space, rng):
+    """A random family member that passes its axioms."""
+    while True:
+        mu = rd.two_point_measure(space, random_two_point_params(rng))
+        if rd.verify_axioms(mu).ok:
+            return mu
+
+
+def assert_affine_between_breakpoints(mu):
+    """g(t) = mu(0, t) is affine on each piece between consecutive
+    breakpoints, and on the rays past the outer ones, at nine points each."""
+    points = mu.breakpoints
+    ends = [points[0] - 8, *points, points[-1] + 8]
+    for lo, hi in zip(ends, ends[1:]):
+        ts = [lo + k * (hi - lo) / 8 for k in range(9)]
+        gs = [evaluate_values(mu, (F(0), t)) for t in ts]
+        slope = (gs[-1] - gs[0]) / (hi - lo)
+        assert all(g == gs[0] + slope * (t - lo) for t, g in zip(ts, gs)), (mu.kind, lo, hi)
+
+
+class TestBreakpoints:
+    def test_family_breakpoints_are_zero_boundaries_and_knots(self):
+        p = rd.TwoPointParams((F(1, 4),) * 4, KINKED_SHIFTS, rd.ShapeFunction(KINKED_KNOTS))
+        assert branch_boundaries(p) == [-2, -1]
+        assert breakpoints(p) == [-4, -2, -1, 0, 1, 3]
+        assert breakpoints(params((F(1), F(0), F(0), F(0)))) == [0]
+
+    def test_g_is_affine_between_breakpoints_of_random_measures(self, two_point):
+        # random_measure draws, and max, min and mixtures of family members
+        # with capacities
+        rng = derive_rng(1606, "breakpoints")
+        kinds = Counter()
+        for _ in range(120):
+            mu = random_measure(two_point, rng)
+            if rng.random() < 0.5:
+                parts = [mu, random_family_member(two_point, rng)]
+                combine = rng.choice((rd.lattice_max, rd.lattice_min, rd.mixture))
+                if combine is rd.mixture:
+                    mu = rd.mixture((F(1, 3), F(2, 3)), parts)
+                else:
+                    mu = combine(parts)
+            # a measure has breakpoints iff it passes its axioms exactly
+            report = rd.verify_axioms(mu)
+            assert (mu.breakpoints is not None) == (report.ok and report.method == "exact")
+            if mu.breakpoints is None:
+                continue
+            assert_affine_between_breakpoints(mu)
+            kinds[mu.kind, normal_forms(mu) is None] += 1
+        for kind in ("two-point", "max", "min", "mixture"):
+            assert kinds[kind, True] >= 5, kinds
+
+    def test_g_is_affine_between_breakpoints_of_combinations(self, two_point):
+        # g_a(t) = t / 2 and g_b(t) = min(3, t) cross at 6, which neither
+        # lists: the max and the min add it
+        a = member(two_point, (F(1, 2), F(1, 2), F(0), F(0)))
+        b = member(two_point, (F(0), F(0), F(0), F(1)), (F(0), F(0), F(3), F(0)))
+        assert (a.breakpoints, b.breakpoints) == ((0,), (0, 3))
+        kinked = member(two_point, (F(1, 4),) * 4, KINKED_SHIFTS, KINKED_KNOTS)
+        expectation = rd.choquet_measure(rd.expectation(two_point, (F(1, 3), F(2, 3))))
+        combos = {
+            "max": rd.lattice_max([a, b]),
+            "min": rd.lattice_min([a, b]),
+            "mixture": rd.mixture((F(1, 2), F(1, 2)), [a, b]),
+            "nested": rd.lattice_min([rd.lattice_max([a, kinked]), b, expectation]),
+            "mixed": rd.mixture((F(1, 3), F(2, 3)), [kinked, rd.lattice_max([b, expectation])]),
+        }
+        assert 6 in combos["max"].breakpoints and 6 in combos["min"].breakpoints
+        assert combos["mixture"].breakpoints == (0, 3)
+        for mu in (a, b, kinked, *combos.values()):
+            assert rd.verify_axioms(mu).ok
+            assert_affine_between_breakpoints(mu)
+
+    def test_homogeneous_measures_break_only_at_zero(self, two_point):
+        lattice = rd.lattice_max([rd.dirac(two_point, 0), rd.dirac(two_point, 1)])
+        assert lattice.breakpoints == (0,)
+        assert rd.dirac(two_point, 1).breakpoints == (0,)
+
+    def test_black_boxes_and_defective_members_have_none(self, two_point):
+        a = member(two_point, (F(1, 2), F(1, 2), F(0), F(0)))
+        box = rd.black_box(two_point, lambda v: v[0])
+        swap = rd.pushforward((1, 0), a, two_point)
+        # branch-4 slope defect (class C of the twopoint module)
+        identity = rd.ShapeFunction.identity().knots
+        slope = member(two_point, (F(1, 4),) * 4, (NEG_INF, F(0), F(0), F(0)), identity)
+        assert not rd.verify_axioms(slope).ok
+        for mu in (box, swap, slope):
+            assert mu.breakpoints is None
+            assert rd.lattice_max([a, mu]).breakpoints is None
+            assert rd.mixture((F(1, 2), F(1, 2)), [a, mu]).breakpoints is None
 
 
 def exact_defects(report, p):

@@ -19,8 +19,9 @@ exact-distance request is also run as ``couple`` with ``--threshold 0``
 on the same space and measures, whose report holds the verdict's
 certificate bytes; its lines name the workload ``exact-distance/couple``.
 Each pair (a, b), a before b, of a mixed-matrix pool on the two-point space,
-the only benchmark pool with sampled-tier pairs, is run as ``distance`` and
-as ``couple --threshold 0`` on its measures, each written to its own file;
+the only benchmark pool with family members and so the only one whose pairs
+reach the two-point tier, is run as ``distance`` and as ``couple
+--threshold 0`` on its measures, each written to its own file;
 their lines name the workloads ``mixed-matrix/distance`` and
 ``mixed-matrix/couple``, with the index ``<request>:<a>:<b>``.
 """
