@@ -43,10 +43,10 @@ convex lambda over the columns has sum_c lambda_c m_c(U_k) <= 0 on every
 set of the chain.  The decider runs three steps:
 
   1. indicator scan: each measure's table of mu(1_B), a capacity's own
-     ``scaled`` table or a lattice's max-of-min of its parts lifted to one
-     scale, is read at inner U against U for every U, cross-multiplied over
-     the two scales.  A subset where the pair compares the wrong way
-     refutes (b) or (c) outright.  A check with one column fails iff some
+     ``scaled`` table or the table a lattice builds with its normal forms
+     (``measures.indicators``), is read at inner U against U for every U,
+     cross-multiplied over the two scales.  A subset where the pair
+     compares the wrong way refutes (b) or (c) outright.  A check with one column fails iff some
      U has m(U) > 0, which this scan sees, so for two capacities it is the
      whole decision: the subset test A(inner U) <= B(U), cross-validated
      against independent brute-force oracles in the oracles module;
@@ -78,6 +78,19 @@ refutes, and so does a ray on which the gap rises, at the first whole step
 where it turns positive; otherwise the pair is feasible.  Either verdict is
 a proof.
 
+Deciding is split in two.  ``prepare_pair`` does, once per pair, what does
+not depend on S: the tier dispatch, each side's support mask (of the
+capacity, or the union over a lattice's parts), the two indicator tables
+cross-multiplied onto one scale, the part tables of step 2 lifted to one
+scale and, on the two-point tier, the points T and each side's mub(0, t).
+``decide`` then gives the verdict on one relation; ``admissible`` is
+``decide(prepare_pair(mu1, mu2), s, seed)``, and the distance ladder
+prepares once and decides at every level.  What outlives a pair is built
+where it belongs: each measure's indicator table with the measure, each
+relation's inner-mask tables (``Relation.inner_masks``) with the relation on
+first use, and the ladder's levels and relations once per space
+(``space.sublevel_ladder``).
+
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
 extension.  Black boxes, pushforwards and combinations with such parts stay
@@ -99,9 +112,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
+from itertools import compress
 from math import lcm
-from operator import and_
+from operator import gt, le, or_
 from typing import Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
@@ -112,6 +126,8 @@ from .measures import (
     black_box,
     equal_measures,
     evaluate_values,
+    indicators,
+    lift,
     normal_forms,
     probe_axioms,
     probe_batch,
@@ -119,6 +135,7 @@ from .measures import (
     pushforward,
     sampled_report,
     separating_pairs,
+    times,
 )
 from .numerics import Scalar
 from .space import (
@@ -233,7 +250,9 @@ def lower_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingW
 
 
 def _check_coupling_spaces(mu1, mu2, s: Relation):
-    if mu1.space != s.left or mu2.space != s.right:
+    if (mu1.space is not s.left and mu1.space != s.left) or (
+        mu2.space is not s.right and mu2.space != s.right
+    ):
         raise SpaceMismatch("marginals must live on the relation's factor spaces")
 
 
@@ -280,37 +299,98 @@ class FeasibilityVerdict:
         return self.status == "feasible"
 
 
-def admissible(
-    mu1: RiskMeasure,
-    mu2: RiskMeasure,
-    s: Relation,
-    seed: int = 0,
-) -> FeasibilityVerdict:
-    """Decide whether some coupling of (mu1, mu2) is supported inside S.
+@dataclass(frozen=True, eq=False)
+class PreparedPair:
+    """What deciding (mu1, mu2) on any relation needs, built once per pair
+    by ``prepare_pair``: the tier ``route`` and the tables of that tier.
 
-    Two point masses read S at their pair.  Every other pair that has
-    normal forms goes to one exact decider: two capacities on any space
-    ("exact-choquet", after a support check of each capacity against its
-    projection of S), any other such pair on an exact space when the
-    projections hold every part's support ("exact-lattice").  On an exact
-    two-point space with full projections, any other pair whose measures
-    both have breakpoints goes to the second ("exact-two-point").  The
-    rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
-
-    Both measures must pass their axioms (``verify_axioms``); callers gate
-    them first, as ``bottleneck_distance`` and the CLI do.  The lower
-    extension couples only such measures, and the sampled tier's
-    "witness-found" verdict relies on it: that tier probes the coupling
-    conditions, not the witness's own axioms.
-
-    Supports are probed only on the sampled tier, and there only for a side
-    whose projection of S misses a point.  The reflexive relations of the
-    distance ladder have full projections, so a ladder scan probes none.
+    * ``reach``: per side, the union of the supports of the capacities in
+      the measure's normal form (its own support for a capacity), so that
+      the support-escape test and the parts-inside test are one mask test
+      per relation.
+    * ``scan``: per side, the tables (a, b) of the indicator scan,
+      cross-multiplied onto one scale with the tolerance added to b, and
+      the getters of the two measures' own values at a subset.
+    * ``checks``: per side, the (row, group) checks with more than one
+      column, each a list of (a, b) part tables lifted to one scale.
+    * ``points`` and ``rhs``: on the two-point tier, the points T with one
+      step past each end, and per side mub(0, t) at each of them.
     """
+
+    mu1: RiskMeasure
+    mu2: RiskMeasure
+    route: str  # a tier of an exact decider, or "sampled"
+    reach: tuple = ()
+    scan: tuple = ()
+    checks: tuple = ()
+    points: tuple = ()
+    rhs: tuple = ()
+
+
+def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
+    """The level-invariant part of ``admissible``: the tier dispatch and the
+    tables of the pair's tier, for ``decide`` to read on any relation."""
     if mu1.space != mu2.space:
         raise SpaceMismatch("marginals live on different spaces")
-    _check_coupling_spaces(mu1, mu2, s)
+    space = mu1.space
+    forms = normal_forms(mu1), normal_forms(mu2)
     if mu1.kind == "dirac" and mu2.kind == "dirac":
+        return PreparedPair(mu1, mu2, "dirac")
+    if mu1.capacity is not None and mu2.capacity is not None:
+        route = "exact-choquet"
+    elif space.exact and None not in forms:
+        route = "exact-lattice"
+    elif (
+        space.exact
+        and space.n == 2
+        and mu1.breakpoints is not None
+        and mu2.breakpoints is not None
+    ):
+        return _prepare_two_point(mu1, mu2)
+    else:
+        return PreparedPair(mu1, mu2, "sampled")
+    reach = tuple(
+        reduce(or_, (c.support_mask() for row in f[0] for c in row)) for f in forms
+    )
+    tol = space.tol
+    (t1, d1), (t2, d2) = indicators(mu1), indicators(mu2)
+    a1, a2 = times(t1, d2), times(t2, d1)
+    b1, b2 = (tuple([x + tol for x in a]) for a in (a1, a2)) if tol else (a1, a2)
+    g1, g2 = _values(mu1), _values(mu2)
+    # a check with one column is a comparison the scan makes
+    checks = tuple(
+        [[(a, b) for a in row for b in group] for row in fa[0] for group in fb[1]
+         if len(row) * len(group) > 1]
+        for fa, fb in zip(forms, forms[::-1])
+    )
+    if checks[0] or checks[1]:
+        caps = list({id(c): c for f in forms for row in f[0] for c in row}.values())
+        lifted = dict(zip(map(id, caps), lift((c.scaled, c.scale) for c in caps)[1]))
+        checks = tuple(
+            [[(lifted[id(a)], lifted[id(b)]) for a, b in check] for check in side]
+            for side in checks
+        )
+    scan = (a1, b2, g1, g2), (a2, b1, g2, g1)
+    return PreparedPair(mu1, mu2, route, reach, scan, checks)
+
+
+def _values(mu):
+    """The getter of mu(1_B) by B: a capacity's ``table``, or a lattice's
+    table entry over its scale as a Fraction, built when read."""
+    if mu.capacity is not None:
+        return mu.capacity.table.__getitem__
+    table, scale = indicators(mu)
+    return lambda b: Fraction(table[b], scale)
+
+
+def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict:
+    """The verdict of ``admissible`` on the prepared pair and the relation S:
+    the per-relation part, which every caller, the ladder scan included,
+    goes through."""
+    mu1, mu2 = pair.mu1, pair.mu2
+    _check_coupling_spaces(mu1, mu2, s)
+    route = pair.route
+    if route == "dirac":
         if s.matrix[mu1.point][mu2.point]:
             return FeasibilityVerdict(
                 "feasible", "dirac", witness=lower_coupling(mu1, mu2, s)
@@ -323,36 +403,62 @@ def admissible(
                 "pair": (mu1.point, mu2.point),
             },
         )
-    v1, v2 = mu1.capacity, mu2.capacity
-    if v1 is not None and v2 is not None:
-        for side, cap, proj in (
-            ("left", v1, s.left_projection),
-            ("right", v2, s.right_projection),
-        ):
-            escaped = cap.support_mask() & ~proj
+    projections = s.left_projection, s.right_projection
+    if route == "exact-choquet":
+        for side, reach, proj in zip(("left", "right"), pair.reach, projections):
+            escaped = reach & ~proj
             if escaped:
                 point = (escaped & -escaped).bit_length() - 1
-                return _refuted("exact-choquet", "support-escape", side, point=point)
-        return _decide(mu1, mu2, s, "exact-choquet")
-    space = mu1.space
-    if (
-        space.exact
-        and _parts_inside(mu1, s.left_projection)
-        and _parts_inside(mu2, s.right_projection)
-    ):
-        try:
-            return _decide(mu1, mu2, s, "exact-lattice")
-        except _ChainBudgetExceeded:
-            pass  # too many chains to solve one by one: probe instead
-    elif (
-        space.exact
-        and space.n == 2
-        and s.left_projection == s.right_projection == space.full_mask
-        and mu1.breakpoints is not None
-        and mu2.breakpoints is not None
-    ):
-        return _decide_two_point(mu1, mu2, s)
+                return _refuted(route, "support-escape", side, point=point)
+        return _decide(pair, s)
+    if route == "exact-lattice":
+        if not any(reach & ~proj for reach, proj in zip(pair.reach, projections)):
+            try:
+                return _decide(pair, s)
+            except _ChainBudgetExceeded:
+                pass  # too many chains to solve one by one: probe instead
+    elif route == "exact-two-point" and projections == (mu1.space.full_mask,) * 2:
+        return _decide_two_point(pair, s)
     return _admissible_sampled(mu1, mu2, s, seed)
+
+
+def admissible(
+    mu1: RiskMeasure,
+    mu2: RiskMeasure,
+    s: Relation,
+    seed: int = 0,
+) -> FeasibilityVerdict:
+    """Decide whether some coupling of (mu1, mu2) is supported inside S:
+    ``decide(prepare_pair(mu1, mu2), s, seed)``.
+
+    Two point masses read S at their pair.  Every other pair that has
+    normal forms goes to one exact decider: two capacities on any space
+    ("exact-choquet", after a support check of each capacity against its
+    projection of S), any other such pair on an exact space when the
+    projections hold every part's support ("exact-lattice").  On an exact
+    two-point space with full projections, any other pair whose measures
+    both have breakpoints goes to the second ("exact-two-point").  The
+    rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
+
+    ``prepare_pair`` does the work that depends on the pair alone, once:
+    the tier dispatch, each side's support masks, the indicator tables
+    cross-multiplied onto one scale, the lifted part tables of the chain
+    cover and, on the two-point tier, the points and right-hand values.
+    Each measure's own indicator table is built with its normal forms, and
+    each relation's inner-mask tables with the relation, so a ladder scan,
+    which prepares once and decides per level, rebuilds none of them.
+
+    Both measures must pass their axioms (``verify_axioms``); callers gate
+    them first, as ``bottleneck_distance`` and the CLI do.  The lower
+    extension couples only such measures, and the sampled tier's
+    "witness-found" verdict relies on it: that tier probes the coupling
+    conditions, not the witness's own axioms.
+
+    Supports are probed only on the sampled tier, and there only for a side
+    whose projection of S misses a point.  The reflexive relations of the
+    distance ladder have full projections, so a ladder scan probes none.
+    """
+    return decide(prepare_pair(mu1, mu2), s, seed)
 
 
 def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
@@ -361,128 +467,53 @@ def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
     )
 
 
-def _parts_inside(mu, projection: int) -> bool:
-    forms = normal_forms(mu)
-    return forms is not None and all(
-        not cap.support_mask() & ~projection for row in forms[0] for cap in row
-    )
-
-
-@lru_cache(maxsize=4096)
-def _inner_mask_tables(s: Relation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each subset B, the points whose (inverse) section fits inside B.
-
-    These depend on the relation alone, so ladder scans over many measure
-    pairs share them.
-    """
-    n = s.left.n
-    out = []
-    for sections in (s.sections, s.inv_sections):
-        table = []
-        for b in range(1 << n):
-            inner = 0
-            for x, sec in enumerate(sections):
-                if sec and sec & ~b == 0:
-                    inner |= 1 << x
-            table.append(inner)
-        out.append(tuple(table))
-    return tuple(out)
-
-
-def _decide(mu1, mu2, s: Relation, tier: str) -> FeasibilityVerdict:
+def _decide(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
     """The exact decider of every pair with normal forms; the module
     docstring gives the argument."""
-    space = mu1.space
-    n, tol = space.n, space.tol
-    left_inner, right_inner = _inner_mask_tables(s)
-    i1, i2 = _indicators(mu1), _indicators(mu2)
+    mu1, mu2, tier = pair.mu1, pair.mu2, pair.route
+    n = mu1.space.n
+    left_inner, right_inner = s.inner_masks
     sides = (
-        ("left", mu1, mu2, i1, i2, left_inner, s.section_lists),
-        ("right", mu2, mu1, i2, i1, right_inner, s.inv_section_lists),
+        ("left", mu1, mu2, left_inner, s.section_lists),
+        ("right", mu2, mu1, right_inner, s.inv_section_lists),
     )
 
     # 1. indicator scan: mua(1_(inner U)) against mub(1_U), cross-multiplied
-    # over the two tables' scales
-    for side, _, _, (ta, da, va), (tb, db, vb), inners, _ in sides:
-        for u in range(1 << n):
-            inner = inners[u]
-            if ta[inner] * db > tb[u] * da + tol:
-                psi = tuple([u >> x & 1 for x in range(n)])
-                values = (va(inner), vb(u))
-                return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+    # over the two tables' scales; the indexed loop only names the first U
+    for (side, *_, inners, _), (a, b, va, vb) in zip(sides, pair.scan):
+        if any(map(gt, map(a.__getitem__, inners), b)):
+            u = next(u for u in range(1 << n) if a[inners[u]] > b[u])
+            psi = tuple([u >> x & 1 for x in range(n)])
+            values = (va(inners[u]), vb(u))
+            return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
     # 2. and 3., one check per (row, group) with more than one column, over
     # the parts' tables lifted to one scale; a check with one column is a
     # comparison the scan has made, and two capacities have no other
-    if mu1.capacity is not None and mu2.capacity is not None:
-        return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
-    lifted = None
-    for side, mua, mub, *_, inners, lists in sides:
-        groups = normal_forms(mub)[1]
-        for row in normal_forms(mua)[0]:
-            for group in groups:
-                if len(row) * len(group) == 1:
-                    continue
-                if lifted is None:
-                    parts = (c for mu in (mu1, mu2) for r in normal_forms(mu)[0] for c in r)
-                    lifted = _lift(parts)[1]
-                columns = [
-                    (tuple(map(lifted[id(a)].__getitem__, inners)), lifted[id(b)])
-                    for a in row
-                    for b in group
-                ]
-                psi = _refuting_chain(columns, n)
-                if psi is not None:
-                    values = (
-                        evaluate_values(mua, section_minima(psi, lists)),
-                        evaluate_values(mub, psi),
-                    )
-                    return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+    for (side, mua, mub, inners, lists), checks in zip(sides, pair.checks):
+        for check in checks:
+            columns = [(tuple(map(a.__getitem__, inners)), b) for a, b in check]
+            psi = _refuting_chain(columns, n)
+            if psi is not None:
+                values = (
+                    evaluate_values(mua, section_minima(psi, lists)),
+                    evaluate_values(mub, psi),
+                )
+                return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
     return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
-
-
-def _indicators(mu):
-    """mu(1_B) for every subset B: a table, its scale and a getter of the
-    value at B.  A capacity gives its ``scaled``, ``scale`` and ``table``
-    as they are; a lattice the max-of-min of its parts' tables, lifted to
-    their common scale, with each value built as a Fraction when read."""
-    cap = mu.capacity
-    if cap is not None:
-        return cap.scaled, cap.scale, cap.table.__getitem__
-    rows = normal_forms(mu)[0]
-    scale, lifted = _lift(c for row in rows for c in row)
-    table = _pointwise(max, [_pointwise(min, [lifted[id(c)] for c in row]) for row in rows])
-    return table, scale, lambda b: Fraction(table[b], scale)
-
-
-def _lift(parts):
-    """The least common scale of exact capacities, and each one's table of
-    integers over it, keyed by ``id``."""
-    caps = {id(c): c for c in parts}
-    scale = lcm(*(c.scale for c in caps.values()))
-    return scale, {
-        key: c.scaled if c.scale == scale
-        else tuple(x * (scale // c.scale) for x in c.scaled)
-        for key, c in caps.items()
-    }
-
-
-def _pointwise(pick, tables):
-    return tables[0] if len(tables) == 1 else tuple(map(pick, *tables))
 
 
 def _refuting_chain(columns, n: int):
     """psi = sum_k t_k 1_(U_k) over the sets U_k of one chain's trace, with
     integers t_k >= 0 and sum_k t_k (a(U_k) - b(U_k)) > 0 for every column
     (a, b), or None when every maximal chain admits none."""
+    if any(all(map(le, a, b)) for a, b in columns):
+        return None  # one column is nonpositive on every subset
     everything = (1 << len(columns)) - 1
     covered = [0] * (1 << n)  # columns with a(U) <= b(U), per subset U
     for c, (a, b) in enumerate(columns):
         bit = 1 << c
-        for u, (x, y) in enumerate(zip(a, b)):
-            if x <= y:
-                covered[u] |= bit
-    if reduce(and_, covered):
-        return None  # one column is nonpositive on every subset
+        for u in compress(range(1 << n), map(le, a, b)):
+            covered[u] |= bit
     for live in sorted(_uncovered_traces(covered, n, everything)):
         t = _positive_combination([[a[u] - b[u] for a, b in columns] for u in live])
         if t is not None:
@@ -581,42 +612,53 @@ def _positive_combination(rows):
     return t
 
 
-def _decide_two_point(mu1, mu2, s: Relation) -> FeasibilityVerdict:
-    """The exact decider of a pair on an exact two-point space, with full
-    projections, from the measures' breakpoints; the module docstring gives
-    the argument."""
-    tol = mu1.space.tol
+def _prepare_two_point(mu1, mu2) -> PreparedPair:
     zero = Fraction(0)
     kinks = {zero, *mu1.breakpoints, *mu2.breakpoints}
     points = sorted({*kinks, *(-t for t in kinks)})
-    first, last = points[0] - 1, points[-1] + 1
-    for side, mua, mub, lists in (
-        ("left", mu1, mu2, s.section_lists),
-        ("right", mu2, mu1, s.inv_section_lists),
-    ):
-        def values(t):
-            psi = (zero, t)
-            return psi, (
-                evaluate_values(mua, section_minima(psi, lists)),
-                evaluate_values(mub, psi),
-            )
+    points = (points[0] - 1, *points, points[-1] + 1)
+    rhs = tuple(
+        tuple(evaluate_values(mub, (zero, t)) for t in points) for mub in (mu2, mu1)
+    )
+    return PreparedPair(mu1, mu2, "exact-two-point", points=points, rhs=rhs)
 
-        gaps = {}
-        for t in (first, *points, last):
-            psi, (lhs, rhs) = values(t)
-            if lhs > rhs + tol:
+
+def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
+    """The exact decider of a pair on an exact two-point space, with full
+    projections, from the measures' breakpoints; the module docstring gives
+    the argument."""
+    mu1, mu2 = pair.mu1, pair.mu2
+    tol = mu1.space.tol
+    zero = Fraction(0)
+    points = pair.points
+    for side, mua, mub, lists, rhs in (
+        ("left", mu1, mu2, s.section_lists, pair.rhs[0]),
+        ("right", mu2, mu1, s.inv_section_lists, pair.rhs[1]),
+    ):
+        def lhs(t):
+            return evaluate_values(mua, section_minima((zero, t), lists))
+
+        gaps = []
+        for t, right in zip(points, rhs):
+            left = lhs(t)
+            if left > right + tol:
                 return _refuted(
-                    "exact-two-point", "envelope-domination", side, psi=psi, values=(lhs, rhs)
+                    "exact-two-point", "envelope-domination", side,
+                    psi=(zero, t), values=(left, right),
                 )
-            gaps[t] = lhs - rhs
+            gaps.append(left - right)
         # past the outer points the gap is affine: one that rises outwards
         # turns positive some whole number of steps further out
-        for end, step in ((first, -1), (last, 1)):
-            rise = gaps[end] - gaps[end - step]
+        for end, gap, rise, step in (
+            (points[0], gaps[0], gaps[0] - gaps[1], -1),
+            (points[-1], gaps[-1], gaps[-1] - gaps[-2], 1),
+        ):
             if rise > 0:
-                psi, pair = values(end + step * (-gaps[end] // rise + 1))
+                t = end + step * (-gap // rise + 1)
+                psi = (zero, t)
                 return _refuted(
-                    "exact-two-point", "envelope-domination", side, psi=psi, values=pair
+                    "exact-two-point", "envelope-domination", side,
+                    psi=psi, values=(lhs(t), evaluate_values(mub, psi)),
                 )
     return FeasibilityVerdict("feasible", "exact-two-point", witness=lower_coupling(mu1, mu2, s))
 

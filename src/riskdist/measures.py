@@ -29,8 +29,10 @@ min of such, keeps two normal forms over ``Capacity`` objects:
 
 max joins the parts' rows and spreads their groups (one group per choice of
 a group from each part: max distributes over min); min is the dual.  A
-capacity is its own one-entry form.  The coupling module decides pairs of
-such measures exactly from these forms.
+capacity is its own one-entry form.  With its forms a lattice builds its
+indicator table, mu(1_B) for every subset B: the max or min of its parts'
+tables, as integers over their common scale (``indicators``).  The coupling
+module decides pairs of such measures exactly from these forms and tables.
 
 Breakpoints.  On an exact two-point space a measure is mu(phi) = phi0 +
 g(phi1 - phi0) by translation invariance, and ``RiskMeasure.breakpoints``
@@ -54,8 +56,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain, combinations, product
-from math import prod
-from operator import add, itemgetter
+from math import lcm, prod
+from operator import add, itemgetter, sub
 from typing import Callable, Optional, Sequence
 
 from .capacity import (
@@ -88,6 +90,10 @@ EVAL_MEMO_SIZE = 4096
 #: except on an exact two-point space, where its breakpoints decide them
 MAX_FORM_TERMS = 64
 
+#: halvings of the offset of a failing part's census pair that a combination
+#: of that part is probed at, until the part's drop shows through the others
+SHRINK_STEPS = 32
+
 #: rows of a max-of-min form, or groups of a min-of-max form
 Form = tuple[tuple[Capacity, ...], ...]
 
@@ -99,7 +105,8 @@ class RiskMeasure:
     Capacity-tier measures carry ``capacity``; every other measure carries
     ``evaluator``, and so does a Dirac measure, which reads its point.  A
     mixture without a capacity, a max and a min keep their ``parts``; a max
-    or min of capacities keeps its ``forms`` (max-of-min, min-of-max).
+    or min of capacities keeps its ``forms`` (max-of-min, min-of-max,
+    indicator table).
     Measures compare by identity: functional equality is ``equal_measures``.
     """
 
@@ -113,7 +120,7 @@ class RiskMeasure:
     params: Optional[TwoPointParams] = None
     name: str = ""
     parts: tuple["RiskMeasure", ...] = field(default=(), repr=False)
-    forms: Optional[tuple[Form, Form]] = field(default=None, repr=False)
+    forms: Optional[tuple[Form, Form, tuple]] = field(default=None, repr=False)
 
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
@@ -203,7 +210,7 @@ def _lattice(kind: str, pick, components: Sequence[RiskMeasure]) -> RiskMeasure:
 
     return RiskMeasure(
         space, kind, evaluator=_memo(evaluator), name=kind, parts=parts,
-        forms=_lattice_forms(kind, parts),
+        forms=_lattice_forms(kind, pick, parts),
     )
 
 
@@ -213,7 +220,29 @@ def normal_forms(mu: RiskMeasure) -> Optional[tuple[Form, Form]]:
     if mu.capacity is not None:
         form = ((mu.capacity,),)
         return form, form
-    return mu.forms
+    return None if mu.forms is None else mu.forms[:2]
+
+
+def indicators(mu: RiskMeasure) -> Optional[tuple[tuple, Scalar]]:
+    """mu(1_B) for every subset B times a scale, and that scale, for a
+    measure with normal forms, or None.  A capacity gives its ``scaled`` and
+    ``scale``; a lattice the table it built with its forms."""
+    if mu.capacity is not None:
+        return mu.capacity.scaled, mu.capacity.scale
+    return None if mu.forms is None else mu.forms[2]
+
+
+def lift(tables) -> tuple[Scalar, list]:
+    """The least common scale of (table, scale) pairs, and each table as
+    integers over it (in float mode every scale is 1)."""
+    tables = list(tables)
+    scale = lcm(*(d for _, d in tables))
+    return scale, [times(t, scale // d) for t, d in tables]
+
+
+def times(table: tuple, k) -> tuple:
+    """The table with every entry multiplied by k."""
+    return table if k == 1 else tuple([x * k for x in table])
 
 
 def _breakpoints(mu: RiskMeasure) -> Optional[tuple[Fraction, ...]]:
@@ -260,7 +289,7 @@ def _two_inside(lo, hi):
     return lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
 
 
-def _lattice_forms(kind: str, parts) -> Optional[tuple[Form, Form]]:
+def _lattice_forms(kind: str, pick, parts) -> Optional[tuple[Form, Form, tuple]]:
     forms = [normal_forms(c) for c in parts]
     if None in forms:
         return None
@@ -276,8 +305,12 @@ def _lattice_forms(kind: str, parts) -> Optional[tuple[Form, Form]]:
         or prod(map(len, spreads)) * widest > MAX_FORM_TERMS
     ):
         return None
-    spread_out = tuple(sum(pick, ()) for pick in product(*spreads))
-    return (joined, spread_out) if kind == "max" else (spread_out, joined)
+    spread_out = tuple(sum(choice, ()) for choice in product(*spreads))
+    # the table of a max (min) is the max (min) of its parts' tables
+    scale, lifted = lift(map(indicators, parts))
+    table = lifted[0] if len(lifted) == 1 else tuple(map(pick, *lifted))
+    forms = (joined, spread_out) if kind == "max" else (spread_out, joined)
+    return (*forms, (table, scale))
 
 
 def black_box(
@@ -542,6 +575,44 @@ def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
     return None
 
 
+def _failing_part_pairs(mu: RiskMeasure):
+    """The monotone pairs of the exact census of each part of mu, at any
+    depth, that fails it."""
+    for part in mu.parts:
+        report = _exact_report(part)
+        if report is None:
+            yield from _failing_part_pairs(part)
+        elif not report.ok:
+            for v in report.violations:
+                if v.axiom == "monotonicity":
+                    yield v.witness["lo"], v.witness["hi"]
+
+
+def _shrunk_pairs(mu: RiskMeasure, pairs) -> list:
+    """For each pair, the first on which mu drops, with the offset halved up
+    to ``SHRINK_STEPS`` times and one end kept, either one.
+
+    A census pair straddles a part's jump, which sits at one of its ends.
+    The other parts are continuous, so as the offset shrinks their rise
+    across it vanishes while the jump's weighted share stays.
+    """
+    tol = mu.space.tol
+    found = []
+    for lo, hi in pairs:
+        offset = tuple(map(sub, hi, lo))
+        for _ in range(SHRINK_STEPS):
+            tries = ((tuple(map(sub, hi, offset)), hi), (lo, tuple(map(add, lo, offset))))
+            drop = next(
+                (p for p in tries if evaluate_values(mu, p[0]) > evaluate_values(mu, p[1]) + tol),
+                None,
+            )
+            if drop is not None:
+                found.append(drop)
+                break
+            offset = tuple(x / 2 for x in offset)
+    return found
+
+
 def verify_axioms(
     mu: RiskMeasure,
     mode: str = "auto",
@@ -561,8 +632,11 @@ def verify_axioms(
     probed by ``probe_axioms``, the prober ``verify_coupling`` runs on
     witnesses too: ``samples`` monotone pairs, ``samples // 2`` shifts and
     four constants, plus, for a family member, 32 pairs across each of its
-    branch boundaries, whose violations name the branches they evaluated.
-    Discovered violations carry re-checkable witnesses either way.
+    branch boundaries, whose violations name the branches they evaluated,
+    and, for a combination in ``mode="auto"``, the monotone pairs of each
+    failing part's exact census, shrunk until the combination drops across
+    them (``_shrunk_pairs``).  Discovered violations carry re-checkable
+    witnesses either way.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
@@ -580,6 +654,8 @@ def verify_axioms(
     pairs = ()
     if mu.kind == "two-point":
         pairs = _two_point_boundary_pairs(mu, random.Random(seed))
+    elif mode == "auto":
+        pairs = _shrunk_pairs(mu, _failing_part_pairs(mu))
     found = probe_axioms(partial(evaluate_values, mu), mu.space, seed, samples, pairs)
     if mu.kind == "two-point":
         found = [_with_branches(mu.params, v) for v in found]

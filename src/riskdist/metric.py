@@ -17,7 +17,7 @@ from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coupling import CouplingWitness, admissible, verify_coupling
+from .coupling import CouplingWitness, decide, prepare_pair, verify_coupling
 from .ensembles import derive_rng, derive_seed, extremal_pair, random_measure
 from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
@@ -35,7 +35,7 @@ from .space import (
     distance_levels,
     hausdorff_distance,
     modulus_of_continuity,
-    sublevel_relation,
+    sublevel_ladder,
 )
 
 #: seeded random functions in the Lipschitz and convergence probe families.
@@ -91,16 +91,22 @@ def bottleneck_distance(
     probe of the sampled tier's one fixed grid refuted, which makes it
     "sampled".  Every ladder relation holds the diagonal, so its
     projections are full and no level probes a support.
+
+    The pair is prepared once (``coupling.prepare_pair``) and each level
+    decided from it (``coupling.decide``), which is ``admissible`` at that
+    level.  The levels and their relations are built once per space
+    (``sublevel_ladder``), each relation's inner-mask tables once per
+    relation, and each measure's indicator table with the measure.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
     if check_axioms:
         gate_axioms(mu1, "first", seed)
         gate_axioms(mu2, "second", seed)
-    space = mu1.space
+    pair = prepare_pair(mu1, mu2)
     ladder: list[tuple[Scalar, str, str]] = []
-    for level in distance_levels(space):
-        verdict = admissible(mu1, mu2, sublevel_relation(space, level), seed=seed)
+    for level, relation in sublevel_ladder(mu1.space):
+        verdict = decide(pair, relation, seed=seed)
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
             certification = "sampled" if verdict.tier == "witness-found" else "exact"

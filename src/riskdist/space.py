@@ -110,6 +110,12 @@ class FiniteMetricSpace:
                 merged.append(v)
         return tuple(merged)
 
+    @cached_property
+    def _ladder(self) -> tuple[tuple[Scalar, "Relation"], ...]:
+        """(level, sublevel relation) per distance level, built once per
+        space; each relation builds its ``inner_masks`` on first use."""
+        return tuple((t, sublevel_relation(self, t)) for t in self._levels)
+
     def index(self, label: str) -> int:
         try:
             return self._label_index[label]
@@ -255,7 +261,8 @@ class Relation:
     ``pair_lists`` and ``inv_pair_lists`` as flat product indices; and the
     masks ``left_projection`` and ``right_projection`` of the points with a
     nonempty section (inverse section).  They are plain attributes, not
-    fields, so the constructor takes the matrix alone.
+    fields, so the constructor takes the matrix alone.  ``inner_masks``,
+    2^n entries per side, is built on first use.
     """
 
     left: FiniteMetricSpace
@@ -291,6 +298,16 @@ class Relation:
         object.__setattr__(self, "left_projection", sum(1 << i for i, l in enumerate(sec_lists) if l))
         object.__setattr__(self, "right_projection", sum(1 << j for j, l in enumerate(inv_lists) if l))
 
+    @cached_property
+    def inner_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """For each subset B of the right (left) factor, the mask of the
+        left (right) points whose nonempty section (inverse section) fits
+        inside B."""
+        return (
+            _inner_table(self.sections, self.right.n),
+            _inner_table(self.inv_sections, self.left.n),
+        )
+
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair
         return self.matrix[i][j]
@@ -320,6 +337,22 @@ class Relation:
                 raise SpaceMismatch(f"pair ({i},{j}) out of range")
             grid[i][j] = True
         return Relation(left, right, tuple(tuple(row) for row in grid))
+
+
+def _inner_table(sections, n: int) -> tuple[int, ...]:
+    # each point x lands in the entries of the supersets of its section
+    full = (1 << n) - 1
+    table = [0] * (1 << n)
+    for x, sec in enumerate(sections):
+        if sec:
+            bit, rest = 1 << x, full & ~sec
+            extra = rest
+            while True:
+                table[sec | extra] |= bit
+                if not extra:
+                    break
+                extra = (extra - 1) & rest
+    return tuple(table)
 
 
 def diagonal_relation(space: FiniteMetricSpace) -> Relation:
@@ -374,6 +407,12 @@ def distance_levels(space: FiniteMetricSpace) -> list[Scalar]:
     They are computed once per space; each call returns a new list.
     """
     return list(space._levels)
+
+
+def sublevel_ladder(space: FiniteMetricSpace) -> tuple[tuple[Scalar, Relation], ...]:
+    """(level, ``sublevel_relation(space, level)``) for each distance level,
+    built once per space and kept while it lives."""
+    return space._ladder
 
 
 def hausdorff_distance(a: PointSubset, b: PointSubset) -> Scalar:

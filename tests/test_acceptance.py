@@ -131,18 +131,30 @@ def test_criterion_04_metric_axioms(name, monkeypatch):
     # decided by a proof
     tiers = Counter()
     sampled_structured = []
-    admissible = metric.admissible
+    decide = metric.decide
 
-    def counted(mu1, mu2, s, **kwargs):
-        verdict = admissible(mu1, mu2, s, **kwargs)
+    def counted(pair, s, **kwargs):
+        verdict = decide(pair, s, **kwargs)
         tiers[verdict.tier] += 1
+        mu1, mu2 = pair.mu1, pair.mu2
         if verdict.tier in ("refutation-sampled", "witness-found") and structured(mu1) and structured(mu2):
             sampled_structured.append((mu1.kind, mu2.kind, verdict.tier))
         return verdict
 
-    monkeypatch.setattr(metric, "admissible", counted)
+    monkeypatch.setattr(metric, "decide", counted)
+    levels = []
+    distance = metric.bottleneck_distance
+
+    def scanned(*args, **kwargs):
+        result = distance(*args, **kwargs)
+        levels.append(len(result.ladder))
+        return result
+
+    monkeypatch.setattr(metric, "bottleneck_distance", scanned)
     space = SPACES[name]()
     report = metric_axiom_audit(space, ensemble_size=100, seed=404)
+    # the hook saw every ladder level the audit scanned
+    assert sum(tiers.values()) == sum(levels) > 0
     for payload in report.discrepancies:
         # sampled-tier discrepancies must re-verify from their payloads
         assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is True

@@ -142,7 +142,7 @@ class TestDistance:
 
         monkeypatch.setattr(
             metric,
-            "admissible",
+            "decide",
             lambda *args, **kwargs: FeasibilityVerdict("infeasible", "refutation-sampled"),
         )
         code = main(

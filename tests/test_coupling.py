@@ -7,7 +7,6 @@ import pytest
 import riskdist as rd
 from riskdist.coupling import (
     _admissible_sampled,
-    _inner_mask_tables,
     section_minima,
     triple_projection_map,
     triple_space,
@@ -500,6 +499,106 @@ class TestTwoPointTier:
         assert verdict.tier == "witness-found"
 
 
+def seam_pairs(space, rng):
+    """Seeded pairs of each kind the tiers split on: point masses,
+    capacities, lattices, a mixture with a lattice part, black-box shadows
+    and, on the two-point space, family members and their combinations."""
+    from test_twopoint import random_family_member
+
+    def capacity():
+        return random_capacity_measure(space, rng)
+
+    def point():
+        return rd.dirac(space, rng.randrange(space.n))
+
+    def mixed():
+        weights = (F(1, 4), F(3, 4)) if space.exact else (0.25, 0.75)
+        return rd.mixture(weights, [capacity(), random_lattice(space, rng)])
+
+    pairs = [
+        (point(), point()),
+        (point(), point()),
+        (capacity(), capacity()),
+        (capacity(), point()),
+        (random_lattice(space, rng), capacity()),
+        (capacity(), random_lattice(space, rng)),
+        (mixed(), capacity()),
+        (shadow(capacity()), shadow(random_lattice(space, rng))),
+    ]
+    if space.n == 2:
+        pairs += [
+            (random_family_member(space, rng), random_family_member(space, rng)),
+            (random_family_member(space, rng), point()),
+        ]
+        if space.exact:
+            pairs += [(random_family_combo(space, rng), capacity()) for _ in range(3)]
+    return pairs
+
+
+def verdict_key(verdict):
+    witness = verdict.witness
+    return verdict.status, verdict.tier, verdict.certificate, witness and witness.support
+
+
+class TestPreparedPair:
+    """``decide`` on a pair prepared once is ``admissible`` on every relation."""
+
+    def test_decides_as_admissible_on_every_level_and_relation(self):
+        from conftest import fixture_spaces
+        from riskdist.coupling import decide, prepare_pair
+        from riskdist.oracles import random_relation
+        from riskdist.space import sublevel_ladder
+
+        seen = Counter()
+        for base in fixture_spaces():
+            floats = [[float(d) for d in row] for row in base.dist]
+            for space in (base, rd.validate_metric(base.labels, floats, mode="float")):
+                rng = derive_rng(171, f"prepared-{space.n}-{space.exact}")
+                ladder = sublevel_ladder(space)
+                assert [t for t, _ in ladder] == rd.distance_levels(space)
+                for mu1, mu2 in seam_pairs(space, rng):
+                    pair = prepare_pair(mu1, mu2)
+                    others = [random_relation(space, rng) for _ in range(3)]
+                    for level, rel in [*ladder, *((None, r) for r in others)]:
+                        if level is not None:
+                            assert rel == sublevel_relation(space, level)
+                        got = decide(pair, rel, seed=7)
+                        want = rd.admissible(mu1, mu2, rel, seed=7)
+                        assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
+                        seen[got.tier, (got.certificate or {}).get("kind")] += 1
+        for key in (
+            ("dirac", None),
+            ("dirac", "pair-outside-support"),
+            ("exact-choquet", None),
+            ("exact-choquet", "support-escape"),
+            ("exact-choquet", "envelope-domination"),
+            ("exact-lattice", None),
+            ("exact-lattice", "envelope-domination"),
+            ("exact-two-point", None),
+            ("exact-two-point", "envelope-domination"),
+            ("witness-found", None),
+            ("refutation-sampled", "support-escape"),
+            ("refutation-sampled", "envelope-domination"),
+        ):
+            assert seen[key] >= 2, (key, seen)
+
+    def test_a_pair_past_the_chain_budget_is_probed_at_the_same_level(self, p3, monkeypatch):
+        from riskdist import coupling
+
+        rng = derive_rng(172, "past-budget")
+        a1, a2 = random_capacity(p3, rng), random_capacity(p3, rng)
+        b = rd.Capacity(p3, tuple(map(min, a1.table, a2.table)))
+        mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
+        mu2 = rd.choquet_measure(b)
+        monkeypatch.setattr(coupling, "CHAIN_BUDGET", 0)
+        pair = coupling.prepare_pair(mu1, mu2)
+        rel = sublevel_relation(p3, 0)
+        got = coupling.decide(pair, rel, seed=3)
+        assert got.tier == "refutation-sampled"
+        assert verdict_key(got) == verdict_key(rd.admissible(mu1, mu2, rel, seed=3))
+        assert verdict_key(got) == verdict_key(_admissible_sampled(mu1, mu2, rel, 3))
+
+
 class TestSampledTier:
     def test_witness_found_witnesses_pass_the_probe_check(self, p3, cycle4):
         # the 32-probe verify_coupling the tier ran on every witness before
@@ -798,11 +897,12 @@ class TestGlue:
 
 class TestInnerMaskTables:
     def test_matches_direct_computation(self, p3):
-        rel = sublevel_relation(p3, 1)
-        left, right = _inner_mask_tables(rel)
-        for b in range(8):
-            want = 0
-            for x, sec in enumerate(rel.sections):
-                if sec and sec & ~b == 0:
-                    want |= 1 << x
-            assert left[b] == want
+        lopsided = Relation.from_pairs(p3, p3, [(0, 1), (0, 2), (2, 2)])
+        for rel in (sublevel_relation(p3, 1), lopsided):
+            for table, sections in zip(rel.inner_masks, (rel.sections, rel.inv_sections)):
+                for b in range(8):
+                    want = 0
+                    for x, sec in enumerate(sections):
+                        if sec and sec & ~b == 0:
+                            want |= 1 << x
+                    assert table[b] == want

@@ -141,6 +141,34 @@ class TestVerifyAxioms:
         combo = rd.lattice_max([member, rd.dirac(two_point, "x")])
         assert rd.verify_axioms(combo, seed=1).method.startswith("sampled")
 
+    def test_a_mixture_fails_where_its_failing_part_jumps(self):
+        # the member's g jumps at t = -3, which seeded probing of the
+        # mixture misses; its census pair, shrunk, shows the mixture drop
+        space = rd.validate_metric(["x", "y"], [[0, 1], [1, 0]])
+        params = rd.TwoPointParams(
+            (F(6, 17), F(1, 17), F(5, 17), F(5, 17)),
+            (F(0), F(0), F(0), F(3)),
+            rd.ShapeFunction(
+                tuple((F(t), F(y)) for t, y in ((-2, "-5/4"), (-1, "-1/4"), (0, 0), (2, "3/2")))
+            ),
+        )
+        member = rd.two_point_measure(space, params)
+        mean = rd.choquet_measure(rd.expectation(space, (F(1, 2), F(1, 2))))
+        mixed = rd.mixture((F(1, 3), F(2, 3)), (member, mean))
+        assert not rd.verify_axioms(member).ok
+        report = rd.verify_axioms(mixed)
+        assert report.verdict == "fail" and report.method == "sampled(seed=0, count=200)"
+        drops = [v for v in report.violations if v.axiom == "monotonicity"]
+        assert drops
+        for v in drops:
+            lo, hi = v.witness["lo"], v.witness["hi"]
+            assert all(a <= b for a, b in zip(lo, hi))
+            assert evaluate_values(mixed, lo) > evaluate_values(mixed, hi)
+            assert v.values == (evaluate_values(mixed, lo), evaluate_values(mixed, hi))
+        # nested one deeper, the failing part is still found
+        nested = rd.mixture((F(1, 2), F(1, 2)), (mixed, rd.dirac(space, "y")))
+        assert not rd.verify_axioms(nested).ok
+
 
 class TestNormalForms:
     def test_forms_evaluate_to_the_measure(self, cycle4):

@@ -134,6 +134,43 @@ class TestBottleneckDistance:
         res = rd.bottleneck_distance(mu1, mu2)
         assert (res.value, res.tier, res.certification) == (F(5, 2), "exact-two-point", "exact")
 
+    def test_a_ladder_scan_prepares_its_pair_once(self, monkeypatch):
+        # however many levels one distance scans, the pair's parts are
+        # lifted once, each lattice builds its indicator table once, when it
+        # is built, and a second scan on the space builds no inner masks
+        # (an earlier scan in the process may have built them all)
+        from conftest import make_star5
+        from riskdist import coupling, measures, space as space_module
+
+        counts = Counter()
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                counts[module.__name__, name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(coupling, "lift")
+        counting(measures, "lift")
+        counting(space_module, "_inner_table")
+        star5 = make_star5()
+        uniform = rd.choquet_measure(rd.expectation(star5, (F(1, 5),) * 5))
+        mu1 = rd.lattice_max([rd.dirac(star5, "o"), uniform])
+        mu2 = rd.lattice_min([rd.dirac(star5, "s"), rd.dirac(star5, "r")])
+        assert counts["riskdist.measures", "lift"] == 2  # one table per lattice
+        result = rd.bottleneck_distance(mu1, mu2)
+        assert result.tier == "exact-lattice" and len(result.ladder) >= 4
+        assert counts["riskdist.coupling", "lift"] == 1
+        assert counts["riskdist.measures", "lift"] == 2
+        built = counts["riskdist.space", "_inner_table"]
+        assert built <= 2 * len(result.ladder)
+        assert rd.bottleneck_distance(mu2, mu1).ladder == result.ladder
+        assert counts["riskdist.coupling", "lift"] == 2
+        assert counts["riskdist.space", "_inner_table"] == built
+
 
 def assert_every_witness_verifies(results):
     k = len(results)
