@@ -133,6 +133,13 @@ class RiskMeasure:
         parts; the module docstring lists the cases."""
         return _breakpoints(self)
 
+    @cached_property
+    def exact_report(self) -> Optional["AxiomReport"]:
+        """The exact verdict on this measure, or None where only probing can
+        check it.  Held on the measure, so that the axiom gate and
+        ``breakpoints`` share one census of a family member."""
+        return _exact_report(self)
+
 
 def _memo(evaluator):
     # the evaluator closes over the measure's parts, never the measure, so
@@ -250,7 +257,7 @@ def _breakpoints(mu: RiskMeasure) -> Optional[tuple[Fraction, ...]]:
     if normal_forms(mu) is not None:
         return (zero,)  # positively homogeneous
     if mu.kind == "two-point":
-        report = _exact_report(mu)
+        report = mu.exact_report
         if report is None or not report.ok:
             return None  # g may jump, where no list of points can show it
         return tuple(map(Fraction, breakpoints(mu.params)))
@@ -492,7 +499,10 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
     the knots and the boundaries) mu is affine on the strip of t, with form
     alpha*phi0 + beta*phi1 + gamma, and on each breakpoint line it is affine
     along (1, 1).  Every form is read from evaluations, never from the
-    parameters: three non-collinear points per strip, two per line.
+    parameters: three non-collinear points per strip, two per line, so
+    5k + 3 evaluations for k breakpoints, each through the member's memo
+    and on a miss one call of ``two_point_eval``'s integer kernel.  Each
+    monotonicity witness costs two more calls, which name its branches.
 
     mu is then a normed monetary risk measure iff alpha + beta = 1 and
     alpha, beta >= 0 on every strip, the value rises by 1 along every line,
@@ -569,7 +579,7 @@ def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
         found = tuple(_two_point_violations(mu))
         return AxiomReport("fail" if found else "pass", found, "exact")
     if mu.parts and all(
-        (report := _exact_report(p)) is not None and report.ok for p in mu.parts
+        (report := p.exact_report) is not None and report.ok for p in mu.parts
     ):
         return AxiomReport("pass", (), "exact")
     return None
@@ -579,7 +589,7 @@ def _failing_part_pairs(mu: RiskMeasure):
     """The monotone pairs of the exact census of each part of mu, at any
     depth, that fails it."""
     for part in mu.parts:
-        report = _exact_report(part)
+        report = part.exact_report
         if report is None:
             yield from _failing_part_pairs(part)
         elif not report.ok:
@@ -625,12 +635,14 @@ def verify_axioms(
     constructor has already enforced normalization and monotone covers, so
     the verdict is immediate.  Two-point family members on an exact space
     are decided exactly by a census of the affine pieces of their formula
-    (``_two_point_violations``).  A max, min or mixture whose parts all
-    pass exactly passes exactly too: max, min and convex combinations keep
-    the three axioms.  Everything else, a combination with a failing or
-    unstructured part included, and every measure in ``mode="sampled"``, is
-    probed by ``probe_axioms``, the prober ``verify_coupling`` runs on
-    witnesses too: ``samples`` monotone pairs, ``samples // 2`` shifts and
+    (``_two_point_violations``).  An exact verdict is held on the measure
+    (``RiskMeasure.exact_report``), so the census runs once per member
+    however often the gate and ``breakpoints`` ask.  A max, min or mixture
+    whose parts all pass exactly passes exactly too: max, min and convex
+    combinations keep the three axioms.  Everything else, a combination
+    with a failing or unstructured part included, and every measure in
+    ``mode="sampled"``, is probed by ``probe_axioms``, the prober
+    ``verify_coupling`` runs on witnesses too: ``samples`` monotone pairs, ``samples // 2`` shifts and
     four constants, plus, for a family member, 32 pairs across each of its
     branch boundaries, whose violations name the branches they evaluated,
     and, for a combination in ``mode="auto"``, the monotone pairs of each
@@ -641,7 +653,7 @@ def verify_axioms(
     if mode not in ("auto", "exact", "sampled"):
         raise InvalidParams(f"unknown verification mode {mode!r}")
     if mode != "sampled":
-        report = _exact_report(mu)
+        report = mu.exact_report
         if report is not None:
             return report
     if mode == "exact":

@@ -50,6 +50,20 @@ own region, which keeps the slope of g within [0, 1].  Branch 4's weight is
 instead the one that fits the uncovered region, where the max picks phi1 and
 the min picks phi0.  Whether that misprint is in the paper or in the
 transcription of its table is unsettled: only the abstract is at hand.
+
+Exact evaluation.  A member with ``Fraction`` weights and slopes and
+rational shifts and knots is exact.  It builds its parameters once as
+integers, ``TwoPointParams.scaled``: with D the least common denominator of
+the weights, the finite shifts and the knots, and E that of the slopes, the
+weights times D*E, the finite shifts, the two branch boundaries, the five
+branch weights and the knot positions times D, and each shape piece as an
+integer line.  ``two_point_eval`` brings ``int`` or ``Fraction`` inputs
+onto their common denominator q and does the max and min, the branch
+comparisons, the knot search and the shape term on ints; it builds one
+``Fraction``, over D*D*E*q, at the end, equal to the formula's value.  No
+float is mixed into this arithmetic: an infinite shift never wins its max
+or min and decides its comparison alone.  Float-mode members, and float
+inputs, take the formula as written.
 """
 
 from __future__ import annotations
@@ -58,9 +72,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParams
-from .numerics import Scalar, is_finite
+from .numerics import NEG_INF, POS_INF, Scalar, is_finite
+
+_FRACTION = frozenset((Fraction,))
+_RATIONAL = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -145,6 +164,9 @@ class ShapeFunction:
 
 @dataclass(frozen=True)
 class TwoPointParams:
+    """A member's weights (a1..a4), shifts (l1..l4) and shape f; an exact
+    member also holds them as integers over one denominator, ``scaled``."""
+
     alphas: tuple[Scalar, Scalar, Scalar, Scalar]
     lambdas: tuple[Scalar, Scalar, Scalar, Scalar]
     shape: ShapeFunction
@@ -178,6 +200,73 @@ class TwoPointParams:
             min(a1, a2 + a3 + a4),
         )
 
+    @cached_property
+    def scaled(self) -> Optional["ScaledParams"]:
+        """The parameters as integers over one denominator, built once, or
+        None for a float-mode member.
+
+        A member is exact when its weights and slopes are ``Fraction``s and
+        its finite shifts and knots are ``int``s or ``Fraction``s.  D is the
+        least common denominator of the weights, the finite shifts and the
+        knots, and E that of the slopes; the module docstring gives the
+        scales.  Not a field: equality and reports see the three fields.
+        """
+        alphas, knots, slopes = self.alphas, self.shape.knots, self.shape._slopes
+        # lists, not generators: a tuple built from a generator is allocated
+        # at a guessed length and resized, so it never comes from the
+        # interpreter's free list of tuples but is freed into it; one per
+        # member grew those lists, and peak memory, run after run
+        shifts = [x for x in self.lambdas if is_finite(x)]
+        coords = [x for knot in knots for x in knot]
+        if not (
+            _FRACTION.issuperset(map(type, (*alphas, *slopes)))
+            and _RATIONAL.issuperset(map(type, (*shifts, *coords)))
+        ):
+            return None
+        d = lcm(*[x.denominator for x in (*alphas, *shifts, *coords)])
+        e = lcm(*[s.denominator for s in slopes])
+
+        def on(x, scale=d):
+            return x.numerator * (scale // x.denominator)
+
+        l1, l2, l3, l4 = self.lambdas
+        # c1 is t <= l1 - l2 and c2 is t >= l3 - l4; an infinite shift
+        # fixes its comparison
+        c1 = True if l2 == NEG_INF else False if l1 == NEG_INF else None
+        c2 = False if l3 == POS_INF else True if l4 == POS_INF else None
+        ts = [on(t) for t, _ in knots]
+        return ScaledParams(
+            d=d,
+            scale=d * d * e,
+            alphas=tuple([on(a) * e for a in alphas]),
+            shifts=tuple([on(x) if is_finite(x) else None for x in self.lambdas]),
+            bounds=(
+                on(l1) - on(l2) if c1 is None else None,
+                on(l3) - on(l4) if c2 is None else None,
+            ),
+            fixed=(c1, c2),
+            weights=tuple([on(w) for w in self._branch_weights]),
+            knots=tuple(ts),
+            pieces=tuple([
+                (on(y) * e - on(s, e) * t, on(s, e))
+                for (_, y), t, s in zip(knots, ts, slopes)
+            ]),
+        )
+
+
+class ScaledParams(NamedTuple):
+    """An exact member's parameters as integers; ``TwoPointParams.scaled``."""
+
+    d: int
+    scale: int  # D * D * E: a value's denominator is a divisor of scale * q
+    alphas: tuple[int, ...]  # a_i * D * E
+    shifts: tuple[Optional[int], ...]  # l_i * D, None where infinite
+    bounds: tuple[Optional[int], Optional[int]]  # (l1 - l2, l3 - l4) * D
+    fixed: tuple[Optional[bool], Optional[bool]]  # (c1, c2) where a bound is infinite
+    weights: tuple[int, ...]  # each branch's shape weight times D
+    knots: tuple[int, ...]  # t_k * D
+    pieces: tuple[tuple[int, int], ...]  # (y_k * D * E - s_k * E * t_k * D, s_k * E)
+
 
 @dataclass(frozen=True)
 class TwoPointValue:
@@ -189,11 +278,17 @@ class TwoPointValue:
 def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointValue:
     """Evaluate a family member; infinite shifts never win their max/min.
 
-    Each shifted argument is formed once and read by both its max/min term
-    and the branch test; branch 5's own condition (not c1, strictly not c2)
-    implies branch 4's, so its weight applies only in the uncovered region
-    where both comparisons fail strictly.
+    An exact member at ``int`` or ``Fraction`` inputs is evaluated in
+    ``int`` arithmetic over ``p.scaled``, with one ``Fraction`` built at
+    the end; any float, a float-mode member's or an input, takes the
+    formula as written.  Both pick the same branch: branch 5's own
+    condition (not c1, strictly not c2) implies branch 4's, so its weight
+    applies only in the uncovered region where both comparisons fail
+    strictly.
     """
+    k = p.scaled
+    if k is not None and type(phi0) in _RATIONAL and type(phi1) in _RATIONAL:
+        return _exact_eval(k, phi0, phi1)
     a1, a2, a3, a4 = p.alphas
     l1, l2, l3, l4 = p.lambdas
     total = a1 * phi0 + a2 * phi1
@@ -214,6 +309,45 @@ def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointVal
     if weight != 0:
         total += weight * p.shape(phi1 - phi0)
     return TwoPointValue(total, branch, branch == 5)
+
+
+def _exact_eval(k: ScaledParams, phi0, phi1) -> TwoPointValue:
+    """``two_point_eval`` on ints: phi0 and phi1 over their common
+    denominator q, times D, so that t = phi1 - phi0 is x1 - x0 on the
+    scale D * q; the value's numerator is on the scale D * D * E * q."""
+    d0, d1 = phi0.denominator, phi1.denominator
+    q = d0 if d0 == d1 else lcm(d0, d1)
+    x0 = phi0.numerator * (q // d0 * k.d)
+    x1 = phi1.numerator * (q // d1 * k.d)
+    t = x1 - x0
+    a1, a2, a3, a4 = k.alphas
+    total = a1 * x0 + a2 * x1
+    if not (a3 or a4):
+        branch = 1
+    else:
+        (b1, b2), (c1, c2) = k.bounds, k.fixed
+        if c1 is None:
+            c1 = t <= b1 * q  # phi0 + l1 >= phi1 + l2
+        if b2 is not None:
+            c2 = t >= b2 * q  # phi0 + l3 <= phi1 + l4
+        l1, l2, l3, l4 = k.shifts
+        if a3:
+            total += a3 * (x0 + l1 * q if c1 else x1 + l2 * q)
+        if a4:
+            total += a4 * (x0 + l3 * q if c2 else x1 + l4 * q)
+        if c1:
+            branch = 2 if c2 else 3
+        else:  # phi0 + l3 >= phi1 + l4 picks branch 4
+            branch = 4 if (not c2 if b2 is None else t <= b2 * q) else 5
+    weight = k.weights[branch - 1]
+    if weight and k.pieces:
+        # the piece ending at the first knot >= t, as ShapeFunction picks
+        # it (knots are on the scale D: t / q rounded up); the end pieces
+        # extend past the end knots
+        ts = k.knots
+        c, s = k.pieces[bisect_left(ts, -(-t // q), 1, len(ts) - 1) - 1]
+        total += weight * (c * q + s * t)
+    return TwoPointValue(Fraction(total, k.scale * q), branch, branch == 5)
 
 
 def branch_boundaries(p: TwoPointParams) -> list[Scalar]:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,22 @@ class TestValidate:
             {"points": ["a", "b"], "dist": [[0, 3], [1, 0]]},
         )
         assert main(["validate", "--space", bad_space]) == 1
+
+    def test_an_infinite_shift_meets_huge_exact_knots(self, tmp_path, capsys):
+        # the shift -inf is never added to a knot of 10^400, which no float holds
+        big = str(10**400)
+        member = {
+            "type": "two-point",
+            "alpha": ["1/4", "1/4", "1/4", "1/4"],
+            "lambda": ["0", "-inf", "0", "0"],
+            "f": {"knots": [["-" + big, "-" + big], ["0", "0"], [big, big]]},
+        }
+        space = write(tmp_path, "space.json", TWO_POINT)
+        code = main(["validate", "--space", space, "--measure", json.dumps(member)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "measure #0 (two-point): pass [exact]" in out
+        assert "Traceback" not in out + err
 
 
 class TestDistance:
@@ -174,6 +191,30 @@ class TestMatrix:
             for line in capsys.readouterr().out.strip().splitlines()
         ]
         assert rows == [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]
+
+    def test_each_family_member_is_censused_once_per_matrix(self, tmp_path, monkeypatch, capsys):
+        # the axiom gate and the two-point tier's breakpoints share a census
+        import riskdist.measures
+
+        censused = Counter()
+        real = riskdist.measures._two_point_violations
+
+        def counting(mu):
+            censused[mu] += 1
+            return real(mu)
+
+        monkeypatch.setattr(riskdist.measures, "_two_point_violations", counting)
+        # two sound members: moving class C's -inf to l2 removes its defect
+        members = [FAMILY_MEMBER, {**NONMONOTONE_MEMBER, "lambda": ["0", "-inf", "0", "0"]}]
+        code = main(
+            [
+                "matrix",
+                "--space", write(tmp_path, "space.json", TWO_POINT),
+                "--measure", json.dumps([*members, {"type": "dirac", "point": "x"}]),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert sorted(censused.values()) == [1, 1]
 
 
 class TestCouple:

@@ -584,19 +584,48 @@ def as_float_params(p):
         return None
 
 
+#: every placement of infinite shifts: on the max side, the min side, both
+INFINITE_SHIFTS = [
+    (l1, l2, l3, l4)
+    for l1, l2 in ((NEG_INF, F(0)), (F(0), NEG_INF), (F(-1), F(0)))
+    for l3, l4 in ((POS_INF, F(0)), (F(0), POS_INF), (F(0), F(2)))
+    if NEG_INF in (l1, l2) or POS_INF in (l3, l4)
+]
+
+
 def test_two_point_eval_matches_the_reference_formula():
     rng = derive_rng(41, "two-point-reference")
     exact = family_stream(150) + [TestBranchTable.seeded_params(rng) for _ in range(150)]
+    # a zero (single-knot) shape under nonzero weights, and infinite shifts
+    # on each side under the identity and a kinked shape
+    kinked = rd.ShapeFunction(KINKED_KNOTS)
+    exact += [params(alphas) for alphas in ((F(1, 4),) * 4, (F(1, 2), F(1, 3), F(1, 6), F(0)))]
+    exact += [
+        params((F(1, 4),) * 4, lambdas, shape)
+        for lambdas in INFINITE_SHIFTS
+        for shape in (rd.ShapeFunction.identity(), kinked)
+    ]
     cases = [(p, False) for p in exact]
     cases += [(q, True) for q in map(as_float_params, exact) if q is not None]
     branches = set()
     for p, floats in cases:
+        # the kernel takes every exact member and no float one
+        assert (p.scaled is None) == floats
+        knots = p.shape.knots
         ts = [F(rng.randint(-24, 24), 4) for _ in range(4)]
         for b in branch_boundaries(p):
             ts += [b - F(1, 3), b, b + F(1, 3)]
+        ts += [knots[0][0] - F(5, 2), knots[0][0], knots[-1][0], knots[-1][0] + 7]
+        inputs = []
         for t in ts:
             phi0 = rng.choice((0, rng.randint(-9, 9), F(rng.randint(-16, 16), 3)))
-            phi1 = phi0 + t
+            inputs.append((phi0, phi0 + t))
+        # plain ints, and coprime denominators 7 and 5
+        inputs += [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(4)]
+        for _ in range(4):
+            k0, k1 = rng.randint(-3, 3), rng.randint(-3, 3)
+            inputs.append((F(rng.randint(1, 6) + 7 * k0, 7), F(rng.randint(1, 4) + 5 * k1, 5)))
+        for phi0, phi1 in inputs:
             if floats:
                 phi0, phi1 = float(phi0), float(phi1)
             got = two_point_eval(p, phi0, phi1)
