@@ -157,7 +157,8 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
     exact = space.exact
 
     def scalars(values, what):
-        return tuple(parse_scalar(v, exact=exact) for v in json_list(values, what))
+        # a list, not a generator: see ``TwoPointParams.scaled``
+        return tuple([parse_scalar(v, exact=exact) for v in json_list(values, what)])
 
     def components():
         return [load_measure(c, space) for c in json_list(obj["components"], '"components"')]
@@ -172,7 +173,7 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
             params = TwoPointParams(
                 scalars(obj["alpha"], '"alpha"'),
                 scalars(obj["lambda"], '"lambda"'),
-                ShapeFunction(tuple(scalars(k, 'a "knots" entry') for k in knots)),
+                ShapeFunction(tuple([scalars(k, 'a "knots" entry') for k in knots])),
             )
             return two_point_measure(space, params)
         if kind == "mixture":

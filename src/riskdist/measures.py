@@ -17,9 +17,9 @@ other measure carries an evaluator: family members and combinations behind
 one bounded memo each, black boxes as given.  Combinations also keep their
 parts, so the axiom check can pass them from their parts: max, min and
 convex combinations keep monotonicity, translation invariance and
-normedness.  Family members on an exact space are checked exactly, from the
-affine pieces of their formula; the others fall back to seeded probing, and
-reports say so.
+normedness.  Family members with rational parameters are checked exactly,
+from the affine pieces of their formula; the others fall back to seeded
+probing, and reports say so.
 
 Lattice normal forms.  A max or min whose parts are capacities, or max and
 min of such, keeps two normal forms over ``Capacity`` objects:
@@ -71,7 +71,7 @@ from .capacity import (
 from .errors import InvalidParams, SpaceMismatch
 from .numerics import Scalar
 from .space import FiniteMetricSpace, PointFunction, PointSubset
-from .twopoint import TwoPointParams, branch_boundaries, breakpoints, two_point_eval
+from .twopoint import TwoPointParams, branch_boundaries, breakpoints, scaled_eval, two_point_eval
 
 #: seeded function pairs tried per point when probing a support
 SUPPORT_PROBES = 256
@@ -491,7 +491,7 @@ def _offset(gap, coef, base):
 
 
 def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
-    """Decide a family member on an exact space from a census of its pieces.
+    """Decide an exact family member from a census of its pieces.
 
     The branch tests and the max and min terms depend on phi only through
     t = phi1 - phi0 and switch only at the branch boundaries, and the shape
@@ -500,21 +500,34 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
     alpha*phi0 + beta*phi1 + gamma, and on each breakpoint line it is affine
     along (1, 1).  Every form is read from evaluations, never from the
     parameters: three non-collinear points per strip, two per line, so
-    5k + 3 evaluations for k breakpoints, each through the member's memo
-    and on a miss one call of ``two_point_eval``'s integer kernel.  Each
-    monotonicity witness costs two more calls, which name its branches.
+    5k + 3 evaluations for k breakpoints.  They run on one integer grid,
+    q = 3: every breakpoint is an int on the scale D of
+    ``TwoPointParams.scaled``, so on the scale 3 * D the thirds of each
+    strip and the end probes 1 and 2 beyond the outer breakpoints are ints
+    too.  Each evaluation is one call of ``scaled_eval``, past the member's
+    memo, and every value is its numerator over 3 * D * D * E.
 
     mu is then a normed monetary risk measure iff alpha + beta = 1 and
     alpha, beta >= 0 on every strip, the value rises by 1 along every line,
     g(t) = mu(0, t) meets both one-sided limits at every breakpoint and
-    g(0) = 0.  Each failure becomes a re-checkable violation: a monotone
-    pair inside the strip for a slope outside [0, 1], a monotone pair
-    straddling the breakpoint for a jump (the offset shrinks until the drop
-    shows), a shift for translation invariance and the constant 0 for
-    normedness.
+    g(0) = 0.  Each check compares numerators by cross-multiplication,
+    with no division.  ``Fraction``s are built only for a failure, which
+    becomes a re-checkable violation: a monotone pair inside the strip for
+    a slope outside [0, 1], a monotone pair straddling the breakpoint for a
+    jump (the offset shrinks until the drop shows), a shift for translation
+    invariance and the constant 0 for normedness.  Each monotonicity
+    witness costs two evaluations through the memo, which name its
+    branches.
     """
+    k = mu.params.scaled
+    q = 3
+    unit = k.d * q  # phi = 1 on the grid
+    n = k.scale * q  # the denominator of every value
     F = Fraction
     zero, one = F(0), F(1)
+
+    def num(x0, t):
+        return scaled_eval(k, x0, x0 + t, q)[0]
 
     def ev(phi0, phi1):
         return evaluate_values(mu, (phi0, phi1))
@@ -525,48 +538,75 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
 
     def shifted(t, base, moved):
         return Violation(
-            "translation-invariance", {"phi": (zero, t), "shift": one}, (base, moved)
+            "translation-invariance", {"phi": (zero, F(t, unit)), "shift": one},
+            (F(base, n), F(moved, n)),
         )
 
-    points = [F(t) for t in breakpoints(mu.params)]
+    def form(strip):
+        """(alpha, beta, gamma) of a strip, as ``Fraction``s."""
+        t1, t2, g1, g2, moved = strip
+        t1, g1 = F(t1, unit), F(g1, n)
+        beta = (F(g2, n) - g1) / (F(t2, unit) - t1)
+        return F(moved, n) - g1 - beta, beta, g1 - beta * t1
+
+    # ``breakpoints(mu.params)`` on the scale D: the finite bounds are the
+    # branch boundaries
+    points = sorted({0, *k.knots, *[b for b in k.bounds if b is not None]})
     ends = [None, *points, None]
     out: list[Violation] = []
-    forms = []  # (alpha, beta, gamma) of each strip, left to right
+    strips = []  # (t1, t2, g1, g2, moved) of each strip, left to right
     for lo, hi in zip(ends, ends[1:]):
-        t1, t2 = _two_inside(lo, hi)
-        g1, g2, moved = ev(zero, t1), ev(zero, t2), ev(one, one + t1)
-        beta = (g2 - g1) / (t2 - t1)
-        alpha = moved - g1 - beta
-        forms.append((alpha, beta, g1 - beta * t1))
-        if moved != g1 + 1:
+        if lo is None:
+            t1, t2 = q * hi - 2 * unit, q * hi - unit
+        elif hi is None:
+            t1, t2 = q * lo + unit, q * lo + 2 * unit
+        else:
+            t1, t2 = 2 * lo + hi, lo + 2 * hi  # the thirds of the strip
+        g1, g2, moved = num(0, t1), num(0, t2), num(unit, t1)
+        strips.append((t1, t2, g1, g2, moved))
+        if moved != g1 + n:
             out.append(shifted(t1, g1, moved))
-        if beta < 0:  # raising phi1 lowers the value
-            out.append(monotone((zero, t1), (zero, t2)))
-        if alpha < 0:  # raising phi0 lowers the value
+        if g2 < g1:  # beta < 0: raising phi1 lowers the value
+            out.append(monotone((zero, F(t1, unit)), (zero, F(t2, unit))))
+        if (moved - g1) * (t2 - t1) < (g2 - g1) * unit:  # alpha < 0
+            t1, t2 = F(t1, unit), F(t2, unit)
             out.append(monotone((zero, t2), (t2 - t1, t2)))
-    for k, b in enumerate(points):
-        here, moved = ev(zero, b), ev(one, one + b)
-        if moved != here + 1:
-            out.append(shifted(b, here, moved))
-        if b == 0 and here != 0:
-            out.append(Violation("normedness", {"constant": zero}, (here,)))
-        (la, lb, lc), (_, rb, rc) = forms[k], forms[k + 1]
-        left = min(one, (b - points[k - 1]) / 2) if k else one
-        right = min(one, (points[k + 1] - b) / 2) if k + 1 < len(points) else one
-        jump = lb * b + lc - here  # left limit over g(b)
-        if jump > 0:  # g drops at b: raise phi1 across it
-            eps = _offset(jump, lb, left)
-            out.append(monotone((zero, b - eps), (zero, b)))
-        elif jump < 0:  # g rises at b: raise phi0 back across it
-            eps = _offset(-jump, la, left)
-            out.append(monotone((zero, b), (eps, b)))
-        jump = here - (rb * b + rc)  # g(b) over the right limit
-        if jump > 0:  # g drops after b: raise phi1 across it
-            eps = _offset(jump, rb, right)
-            out.append(monotone((zero, b), (zero, b + eps)))
-        elif jump < 0:  # g rises after b: raise phi0 back across it
-            eps = _offset(-jump, moved - here - rb, right)
-            out.append(monotone((zero, b + eps), (eps, b + eps)))
+    for i, b in enumerate(points):
+        x = q * b
+        here, moved = num(0, x), num(unit, x)
+        if moved != here + n:
+            out.append(shifted(x, here, moved))
+        if b == 0 and here:
+            out.append(Violation("normedness", {"constant": zero}, (F(here, n),)))
+        # the left limit over g(b), and g(b) over the right limit, each
+        # times its strip's n * (t2 - t1) > 0
+        l1, l2, lg1, lg2, _ = strips[i]
+        r1, r2, rg1, rg2, _ = strips[i + 1]
+        left = (lg1 - here) * (l2 - l1) + (lg2 - lg1) * (x - l1)
+        right = (here - rg1) * (r2 - r1) - (rg2 - rg1) * (x - r1)
+        if not (left or right):
+            continue
+        b, here, moved = F(b, k.d), F(here, n), F(moved, n)
+        if left:
+            la, lb, lc = form(strips[i])
+            width = min(one, (b - F(points[i - 1], k.d)) / 2) if i else one
+            jump = lb * b + lc - here
+            if left > 0:  # g drops at b: raise phi1 across it
+                eps = _offset(jump, lb, width)
+                out.append(monotone((zero, b - eps), (zero, b)))
+            else:  # g rises at b: raise phi0 back across it
+                eps = _offset(-jump, la, width)
+                out.append(monotone((zero, b), (eps, b)))
+        if right:
+            _, rb, rc = form(strips[i + 1])
+            width = min(one, (F(points[i + 1], k.d) - b) / 2) if i + 1 < len(points) else one
+            jump = here - (rb * b + rc)
+            if right > 0:  # g drops after b: raise phi1 across it
+                eps = _offset(jump, rb, width)
+                out.append(monotone((zero, b), (zero, b + eps)))
+            else:  # g rises after b: raise phi0 back across it
+                eps = _offset(-jump, moved - here - rb, width)
+                out.append(monotone((zero, b + eps), (eps, b + eps)))
     return out
 
 
@@ -575,7 +615,7 @@ def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
     if mu.capacity is not None:
         # construction already validated the table; re-assert cheaply
         return AxiomReport("pass", (), "exact")
-    if mu.kind == "two-point" and mu.space.exact:
+    if mu.kind == "two-point" and mu.params.scaled is not None:
         found = tuple(_two_point_violations(mu))
         return AxiomReport("fail" if found else "pass", found, "exact")
     if mu.parts and all(
@@ -633,11 +673,15 @@ def verify_axioms(
 
     Capacity-convertible measures are checked exactly: the Capacity
     constructor has already enforced normalization and monotone covers, so
-    the verdict is immediate.  Two-point family members on an exact space
-    are decided exactly by a census of the affine pieces of their formula
-    (``_two_point_violations``).  An exact verdict is held on the measure
-    (``RiskMeasure.exact_report``), so the census runs once per member
-    however often the gate and ``breakpoints`` ask.  A max, min or mixture
+    the verdict is immediate.  A two-point family member is decided exactly
+    by a census of the affine pieces of its formula
+    (``_two_point_violations``) iff it holds its parameters as integers
+    (``TwoPointParams.scaled`` is not None: every weight, slope, finite
+    shift and knot an ``int`` or a ``Fraction``), on any space; a member
+    with a float parameter is probed, and its report says ``sampled``.
+    Every member the CLI loads in exact mode is censused.  An exact verdict
+    is held on the measure (``RiskMeasure.exact_report``), so the census
+    runs once per member however often the gate and ``breakpoints`` ask.  A max, min or mixture
     whose parts all pass exactly passes exactly too: max, min and convex
     combinations keep the three axioms.  Everything else, a combination
     with a failing or unstructured part included, and every measure in
@@ -659,7 +703,7 @@ def verify_axioms(
     if mode == "exact":
         raise InvalidParams(
             "exact verification needs a capacity-convertible measure, a "
-            "two-point family member on an exact space, or a combination "
+            "two-point family member with rational parameters, or a combination "
             "of measures that pass exactly"
         )
 

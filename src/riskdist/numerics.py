@@ -25,7 +25,8 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
     """Parse a JSON number, a ``"p/q"`` rational string, or ``"±inf"``.
 
     A NaN (which Python's JSON reader accepts) raises ``InputFormatError``:
-    every comparison with it is False, so it would pass any check.  A zero
+    every comparison with it is False, so it would pass any check.  So
+    does a rational beyond the float range in float mode.  A zero
     denominator raises ``ValueError``, as any other malformed string does.
     """
     if isinstance(value, str):
@@ -44,13 +45,13 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
                 frac = Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-        return frac if exact else float(frac)
+        return frac if exact else _float(frac, value)
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, int):
-        return Fraction(value) if exact else float(value)
+        return Fraction(value) if exact else _float(value, value)
     if isinstance(value, Fraction):
-        return value if exact else float(value)
+        return value if exact else _float(value, value)
     if isinstance(value, float):
         if value != value:
             raise InputFormatError(f"{value!r} is not finite")
@@ -61,6 +62,13 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
             return Fraction(str(value))
         return value
     raise ValueError(f"not a number: {value!r}")
+
+
+def _float(x, value) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise InputFormatError(f"{value!r} is beyond the float range") from None
 
 
 def format_scalar(x: Scalar) -> str:

@@ -28,7 +28,7 @@ The table is reproduced as printed, and the family it defines is not
 monotone for every valid parameter set.  The branch tests depend on phi only
 through t = phi1 - phi0, so mu(phi) = phi0 + g(t) with g piecewise linear,
 and mu is monotone iff g is continuous with every slope in [0, 1].
-``measures.verify_axioms`` decides each member on an exact space this way:
+``measures.verify_axioms`` decides each exact member (below) this way:
 it reads the affine form of mu on every strip of t between the
 ``breakpoints`` (0, the shape knots and ``branch_boundaries``) from
 evaluations, and reports each jump of g and each slope outside [0, 1] with
@@ -51,19 +51,23 @@ instead the one that fits the uncovered region, where the max picks phi1 and
 the min picks phi0.  Whether that misprint is in the paper or in the
 transcription of its table is unsettled: only the abstract is at hand.
 
-Exact evaluation.  A member with ``Fraction`` weights and slopes and
-rational shifts and knots is exact.  It builds its parameters once as
-integers, ``TwoPointParams.scaled``: with D the least common denominator of
-the weights, the finite shifts and the knots, and E that of the slopes, the
-weights times D*E, the finite shifts, the two branch boundaries, the five
-branch weights and the knot positions times D, and each shape piece as an
-integer line.  ``two_point_eval`` brings ``int`` or ``Fraction`` inputs
-onto their common denominator q and does the max and min, the branch
-comparisons, the knot search and the shape term on ints; it builds one
-``Fraction``, over D*D*E*q, at the end, equal to the formula's value.  No
-float is mixed into this arithmetic: an infinite shift never wins its max
-or min and decides its comparison alone.  Float-mode members, and float
-inputs, take the formula as written.
+Exact evaluation.  A member whose weights, slopes, finite shifts and knots
+are all ``int``s or ``Fraction``s is exact.  It builds its parameters once
+as integers, ``TwoPointParams.scaled``: with D the least common denominator
+of the weights, the finite shifts and the knots, and E that of the slopes,
+the weights times D*E, the finite shifts, the two branch boundaries, the
+five branch weights and the knot positions times D, and each shape piece as
+an integer line.  One integer core, ``scaled_eval``, takes phi0 and phi1 as
+ints on the scale D*q for a common denominator q and does the max and min,
+the branch comparisons, the knot search and the shape term on ints; it
+returns the value's numerator over D*D*E*q and the branch.  Two callers
+share it.  ``two_point_eval`` brings ``int`` or ``Fraction`` inputs onto
+their q and builds one ``Fraction`` from the numerator, equal to the
+formula's value.  The axiom census of ``measures.verify_axioms`` fixes
+q = 3 and compares the numerators themselves.  No float is mixed into
+this arithmetic: an infinite shift never wins its max or min and decides
+its comparison alone.  Float-mode members, members with any float
+parameter, and float inputs take the formula as written.
 """
 
 from __future__ import annotations
@@ -78,7 +82,6 @@ from typing import NamedTuple, Optional
 from .errors import InvalidParams
 from .numerics import NEG_INF, POS_INF, Scalar, is_finite
 
-_FRACTION = frozenset((Fraction,))
 _RATIONAL = frozenset((int, Fraction))
 
 
@@ -97,6 +100,8 @@ class ShapeFunction:
         ts = [t for t, _ in self.knots]
         if not ts:
             raise InvalidParams("shape function needs at least one knot")
+        if not all(is_finite(x) for knot in self.knots for x in knot):
+            raise InvalidParams("shape knots must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidParams("shape knots must be strictly increasing in t")
         self._validate()
@@ -104,15 +109,13 @@ class ShapeFunction:
     @cached_property
     def _slopes(self) -> tuple[Scalar, ...]:
         # derived from the immutable knots once: evaluation is a hot path
+        # lists, not generators, as in ``TwoPointParams.scaled``
         ks = self.knots
-        return tuple(
-            (ks[i + 1][1] - ks[i][1]) / (ks[i + 1][0] - ks[i][0])
-            for i in range(len(ks) - 1)
-        )
+        return tuple([(y2 - y1) / (t2 - t1) for (t1, y1), (t2, y2) in zip(ks, ks[1:])])
 
     @cached_property
     def _ts(self) -> tuple[Scalar, ...]:
-        return tuple(t for t, _ in self.knots)
+        return tuple([t for t, _ in self.knots])
 
     def _validate(self):
         if len(self.knots) == 1 and self.knots[0][1] != 0:
@@ -203,13 +206,13 @@ class TwoPointParams:
     @cached_property
     def scaled(self) -> Optional["ScaledParams"]:
         """The parameters as integers over one denominator, built once, or
-        None for a float-mode member.
+        None for a member with a float parameter.
 
-        A member is exact when its weights and slopes are ``Fraction``s and
-        its finite shifts and knots are ``int``s or ``Fraction``s.  D is the
-        least common denominator of the weights, the finite shifts and the
-        knots, and E that of the slopes; the module docstring gives the
-        scales.  Not a field: equality and reports see the three fields.
+        A member is exact when its weights, slopes, finite shifts and knots
+        are all ``int``s or ``Fraction``s.  D is the least common
+        denominator of the weights, the finite shifts and the knots, and E
+        that of the slopes; the module docstring gives the scales.  Not a
+        field: equality and reports see the three fields.
         """
         alphas, knots, slopes = self.alphas, self.shape.knots, self.shape._slopes
         # lists, not generators: a tuple built from a generator is allocated
@@ -218,10 +221,7 @@ class TwoPointParams:
         # member grew those lists, and peak memory, run after run
         shifts = [x for x in self.lambdas if is_finite(x)]
         coords = [x for knot in knots for x in knot]
-        if not (
-            _FRACTION.issuperset(map(type, (*alphas, *slopes)))
-            and _RATIONAL.issuperset(map(type, (*shifts, *coords)))
-        ):
+        if not _RATIONAL.issuperset(map(type, (*alphas, *slopes, *shifts, *coords))):
             return None
         d = lcm(*[x.denominator for x in (*alphas, *shifts, *coords)])
         e = lcm(*[s.denominator for s in slopes])
@@ -313,12 +313,21 @@ def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointVal
 
 def _exact_eval(k: ScaledParams, phi0, phi1) -> TwoPointValue:
     """``two_point_eval`` on ints: phi0 and phi1 over their common
-    denominator q, times D, so that t = phi1 - phi0 is x1 - x0 on the
-    scale D * q; the value's numerator is on the scale D * D * E * q."""
+    denominator q, times D, evaluated by ``scaled_eval``."""
     d0, d1 = phi0.denominator, phi1.denominator
     q = d0 if d0 == d1 else lcm(d0, d1)
-    x0 = phi0.numerator * (q // d0 * k.d)
-    x1 = phi1.numerator * (q // d1 * k.d)
+    total, branch = scaled_eval(
+        k, phi0.numerator * (q // d0 * k.d), phi1.numerator * (q // d1 * k.d), q
+    )
+    return TwoPointValue(Fraction(total, k.scale * q), branch, branch == 5)
+
+
+def scaled_eval(k: ScaledParams, x0: int, x1: int, q: int) -> tuple[int, int]:
+    """The value's numerator and the branch at phi = (x0, x1) / (D * q).
+
+    x0 and x1 are on the scale D * q, so t = phi1 - phi0 is x1 - x0 on it
+    too; the numerator is on the scale D * D * E * q (``k.scale * q``).
+    """
     t = x1 - x0
     a1, a2, a3, a4 = k.alphas
     total = a1 * x0 + a2 * x1
@@ -347,7 +356,7 @@ def _exact_eval(k: ScaledParams, phi0, phi1) -> TwoPointValue:
         ts = k.knots
         c, s = k.pieces[bisect_left(ts, -(-t // q), 1, len(ts) - 1) - 1]
         total += weight * (c * q + s * t)
-    return TwoPointValue(Fraction(total, k.scale * q), branch, branch == 5)
+    return total, branch
 
 
 def branch_boundaries(p: TwoPointParams) -> list[Scalar]:

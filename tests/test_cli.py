@@ -80,6 +80,28 @@ class TestValidate:
         assert "measure #0 (two-point): pass [exact]" in out
         assert "Traceback" not in out + err
 
+    def test_knots_beyond_the_float_range_are_an_input_error(self, tmp_path, capsys):
+        big = str(10**400)
+        member = {
+            "type": "two-point",
+            "alpha": ["1/4", "1/4", "1/4", "1/4"],
+            "lambda": ["0", "-inf", "0", "0"],
+            "f": {"knots": [["-" + big, "-" + big], ["0", "0"], [big, big]]},
+        }
+        space = write(tmp_path, "space.json", TWO_POINT)
+        argv = ["validate", "--space", space, "--measure", json.dumps(member)]
+        code = main([*argv, "--mode", "float"])
+        out, err = capsys.readouterr()
+        assert code == 2, err
+        assert "beyond the float range" in err
+        assert "Traceback" not in out + err
+        # a JSON integer as large, and the exact mode still reads the member
+        member["f"]["knots"][2] = [10**400, 10**400]
+        argv[-1] = json.dumps(member)
+        assert main([*argv, "--mode", "float"]) == 2
+        assert main(argv) == 0
+        capsys.readouterr()
+
 
 class TestDistance:
     def test_point_mass_pair(self, space_file, capsys):

@@ -6,9 +6,17 @@ import pytest
 import riskdist as rd
 from riskdist.ensembles import derive_rng, random_measure, random_two_point_params
 from riskdist.errors import InvalidParams
-from riskdist.measures import evaluate_values, normal_forms
+from riskdist.measures import (
+    Violation,
+    _offset,
+    _two_inside,
+    _two_point_violations,
+    _with_branches,
+    evaluate_values,
+    normal_forms,
+)
 from riskdist.numerics import NEG_INF, POS_INF
-from riskdist.twopoint import TwoPointValue, branch_boundaries, breakpoints, two_point_eval
+from riskdist.twopoint import branch_boundaries, breakpoints, scaled_eval, two_point_eval
 
 from test_acceptance import Defect, recheck_two_point_violation, two_point_census
 
@@ -40,6 +48,12 @@ class TestShapeFunction:
         f = rd.ShapeFunction.identity()
         assert f(F(-20)) == F(-20)
         assert f(F(7, 2)) == F(7, 2)
+
+    def test_knots_must_be_finite(self):
+        # an infinite knot made a float slope of 0 out of rational input
+        for knots in (((NEG_INF, F(-1)), (F(0), F(0))), ((F(0), F(0)), (POS_INF, POS_INF))):
+            with pytest.raises(InvalidParams, match="finite"):
+                rd.ShapeFunction(knots)
 
     def test_must_vanish_at_origin(self):
         # knots may skip 0 when the interpolation still passes through it
@@ -365,11 +379,12 @@ class TestExactTier:
     def test_dropped_phi1_term_breaks_translation_invariance(self, two_point, monkeypatch):
         import riskdist.measures
 
-        def mutated(p, phi0, phi1):
-            out = two_point_eval(p, phi0, phi1)
-            return TwoPointValue(out.value - p.alphas[1] * phi1, out.branch, out.gap)
+        # the census evaluates through the integer core, on its numerators
+        def mutated(k, x0, x1, q):
+            total, branch = scaled_eval(k, x0, x1, q)
+            return total - k.alphas[1] * x1, branch
 
-        monkeypatch.setattr(riskdist.measures, "two_point_eval", mutated)
+        monkeypatch.setattr(riskdist.measures, "scaled_eval", mutated)
         p = params((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), shape=rd.ShapeFunction.identity())
         report = rd.verify_axioms(rd.two_point_measure(two_point, p))
         assert not report.ok and report.method == "exact"
@@ -635,3 +650,125 @@ def test_two_point_eval_matches_the_reference_formula():
             assert (got.branch, got.gap) == (branch, gap)
             branches.add((branch, floats))
     assert branches == {(b, f) for b in range(1, 6) for f in (False, True)}
+
+
+def reference_two_point_violations(mu):
+    """The violations of a family member by the axiom census as first
+    written: ``Fraction`` arithmetic on evaluations through the member's
+    memo, with each strip's form divided out."""
+    zero, one = F(0), F(1)
+
+    def ev(phi0, phi1):
+        return evaluate_values(mu, (phi0, phi1))
+
+    def monotone(lo, hi):
+        wit = {"lo": lo, "hi": hi}
+        return _with_branches(mu.params, Violation("monotonicity", wit, (ev(*lo), ev(*hi))))
+
+    def shifted(t, base, moved):
+        return Violation(
+            "translation-invariance", {"phi": (zero, t), "shift": one}, (base, moved)
+        )
+
+    points = [F(t) for t in breakpoints(mu.params)]
+    ends = [None, *points, None]
+    out = []
+    forms = []
+    for lo, hi in zip(ends, ends[1:]):
+        t1, t2 = _two_inside(lo, hi)
+        g1, g2, moved = ev(zero, t1), ev(zero, t2), ev(one, one + t1)
+        beta = (g2 - g1) / (t2 - t1)
+        alpha = moved - g1 - beta
+        forms.append((alpha, beta, g1 - beta * t1))
+        if moved != g1 + 1:
+            out.append(shifted(t1, g1, moved))
+        if beta < 0:
+            out.append(monotone((zero, t1), (zero, t2)))
+        if alpha < 0:
+            out.append(monotone((zero, t2), (t2 - t1, t2)))
+    for k, b in enumerate(points):
+        here, moved = ev(zero, b), ev(one, one + b)
+        if moved != here + 1:
+            out.append(shifted(b, here, moved))
+        if b == 0 and here != 0:
+            out.append(Violation("normedness", {"constant": zero}, (here,)))
+        (la, lb, lc), (_, rb, rc) = forms[k], forms[k + 1]
+        left = min(one, (b - points[k - 1]) / 2) if k else one
+        right = min(one, (points[k + 1] - b) / 2) if k + 1 < len(points) else one
+        jump = lb * b + lc - here
+        if jump > 0:
+            eps = _offset(jump, lb, left)
+            out.append(monotone((zero, b - eps), (zero, b)))
+        elif jump < 0:
+            eps = _offset(-jump, la, left)
+            out.append(monotone((zero, b), (eps, b)))
+        jump = here - (rb * b + rc)
+        if jump > 0:
+            eps = _offset(jump, rb, right)
+            out.append(monotone((zero, b), (zero, b + eps)))
+        elif jump < 0:
+            eps = _offset(-jump, moved - here - rb, right)
+            out.append(monotone((zero, b + eps), (eps, b + eps)))
+    return out
+
+
+#: one hand-built member per documented defect class (twopoint module
+#: docstring): a fallback jump at t = 1, a covered-branch jump at the
+#: boundary -1, and branch 4's slope above 1 with no finite shift
+CLASS_DEFECTS = {
+    "A": ((F(1, 2), F(0), F(1, 2), F(0)), (F(0), F(-1), F(0), F(0))),
+    "B": ((F(1, 2), F(0), F(1, 2), F(0)), (F(-1), F(0), F(0), F(0))),
+    "C": ((F(1, 4),) * 4, (NEG_INF, F(0), F(0), F(0))),
+}
+
+
+def test_census_matches_the_fraction_census(two_point):
+    """The integer census reports what the ``Fraction`` census reported,
+    violation by violation and to the ``repr`` of every witness and value,
+    on criterion 09's stream, the infinite shifts and one member per class."""
+    kinked = rd.ShapeFunction(KINKED_KNOTS)
+    members = family_stream(1000)
+    members += [
+        params((F(1, 4),) * 4, lambdas, shape)
+        for lambdas in INFINITE_SHIFTS
+        for shape in (rd.ShapeFunction.identity(), kinked)
+    ]
+    for cls, (alphas, lambdas) in CLASS_DEFECTS.items():
+        p = params(alphas, lambdas, rd.ShapeFunction.identity())
+        assert {d.cls for d in two_point_census(p)} == {cls}
+        members.append(p)
+    failing = 0
+    for p in members:
+        got = _two_point_violations(rd.two_point_measure(two_point, p))
+        want = reference_two_point_violations(rd.two_point_measure(two_point, p))
+        assert got == want and repr(got) == repr(want), p
+        failing += bool(want)
+    # criterion 09's 322, four members with infinite shifts and the three
+    # hand-built ones
+    assert failing == 322 + 4 + 3
+
+
+class TestCensusScope:
+    """The census runs iff a member holds its parameters as integers."""
+
+    def test_float_parameters_on_an_exact_space_are_probed(self, two_point):
+        p = rd.TwoPointParams((0.25,) * 4, (NEG_INF, 0.0, 0.0, 0.0), rd.ShapeFunction.identity())
+        assert p.scaled is None
+        mu = rd.two_point_measure(two_point, p)
+        assert mu.exact_report is None and mu.breakpoints is None
+        # branch 4's slope defect, which the census reported as exact from
+        # float arithmetic, is now found by the probes
+        report = rd.verify_axioms(mu, seed=3)
+        assert not report.ok and report.method == "sampled(seed=3, count=200)"
+        with pytest.raises(InvalidParams):
+            rd.verify_axioms(mu, mode="exact")
+
+    def test_int_weights_are_censused_as_fractions(self, two_point):
+        for weights in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
+            for lambdas in ((F(-1), F(0), F(0), F(2)), (NEG_INF, 0, 0, POS_INF)):
+                ints = params(weights, lambdas, rd.ShapeFunction(KINKED_KNOTS))
+                fracs = params(tuple(map(F, weights)), lambdas, rd.ShapeFunction(KINKED_KNOTS))
+                assert ints.scaled is not None and ints.scaled == fracs.scaled
+                report = rd.verify_axioms(rd.two_point_measure(two_point, ints), seed=1)
+                assert report.method == "exact"
+                assert report == rd.verify_axioms(rd.two_point_measure(two_point, fracs), seed=1)
