@@ -73,16 +73,22 @@ K the breakpoints of each measure.  Monotone translation invariant measures
 are 1-Lipschitz in the sup norm (Foellmer and Schied, Stochastic Finance,
 2004), so the gap is continuous, and its supremum is reached at a point of
 T unless it rises without bound along one of the two rays past T.  The
-decider evaluates the gap on T and one step past each end: a positive value
+decider reads the gap on T and one step past each end: a positive value
 refutes, and so does a ray on which the gap rises, at the first whole step
 where it turns positive; otherwise the pair is feasible.  Either verdict is
-a proof.
+a proof.  Reading the gap is a lookup, not an evaluation: each section
+minimum (a, b) of psi has a and b in {0, t}, so b - a is 0, t or -t, which
+all lie in T (T is symmetric), and mua(a, b) = a + ga(b - a) is read from
+ga on T.  ``prepare_pair`` evaluates g of both measures on T once and lifts
+T and those values onto one integer denominator, so that a level costs
+|T| integer comparisons per side.
 
 Deciding is split in two.  ``prepare_pair`` does, once per pair, what does
 not depend on S: the tier dispatch, each side's support mask (of the
 capacity, or the union over a lattice's parts), the two indicator tables
 cross-multiplied onto one scale, the part tables of step 2 lifted to one
-scale and, on the two-point tier, the points T and each side's mub(0, t).
+scale and, on the two-point tier, the points T and each measure's
+mu(a, b) for a and b in {0, t} as integers.
 ``decide`` then gives the verdict on one relation; ``admissible`` is
 ``decide(prepare_pair(mu1, mu2), s, seed)``, and the distance ladder
 prepares once and decides at every level.  What outlives a pair is built
@@ -92,16 +98,16 @@ first use, and the ladder's levels and relations once per space
 (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
-(``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
-extension.  Black boxes, pushforwards and combinations with such parts stay
-on the sampled tier, and so do float spaces, relations with a projection
-that misses a point, defective family members and a pair whose uncovered
-chains outgrow ``CHAIN_BUDGET``.  That tier scans (a), (b) and (c) over
-one fixed grid, whatever the caller: ``probe_grid(space, seed,
-REFUTATION_RANDOMS)``.  A probe that refutes gives an infeasible verdict
-with a certificate, and a scan with no refutation gives the lower extension
-as a "witness-found" verdict, which says that no probe refuted and proves
-nothing more.  ``verify_coupling`` re-checks such a witness with
+(``FeasibilityVerdict`` lists the kinds), built when it is first read; a
+feasible one carries the lower extension.  Black boxes, pushforwards and
+combinations with such parts stay on the sampled tier, and so do float
+spaces, relations with a projection that misses a point, defective family
+members and a pair whose uncovered chains outgrow ``CHAIN_BUDGET``.  That
+tier scans (a), (b) and (c) over one fixed grid, whatever the caller:
+``probe_grid(space, seed, REFUTATION_RANDOMS)``.  A probe that refutes
+gives an infeasible verdict with a certificate, and a scan with no
+refutation gives the lower extension as a "witness-found" verdict, which
+says that no probe refuted and proves nothing more.  ``verify_coupling`` re-checks such a witness with
 ``measures.probe_axioms``, the seeded prober that also checks measures:
 with the default 64 samples, 64 monotone pairs, 32 integer shifts and four
 constants on the product, then the product-point indicators, support
@@ -110,13 +116,13 @@ confinement on 32 of the pairs and the marginal identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import compress
+from functools import cached_property, partial, reduce
+from itertools import chain, compress
 from math import lcm
-from operator import gt, le, or_
-from typing import Optional
+from operator import add, gt, le, or_
+from typing import Callable, Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
 from .measures import (
@@ -236,9 +242,12 @@ class CouplingWitness:
         )
 
     def cost(self) -> Scalar:
-        """Maximal base distance over the declared support."""
-        d = self.support.left.dist
-        return max(d[i][j] for i, j in self.support.pairs())
+        """Maximal base distance over the declared support: the distance
+        of the largest rank (``FiniteMetricSpace._ranks``) among its pairs,
+        an integer maximum."""
+        space = self.support.left
+        pairs = chain.from_iterable(self.support.matrix)
+        return space._distances[max(compress(space._ranks, pairs))]
 
 
 def lower_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingWitness:
@@ -260,7 +269,7 @@ def _check_coupling_spaces(mu1, mu2, s: Relation):
 # feasibility
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityVerdict:
     """The answer of ``admissible``.
 
@@ -287,16 +296,35 @@ class FeasibilityVerdict:
       mu1, ``S.inv_section_lists``) on "right", ``values`` = (mua(
       section_minima(psi, lists)), mub(psi)) and values[0] > values[1] +
       tol, which breaks (b) or (c); re-checks by evaluation on every tier.
+
+    The certificate is built on first read, by ``certify``, and then kept:
+    the distance ladder reads only status, tier and witness, so the
+    infeasible levels of a scan build none.  The exact tiers find, while
+    deciding, only what the decision needs (step 2's psi, a two-point
+    level's refuting index); the certificate's psi and values are found or
+    evaluated when it is read.  Verdicts compare by status, tier,
+    certificate and witness.
     """
 
     status: str  # "feasible" | "infeasible"
     tier: str
-    certificate: Optional[dict] = None
     witness: Optional[CouplingWitness] = None
+    certify: Optional[Callable[[], dict]] = field(default=None, repr=False)
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
+
+    @cached_property
+    def certificate(self) -> Optional[dict]:
+        return None if self.certify is None else self.certify()
+
+    def __eq__(self, other):
+        if not isinstance(other, FeasibilityVerdict):
+            return NotImplemented
+        return (self.status, self.tier, self.certificate, self.witness) == (
+            other.status, other.tier, other.certificate, other.witness
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,8 +341,9 @@ class PreparedPair:
       the getters of the two measures' own values at a subset.
     * ``checks``: per side, the (row, group) checks with more than one
       column, each a list of (a, b) part tables lifted to one scale.
-    * ``points`` and ``rhs``: on the two-point tier, the points T with one
-      step past each end, and per side mub(0, t) at each of them.
+    * ``points`` and ``tables``: on the two-point tier, the points T with
+      one step past each end, and per measure its lookup tables of mu(a, b)
+      for a and b in {0, t}, as integers over one denominator.
     """
 
     mu1: RiskMeasure
@@ -324,7 +353,7 @@ class PreparedPair:
     scan: tuple = ()
     checks: tuple = ()
     points: tuple = ()
-    rhs: tuple = ()
+    tables: tuple = ()
 
 
 def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
@@ -398,10 +427,7 @@ def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict
         return FeasibilityVerdict(
             "infeasible",
             "dirac",
-            certificate={
-                "kind": "pair-outside-support",
-                "pair": (mu1.point, mu2.point),
-            },
+            certify=partial(dict, kind="pair-outside-support", pair=(mu1.point, mu2.point)),
         )
     projections = s.left_projection, s.right_projection
     if route == "exact-choquet":
@@ -443,7 +469,7 @@ def admissible(
     ``prepare_pair`` does the work that depends on the pair alone, once:
     the tier dispatch, each side's support masks, the indicator tables
     cross-multiplied onto one scale, the lifted part tables of the chain
-    cover and, on the two-point tier, the points and right-hand values.
+    cover and, on the two-point tier, the points and lookup tables.
     Each measure's own indicator table is built with its normal forms, and
     each relation's inner-mask tables with the relation, so a ladder scan,
     which prepares once and decides per level, rebuilds none of them.
@@ -463,7 +489,26 @@ def admissible(
 
 def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
     return FeasibilityVerdict(
-        "infeasible", tier, certificate={"kind": kind, "side": side, **fields}
+        "infeasible", tier, certify=partial(dict, kind=kind, side=side, **fields)
+    )
+
+
+def _dominated(tier: str, side: str, find) -> FeasibilityVerdict:
+    """An infeasible verdict whose envelope-domination certificate is built
+    on first read from ``find() = (psi, values)``."""
+
+    def certify():
+        psi, values = find()
+        return {"kind": "envelope-domination", "side": side, "psi": psi, "values": values}
+
+    return FeasibilityVerdict("infeasible", tier, certify=certify)
+
+
+def _evaluated(mua, mub, lists, psi) -> tuple:
+    """(psi, (mua(section_minima(psi, lists)), mub(psi))): an
+    envelope-domination certificate's psi and values, by evaluation."""
+    return psi, (
+        evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi)
     )
 
 
@@ -482,23 +527,21 @@ def _decide(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
     # over the two tables' scales; the indexed loop only names the first U
     for (side, *_, inners, _), (a, b, va, vb) in zip(sides, pair.scan):
         if any(map(gt, map(a.__getitem__, inners), b)):
-            u = next(u for u in range(1 << n) if a[inners[u]] > b[u])
-            psi = tuple([u >> x & 1 for x in range(n)])
-            values = (va(inners[u]), vb(u))
-            return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+            def find():
+                u = next(u for u in range(1 << n) if a[inners[u]] > b[u])
+                return tuple([u >> x & 1 for x in range(n)]), (va(inners[u]), vb(u))
+
+            return _dominated(tier, side, find)
     # 2. and 3., one check per (row, group) with more than one column, over
     # the parts' tables lifted to one scale; a check with one column is a
     # comparison the scan has made, and two capacities have no other
     for (side, mua, mub, inners, lists), checks in zip(sides, pair.checks):
         for check in checks:
-            columns = [(tuple(map(a.__getitem__, inners)), b) for a, b in check]
+            # lists, not iterators, as in ``Relation``'s section tables
+            columns = [(list(map(a.__getitem__, inners)), b) for a, b in check]
             psi = _refuting_chain(columns, n)
             if psi is not None:
-                values = (
-                    evaluate_values(mua, section_minima(psi, lists)),
-                    evaluate_values(mub, psi),
-                )
-                return _refuted(tier, "envelope-domination", side, psi=psi, values=values)
+                return _dominated(tier, side, partial(_evaluated, mua, mub, lists, psi))
     return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
 
 
@@ -613,53 +656,64 @@ def _positive_combination(rows):
 
 
 def _prepare_two_point(mu1, mu2) -> PreparedPair:
+    """The points T, one step past each end, and each measure's lookup
+    tables of mu(a, b) for a and b in {0, t}, t in T, as integers over one
+    denominator; ``_decide_two_point`` reads a level from them."""
     zero = Fraction(0)
     kinks = {zero, *mu1.breakpoints, *mu2.breakpoints}
     points = sorted({*kinks, *(-t for t in kinks)})
     points = (points[0] - 1, *points, points[-1] + 1)
-    rhs = tuple(
-        tuple(evaluate_values(mub, (zero, t)) for t in points) for mub in (mu2, mu1)
-    )
-    return PreparedPair(mu1, mu2, "exact-two-point", points=points, rhs=rhs)
+    gs = [[evaluate_values(mu, (zero, t)) for t in points] for mu in (mu1, mu2)]
+    den = lcm(*[x.denominator for x in chain(points, *gs)])
+    ts = [t.numerator * (den // t.denominator) for t in points]
+    zeros = [0] * len(ts)
+    tables = []
+    for g in gs:
+        g = [x.numerator * (den // x.denominator) for x in g]
+        # mu(a, b) = a + g(b - a), by which of a and b is t: mu(0, 0) = 0,
+        # mu(0, t) = g(t), mu(t, 0) = t + g(-t), and -t is T read backwards
+        tables.append((zeros, g, list(map(add, ts, reversed(g))), ts))
+    return PreparedPair(mu1, mu2, "exact-two-point", points=points, tables=tuple(tables))
 
 
 def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
     """The exact decider of a pair on an exact two-point space, with full
     projections, from the measures' breakpoints; the module docstring gives
-    the argument."""
-    mu1, mu2 = pair.mu1, pair.mu2
-    tol = mu1.space.tol
-    zero = Fraction(0)
-    points = pair.points
-    for side, mua, mub, lists, rhs in (
-        ("left", mu1, mu2, s.section_lists, pair.rhs[0]),
-        ("right", mu2, mu1, s.inv_section_lists, pair.rhs[1]),
-    ):
-        def lhs(t):
-            return evaluate_values(mua, section_minima((zero, t), lists))
+    the argument.
 
-        gaps = []
-        for t, right in zip(points, rhs):
-            left = lhs(t)
-            if left > right + tol:
-                return _refuted(
-                    "exact-two-point", "envelope-domination", side,
-                    psi=(zero, t), values=(left, right),
-                )
-            gaps.append(left - right)
+    Each side's gap at psi = (0, t) is read from the pair's lookup tables
+    with integer comparisons only: the section minima of psi are 0 or t,
+    by the sign of t and the relation's sections, so each side picks one
+    table of mua below 0 and one above, and compares it with mub(0, t).
+    Nothing is evaluated: a refutation's certificate evaluates when read.
+    """
+    mu1, mu2 = pair.mu1, pair.mu2
+    points = pair.points
+    last = len(points) - 1
+    middle = last // 2  # t = 0: the points are symmetric
+    zero = Fraction(0)
+    for side, mua, mub, lists, own, other in (
+        ("left", mu1, mu2, s.section_lists, *pair.tables),
+        ("right", mu2, mu1, s.inv_section_lists, *pair.tables[::-1]),
+    ):
+        # a section's minimum of psi is t for t < 0 when the section holds
+        # point 1, and for t > 0 when it holds point 1 alone
+        first, second = lists
+        below = own[2 * (1 in first) + (1 in second)]
+        above = own[2 * (first == (1,)) + (second == (1,))]
+        lhs, rhs = below[:middle] + above[middle:], other[1]
+        k = next(compress(range(last + 1), map(gt, lhs, rhs)), None)
+        if k is not None:
+            psi = (zero, points[k])
+            return _dominated("exact-two-point", side, partial(_evaluated, mua, mub, lists, psi))
         # past the outer points the gap is affine: one that rises outwards
         # turns positive some whole number of steps further out
-        for end, gap, rise, step in (
-            (points[0], gaps[0], gaps[0] - gaps[1], -1),
-            (points[-1], gaps[-1], gaps[-1] - gaps[-2], 1),
-        ):
+        for end, near, step in ((0, 1, -1), (last, last - 1, 1)):
+            gap = lhs[end] - rhs[end]
+            rise = gap - (lhs[near] - rhs[near])
             if rise > 0:
-                t = end + step * (-gap // rise + 1)
-                psi = (zero, t)
-                return _refuted(
-                    "exact-two-point", "envelope-domination", side,
-                    psi=psi, values=(lhs(t), evaluate_values(mub, psi)),
-                )
+                psi = (zero, points[end] + step * (-gap // rise + 1))
+                return _dominated("exact-two-point", side, partial(_evaluated, mua, mub, lists, psi))
     return FeasibilityVerdict("feasible", "exact-two-point", witness=lower_coupling(mu1, mu2, s))
 
 

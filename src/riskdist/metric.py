@@ -96,7 +96,10 @@ def bottleneck_distance(
     decided from it (``coupling.decide``), which is ``admissible`` at that
     level.  The levels and their relations are built once per space
     (``sublevel_ladder``), each relation's inner-mask tables once per
-    relation, and each measure's indicator table with the measure.
+    relation, and each measure's indicator table with the measure.  The
+    scan reads each verdict's status, tier and witness, never its
+    certificate, so the infeasible levels build none: a certificate is
+    built when it is read.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")

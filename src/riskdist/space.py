@@ -100,10 +100,23 @@ class FiniteMetricSpace:
         return {k: m for m, k in enumerate(keys)}
 
     @cached_property
+    def _distances(self) -> tuple[Scalar, ...]:
+        """The distinct distances, sorted; in float mode none are merged."""
+        return tuple(sorted({v for row in self.dist for v in row}))
+
+    @cached_property
+    def _ranks(self) -> tuple[int, ...]:
+        """The rank of each distance in ``_distances``, row by row over the
+        flat pair index ``i * n + j``, built once per space: a maximum of
+        distances is a maximum of these ints."""
+        rank = {v: r for r, v in enumerate(self._distances)}
+        return tuple([rank[v] for row in self.dist for v in row])
+
+    @cached_property
     def _levels(self) -> tuple[Scalar, ...]:
-        values = sorted({v for row in self.dist for v in row})
+        values = self._distances
         if self.exact:
-            return tuple(values)
+            return values
         merged: list[Scalar] = []
         for v in values:
             if not merged or v - merged[-1] > self.tol:
@@ -277,24 +290,25 @@ class Relation:
             len(row) != self.right.n for row in self.matrix
         ):
             raise SpaceMismatch("relation matrix shape does not match spaces")
-        sec_lists = tuple(
-            tuple(j for j in range(self.right.n) if row[j]) for row in self.matrix
-        )
-        inv_lists = tuple(
-            tuple(i for i in range(self.left.n) if self.matrix[i][j])
-            for j in range(self.right.n)
-        )
-        object.__setattr__(self, "sections", tuple(sum(1 << j for j in lst) for lst in sec_lists))
-        object.__setattr__(self, "inv_sections", tuple(sum(1 << i for i in lst) for lst in inv_lists))
+        # lists, not generators: a tuple built from a generator is allocated
+        # at a guessed length and resized, so it never comes from the
+        # interpreter's free lists of tuples but is freed into them, and
+        # every Dirac witness builds a relation
+        matrix, n1, n2 = self.matrix, self.left.n, self.right.n
+        sec_lists = tuple([tuple([j for j in range(n2) if row[j]]) for row in matrix])
+        inv_lists = tuple([
+            tuple([i for i in range(n1) if matrix[i][j]]) for j in range(n2)
+        ])
+        object.__setattr__(self, "sections", tuple([sum(1 << j for j in lst) for lst in sec_lists]))
+        object.__setattr__(self, "inv_sections", tuple([sum(1 << i for i in lst) for lst in inv_lists]))
         object.__setattr__(self, "section_lists", sec_lists)
         object.__setattr__(self, "inv_section_lists", inv_lists)
-        n2 = self.right.n
-        object.__setattr__(self, "pair_lists", tuple(
-            tuple(i * n2 + j for j in lst) for i, lst in enumerate(sec_lists)
-        ))
-        object.__setattr__(self, "inv_pair_lists", tuple(
-            tuple(i * n2 + j for i in lst) for j, lst in enumerate(inv_lists)
-        ))
+        object.__setattr__(self, "pair_lists", tuple([
+            tuple([i * n2 + j for j in lst]) for i, lst in enumerate(sec_lists)
+        ]))
+        object.__setattr__(self, "inv_pair_lists", tuple([
+            tuple([i * n2 + j for i in lst]) for j, lst in enumerate(inv_lists)
+        ]))
         object.__setattr__(self, "left_projection", sum(1 << i for i, l in enumerate(sec_lists) if l))
         object.__setattr__(self, "right_projection", sum(1 << j for j, l in enumerate(inv_lists) if l))
 
@@ -336,7 +350,7 @@ class Relation:
             if not (0 <= i < left.n and 0 <= j < right.n):
                 raise SpaceMismatch(f"pair ({i},{j}) out of range")
             grid[i][j] = True
-        return Relation(left, right, tuple(tuple(row) for row in grid))
+        return Relation(left, right, tuple([tuple(row) for row in grid]))
 
 
 def _inner_table(sections, n: int) -> tuple[int, ...]:

@@ -109,9 +109,15 @@ class ShapeFunction:
     @cached_property
     def _slopes(self) -> tuple[Scalar, ...]:
         # derived from the immutable knots once: evaluation is a hot path
-        # lists, not generators, as in ``TwoPointParams.scaled``
+        # lists, not generators, as in ``TwoPointParams.scaled``; rational
+        # differences keep an exact slope, where int / int would be a float
         ks = self.knots
-        return tuple([(y2 - y1) / (t2 - t1) for (t1, y1), (t2, y2) in zip(ks, ks[1:])])
+        slopes = []
+        for (t1, y1), (t2, y2) in zip(ks, ks[1:]):
+            dy, dt = y2 - y1, t2 - t1
+            exact = _RATIONAL.issuperset((type(dy), type(dt)))
+            slopes.append(Fraction(dy, dt) if exact else dy / dt)
+        return tuple(slopes)
 
     @cached_property
     def _ts(self) -> tuple[Scalar, ...]:

@@ -351,6 +351,44 @@ class TestExactLatticeTier:
         assert rd.admissible(shadow(mu1), shadow(mu2), rel, seed=1).feasible
 
 
+def test_a_ladder_scan_builds_no_certificate(monkeypatch):
+    # certificates are built on read: a star5 lattice pair refuted at three
+    # or more levels builds none while it is scanned, and each one read
+    # afterwards re-checks and equals that of a fresh ``admissible``
+    from conftest import make_star5
+    from riskdist import metric
+
+    space = make_star5()
+    seen = []
+    real = metric.decide
+
+    def recording(pair, s, seed=0):
+        verdict = real(pair, s, seed=seed)
+        seen.append((s, verdict))
+        return verdict
+
+    monkeypatch.setattr(metric, "decide", recording)
+    rng = derive_rng(2021, "lazy-certificates")
+    for _ in range(40):
+        mu1, mu2 = random_lattice(space, rng), random_lattice(space, rng)
+        seen.clear()
+        res = rd.bottleneck_distance(mu1, mu2, check_axioms=False)
+        refuted = [(s, v) for s, v in seen if not v.feasible]
+        if len(refuted) >= 3:
+            break
+    assert len(refuted) >= 3 and res.tier == "exact-lattice"
+    assert {v.tier for _, v in refuted} == {"exact-lattice"}
+    # a cached certificate lives in the verdict's __dict__ once built
+    assert not any("certificate" in vars(v) for _, v in seen)
+    for s, verdict in refuted:
+        cert = verdict.certificate
+        assert cert["kind"] == "envelope-domination"
+        assert_certificate_rechecks(mu1, mu2, s, cert)
+        assert cert == rd.admissible(mu1, mu2, s).certificate
+        assert verdict.certificate is cert  # built once
+        assert verdict == rd.admissible(mu1, mu2, s)
+
+
 def test_every_envelope_domination_certificate_rechecks_by_evaluation():
     from conftest import fixture_spaces, make_two_point
 
@@ -431,9 +469,80 @@ def random_family_combo(space, rng):
     return (rd.lattice_max if pick < 0.8 else rd.lattice_min)([mu, other])
 
 
+def reference_decide_two_point(mu1, mu2, s):
+    """The two-point decider by evaluation, the reference for the lookup
+    tables of ``_decide_two_point``: (status, certificate).  Each side's
+    gap is evaluated at psi = (0, t) for t in T and one step past each end,
+    and a ray on which the gap rises refutes at the first whole step where
+    it turns positive."""
+    zero = F(0)
+    kinks = {zero, *mu1.breakpoints, *mu2.breakpoints}
+    points = sorted({*kinks, *(-t for t in kinks)})
+    points = (points[0] - 1, *points, points[-1] + 1)
+    for side, mua, mub, lists in (
+        ("left", mu1, mu2, s.section_lists),
+        ("right", mu2, mu1, s.inv_section_lists),
+    ):
+        def certificate(t):
+            psi = (zero, t)
+            values = (evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi))
+            return {"kind": "envelope-domination", "side": side, "psi": psi, "values": values}
+
+        gaps = []
+        for t in points:
+            cert = certificate(t)
+            left, right = cert["values"]
+            if left > right:
+                return "infeasible", cert
+            gaps.append(left - right)
+        for end, gap, rise, step in (
+            (points[0], gaps[0], gaps[0] - gaps[1], -1),
+            (points[-1], gaps[-1], gaps[-1] - gaps[-2], 1),
+        ):
+            if rise > 0:
+                return "infeasible", certificate(end + step * (-gap // rise + 1))
+    return "feasible", None
+
+
 class TestTwoPointTier:
     """Pairs without normal forms on an exact two-point space, decided at
     their breakpoints."""
+
+    def test_lookups_decide_as_the_evaluating_decider(self, two_point):
+        from test_twopoint import member
+
+        relations = full_projection_relations(two_point)
+        rng = derive_rng(2020, "two-point-lookups")
+        pairs = [
+            (random_family_combo(two_point, rng), random_family_combo(two_point, rng))
+            for _ in range(24)
+        ]
+        # the ray case of test_refutes_where_the_gap_rises_past_the_outer_points
+        zero = F(0)
+        ray = (
+            member(two_point, (zero, zero, F(1), zero), (zero, F(-20), zero, zero)),
+            member(two_point, (zero, zero, zero, F(1)), (zero, zero, F(10), zero)),
+        )
+        pairs += [ray, ray[::-1]]
+        kinds = Counter()
+        for mu1, mu2 in pairs:
+            for s in relations:
+                verdict = rd.admissible(mu1, mu2, s)
+                assert verdict.tier == "exact-two-point"
+                status, cert = reference_decide_two_point(mu1, mu2, s)
+                assert verdict.status == status
+                # the same values of the same types: reports print them
+                assert verdict.certificate == cert and repr(verdict.certificate) == repr(cert)
+                kinds[mu1.kind, mu2.kind, status] += 1
+        # past the outer points, as the ray case refutes on two relations
+        assert any(
+            (rd.admissible(*ray, s).certificate or {}).get("psi", (0, 0))[1] > 30
+            for s in relations
+        )
+        for kind in ("two-point", "mixture", "max", "min"):
+            assert sum(n for (k, _, _), n in kinds.items() if k == kind) >= 7, kinds
+        assert sum(n for (*_, st), n in kinds.items() if st == "infeasible") >= 40, kinds
+        assert sum(n for (*_, st), n in kinds.items() if st == "feasible") >= 40, kinds
 
     def test_decides_every_full_projection_relation(self, two_point):
         # refutations re-check, a sampled refutation is never missed, and
@@ -746,6 +855,38 @@ class TestLowerCoupling:
         s = sublevel_relation(p3, 1)
         mu = rd.choquet_measure(rd.expectation(p3, (F(1, 3),) * 3))
         assert rd.lower_coupling(mu, mu, s).cost() == 1
+
+    def test_cost_is_the_maximum_on_every_ladder_level(self):
+        # the integer ranks give the maximum distance over the support, and
+        # in float mode they rank the distinct distances, not the merged
+        # levels: 1 and 1 + 1e-12 are one level, two distances
+        from conftest import fixture_spaces
+        from riskdist.space import sublevel_ladder
+
+        near = rd.validate_metric(
+            ["a", "b", "c"], [[0, 1, 2], [1, 0, 1 + 1e-12], [2, 1 + 1e-12, 0]], mode="float"
+        )
+        assert rd.distance_levels(near) == [0, 1, 2]
+        spaces = [near]
+        for base in fixture_spaces():
+            floats = [[float(d) for d in row] for row in base.dist]
+            spaces += [base, rd.validate_metric(base.labels, floats, mode="float")]
+        checked = 0
+        for space in spaces:
+            rng = derive_rng(20, f"cost-{space.n}-{space.exact}")
+            mu = rd.dirac(space, 0)
+            relations = [rel for _, rel in sublevel_ladder(space)]
+            relations += [random_relation(space, rng) for _ in range(4)]
+            for rel in relations:
+                if not rel.pairs():
+                    continue
+                cost = rd.CouplingWitness(mu, mu, rel).cost()
+                want = max(space.dist[i][j] for i, j in rel.pairs())
+                assert cost == want and type(cost) is type(want)
+                checked += 1
+        mu = rd.dirac(near, 0)
+        assert rd.CouplingWitness(mu, mu, sublevel_relation(near, 1)).cost() == 1 + 1e-12
+        assert checked >= 60
 
 
 class TestVerifyCoupling:

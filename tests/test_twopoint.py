@@ -772,3 +772,20 @@ class TestCensusScope:
                 report = rd.verify_axioms(rd.two_point_measure(two_point, ints), seed=1)
                 assert report.method == "exact"
                 assert report == rd.verify_axioms(rd.two_point_measure(two_point, fracs), seed=1)
+
+    def test_int_knots_keep_exact_slopes(self, two_point):
+        # int / int is a float: the slopes of int knots are Fractions, so a
+        # member with such a shape is censused like its Fraction twin
+        int_knots = tuple((int(t), int(y)) for t, y in KINKED_KNOTS)
+        for knots in (int_knots, ((-8, -8), (0, 0), (8, 8))):
+            ints = rd.ShapeFunction(knots)
+            fracs = rd.ShapeFunction(tuple((F(t), F(y)) for t, y in knots))
+            assert ints._slopes == fracs._slopes
+            assert all(type(s) is F for s in ints._slopes)
+            for weights in ((F(1, 4),) * 4, (F(1, 2), F(1, 2), F(0), F(0))):
+                p_int, p_frac = params(weights, shape=ints), params(weights, shape=fracs)
+                assert p_int.scaled is not None and p_int.scaled == p_frac.scaled
+                mu_int = rd.two_point_measure(two_point, p_int)
+                mu_frac = rd.two_point_measure(two_point, p_frac)
+                assert mu_int.exact_report.method == "exact"
+                assert mu_int.exact_report == mu_frac.exact_report
