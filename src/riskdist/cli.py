@@ -116,11 +116,15 @@ def _base_report(args, command: str, digests: dict) -> dict:
 
 
 def _load_measures(args, space, digests):
+    """The measures of every ``--measure``, in order.  A pool file, a JSON
+    list, loads through one memo that lives while the file loads, so equal
+    specs in it, components included, are one measure."""
     out = []
     for spec in args.measure or []:
         obj = _read_json(spec, digests)
         if isinstance(obj, list):
-            out.extend(load_measure(o, space) for o in obj)
+            memo: dict = {}
+            out.extend(load_measure(o, space, memo) for o in obj)
         else:
             out.append(load_measure(obj, space))
     return out

@@ -55,7 +55,7 @@ set of the chain.  The decider runs three steps:
      full set, with state (U, columns nonpositive on every set so far),
      proves each chain on which some column survives (lambda a unit
      vector);
-  3. exact LP: on each chain no column covers, a ``Fraction`` simplex looks
+  3. exact LP: on each chain no column covers, a simplex in integers looks
      for t >= 0 with sum_k t_k m_c(U_k) >= 1 for every column; one refutes
      with psi = sum_k t_k 1_(U_k), scaled to integers, and none proves the
      chain.  Sets where every column is nonpositive are left out, and
@@ -84,17 +84,17 @@ T and those values onto one integer denominator, so that a level costs
 |T| integer comparisons per side.
 
 Deciding is split in two.  ``prepare_pair`` does, once per pair, what does
-not depend on S: the tier dispatch, each side's support mask (of the
-capacity, or the union over a lattice's parts), the two indicator tables
+not depend on S: the tier dispatch, the two indicator tables
 cross-multiplied onto one scale, the part tables of step 2 lifted to one
 scale and, on the two-point tier, the points T and each measure's
 mu(a, b) for a and b in {0, t} as integers.
 ``decide`` then gives the verdict on one relation; ``admissible`` is
 ``decide(prepare_pair(mu1, mu2), s, seed)``, and the distance ladder
 prepares once and decides at every level.  What outlives a pair is built
-where it belongs: each measure's indicator table with the measure, each
-relation's inner-mask tables (``Relation.inner_masks``) with the relation on
-first use, and the ladder's levels and relations once per space
+where it belongs: each measure's indicator table and reach (the union of
+its parts' supports, ``measures.reach``) with the measure, each relation's
+inner-mask tables (``Relation.inner_masks``) with the relation on first
+use, and the ladder's levels and relations once per space
 (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
@@ -118,10 +118,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from itertools import chain, compress
-from math import lcm
-from operator import add, gt, le, or_
+from math import gcd, lcm
+from operator import add, gt, le
 from typing import Callable, Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
@@ -139,6 +139,7 @@ from .measures import (
     probe_batch,
     probe_grid,
     pushforward,
+    reach,
     sampled_report,
     separating_pairs,
     times,
@@ -332,13 +333,14 @@ class PreparedPair:
     """What deciding (mu1, mu2) on any relation needs, built once per pair
     by ``prepare_pair``: the tier ``route`` and the tables of that tier.
 
-    * ``reach``: per side, the union of the supports of the capacities in
-      the measure's normal form (its own support for a capacity), so that
+    * ``reach``: per side, the measure's own ``measures.reach``, so that
       the support-escape test and the parts-inside test are one mask test
       per relation.
-    * ``scan``: per side, the tables (a, b) of the indicator scan,
-      cross-multiplied onto one scale with the tolerance added to b, and
-      the getters of the two measures' own values at a subset.
+    * ``scan``: per side, the tables (a, b) of the indicator scan, each
+      measure's table times the other's scale over g, the gcd of the two
+      scales, so that equal scales multiply nothing, with the tolerance
+      added to b; and the getters of the two measures' own values at a
+      subset.
     * ``checks``: per side, the (row, group) checks with more than one
       column, each a list of (a, b) part tables lifted to one scale.
     * ``points`` and ``tables``: on the two-point tier, the points T with
@@ -358,7 +360,8 @@ class PreparedPair:
 
 def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
     """The level-invariant part of ``admissible``: the tier dispatch and the
-    tables of the pair's tier, for ``decide`` to read on any relation."""
+    tables of the pair's tier, for ``decide`` to read on any relation.  A
+    measure's forms, indicator table and reach are read from the measure."""
     if mu1.space != mu2.space:
         raise SpaceMismatch("marginals live on different spaces")
     space = mu1.space
@@ -378,12 +381,10 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
         return _prepare_two_point(mu1, mu2)
     else:
         return PreparedPair(mu1, mu2, "sampled")
-    reach = tuple(
-        reduce(or_, (c.support_mask() for row in f[0] for c in row)) for f in forms
-    )
     tol = space.tol
     (t1, d1), (t2, d2) = indicators(mu1), indicators(mu2)
-    a1, a2 = times(t1, d2), times(t2, d1)
+    g = gcd(d1, d2)
+    a1, a2 = times(t1, d2 // g), times(t2, d1 // g)
     b1, b2 = (tuple([x + tol for x in a]) for a in (a1, a2)) if tol else (a1, a2)
     g1, g2 = _values(mu1), _values(mu2)
     # a check with one column is a comparison the scan makes
@@ -400,7 +401,7 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
             for side in checks
         )
     scan = (a1, b2, g1, g2), (a2, b1, g2, g1)
-    return PreparedPair(mu1, mu2, route, reach, scan, checks)
+    return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks)
 
 
 def _values(mu):
@@ -431,14 +432,14 @@ def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict
         )
     projections = s.left_projection, s.right_projection
     if route == "exact-choquet":
-        for side, reach, proj in zip(("left", "right"), pair.reach, projections):
-            escaped = reach & ~proj
+        for side, mask, proj in zip(("left", "right"), pair.reach, projections):
+            escaped = mask & ~proj
             if escaped:
                 point = (escaped & -escaped).bit_length() - 1
                 return _refuted(route, "support-escape", side, point=point)
         return _decide(pair, s)
     if route == "exact-lattice":
-        if not any(reach & ~proj for reach, proj in zip(pair.reach, projections)):
+        if not any(mask & ~proj for mask, proj in zip(pair.reach, projections)):
             try:
                 return _decide(pair, s)
             except _ChainBudgetExceeded:
@@ -467,12 +468,12 @@ def admissible(
     rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
 
     ``prepare_pair`` does the work that depends on the pair alone, once:
-    the tier dispatch, each side's support masks, the indicator tables
-    cross-multiplied onto one scale, the lifted part tables of the chain
-    cover and, on the two-point tier, the points and lookup tables.
-    Each measure's own indicator table is built with its normal forms, and
-    each relation's inner-mask tables with the relation, so a ladder scan,
-    which prepares once and decides per level, rebuilds none of them.
+    the tier dispatch, the indicator tables cross-multiplied onto one
+    scale, the lifted part tables of the chain cover and, on the two-point
+    tier, the points and lookup tables.  Each measure's own indicator table
+    and reach are built with its normal forms, and each relation's
+    inner-mask tables with the relation, so a ladder scan, which prepares
+    once and decides per level, rebuilds none of them.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -610,49 +611,69 @@ def _positive_combination(rows):
     """Weights t >= 0 with sum_k t_k rows[k][c] >= 1 for every column c, or
     None when there are none.
 
-    Phase one of the simplex method in ``Fraction``s with Bland's rule, on
-    sum_k rows[k][c] t_k - s_c + r_c = 1 with surplus s and artificial r,
-    minimising sum r.  A positive minimum means no t exists.
+    Phase one of the simplex method with Bland's rule, on sum_k rows[k][c]
+    t_k - s_c + r_c = 1 with surplus s and artificial r, minimising sum r.
+    A positive minimum means no t exists.  Each tableau line is kept as
+    integers over one positive denominator, its last entry, reduced by their
+    gcd; rows that are not all ints start over their common denominator.  A
+    pivot and the ratio test cross-multiply, so every comparison, and with
+    it every pivot, is the one the same simplex makes in ``Fraction``s; t is
+    returned in ``Fraction``s.
     """
     K, C = len(rows), len(rows[0])
     width = K + 2 * C
-    one, zero = Fraction(1), Fraction(0)
-    table = []
+    den = 1
+    if any(type(x) is not int for row in rows for x in row):
+        rows = [list(map(Fraction, row)) for row in rows]
+        den = lcm(*[x.denominator for row in rows for x in row])
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    table = []  # per line: the coefficients, the value, the denominator
     for c in range(C):
-        line = [Fraction(row[c]) for row in rows] + [zero] * (2 * C) + [one]
-        line[K + c] = -one
-        line[K + C + c] = one
+        line = [row[c] for row in rows] + [0] * (2 * C) + [den, den]
+        line[K + c] = -den
+        line[K + C + c] = den
         table.append(line)
     basis = [K + C + c for c in range(C)]
-    # reduced costs of sum r over the starting basis, the value negated last
-    cost = [-sum(line[v] for line in table) for v in range(width + 1)]
+    # reduced costs of sum r over the starting basis, the value negated
+    cost = [-sum(line[v] for line in table) for v in range(width + 1)] + [den]
     for c in range(C):
-        cost[K + C + c] = zero
+        cost[K + C + c] = 0
     while True:
         enter = next((v for v in range(width) if cost[v] < 0), None)
         if enter is None:
             break
         leave = None
         for c, line in enumerate(table):
-            if line[enter] > 0:
-                ratio = line[-1] / line[enter]
-                if leave is None or (ratio, basis[c]) < (best, basis[leave]):
-                    leave, best = c, ratio
+            x = line[enter]
+            # the ratio value / x, against the best one so far, both x > 0
+            if x > 0 and (
+                leave is None or (line[-2] * best[1], basis[c]) < (best[0] * x, basis[leave])
+            ):
+                leave, best = c, (line[-2], x)
         pivot = table[leave]
-        factor = pivot[enter]
-        pivot[:] = [x / factor for x in pivot]
+        pivot[-1] = pivot[enter]  # the line over its entering entry
+        _reduced(pivot)
+        d = pivot[-1]
         for line in (*table, cost):
-            if line is not pivot and line[enter]:
-                f = line[enter]
-                line[:] = [x - f * y for x, y in zip(line, pivot)]
+            f = line[enter]
+            if line is not pivot and f:
+                line[:] = [x * d - f * y for x, y in zip(line[:-1], pivot)] + [line[-1] * d]
+                _reduced(line)
         basis[leave] = enter
-    if cost[-1]:
+    if cost[-2]:
         return None
-    t = [zero] * K
+    t = [Fraction(0)] * K
     for c, v in enumerate(basis):
         if v < K:
-            t[v] = table[c][-1]
+            t[v] = Fraction(table[c][-2], table[c][-1])
     return t
+
+
+def _reduced(line):
+    """Divide a tableau line, its denominator included, by their gcd."""
+    g = gcd(*line)
+    if g != 1:
+        line[:] = [x // g for x in line]
 
 
 def _prepare_two_point(mu1, mu2) -> PreparedPair:

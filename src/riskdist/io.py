@@ -23,6 +23,10 @@ would be read one character at a time: ``dist`` and its rows, ``weights``,
 ``alpha``, ``lambda``, ``knots`` and each knot, ``components``, ``points``,
 and the CLI's ``--pairs`` entries and sequence ``terms``.
 
+A pool, a JSON list of measures, loads each distinct spec once
+(``load_measure``'s memo): a component that repeats a pool entry or another
+component is that measure, and a repeated capacity is built once.
+
 Reports are written as ``json.dumps(report, indent=2, sort_keys=True)``
 writes them, plus a final newline, byte for byte: keys sorted, two spaces
 of indent per level with ``",\\n"`` between items and ``": "`` after keys,
@@ -127,7 +131,6 @@ def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
         raise TypeError('"capacity" must be an object of subset entries')
     exact = space.exact
     table: list[Scalar | None] = [None] * (1 << space.n)
-    table[0] = Fraction(0) if exact else 0.0
     masks = space._subset_masks
     parsed: dict[str, Scalar] = {}  # most entries repeat an earlier string
     for key, raw in obj.items():
@@ -141,7 +144,12 @@ def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
                 value = parsed[raw] = parse_scalar(raw, exact=exact)
         else:
             value = parse_scalar(raw, exact=exact)
+        if table[mask] is not None:
+            first = next(k for k in obj if (masks.get(k) or _subset_mask(space, k)) == mask)
+            raise InputFormatError(f"capacity keys {first!r} and {key!r} name one subset")
         table[mask] = value
+    if table[0] is None:
+        table[0] = Fraction(0) if exact else 0.0
     missing = [m for m, v in enumerate(table) if v is None]
     if missing:
         raise InputFormatError(
@@ -150,7 +158,21 @@ def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
     return caps.Capacity(space, tuple(table))
 
 
-def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
+def load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None = None) -> RiskMeasure:
+    """The measure of a spec.  With a ``memo``, a dict, each spec and each
+    component spec is looked up by its canonical text, ``json.dumps(spec,
+    sort_keys=True)``, and loaded only when missing: equal specs, in one
+    pool, load as one measure."""
+    if memo is None:
+        return _load_measure(obj, space, None)
+    key = json.dumps(obj, sort_keys=True)
+    mu = memo.get(key)
+    if mu is None:
+        mu = memo[key] = _load_measure(obj, space, memo)
+    return mu
+
+
+def _load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None) -> RiskMeasure:
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputFormatError('measure JSON needs a "type"')
     kind = obj["type"]
@@ -161,7 +183,7 @@ def load_measure(obj: Any, space: FiniteMetricSpace) -> RiskMeasure:
         return tuple([parse_scalar(v, exact=exact) for v in json_list(values, what)])
 
     def components():
-        return [load_measure(c, space) for c in json_list(obj["components"], '"components"')]
+        return [load_measure(c, space, memo) for c in json_list(obj["components"], '"components"')]
 
     try:
         if kind == "dirac":

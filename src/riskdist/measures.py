@@ -31,7 +31,8 @@ max joins the parts' rows and spreads their groups (one group per choice of
 a group from each part: max distributes over min); min is the dual.  A
 capacity is its own one-entry form.  With its forms a lattice builds its
 indicator table, mu(1_B) for every subset B: the max or min of its parts'
-tables, as integers over their common scale (``indicators``).  The coupling
+tables, as integers over their common scale (``indicators``), and its
+reach, the union of its form's supports (``reach``).  The coupling
 module decides pairs of such measures exactly from these forms and tables.
 
 Breakpoints.  On an exact two-point space a measure is mu(phi) = phi0 +
@@ -54,10 +55,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, combinations, product
 from math import lcm, prod
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, or_, sub
 from typing import Callable, Optional, Sequence
 
 from .capacity import (
@@ -106,7 +107,7 @@ class RiskMeasure:
     ``evaluator``, and so does a Dirac measure, which reads its point.  A
     mixture without a capacity, a max and a min keep their ``parts``; a max
     or min of capacities keeps its ``forms`` (max-of-min, min-of-max,
-    indicator table).
+    indicator table, reach).
     Measures compare by identity: functional equality is ``equal_measures``.
     """
 
@@ -120,7 +121,7 @@ class RiskMeasure:
     params: Optional[TwoPointParams] = None
     name: str = ""
     parts: tuple["RiskMeasure", ...] = field(default=(), repr=False)
-    forms: Optional[tuple[Form, Form, tuple]] = field(default=None, repr=False)
+    forms: Optional[tuple[Form, Form, tuple, int]] = field(default=None, repr=False)
 
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
@@ -239,6 +240,16 @@ def indicators(mu: RiskMeasure) -> Optional[tuple[tuple, Scalar]]:
     return None if mu.forms is None else mu.forms[2]
 
 
+def reach(mu: RiskMeasure) -> Optional[int]:
+    """The union of the supports of the capacities in mu's max-of-min form,
+    a capacity's own support, for a measure with normal forms, or None.  A
+    lattice builds it with its forms, as the union of its parts' reaches:
+    its rows are its parts' rows (max) or unions of one row of each (min)."""
+    if mu.capacity is not None:
+        return mu.capacity.support_mask()
+    return None if mu.forms is None else mu.forms[3]
+
+
 def lift(tables) -> tuple[Scalar, list]:
     """The least common scale of (table, scale) pairs, and each table as
     integers over it (in float mode every scale is 1)."""
@@ -296,7 +307,7 @@ def _two_inside(lo, hi):
     return lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3
 
 
-def _lattice_forms(kind: str, pick, parts) -> Optional[tuple[Form, Form, tuple]]:
+def _lattice_forms(kind: str, pick, parts) -> Optional[tuple[Form, Form, tuple, int]]:
     forms = [normal_forms(c) for c in parts]
     if None in forms:
         return None
@@ -317,7 +328,7 @@ def _lattice_forms(kind: str, pick, parts) -> Optional[tuple[Form, Form, tuple]]
     scale, lifted = lift(map(indicators, parts))
     table = lifted[0] if len(lifted) == 1 else tuple(map(pick, *lifted))
     forms = (joined, spread_out) if kind == "max" else (spread_out, joined)
-    return (*forms, (table, scale))
+    return (*forms, (table, scale), reduce(or_, map(reach, parts)))
 
 
 def black_box(

@@ -238,6 +238,51 @@ class TestMatrix:
         assert code == 0, capsys.readouterr().err
         assert sorted(censused.values()) == [1, 1]
 
+    def test_a_pool_loads_each_spec_once(self, space_file, tmp_path, monkeypatch, capsys):
+        # lattice members repeat the pool's base entries, one of them with
+        # its keys in another order, and a nested member repeats a member
+        import types
+
+        import riskdist.io
+        from riskdist.cli import _load_measures
+        from riskdist.io import audit_summary, dump_report, load_measure
+        from riskdist.numerics import format_scalar
+
+        a = {"type": "choquet", "capacity": {"a": "1/4", "b": "1/4", "c": "1/2", "a,b": "1/2",
+                                             "a,c": "3/4", "b,c": "3/4", "a,b,c": 1}}
+        b = {"type": "choquet", "capacity": {"a": 0, "b": "1/3", "c": 0, "a,b": "1/3",
+                                             "a,c": "1/2", "b,c": "1/2", "a,b,c": 1}}
+        c = {"type": "cvar", "level": "1/2", "weights": ["1/3", "1/3", "1/3"]}
+        b_reordered = {"capacity": dict(reversed(b["capacity"].items())), "type": "choquet"}
+        low = {"type": "min", "components": [b, c]}
+        pool = [a, b, c, {"type": "max", "components": [a, b_reordered]}, low,
+                {"type": "max", "components": [a, low]}, DIRAC_A]
+        built = Counter()
+        real = riskdist.io._capacity_from_json
+
+        def counting(space, obj):
+            built[json.dumps(obj, sort_keys=True)] += 1
+            return real(space, obj)
+
+        monkeypatch.setattr(riskdist.io, "_capacity_from_json", counting)
+        path = write(tmp_path, "pool.json", pool)
+        space = load_space(P3)
+        measures = _load_measures(types.SimpleNamespace(measure=[path]), space, {})
+        assert sorted(built.values()) == [1, 1]
+        mu_a, mu_b, mu_c, high, mu_low, nested, _ = measures
+        assert high.parts[0] is mu_a and high.parts[1] is mu_b
+        assert mu_low.parts[0] is mu_b and mu_low.parts[1] is mu_c
+        assert nested.parts[0] is mu_a and nested.parts[1] is mu_low
+
+        code = main(["matrix", "--space", space_file, "--measure", path, "--format", "json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        apart = [load_measure(spec, space) for spec in pool]
+        assert apart[3].parts[0] is not apart[0]
+        results, audit = rd.distance_matrix(apart)
+        assert report["matrix"] == [[format_scalar(r.value) for r in row] for row in results]
+        assert report["audit"] == json.loads(dump_report(audit_summary(audit)))
+
 
 class TestCouple:
     def test_threshold_feasibility(self, space_file, capsys):

@@ -202,6 +202,52 @@ def assert_certificate_rechecks(mu1, mu2, s, certificate):
     assert lhs > rhs and (lhs, rhs) == certificate["values"]
 
 
+def reference_positive_combination(rows):
+    """The phase-one simplex of ``coupling._positive_combination`` in
+    ``Fraction``s, with Bland's rule and the same ratio-test tie-break:
+    sum_k rows[k][c] t_k - s_c + r_c = 1 with surplus s and artificial r,
+    minimising sum r; None when the minimum is positive."""
+    K, C = len(rows), len(rows[0])
+    width = K + 2 * C
+    one, zero = Fraction(1), Fraction(0)
+    table = []
+    for c in range(C):
+        line = [Fraction(row[c]) for row in rows] + [zero] * (2 * C) + [one]
+        line[K + c] = -one
+        line[K + C + c] = one
+        table.append(line)
+    basis = [K + C + c for c in range(C)]
+    # reduced costs of sum r over the starting basis, the value negated last
+    cost = [-sum(line[v] for line in table) for v in range(width + 1)]
+    for c in range(C):
+        cost[K + C + c] = zero
+    while True:
+        enter = next((v for v in range(width) if cost[v] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for c, line in enumerate(table):
+            if line[enter] > 0:
+                ratio = line[-1] / line[enter]
+                if leave is None or (ratio, basis[c]) < (best, basis[leave]):
+                    leave, best = c, ratio
+        pivot = table[leave]
+        factor = pivot[enter]
+        pivot[:] = [x / factor for x in pivot]
+        for line in (*table, cost):
+            if line is not pivot and line[enter]:
+                f = line[enter]
+                line[:] = [x - f * y for x, y in zip(line, pivot)]
+        basis[leave] = enter
+    if cost[-1]:
+        return None
+    t = [zero] * K
+    for c, v in enumerate(basis):
+        if v < K:
+            t[v] = table[c][-1]
+    return t
+
+
 @pytest.fixture
 def counted_lp(monkeypatch):
     """Records each exact LP the lattice tier solves, with its answer."""
@@ -319,6 +365,37 @@ class TestExactLatticeTier:
                 decided += 1
                 assert (t is not None) == primal
         assert decided >= 140
+
+    def test_the_integer_lp_returns_what_the_fraction_lp_returns(self):
+        # repeated entries, duplicated columns (a tie in the first ratio
+        # test) and rows of fractions or floats, next to random integer games
+        from riskdist.coupling import _positive_combination
+
+        rng = derive_rng(101, "integer-lp")
+        answers = Counter()
+        for i in range(2400):
+            k, c = rng.randint(1, 5), rng.randint(1, 5)
+            entries = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+            rows = [
+                [rng.choice(entries) if rng.random() < 0.5 else rng.randint(-6, 6) for _ in range(c)]
+                for _ in range(k)
+            ]
+            if i % 4 == 1:
+                rows = [row + row[:1] for row in rows]
+            elif i % 10 == 2:
+                rows = [[F(x, rng.randint(1, 6)) for x in row] for row in rows]
+            elif i % 10 == 3:  # a float capacity on an exact space gives these
+                rows = [[x / 4 for x in row] for row in rows]
+            want = reference_positive_combination(rows)
+            got = _positive_combination(rows)
+            assert got == want, rows
+            if want is not None:
+                assert all(type(x) is Fraction for x in got)
+                assert [(x.numerator, x.denominator) for x in got] == [
+                    (x.numerator, x.denominator) for x in want
+                ]
+            answers[want is None] += 1
+        assert answers[True] >= 500 and answers[False] >= 500, answers
 
     def test_chain_budget_sends_the_pair_to_the_sampled_tier(self, p3, monkeypatch):
         from riskdist import coupling
@@ -706,6 +783,49 @@ class TestPreparedPair:
         assert got.tier == "refutation-sampled"
         assert verdict_key(got) == verdict_key(rd.admissible(mu1, mu2, rel, seed=3))
         assert verdict_key(got) == verdict_key(_admissible_sampled(mu1, mu2, rel, 3))
+
+    def test_scan_tables_order_every_entry_pair_as_the_values_do(self, p3):
+        # scales 2 and 2 (equal), 2 and 4 (nested), 4 and 3 (coprime), and
+        # a lattice of scale 6 against a capacity of scale 4
+        from riskdist.coupling import prepare_pair
+        from riskdist.measures import indicators
+
+        half = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(0), F(1, 2))))
+        quarter = rd.choquet_measure(rd.expectation(p3, (F(1, 4), F(1, 4), F(1, 2))))
+        third = rd.choquet_measure(rd.expectation(p3, (F(1, 3),) * 3))
+        lattice = rd.lattice_min([half, rd.lattice_max([third, rd.dirac(p3, "b")])])
+        assert indicators(lattice)[1] == 6
+        for mu1, mu2 in ((half, half), (half, quarter), (quarter, third), (lattice, quarter)):
+            pair = prepare_pair(mu1, mu2)
+            for a, b, va, vb in pair.scan:
+                for x in range(8):
+                    for u in range(8):
+                        assert (a[x] > b[u]) == (va(x) > vb(u)), (x, u)
+                        assert (a[x] == b[u]) == (va(x) == vb(u)), (x, u)
+            if indicators(mu1)[1] == indicators(mu2)[1]:
+                assert pair.scan[0][0] is indicators(mu1)[0]
+
+    def test_each_measure_keeps_the_reach_of_its_normal_form(self, p3):
+        # a lattice's stored reach is the union of the supports of the
+        # capacities in its max-of-min form, which prepare_pair reads
+        from functools import reduce
+        from operator import or_
+
+        from riskdist.coupling import prepare_pair
+        from riskdist.measures import normal_forms, reach
+
+        def union(mu):
+            return reduce(or_, (c.support_mask() for row in normal_forms(mu)[0] for c in row))
+
+        ends = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(0), F(1, 2))))
+        a, b = rd.dirac(p3, "a"), rd.dirac(p3, "b")
+        high, low = rd.lattice_max([a, b]), rd.lattice_min([b, ends])
+        nested = rd.lattice_max([rd.lattice_min([a, b]), low])
+        expected = {ends: 0b101, high: 0b011, low: 0b111, nested: 0b111, b: 0b010}
+        for mu, mask in expected.items():
+            assert reach(mu) == union(mu) == mask
+        assert reach(rd.black_box(p3, max)) is None
+        assert prepare_pair(high, nested).reach == (0b011, 0b111)
 
 
 class TestSampledTier:

@@ -121,6 +121,28 @@ class TestCapacityTables:
         second = load_measure({"type": "choquet", "capacity": respelled}, p3)
         assert first.capacity.table == second.capacity.table
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("a,b", "b,a"), ("a,b", "b, a"), ("b", " b"), ("", " ")],
+    )
+    def test_two_keys_naming_one_subset_are_refused(self, p3, first, second):
+        # the last key used to win silently: v({a, b}) = 3/8 here
+        table = {"a": "1/4", "b": "1/4", "c": "1/2", "a,b": "1/2",
+                 "a,c": "3/4", "b,c": "3/4", "a,b,c": 1}
+        table[first] = table.get(first, 0)
+        table[second] = "3/8" if first else 0
+        with pytest.raises(InputFormatError, match="name one subset") as err:
+            load_measure({"type": "choquet", "capacity": table}, p3)
+        assert repr(first) in str(err.value) and repr(second) in str(err.value)
+
+    def test_the_empty_set_may_be_given_once_or_left_out(self, p3):
+        table = {"a": "1/4", "b": "1/4", "c": "1/2", "a,b": "1/2",
+                 "a,c": "3/4", "b,c": "3/4", "a,b,c": 1}
+        given = load_measure({"type": "choquet", "capacity": {"": 0, **table}}, p3)
+        left_out = load_measure({"type": "choquet", "capacity": table}, p3)
+        assert given.capacity.table == left_out.capacity.table
+        assert left_out.capacity.table[0] == 0
+
     def test_each_distinct_string_is_parsed_once(self, p3, monkeypatch):
         import riskdist.io
 
