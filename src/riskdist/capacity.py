@@ -12,9 +12,10 @@ expectations, quantile capacities give value-at-risk, distortions give
 expected shortfall, the unanimity capacity gives min, the possibility
 capacity gives max.
 
-Tables are stored as full 2^n tuples indexed by subset bitmask.  In exact
-mode a capacity also carries its table as integers over one common
-denominator D, ``scaled``, and exact tables are built as integers first:
+Tables are stored as full 2^n tuples indexed by subset bitmask, and no
+table is built past ``MAX_CAPACITY_POINTS`` points.  A capacity also
+carries its table as integers over one common denominator D, ``scaled``,
+and tables are built as integers first:
 expectations, VaR, CVaR, mixtures and the 0/1 capacities compute their
 entries times D in ``int`` arithmetic, and a table given by its values (a
 JSON table, a pushforward) is scaled once on construction.  The
@@ -25,9 +26,9 @@ equals, typed as the Fraction arithmetic of the definitions types it.  The
 coupling module compares two tables by cross-multiplying their ``scaled``
 integers, and a Choquet integral of ``int`` values sums its layers in
 ``int`` and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed
-values and float mode take the ``Fraction`` (or float) loop.  Float tables
-are computed by the definitions' own expressions, in their order, so their
-floats are the same bits as before the integer path.
+values take the ``Fraction`` loop.  A float entry, which only a Python
+caller can give, is lifted to the ``Fraction`` it equals on construction,
+so no comparison of two tables is a float comparison.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ class Capacity:
     """A normalized monotone set function over subset bitmasks.
 
     It also carries ``scaled``, the table times ``scale``, and
-    ``null_mask``, its null points.  In exact mode ``scale`` is the least
-    common denominator D of the entries and ``scaled`` holds integers; in
-    float mode they are the table and 1.  All three are plain attributes,
-    not fields, so the constructor, equality and reports see the table
-    alone.
+    ``null_mask``, its null points: ``scale`` is the least common
+    denominator D of the entries and ``scaled`` holds integers.  All three
+    are plain attributes, not fields, so the constructor, equality and
+    reports see the table alone.
     """
 
     space: FiniteMetricSpace
@@ -81,48 +81,40 @@ class Capacity:
 
     def _check(self, scaled=None, scale=1):
         n = self.space.n
-        if n > MAX_CAPACITY_POINTS:
-            raise InputFormatError(
-                f"capacity tables are guarded to {MAX_CAPACITY_POINTS} points"
-            )
+        check_points(n)
         table = self.table
         if len(table) != 1 << n:
             raise InvalidParams("capacity table must have 2^n entries")
-        tol = self.space.tol
-        if abs(table[0]) > tol:
+        if not _RATIONAL.issuperset(map(type, table)):
+            try:
+                table = tuple([x if type(x) in _RATIONAL else Fraction(x) for x in table])
+            except (ValueError, OverflowError):  # a NaN or an infinity
+                raise InvalidParams("capacity entries must be finite") from None
+            object.__setattr__(self, "table", table)
+        if table[0] != 0:
             raise InvalidParams("capacity of the empty set must be 0")
-        if abs(table[-1] - 1) > tol:
+        if table[-1] != 1:
             raise InvalidParams("capacity of the full space must be 1")
         if scaled is None:
-            if self.space.exact and _RATIONAL.issuperset(map(type, table)):
-                scale = lcm(*[x.denominator for x in table])
-                scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
-            else:
-                scaled = table
+            scale = lcm(*[x.denominator for x in table])
+            scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
         # the integer sum gives a Fraction for any nonzero layer, which the
         # Fraction loop does only if every entry a layer can read (a proper
         # nonempty subset) is a Fraction
-        # (scaled is the table itself unless it holds ints)
-        layers = scaled is not table and _FRACTION.issuperset(map(type, table[1:-1]))
+        layers = _FRACTION.issuperset(map(type, table[1:-1]))
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_int_layers", scaled if layers else None)
         # per point i, the entries of the subsets without i against the same
         # subsets with i: a rise is a monotonicity failure, no change at all
-        # makes i a null point (tol is 0 wherever scaled is not the table)
+        # makes i a null point
         null = 0
         for i, (without, with_) in enumerate(_covers(n)):
             below, above = without(scaled), with_(scaled)
-            if tol == 0:
-                if not all(map(le, below, above)):
-                    _raise_first_rise(scaled, n, tol)
-                if below == above:
-                    null |= 1 << i
-            else:
-                if any(a > b + tol for a, b in zip(below, above)):
-                    _raise_first_rise(scaled, n, tol)
-                if all(abs(b - a) <= tol for a, b in zip(below, above)):
-                    null |= 1 << i
+            if not all(map(le, below, above)):
+                _raise_first_rise(scaled, n)
+            if below == above:
+                null |= 1 << i
         object.__setattr__(self, "null_mask", null)
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
@@ -136,8 +128,8 @@ class Capacity:
         exact, the layers are summed in ``int`` over ``scaled`` and a single
         ``Fraction`` is built at the end.  It returns what the ``Fraction``
         loop returns, type included: the bottom value itself when no layer
-        is nonzero, a ``Fraction`` otherwise.  ``Fraction`` or mixed values,
-        and float mode, take that loop.
+        is nonzero, a ``Fraction`` otherwise.  ``Fraction`` or mixed values
+        take that loop.
         """
         n = self.space.n
         order = sorted(range(n), key=values.__getitem__, reverse=True)
@@ -172,6 +164,15 @@ class Capacity:
         return self.space.full_mask & ~self.null_mask
 
 
+def check_points(n: int) -> None:
+    """Refuse a table of 2^n entries past ``MAX_CAPACITY_POINTS`` points,
+    before it is built."""
+    if n > MAX_CAPACITY_POINTS:
+        raise InputFormatError(
+            f"capacity tables are guarded to {MAX_CAPACITY_POINTS} points"
+        )
+
+
 @lru_cache(maxsize=MAX_CAPACITY_POINTS)
 def _covers(n: int) -> tuple:
     """Per point i, getters of the entries of the subsets without i and of
@@ -192,11 +193,11 @@ def _getter(index: list[int]):
     return itemgetter(*index)
 
 
-def _raise_first_rise(table, n: int, tol):
+def _raise_first_rise(table, n: int):
     """Name the first pair v(mask) > v(mask | bit) in mask-major order."""
     for mask in range(1 << n):
         for i in range(n):
-            if not mask >> i & 1 and table[mask] > table[mask | 1 << i] + tol:
+            if not mask >> i & 1 and table[mask] > table[mask | 1 << i]:
                 raise InvalidParams(
                     f"capacity not monotone: v({mask}) > v({mask | 1 << i})"
                 )
@@ -210,10 +211,7 @@ def choquet_eval(v: Capacity, phi: PointFunction) -> Scalar:
 
 def restricts_to(v: Capacity, mask: int) -> bool:
     """True iff v(S) = v(S & mask) for every subset S."""
-    tol = v.space.tol
-    return all(
-        abs(v.table[s] - v.table[s & mask]) <= tol for s in range(len(v.table))
-    )
+    return all(v.table[s] == v.table[s & mask] for s in range(len(v.table)))
 
 
 def exhaustive_support_mask(v: Capacity) -> int:
@@ -233,12 +231,6 @@ def exhaustive_support_mask(v: Capacity) -> int:
 # constructors
 
 
-def _one_zero(space: FiniteMetricSpace) -> tuple[Scalar, Scalar]:
-    if space.exact:
-        return Fraction(1), Fraction(0)
-    return 1.0, 0.0
-
-
 def _from_ints(space: FiniteMetricSpace, scaled, scale: int, empty=None) -> Capacity:
     """The exact capacity with entries scaled[B] / scale, each a Fraction;
     ``empty``, when given, is the entry of the empty set instead."""
@@ -255,21 +247,13 @@ def _from_ints(space: FiniteMetricSpace, scaled, scale: int, empty=None) -> Capa
 
 def _from_bits(space: FiniteMetricSpace, bits) -> Capacity:
     """The capacity that is 1 on the subsets B with bits[B] = 1, else 0."""
-    one, zero = _one_zero(space)
-    table = tuple(map((zero, one).__getitem__, bits))
-    if space.exact:
-        return Capacity._of_scaled(space, table, tuple(bits), 1)
-    return Capacity(space, table)
-
-
-def _integral(v: Capacity) -> bool:
-    """True iff v's table is exact with int ``scaled`` entries."""
-    return v.space.exact and _INT.issuperset(map(type, v.scaled))
+    table = tuple(map((Fraction(0), Fraction(1)).__getitem__, bits))
+    return Capacity._of_scaled(space, table, tuple(bits), 1)
 
 
 def _subset_sums(weights: Sequence) -> list:
     """Entry B is the sum of the weights over B, added in point order from
-    the int 0, as ``sum`` adds them: float sums come out bit-identical."""
+    the int 0, as ``sum`` adds them."""
     sums = [0]
     for w in weights:
         sums += [s + w for s in sums]
@@ -280,24 +264,26 @@ def expectation(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> Capacity
     """Additive capacity v(B) = sum of weights over B."""
     if len(weights) != space.n:
         raise InvalidParams("weight vector length must match point count")
-    if space.exact and _FRACTION.issuperset(map(type, weights)):
+    check_points(space.n)
+    if _FRACTION.issuperset(map(type, weights)):
         scale = lcm(*[w.denominator for w in weights])
         ints = [w.numerator * (scale // w.denominator) for w in weights]
-        _check_weights(ints, scale, 0)
+        _check_weights(ints, scale)
         # the empty sum is the int 0, as sum() gives it
         return _from_ints(space, _subset_sums(ints), scale, empty=0)
-    _check_weights(weights, 1, space.tol)
+    _check_weights(weights, 1)
     return Capacity(space, tuple(_subset_sums(weights)))
 
 
-def _check_weights(weights, total, tol):
+def _check_weights(weights, total):
     if any(w < 0 for w in weights):
         raise InvalidParams("weights must be nonnegative")
-    if abs(sum(weights) - total) > tol:
+    if sum(weights) != total:
         raise InvalidParams("weights must sum to 1")
 
 
 def dirac_capacity(space: FiniteMetricSpace, point: int) -> Capacity:
+    check_points(space.n)
     return _from_bits(space, [m >> point & 1 for m in range(1 << space.n)])
 
 
@@ -306,6 +292,7 @@ def unanimity(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     need = space.full_mask if mask is None else mask
     if need == 0:
         raise InvalidParams("unanimity needs a nonempty subset")
+    check_points(space.n)
     return _from_bits(space, [int(m & need == need) for m in range(1 << space.n)])
 
 
@@ -314,6 +301,7 @@ def possibility(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     hit = space.full_mask if mask is None else mask
     if hit == 0:
         raise InvalidParams("possibility needs a nonempty subset")
+    check_points(space.n)
     return _from_bits(space, [int(m & hit != 0) for m in range(1 << space.n)])
 
 
@@ -324,14 +312,10 @@ def var_quantile(
     if not 0 <= level <= 1:
         raise InvalidParams("level must lie in [0, 1]")
     p = expectation(space, weights)
-    if _integral(p) and type(level) in _RATIONAL:
-        # p(B) = s / D > 1 - a / b, multiplied out by D * b
-        a, b = level.numerator, level.denominator
-        bound = p.scale * (b - a)
-        bits = [int(s * b > bound) for s in p.scaled]
-    else:
-        cut = 1 - level
-        bits = [int(v > cut + space.tol) for v in p.table]
+    # p(B) = s / D > 1 - a / b, multiplied out by D * b
+    a, b = Fraction(level).as_integer_ratio()
+    bound = p.scale * (b - a)
+    bits = [int(s * b > bound) for s in p.scaled]
     # p(X) = 1 > 1 - level can fail at level = 0; pin normalization
     bits[-1] = 1
     return _from_bits(space, bits)
@@ -344,17 +328,10 @@ def cvar(
     if not 0 <= level < 1:
         raise InvalidParams("level must lie in [0, 1)")
     p = expectation(space, weights)
-    if _integral(p) and type(level) is Fraction:
-        # (s / D) / ((b - a) / b) = s * b / (D * (b - a)), capped at 1
-        a, b = level.numerator, level.denominator
-        scale = p.scale * (b - a)
-        return _from_ints(space, [min(s * b, scale) for s in p.scaled], scale)
-    one = _one_zero(space)[0]
-    denom = 1 - level
-    return Capacity(
-        space,
-        tuple(min(p.table[m] / denom, one) for m in range(1 << space.n)),
-    )
+    # (s / D) / ((b - a) / b) = s * b / (D * (b - a)), capped at 1
+    a, b = Fraction(level).as_integer_ratio()
+    scale = p.scale * (b - a)
+    return _from_ints(space, [min(s * b, scale) for s in p.scaled], scale)
 
 
 def check_mixture(weights: Sequence[Scalar], components: Sequence) -> FiniteMetricSpace:
@@ -367,7 +344,7 @@ def check_mixture(weights: Sequence[Scalar], components: Sequence) -> FiniteMetr
         raise SpaceMismatch("mixture components live on different spaces")
     if any(w < 0 for w in weights):
         raise InvalidParams("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1) > space.tol:
+    if sum(weights) != 1:
         raise InvalidParams("mixture weights must sum to 1")
     return space
 
@@ -377,7 +354,7 @@ def mix_capacities(
 ) -> Capacity:
     """Convex combination of capacities (the Choquet integral is linear in v)."""
     space = check_mixture(weights, components)
-    if _FRACTION.issuperset(map(type, weights)) and all(map(_integral, components)):
+    if _FRACTION.issuperset(map(type, weights)):
         # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
         dens = [w.denominator * c.scale for w, c in zip(weights, components)]
         scale = lcm(*dens)
@@ -397,6 +374,7 @@ def pushforward_capacity(
     """Image capacity v'(B) = v(preimage of B)."""
     if len(point_map) != v.space.n:
         raise SpaceMismatch("point map must be total on the source points")
+    check_points(target.n)
     table = []
     for mask in range(1 << target.n):
         pre = 0

@@ -5,9 +5,14 @@ Each command takes only the options it reads: ``--space`` and ``--measure``
 where it loads a space or measures of its own (``converge`` reads both from
 its sequence), and ``--seed``, ``--mode``, ``--out`` and ``--format``.
 
+Every command computes in exact arithmetic.  ``--mode`` only chooses how
+scalars print: ``exact`` prints each as the rational it is, ``float`` as
+``repr`` of the nearest float (``numerics.format_scalar``).  Counts, and the
+ints of a witness payload, print alike in both.
+
 Exit codes: 0 on success, 1 when a check fails or a verified counterexample
 is found, 2 on malformed input.  Reports embed the tool version, input
-digests, the arithmetic mode and the seed; identical configurations produce
+digests, the print mode and the seed; identical configurations produce
 byte-identical output.
 """
 
@@ -48,7 +53,7 @@ from .metric import (
     gate_axioms,
     metric_axiom_audit,
 )
-from .numerics import format_scalar, parse_scalar
+from .numerics import FLOAT_OUTPUT, format_scalar, parse_scalar
 from .oracles import (
     ProbabilityVector,
     criterion_cross_check,
@@ -84,9 +89,9 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
-def _scalar(value, exact: bool, what: str):
+def _scalar(value, what: str):
     try:
-        return parse_scalar(value, exact=exact)
+        return parse_scalar(value)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad {what} {value!r}: {exc}") from exc
 
@@ -132,7 +137,7 @@ def _load_measures(args, space, digests):
 
 def cmd_validate(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     specs = []
     for spec in args.measure or []:
         obj = _read_json(spec, digests)
@@ -168,7 +173,7 @@ def cmd_validate(args) -> int:
 
 def cmd_distance(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     measures = _load_measures(args, space, digests)
     if len(measures) != 2:
         raise InputFormatError("distance needs exactly two measures")
@@ -184,7 +189,7 @@ def cmd_distance(args) -> int:
 
 def cmd_matrix(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     measures = _load_measures(args, space, digests)
     if not measures:
         raise InputFormatError("matrix needs at least one measure")
@@ -206,7 +211,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_audit(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     if args.size < 1:
         raise InputFormatError("audit needs --size of at least 1")
     report_obj = metric_axiom_audit(space, ensemble_size=args.size, seed=args.seed)
@@ -221,7 +226,7 @@ def cmd_audit(args) -> int:
 def cmd_converge(args) -> int:
     digests: dict = {}
     spec = _read_json(args.sequence, digests)
-    space = load_space(_field(spec, "space", "sequence"), mode=args.mode)
+    space = load_space(_field(spec, "space", "sequence"))
     if "generator" in spec:
         gen = spec["generator"]
         kind = _field(gen, "type", "generator")
@@ -265,7 +270,7 @@ def cmd_converge(args) -> int:
 
 def _relation_from_args(args, space, digests) -> Relation:
     if args.threshold is not None:
-        return sublevel_relation(space, _scalar(args.threshold, space.exact, "threshold"))
+        return sublevel_relation(space, _scalar(args.threshold, "threshold"))
     if args.pairs:
         obj = _read_json(args.pairs, digests)
         entries = json_list(_field(obj, "pairs", "--pairs"), '"pairs"', of_lists=True)
@@ -279,7 +284,7 @@ def _relation_from_args(args, space, digests) -> Relation:
 
 def cmd_couple(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     measures = _load_measures(args, space, digests)
     if len(measures) != 2:
         raise InputFormatError("couple needs exactly two measures")
@@ -312,7 +317,7 @@ def cmd_couple(args) -> int:
 
 def cmd_glue(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     prod = product_space(space, space)
     first = load_measure(_read_json(args.first, digests), prod)
     second = load_measure(_read_json(args.second, digests), prod)
@@ -350,7 +355,7 @@ def cmd_glue(args) -> int:
 
 def cmd_oracle(args) -> int:
     digests: dict = {}
-    space = load_space(_read_json(args.space, digests), mode=args.mode)
+    space = load_space(_read_json(args.space, digests))
     report = _base_report(args, f"oracle {args.oracle_cmd}", digests)
     if args.oracle_cmd in ("strassen", "winf"):
         if len(args.measure or []) != 2:
@@ -359,7 +364,7 @@ def cmd_oracle(args) -> int:
         for spec in args.measure:
             obj = _read_json(spec, digests)
             weights = [
-                _scalar(w, space.exact, "weight")
+                _scalar(w, "weight")
                 for w in json_list(_field(obj, "weights", "probability vector"), '"weights"')
             ]
             ps.append(ProbabilityVector(space, tuple(weights)))
@@ -401,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
         if measure:
             p.add_argument("--measure", action="append", help="measure JSON file or inline")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=("exact", "float"), default="exact")
+        p.add_argument(
+            "--mode", choices=("exact", "float"), default="exact",
+            help="how scalars print; every command computes exactly",
+        )
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="text"
@@ -467,6 +475,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    printing = FLOAT_OUTPUT.set(args.mode == "float")
     try:
         return args.func(args)
     except InputFormatError as exc:
@@ -478,6 +487,8 @@ def main(argv=None) -> int:
     except RiskdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        FLOAT_OUTPUT.reset(printing)
 
 
 if __name__ == "__main__":

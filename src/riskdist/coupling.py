@@ -23,8 +23,8 @@ gluing's included, goes through one section-minimum routine.
 
 One exact decider takes every pair where each measure is a capacity or a
 max/min of capacities (``measures.normal_forms``): two capacities on any
-space ("exact-choquet"), any other such pair on an exact space whose
-relation's projections contain every part's support ("exact-lattice"; the
+space ("exact-choquet"), any other such pair whose relation's
+projections contain every part's support ("exact-lattice"; the
 reflexive relations of the distance ladder always do).  Take mu1 = max_i
 min_j A_ij and mu2 = min_q max_p B_pq.  Then (b) holds iff for every check
 (i, q)
@@ -61,8 +61,8 @@ set of the chain.  The decider runs three steps:
      chain.  Sets where every column is nonpositive are left out, and
      chains with the same remaining sets share one LP.
 
-A second exact decider takes every other pair on an exact two-point space
-whose relation has full projections, so that (a) holds, when both measures
+A second exact decider takes every other pair on a two-point space whose
+relation has full projections, so that (a) holds, when both measures
 have ``RiskMeasure.breakpoints`` ("exact-two-point"): family members that
 pass their exact axiom check, capacities, and mixtures, max and min of
 these.  By translation invariance (b) and (c) need only psi = (0, t).  The
@@ -100,8 +100,8 @@ use, and the ladder's levels and relations once per space
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds), built when it is first read; a
 feasible one carries the lower extension.  Black boxes, pushforwards and
-combinations with such parts stay on the sampled tier, and so do float
-spaces, relations with a projection that misses a point, defective family
+combinations with such parts stay on the sampled tier, and so do
+relations with a projection that misses a point, defective family
 members and a pair whose uncovered chains outgrow ``CHAIN_BUDGET``.  That
 tier scans (a), (b) and (c) over one fixed grid, whatever the caller:
 ``probe_grid(space, seed, REFUTATION_RANDOMS)``.  A probe that refutes
@@ -248,7 +248,7 @@ class CouplingWitness:
         an integer maximum."""
         space = self.support.left
         pairs = chain.from_iterable(self.support.matrix)
-        return space._distances[max(compress(space._ranks, pairs))]
+        return space._levels[max(compress(space._ranks, pairs))]
 
 
 def lower_coupling(mu1: RiskMeasure, mu2: RiskMeasure, s: Relation) -> CouplingWitness:
@@ -275,10 +275,9 @@ class FeasibilityVerdict:
     """The answer of ``admissible``.
 
     ``tier`` names how it was reached: the proofs "dirac" (two point
-    masses), "exact-choquet" (two capacities, float spaces included),
-    "exact-lattice" (any other pair with normal forms, on exact spaces) and
-    "exact-two-point" (any other pair with breakpoints, on an exact
-    two-point space with full projections), or the sampled
+    masses), "exact-choquet" (two capacities), "exact-lattice" (any other
+    pair with normal forms) and "exact-two-point" (any other pair with
+    breakpoints, on a two-point space with full projections), or the sampled
     "refutation-sampled" (a probe refuted) and "witness-found" (no probe
     refuted).  A feasible verdict carries the lower extension as
     ``witness``; an infeasible one a ``certificate`` of one "kind":
@@ -295,8 +294,8 @@ class FeasibilityVerdict:
     * "envelope-domination", ``side``, ``psi``, ``values``: with (mua, mub,
       lists) = (mu1, mu2, ``S.section_lists``) on side "left" and (mu2,
       mu1, ``S.inv_section_lists``) on "right", ``values`` = (mua(
-      section_minima(psi, lists)), mub(psi)) and values[0] > values[1] +
-      tol, which breaks (b) or (c); re-checks by evaluation on every tier.
+      section_minima(psi, lists)), mub(psi)) and values[0] > values[1],
+      which breaks (b) or (c); re-checks by evaluation on every tier.
 
     The certificate is built on first read, by ``certify``, and then kept:
     the distance ladder reads only status, tier and witness, so the
@@ -338,9 +337,8 @@ class PreparedPair:
       per relation.
     * ``scan``: per side, the tables (a, b) of the indicator scan, each
       measure's table times the other's scale over g, the gcd of the two
-      scales, so that equal scales multiply nothing, with the tolerance
-      added to b; and the getters of the two measures' own values at a
-      subset.
+      scales, so that equal scales multiply nothing; and the getters of
+      the two measures' own values at a subset.
     * ``checks``: per side, the (row, group) checks with more than one
       column, each a list of (a, b) part tables lifted to one scale.
     * ``points`` and ``tables``: on the two-point tier, the points T with
@@ -370,22 +368,15 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
         return PreparedPair(mu1, mu2, "dirac")
     if mu1.capacity is not None and mu2.capacity is not None:
         route = "exact-choquet"
-    elif space.exact and None not in forms:
+    elif None not in forms:
         route = "exact-lattice"
-    elif (
-        space.exact
-        and space.n == 2
-        and mu1.breakpoints is not None
-        and mu2.breakpoints is not None
-    ):
+    elif space.n == 2 and mu1.breakpoints is not None and mu2.breakpoints is not None:
         return _prepare_two_point(mu1, mu2)
     else:
         return PreparedPair(mu1, mu2, "sampled")
-    tol = space.tol
     (t1, d1), (t2, d2) = indicators(mu1), indicators(mu2)
     g = gcd(d1, d2)
     a1, a2 = times(t1, d2 // g), times(t2, d1 // g)
-    b1, b2 = (tuple([x + tol for x in a]) for a in (a1, a2)) if tol else (a1, a2)
     g1, g2 = _values(mu1), _values(mu2)
     # a check with one column is a comparison the scan makes
     checks = tuple(
@@ -400,7 +391,7 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
             [[(lifted[id(a)], lifted[id(b)]) for a, b in check] for check in side]
             for side in checks
         )
-    scan = (a1, b2, g1, g2), (a2, b1, g2, g1)
+    scan = (a1, a2, g1, g2), (a2, a1, g2, g1)
     return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks)
 
 
@@ -461,9 +452,9 @@ def admissible(
     Two point masses read S at their pair.  Every other pair that has
     normal forms goes to one exact decider: two capacities on any space
     ("exact-choquet", after a support check of each capacity against its
-    projection of S), any other such pair on an exact space when the
-    projections hold every part's support ("exact-lattice").  On an exact
-    two-point space with full projections, any other pair whose measures
+    projection of S), any other such pair when the projections hold every
+    part's support ("exact-lattice").  On a two-point space with full
+    projections, any other pair whose measures
     both have breakpoints goes to the second ("exact-two-point").  The
     rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
 
@@ -698,7 +689,7 @@ def _prepare_two_point(mu1, mu2) -> PreparedPair:
 
 
 def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
-    """The exact decider of a pair on an exact two-point space, with full
+    """The exact decider of a pair on a two-point space, with full
     projections, from the measures' breakpoints; the module docstring gives
     the argument.
 
@@ -755,7 +746,6 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
     refute a witness this returns.
     """
     space = mu1.space
-    tol = space.tol
     everything = (1 << space.n) - 1
     gaps = [
         (side, mu, proj)
@@ -784,7 +774,7 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
             env = section_minima(psi, lists)
             lhs = evaluate_values(mua, env)
             rhs = evaluate_values(mub, psi)
-            if lhs > rhs + tol:
+            if lhs > rhs:
                 return _refuted(
                     "refutation-sampled", "envelope-domination", side, psi=psi, values=(lhs, rhs)
                 )
@@ -794,7 +784,7 @@ def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
             top = max(psi[i] for i in inside)
             trim = tuple(v if proj >> i & 1 else top for i, v in enumerate(psi))
             a, b = evaluate_values(mu, psi), evaluate_values(mu, trim)
-            if abs(a - b) > tol:
+            if a != b:
                 return _refuted(
                     "refutation-sampled", "support-escape", side,
                     separating=(psi, trim), values=(a, b),
@@ -827,7 +817,6 @@ def verify_coupling(
     """
     space = witness.product
     support = witness.support
-    tol = space.tol
     evaluate = witness.evaluate_values
 
     if not support.pairs():
@@ -835,10 +824,9 @@ def verify_coupling(
         return sampled_report([Violation("empty-support", {}, ())], seed, samples)
 
     violations = probe_axioms(evaluate, space, seed, samples)
-    one, zero = (1, 0) if space.exact else (1.0, 0.0)
     for p in range(space.n):
-        got = evaluate(tuple(one if q == p else zero for q in range(space.n)))
-        if got < -tol or got > 1 + tol:
+        got = evaluate(tuple(int(q == p) for q in range(space.n)))
+        if got < 0 or got > 1:
             violations.append(Violation("monotonicity", {"indicator": p}, (got,)))
 
     # support confinement: values off S never matter
@@ -848,7 +836,7 @@ def verify_coupling(
         for chi, hi, *_ in pairs:
             other = tuple(h if o else v for v, h, o in zip(chi, hi, off))
             a, b = evaluate(chi), evaluate(other)
-            if abs(a - b) > tol:
+            if a != b:
                 wit = {"chi": chi, "other": other}
                 violations.append(Violation("support-confinement", wit, (a, b)))
 
@@ -861,7 +849,7 @@ def verify_coupling(
         for phi in probe_grid(factor, seed, samples // 2):
             got = evaluate(tuple(map(phi.__getitem__, points)))
             want = evaluate_values(mu, phi)
-            if abs(got - want) > tol:
+            if got != want:
                 violations.append(Violation(axiom, {"phi": phi}, (got, want)))
 
     return sampled_report(violations, seed, samples)

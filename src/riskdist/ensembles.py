@@ -40,7 +40,7 @@ def _frac(rng: random.Random, num_hi: int = 8, den: int = 8) -> Fraction:
     return Fraction(rng.randint(0, num_hi * den), den)
 
 
-def random_simplex(rng: random.Random, k: int, exact: bool = True):
+def random_simplex(rng: random.Random, k: int):
     """k weights drawn as integers in [0, 8], redrawn when all are 0, and
     normalized to sum to 1."""
     while True:
@@ -48,9 +48,7 @@ def random_simplex(rng: random.Random, k: int, exact: bool = True):
         total = sum(raw)
         if total:
             break
-    if exact:
-        return tuple(Fraction(r, total) for r in raw)
-    return tuple(r / total for r in raw)
+    return tuple(Fraction(r, total) for r in raw)
 
 
 def random_capacity(space: FiniteMetricSpace, rng: random.Random) -> Capacity:
@@ -61,9 +59,8 @@ def random_capacity(space: FiniteMetricSpace, rng: random.Random) -> Capacity:
     """
     flavor = rng.choice(("additive", "belief", "distortion", "monotone"))
     n = space.n
-    exact = space.exact
     if flavor == "additive":
-        return expectation(space, random_simplex(rng, n, exact))
+        return expectation(space, random_simplex(rng, n))
     if flavor == "belief":
         masses = {}
         for _ in range(rng.randint(1, n + 2)):
@@ -73,10 +70,10 @@ def random_capacity(space: FiniteMetricSpace, rng: random.Random) -> Capacity:
         table = []
         for b in range(1 << n):
             acc = sum(m for sub, m in masses.items() if sub & ~b == 0)
-            table.append(Fraction(acc, total) if exact else acc / total)
+            table.append(Fraction(acc, total))
         return Capacity(space, tuple(table))
     if flavor == "distortion":
-        p = expectation(space, random_simplex(rng, n, exact))
+        p = expectation(space, random_simplex(rng, n))
         # convex power-style distortion with rational arithmetic
         k = rng.choice((1, 2, 3))
         table = tuple(v**k for v in p.table)
@@ -95,8 +92,6 @@ def random_capacity(space: FiniteMetricSpace, rng: random.Random) -> Capacity:
     if top == 0:
         return unanimity(space)
     table = [v / top for v in table]
-    if not exact:
-        table = [float(v) for v in table]
     return Capacity(space, tuple(table))
 
 
@@ -183,7 +178,7 @@ def random_measure(
         for _ in range(rng.randint(2, 3))
     ]
     if kind == "mixture":
-        return mixture(random_simplex(rng, len(parts), space.exact), parts)
+        return mixture(random_simplex(rng, len(parts)), parts)
     if kind == "max":
         return lattice_max(parts)
     return lattice_min(parts)
@@ -210,6 +205,6 @@ def drifting_mixture_sequence(
     limit = dirac(space, base)
     terms = []
     for n in range(1, count + 1):
-        w = Fraction(1, n) if space.exact else 1.0 / n
+        w = Fraction(1, n)
         terms.append(mixture((1 - w, w), (dirac(space, base), dirac(space, far))))
     return terms, limit

@@ -50,10 +50,6 @@ class NonzeroDiagonal(MetricError):
         self.indices = (i,)
 
 
-class PointCountExceeded(MetricError):
-    """Exact mode is guarded to small spaces (2^n capacity tables)."""
-
-
 class EmptySubset(RiskdistError):
     """Hausdorff distance needs nonempty subsets."""
 

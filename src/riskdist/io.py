@@ -62,11 +62,12 @@ from .space import FiniteMetricSpace, PointSubset, _loaded, validate_metric
 from .twopoint import ShapeFunction, TwoPointParams
 
 
-def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
-    """Validate a space's JSON and return the interned space.
+def load_space(obj: Any) -> FiniteMetricSpace:
+    """Validate a space's JSON and return the interned space, whose
+    distances are exact: a JSON float is read as the decimal it spells.
 
     A space still alive is found by the JSON text of its distance matrix
-    before any entry is parsed: the key is ``(mode, labels, json.dumps(dist))``
+    before any entry is parsed: the key is ``(labels, json.dumps(dist))``
     in the intern table of ``validate_metric``, which keys the same space by
     its parsed values.  The text tells ``1``, ``1.0``, ``"1"`` and ``true``
     apart, so only a matrix written exactly as one that was already
@@ -86,7 +87,7 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
     dist = json_list(obj["dist"], '"dist"', of_lists=True)
     key = None
     try:
-        key = (mode, tuple(points), json.dumps(dist))
+        key = (tuple(points), json.dumps(dist))
     except (TypeError, ValueError):  # not JSON values: parsed below
         pass
     else:
@@ -95,7 +96,7 @@ def load_space(obj: Any, mode: str = "exact") -> FiniteMetricSpace:
             _last_loaded[0] = space
             return space
     try:
-        space = validate_metric(points, dist, mode=mode)
+        space = validate_metric(points, dist)
     except (ValueError, TypeError) as exc:
         raise InputFormatError(f"bad distance entry: {exc}") from exc
     if key is not None:
@@ -129,7 +130,7 @@ def _subset_mask(space: FiniteMetricSpace, key: str) -> int:
 def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
     if not isinstance(obj, dict):
         raise TypeError('"capacity" must be an object of subset entries')
-    exact = space.exact
+    caps.check_points(space.n)  # before the 2^n table is allocated
     table: list[Scalar | None] = [None] * (1 << space.n)
     masks = space._subset_masks
     parsed: dict[str, Scalar] = {}  # most entries repeat an earlier string
@@ -141,15 +142,15 @@ def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
         if type(raw) is str:
             value = parsed.get(raw)
             if value is None:
-                value = parsed[raw] = parse_scalar(raw, exact=exact)
+                value = parsed[raw] = parse_scalar(raw)
         else:
-            value = parse_scalar(raw, exact=exact)
+            value = parse_scalar(raw)
         if table[mask] is not None:
             first = next(k for k in obj if (masks.get(k) or _subset_mask(space, k)) == mask)
             raise InputFormatError(f"capacity keys {first!r} and {key!r} name one subset")
         table[mask] = value
     if table[0] is None:
-        table[0] = Fraction(0) if exact else 0.0
+        table[0] = Fraction(0)
     missing = [m for m, v in enumerate(table) if v is None]
     if missing:
         raise InputFormatError(
@@ -176,11 +177,10 @@ def _load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None) -> Risk
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputFormatError('measure JSON needs a "type"')
     kind = obj["type"]
-    exact = space.exact
 
     def scalars(values, what):
         # a list, not a generator: see ``TwoPointParams.scaled``
-        return tuple([parse_scalar(v, exact=exact) for v in json_list(values, what)])
+        return tuple([parse_scalar(v) for v in json_list(values, what)])
 
     def components():
         return [load_measure(c, space, memo) for c in json_list(obj["components"], '"components"')]
@@ -209,13 +209,13 @@ def _load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None) -> Risk
             return choquet_measure(caps.expectation(space, weights), name="expectation")
         if kind == "var":
             weights = scalars(obj["weights"], '"weights"')
-            level = parse_scalar(obj["level"], exact=exact)
+            level = parse_scalar(obj["level"])
             return choquet_measure(
                 caps.var_quantile(space, weights, level), name="var"
             )
         if kind == "cvar":
             weights = scalars(obj["weights"], '"weights"')
-            level = parse_scalar(obj["level"], exact=exact)
+            level = parse_scalar(obj["level"])
             return choquet_measure(caps.cvar(space, weights, level), name="cvar")
         if kind in ("unanimity", "possibility"):
             points = json_list(obj.get("points", []), '"points"')
@@ -235,9 +235,7 @@ def _load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None) -> Risk
 
 def jsonable(x: Any) -> Any:
     """Recursively convert report payloads to JSON-ready values."""
-    if isinstance(x, Fraction):
-        return format_scalar(x)
-    if isinstance(x, float):
+    if isinstance(x, (Fraction, float)):
         return format_scalar(x)
     if isinstance(x, (str, int, bool)) or x is None:
         return x

@@ -35,7 +35,7 @@ tables, as integers over their common scale (``indicators``), and its
 reach, the union of its form's supports (``reach``).  The coupling
 module decides pairs of such measures exactly from these forms and tables.
 
-Breakpoints.  On an exact two-point space a measure is mu(phi) = phi0 +
+Breakpoints.  On a two-point space a measure is mu(phi) = phi0 +
 g(phi1 - phi0) by translation invariance, and ``RiskMeasure.breakpoints``
 lists finitely many t between which g(t) = mu(0, t) is affine, or is None
 where no such list is known.  A measure with normal forms is positively
@@ -88,7 +88,7 @@ EVAL_MEMO_SIZE = 4096
 
 #: most capacities one lattice normal form may list; a nesting whose spread
 #: form would list more keeps no form, and its pairs stay on the sampled tier
-#: except on an exact two-point space, where its breakpoints decide them
+#: except on a two-point space, where its breakpoints decide them
 MAX_FORM_TERMS = 64
 
 #: halvings of the offset of a failing part's census pair that a combination
@@ -128,7 +128,7 @@ class RiskMeasure:
 
     @cached_property
     def breakpoints(self) -> Optional[tuple[Fraction, ...]]:
-        """The sorted t between which g(t) = mu(0, t) is affine, on an exact
+        """The sorted t between which g(t) = mu(0, t) is affine, on a
         two-point space, or None for a black box, a pushforward, a
         defective family member and any combination with one among its
         parts; the module docstring lists the cases."""
@@ -252,7 +252,7 @@ def reach(mu: RiskMeasure) -> Optional[int]:
 
 def lift(tables) -> tuple[Scalar, list]:
     """The least common scale of (table, scale) pairs, and each table as
-    integers over it (in float mode every scale is 1)."""
+    integers over it."""
     tables = list(tables)
     scale = lcm(*(d for _, d in tables))
     return scale, [times(t, scale // d) for t, d in tables]
@@ -378,17 +378,12 @@ class AxiomReport:
 def _random_values(space: FiniteMetricSpace, rng: random.Random, lo=-32, hi=32):
     # integers are exact and an order of magnitude faster to compare than
     # fractions in the envelope/min loops
-    if space.exact:
-        return tuple(rng.randint(lo, hi) for _ in range(space.n))
-    return tuple(rng.randint(lo * 4, hi * 4) / 4.0 for _ in range(space.n))
+    return tuple(rng.randint(lo, hi) for _ in range(space.n))
 
 
 def _monotone_pair(space: FiniteMetricSpace, rng: random.Random):
     lo = _random_values(space, rng)
-    bumps = (rng.randint(0, 12) for _ in lo)
-    if not space.exact:
-        bumps = (k / 4.0 for k in bumps)
-    return lo, tuple(map(add, lo, bumps))
+    return lo, tuple([v + rng.randint(0, 12) for v in lo])
 
 
 def _bounded(lo, hi):
@@ -428,27 +423,25 @@ def probe_axioms(
     Each shift probe costs two evaluations and the constants -3, 0, 1 and 5
     one each.
     """
-    tol = space.tol
     batch, shifts = probe_batch(space, seed, samples)
     out: list[Violation] = []
     for lo, hi, lo_env, hi_env in chain(batch, (_bounded(*p) for p in pairs)):
         a, b = evaluate(lo), evaluate(hi)
-        if a > b + tol:
+        if a > b:
             out.append(Violation("monotonicity", {"lo": lo, "hi": hi}, (a, b)))
         for phi, got, (least, most) in ((lo, a, lo_env), (hi, b, hi_env)):
-            if got > most + tol or got < least - tol:
+            if got > most or got < least:
                 wit = {"phi": phi, "lo": least, "hi": most}
                 out.append(Violation("value-envelope", wit, (got,)))
     for phi, shift in shifts:
         base, moved = evaluate(phi), evaluate(tuple(v + shift for v in phi))
-        if abs(moved - (base + shift)) > tol:
+        if moved != base + shift:
             wit = {"phi": phi, "shift": shift}
             out.append(Violation("translation-invariance", wit, (base, moved)))
     for c in (-3, 0, 1, 5):
-        cval = c if space.exact else float(c)
-        got = evaluate((cval,) * space.n)
-        if abs(got - cval) > tol:
-            out.append(Violation("normedness", {"constant": cval}, (got,)))
+        got = evaluate((c,) * space.n)
+        if got != c:
+            out.append(Violation("normedness", {"constant": c}, (got,)))
     return out
 
 
@@ -479,12 +472,10 @@ def _two_point_boundary_pairs(mu: RiskMeasure, rng: random.Random):
     that jumps up by more than the bump.
     """
     pairs = []
-    eps = Fraction(1, 10) if mu.space.exact else 0.1
+    eps = Fraction(1, 10)
     for delta in branch_boundaries(mu.params):
         for _ in range(8):
             base = Fraction(rng.randint(-12, 12), 4)
-            if not mu.space.exact:
-                base = float(base)
             lo = (base, base + delta)
             pairs.append((lo, (lo[0], lo[1] + eps)))  # b -> b + eps
             pairs.append(((lo[0], lo[1] - eps), lo))  # b - eps -> b
@@ -657,14 +648,13 @@ def _shrunk_pairs(mu: RiskMeasure, pairs) -> list:
     The other parts are continuous, so as the offset shrinks their rise
     across it vanishes while the jump's weighted share stays.
     """
-    tol = mu.space.tol
     found = []
     for lo, hi in pairs:
         offset = tuple(map(sub, hi, lo))
         for _ in range(SHRINK_STEPS):
             tries = ((tuple(map(sub, hi, offset)), hi), (lo, tuple(map(add, lo, offset))))
             drop = next(
-                (p for p in tries if evaluate_values(mu, p[0]) > evaluate_values(mu, p[1]) + tol),
+                (p for p in tries if evaluate_values(mu, p[0]) > evaluate_values(mu, p[1])),
                 None,
             )
             if drop is not None:
@@ -690,7 +680,7 @@ def verify_axioms(
     (``TwoPointParams.scaled`` is not None: every weight, slope, finite
     shift and knot an ``int`` or a ``Fraction``), on any space; a member
     with a float parameter is probed, and its report says ``sampled``.
-    Every member the CLI loads in exact mode is censused.  An exact verdict
+    Every member the CLI loads is censused.  An exact verdict
     is held on the measure (``RiskMeasure.exact_report``), so the census
     runs once per member however often the gate and ``breakpoints`` ask.  A max, min or mixture
     whose parts all pass exactly passes exactly too: max, min and convex
@@ -767,10 +757,9 @@ def _separating_pair(mu: RiskMeasure, i: int, rng: random.Random):
     for _ in range(SUPPORT_PROBES):
         values = list(_random_values(space, rng))
         other = list(values)
-        bump = rng.randint(1, 16)
-        other[i] = other[i] + (bump if space.exact else bump / 2.0)
+        other[i] += rng.randint(1, 16)
         a, b = evaluate_values(mu, tuple(values)), evaluate_values(mu, tuple(other))
-        if abs(a - b) > space.tol:
+        if a != b:
             return tuple(values), tuple(other)
     return None
 
@@ -825,10 +814,8 @@ def probe_grid(
     point, and ``randoms`` random functions drawn from ``Random(seed)``, so
     a grid with fewer randoms is a prefix of one with more.  Cached; ladder
     scans reuse it across levels and pairs."""
-    one, zero = (1, 0) if space.exact else (1.0, 0.0)
     probes = [
-        tuple(one if mask >> i & 1 else zero for i in range(space.n))
-        for mask in range(1 << space.n)
+        tuple(mask >> i & 1 for i in range(space.n)) for mask in range(1 << space.n)
     ]
     probes.extend(
         tuple(space.dist[j][i] for j in range(space.n)) for i in range(space.n)
@@ -853,10 +840,10 @@ def equal_measures(mu1: RiskMeasure, mu2: RiskMeasure, seed: int = 0) -> Equalit
     c1, c2 = mu1.capacity, mu2.capacity
     if c1 is not None and c2 is not None:
         for mask in range(1 << space.n):
-            if abs(c1.table[mask] - c2.table[mask]) > space.tol:
+            if c1.table[mask] != c2.table[mask]:
                 return EqualityResult("no", PointFunction.indicator(space, mask).values)
         return EqualityResult("yes")
     for values in probe_grid(space, seed, EQUALITY_PROBES):
-        if abs(evaluate_values(mu1, values) - evaluate_values(mu2, values)) > space.tol:
+        if evaluate_values(mu1, values) != evaluate_values(mu2, values):
             return EqualityResult("no", values)
     return EqualityResult("undecided", note="probes passed")

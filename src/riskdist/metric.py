@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from math import lcm
-from numbers import Rational
 from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -171,9 +170,8 @@ def distance_matrix(
         if fwd != rev:
             failures.append({"kind": "asymmetry", "pair": (i, j), "values": (fwd, rev)})
 
-    tol = space.tol
-    failures.extend(_triangle_violations(results, space))
-    witness_failures = _check_witnesses(results, seed, tol)
+    failures.extend(_triangle_violations(results))
+    witness_failures = _check_witnesses(results, seed)
     failures.extend(witness_failures)
     report = AuditReport(
         "distance-matrix",
@@ -190,33 +188,27 @@ def distance_matrix(
     return results, report
 
 
-def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
+def _triangle_violations(results) -> list[dict]:
     """Every triple (i, j, l) with d(i, j) > d(i, l) + d(l, j).
 
-    Every value is a ladder level, so in exact mode the scan runs on the
-    integers value * D over the values' common denominator D.  Each (i, j)
-    takes the min-plus over l first, and lists the l's only when that
-    minimum is violated.
+    Every value is a ladder level, so the scan runs on the integers value *
+    D over the values' common denominator D.  Each (i, j) takes the
+    min-plus over l first, and lists the l's only when that minimum is
+    violated.
     """
     k = len(results)
-    tol = space.tol
-    values = {res.value for row in results for res in row}
-    if all(isinstance(v, Rational) for v in values):
-        den = lcm(*(v.denominator for v in values))
-
-        def key(value):
-            return value.numerator * (den // value.denominator)
-    else:
-        def key(value):
-            return value
-    keyed = [[key(res.value) for res in row] for row in results]
+    den = lcm(*{res.value.denominator for row in results for res in row})
+    keyed = [
+        [res.value.numerator * (den // res.value.denominator) for res in row]
+        for row in results
+    ]
     cols = list(zip(*keyed))
     found = []
     for i in range(k):
         row = keyed[i]
         for j in range(k):
             d_ij = row[j]
-            if d_ij > min(map(add, row, cols[j])) + tol:
+            if d_ij > min(map(add, row, cols[j])):
                 found.extend(
                     {
                         "kind": "triangle-violation",
@@ -224,12 +216,12 @@ def _triangle_violations(results, space: FiniteMetricSpace) -> list[dict]:
                         "values": (results[i][j].value, results[i][l].value, results[l][j].value),
                     }
                     for l in range(k)
-                    if d_ij > row[l] + cols[j][l] + tol
+                    if d_ij > row[l] + cols[j][l]
                 )
     return found
 
 
-def _check_witnesses(results, seed: int, tol) -> list[dict]:
+def _check_witnesses(results, seed: int) -> list[dict]:
     """Cost and witness checks on a seeded sample of 24 pairs; a witness is
     re-sampled only when its result is not certified "exact", since the
     Dirac, capacity, lattice and two-point tiers prove theirs."""
@@ -240,9 +232,7 @@ def _check_witnesses(results, seed: int, tol) -> list[dict]:
     for i, j in pairs[:24]:
         res = results[i][j]
         cost = res.witness.cost()
-        # float ladders merge levels within tol, so the support may reach a
-        # distance just above the level it was chosen at
-        if abs(cost - res.value) > tol:
+        if cost != res.value:
             failures.append(
                 {"kind": "witness-cost-mismatch", "pair": (i, j), "values": (cost, res.value)}
             )
@@ -376,7 +366,7 @@ def _lipschitz_violations(mu1, mu2, distance, probes) -> list[dict]:
         phi = PointFunction(space, values)
         gap = abs(evaluate_values(mu1, values) - evaluate_values(mu2, values))
         bound = modulus_of_continuity(phi, distance)
-        if gap > bound + space.tol:
+        if gap > bound:
             violations.append(
                 {
                     "kind": "lipschitz-violation",
@@ -424,10 +414,7 @@ def convergence_audit(
     gaps = [r["pointwise-gap"] for r in rows]
     metrics = [r["metric"] for r in rows]
     hgaps = [r["support-gap"] for r in rows]
-    eps = space.tol if space.tol else 0
-    gaps_vanish = all(b <= a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= max(
-        gaps[0] / 4, eps
-    )
+    gaps_vanish = all(b <= a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= gaps[0] / 4
     metric_vanishes = metrics[-1] <= metrics[0] / 4 or metrics[-1] == 0
     supports_converge = hgaps[-1] == 0
     discrepancies = []
@@ -479,7 +466,7 @@ def reverify_failure(payload: dict, context: dict) -> bool:
         return distance(i, i).value != distance_levels(measures[i].space)[0]
     if kind == "witness-cost-mismatch":
         res = distance(*payload["pair"])
-        return abs(res.witness.cost() - res.value) > measures[0].space.tol
+        return res.witness.cost() != res.value
     if kind == "witness-verification":
         return not verify_coupling(distance(*payload["pair"]).witness, seed=seed).ok
     if kind == "diameter-exceeded":
@@ -505,5 +492,5 @@ def reverify_failure(payload: dict, context: dict) -> bool:
         mu1, mu2 = context["pair"]
         phi = PointFunction(mu1.space, payload["phi"])
         gap = abs(evaluate_values(mu1, phi.values) - evaluate_values(mu2, phi.values))
-        return gap > modulus_of_continuity(phi, payload["distance"]) + mu1.space.tol
+        return gap > modulus_of_continuity(phi, payload["distance"])
     raise InvalidParams(f"no re-verifier for payload kind {kind!r}")

@@ -1,12 +1,16 @@
-"""Scalar arithmetic shared by the exact (rational) and float evaluation modes.
+"""Scalar arithmetic: exact rationals, and how they print.
 
-Exact mode keeps every quantity a :class:`fractions.Fraction` so that metric
-audits can distinguish genuine counterexamples from rounding noise.  Float
-mode admits irrational inputs and compares with an absolute tolerance.
+Every quantity is computed as a :class:`fractions.Fraction` (or an ``int``)
+so that metric audits can distinguish genuine counterexamples from rounding
+noise; a float appears only as a two-point shift of ``±inf`` or as a
+parameter a Python caller gives as a float.  ``format_scalar`` prints a
+scalar exactly, or, while ``FLOAT_OUTPUT`` is set (the CLI's ``--mode
+float``), as the nearest float.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Union
 
@@ -17,17 +21,19 @@ Scalar = Union[Fraction, float]
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-#: absolute tolerance used for comparisons in float mode
-FLOAT_TOL = 1e-9
+#: set while the CLI prints with ``--mode float``: ``format_scalar`` then
+#: prints each exact scalar as ``repr(float(x))``
+FLOAT_OUTPUT: ContextVar[bool] = ContextVar("FLOAT_OUTPUT", default=False)
 
 
-def parse_scalar(value, exact: bool = True) -> Scalar:
+def parse_scalar(value) -> Scalar:
     """Parse a JSON number, a ``"p/q"`` rational string, or ``"±inf"``.
 
-    A NaN (which Python's JSON reader accepts) raises ``InputFormatError``:
-    every comparison with it is False, so it would pass any check.  So
-    does a rational beyond the float range in float mode.  A zero
-    denominator raises ``ValueError``, as any other malformed string does.
+    A JSON float is a decimal literal and parses to the ``Fraction`` it
+    spells.  A NaN (which Python's JSON reader accepts) raises
+    ``InputFormatError``: every comparison with it is False, so it would
+    pass any check.  A zero denominator raises ``ValueError``, as any other
+    malformed string does.
     """
     if isinstance(value, str):
         text = value.strip()
@@ -40,42 +46,38 @@ def parse_scalar(value, exact: bool = True) -> Scalar:
         try:
             if digits.isdigit() and den.isdigit() == bool(slash) and text.isascii():
                 # "p/q" or "p" in ASCII digits, which Fraction(text) reads as this
-                frac = Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            else:
-                frac = Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            return Fraction(text)  # accepts "3/4", "-2", "0.25", "1_000"
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
-        return frac if exact else _float(frac, value)
     if isinstance(value, bool):
         raise ValueError(f"not a number: {value!r}")
     if isinstance(value, int):
-        return Fraction(value) if exact else _float(value, value)
+        return Fraction(value)
     if isinstance(value, Fraction):
-        return value if exact else _float(value, value)
+        return value
     if isinstance(value, float):
         if value != value:
             raise InputFormatError(f"{value!r} is not finite")
         if value == POS_INF or value == NEG_INF:
             return value
-        if exact:
-            # JSON floats are decimal literals; str() round-trips the literal.
-            return Fraction(str(value))
-        return value
+        # JSON floats are decimal literals; str() round-trips the literal.
+        return Fraction(str(value))
     raise ValueError(f"not a number: {value!r}")
-
-
-def _float(x, value) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        raise InputFormatError(f"{value!r} is beyond the float range") from None
 
 
 def format_scalar(x: Scalar) -> str:
     """Render a scalar the way the JSON interfaces expect it: an exact
-    value (a ``Fraction`` or an ``int`` that is no ``bool``) as ``str``."""
+    value (a ``Fraction`` or an ``int`` that is no ``bool``) as ``str``, or,
+    while ``FLOAT_OUTPUT`` is set, as ``repr`` of the nearest float, which
+    is ``±inf`` past the float range."""
     if isinstance(x, Fraction) or isinstance(x, int) and not isinstance(x, bool):
-        return str(x)
+        if not FLOAT_OUTPUT.get():
+            return str(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            x = POS_INF if x > 0 else NEG_INF
     if x == POS_INF:
         return "+inf"
     if x == NEG_INF:

@@ -37,7 +37,7 @@ class ProbabilityVector:
             raise SpaceMismatch("weight vector length must match point count")
         if any(w < 0 for w in self.weights):
             raise InvalidParams("weights must be nonnegative")
-        if abs(sum(self.weights) - 1) > self.space.tol:
+        if sum(self.weights) != 1:
             raise InvalidParams("weights must sum to 1")
 
     def mass(self, mask: int) -> Scalar:
@@ -47,13 +47,12 @@ class ProbabilityVector:
 def _subset_condition(p: ProbabilityVector, q: ProbabilityVector, s: Relation) -> bool:
     """Exhaust all subsets A: demand q(A) never exceeds reachable supply."""
     n = p.space.n
-    tol = p.space.tol
     for a in range(1 << n):
         reach = 0
         for i, sec in enumerate(s.sections):
             if sec & a:
                 reach |= 1 << i
-        if q.mass(a) > p.mass(reach) + tol:
+        if q.mass(a) > p.mass(reach):
             return False
     return True
 
@@ -66,8 +65,8 @@ def _flow_condition(p: ProbabilityVector, q: ProbabilityVector, s: Relation) -> 
     cap = [[Fraction(0)] * size for _ in range(size)]
     big = Fraction(2)
     for i in range(n):
-        cap[source][i] = Fraction(p.weights[i]) if p.space.exact else p.weights[i]
-        cap[n + i][sink] = Fraction(q.weights[i]) if q.space.exact else q.weights[i]
+        cap[source][i] = Fraction(p.weights[i])
+        cap[n + i][sink] = Fraction(q.weights[i])
     for i in range(n):
         for j in range(n):
             if s.matrix[i][j]:
@@ -100,7 +99,7 @@ def _flow_condition(p: ProbabilityVector, q: ProbabilityVector, s: Relation) -> 
             cap[v][u] += bottleneck
             v = u
         flow += bottleneck
-    return abs(flow - 1) <= p.space.tol
+    return flow == 1
 
 
 def strassen_feasible(
@@ -151,7 +150,7 @@ class CrossCheckReport:
 def random_probability(
     space: FiniteMetricSpace, rng: random.Random
 ) -> ProbabilityVector:
-    return ProbabilityVector(space, random_simplex(rng, space.n, space.exact))
+    return ProbabilityVector(space, random_simplex(rng, space.n))
 
 
 def random_relation(

@@ -21,15 +21,11 @@ from .errors import (
     InputFormatError,
     NegativeDistance,
     NonzeroDiagonal,
-    PointCountExceeded,
     SpaceMismatch,
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .numerics import FLOAT_TOL, Scalar, parse_scalar
-
-#: exact-mode point guard; capacity tables are full 2^n vectors
-MAX_EXACT_POINTS = 12
+from .numerics import Scalar, parse_scalar
 
 
 def _hash_once(self) -> int:
@@ -60,7 +56,6 @@ class FiniteMetricSpace:
 
     labels: tuple[str, ...]
     dist: tuple[tuple[Scalar, ...], ...]
-    tol: float = 0  # 0 in exact mode, FLOAT_TOL in float mode
 
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
@@ -68,10 +63,6 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    @property
-    def exact(self) -> bool:
-        return self.tol == 0
 
     @property
     def full_mask(self) -> int:
@@ -87,12 +78,15 @@ class FiniteMetricSpace:
         """Subset bitmask by the canonical key of a capacity table: the
         subset's labels joined by commas in point order (``"a,c"``).
 
-        Built once per (interned) space.  It is empty past the exact point
-        guard, or when a label is blank or padded with spaces, which the
-        label-by-label reading of a key strips; keys are then read that way.
+        Built once per (interned) space.  It is empty past the capacity
+        table guard, or when a label is blank or padded with spaces, which
+        the label-by-label reading of a key strips; keys are then read that
+        way.
         """
+        from .capacity import MAX_CAPACITY_POINTS  # capacity imports this module
+
         labels = self.labels
-        if self.n > MAX_EXACT_POINTS or not all(l and l == l.strip() for l in labels):
+        if self.n > MAX_CAPACITY_POINTS or not all(l and l == l.strip() for l in labels):
             return {}
         keys = [""]
         for label in labels:  # mask order: the subsets with point i follow
@@ -100,28 +94,17 @@ class FiniteMetricSpace:
         return {k: m for m, k in enumerate(keys)}
 
     @cached_property
-    def _distances(self) -> tuple[Scalar, ...]:
-        """The distinct distances, sorted; in float mode none are merged."""
+    def _levels(self) -> tuple[Scalar, ...]:
+        """The distinct distances, sorted."""
         return tuple(sorted({v for row in self.dist for v in row}))
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
-        """The rank of each distance in ``_distances``, row by row over the
+        """The rank of each distance in ``_levels``, row by row over the
         flat pair index ``i * n + j``, built once per space: a maximum of
         distances is a maximum of these ints."""
-        rank = {v: r for r, v in enumerate(self._distances)}
+        rank = {v: r for r, v in enumerate(self._levels)}
         return tuple([rank[v] for row in self.dist for v in row])
-
-    @cached_property
-    def _levels(self) -> tuple[Scalar, ...]:
-        values = self._distances
-        if self.exact:
-            return values
-        merged: list[Scalar] = []
-        for v in values:
-            if not merged or v - merged[-1] > self.tol:
-                merged.append(v)
-        return tuple(merged)
 
     @cached_property
     def _ladder(self) -> tuple[tuple[Scalar, "Relation"], ...]:
@@ -142,12 +125,8 @@ class FiniteMetricSpace:
         return max(max(row) for row in self.dist)
 
 
-def validate_metric(
-    labels: Sequence[str],
-    dist: Sequence[Sequence],
-    mode: str = "exact",
-) -> FiniteMetricSpace:
-    """Validate a distance matrix and build a space.
+def validate_metric(labels: Sequence[str], dist: Sequence[Sequence]) -> FiniteMetricSpace:
+    """Validate a distance matrix and build a space of exact distances.
 
     Checks squareness, finite entries, zero diagonal, symmetry, positivity
     off the diagonal, and the triangle inequality; each failure names the
@@ -155,31 +134,21 @@ def validate_metric(
     Equal inputs give one shared space while it is alive, so the module
     caches keyed by spaces and the space checks of later requests compare
     it with itself instead of entry by entry.  The intern table ``_loaded``
-    keys a space two ways: here by ``(labels, parsed rows, tol)``, which
-    finds it under any spelling of equal values, and in ``io.load_space``
-    by ``(mode, labels, JSON text of the matrix)``, which finds it before
-    any entry is parsed.
+    keys a space two ways: here by ``(labels, parsed rows)``, which finds
+    it under any spelling of equal values, and in ``io.load_space`` by
+    ``(labels, JSON text of the matrix)``, which finds it before any entry
+    is parsed.
     """
-    if mode not in ("exact", "float"):
-        raise InputFormatError(f"unknown arithmetic mode {mode!r}")
-    exact = mode == "exact"
     n = len(labels)
     if n < 1:
         raise InputFormatError("a space needs at least one point")
     if len(set(labels)) != n:
         raise InputFormatError("point labels must be unique")
-    if exact and n > MAX_EXACT_POINTS:
-        raise PointCountExceeded(
-            f"{n} points exceeds the exact-mode guard of {MAX_EXACT_POINTS}"
-        )
     if len(dist) != n or any(len(row) != n for row in dist):
         raise InputFormatError("distance matrix must be square of size n")
 
-    tol = 0 if exact else FLOAT_TOL
-    rows = tuple(
-        tuple(parse_scalar(v, exact=exact) for v in row) for row in dist
-    )
-    key = (tuple(labels), rows, tol)
+    rows = tuple(tuple(parse_scalar(v) for v in row) for row in dist)
+    key = (tuple(labels), rows)
     space = _loaded.get(key)
     if space is not None:
         return space  # validated when it was first loaded
@@ -188,27 +157,27 @@ def validate_metric(
             if isinstance(v, float) and not isfinite(v):
                 raise InputFormatError(f"dist[{i}][{j}] = {v} is not finite")
     for i in range(n):
-        if abs(rows[i][i]) > tol:
+        if rows[i][i] != 0:
             raise NonzeroDiagonal(i)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(rows[i][j] - rows[j][i]) > tol:
+            if rows[i][j] != rows[j][i]:
                 raise Asymmetry(i, j)
-            if rows[i][j] < -tol:
+            if rows[i][j] < 0:
                 raise NegativeDistance(i, j)
-            if rows[i][j] <= tol:
+            if rows[i][j] == 0:
                 raise ZeroOffDiagonal(i, j)
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j] + tol:
+                if rows[i][j] > rows[i][k] + rows[k][j]:
                     raise TriangleViolation(i, j, k)
     space = _loaded[key] = FiniteMetricSpace(*key)
     return space
 
 
-#: every validated space still alive, by (labels, dist, tol) and, when it
-#: was loaded from JSON, by (mode, labels, json.dumps(dist))
+#: every validated space still alive, by (labels, dist) and, when it was
+#: loaded from JSON, by (labels, json.dumps(dist))
 _loaded: WeakValueDictionary = WeakValueDictionary()
 
 
@@ -228,8 +197,7 @@ class PointFunction:
 
     @staticmethod
     def indicator(space: FiniteMetricSpace, mask: int) -> "PointFunction":
-        one = Fraction(1) if space.exact else 1.0
-        zero = Fraction(0) if space.exact else 0.0
+        one, zero = Fraction(1), Fraction(0)
         return PointFunction(
             space, tuple(one if mask >> i & 1 else zero for i in range(space.n))
         )
@@ -388,12 +356,11 @@ def sublevel_relation(space: FiniteMetricSpace, t: Scalar) -> Relation:
 
 @lru_cache(maxsize=4096)
 def _sublevel_cached(space: FiniteMetricSpace, t: Scalar) -> Relation:
-    tol = space.tol
     return Relation(
         space,
         space,
         tuple(
-            tuple(space.dist[i][j] <= t + tol for j in range(space.n))
+            tuple(space.dist[i][j] <= t for j in range(space.n))
             for i in range(space.n)
         ),
     )
@@ -417,7 +384,6 @@ def compose_relations(s: Relation, r: Relation) -> Relation:
 def distance_levels(space: FiniteMetricSpace) -> list[Scalar]:
     """Sorted distinct distance values, starting at 0.
 
-    In float mode, values within the tolerance of each other are merged.
     They are computed once per space; each call returns a new list.
     """
     return list(space._levels)
@@ -447,11 +413,10 @@ def modulus_of_continuity(phi: PointFunction, t: Scalar) -> Scalar:
     if t < 0:
         raise InputFormatError("threshold must be nonnegative")
     space = phi.space
-    tol = space.tol
     best = 0
     for i in range(space.n):
         for j in range(space.n):
-            if space.dist[i][j] <= t + tol:
+            if space.dist[i][j] <= t:
                 gap = abs(phi.values[i] - phi.values[j])
                 if gap > best:
                     best = gap
@@ -487,7 +452,7 @@ def product_space(
                 for l in range(n2):
                     row.append(max(left.dist[i][k], right.dist[j][l]))
             dist.append(tuple(row))
-    return FiniteMetricSpace(labels, tuple(dist), max(left.tol, right.tol))
+    return FiniteMetricSpace(labels, tuple(dist))
 
 
 def left_projection_map(left: FiniteMetricSpace, right: FiniteMetricSpace) -> tuple[int, ...]:

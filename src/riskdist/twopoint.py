@@ -66,8 +66,8 @@ their q and builds one ``Fraction`` from the numerator, equal to the
 formula's value.  The axiom census of ``measures.verify_axioms`` fixes
 q = 3 and compares the numerators themselves.  No float is mixed into
 this arithmetic: an infinite shift never wins its max or min and decides
-its comparison alone.  Float-mode members, members with any float
-parameter, and float inputs take the formula as written.
+its comparison alone.  A member with a float parameter, which only a
+Python caller can give, and float inputs take the formula as written.
 """
 
 from __future__ import annotations
@@ -286,8 +286,8 @@ def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointVal
 
     An exact member at ``int`` or ``Fraction`` inputs is evaluated in
     ``int`` arithmetic over ``p.scaled``, with one ``Fraction`` built at
-    the end; any float, a float-mode member's or an input, takes the
-    formula as written.  Both pick the same branch: branch 5's own
+    the end; any float, a parameter or an input, takes the formula as
+    written.  Both pick the same branch: branch 5's own
     condition (not c1, strictly not c2) implies branch 4's, so its weight
     applies only in the uncovered region where both comparisons fail
     strictly.

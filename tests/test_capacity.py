@@ -212,11 +212,10 @@ def test_random_capacities_are_valid(seed):
 FLAVOURS = ("additive", "belief", "distortion", "monotone")
 
 
-def uniform_space(n: int, mode: str = "exact"):
+def uniform_space(n: int):
     return rd.validate_metric(
         [f"p{i}" for i in range(n)],
         [[0 if i == j else 1 for j in range(n)] for i in range(n)],
-        mode=mode,
     )
 
 
@@ -328,16 +327,36 @@ class TestIntegerKernel:
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=150)
-    def test_float_mode_is_bit_identical_to_the_loop(self, data):
+    def test_float_entries_build_the_capacity_of_their_rationals(self, data):
+        # a float entry from a Python caller is lifted to the Fraction it
+        # equals, so the scans and the kernel never compare floats
         n, table = data.draw(flavour_tables())
         ftable = tuple(float(v) for v in table)
-        cap = Capacity(uniform_space(n, mode="float"), ftable)
+        lifted = tuple(F(x) for x in ftable)
+        try:
+            cap = Capacity(uniform_space(n), ftable)
+        except InvalidParams:  # rounding broke monotonicity
+            with pytest.raises(InvalidParams):
+                Capacity(uniform_space(n), lifted)
+            return
+        assert cap.table == lifted and all(type(x) is F for x in cap.table)
+        assert cap == Capacity(uniform_space(n), lifted)
+        assert all(type(x) is int for x in cap.scaled)
         values = tuple(
             data.draw(st.lists(st.integers(-128, 128), min_size=n, max_size=n))
         )
-        values = tuple(v / 4.0 for v in values)
-        got, want = cap.choquet(values), rearrangement_sum(ftable, values)
-        assert type(got) is type(want) and repr(got) == repr(want)
+        assert cap.choquet(values) == rearrangement_sum(lifted, values)
+
+
+def test_float_entries_are_not_their_decimal_spellings():
+    # a Python float 0.1 is the double nearest 1/10, not 1/10: the exact
+    # tier sees two capacities, and neither distance nor equality says equal
+    space = rd.validate_metric(["x", "y"], [[0, 1], [1, 0]])
+    floats = rd.choquet_measure(Capacity(space, (0, 0.1, 0.9, 1)))
+    decimals = rd.choquet_measure(Capacity(space, (F(0), F(1, 10), F(9, 10), F(1))))
+    res = rd.bottleneck_distance(floats, decimals)
+    assert res.value > 0 and res.tier == "exact-choquet"
+    assert rd.equal_measures(floats, decimals).status == "no"
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +370,16 @@ def formula_expectation(space, weights):
     )
 
 
-def _one_zero(space):
-    return (F(1), F(0)) if space.exact else (1.0, 0.0)
-
-
 def formula_var(space, weights, level):
     p = formula_expectation(space, weights)
-    one, zero = _one_zero(space)
     cut = 1 - level
-    table = tuple(one if v > cut + space.tol else zero for v in p)
-    return table[:-1] + (one,)
+    table = tuple(F(1) if v > cut else F(0) for v in p)
+    return table[:-1] + (F(1),)
 
 
 def formula_cvar(space, weights, level):
     p = formula_expectation(space, weights)
-    one = _one_zero(space)[0]
-    return tuple(min(v / (1 - level), one) for v in p)
+    return tuple(min(F(v) / (1 - level), F(1)) for v in p)
 
 
 def formula_mixture(weights, tables):
@@ -376,107 +389,91 @@ def formula_mixture(weights, tables):
 
 
 def formula_zero_one(space, member):
-    one, zero = _one_zero(space)
-    return tuple(one if member(m) else zero for m in range(1 << space.n))
+    return tuple(F(1) if member(m) else F(0) for m in range(1 << space.n))
 
 
 def formula_json_table(space, capacity):
-    exact = space.exact
-    table = [F(0) if exact else 0.0] + [None] * (space.full_mask)
+    table = [F(0)] + [None] * (space.full_mask)
     for key, raw in capacity.items():
         mask = 0
         if key.strip():
             for label in key.split(","):
                 mask |= 1 << space.labels.index(label.strip())
-        frac = F(raw.strip())
-        table[mask] = frac if exact else float(frac)
+        table[mask] = F(raw.strip())
     return tuple(table)
 
 
-def formula_null_mask(table, n, tol):
+def formula_null_mask(table, n):
     null = 0
     for i in range(n):
         bit = 1 << i
-        if all(
-            abs(table[m | bit] - table[m]) <= tol for m in range(1 << n) if not m & bit
-        ):
+        if all(table[m | bit] == table[m] for m in range(1 << n) if not m & bit):
             null |= bit
     return null
 
 
-def formula_first_rise(table, n, tol):
+def formula_first_rise(table, n):
     for mask in range(1 << n):
         for i in range(n):
-            if not mask >> i & 1 and table[mask] > table[mask | 1 << i] + tol:
+            if not mask >> i & 1 and table[mask] > table[mask | 1 << i]:
                 return f"capacity not monotone: v({mask}) > v({mask | 1 << i})"
     return None
 
 
 def same_entries(got, want):
-    """Equal in value and type, floats bit for bit."""
+    """Equal in value and type."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert type(a) is type(b) and a == b, (a, b)
-        if isinstance(a, float):
-            assert repr(a) == repr(b)
 
 
 def assert_built_like(cap: Capacity, want):
     same_entries(cap.table, want)
     space = cap.space
-    assert cap.null_mask == formula_null_mask(want, space.n, space.tol)
-    if space.exact and all(type(x) in (int, F) for x in want):
-        scale = lcm(*(x.denominator for x in want))
-        assert cap.scale == scale
-        assert cap.scaled == tuple(x.numerator * (scale // x.denominator) for x in want)
-        assert all(type(x) is int for x in cap.scaled)
-    else:
-        # float mode, or an exact table holding a float (an int level 0
-        # makes CVaR divide int 0 by int 1)
-        assert cap.scaled == cap.table and cap.scale == 1
+    assert cap.null_mask == formula_null_mask(want, space.n)
+    scale = lcm(*(x.denominator for x in want))
+    assert cap.scale == scale
+    assert cap.scaled == tuple(x.numerator * (scale // x.denominator) for x in want)
+    assert all(type(x) is int for x in cap.scaled)
 
 
-def one_point(mode="exact"):
-    return rd.validate_metric(["o"], [[0]], mode=mode)
+def one_point():
+    return rd.validate_metric(["o"], [[0]])
 
 
 def as_float_space(space):
+    """The same space with its distances written as floats, as JSON spells them."""
     return rd.validate_metric(
-        list(space.labels), [[float(d) for d in row] for row in space.dist], mode="float"
+        list(space.labels), [[float(d) for d in row] for row in space.dist]
     )
 
 
 def all_spaces():
     exact = [*fixture_spaces(), one_point()]
-    return exact + [as_float_space(s) for s in exact]
+    return [pytest.param(s, id=f"{s.n}-exact") for s in exact] + [
+        pytest.param(as_float_space(s), id=f"{s.n}-float") for s in exact
+    ]
 
 
 def weight_vectors(space, rng):
     """Fraction simplices with zeros, an int point mass and mixed types."""
     n = space.n
-    out = [random_simplex(rng, n, space.exact) for _ in range(4)]
-    if space.exact:
-        out.append(tuple(1 if i == n - 1 else 0 for i in range(n)))
-        out.append((F(1, 1),) + (0,) * (n - 1))
+    out = [random_simplex(rng, n) for _ in range(4)]
+    out.append(tuple(1 if i == n - 1 else 0 for i in range(n)))
+    out.append((F(1, 1),) + (0,) * (n - 1))
     return out
 
 
 LEVELS = (F(0), F(1, 4), F(1, 2), F(3, 4), F(9, 10), F(1), 0, 1)
 
 
-def space_id(space):
-    return f"{space.n}-{'exact' if space.exact else 'float'}"
-
-
-@pytest.mark.parametrize("space", all_spaces(), ids=space_id)
+@pytest.mark.parametrize("space", all_spaces())
 class TestConstructorsKeepTheFractionFormulas:
     def test_expectation_var_and_cvar(self, space):
         rng = derive_rng(space.n, "formulas")
         for weights in weight_vectors(space, rng):
             assert_built_like(rd.expectation(space, weights), formula_expectation(space, weights))
             for level in LEVELS:
-                if not space.exact:
-                    level = float(level)
                 assert_built_like(
                     rd.var_quantile(space, weights, level), formula_var(space, weights, level)
                 )
@@ -504,7 +501,7 @@ class TestConstructorsKeepTheFractionFormulas:
         for _ in range(6):
             parts = [random_capacity(space, rng) for _ in range(rng.randint(1, 3))]
             parts.append(rd.dirac_capacity(space, rng.randrange(space.n)))
-            for weights in (random_simplex(rng, len(parts), space.exact),
+            for weights in (random_simplex(rng, len(parts)),
                             (1,) + (0,) * (len(parts) - 1)):
                 want = formula_mixture(weights, [c.table for c in parts])
                 assert_built_like(rd.mix_capacities(weights, parts), want)
@@ -512,8 +509,6 @@ class TestConstructorsKeepTheFractionFormulas:
     def test_pushforwards(self, space):
         rng = derive_rng(space.n, "pushforwards")
         for target in (one_point(), space):
-            if target.exact != space.exact:
-                continue
             for _ in range(6):
                 cap = random_capacity(space, rng)
                 fmap = tuple(rng.randrange(target.n) for _ in range(space.n))
@@ -539,28 +534,30 @@ class TestConstructorsKeepTheFractionFormulas:
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_non_monotone_table_names_the_mask_major_first_rise(n, mode):
-    space = uniform_space(n, mode)
+    # eighths are exact in binary, so the float spelling of a table is
+    # lifted to the very Fractions the formulas scan
+    space = uniform_space(n)
     rng = derive_rng(n, f"rises-{mode}")
     hits = 0
     for _ in range(40):
         table = [F(rng.randint(0, 12), 8) for _ in range(1 << n)]
         table[0], table[-1] = F(0), F(1)
-        if mode == "float":
-            # steps inside the tolerance are neither rises nor changes
-            table = [float(v) + rng.choice((0.0, 4e-10, -4e-10)) for v in table]
-        want = formula_first_rise(table, n, space.tol)
+        entries = tuple(float(v) for v in table) if mode == "float" else tuple(table)
+        want = formula_first_rise(table, n)
         if want is None:
-            assert Capacity(space, tuple(table)).null_mask == formula_null_mask(
-                table, n, space.tol
-            )
+            cap = Capacity(space, entries)
+            same_entries(cap.table, tuple(table))
+            assert cap.null_mask == formula_null_mask(table, n)
             continue
         hits += 1
         with pytest.raises(InvalidParams) as err:
-            Capacity(space, tuple(table))
+            Capacity(space, entries)
         assert str(err.value) == want
     assert hits
 
 
+# the weights spelled as rational strings, and as JSON floats, which parse
+# to the same Fractions
 P3_EXACT = ("exact", ["1/2", "1/4", "1/4"])
 P3_FLOAT = ("float", [0.5, 0.25, 0.25])
 PAIR = [{"type": "possibility"}, {"type": "unanimity"}]
@@ -575,7 +572,7 @@ def p3_table(*values, **extra):
 HALVES = ("1/2", "1/2", "1/2")
 
 
-@pytest.mark.parametrize("mode,weights", [P3_EXACT, P3_FLOAT])
+@pytest.mark.parametrize("spelling,weights", [P3_EXACT, P3_FLOAT])
 @pytest.mark.parametrize(
     "spec,message",
     [
@@ -599,11 +596,10 @@ HALVES = ("1/2", "1/2", "1/2")
          "capacity table is missing 1 subsets (full table required)"),
     ],
 )
-def test_constructors_reject_with_the_same_messages(spec, message, mode, weights, p3):
-    space = p3 if mode == "exact" else as_float_space(p3)
+def test_constructors_reject_with_the_same_messages(spec, message, spelling, weights, p3):
     spec = dict(spec)
     if spec.get("weights", ()) is None:
         spec["weights"] = weights
     with pytest.raises((InvalidParams, InputFormatError)) as err:
-        load_measure(spec, space)
+        load_measure(spec, p3)
     assert str(err.value) == message

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -80,7 +81,8 @@ class TestValidate:
         assert "measure #0 (two-point): pass [exact]" in out
         assert "Traceback" not in out + err
 
-    def test_knots_beyond_the_float_range_are_an_input_error(self, tmp_path, capsys):
+    def test_knots_beyond_the_float_range_load_in_both_print_modes(self, tmp_path, capsys):
+        # float mode only prints: it reads and checks the member exactly
         big = str(10**400)
         member = {
             "type": "two-point",
@@ -90,17 +92,44 @@ class TestValidate:
         }
         space = write(tmp_path, "space.json", TWO_POINT)
         argv = ["validate", "--space", space, "--measure", json.dumps(member)]
-        code = main([*argv, "--mode", "float"])
-        out, err = capsys.readouterr()
-        assert code == 2, err
-        assert "beyond the float range" in err
-        assert "Traceback" not in out + err
-        # a JSON integer as large, and the exact mode still reads the member
-        member["f"]["knots"][2] = [10**400, 10**400]
-        argv[-1] = json.dumps(member)
-        assert main([*argv, "--mode", "float"]) == 2
-        assert main(argv) == 0
-        capsys.readouterr()
+        for knot in (big, 10**400):  # a string, and a JSON integer as large
+            member["f"]["knots"][2] = [knot, knot]
+            argv[-1] = json.dumps(member)
+            for mode in ("exact", "float"):
+                code = main([*argv, "--mode", mode])
+                out, err = capsys.readouterr()
+                assert code == 0, err
+                assert "measure #0 (two-point): pass [exact]" in out
+                assert "Traceback" not in out + err
+
+    # the two defective members of the two-point-validate benchmark workload:
+    # a jump smaller than the boundary probe's bump times the slope, which
+    # only the exact census sees
+    DEFECTIVE_MEMBERS = (
+        {
+            "type": "two-point",
+            "alpha": ["1/4", "5/24", "1/3", "5/24"],
+            "lambda": ["0", "-2", "0", "0"],
+            "f": {"knots": [["-7", "-3/2"], ["-4", "0"], ["-2", "0"], ["0", "0"], ["3", "3/4"]]},
+        },
+        {
+            "type": "two-point",
+            "alpha": ["1/4", "1/6", "1/12", "1/2"],
+            "lambda": ["0", "-1", "0", "0"],
+            "f": {
+                "knots": [["-4", "-2"], ["-1", "-1/2"], ["0", "0"], ["1", "1/4"], ["3", "5/4"],
+                          ["5", "11/4"]]
+            },
+        },
+    )
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_float_verdicts_are_the_exact_verdicts(self, member, tmp_path, capsys):
+        space = write(tmp_path, "space.json", TWO_POINT)
+        argv = ["validate", "--space", space, "--measure", json.dumps(self.DEFECTIVE_MEMBERS[member])]
+        for mode in ("exact", "float"):
+            assert main([*argv, "--mode", mode]) == 1
+            assert "measure #0 (two-point): fail [exact]" in capsys.readouterr().out
 
 
 class TestDistance:
@@ -590,11 +619,10 @@ class TestInternedSpaces:
         assert capsys.readouterr().out == "space: 2 points, ok\n"
         assert load_space(obj) is kept
 
-    def test_float_mode_is_its_own_space(self, capsys):
+    def test_float_mode_loads_the_same_space(self, capsys):
         kept = load_space(self.PAIR)
         assert main(["validate", "--mode", "float", "--space", json.dumps(self.PAIR)]) == 0
-        floats = load_space(self.PAIR, mode="float")
-        assert floats is not kept and not floats.exact
+        assert load_space(self.PAIR) is kept
 
     def test_a_bad_matrix_still_fails_after_a_good_one(self, capsys):
         kept = load_space(self.PAIR)
@@ -799,3 +827,68 @@ class TestGoldenOutputs:
         # the golden strings are compact; the report is that JSON, indented
         expected = json.dumps(json.loads(golden), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+
+# The float printer is a print format and nothing more: each request below,
+# run with --mode float, reports what the exact run reports, with every
+# scalar string s printed as repr(float(Fraction(s))).
+NONMONOTONE_CAPACITY = {
+    "type": "choquet",
+    "capacity": {"a": "3/2", "b": 0, "c": 0, "a,b": "1/4", "a,c": 1, "b,c": 0, "a,b,c": 1},
+}
+PRINTED = {
+    "distance": GOLDEN["distance"][0],
+    "matrix": GOLDEN["matrix"][0],
+    "couple": GOLDEN["couple"][0],
+    "converge": GOLDEN["converge"][0],
+    "validate": ["--measure", json.dumps([*GOLDEN_POOL, NONMONOTONE_CAPACITY])],
+    "validate on two-point": [
+        "--space", json.dumps(TWO_POINT), "--measure", json.dumps(NONMONOTONE_MEMBER),
+    ],
+}
+
+
+def as_float_text(text: str) -> str:
+    try:
+        return repr(float(Fraction(text)))
+    except ValueError:
+        return text  # a label, a tier, a digest, "+inf": no rational
+
+
+def floated(report):
+    """The float-mode report the exact-mode ``report`` stands for."""
+    if isinstance(report, dict):
+        return {k: floated_csv(v) if k == "csv" else floated(v) for k, v in report.items()}
+    if isinstance(report, list):
+        return [floated(v) for v in report]
+    if isinstance(report, str):
+        return as_float_text(report)
+    return report  # a count, an int of a payload, a bool: printed alike
+
+
+def floated_csv(text: str) -> str:
+    rows = [line.split(",") for line in text.splitlines()]
+    counts = {k for k, name in enumerate(rows[0]) if name == "n"}  # a header's count column
+    return "".join(
+        ",".join(c if k in counts else as_float_text(c) for k, c in enumerate(row)) + "\n"
+        for row in rows
+    )
+
+
+class TestFloatPrinting:
+    @pytest.mark.parametrize("command", sorted(PRINTED))
+    def test_float_reports_are_exact_reports_printed_as_floats(self, command, capsys):
+        args = PRINTED[command]
+        words = command.split(" on ")[0].split()
+        if "--space" not in args and command != "converge":
+            args = ["--space", GOLDEN_SPACE, *args]
+        reports = {}
+        for mode in ("exact", "float"):
+            code = main([*words, *args, "--format", "json", "--mode", mode])
+            reports[mode] = code, json.loads(capsys.readouterr().out)
+        (exact_code, exact), (float_code, printed) = reports["exact"], reports["float"]
+        assert exact_code == float_code
+        assert exact.pop("mode") == "exact" and printed.pop("mode") == "float"
+        assert printed == floated(exact)
+        if command != "validate":  # whose report on path3 holds no scalar
+            assert printed != exact

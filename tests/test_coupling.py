@@ -308,11 +308,12 @@ class TestExactLatticeTier:
         assert verdict.tier in ("refutation-sampled", "witness-found")
         assert not verdict.feasible
 
-    def test_float_spaces_stay_sampled(self):
-        space = rd.validate_metric(["a", "b"], [[0, 1.0], [1.0, 0]], mode="float")
+    def test_float_distances_reach_the_lattice_tier(self):
+        # JSON floats are read as the decimals they spell: the space is exact
+        space = rd.validate_metric(["a", "b"], [[0, 1.0], [1.0, 0]])
         mu = rd.lattice_min([rd.dirac(space, "a"), rd.dirac(space, "b")])
         verdict = rd.admissible(mu, mu, diagonal_relation(space))
-        assert verdict.tier in ("refutation-sampled", "witness-found")
+        assert (verdict.status, verdict.tier) == ("feasible", "exact-lattice")
 
     def test_the_lp_step_refutes(self, p3, counted_lp):
         # min(A1, A2) and the capacity B = min(A1(U), A2(U)) agree on every
@@ -384,7 +385,7 @@ class TestExactLatticeTier:
                 rows = [row + row[:1] for row in rows]
             elif i % 10 == 2:
                 rows = [[F(x, rng.randint(1, 6)) for x in row] for row in rows]
-            elif i % 10 == 3:  # a float capacity on an exact space gives these
+            elif i % 10 == 3:  # floats lift to the Fractions they equal
                 rows = [[x / 4 for x in row] for row in rows]
             want = reference_positive_combination(rows)
             got = _positive_combination(rows)
@@ -470,25 +471,23 @@ def test_every_envelope_domination_certificate_rechecks_by_evaluation():
     from conftest import fixture_spaces, make_two_point
 
     checked = Counter()
-    for base in fixture_spaces():
-        floats = [[float(d) for d in row] for row in base.dist]
-        for space in (base, rd.validate_metric(base.labels, floats, mode="float")):
-            rng = derive_rng(107, f"certificates-{space.n}-{space.exact}")
-            for _ in range(24):
-                mu1, mu2 = (random_capacity_measure(space, rng) for _ in range(2))
-                pick = rng.random()
-                if pick < 0.4 and space.exact:
-                    mu1 = random_lattice(space, rng)
-                elif pick < 0.6:
-                    mu1, mu2 = shadow(mu1), shadow(mu2)
-                s = sublevel_relation(space, rng.choice(rd.distance_levels(space)))
-                verdict = rd.admissible(mu1, mu2, s, seed=5)
-                cert = verdict.certificate or {}
-                if cert.get("kind") != "envelope-domination":
-                    continue
-                assert_certificate_rechecks(mu1, mu2, s, cert)
-                assert cert["values"][0] > cert["values"][1] + space.tol
-                checked[verdict.tier, space.exact] += 1
+    for space in fixture_spaces():
+        rng = derive_rng(107, f"certificates-{space.n}-True")
+        for _ in range(24):
+            mu1, mu2 = (random_capacity_measure(space, rng) for _ in range(2))
+            pick = rng.random()
+            if pick < 0.4:
+                mu1 = random_lattice(space, rng)
+            elif pick < 0.6:
+                mu1, mu2 = shadow(mu1), shadow(mu2)
+            s = sublevel_relation(space, rng.choice(rd.distance_levels(space)))
+            verdict = rd.admissible(mu1, mu2, s, seed=5)
+            cert = verdict.certificate or {}
+            if cert.get("kind") != "envelope-domination":
+                continue
+            assert_certificate_rechecks(mu1, mu2, s, cert)
+            assert cert["values"][0] > cert["values"][1]
+            checked[verdict.tier] += 1
     # family members and their combinations on the two-point space, on
     # every relation with full projections
     space = make_two_point()
@@ -500,16 +499,9 @@ def test_every_envelope_domination_certificate_rechecks_by_evaluation():
         cert = verdict.certificate or {}
         if cert.get("kind") == "envelope-domination":
             assert_certificate_rechecks(mu1, mu2, s, cert)
-            checked[verdict.tier, space.exact] += 1
-    for key in (
-        ("exact-choquet", True),
-        ("exact-choquet", False),
-        ("exact-lattice", True),
-        ("exact-two-point", True),
-        ("refutation-sampled", True),
-        ("refutation-sampled", False),
-    ):
-        assert checked[key] >= 5, checked
+            checked[verdict.tier] += 1
+    for tier in ("exact-choquet", "exact-lattice", "exact-two-point", "refutation-sampled"):
+        assert checked[tier] >= 5, checked
 
 
 def tuple_simplex(rng, k):
@@ -667,7 +659,7 @@ class TestTwoPointTier:
         assert verdict.certificate["psi"][1] > 30
         assert_certificate_rechecks(mu1, mu2, s, verdict.certificate)
 
-    def test_black_boxes_gaps_and_floats_stay_sampled(self, two_point):
+    def test_black_boxes_gaps_and_float_parameters_stay_sampled(self, two_point):
         from test_twopoint import member
 
         half = (F(1, 2), F(1, 2), F(0), F(0))
@@ -678,10 +670,9 @@ class TestTwoPointTier:
         assert rd.admissible(shadow(mu), other, full).tier == "witness-found"
         gap = Relation.from_pairs(two_point, two_point, [(0, 0), (0, 1)])
         assert rd.admissible(mu, other, gap).tier in ("witness-found", "refutation-sampled")
-        floats = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]], mode="float")
         p = rd.TwoPointParams((0.5, 0.5, 0.0, 0.0), (0.0,) * 4, rd.ShapeFunction.zero())
-        mu = rd.two_point_measure(floats, p)
-        verdict = rd.admissible(mu, mu, sublevel_relation(floats, 0.0))
+        mu = rd.two_point_measure(two_point, p)
+        verdict = rd.admissible(mu, mu, sublevel_relation(two_point, 0))
         assert verdict.tier == "witness-found"
 
 
@@ -698,8 +689,7 @@ def seam_pairs(space, rng):
         return rd.dirac(space, rng.randrange(space.n))
 
     def mixed():
-        weights = (F(1, 4), F(3, 4)) if space.exact else (0.25, 0.75)
-        return rd.mixture(weights, [capacity(), random_lattice(space, rng)])
+        return rd.mixture((F(1, 4), F(3, 4)), [capacity(), random_lattice(space, rng)])
 
     pairs = [
         (point(), point()),
@@ -716,8 +706,7 @@ def seam_pairs(space, rng):
             (random_family_member(space, rng), random_family_member(space, rng)),
             (random_family_member(space, rng), point()),
         ]
-        if space.exact:
-            pairs += [(random_family_combo(space, rng), capacity()) for _ in range(3)]
+        pairs += [(random_family_combo(space, rng), capacity()) for _ in range(3)]
     return pairs
 
 
@@ -736,22 +725,20 @@ class TestPreparedPair:
         from riskdist.space import sublevel_ladder
 
         seen = Counter()
-        for base in fixture_spaces():
-            floats = [[float(d) for d in row] for row in base.dist]
-            for space in (base, rd.validate_metric(base.labels, floats, mode="float")):
-                rng = derive_rng(171, f"prepared-{space.n}-{space.exact}")
-                ladder = sublevel_ladder(space)
-                assert [t for t, _ in ladder] == rd.distance_levels(space)
-                for mu1, mu2 in seam_pairs(space, rng):
-                    pair = prepare_pair(mu1, mu2)
-                    others = [random_relation(space, rng) for _ in range(3)]
-                    for level, rel in [*ladder, *((None, r) for r in others)]:
-                        if level is not None:
-                            assert rel == sublevel_relation(space, level)
-                        got = decide(pair, rel, seed=7)
-                        want = rd.admissible(mu1, mu2, rel, seed=7)
-                        assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
-                        seen[got.tier, (got.certificate or {}).get("kind")] += 1
+        for space in fixture_spaces():
+            rng = derive_rng(171, f"prepared-{space.n}-True")
+            ladder = sublevel_ladder(space)
+            assert [t for t, _ in ladder] == rd.distance_levels(space)
+            for mu1, mu2 in seam_pairs(space, rng):
+                pair = prepare_pair(mu1, mu2)
+                others = [random_relation(space, rng) for _ in range(3)]
+                for level, rel in [*ladder, *((None, r) for r in others)]:
+                    if level is not None:
+                        assert rel == sublevel_relation(space, level)
+                    got = decide(pair, rel, seed=7)
+                    want = rd.admissible(mu1, mu2, rel, seed=7)
+                    assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
+                    seen[got.tier, (got.certificate or {}).get("kind")] += 1
         for key in (
             ("dirac", None),
             ("dirac", "pair-outside-support"),
@@ -977,26 +964,21 @@ class TestLowerCoupling:
         assert rd.lower_coupling(mu, mu, s).cost() == 1
 
     def test_cost_is_the_maximum_on_every_ladder_level(self):
-        # the integer ranks give the maximum distance over the support, and
-        # in float mode they rank the distinct distances, not the merged
-        # levels: 1 and 1 + 1e-12 are one level, two distances
+        # the integer ranks give the maximum distance over the support; 1
+        # and 1 + 1e-12 are two distances and two levels
         from conftest import fixture_spaces
         from riskdist.space import sublevel_ladder
 
         near = rd.validate_metric(
-            ["a", "b", "c"], [[0, 1, 2], [1, 0, 1 + 1e-12], [2, 1 + 1e-12, 0]], mode="float"
+            ["a", "b", "c"], [[0, 1, 2], [1, 0, 1 + 1e-12], [2, 1 + 1e-12, 0]]
         )
-        assert rd.distance_levels(near) == [0, 1, 2]
-        spaces = [near]
-        for base in fixture_spaces():
-            floats = [[float(d) for d in row] for row in base.dist]
-            spaces += [base, rd.validate_metric(base.labels, floats, mode="float")]
+        assert rd.distance_levels(near) == [0, 1, F("1.000000000001"), 2]
         checked = 0
-        for space in spaces:
-            rng = derive_rng(20, f"cost-{space.n}-{space.exact}")
+        for space in [near, *fixture_spaces()]:
+            rng = derive_rng(20, f"cost-{space.n}-True")
             mu = rd.dirac(space, 0)
             relations = [rel for _, rel in sublevel_ladder(space)]
-            relations += [random_relation(space, rng) for _ in range(4)]
+            relations += [random_relation(space, rng) for _ in range(8)]
             for rel in relations:
                 if not rel.pairs():
                     continue
@@ -1005,7 +987,7 @@ class TestLowerCoupling:
                 assert cost == want and type(cost) is type(want)
                 checked += 1
         mu = rd.dirac(near, 0)
-        assert rd.CouplingWitness(mu, mu, sublevel_relation(near, 1)).cost() == 1 + 1e-12
+        assert rd.CouplingWitness(mu, mu, sublevel_relation(near, 1)).cost() == 1
         assert checked >= 60
 
 

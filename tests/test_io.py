@@ -148,9 +148,9 @@ class TestCapacityTables:
 
         seen = []
 
-        def counting(value, exact=True):
+        def counting(value):
             seen.append(value)
-            return parse_scalar(value, exact=exact)
+            return parse_scalar(value)
 
         monkeypatch.setattr(riskdist.io, "parse_scalar", counting)
         table = {"a": "1/2", "b": "1/2", "c": "1/2", "a,b": "1/2",
@@ -183,5 +183,8 @@ class TestCapacityTables:
     def test_keys_past_the_point_guard_are_not_tabulated(self):
         labels = [f"p{i}" for i in range(13)]
         dist = [[0 if i == j else 1 for j in range(13)] for i in range(13)]
-        space = load_space({"points": labels, "dist": dist}, mode="float")
+        space = load_space({"points": labels, "dist": dist})
         assert space._subset_masks == {}
+        # a choquet spec is refused before its 2^13 table is allocated
+        with pytest.raises(InputFormatError, match="capacity tables are guarded to 12 points"):
+            load_measure({"type": "choquet", "capacity": {"p0": 1}}, space)

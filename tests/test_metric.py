@@ -191,22 +191,24 @@ class TestDistanceMatrix:
             for j in range(3):
                 assert results[i][j].value == p3.d(i, j)
 
-    def test_float_witness_cost_within_merged_level(self, tmp_path, capsys):
-        # 1.0 and 1.0000000001 merge into one float ladder level, so the
-        # witness at level 1.0 may reach the slightly longer pair
+    def test_near_distances_are_two_levels(self, tmp_path, capsys):
+        # 1.0 and 1.0000000001 are read as the decimals they spell, so the
+        # witness at each level reaches only the pairs within it
         labels = ["a", "b", "c"]
         dist = [[0.0, 1.0, 1.0000000001], [1.0, 0.0, 1.5], [1.0000000001, 1.5, 0.0]]
-        space = rd.validate_metric(labels, dist, mode="float")
+        space = rd.validate_metric(labels, dist)
         results, report = rd.distance_matrix([rd.dirac(space, lab) for lab in labels])
         assert report.ok, report.failures
-        assert results[0][2].value == 1.0
+        assert results[0][2].value == Fraction("1.0000000001")
+        assert results[0][2].witness.cost() == results[0][2].value
 
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps({"points": labels, "dist": dist}))
         diracs = json.dumps([{"type": "dirac", "point": lab} for lab in labels])
         code = main(["matrix", "--space", str(space_file), "--measure", diracs, "--mode", "float"])
         assert code == 0
-        assert capsys.readouterr().out.endswith("audit: ok\n")
+        out = capsys.readouterr().out
+        assert out.startswith("0.0,1.0,1.0000000001\n") and out.endswith("audit: ok\n")
 
     def test_single_measure(self, p3):
         results, report = rd.distance_matrix([rd.dirac(p3, "a")])
@@ -467,7 +469,7 @@ class TestReverifyAuditPayloads:
             assert reverify_failure(payload, context) is False
 
 
-def fraction_triangle_scan(results, tol):
+def fraction_triangle_scan(results):
     """The matrix's triangle scan as it ran before the integer min-plus."""
     k = len(results)
     found = []
@@ -477,7 +479,7 @@ def fraction_triangle_scan(results, tol):
                 d_ij = results[i][j].value
                 d_il = results[i][l].value
                 d_lj = results[l][j].value
-                if d_ij > d_il + d_lj + tol:
+                if d_ij > d_il + d_lj:
                     found.append(
                         {
                             "kind": "triangle-violation",
@@ -488,14 +490,12 @@ def fraction_triangle_scan(results, tol):
     return found
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_triangle_scan_flags_what_the_fraction_scan_flags(monkeypatch, mode):
+def test_triangle_scan_flags_what_the_fraction_scan_flags(monkeypatch):
     from riskdist import metric
 
     space = rd.validate_metric(
         ["a", "b", "c", "d"],
         [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]],
-        mode=mode,
     )
     rng = derive_rng(17, "triangle")
     pool = [random_capacity_measure(space, rng) for _ in range(6)]
@@ -515,7 +515,7 @@ def test_triangle_scan_flags_what_the_fraction_scan_flags(monkeypatch, mode):
     results, report = rd.distance_matrix(pool)
     flagged = [f for f in report.failures if f["kind"] == "triangle-violation"]
     assert flagged
-    assert flagged == fraction_triangle_scan(results, space.tol)
+    assert flagged == fraction_triangle_scan(results)
 
 
 class TestConvergenceAudit:

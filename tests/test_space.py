@@ -11,7 +11,6 @@ from riskdist.errors import (
     EmptySubset,
     InputFormatError,
     NonzeroDiagonal,
-    PointCountExceeded,
     TriangleViolation,
     ZeroOffDiagonal,
 )
@@ -45,13 +44,12 @@ class TestValidateMetric:
             rd.validate_metric(["a"], [[1]])
 
     @pytest.mark.parametrize(
-        "entry, mode",
-        [(float("nan"), "float"), ("inf", "float"), ("inf", "exact")],
+        "entry", [float("nan"), "inf", float("inf")], ids=["nan", "inf-string", "inf-float"]
     )
-    def test_non_finite_entry(self, entry, mode):
+    def test_non_finite_entry(self, entry):
         dist = [[0, entry, 1], [entry, 0, 1], [1, 1, 0]]
         with pytest.raises(InputFormatError, match="not finite"):
-            rd.validate_metric(["a", "b", "c"], dist, mode=mode)
+            rd.validate_metric(["a", "b", "c"], dist)
 
     def test_zero_off_diagonal(self):
         with pytest.raises(ZeroOffDiagonal):
@@ -67,20 +65,38 @@ class TestValidateMetric:
         with pytest.raises(InputFormatError):
             rd.validate_metric(["a", "a"], [[0, 1], [1, 0]])
 
-    def test_exact_mode_point_guard(self):
+    def test_the_capacity_guard_is_the_only_point_guard(self, capsys):
+        # a 13-point space loads; only a 2^13 capacity table is refused
+        from riskdist.cli import main
+
         n = 13
+        labels = [f"p{i}" for i in range(n)]
         d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-        with pytest.raises(PointCountExceeded):
-            rd.validate_metric([str(i) for i in range(n)], d)
+        space = json.dumps({"points": labels, "dist": d})
+        assert rd.validate_metric(labels, d).n == n
+        diracs = [{"type": "dirac", "point": p} for p in ("p0", "p5", "p12")]
+        for mode in ("exact", "float"):
+            pair = ["--measure", json.dumps(diracs[0]), "--measure", json.dumps(diracs[1])]
+            assert main(["distance", "--space", space, *pair, "--mode", mode]) == 0
+            value = "1" if mode == "exact" else "1.0"
+            assert capsys.readouterr().out.startswith(f"{value} (exact, dirac)")
+            pool = ["--measure", json.dumps(diracs)]
+            assert main(["matrix", "--space", space, *pool, "--mode", mode]) == 0
+            assert capsys.readouterr().out.endswith("audit: ok\n")
+        weights = [1] + [0] * (n - 1)
+        expectation = json.dumps({"type": "expectation", "weights": weights})
+        assert main(["distance", "--space", space, "--measure", expectation,
+                     "--measure", json.dumps(diracs[0])]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: capacity tables are guarded to 12 points\n"
 
     def test_rational_strings(self):
         space = rd.validate_metric(["a", "b"], [["0", "5/2"], ["5/2", 0]])
         assert space.d(0, 1) == Fraction(5, 2)
 
-    def test_float_mode(self):
-        space = rd.validate_metric(["a", "b"], [[0, 1.5], [1.5, 0]], mode="float")
-        assert not space.exact
-        assert space.d(0, 1) == 1.5
+    def test_float_entries_are_read_as_their_decimals(self):
+        space = rd.validate_metric(["a", "b"], [[0, 0.1], [0.1, 0]])
+        assert space.d(0, 1) == Fraction(1, 10) and type(space.d(0, 1)) is Fraction
 
 
 class TestSublevel:
@@ -140,11 +156,11 @@ class TestDistanceLevels:
         vars(space)["_levels"] = (0, 7)
         assert rd.distance_levels(space) == [0, 7]
 
-    def test_float_levels_merge_within_the_tolerance(self):
+    def test_near_distances_are_two_levels(self):
         space = rd.validate_metric(
-            ["a", "b", "c"], [[0, 1, 1 + 1e-12], [1, 0, 2], [1 + 1e-12, 2, 0]], mode="float"
+            ["a", "b", "c"], [[0, 1, 1 + 1e-12], [1, 0, 2], [1 + 1e-12, 2, 0]]
         )
-        assert rd.distance_levels(space) == [0.0, 1.0, 2.0]
+        assert rd.distance_levels(space) == [0, 1, Fraction("1.000000000001"), 2]
 
 
 class TestHausdorff:
@@ -244,7 +260,7 @@ class TestCachedHashes:
     def test_equal_values_built_twice_share_cache_entries(self):
         # loaded spaces are interned, so build the equal twin directly
         a = make_space()
-        b = rd.FiniteMetricSpace(a.labels, a.dist, a.tol)
+        b = rd.FiniteMetricSpace(a.labels, a.dist)
         assert a is not b and a == b and hash(a) == hash(b)
         assert product_space(a, a) is product_space(b, b)
         assert rd.sublevel_relation(a, 1) is rd.sublevel_relation(b, 1)
@@ -262,9 +278,7 @@ class TestCachedHashes:
         assert rd.validate_metric(labels, [[str(v) for v in row] for row in dist]) is a
         longer = [[2 * v for v in row] for row in dist]
         assert rd.validate_metric(labels, longer) is not a
-        floats = rd.validate_metric(labels, dist, mode="float")
-        assert floats is not a and floats.tol != a.tol
-        assert rd.validate_metric(labels, dist, mode="float") is floats
+        assert rd.validate_metric(labels, [[float(v) for v in row] for row in dist]) is a
         # an interned space pickles without its cached hash
         import pickle
 
@@ -289,7 +303,7 @@ class TestCachedHashes:
 
         monkeypatch.setattr(riskdist.space, "parse_scalar", refuse)
         assert load_space(json.loads(json.dumps(obj))) is first
-        assert load_space(obj, mode="exact") is first
+        assert load_space(obj) is first
 
     def test_text_key_tells_spellings_apart(self):
         first = load_space({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]})
@@ -301,8 +315,6 @@ class TestCachedHashes:
             dist = [[0, spelling], [spelling, 0]]
             assert load_space({"points": ["a", "b"], "dist": dist}) is first
             assert load_space({"points": ["a", "b"], "dist": dist}) is first
-        floats = load_space({"points": ["a", "b"], "dist": [[0, 1], [1, 0]]}, mode="float")
-        assert floats is not first and floats.tol != first.tol
         relabelled = load_space({"points": ["b", "a"], "dist": [[0, 1], [1, 0]]})
         assert relabelled is not first
 
@@ -326,7 +338,7 @@ class TestCachedHashes:
     def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):
         space = make_space()
         rel = diagonal_relation(space)
-        assert hash(space) == hash((space.labels, space.dist, space.tol))
+        assert hash(space) == hash((space.labels, space.dist))
         assert hash(rel) == hash((rel.left, rel.right, rel.matrix))
 
     def test_copies_recompute_the_hash(self):

@@ -390,17 +390,14 @@ class TestExactTier:
         assert not report.ok and report.method == "exact"
         assert "translation-invariance" in {v.axiom for v in report.violations}
 
-    def test_float_space_keeps_the_probes(self):
-        space = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]], mode="float")
-        p = rd.TwoPointParams(
-            (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0, 0.0), rd.ShapeFunction.zero()
-        )
-        mu = rd.two_point_measure(space, p)
+    def test_a_space_of_json_floats_is_censused(self):
+        # 2.5 is read as 5/2: the space is exact, and so is the check
+        space = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]])
+        assert space.d(0, 1) == F(5, 2)
+        mu = rd.two_point_measure(space, params((F(1, 4),) * 4))
         report = rd.verify_axioms(mu, samples=50, seed=3)
-        assert report.ok
-        assert report.method == "sampled(seed=3, count=50)"
-        with pytest.raises(InvalidParams):
-            rd.verify_axioms(mu, mode="exact")
+        assert report.ok and report.method == "exact"
+        assert report == rd.verify_axioms(mu, mode="exact")
 
     def test_exact_mode_decides_family_members(self, two_point):
         sound = params((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), shape=rd.ShapeFunction.identity())
