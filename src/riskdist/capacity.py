@@ -23,8 +23,8 @@ monotonicity and null-point scans compare those integers.  Fractions
 appear only at the JSON edge, where a ``choquet`` spec's entries are
 parsed, and in ``table``, which holds each entry as the ``Fraction`` it
 equals, typed as the Fraction arithmetic of the definitions types it.  The
-coupling module compares two tables by cross-multiplying their ``scaled``
-integers, and a Choquet integral of ``int`` values sums its layers in
+coupling module compares two tables as their ``scaled`` integers lifted to
+one common scale, and a Choquet integral of ``int`` values sums its layers in
 ``int`` and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed
 values take the ``Fraction`` loop.  A float entry, which only a Python
 caller can give, is lifted to the ``Fraction`` it equals on construction,

@@ -44,14 +44,15 @@ set of the chain.  The decider runs three steps:
 
   1. indicator scan: each measure's table of mu(1_B), a capacity's own
      ``scaled`` table or the table a lattice builds with its normal forms
-     (``measures.indicators``), is read at inner U against U for every U,
-     cross-multiplied over the two scales.  A subset where the pair
-     compares the wrong way refutes (b) or (c) outright.  A check with one column fails iff some
-     U has m(U) > 0, which this scan sees, so for two capacities it is the
-     whole decision: the subset test A(inner U) <= B(U), cross-validated
-     against independent brute-force oracles in the oracles module;
+     (``measures.indicators``), lifted to the common scale of its pool, is
+     read at inner U against U for every U.  A subset where the pair
+     compares the wrong way refutes (b) or (c) outright.  A check with one
+     column fails iff some U has m(U) > 0, which this scan sees, so for
+     two capacities it is the whole decision: the subset test A(inner U)
+     <= B(U), cross-validated against independent brute-force oracles in
+     the oracles module;
   2. chain cover, for checks with more than one column, over the parts'
-     tables as integers on one scale: a search down the chains from the
+     tables on the same scale: a search down the chains from the
      full set, with state (U, columns nonpositive on every set so far),
      proves each chain on which some column survives (lambda a unit
      vector);
@@ -59,7 +60,9 @@ set of the chain.  The decider runs three steps:
      for t >= 0 with sum_k t_k m_c(U_k) >= 1 for every column; one refutes
      with psi = sum_k t_k 1_(U_k), scaled to integers, and none proves the
      chain.  Sets where every column is nonpositive are left out, and
-     chains with the same remaining sets share one LP.
+     chains with the same remaining sets share one LP.  The LP's integer
+     psi is the same on every common scale: scaling all columns scales t
+     and leaves the pivots, and psi is t's primitive integer direction.
 
 A second exact decider takes every other pair on a two-point space whose
 relation has full projections, so that (a) holds, when both measures
@@ -79,23 +82,28 @@ where it turns positive; otherwise the pair is feasible.  Either verdict is
 a proof.  Reading the gap is a lookup, not an evaluation: each section
 minimum (a, b) of psi has a and b in {0, t}, so b - a is 0, t or -t, which
 all lie in T (T is symmetric), and mua(a, b) = a + ga(b - a) is read from
-ga on T.  ``prepare_pair`` evaluates g of both measures on T once and lifts
-T and those values onto one integer denominator, so that a level costs
-|T| integer comparisons per side.
+ga on T.  ``prepare_pair`` reads g of both measures on T from their pool
+and lifts T and those values onto one integer denominator, so that a level
+costs |T| integer comparisons per side.
 
-Deciding is split in two.  ``prepare_pair`` does, once per pair, what does
-not depend on S: the tier dispatch, the two indicator tables
-cross-multiplied onto one scale, the part tables of step 2 lifted to one
-scale and, on the two-point tier, the points T and each measure's
-mu(a, b) for a and b in {0, t} as integers.
+Deciding is split in three.  A ``Pool`` holds what the pairs of a set of
+measures share: one common scale for every indicator table and part table
+of its measures, each table lifted to it once, each lifted table read
+through a relation's inner masks once, the first time a pair needs it,
+and each measure's g once per point.  ``distance_matrix`` prepares every
+pair of its measures from one pool (``pooled``), which dies with the call;
+a lone pair is a pool of two.  ``prepare_pair`` does, once per pair, what
+does not depend on S: the tier dispatch, the (row, group) check lists of
+step 2, which point at the pool's tables, and, on the two-point tier, the
+points T and each measure's mu(a, b) for a and b in {0, t} as integers.
 ``decide`` then gives the verdict on one relation; ``admissible`` is
 ``decide(prepare_pair(mu1, mu2), s, seed)``, and the distance ladder
-prepares once and decides at every level.  What outlives a pair is built
+prepares once and decides at every level.  What outlives a pool is built
 where it belongs: each measure's indicator table and reach (the union of
 its parts' supports, ``measures.reach``) with the measure, each relation's
-inner-mask tables (``Relation.inner_masks``) with the relation on first
-use, and the ladder's levels and relations once per space
-(``space.sublevel_ladder``).
+inner-mask tables and their readers (``Relation.inner_masks`` and
+``inner_readers``) with the relation on first use, and the ladder's levels
+and relations once per space (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds), built when it is first read; a
@@ -116,6 +124,8 @@ confinement on 32 of the pairs and the marginal identities.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -133,7 +143,6 @@ from .measures import (
     equal_measures,
     evaluate_values,
     indicators,
-    lift,
     normal_forms,
     probe_axioms,
     probe_batch,
@@ -327,20 +336,117 @@ class FeasibilityVerdict:
         )
 
 
+class Pool:
+    """What the pairs of a set of measures share, built once for all of
+    them: by ``pooled`` for one ``distance_matrix`` call, or by
+    ``prepare_pair`` for a lone pair, a pool of two.
+
+    * ``scale``: one common scale L, the least common multiple of the
+      indicator scales of the measures with normal forms.  A lattice's
+      scale is that of its parts, so L is a multiple of every part
+      capacity's scale too, and every table of the pool is read as
+      integers over L.
+    * ``table`` and ``forms``: a member's indicator table, and its
+      max-of-min rows and min-of-max groups of part tables, lifted to L.
+      Each table is lifted once, however many measures and pairs hold it.
+    * ``inner_values``: a lifted table read at one side's inner masks of a
+      relation, once per table and side, the first time a pair needs it.
+    * ``g``: on the two-point tier, a member's mu(0, t), once per t.
+
+    The memos are keyed by identity and hold what they are keyed on, so no
+    key is reused while the pool lives.
+    """
+
+    def __init__(self, measures):
+        self.measures = tuple(measures)
+        self._members = set(map(id, self.measures))
+        self.scale = lcm(*[ind[1] for ind in map(indicators, self.measures) if ind])
+        self._lifted: dict = {}
+        self._forms: dict = {}
+        self._inner: dict = {}
+        self._g: dict = {}
+
+    def holds(self, mu1, mu2) -> bool:
+        return id(mu1) in self._members and id(mu2) in self._members
+
+    def _lift(self, table, scale) -> tuple:
+        got = self._lifted.get(id(table))
+        if got is None:
+            got = self._lifted[id(table)] = times(table, self.scale // scale), table
+        return got[0]
+
+    def table(self, mu) -> tuple:
+        """The indicator table of a member with normal forms."""
+        return self._lift(*indicators(mu))
+
+    def forms(self, mu) -> tuple:
+        """The rows and the groups of a member's normal forms, each part a
+        table."""
+        got = self._forms.get(id(mu))
+        if got is None:
+            lift = self._lift
+            got = self._forms[id(mu)] = tuple(
+                [[lift(c.scaled, c.scale) for c in part] for part in form]
+                for form in normal_forms(mu)
+            )
+        return got
+
+    def inner_values(self, table, read) -> tuple:
+        """table[inner B] for every subset B, with ``read`` one side's
+        reader of a relation's inner masks (``Relation.inner_readers``)."""
+        key = id(table), id(read)
+        got = self._inner.get(key)
+        if got is None:
+            got = self._inner[key] = read(table), read
+        return got[0]
+
+    def g(self, mu, t) -> Scalar:
+        """mu(0, t) of a member.  A measure with normal forms is positively
+        homogeneous and translation invariant, so its indicator table gives
+        mu(0, t) = t mu(1_{1}) for t >= 0 and t (1 - mu(1_{0})) for t < 0
+        without an evaluation."""
+        key = id(mu), t
+        got = self._g.get(key)
+        if got is None:
+            ind = indicators(mu)
+            if ind is None:
+                got = evaluate_values(mu, (Fraction(0), t))
+            else:
+                table, scale = ind
+                got = t * Fraction(table[2] if t >= 0 else scale - table[1], scale)
+            self._g[key] = got
+        return got
+
+
+#: the pool of the ``distance_matrix`` call running in this context, or None
+_POOL: ContextVar[Optional[Pool]] = ContextVar("_POOL", default=None)
+
+
+@contextmanager
+def pooled(measures):
+    """Inside the block, ``prepare_pair`` prepares every pair of
+    ``measures`` from one ``Pool`` of them, which dies with the block."""
+    token = _POOL.set(Pool(measures))
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedPair:
     """What deciding (mu1, mu2) on any relation needs, built once per pair
-    by ``prepare_pair``: the tier ``route`` and the tables of that tier.
+    by ``prepare_pair``: the tier ``route`` and, per side, lists that point
+    into the ``pool``'s shared tables.
 
     * ``reach``: per side, the measure's own ``measures.reach``, so that
       the support-escape test and the parts-inside test are one mask test
       per relation.
-    * ``scan``: per side, the tables (a, b) of the indicator scan, each
-      measure's table times the other's scale over g, the gcd of the two
-      scales, so that equal scales multiply nothing; and the getters of
+    * ``scan``: per side, the tables (a, b) of the indicator scan, the two
+      measures' indicator tables on the pool's scale, and the getters of
       the two measures' own values at a subset.
     * ``checks``: per side, the (row, group) checks with more than one
-      column, each a list of (a, b) part tables lifted to one scale.
+      column, each a list of (a, b) part tables on the pool's scale.
     * ``points`` and ``tables``: on the two-point tier, the points T with
       one step past each end, and per measure its lookup tables of mu(a, b)
       for a and b in {0, t}, as integers over one denominator.
@@ -354,45 +460,49 @@ class PreparedPair:
     checks: tuple = ()
     points: tuple = ()
     tables: tuple = ()
+    pool: Optional[Pool] = None
 
 
 def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
     """The level-invariant part of ``admissible``: the tier dispatch and the
-    tables of the pair's tier, for ``decide`` to read on any relation.  A
-    measure's forms, indicator table and reach are read from the measure."""
+    tables of the pair's tier, for ``decide`` to read on any relation.
+
+    The tables come from the pool of the running ``distance_matrix`` call
+    when it holds both measures, and from a pool of the two otherwise, so
+    a matrix lifts each table once and a lone pair lifts its own.  What is
+    left per pair is the route and the (row, group) check lists, which
+    point at the pool's tables."""
     if mu1.space != mu2.space:
         raise SpaceMismatch("marginals live on different spaces")
     space = mu1.space
-    forms = normal_forms(mu1), normal_forms(mu2)
     if mu1.kind == "dirac" and mu2.kind == "dirac":
         return PreparedPair(mu1, mu2, "dirac")
     if mu1.capacity is not None and mu2.capacity is not None:
         route = "exact-choquet"
-    elif None not in forms:
+    elif normal_forms(mu1) is not None and normal_forms(mu2) is not None:
         route = "exact-lattice"
     elif space.n == 2 and mu1.breakpoints is not None and mu2.breakpoints is not None:
-        return _prepare_two_point(mu1, mu2)
+        route = "exact-two-point"
     else:
         return PreparedPair(mu1, mu2, "sampled")
-    (t1, d1), (t2, d2) = indicators(mu1), indicators(mu2)
-    g = gcd(d1, d2)
-    a1, a2 = times(t1, d2 // g), times(t2, d1 // g)
-    g1, g2 = _values(mu1), _values(mu2)
-    # a check with one column is a comparison the scan makes
-    checks = tuple(
-        [[(a, b) for a in row for b in group] for row in fa[0] for group in fb[1]
-         if len(row) * len(group) > 1]
-        for fa, fb in zip(forms, forms[::-1])
-    )
-    if checks[0] or checks[1]:
-        caps = list({id(c): c for f in forms for row in f[0] for c in row}.values())
-        lifted = dict(zip(map(id, caps), lift((c.scaled, c.scale) for c in caps)[1]))
+    pool = _POOL.get()
+    if pool is None or not pool.holds(mu1, mu2):
+        pool = Pool((mu1, mu2))
+    if route == "exact-two-point":
+        return _prepare_two_point(mu1, mu2, pool)
+    a1, a2 = pool.table(mu1), pool.table(mu2)
+    v1, v2 = _values(mu1), _values(mu2)
+    checks = ((), ())  # two capacities have no check with two columns
+    if route == "exact-lattice":
+        (rows1, groups1), (rows2, groups2) = pool.forms(mu1), pool.forms(mu2)
+        # a check with one column is a comparison the scan makes
         checks = tuple(
-            [[(lifted[id(a)], lifted[id(b)]) for a, b in check] for check in side]
-            for side in checks
+            [[(a, b) for a in row for b in group] for row in rows for group in groups
+             if len(row) * len(group) > 1]
+            for rows, groups in ((rows1, groups2), (rows2, groups1))
         )
-    scan = (a1, a2, g1, g2), (a2, a1, g2, g1)
-    return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks)
+    scan = (a1, a2, v1, v2), (a2, a1, v2, v1)
+    return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks, pool=pool)
 
 
 def _values(mu):
@@ -459,12 +569,13 @@ def admissible(
     rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
 
     ``prepare_pair`` does the work that depends on the pair alone, once:
-    the tier dispatch, the indicator tables cross-multiplied onto one
-    scale, the lifted part tables of the chain cover and, on the two-point
-    tier, the points and lookup tables.  Each measure's own indicator table
-    and reach are built with its normal forms, and each relation's
-    inner-mask tables with the relation, so a ladder scan, which prepares
-    once and decides per level, rebuilds none of them.
+    the tier dispatch, the check lists of the chain cover and, on the
+    two-point tier, the points and lookup tables; the tables they point at
+    come from a pool of the two measures, each lifted once to the pair's
+    scale.  Each measure's own indicator table and reach are built with its
+    normal forms, and each relation's inner-mask tables with the relation,
+    so a ladder scan, which prepares once and decides per level, rebuilds
+    none of them.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -509,28 +620,29 @@ def _decide(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
     docstring gives the argument."""
     mu1, mu2, tier = pair.mu1, pair.mu2, pair.route
     n = mu1.space.n
-    left_inner, right_inner = s.inner_masks
+    inner_values = pair.pool.inner_values
+    (left_inner, right_inner), (left_read, right_read) = s.inner_masks, s.inner_readers
     sides = (
-        ("left", mu1, mu2, left_inner, s.section_lists),
-        ("right", mu2, mu1, right_inner, s.inv_section_lists),
+        ("left", mu1, mu2, left_inner, left_read, s.section_lists),
+        ("right", mu2, mu1, right_inner, right_read, s.inv_section_lists),
     )
 
-    # 1. indicator scan: mua(1_(inner U)) against mub(1_U), cross-multiplied
-    # over the two tables' scales; the indexed loop only names the first U
-    for (side, *_, inners, _), (a, b, va, vb) in zip(sides, pair.scan):
-        if any(map(gt, map(a.__getitem__, inners), b)):
+    # 1. indicator scan: mua(1_(inner U)) against mub(1_U), both tables on
+    # the pool's scale; the indexed loop only names the first U
+    for (side, _, _, inners, read, _), (a, b, va, vb) in zip(sides, pair.scan):
+        inner = inner_values(a, read)
+        if any(map(gt, inner, b)):
             def find():
-                u = next(u for u in range(1 << n) if a[inners[u]] > b[u])
+                u = next(u for u in range(1 << n) if inner[u] > b[u])
                 return tuple([u >> x & 1 for x in range(n)]), (va(inners[u]), vb(u))
 
             return _dominated(tier, side, find)
     # 2. and 3., one check per (row, group) with more than one column, over
-    # the parts' tables lifted to one scale; a check with one column is a
+    # the parts' tables on the pool's scale; a check with one column is a
     # comparison the scan has made, and two capacities have no other
-    for (side, mua, mub, inners, lists), checks in zip(sides, pair.checks):
+    for (side, mua, mub, _, read, lists), checks in zip(sides, pair.checks):
         for check in checks:
-            # lists, not iterators, as in ``Relation``'s section tables
-            columns = [(list(map(a.__getitem__, inners)), b) for a, b in check]
+            columns = [(inner_values(a, read), b) for a, b in check]
             psi = _refuting_chain(columns, n)
             if psi is not None:
                 return _dominated(tier, side, partial(_evaluated, mua, mub, lists, psi))
@@ -667,15 +779,15 @@ def _reduced(line):
         line[:] = [x // g for x in line]
 
 
-def _prepare_two_point(mu1, mu2) -> PreparedPair:
+def _prepare_two_point(mu1, mu2, pool: Pool) -> PreparedPair:
     """The points T, one step past each end, and each measure's lookup
     tables of mu(a, b) for a and b in {0, t}, t in T, as integers over one
-    denominator; ``_decide_two_point`` reads a level from them."""
-    zero = Fraction(0)
-    kinks = {zero, *mu1.breakpoints, *mu2.breakpoints}
+    denominator; ``_decide_two_point`` reads a level from them.  Each
+    mu(0, t) comes from the pool, which evaluates it once."""
+    kinks = {Fraction(0), *mu1.breakpoints, *mu2.breakpoints}
     points = sorted({*kinks, *(-t for t in kinks)})
     points = (points[0] - 1, *points, points[-1] + 1)
-    gs = [[evaluate_values(mu, (zero, t)) for t in points] for mu in (mu1, mu2)]
+    gs = [[pool.g(mu, t) for t in points] for mu in (mu1, mu2)]
     den = lcm(*[x.denominator for x in chain(points, *gs)])
     ts = [t.numerator * (den // t.denominator) for t in points]
     zeros = [0] * len(ts)

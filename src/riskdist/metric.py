@@ -16,7 +16,7 @@ from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coupling import CouplingWitness, decide, prepare_pair, verify_coupling
+from .coupling import CouplingWitness, decide, pooled, prepare_pair, verify_coupling
 from .ensembles import derive_rng, derive_seed, extremal_pair, random_measure
 from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
@@ -93,12 +93,15 @@ def bottleneck_distance(
 
     The pair is prepared once (``coupling.prepare_pair``) and each level
     decided from it (``coupling.decide``), which is ``admissible`` at that
-    level.  The levels and their relations are built once per space
-    (``sublevel_ladder``), each relation's inner-mask tables once per
-    relation, and each measure's indicator table with the measure.  The
-    scan reads each verdict's status, tier and witness, never its
-    certificate, so the infeasible levels build none: a certificate is
-    built when it is read.
+    level.  Its tables come from the pool of the running
+    ``distance_matrix`` call, which holds both measures, or else from a
+    pool of the two: each table is lifted to the pool's scale once and
+    read through a level's inner masks once.  The levels and their
+    relations are built once per space (``sublevel_ladder``), each
+    relation's inner-mask tables once per relation, and each measure's
+    indicator table with the measure.  The scan reads each verdict's
+    status, tier and witness, never its certificate, so the infeasible
+    levels build none: a certificate is built when it is read.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -127,11 +130,15 @@ def distance_matrix(
 
     Each distance is the ladder value of ``bottleneck_distance``: proved on
     the exact tiers, "sampled" on the witness-found one, which scans the grid
-    every caller scans, so a payload re-verifies as the matrix ran it.  A
-    seeded sample of
-    24 pairs has its witness costs compared with the distances, and the
-    witnesses of the unproved ones among them (those not certified "exact")
-    re-sampled by ``verify_coupling``.
+    every caller scans, so a payload re-verifies as the matrix ran it.  The
+    measures are prepared as one pool (``coupling.pooled``), which lives
+    for this call: one common scale for every table, each table lifted to
+    it once, each lifted table read through a ladder relation's inner
+    masks once and each measure's two-point g evaluated once per point,
+    however many pairs read them.  A seeded sample of 24 pairs has its
+    witness costs compared with the distances, and the witnesses of the
+    unproved ones among them (those not certified "exact") re-sampled by
+    ``verify_coupling``.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")
@@ -148,27 +155,28 @@ def distance_matrix(
     results: list[list[Optional[DistanceResult]]] = [[None] * k for _ in range(k)]
     zero = distance_levels(space)[0]
     failures: list[dict] = []
-    for i in range(k):
-        results[i][i] = distance(measures[i], measures[i])
-        if results[i][i].value != zero:
-            failures.append({"kind": "nonzero-diagonal", "index": i})
-        for j in range(i + 1, k):
-            res = distance(measures[i], measures[j])
-            results[i][j] = res
-            results[j][i] = res  # computed once; symmetry of the sublevel
-
-    # symmetry recheck by explicit reversed computation on a seeded sample
     rng = random.Random(seed)
     sym_checked = 0
-    for _ in range(min(8, k * (k - 1) // 2 or 0)):
-        i, j = rng.randrange(k), rng.randrange(k)
-        if i == j:
-            continue
-        fwd = results[i][j].value
-        rev = distance(measures[j], measures[i]).value
-        sym_checked += 1
-        if fwd != rev:
-            failures.append({"kind": "asymmetry", "pair": (i, j), "values": (fwd, rev)})
+    with pooled(measures):
+        for i in range(k):
+            results[i][i] = distance(measures[i], measures[i])
+            if results[i][i].value != zero:
+                failures.append({"kind": "nonzero-diagonal", "index": i})
+            for j in range(i + 1, k):
+                res = distance(measures[i], measures[j])
+                results[i][j] = res
+                results[j][i] = res  # computed once; symmetry of the sublevel
+
+        # symmetry recheck by explicit reversed computation on a seeded sample
+        for _ in range(min(8, k * (k - 1) // 2 or 0)):
+            i, j = rng.randrange(k), rng.randrange(k)
+            if i == j:
+                continue
+            fwd = results[i][j].value
+            rev = distance(measures[j], measures[i]).value
+            sym_checked += 1
+            if fwd != rev:
+                failures.append({"kind": "asymmetry", "pair": (i, j), "values": (fwd, rev)})
 
     failures.extend(_triangle_violations(results))
     witness_failures = _check_witnesses(results, seed)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite
+from operator import itemgetter
 from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
@@ -243,7 +244,8 @@ class Relation:
     masks ``left_projection`` and ``right_projection`` of the points with a
     nonempty section (inverse section).  They are plain attributes, not
     fields, so the constructor takes the matrix alone.  ``inner_masks``,
-    2^n entries per side, is built on first use.
+    2^n entries per side, and their readers ``inner_readers`` are built on
+    first use.
     """
 
     left: FiniteMetricSpace
@@ -284,11 +286,22 @@ class Relation:
     def inner_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """For each subset B of the right (left) factor, the mask of the
         left (right) points whose nonempty section (inverse section) fits
-        inside B."""
-        return (
-            _inner_table(self.sections, self.right.n),
-            _inner_table(self.inv_sections, self.left.n),
-        )
+        inside B.  A symmetric relation, as every relation of the distance
+        ladder is, has one table for both sides."""
+        left = _inner_table(self.sections, self.right.n)
+        if self.sections == self.inv_sections:
+            return left, left
+        return left, _inner_table(self.inv_sections, self.left.n)
+
+    @cached_property
+    def inner_readers(self) -> tuple:
+        """Per side, the ``itemgetter`` of that side's ``inner_masks``: of a
+        table indexed by subset, it reads the tuple of the entries at the
+        inner mask of every subset.  One reader serves both sides of a
+        symmetric relation."""
+        left, right = self.inner_masks
+        read = itemgetter(*left)
+        return read, read if right is left else itemgetter(*right)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         i, j = pair

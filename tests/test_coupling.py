@@ -593,6 +593,12 @@ class TestTwoPointTier:
             member(two_point, (zero, zero, zero, F(1)), (zero, zero, F(10), zero)),
         )
         pairs += [ray, ray[::-1]]
+        # a measure with normal forms against one without: its g is read
+        # from its indicator table, not evaluated
+        for _ in range(6):
+            combo = random_family_combo(two_point, rng)
+            pairs.append((combo, random_capacity_measure(two_point, rng)))
+            pairs.append((random_lattice(two_point, rng), combo))
         kinds = Counter()
         for mu1, mu2 in pairs:
             for s in relations:
@@ -610,6 +616,7 @@ class TestTwoPointTier:
         )
         for kind in ("two-point", "mixture", "max", "min"):
             assert sum(n for (k, _, _), n in kinds.items() if k == kind) >= 7, kinds
+        assert sum(n for (_, k, _), n in kinds.items() if k == "choquet") >= 40, kinds
         assert sum(n for (*_, st), n in kinds.items() if st == "infeasible") >= 40, kinds
         assert sum(n for (*_, st), n in kinds.items() if st == "feasible") >= 40, kinds
 
@@ -719,8 +726,12 @@ class TestPreparedPair:
     """``decide`` on a pair prepared once is ``admissible`` on every relation."""
 
     def test_decides_as_admissible_on_every_level_and_relation(self):
+        # each pair is prepared alone, a pool of two, and inside a pool of
+        # every seeded measure, whose common scale is a multiple of the
+        # pair's: both decide as a fresh ``admissible`` does, certificate
+        # (psi and values) and witness support included
         from conftest import fixture_spaces
-        from riskdist.coupling import decide, prepare_pair
+        from riskdist.coupling import decide, pooled, prepare_pair
         from riskdist.oracles import random_relation
         from riskdist.space import sublevel_ladder
 
@@ -729,14 +740,22 @@ class TestPreparedPair:
             rng = derive_rng(171, f"prepared-{space.n}-True")
             ladder = sublevel_ladder(space)
             assert [t for t, _ in ladder] == rd.distance_levels(space)
-            for mu1, mu2 in seam_pairs(space, rng):
+            pairs = seam_pairs(space, rng)
+            with pooled([mu for pair in pairs for mu in pair]):
+                in_pool = [prepare_pair(mu1, mu2) for mu1, mu2 in pairs]
+            for (mu1, mu2), shared in zip(pairs, in_pool):
                 pair = prepare_pair(mu1, mu2)
+                if pair.pool is not None:
+                    assert shared.pool is not pair.pool
+                    assert shared.pool.scale % pair.pool.scale == 0
                 others = [random_relation(space, rng) for _ in range(3)]
                 for level, rel in [*ladder, *((None, r) for r in others)]:
                     if level is not None:
                         assert rel == sublevel_relation(space, level)
                     got = decide(pair, rel, seed=7)
                     want = rd.admissible(mu1, mu2, rel, seed=7)
+                    assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
+                    got = decide(shared, rel, seed=7)
                     assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
                     seen[got.tier, (got.certificate or {}).get("kind")] += 1
         for key in (
@@ -1149,3 +1168,12 @@ class TestInnerMaskTables:
                         if sec and sec & ~b == 0:
                             want |= 1 << x
                     assert table[b] == want
+            # each side's reader reads a subset-indexed table at its masks
+            values = tuple(range(100, 108))
+            for read, table in zip(rel.inner_readers, rel.inner_masks):
+                assert read(values) == tuple(values[m] for m in table)
+        # a symmetric relation has one table and one reader for both sides
+        sym = sublevel_relation(p3, 1)
+        assert sym.inner_masks[0] is sym.inner_masks[1]
+        assert sym.inner_readers[0] is sym.inner_readers[1]
+        assert lopsided.inner_masks[0] != lopsided.inner_masks[1]

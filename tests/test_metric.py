@@ -135,27 +135,23 @@ class TestBottleneckDistance:
         assert (res.value, res.tier, res.certification) == (F(5, 2), "exact-two-point", "exact")
 
     def test_a_ladder_scan_prepares_its_pair_once(self, monkeypatch):
-        # however many levels one distance scans, the pair's parts are
-        # lifted once, each lattice builds its indicator table once, when it
-        # is built, and a second scan on the space builds no inner masks
-        # (an earlier scan in the process may have built them all)
+        # however many levels one distance scans, each table of the pair is
+        # lifted to the pair's scale once and read through each level's
+        # inner masks at most once, each lattice builds its indicator table
+        # once, when it is built, and a second scan on the space builds no
+        # inner masks (an earlier scan in the process may have built them
+        # all); a lone pair is a pool of two, which dies with its scan
         from conftest import make_star5
         from riskdist import coupling, measures, space as space_module
 
         counts = Counter()
-
-        def counting(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args):
-                counts[module.__name__, name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(coupling, "lift")
-        counting(measures, "lift")
-        counting(space_module, "_inner_table")
+        for module, name in (
+            (coupling, "times"),
+            (measures, "lift"),
+            (space_module, "_inner_table"),
+        ):
+            counting(monkeypatch, counts, module, name)
+        counting_reads(monkeypatch, counts)
         star5 = make_star5()
         uniform = rd.choquet_measure(rd.expectation(star5, (F(1, 5),) * 5))
         mu1 = rd.lattice_max([rd.dirac(star5, "o"), uniform])
@@ -163,13 +159,46 @@ class TestBottleneckDistance:
         assert counts["riskdist.measures", "lift"] == 2  # one table per lattice
         result = rd.bottleneck_distance(mu1, mu2)
         assert result.tier == "exact-lattice" and len(result.ladder) >= 4
-        assert counts["riskdist.coupling", "lift"] == 1
+        tables = 6  # the two lattices' tables and their four parts'
+        assert counts["riskdist.coupling", "times"] == tables
+        assert counts["inner reads"] <= tables * len(result.ladder)
         assert counts["riskdist.measures", "lift"] == 2
         built = counts["riskdist.space", "_inner_table"]
         assert built <= 2 * len(result.ladder)
         assert rd.bottleneck_distance(mu2, mu1).ladder == result.ladder
-        assert counts["riskdist.coupling", "lift"] == 2
+        assert counts["riskdist.coupling", "times"] == 2 * tables
         assert counts["riskdist.space", "_inner_table"] == built
+
+
+def counting(monkeypatch, counts, module, name):
+    """Count the calls of ``module.name`` in ``counts``."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        counts[module.__name__, name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def counting_reads(monkeypatch, counts):
+    """Count, as "inner reads", the tables a pool reads through the
+    inner-mask readers of a relation (``Relation.inner_readers``)."""
+    from riskdist.coupling import Pool
+
+    real = Pool.inner_values
+    wrapped = {}
+
+    def inner_values(self, table, read):
+        if id(read) not in wrapped:
+            def counted(table, read=read):
+                counts["inner reads"] += 1
+                return read(table)
+
+            wrapped[id(read)] = read, counted  # the reader stays alive
+        return real(self, table, wrapped[id(read)][1])
+
+    monkeypatch.setattr(Pool, "inner_values", inner_values)
 
 
 def assert_every_witness_verifies(results):
@@ -229,6 +258,75 @@ class TestDistanceMatrix:
         assert_every_witness_verifies(results)
         assert report.checks["triangle"] and report.checks["symmetry"]
         assert {r.tier for row in results for r in row} == {"exact-choquet", "exact-lattice"}
+
+    def test_a_matrix_prepares_each_table_once(self, monkeypatch):
+        # a pool in the benchmark's shape: however many pairs the matrix
+        # scans, each table, a part's included, is lifted to the pool's
+        # scale once, and read through a relation's inner masks at most
+        # once; per pair, these counts would grow with the square of the pool
+        from conftest import make_star5
+        from riskdist import coupling, measures
+        from riskdist.measures import indicators, normal_forms
+        from riskdist.space import sublevel_ladder
+
+        star5 = make_star5()
+        rng = derive_rng(23, "pool")
+        w = (F(1, 10), F(1, 5), F(3, 10), F(1, 10), F(3, 10))
+        base = [
+            rd.choquet_measure(random_capacity(star5, rng)),
+            rd.choquet_measure(random_capacity(star5, rng)),
+            rd.choquet_measure(rd.expectation(star5, w)),
+            rd.choquet_measure(rd.cvar(star5, w, F(1, 2))),
+            rd.choquet_measure(rd.var_quantile(star5, w, F(3, 4))),
+            rd.mixture(
+                (F(1, 3), F(2, 3)),
+                [rd.dirac(star5, "p"), rd.choquet_measure(random_capacity(star5, rng))],
+            ),
+        ]
+        pool = [
+            *base,
+            rd.lattice_max(base[:2]),
+            rd.lattice_min(base[2:4]),
+            rd.lattice_max([base[1], base[3], base[5]]),
+            rd.lattice_min([base[0], base[4], base[5]]),
+        ]
+        tables = {id(indicators(mu)[0]) for mu in pool} | {
+            id(c.scaled)
+            for mu in pool
+            for form in normal_forms(mu)
+            for part in form
+            for c in part
+        }
+        counts = Counter()
+        for module, name in ((coupling, "times"), (measures, "times")):
+            counting(monkeypatch, counts, module, name)
+        results, report = rd.distance_matrix(pool)
+        assert report.ok
+        assert {r.tier for row in results for r in row} == {"exact-choquet", "exact-lattice"}
+        lifted = counts["riskdist.coupling", "times"] + counts["riskdist.measures", "times"]
+        assert 0 < lifted <= len(tables)
+        counting_reads(monkeypatch, counts)
+        assert rd.distance_matrix(pool)[0] == results
+        assert 0 < counts["inner reads"] <= len(tables) * len(sublevel_ladder(star5))
+
+    def test_every_cell_is_the_distance_of_its_pair(self):
+        # the pool changes what a pair reads, never what the ladder finds
+        from conftest import fixture_spaces
+
+        tiers = Counter()
+        for space in fixture_spaces():
+            rng = derive_rng(4, "m")
+            pool = [random_measure(space, rng, depth=2) for _ in range(8)]
+            results, report = rd.distance_matrix(pool)
+            assert report.ok
+            for i, mu1 in enumerate(pool):
+                for j, mu2 in enumerate(pool):
+                    got, want = results[i][j], rd.bottleneck_distance(mu1, mu2)
+                    assert (got.value, got.ladder, got.tier, got.certification) == (
+                        want.value, want.ladder, want.tier, want.certification
+                    ), (space.n, i, j)
+                    tiers[got.tier] += 1
+        assert {"exact-choquet", "exact-lattice", "exact-two-point"} <= set(tiers), tiers
 
     def test_ladder_scans_probe_no_supports(self, p3, monkeypatch):
         # every ladder relation holds the diagonal, so both projections are
