@@ -13,22 +13,27 @@ expected shortfall, the unanimity capacity gives min, the possibility
 capacity gives max.
 
 Tables are stored as full 2^n tuples indexed by subset bitmask, and no
-table is built past ``MAX_CAPACITY_POINTS`` points.  A capacity also
-carries its table as integers over one common denominator D, ``scaled``,
-and tables are built as integers first:
-expectations, VaR, CVaR, mixtures and the 0/1 capacities compute their
-entries times D in ``int`` arithmetic, and a table given by its values (a
-JSON table, a pushforward) is scaled once on construction.  The
-monotonicity and null-point scans compare those integers.  Fractions
-appear only at the JSON edge, where a ``choquet`` spec's entries are
-parsed, and in ``table``, which holds each entry as the ``Fraction`` it
-equals, typed as the Fraction arithmetic of the definitions types it.  The
-coupling module compares two tables as their ``scaled`` integers lifted to
-one common scale, and a Choquet integral of ``int`` values sums its layers in
-``int`` and builds a single ``Fraction`` at the end.  ``Fraction`` or mixed
-values take the ``Fraction`` loop.  A float entry, which only a Python
-caller can give, is lifted to the ``Fraction`` it equals on construction,
-so no comparison of two tables is a float comparison.
+table is built past ``MAX_CAPACITY_POINTS`` points.  A capacity carries its
+table as integers over their least common denominator D, ``scaled``, and
+every capacity the package builds is born as those integers: expectations,
+VaR, CVaR, mixtures, the 0/1 capacities and JSON tables compute their
+entries times D in ``int`` arithmetic (VaR and CVaR from the probability's
+integer subset sums), and the normalization, monotone-cover and
+null-point checks run once, on those integers.  ``table``, each entry as
+the ``Fraction`` it equals, typed as the Fraction arithmetic of the
+definitions types it, is built the first time something reads it: a
+certificate, equality, hashing, ``repr`` or the ``Fraction`` loop of a
+Choquet integral; the distance ladder reads none.  A table given by its
+values (``Capacity(space, table)``, a pushforward) is scaled once on
+construction and checked the same way.  Fractions appear at the JSON edge,
+where a ``choquet`` spec's distinct entries are parsed, and in ``table``.
+The coupling module compares two tables as their ``scaled`` integers lifted
+to one common scale, and a Choquet integral of ``int`` values sums its
+layers in ``int`` and builds a single ``Fraction`` at the end.
+``Fraction`` or mixed values take the ``Fraction`` loop.  A float entry,
+which only a Python caller can give, is lifted to the ``Fraction`` it
+equals on construction, so no comparison of two tables is a float
+comparison.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, le, mul
+from operator import itemgetter, le
 from typing import Sequence
 
 from .errors import InputFormatError, InvalidParams, SpaceMismatch
@@ -60,26 +65,22 @@ class Capacity:
     denominator D of the entries and ``scaled`` holds integers.  All three
     are plain attributes, not fields, so the constructor, equality and
     reports see the table alone.
+
+    A capacity the package builds is born as those integers
+    (``_of_scaled``) and checked on them; its ``table`` is built the first
+    time something reads it, each entry the ``Fraction`` it equals (the
+    empty set's the ``int`` 0 where the Fraction formula gives that), so
+    equality, hashing and ``repr``, which read ``table``, see what
+    ``Capacity(space, table)`` of the same values sees.
     """
 
     space: FiniteMetricSpace
     table: tuple[Scalar, ...]
 
+    #: the empty set's entry of a lazily built table, when not Fraction(0)
+    _empty = None
+
     def __post_init__(self):
-        self._check()
-
-    @classmethod
-    def _of_scaled(cls, space, table, scaled, scale) -> "Capacity":
-        """A capacity whose entries the caller already has over their least
-        common denominator: ``scaled`` is ``table`` times ``scale``, as
-        ints.  It is checked as the constructor checks a table."""
-        cap = object.__new__(cls)
-        object.__setattr__(cap, "space", space)
-        object.__setattr__(cap, "table", table)
-        cap._check(scaled, scale)
-        return cap
-
-    def _check(self, scaled=None, scale=1):
         n = self.space.n
         check_points(n)
         table = self.table
@@ -91,31 +92,50 @@ class Capacity:
             except (ValueError, OverflowError):  # a NaN or an infinity
                 raise InvalidParams("capacity entries must be finite") from None
             object.__setattr__(self, "table", table)
-        if table[0] != 0:
-            raise InvalidParams("capacity of the empty set must be 0")
-        if table[-1] != 1:
-            raise InvalidParams("capacity of the full space must be 1")
-        if scaled is None:
-            scale = lcm(*[x.denominator for x in table])
-            scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
+        scale = lcm(*[x.denominator for x in table])
+        scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
         # the integer sum gives a Fraction for any nonzero layer, which the
         # Fraction loop does only if every entry a layer can read (a proper
         # nonempty subset) is a Fraction
-        layers = _FRACTION.issuperset(map(type, table[1:-1]))
+        self._check(scaled, scale, _FRACTION.issuperset(map(type, table[1:-1])))
+
+    @classmethod
+    def _of_scaled(cls, space, scaled: tuple, scale: int, empty=None) -> "Capacity":
+        """The capacity with entries scaled[B] / scale, where ``scale`` is
+        their least common denominator and ``scaled`` has an entry per
+        subset of the space, checked on those ints.  Its table is built
+        when first read, with ``empty``, when given, as the empty set's
+        entry."""
+        cap = object.__new__(cls)
+        object.__setattr__(cap, "space", space)
+        if empty is not None:
+            object.__setattr__(cap, "_empty", empty)
+        cap._check(scaled, scale, True)
+        return cap
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: the table of a
+        # capacity born as integers, before its first read
+        if name != "table":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scaled, scale = self.scaled, self.scale
+        value = {s: Fraction(s, scale) for s in set(scaled)}
+        table = tuple(map(value.__getitem__, scaled))
+        if self._empty is not None:
+            table = (self._empty, *table[1:])
+        object.__setattr__(self, "table", table)
+        return table
+
+    def _check(self, scaled: tuple, scale: int, int_layers: bool):
+        """Normalization, monotone covers and null points, on the ints."""
+        if scaled[0] != 0:
+            raise InvalidParams("capacity of the empty set must be 0")
+        if scaled[-1] != scale:
+            raise InvalidParams("capacity of the full space must be 1")
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_int_layers", scaled if layers else None)
-        # per point i, the entries of the subsets without i against the same
-        # subsets with i: a rise is a monotonicity failure, no change at all
-        # makes i a null point
-        null = 0
-        for i, (without, with_) in enumerate(_covers(n)):
-            below, above = without(scaled), with_(scaled)
-            if not all(map(le, below, above)):
-                _raise_first_rise(scaled, n)
-            if below == above:
-                null |= 1 << i
-        object.__setattr__(self, "null_mask", null)
+        object.__setattr__(self, "_int_layers", scaled if int_layers else None)
+        object.__setattr__(self, "null_mask", _null_points(scaled, scale, self.space.n))
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
         """Choquet integral by the decreasing-rearrangement sum.
@@ -173,15 +193,63 @@ def check_points(n: int) -> None:
         )
 
 
+def _null_points(scaled: tuple, scale: int, n: int) -> int:
+    """The mask of the null points of an integer table with scaled[0] = 0
+    and scaled[-1] = scale, or ``InvalidParams`` at its first rise.
+
+    Per point i, the entries of the subsets without i are compared with
+    the same subsets with i: a rise is a monotonicity failure, no change at
+    all makes i a null point.  Between its two ends a monotone table stays
+    in [0, scale], so below a scale of 128 each of its entries fits in a
+    byte's low seven bits, and a table with an entry that does not is not
+    monotone.  Such a table is packed into one integer, a byte per subset,
+    and the comparisons of each point run on all subsets at once: the
+    entries with i, shifted onto those without, minus those without, keep
+    every guard bit 0x80 exactly when no entry drops.  Past that scale,
+    getters gather the two sides."""
+    null = 0
+    if scale < 128:
+        try:
+            packed = bytes(scaled)
+        except ValueError:  # an entry below 0 or past 255
+            packed = b"\x80"
+        if not packed.isascii():
+            _raise_first_rise(scaled, n)
+        packed = int.from_bytes(packed, "little")
+        for i, (_, _, low, guard) in enumerate(_covers(n)):
+            below = packed & low
+            above = packed >> (8 << i) & low
+            if ((above | guard) - below) & guard != guard:
+                _raise_first_rise(scaled, n)
+            if above == below:
+                null |= 1 << i
+        return null
+    for i, (without, with_, _, _) in enumerate(_covers(n)):
+        below, above = without(scaled), with_(scaled)
+        if not all(map(le, below, above)):
+            _raise_first_rise(scaled, n)
+        if below == above:
+            null |= 1 << i
+    return null
+
+
 @lru_cache(maxsize=MAX_CAPACITY_POINTS)
 def _covers(n: int) -> tuple:
-    """Per point i, getters of the entries of the subsets without i and of
-    the same subsets with i, in mask order; one entry per table size."""
+    """Per point i, over the subsets without i in mask order: getters of
+    their entries and of the same subsets' entries with i, and the byte
+    lanes of those subsets in a packed table, with 0x7f and with 0x80 in
+    each; one entry per table size."""
     out = []
     for i in range(n):
         bit = 1 << i
         without = [m for m in range(1 << n) if not m & bit]
-        out.append((_getter(without), _getter([m | bit for m in without])))
+        lanes = [0 if m & bit else 1 for m in range(1 << n)]
+        out.append((
+            _getter(without),
+            _getter([m | bit for m in without]),
+            int.from_bytes(bytes([0x7F * x for x in lanes]), "little"),
+            int.from_bytes(bytes([0x80 * x for x in lanes]), "little"),
+        ))
     return tuple(out)
 
 
@@ -232,23 +300,14 @@ def exhaustive_support_mask(v: Capacity) -> int:
 
 
 def _from_ints(space: FiniteMetricSpace, scaled, scale: int, empty=None) -> Capacity:
-    """The exact capacity with entries scaled[B] / scale, each a Fraction;
-    ``empty``, when given, is the entry of the empty set instead."""
+    """The capacity with entries scaled[B] / scale, born as those integers
+    over their least common denominator; its table holds each entry as a
+    Fraction, or ``empty``, when given, for the empty set."""
     g = gcd(scale, *scaled)
     if g > 1:
         scale //= g
         scaled = [s // g for s in scaled]
-    value = {s: Fraction(s, scale) for s in set(scaled)}
-    table = tuple(map(value.__getitem__, scaled))
-    if empty is not None:
-        table = (empty, *table[1:])
-    return Capacity._of_scaled(space, table, tuple(scaled), scale)
-
-
-def _from_bits(space: FiniteMetricSpace, bits) -> Capacity:
-    """The capacity that is 1 on the subsets B with bits[B] = 1, else 0."""
-    table = tuple(map((Fraction(0), Fraction(1)).__getitem__, bits))
-    return Capacity._of_scaled(space, table, tuple(bits), 1)
+    return Capacity._of_scaled(space, tuple(scaled), scale, empty)
 
 
 def _subset_sums(weights: Sequence) -> list:
@@ -260,19 +319,22 @@ def _subset_sums(weights: Sequence) -> list:
     return sums
 
 
-def expectation(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> Capacity:
-    """Additive capacity v(B) = sum of weights over B."""
+def _probability(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> tuple[list, int]:
+    """p(B) times D for every subset B, as ints, and D, the least common
+    denominator of the p(B), for a probability vector p.  A float weight
+    makes each p(B) the float sum, lifted to the rational it equals."""
     if len(weights) != space.n:
         raise InvalidParams("weight vector length must match point count")
     check_points(space.n)
-    if _FRACTION.issuperset(map(type, weights)):
+    if _RATIONAL.issuperset(map(type, weights)):
         scale = lcm(*[w.denominator for w in weights])
         ints = [w.numerator * (scale // w.denominator) for w in weights]
         _check_weights(ints, scale)
-        # the empty sum is the int 0, as sum() gives it
-        return _from_ints(space, _subset_sums(ints), scale, empty=0)
+        return _subset_sums(ints), scale
     _check_weights(weights, 1)
-    return Capacity(space, tuple(_subset_sums(weights)))
+    sums = [Fraction(s) for s in _subset_sums(weights)]
+    scale = lcm(*[s.denominator for s in sums])
+    return [s.numerator * (scale // s.denominator) for s in sums], scale
 
 
 def _check_weights(weights, total):
@@ -282,9 +344,19 @@ def _check_weights(weights, total):
         raise InvalidParams("weights must sum to 1")
 
 
+def expectation(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> Capacity:
+    """Additive capacity v(B) = sum of weights over B."""
+    sums, scale = _probability(space, weights)
+    if _FRACTION.issuperset(map(type, weights)):
+        # the empty sum is the int 0, as sum() gives it
+        return _from_ints(space, sums, scale, empty=0)
+    # int and float weights keep the types their sums have
+    return Capacity(space, tuple(_subset_sums(weights)))
+
+
 def dirac_capacity(space: FiniteMetricSpace, point: int) -> Capacity:
     check_points(space.n)
-    return _from_bits(space, [m >> point & 1 for m in range(1 << space.n)])
+    return _from_ints(space, [m >> point & 1 for m in range(1 << space.n)], 1)
 
 
 def unanimity(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
@@ -293,7 +365,7 @@ def unanimity(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     if need == 0:
         raise InvalidParams("unanimity needs a nonempty subset")
     check_points(space.n)
-    return _from_bits(space, [int(m & need == need) for m in range(1 << space.n)])
+    return _from_ints(space, [int(m & need == need) for m in range(1 << space.n)], 1)
 
 
 def possibility(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
@@ -302,7 +374,7 @@ def possibility(space: FiniteMetricSpace, mask: int | None = None) -> Capacity:
     if hit == 0:
         raise InvalidParams("possibility needs a nonempty subset")
     check_points(space.n)
-    return _from_bits(space, [int(m & hit != 0) for m in range(1 << space.n)])
+    return _from_ints(space, [int(m & hit != 0) for m in range(1 << space.n)], 1)
 
 
 def var_quantile(
@@ -311,14 +383,14 @@ def var_quantile(
     """Quantile capacity of a probability: v(B) = 1 iff p(B) > 1 - level."""
     if not 0 <= level <= 1:
         raise InvalidParams("level must lie in [0, 1]")
-    p = expectation(space, weights)
+    sums, scale = _probability(space, weights)
     # p(B) = s / D > 1 - a / b, multiplied out by D * b
     a, b = Fraction(level).as_integer_ratio()
-    bound = p.scale * (b - a)
-    bits = [int(s * b > bound) for s in p.scaled]
+    bound = scale * (b - a)
+    bits = [int(s * b > bound) for s in sums]
     # p(X) = 1 > 1 - level can fail at level = 0; pin normalization
     bits[-1] = 1
-    return _from_bits(space, bits)
+    return _from_ints(space, bits, 1)
 
 
 def cvar(
@@ -327,11 +399,11 @@ def cvar(
     """Distortion capacity v(B) = min(p(B) / (1 - level), 1)."""
     if not 0 <= level < 1:
         raise InvalidParams("level must lie in [0, 1)")
-    p = expectation(space, weights)
+    sums, scale = _probability(space, weights)
     # (s / D) / ((b - a) / b) = s * b / (D * (b - a)), capped at 1
     a, b = Fraction(level).as_integer_ratio()
-    scale = p.scale * (b - a)
-    return _from_ints(space, [min(s * b, scale) for s in p.scaled], scale)
+    scale *= b - a
+    return _from_ints(space, [min(s * b, scale) for s in sums], scale)
 
 
 def check_mixture(weights: Sequence[Scalar], components: Sequence) -> FiniteMetricSpace:
@@ -358,9 +430,11 @@ def mix_capacities(
         # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
         dens = [w.denominator * c.scale for w, c in zip(weights, components)]
         scale = lcm(*dens)
-        coefs = [w.numerator * (scale // d) for w, d in zip(weights, dens)]
-        columns = zip(*(c.scaled for c in components))
-        return _from_ints(space, [sum(map(mul, coefs, col)) for col in columns], scale)
+        scaled = [0] * (1 << space.n)
+        for w, d, c in zip(weights, dens, components):
+            coef = w.numerator * (scale // d)
+            scaled = [t + coef * s for t, s in zip(scaled, c.scaled)]
+        return _from_ints(space, scaled, scale)
     table = tuple(
         sum(w * c.table[m] for w, c in zip(weights, components))
         for m in range(1 << space.n)

@@ -10,6 +10,10 @@ scalars print: ``exact`` prints each as the rational it is, ``float`` as
 ``repr`` of the nearest float (``numerics.format_scalar``).  Counts, and the
 ints of a witness payload, print alike in both.
 
+Input files are read as UTF-8 whatever the locale, and bytes that are not
+UTF-8 are malformed input.  An input's digest is the sha256 of its text,
+with its line ends read as a text-mode read reads them.
+
 Exit codes: 0 on success, 1 when a check fails or a verified counterexample
 is found, 2 on malformed input.  Reports embed the tool version, input
 digests, the print mode and the seed; identical configurations produce
@@ -65,16 +69,20 @@ from .space import Relation, sublevel_relation, product_space
 
 
 def _read_json(arg: str, digests: dict) -> object:
-    """Accept a file path or an inline JSON literal."""
+    """Accept a file path or an inline JSON literal.  A file is read in one
+    call and decoded as UTF-8, whatever the locale, with its line ends
+    read as a text-mode read reads them."""
     text = arg
     label = "<inline>"
     if not arg.lstrip().startswith(("{", "[")):
-        path = Path(arg)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            with open(arg, "rb", buffering=0) as fh:
+                text = fh.read().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {arg}: {exc}") from exc
-        label = str(path)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        label = str(Path(arg))
     digests[label] = digest_text(text)
     try:
         return json.loads(text)
@@ -399,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command's parser by name, for ``main`` to hand argv to directly
+    parser.commands = sub.choices
 
     def common(p, space=True, measure=True):
         if space:
@@ -473,8 +483,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, in one pass: an argv that starts with
+    a command name goes straight to that command's parser, and any other,
+    ``--help`` and ``--version`` included, to the top-level parser.  An
+    argv with arguments the command does not take goes there too, so the
+    error reads as it always has."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv) if extra else args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     printing = FLOAT_OUTPUT.set(args.mode == "float")
     try:
         return args.func(args)

@@ -443,8 +443,7 @@ class PreparedPair:
       the support-escape test and the parts-inside test are one mask test
       per relation.
     * ``scan``: per side, the tables (a, b) of the indicator scan, the two
-      measures' indicator tables on the pool's scale, and the getters of
-      the two measures' own values at a subset.
+      measures' indicator tables on the pool's scale.
     * ``checks``: per side, the (row, group) checks with more than one
       column, each a list of (a, b) part tables on the pool's scale.
     * ``points`` and ``tables``: on the two-point tier, the points T with
@@ -491,7 +490,6 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
     if route == "exact-two-point":
         return _prepare_two_point(mu1, mu2, pool)
     a1, a2 = pool.table(mu1), pool.table(mu2)
-    v1, v2 = _values(mu1), _values(mu2)
     checks = ((), ())  # two capacities have no check with two columns
     if route == "exact-lattice":
         (rows1, groups1), (rows2, groups2) = pool.forms(mu1), pool.forms(mu2)
@@ -501,17 +499,18 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
              if len(row) * len(group) > 1]
             for rows, groups in ((rows1, groups2), (rows2, groups1))
         )
-    scan = (a1, a2, v1, v2), (a2, a1, v2, v1)
+    scan = (a1, a2), (a2, a1)
     return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks, pool=pool)
 
 
-def _values(mu):
-    """The getter of mu(1_B) by B: a capacity's ``table``, or a lattice's
-    table entry over its scale as a Fraction, built when read."""
+def _value(mu, b: int) -> Scalar:
+    """mu(1_B): a capacity's ``table`` entry, or a lattice's table entry
+    over its scale as a Fraction.  Only a certificate reads it, so a
+    capacity's ``table`` is built only when a certificate is."""
     if mu.capacity is not None:
-        return mu.capacity.table.__getitem__
+        return mu.capacity.table[b]
     table, scale = indicators(mu)
-    return lambda b: Fraction(table[b], scale)
+    return Fraction(table[b], scale)
 
 
 def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict:
@@ -629,12 +628,13 @@ def _decide(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
 
     # 1. indicator scan: mua(1_(inner U)) against mub(1_U), both tables on
     # the pool's scale; the indexed loop only names the first U
-    for (side, _, _, inners, read, _), (a, b, va, vb) in zip(sides, pair.scan):
+    for (side, mua, mub, inners, read, _), (a, b) in zip(sides, pair.scan):
         inner = inner_values(a, read)
         if any(map(gt, inner, b)):
             def find():
                 u = next(u for u in range(1 << n) if inner[u] > b[u])
-                return tuple([u >> x & 1 for x in range(n)]), (va(inners[u]), vb(u))
+                values = _value(mua, inners[u]), _value(mub, u)
+                return tuple([u >> x & 1 for x in range(n)]), values
 
             return _dominated(tier, side, find)
     # 2. and 3., one check per (row, group) with more than one column, over

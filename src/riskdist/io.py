@@ -42,6 +42,7 @@ import hashlib
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 from typing import Any
 
 from . import capacity as caps
@@ -128,35 +129,44 @@ def _subset_mask(space: FiniteMetricSpace, key: str) -> int:
 
 
 def _capacity_from_json(space: FiniteMetricSpace, obj: dict) -> caps.Capacity:
+    """The capacity of a ``choquet`` spec's table, born as the integers of
+    its entries over their least common denominator."""
     if not isinstance(obj, dict):
         raise TypeError('"capacity" must be an object of subset entries')
     caps.check_points(space.n)  # before the 2^n table is allocated
-    table: list[Scalar | None] = [None] * (1 << space.n)
+    # per subset, the index of its entry in ``values``
+    slots: list[int | None] = [None] * (1 << space.n)
     masks = space._subset_masks
-    parsed: dict[str, Scalar] = {}  # most entries repeat an earlier string
+    values: list[Scalar] = []
+    parsed: dict[str, int] = {}  # most entries repeat an earlier string
     for key, raw in obj.items():
         mask = masks.get(key)
         if mask is None:
             mask = _subset_mask(space, key)
         # strings only: 1, 1.0 and True are one dict key, not one entry
-        if type(raw) is str:
-            value = parsed.get(raw)
-            if value is None:
-                value = parsed[raw] = parse_scalar(raw)
-        else:
-            value = parse_scalar(raw)
-        if table[mask] is not None:
+        at = parsed.get(raw) if type(raw) is str else None
+        if at is None:
+            at = len(values)
+            values.append(parse_scalar(raw))
+            if type(raw) is str:
+                parsed[raw] = at
+        if slots[mask] is not None:
             first = next(k for k in obj if (masks.get(k) or _subset_mask(space, k)) == mask)
             raise InputFormatError(f"capacity keys {first!r} and {key!r} name one subset")
-        table[mask] = value
-    if table[0] is None:
-        table[0] = Fraction(0)
-    missing = [m for m, v in enumerate(table) if v is None]
+        slots[mask] = at
+    if slots[0] is None:
+        slots[0] = len(values)
+        values.append(Fraction(0))
+    missing = slots.count(None)
     if missing:
         raise InputFormatError(
-            f"capacity table is missing {len(missing)} subsets (full table required)"
+            f"capacity table is missing {missing} subsets (full table required)"
         )
-    return caps.Capacity(space, tuple(table))
+    if not all(type(v) is Fraction for v in values):  # an infinity, which the constructor refuses
+        return caps.Capacity(space, tuple(map(values.__getitem__, slots)))
+    scale = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    return caps._from_ints(space, list(map(ints.__getitem__, slots)), scale)
 
 
 def load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None = None) -> RiskMeasure:

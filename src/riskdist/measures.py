@@ -812,11 +812,15 @@ def probe_grid(
 ) -> tuple[tuple[Scalar, ...], ...]:
     """Deterministic probe family: subset indicators, distances to each
     point, and ``randoms`` random functions drawn from ``Random(seed)``, so
-    a grid with fewer randoms is a prefix of one with more.  Cached; ladder
+    a grid with fewer randoms is a prefix of one with more.  Past
+    ``MAX_CAPACITY_POINTS`` points the 2^n indicators are left out, as
+    capacity tables are, and the grid keeps the rest.  Cached; ladder
     scans reuse it across levels and pairs."""
-    probes = [
-        tuple(mask >> i & 1 for i in range(space.n)) for mask in range(1 << space.n)
-    ]
+    probes = []
+    if space.n <= MAX_CAPACITY_POINTS:
+        probes.extend(
+            tuple(mask >> i & 1 for i in range(space.n)) for mask in range(1 << space.n)
+        )
     probes.extend(
         tuple(space.dist[j][i] for j in range(space.n)) for i in range(space.n)
     )

@@ -287,6 +287,41 @@ def kernel_inputs(draw, n):
     return tuple(draw(st.lists(element, min_size=n, max_size=n)))
 
 
+def INT_VALUES(rng):
+    return rng.randint(-32, 32)
+
+
+def FRACTION_VALUES(rng):
+    return F(rng.randint(-64, 64), rng.randint(1, 12))
+
+
+def MIXED_VALUES(rng):
+    return rng.choice((INT_VALUES, FRACTION_VALUES))(rng)
+
+
+def integer_built(space, rng) -> list:
+    """One capacity of each constructor that builds it as integers."""
+    n = space.n
+    weights = random_simplex(rng, n)
+    level = F(rng.randint(0, 9), 10)
+    mask = rng.randrange(1, 1 << n)
+    parts = [random_capacity(space, rng), rd.dirac_capacity(space, rng.randrange(n))]
+    spec = {
+        ",".join(space.labels[i] for i in range(n) if m >> i & 1): str(parts[0].table[m])
+        for m in range(1, 1 << n)
+    }
+    return [
+        rd.expectation(space, weights),
+        rd.var_quantile(space, weights, level),
+        rd.cvar(space, weights, level),
+        rd.dirac_capacity(space, rng.randrange(n)),
+        rd.unanimity(space, mask),
+        rd.possibility(space, mask),
+        rd.mix_capacities(random_simplex(rng, 2), parts),
+        load_measure({"type": "choquet", "capacity": spec}, space).capacity,
+    ]
+
+
 class TestIntegerKernel:
     @given(data=st.data())
     @settings(deadline=None, max_examples=300)
@@ -303,6 +338,23 @@ class TestIntegerKernel:
             assert any(got is v for v in values)
         else:
             assert type(got) is Fraction
+
+    @pytest.mark.parametrize("space", fixture_spaces(), ids=lambda s: f"{s.n}-points")
+    def test_integer_built_capacities_sum_as_their_tables(self, space):
+        # each constructor that builds its capacity as integers, against the
+        # Fraction loop over Capacity(space, table) of the same values
+        rng = derive_rng(space.n, "integer-built")
+        for cap in integer_built(space, rng):
+            ref = Capacity(space, cap.table)
+            assert cap == ref and hash(cap) == hash(ref) and repr(cap) == repr(ref)
+            assert cap.scaled == ref.scaled and cap.scale == ref.scale
+            assert cap.null_mask == ref.null_mask
+            for _ in range(12):
+                kind = rng.choice((INT_VALUES, FRACTION_VALUES, MIXED_VALUES))
+                values = tuple(kind(rng) for _ in range(space.n))
+                got = cap.choquet(values)
+                want = rearrangement_sum(ref.table, values)
+                assert got == want and type(got) is type(want), values
 
     def test_scaled_table_is_the_table_over_one_denominator(self):
         space = uniform_space(2)
@@ -427,9 +479,26 @@ def same_entries(got, want):
         assert type(a) is type(b) and a == b, (a, b)
 
 
+#: Choquet inputs of each kind the kernel tells apart: ints, Fractions,
+#: mixed, and constants of either type
+def choquet_inputs(n):
+    ints = tuple(range(n, 0, -1))
+    fracs = tuple(F(2 * i + 1, 3) for i in range(n))
+    mixed = tuple(F(i, 2) if i % 2 else i for i in range(n))
+    return [ints, ints[::-1], fracs, mixed, (3,) * n, (F(1, 3),) * n]
+
+
 def assert_built_like(cap: Capacity, want):
-    same_entries(cap.table, want)
+    """``cap`` is the capacity of the table ``want``: it equals, hashes
+    and prints like ``Capacity(space, want)``, holds the same entries in
+    value and type, and integrates to the same values of the same types."""
     space = cap.space
+    ref = Capacity(space, want)
+    assert cap == ref and hash(cap) == hash(ref) and repr(cap) == repr(ref)
+    same_entries(cap.table, want)
+    for values in choquet_inputs(space.n):
+        got, expect = cap.choquet(values), ref.choquet(values)
+        assert got == expect and type(got) is type(expect), values
     assert cap.null_mask == formula_null_mask(want, space.n)
     scale = lcm(*(x.denominator for x in want))
     assert cap.scale == scale
@@ -530,6 +599,28 @@ class TestConstructorsKeepTheFractionFormulas:
             loaded = load_measure({"type": "choquet", "capacity": spec}, space).capacity
             assert_built_like(loaded, formula_json_table(space, spec))
 
+    def test_tables_are_built_on_first_read(self, space):
+        # every integer-built capacity holds its ints alone until its table
+        # is read, and equality, hashing and repr build it as they read it
+        weights = random_simplex(derive_rng(space.n, "lazy"), space.n)
+        built = [
+            rd.expectation(space, weights),
+            rd.var_quantile(space, weights, F(1, 2)),
+            rd.cvar(space, weights, F(1, 2)),
+            rd.dirac_capacity(space, 0),
+            rd.unanimity(space),
+            rd.possibility(space),
+        ]
+        built.append(rd.mix_capacities((F(1, 3), F(2, 3)), built[:2]))
+        for cap in built:
+            assert "table" not in vars(cap)
+        for read in (lambda c: c.table, lambda c: c == c, hash, repr):
+            for cap in built:
+                twin = Capacity._of_scaled(cap.space, cap.scaled, cap.scale, cap._empty)
+                assert "table" not in vars(twin)
+                read(twin)
+                assert vars(twin)["table"] == cap.table
+
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -590,6 +681,7 @@ HALVES = ("1/2", "1/2", "1/2")
          "mixture weights must be nonnegative"),
         (p3_table(*HALVES, "1/4", "1", "1", "1"), "capacity not monotone: v(1) > v(3)"),
         (p3_table(*HALVES, "1", "1", "1", "2"), "capacity of the full space must be 1"),
+        (p3_table(*HALVES, "inf", "1", "1", "1"), "capacity entries must be finite"),
         (p3_table(*HALVES, "1", "1", "1", "1", **{"": "1/4"}),
          "capacity of the empty set must be 0"),
         (p3_table(*HALVES, "1", "1", "1"),
@@ -603,3 +695,107 @@ def test_constructors_reject_with_the_same_messages(spec, message, spelling, wei
     with pytest.raises((InvalidParams, InputFormatError)) as err:
         load_measure(spec, p3)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the two cover scans: packed byte lanes below a scale of 128, getters past it
+
+
+def random_scaled(rng, n, scale):
+    """A table of ints with entry 0 at the empty set and ``scale`` at the
+    full one: monotone with some null points, a monotone one with one entry
+    moved by one, or noise, some of it outside [0, scale] and past a byte."""
+    size = 1 << n
+    g = [0] + [rng.randint(0, scale) for _ in range(size - 1)]
+    for m in range(size):
+        for i in range(n):
+            if m >> i & 1:
+                g[m] = max(g[m], g[m & ~(1 << i)])
+    drop = rng.randrange(size - 1)  # null points: never the whole space
+    keep = ~drop & (size - 1)
+    for m in range(size):
+        if m & keep == keep:
+            g[m] = scale
+    table = [g[m & keep] for m in range(size)]
+    style = rng.choice(("monotone", "nudged", "noise"))
+    if style == "nudged" and size > 2:
+        m = rng.randrange(1, size - 1)
+        table[m] += rng.choice((-1, 1))
+    elif style == "noise":
+        table = [rng.randint(-2, max(2 * scale, 300)) for _ in range(size)]
+    table[0], table[-1] = 0, scale
+    return tuple(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_both_cover_scans_match_the_formulas(n):
+    space = uniform_space(n)
+    rng = derive_rng(n, "cover-scans")
+    for scale in (1, 2, 3, 7, 64, 127, 128, 129, 255, 256, 1000, 2**70):
+        for _ in range(25):
+            scaled = random_scaled(rng, n, scale)
+            table = tuple(F(s, scale) for s in scaled)
+            rise = formula_first_rise(table, n)
+            # the int path takes the scale as given; the table path reduces
+            # it to the least common denominator, which may pick the other scan
+            builds = (
+                lambda: Capacity._of_scaled(space, scaled, scale),
+                lambda: Capacity(space, table),
+            )
+            for build in builds:
+                if rise is None:
+                    assert build().null_mask == formula_null_mask(table, n)
+                else:
+                    with pytest.raises(InvalidParams) as err:
+                        build()
+                    assert str(err.value) == rise
+
+
+def test_deciding_a_loaded_pair_builds_no_fraction_table(grid6, monkeypatch):
+    # the ladder reads the integer tables alone: an expectation, a CVaR and
+    # a mixture of a Dirac and a JSON table load and decide without a
+    # Fraction table, and the CVaR without an expectation capacity
+    import riskdist.capacity as capacity
+
+    born = []
+    of_scaled = Capacity._of_scaled.__func__
+
+    def recording(cls, *args):
+        cap = of_scaled(cls, *args)
+        born.append(cap)
+        return cap
+
+    expectations = []
+
+    def counting(space, weights):
+        expectations.append(weights)
+        return real_expectation(space, weights)
+
+    real_expectation = capacity.expectation
+    monkeypatch.setattr(Capacity, "_of_scaled", classmethod(recording))
+    monkeypatch.setattr(capacity, "expectation", counting)
+    labels = grid6.labels
+    table = {
+        ",".join(labels[i] for i in range(6) if m >> i & 1): f"{bin(m).count('1') ** 2}/36"
+        for m in range(1, 64)
+    }
+    specs = [
+        {"type": "expectation", "weights": ["1/6"] * 6},
+        {"type": "cvar", "level": "3/4", "weights": ["1/3", "1/6", "0", "1/6", "1/12", "1/4"]},
+        {"type": "mixture", "weights": ["1/3", "2/3"],
+         "components": [{"type": "dirac", "point": labels[5]},
+                        {"type": "choquet", "capacity": table}]},
+    ]
+    measures = [load_measure(spec, grid6) for spec in specs]
+    values = [
+        rd.bottleneck_distance(a, b).value
+        for a in measures for b in measures if a is not b
+    ]
+    assert len(expectations) == 1  # the expectation measure's own
+    assert len(born) == 5 and all(any(m.capacity is c for c in born) for m in measures)
+    assert all("table" not in vars(c) for c in born)
+    assert values == [
+        rd.bottleneck_distance(rd.choquet_measure(Capacity(grid6, a.capacity.table)),
+                               rd.choquet_measure(Capacity(grid6, b.capacity.table))).value
+        for a in measures for b in measures if a is not b
+    ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -445,6 +446,29 @@ class TestConvergeAndAudit:
         assert out.splitlines()[0] == "n,pointwise_gap,metric,support_gap"
         assert ",2,2" in out
 
+    def test_a_converge_past_the_table_guard_finishes_and_reports(self, tmp_path, capsys):
+        # on 13 points the probe grid leaves out its 2^13 indicators and
+        # keeps the distance and random probes
+        from riskdist.measures import probe_grid
+
+        n = 13
+        labels = [f"p{i}" for i in range(n)]
+        space = {"points": labels, "dist": [[abs(i - j) for j in range(n)] for i in range(n)]}
+        generator = {"type": "drifting-mixture", "base": "p0", "far": "p12", "count": 3}
+        seq = write(tmp_path, "seq.json", {"space": space, "generator": generator})
+        assert main(["converge", "--sequence", seq, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "n,pointwise_gap,metric,support_gap"
+        assert [row.split(",")[0] for row in rows[1:]] == ["1", "2", "3"]
+        assert all(row.split(",")[2] == "12" for row in rows[1:])
+        grid = probe_grid(load_space(space), 7, 5)
+        assert len(grid) == n + 5
+        assert grid[0] == tuple(range(n))  # the distances to p0
+        # up to the guard the grid starts with every subset's indicator
+        small = probe_grid(load_space(P3), 7, 5)
+        assert len(small) == 8 + 3 + 5
+        assert small[:8] == tuple(tuple(m >> i & 1 for i in range(3)) for m in range(8))
+
     def test_converge_reads_its_space_from_the_sequence(self, capsys):
         # converge takes no --space: the sequence carries its own
         seq = {"space": P3, "limit": DIRAC_A, "terms": [DIRAC_C, DIRAC_A]}
@@ -596,6 +620,109 @@ class TestUnreadOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_the_top_level_parser_reports_an_argument_no_command_takes(self, space_file, capsys):
+        # the command's parser reads argv alone; what it leaves over is
+        # reported as the whole tree reports it, with the top-level usage
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", "--space", space_file, "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: riskdist [-h] [--version]\n")
+        assert err.endswith("\nriskdist: error: unrecognized arguments: --bogus 1\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--space", "s", "--measure", "a", "--measure", "b", "--format", "json"],
+            ["matrix", "--space", "s", "--measure", "p", "--seed", "3", "--mode", "float"],
+            ["validate", "--space", "s", "--out", "o"],
+            ["audit", "metric", "--space", "s", "--size", "5"],
+            ["converge", "--sequence", "q", "--format", "csv"],
+            ["couple", "--space", "s", "--measure", "a", "--threshold", "1/2"],
+            ["glue", "--space", "s", "--first", "a", "--second", "b"],
+            ["oracle", "strassen", "--space", "s", "--measure", "a", "--pairs", "p"],
+            ["oracle", "cross-check", "--space", "s", "--size", "4"],
+        ],
+    )
+    def test_a_command_parses_as_the_whole_tree_parses_it(self, argv):
+        from riskdist.cli import _parse, build_parser
+
+        assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["distance"], "usage: riskdist distance "),
+            (["audit", "metric", "--size", "x"], "usage: riskdist audit metric "),
+            (["nonsense"], "usage: riskdist [-h] [--version]"),
+        ],
+    )
+    def test_other_parse_errors_keep_their_parser(self, argv, usage, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
+
+class TestInputEncoding:
+    """Input files are read as UTF-8 whatever the locale says."""
+
+    def run(self, tmp_path, files):
+        import os
+        import subprocess
+        import sys
+
+        paths = []
+        for name, data in files:
+            (tmp_path / name).write_bytes(data)
+            paths.append(str(tmp_path / name))
+        argv = ["distance", "--space", paths[0], "--measure", paths[1],
+                "--measure", paths[2], "--format", "json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C", PYTHONUTF8="0")
+        env.pop("PYTHONIOENCODING", None)
+        return subprocess.run(
+            [sys.executable, "-m", "riskdist.cli", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+
+    def test_a_non_ascii_label_loads_under_an_ascii_locale(self, tmp_path):
+        space = {"points": ["a", "b", "\u00e7"], "dist": P3["dist"]}
+        far = {"type": "dirac", "point": "\u00e7"}
+        done = self.run(tmp_path, [
+            ("space.json", json.dumps(space, ensure_ascii=False).encode("utf-8")),
+            ("a.json", json.dumps(DIRAC_A).encode()),
+            ("far.json", json.dumps(far, ensure_ascii=False).encode("utf-8")),
+        ])
+        assert done.returncode == 0, done.stderr.decode()
+        report = json.loads(done.stdout)
+        assert report["distance"]["value"] == "2"
+        digest = hashlib.sha256(json.dumps(space, ensure_ascii=False).encode("utf-8")).hexdigest()
+        assert report["inputs"][str(tmp_path / "space.json")] == digest
+
+    def test_line_ends_are_digested_as_a_text_mode_read_reads_them(self, tmp_path, capsys):
+        path = tmp_path / "space.json"
+        # CRLF, a lone CR and a lone LF
+        path.write_bytes(b'{"points": ["a", "b", "c"],\r\n "dist": [[0, 1, 2],\r'
+                         b' [1, 0, 1],\n [2, 1, 0]]}\r\n')
+        code = main(["distance", "--space", str(path), "--measure", json.dumps(DIRAC_A),
+                     "--measure", json.dumps(DIRAC_C), "--format", "json"])
+        assert code == 0
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "\r" not in text
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert json.loads(capsys.readouterr().out)["inputs"][str(path)] == digest
+
+    def test_bytes_that_are_not_utf8_are_an_input_error(self, tmp_path):
+        done = self.run(tmp_path, [
+            ("space.json", json.dumps(P3).encode()),
+            ("a.json", json.dumps(DIRAC_A).encode()),
+            ("latin.json", '{"type": "dirac", "point": "\u00e7"}'.encode("latin-1")),
+        ])
+        assert done.returncode == 2
+        assert done.stderr.decode().startswith("input error: cannot read ")
+        assert b"Traceback" not in done.stderr
 
 
 class TestInternedSpaces:

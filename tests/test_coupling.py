@@ -793,7 +793,7 @@ class TestPreparedPair:
     def test_scan_tables_order_every_entry_pair_as_the_values_do(self, p3):
         # scales 2 and 2 (equal), 2 and 4 (nested), 4 and 3 (coprime), and
         # a lattice of scale 6 against a capacity of scale 4
-        from riskdist.coupling import prepare_pair
+        from riskdist.coupling import _value, prepare_pair
         from riskdist.measures import indicators
 
         half = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(0), F(1, 2))))
@@ -803,11 +803,12 @@ class TestPreparedPair:
         assert indicators(lattice)[1] == 6
         for mu1, mu2 in ((half, half), (half, quarter), (quarter, third), (lattice, quarter)):
             pair = prepare_pair(mu1, mu2)
-            for a, b, va, vb in pair.scan:
+            for (a, b), (ma, mb) in zip(pair.scan, ((mu1, mu2), (mu2, mu1))):
                 for x in range(8):
                     for u in range(8):
-                        assert (a[x] > b[u]) == (va(x) > vb(u)), (x, u)
-                        assert (a[x] == b[u]) == (va(x) == vb(u)), (x, u)
+                        va, vb = _value(ma, x), _value(mb, u)
+                        assert (a[x] > b[u]) == (va > vb), (x, u)
+                        assert (a[x] == b[u]) == (va == vb), (x, u)
             if indicators(mu1)[1] == indicators(mu2)[1]:
                 assert pair.scan[0][0] is indicators(mu1)[0]
 
