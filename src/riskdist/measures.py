@@ -17,9 +17,10 @@ other measure carries an evaluator: family members and combinations behind
 one bounded memo each, black boxes as given.  Combinations also keep their
 parts, so the axiom check can pass them from their parts: max, min and
 convex combinations keep monotonicity, translation invariance and
-normedness.  Family members with rational parameters are checked exactly,
-from the affine pieces of their formula; the others fall back to seeded
-probing, and reports say so.
+normedness.  Every family member is checked exactly, from the affine pieces
+of its formula.  Only a measure without such structure, a black box, a
+pushforward or a combination with one of them or with a failing part, is
+left to seeded probing, and its report says so.
 
 Lattice normal forms.  A max or min whose parts are capacities, or max and
 min of such, keeps two normal forms over ``Capacity`` objects:
@@ -72,7 +73,7 @@ from .capacity import (
 from .errors import InvalidParams, SpaceMismatch
 from .numerics import Scalar
 from .space import FiniteMetricSpace, PointFunction, PointSubset
-from .twopoint import TwoPointParams, branch_boundaries, breakpoints, scaled_eval, two_point_eval
+from .twopoint import TwoPointParams, breakpoints, scaled_eval, two_point_eval
 
 #: seeded function pairs tried per point when probing a support
 SUPPORT_PROBES = 256
@@ -80,6 +81,10 @@ SUPPORT_PROBES = 256
 #: seeded random functions in the probe grid ``equal_measures`` compares
 #: measures without capacities on
 EQUALITY_PROBES = 192
+
+#: seeded monotone pairs ``verify_axioms`` probes a measure without an exact
+#: verdict with, with half as many shifts
+AXIOM_SAMPLES = 200
 
 #: entries kept per measure by the memo of a family member or combination;
 #: ladder scans and audits evaluate one probe grid many times over, and the
@@ -462,28 +467,6 @@ def _with_branches(params: TwoPointParams, v: Violation) -> Violation:
     return v
 
 
-def _two_point_boundary_pairs(mu: RiskMeasure, rng: random.Random):
-    """Monotone pairs straddling the branch boundaries of a family member.
-
-    Random probing rarely lands on the measure-zero switching lines, so the
-    check aims pairs (phi, phi + small bump) across each finite boundary b of
-    the difference phi1 - phi0.  Raising phi1 crosses b upwards and catches a
-    value that drops; raising phi0 crosses it downwards and catches a value
-    that jumps up by more than the bump.
-    """
-    pairs = []
-    eps = Fraction(1, 10)
-    for delta in branch_boundaries(mu.params):
-        for _ in range(8):
-            base = Fraction(rng.randint(-12, 12), 4)
-            lo = (base, base + delta)
-            pairs.append((lo, (lo[0], lo[1] + eps)))  # b -> b + eps
-            pairs.append(((lo[0], lo[1] - eps), lo))  # b - eps -> b
-            pairs.append((lo, (lo[0] + eps, lo[1])))  # b -> b - eps
-            pairs.append(((lo[0] - eps, lo[1]), lo))  # b + eps -> b
-    return pairs
-
-
 def _offset(gap, coef, base):
     """Halve ``base`` until ``coef * eps`` stays below ``gap`` > 0."""
     eps = base
@@ -617,7 +600,7 @@ def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
     if mu.capacity is not None:
         # construction already validated the table; re-assert cheaply
         return AxiomReport("pass", (), "exact")
-    if mu.kind == "two-point" and mu.params.scaled is not None:
+    if mu.kind == "two-point":
         found = tuple(_two_point_violations(mu))
         return AxiomReport("fail" if found else "pass", found, "exact")
     if mu.parts and all(
@@ -665,57 +648,35 @@ def _shrunk_pairs(mu: RiskMeasure, pairs) -> list:
 
 
 def verify_axioms(
-    mu: RiskMeasure,
-    mode: str = "auto",
-    samples: int = 200,
-    seed: int = 0,
+    mu: RiskMeasure, seed: int = 0, *, samples: int = AXIOM_SAMPLES
 ) -> AxiomReport:
     """Check monotonicity, translation invariance and normedness.
 
-    Capacity-convertible measures are checked exactly: the Capacity
-    constructor has already enforced normalization and monotone covers, so
-    the verdict is immediate.  A two-point family member is decided exactly
-    by a census of the affine pieces of its formula
-    (``_two_point_violations``) iff it holds its parameters as integers
-    (``TwoPointParams.scaled`` is not None: every weight, slope, finite
-    shift and knot an ``int`` or a ``Fraction``), on any space; a member
-    with a float parameter is probed, and its report says ``sampled``.
-    Every member the CLI loads is censused.  An exact verdict
-    is held on the measure (``RiskMeasure.exact_report``), so the census
-    runs once per member however often the gate and ``breakpoints`` ask.  A max, min or mixture
-    whose parts all pass exactly passes exactly too: max, min and convex
-    combinations keep the three axioms.  Everything else, a combination
-    with a failing or unstructured part included, and every measure in
-    ``mode="sampled"``, is probed by ``probe_axioms``, the prober
-    ``verify_coupling`` runs on witnesses too: ``samples`` monotone pairs, ``samples // 2`` shifts and
-    four constants, plus, for a family member, 32 pairs across each of its
-    branch boundaries, whose violations name the branches they evaluated,
-    and, for a combination in ``mode="auto"``, the monotone pairs of each
-    failing part's exact census, shrunk until the combination drops across
-    them (``_shrunk_pairs``).  Discovered violations carry re-checkable
-    witnesses either way.
-    """
-    if mode not in ("auto", "exact", "sampled"):
-        raise InvalidParams(f"unknown verification mode {mode!r}")
-    if mode != "sampled":
-        report = mu.exact_report
-        if report is not None:
-            return report
-    if mode == "exact":
-        raise InvalidParams(
-            "exact verification needs a capacity-convertible measure, a "
-            "two-point family member with rational parameters, or a combination "
-            "of measures that pass exactly"
-        )
+    The exact verdict (``RiskMeasure.exact_report``) is returned wherever
+    one exists.  A capacity passes at once: the Capacity constructor has
+    already enforced normalization and monotone covers.  Every two-point
+    family member is decided by a census of the affine pieces of its
+    formula (``_two_point_violations``), on any space: its parameters are
+    exact, ``TwoPointParams.scaled``.  A max, min or mixture whose parts all
+    pass exactly passes exactly too: max, min and convex combinations keep
+    the three axioms.  The verdict is held on the measure, so the census
+    runs once per member however often the gate and ``breakpoints`` ask.
 
-    pairs = ()
-    if mu.kind == "two-point":
-        pairs = _two_point_boundary_pairs(mu, random.Random(seed))
-    elif mode == "auto":
-        pairs = _shrunk_pairs(mu, _failing_part_pairs(mu))
+    Everything else, a black box, a pushforward or a combination with one
+    of them or with a failing part, is probed by ``probe_axioms``, the
+    prober ``verify_coupling`` runs on witnesses too, on ``seed``:
+    ``samples`` monotone pairs, ``samples // 2`` shifts and four constants,
+    plus the monotone pairs of each failing part's exact census, shrunk
+    until the combination drops across them (``_shrunk_pairs``).  Every
+    caller in the package probes at ``AXIOM_SAMPLES``; the benchmark's
+    single-call timings (``bench/baselines.py``) pass ``samples``.
+    Discovered violations carry re-checkable witnesses either way.
+    """
+    report = mu.exact_report
+    if report is not None:
+        return report
+    pairs = _shrunk_pairs(mu, _failing_part_pairs(mu))
     found = probe_axioms(partial(evaluate_values, mu), mu.space, seed, samples, pairs)
-    if mu.kind == "two-point":
-        found = [_with_branches(mu.params, v) for v in found]
     return sampled_report(found, seed, samples)
 
 
@@ -833,18 +794,20 @@ def equal_measures(mu1: RiskMeasure, mu2: RiskMeasure, seed: int = 0) -> Equalit
     """Functional equality.
 
     Capacity-convertible pairs compare tables (indicators separate distinct
-    capacities, so table equality decides).  Other pairs run the probe grid:
-    a disagreement yields "no" with the separating function; agreement on
-    the whole grid is only "undecided" because the family of probes is not
-    exhaustive for unstructured measures.
+    capacities, so table equality decides), each entry's integer times the
+    other's scale, so neither ``Fraction`` table is built.  Other pairs run
+    the probe grid: a disagreement yields "no" with the separating
+    function; agreement on the whole grid is only "undecided" because the
+    family of probes is not exhaustive for unstructured measures.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
     space = mu1.space
     c1, c2 = mu1.capacity, mu2.capacity
     if c1 is not None and c2 is not None:
-        for mask in range(1 << space.n):
-            if c1.table[mask] != c2.table[mask]:
+        s1, s2 = c1.scale, c2.scale
+        for mask, (x1, x2) in enumerate(zip(c1.scaled, c2.scaled)):
+            if x1 * s2 != x2 * s1:
                 return EqualityResult("no", PointFunction.indicator(space, mask).values)
         return EqualityResult("yes")
     for values in probe_grid(space, seed, EQUALITY_PROBES):

@@ -2,10 +2,14 @@
 
 Every quantity is computed as a :class:`fractions.Fraction` (or an ``int``)
 so that metric audits can distinguish genuine counterexamples from rounding
-noise; a float appears only as a two-point shift of ``±inf`` or as a
-parameter a Python caller gives as a float.  ``format_scalar`` prints a
-scalar exactly, or, while ``FLOAT_OUTPUT`` is set (the CLI's ``--mode
-float``), as the nearest float.
+noise.  The CLI parses every JSON number to a ``Fraction`` (``parse_scalar``).
+A float that a Python caller gives, as a capacity entry, a two-point
+parameter or a two-point input, is lifted to the ``Fraction`` it equals on
+construction, and a NaN is refused; so a float is held only as a two-point
+shift of ``±inf``.  The float weights of an expectation or a mixture are
+the one exception: they are summed and checked as floats before the lift.
+``format_scalar`` prints a scalar exactly, or, while ``FLOAT_OUTPUT`` is
+set (the CLI's ``--mode float``), as the nearest float.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ measures with given marginals (V. Strassen, The existence of probability
 measures with given marginals, Ann. Math. Statist. 36 (1965) 423-439) in
 its finite form.  The same question is also decided as a max-flow
 feasibility problem with exact rational arithmetic; the two deciders must
-agree on every instance.
+agree on every instance up to ``MAX_CAPACITY_POINTS`` points, and past
+that guard the flow decides alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .capacity import MAX_CAPACITY_POINTS
 from .ensembles import random_capacity_measure, random_simplex
 from .errors import CouplingFailure, InvalidParams, OracleDisagreement, SpaceMismatch
 from .numerics import Scalar
@@ -107,18 +109,23 @@ def strassen_feasible(
 ) -> bool:
     """Coupling feasibility for probability marginals inside S.
 
-    Runs both the subset-exhaustion and the flow decider and insists they
-    agree; a disagreement is a build-blocking bug, not a verdict.
+    Runs the flow decider and, up to ``MAX_CAPACITY_POINTS`` points, the
+    subset exhaustion too, and insists they agree; a disagreement is a
+    build-blocking bug, not a verdict.  Past the guard the 2^n subsets are
+    left out, as capacity tables and probe grids leave them out, and the
+    flow decides alone.
     """
     if p.space != q.space:
         raise SpaceMismatch("probability vectors live on different spaces")
-    by_subsets = _subset_condition(p, q, s)
     by_flow = _flow_condition(p, q, s)
+    if p.space.n > MAX_CAPACITY_POINTS:
+        return by_flow
+    by_subsets = _subset_condition(p, q, s)
     if by_subsets != by_flow:
         raise OracleDisagreement(
             f"subset exhaustion says {by_subsets}, flow says {by_flow}"
         )
-    return by_subsets
+    return by_flow
 
 
 def winf_distance(p: ProbabilityVector, q: ProbabilityVector) -> Scalar:

@@ -28,7 +28,7 @@ The table is reproduced as printed, and the family it defines is not
 monotone for every valid parameter set.  The branch tests depend on phi only
 through t = phi1 - phi0, so mu(phi) = phi0 + g(t) with g piecewise linear,
 and mu is monotone iff g is continuous with every slope in [0, 1].
-``measures.verify_axioms`` decides each exact member (below) this way:
+``measures.verify_axioms`` decides every member (below) this way:
 it reads the affine form of mu on every strip of t between the
 ``breakpoints`` (0, the shape knots and ``branch_boundaries``) from
 evaluations, and reports each jump of g and each slope outside [0, 1] with
@@ -51,23 +51,26 @@ instead the one that fits the uncovered region, where the max picks phi1 and
 the min picks phi0.  Whether that misprint is in the paper or in the
 transcription of its table is unsettled: only the abstract is at hand.
 
-Exact evaluation.  A member whose weights, slopes, finite shifts and knots
-are all ``int``s or ``Fraction``s is exact.  It builds its parameters once
-as integers, ``TwoPointParams.scaled``: with D the least common denominator
-of the weights, the finite shifts and the knots, and E that of the slopes,
-the weights times D*E, the finite shifts, the two branch boundaries, the
-five branch weights and the knot positions times D, and each shape piece as
-an integer line.  One integer core, ``scaled_eval``, takes phi0 and phi1 as
-ints on the scale D*q for a common denominator q and does the max and min,
-the branch comparisons, the knot search and the shape term on ints; it
-returns the value's numerator over D*D*E*q and the branch.  Two callers
-share it.  ``two_point_eval`` brings ``int`` or ``Fraction`` inputs onto
-their q and builds one ``Fraction`` from the numerator, equal to the
-formula's value.  The axiom census of ``measures.verify_axioms`` fixes
-q = 3 and compares the numerators themselves.  No float is mixed into
-this arithmetic: an infinite shift never wins its max or min and decides
-its comparison alone.  A member with a float parameter, which only a
-Python caller can give, and float inputs take the formula as written.
+Exact evaluation.  Every member is exact.  ``ShapeFunction`` and
+``TwoPointParams`` lift each float parameter, which only a Python caller
+can give, to the ``Fraction`` it equals on construction, as ``Capacity``
+does with its entries: the weights must then sum to exactly 1, a NaN is
+refused, and only a shift of ``±inf`` stays a float.  A member builds its
+parameters once as integers, ``TwoPointParams.scaled``: with D the least
+common denominator of the weights, the finite shifts and the knots, and E
+that of the slopes, the weights times D*E, the finite shifts, the two
+branch boundaries, the five branch weights and the knot positions times
+D, and each shape piece as an integer line.  One integer core,
+``scaled_eval``, takes phi0 and phi1 as ints on the scale D*q for a
+common denominator q and does the max and min, the branch comparisons,
+the knot search and the shape term on ints; it returns the value's
+numerator over D*D*E*q and the branch.  Two callers share it.
+``two_point_eval`` lifts a float input as the constructors lift a
+parameter, brings both inputs onto their q and builds one ``Fraction``
+from the numerator, equal to the formula's value.  The axiom census of
+``measures.verify_axioms`` fixes q = 3 and compares the numerators
+themselves.  No float is mixed into this arithmetic: an infinite shift
+never wins its max or min and decides its comparison alone.
 """
 
 from __future__ import annotations
@@ -82,7 +85,11 @@ from typing import NamedTuple, Optional
 from .errors import InvalidParams
 from .numerics import NEG_INF, POS_INF, Scalar, is_finite
 
-_RATIONAL = frozenset((int, Fraction))
+
+def _rational(x):
+    """x as the ``Fraction`` it equals, an ``int`` or a ``Fraction`` as
+    given; a NaN or an infinity raises ``ValueError`` or ``OverflowError``."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -92,32 +99,30 @@ class ShapeFunction:
 
     Knots are (t, f(t)) pairs sorted by t; beyond the end knots the last
     segment slopes extend linearly.  A single knot means f is constant 0.
+    A float coordinate is held as the ``Fraction`` it equals.
     """
 
     knots: tuple[tuple[Scalar, Scalar], ...]
 
     def __post_init__(self):
-        ts = [t for t, _ in self.knots]
+        try:
+            knots = tuple([(_rational(t), _rational(y)) for t, y in self.knots])
+        except (ValueError, OverflowError):  # a NaN or an infinity
+            raise InvalidParams("shape knots must be finite") from None
+        object.__setattr__(self, "knots", knots)
+        ts = [t for t, _ in knots]
         if not ts:
             raise InvalidParams("shape function needs at least one knot")
-        if not all(is_finite(x) for knot in self.knots for x in knot):
-            raise InvalidParams("shape knots must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidParams("shape knots must be strictly increasing in t")
         self._validate()
 
     @cached_property
-    def _slopes(self) -> tuple[Scalar, ...]:
-        # derived from the immutable knots once: evaluation is a hot path
-        # lists, not generators, as in ``TwoPointParams.scaled``; rational
-        # differences keep an exact slope, where int / int would be a float
+    def _slopes(self) -> tuple[Fraction, ...]:
+        # derived from the immutable knots once: evaluation is a hot path;
+        # a Fraction, where int / int would be a float
         ks = self.knots
-        slopes = []
-        for (t1, y1), (t2, y2) in zip(ks, ks[1:]):
-            dy, dt = y2 - y1, t2 - t1
-            exact = _RATIONAL.issuperset((type(dy), type(dt)))
-            slopes.append(Fraction(dy, dt) if exact else dy / dt)
-        return tuple(slopes)
+        return tuple([Fraction(y2 - y1, t2 - t1) for (t1, y1), (t2, y2) in zip(ks, ks[1:])])
 
     @cached_property
     def _ts(self) -> tuple[Scalar, ...]:
@@ -173,21 +178,31 @@ class ShapeFunction:
 
 @dataclass(frozen=True)
 class TwoPointParams:
-    """A member's weights (a1..a4), shifts (l1..l4) and shape f; an exact
-    member also holds them as integers over one denominator, ``scaled``."""
+    """A member's weights (a1..a4), shifts (l1..l4) and shape f.  Each
+    float among them but a shift of ``±inf`` is held as the ``Fraction`` it
+    equals, and the member also holds them as integers over one
+    denominator, ``scaled``."""
 
     alphas: tuple[Scalar, Scalar, Scalar, Scalar]
     lambdas: tuple[Scalar, Scalar, Scalar, Scalar]
     shape: ShapeFunction
 
     def __post_init__(self):
-        a = self.alphas
-        tol = 1e-9 if any(isinstance(x, float) for x in a) else 0
+        try:
+            a = tuple([_rational(x) for x in self.alphas])
+        except (ValueError, OverflowError):
+            raise InvalidParams("weights must be finite") from None
+        try:
+            lambdas = tuple([_rational(x) if is_finite(x) else x for x in self.lambdas])
+        except (ValueError, OverflowError):
+            raise InvalidParams("shifts must be numbers or ±inf") from None
+        object.__setattr__(self, "alphas", a)
+        object.__setattr__(self, "lambdas", lambdas)
         if len(a) != 4 or any(x < 0 for x in a):
             raise InvalidParams("weights must be four nonnegative numbers")
-        if abs(sum(a) - 1) > tol:
+        if sum(a) != 1:
             raise InvalidParams("weights must sum to 1")
-        l1, l2, l3, l4 = self.lambdas
+        l1, l2, l3, l4 = lambdas
         if not (l1 <= 0 and l2 <= 0):
             raise InvalidParams("first two shifts must be <= 0")
         if max(l1, l2) != 0:
@@ -198,27 +213,12 @@ class TwoPointParams:
             raise InvalidParams("min of the last two shifts must be 0")
 
     @cached_property
-    def _branch_weights(self) -> tuple[Scalar, ...]:
-        """The shape term's weight on each of the five branches, in order."""
-        a1, a2, a3, a4 = self.alphas
-        return (
-            min(a1, a2),
-            min(a1 + a3 + a4, a2),
-            min(a1 + a3, a2 + a4),
-            min(a1 + a4, a2 + a3),
-            min(a1, a2 + a3 + a4),
-        )
+    def scaled(self) -> "ScaledParams":
+        """The parameters as integers over one denominator, built once.
 
-    @cached_property
-    def scaled(self) -> Optional["ScaledParams"]:
-        """The parameters as integers over one denominator, built once, or
-        None for a member with a float parameter.
-
-        A member is exact when its weights, slopes, finite shifts and knots
-        are all ``int``s or ``Fraction``s.  D is the least common
-        denominator of the weights, the finite shifts and the knots, and E
-        that of the slopes; the module docstring gives the scales.  Not a
-        field: equality and reports see the three fields.
+        D is the least common denominator of the weights, the finite shifts
+        and the knots, and E that of the slopes; the module docstring gives
+        the scales.  Not a field: equality and reports see the three fields.
         """
         alphas, knots, slopes = self.alphas, self.shape.knots, self.shape._slopes
         # lists, not generators: a tuple built from a generator is allocated
@@ -227,14 +227,21 @@ class TwoPointParams:
         # member grew those lists, and peak memory, run after run
         shifts = [x for x in self.lambdas if is_finite(x)]
         coords = [x for knot in knots for x in knot]
-        if not _RATIONAL.issuperset(map(type, (*alphas, *slopes, *shifts, *coords))):
-            return None
         d = lcm(*[x.denominator for x in (*alphas, *shifts, *coords)])
         e = lcm(*[s.denominator for s in slopes])
 
         def on(x, scale=d):
             return x.numerator * (scale // x.denominator)
 
+        a1, a2, a3, a4 = alphas
+        # the shape term's weight on each of the five branches, in order
+        weights = (
+            min(a1, a2),
+            min(a1 + a3 + a4, a2),
+            min(a1 + a3, a2 + a4),
+            min(a1 + a4, a2 + a3),
+            min(a1, a2 + a3 + a4),
+        )
         l1, l2, l3, l4 = self.lambdas
         # c1 is t <= l1 - l2 and c2 is t >= l3 - l4; an infinite shift
         # fixes its comparison
@@ -251,7 +258,7 @@ class TwoPointParams:
                 on(l3) - on(l4) if c2 is None else None,
             ),
             fixed=(c1, c2),
-            weights=tuple([on(w) for w in self._branch_weights]),
+            weights=tuple([on(w) for w in weights]),
             knots=tuple(ts),
             pieces=tuple([
                 (on(y) * e - on(s, e) * t, on(s, e))
@@ -261,7 +268,7 @@ class TwoPointParams:
 
 
 class ScaledParams(NamedTuple):
-    """An exact member's parameters as integers; ``TwoPointParams.scaled``."""
+    """A member's parameters as integers; ``TwoPointParams.scaled``."""
 
     d: int
     scale: int  # D * D * E: a value's denominator is a divisor of scale * q
@@ -284,42 +291,15 @@ class TwoPointValue:
 def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointValue:
     """Evaluate a family member; infinite shifts never win their max/min.
 
-    An exact member at ``int`` or ``Fraction`` inputs is evaluated in
-    ``int`` arithmetic over ``p.scaled``, with one ``Fraction`` built at
-    the end; any float, a parameter or an input, takes the formula as
-    written.  Both pick the same branch: branch 5's own
-    condition (not c1, strictly not c2) implies branch 4's, so its weight
-    applies only in the uncovered region where both comparisons fail
-    strictly.
+    A float input is lifted to the ``Fraction`` it equals.  phi0 and phi1
+    are brought onto their common denominator q, times D, and evaluated by
+    ``scaled_eval`` in ``int`` arithmetic over ``p.scaled``, with one
+    ``Fraction`` built at the end.  Branch 5's own condition (not c1,
+    strictly not c2) implies branch 4's, so its weight applies only in the
+    uncovered region where both comparisons fail strictly.
     """
     k = p.scaled
-    if k is not None and type(phi0) in _RATIONAL and type(phi1) in _RATIONAL:
-        return _exact_eval(k, phi0, phi1)
-    a1, a2, a3, a4 = p.alphas
-    l1, l2, l3, l4 = p.lambdas
-    total = a1 * phi0 + a2 * phi1
-    if a3 == 0 and a4 == 0:
-        branch = 1
-    else:
-        hi0, hi1 = phi0 + l1, phi1 + l2  # the max term's arguments
-        lo0, lo1 = phi0 + l3, phi1 + l4  # the min term's arguments
-        if a3 != 0:
-            total += a3 * max(hi0, hi1)  # finite: at least one shift is 0
-        if a4 != 0:
-            total += a4 * min(lo0, lo1)
-        if hi0 >= hi1:  # c1
-            branch = 2 if lo0 <= lo1 else 3
-        else:
-            branch = 4 if lo0 >= lo1 else 5
-    weight = p._branch_weights[branch - 1]
-    if weight != 0:
-        total += weight * p.shape(phi1 - phi0)
-    return TwoPointValue(total, branch, branch == 5)
-
-
-def _exact_eval(k: ScaledParams, phi0, phi1) -> TwoPointValue:
-    """``two_point_eval`` on ints: phi0 and phi1 over their common
-    denominator q, times D, evaluated by ``scaled_eval``."""
+    phi0, phi1 = _rational(phi0), _rational(phi1)
     d0, d1 = phi0.denominator, phi1.denominator
     q = d0 if d0 == d1 else lcm(d0, d1)
     total, branch = scaled_eval(
@@ -369,8 +349,7 @@ def branch_boundaries(p: TwoPointParams) -> list[Scalar]:
     """Finite values of phi1 - phi0 where the branch table can switch.
 
     The comparisons depend on phi only through the difference, switching at
-    l1 - l2 and l3 - l4.  The exact axiom check breaks g at these points,
-    and the sampled one aims monotone pairs across them.
+    l1 - l2 and l3 - l4, where the axiom census breaks g.
     """
     out = []
     l1, l2, l3, l4 = p.lambdas

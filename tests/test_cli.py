@@ -415,6 +415,29 @@ class TestOracle:
         assert code == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_winf_past_the_table_guard_decides_by_the_flow(self, tmp_path, capsys, monkeypatch):
+        # on 13 points the 2^13 subsets are left out, and the flow decides
+        import riskdist.oracles
+
+        def exhaust(*args):
+            raise AssertionError("subset exhaustion past the guard")
+
+        monkeypatch.setattr(riskdist.oracles, "_subset_condition", exhaust)
+        n = 13
+        labels = [f"p{i}" for i in range(n)]
+        space = {"points": labels, "dist": [[abs(i - j) for j in range(n)] for i in range(n)]}
+        ends = [[1] + [0] * (n - 1), [0] * (n - 1) + [1]]
+        code = main(
+            [
+                "oracle", "winf",
+                "--space", write(tmp_path, "path13.json", space),
+                "--measure", json.dumps({"weights": ends[0]}),
+                "--measure", json.dumps({"weights": ends[1]}),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "12"
+
     def test_cross_check(self, space_file, capsys):
         code = main(
             [

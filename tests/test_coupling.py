@@ -666,7 +666,7 @@ class TestTwoPointTier:
         assert verdict.certificate["psi"][1] > 30
         assert_certificate_rechecks(mu1, mu2, s, verdict.certificate)
 
-    def test_black_boxes_gaps_and_float_parameters_stay_sampled(self, two_point):
+    def test_black_boxes_and_gaps_stay_sampled_and_float_parameters_do_not(self, two_point):
         from test_twopoint import member
 
         half = (F(1, 2), F(1, 2), F(0), F(0))
@@ -677,10 +677,12 @@ class TestTwoPointTier:
         assert rd.admissible(shadow(mu), other, full).tier == "witness-found"
         gap = Relation.from_pairs(two_point, two_point, [(0, 0), (0, 1)])
         assert rd.admissible(mu, other, gap).tier in ("witness-found", "refutation-sampled")
+        # a member given float parameters holds them as Fractions, and has
+        # breakpoints like any member that passes its census
         p = rd.TwoPointParams((0.5, 0.5, 0.0, 0.0), (0.0,) * 4, rd.ShapeFunction.zero())
         mu = rd.two_point_measure(two_point, p)
         verdict = rd.admissible(mu, mu, sublevel_relation(two_point, 0))
-        assert verdict.tier == "witness-found"
+        assert verdict.tier == "exact-two-point" and verdict.feasible
 
 
 def seam_pairs(space, rng):

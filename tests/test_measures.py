@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -6,7 +7,14 @@ import riskdist as rd
 from riskdist.capacity import Capacity
 from riskdist.ensembles import derive_rng, random_capacity, random_measure
 from riskdist.errors import SpaceMismatch
-from riskdist.measures import EVAL_MEMO_SIZE, evaluate_values, separating_pairs
+from riskdist.io import load_measure
+from riskdist.measures import (
+    AXIOM_SAMPLES,
+    EVAL_MEMO_SIZE,
+    evaluate_values,
+    probe_axioms,
+    separating_pairs,
+)
 from riskdist.space import left_projection_map, product_space
 
 F = Fraction
@@ -113,7 +121,8 @@ class TestVerifyAxioms:
             rd.lattice_min(parts),
             rd.mixture((F(1, 4), F(1, 4), F(1, 2)), parts),
         ):
-            assert rd.verify_axioms(combo, mode="sampled", seed=8).ok
+            evaluate = partial(evaluate_values, combo)
+            assert not probe_axioms(evaluate, cycle4, 8, AXIOM_SAMPLES)
 
     def test_combinations_of_exact_parts_pass_exactly(self, cycle4, two_point):
         rng = derive_rng(7, "exact-combos")
@@ -121,13 +130,13 @@ class TestVerifyAxioms:
         hi, lo = rd.lattice_max(parts), rd.lattice_min(parts[:2])
         nested = rd.mixture((F(1, 3), F(2, 3)), (hi, rd.lattice_max([lo, parts[2]])))
         for combo in (hi, lo, nested):
-            report = rd.verify_axioms(combo, mode="exact")
+            report = rd.verify_axioms(combo)
             assert report.ok and report.method == "exact" and not report.violations
-        # a black-box part leaves only probing, and mode="exact" refuses
+        # a black-box part leaves only probing
         boxed = rd.lattice_max([parts[0], rd.black_box(cycle4, parts[1].capacity.choquet)])
-        assert rd.verify_axioms(boxed, seed=2).method.startswith("sampled")
-        with pytest.raises(rd.InvalidParams):
-            rd.verify_axioms(boxed, mode="exact")
+        assert boxed.exact_report is None
+        report = rd.verify_axioms(boxed, seed=2)
+        assert report.method == f"sampled(seed=2, count={AXIOM_SAMPLES})"
         # a family member that fails its census also sends the max to probing
         params = rd.TwoPointParams(
             (F(1, 4), F(5, 24), F(1, 3), F(5, 24)),
@@ -284,6 +293,22 @@ class TestEquality:
         assert rd.equal_measures(
             rd.choquet_measure(cap), rd.choquet_measure(cap)
         ).status == "yes"
+
+    def test_loaded_capacities_compare_without_their_fraction_tables(self, p3):
+        specs = [
+            {"type": "expectation", "weights": ["1/2", "1/4", "1/4"]},
+            {"type": "expectation", "weights": ["2/4", "1/4", "1/4"]},
+            {"type": "expectation", "weights": ["1/2", "1/3", "1/6"]},
+        ]
+        mu, same, other = (load_measure(spec, p3) for spec in specs)
+        assert rd.equal_measures(mu, same).status == "yes"
+        eq = rd.equal_measures(mu, other)
+        # {b} is the first subset whose masses differ: 1/4 against 1/3
+        assert eq.status == "no" and eq.witness == (0, 1, 0)
+        for m in (mu, same, other):
+            assert "table" not in vars(m.capacity)
+        # the verdicts are the tables' verdicts
+        assert mu.capacity.table == same.capacity.table != other.capacity.table
 
     def test_family_member_matching_point_mass_is_undecided(self, two_point):
         params = rd.TwoPointParams(

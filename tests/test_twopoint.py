@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,6 +9,7 @@ import riskdist as rd
 from riskdist.ensembles import derive_rng, random_measure, random_two_point_params
 from riskdist.errors import InvalidParams
 from riskdist.measures import (
+    AXIOM_SAMPLES,
     Violation,
     _offset,
     _two_inside,
@@ -14,6 +17,7 @@ from riskdist.measures import (
     _with_branches,
     evaluate_values,
     normal_forms,
+    probe_axioms,
 )
 from riskdist.numerics import NEG_INF, POS_INF
 from riskdist.twopoint import branch_boundaries, breakpoints, scaled_eval, two_point_eval
@@ -32,6 +36,37 @@ def family_stream(count):
     """The first ``count`` parameter sets of criterion 09's stream."""
     rng = derive_rng(909, "family")
     return [random_two_point_params(rng) for _ in range(count)]
+
+
+def boundary_pairs(p, rng):
+    """Monotone pairs straddling the branch boundaries of a family member.
+
+    Random probing rarely lands on the measure-zero switching lines, so the
+    prober aims pairs (phi, phi + small bump) across each finite boundary b
+    of the difference phi1 - phi0.  Raising phi1 crosses b upwards and
+    catches a value that drops; raising phi0 crosses it downwards and
+    catches a value that jumps up by more than the bump.
+    """
+    pairs = []
+    eps = F(1, 10)
+    for delta in branch_boundaries(p):
+        for _ in range(8):
+            base = F(rng.randint(-12, 12), 4)
+            lo = (base, base + delta)
+            pairs.append((lo, (lo[0], lo[1] + eps)))  # b -> b + eps
+            pairs.append(((lo[0], lo[1] - eps), lo))  # b - eps -> b
+            pairs.append((lo, (lo[0] + eps, lo[1])))  # b -> b - eps
+            pairs.append(((lo[0] - eps, lo[1]), lo))  # b + eps -> b
+    return pairs
+
+
+def probe_member(mu, seed, samples=AXIOM_SAMPLES):
+    """The violations ``probe_axioms`` finds on a family member with 32
+    extra pairs across each branch boundary, each naming the branches it
+    evaluated: an oracle for the census, independent of its breakpoints."""
+    pairs = boundary_pairs(mu.params, random.Random(seed))
+    found = probe_axioms(partial(evaluate_values, mu), mu.space, seed, samples, pairs)
+    return [_with_branches(mu.params, v) for v in found]
 
 
 def assert_rechecks(report, p):
@@ -122,6 +157,20 @@ class TestParamValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidParams):
             params((F(1, 2), F(1, 2), F(1, 2), F(0)))
+
+    def test_float_weights_must_sum_to_one_exactly(self):
+        # 0.1 + 0.2 + 0.3 + 0.4 == 1.0 in float arithmetic, but the four
+        # floats are binary fractions whose exact sum is not 1
+        assert 0.1 + 0.2 + 0.3 + 0.4 == 1
+        with pytest.raises(InvalidParams, match="weights must sum to 1"):
+            params((0.1, 0.2, 0.3, 0.4))
+
+    def test_nan_parameters_are_refused(self):
+        nan = float("nan")
+        with pytest.raises(InvalidParams):
+            params((nan, F(1), F(0), F(0)))
+        with pytest.raises(InvalidParams):
+            params((F(1), F(0), F(0), F(0)), (F(0), nan, F(0), F(0)))
 
     def test_shift_signs(self):
         with pytest.raises(InvalidParams):
@@ -225,11 +274,11 @@ class TestBranchTableDefect:
             (F(-1), F(0), F(0), F(0)),
             rd.ShapeFunction.identity(),
         )
-        mu = rd.two_point_measure(two_point, p)
-        report = rd.verify_axioms(mu, mode="sampled", seed=1)
-        assert not report.ok
-        assert report.method == "sampled(seed=1, count=200)"
-        mono = [v for v in report.violations if v.axiom == "monotonicity"]
+        mono = [
+            v
+            for v in probe_member(rd.two_point_measure(two_point, p), seed=1)
+            if v.axiom == "monotonicity"
+        ]
         assert mono
         assert any(
             not v.witness["lo_eval"].gap and not v.witness["hi_eval"].gap
@@ -266,8 +315,8 @@ class TestBranchTableDefect:
             base = random_two_point_params(rng)
             p = rd.TwoPointParams(base.alphas, ZEROS, base.shape)
             mu = rd.two_point_measure(two_point, p)
-            assert rd.verify_axioms(mu, samples=300, seed=7).ok
-            assert rd.verify_axioms(mu, mode="sampled", samples=300, seed=7).ok
+            assert rd.verify_axioms(mu, seed=7).ok
+            assert not probe_member(mu, seed=7, samples=300)
 
 
 class TestBranchTable:
@@ -395,20 +444,20 @@ class TestExactTier:
         space = rd.validate_metric(["x", "y"], [[0, 2.5], [2.5, 0]])
         assert space.d(0, 1) == F(5, 2)
         mu = rd.two_point_measure(space, params((F(1, 4),) * 4))
-        report = rd.verify_axioms(mu, samples=50, seed=3)
+        report = rd.verify_axioms(mu, seed=3)
         assert report.ok and report.method == "exact"
-        assert report == rd.verify_axioms(mu, mode="exact")
+        assert report is mu.exact_report
 
-    def test_exact_mode_decides_family_members(self, two_point):
+    def test_family_members_are_decided_exactly(self, two_point):
         sound = params((F(1, 4), F(1, 4), F(1, 4), F(1, 4)), shape=rd.ShapeFunction.identity())
-        report = rd.verify_axioms(rd.two_point_measure(two_point, sound), mode="exact")
+        report = rd.verify_axioms(rd.two_point_measure(two_point, sound))
         assert report.ok and report.method == "exact"
         slope = rd.TwoPointParams(
             (F(1, 4), F(1, 4), F(1, 4), F(1, 4)),
             (NEG_INF, F(0), F(0), F(0)),
             rd.ShapeFunction.identity(),
         )
-        report = rd.verify_axioms(rd.two_point_measure(two_point, slope), mode="exact")
+        report = rd.verify_axioms(rd.two_point_measure(two_point, slope))
         assert not report.ok and report.method == "exact"
         assert_rechecks(report, slope)
 
@@ -537,20 +586,21 @@ def exact_defects(report, p):
 
 
 def test_sampled_tier_agrees_with_the_exact_tier(two_point):
-    """The sampled probes, run as an oracle on a prefix of criterion 09's
-    stream, never fail a set the exact tier passes, and each of their
-    violations re-checks inside a defect the exact tier reports."""
+    """The sampled probes (``probe_member``), run as an oracle on a prefix
+    of criterion 09's stream, never fail a set the exact tier passes, and
+    each of their violations re-checks inside a defect the exact tier
+    reports."""
     failed = 0
     for index, p in enumerate(family_stream(40)):
         mu = rd.two_point_measure(two_point, p)
         exact = rd.verify_axioms(mu, seed=index)
-        sampled = rd.verify_axioms(mu, mode="sampled", samples=1000, seed=index)
-        if sampled.ok:
+        sampled = probe_member(mu, seed=index, samples=1000)
+        if not sampled:
             continue
         failed += 1
-        assert not exact.ok, (p, sampled.violations)
+        assert not exact.ok, (p, sampled)
         defects = exact_defects(exact, p)
-        for v in sampled.violations:
+        for v in sampled:
             _, lo, hi, _ = recheck_two_point_violation(v, p)
             assert any(d.meets(lo, hi) for d in defects), (p, v, defects)
     assert failed >= 10
@@ -585,7 +635,9 @@ def reference_two_point_eval(p, phi0, phi1):
 
 
 def as_float_params(p):
-    """p with every number a float, or None when rounding breaks a check."""
+    """p with every number a float, or None when rounding breaks a check:
+    each float is held as the ``Fraction`` it equals, so a weight that
+    rounds, such as 1/3, leaves weights that do not sum to 1."""
     try:
         return rd.TwoPointParams(
             tuple(map(float, p.alphas)),
@@ -621,8 +673,6 @@ def test_two_point_eval_matches_the_reference_formula():
     cases += [(q, True) for q in map(as_float_params, exact) if q is not None]
     branches = set()
     for p, floats in cases:
-        # the kernel takes every exact member and no float one
-        assert (p.scaled is None) == floats
         knots = p.shape.knots
         ts = [F(rng.randint(-24, 24), 4) for _ in range(4)]
         for b in branch_boundaries(p):
@@ -641,7 +691,8 @@ def test_two_point_eval_matches_the_reference_formula():
             if floats:
                 phi0, phi1 = float(phi0), float(phi1)
             got = two_point_eval(p, phi0, phi1)
-            value, branch, gap = reference_two_point_eval(p, phi0, phi1)
+            # a float input is evaluated as the Fraction it equals
+            value, branch, gap = reference_two_point_eval(p, F(phi0), F(phi1))
             assert type(got.value) is type(value) and got.value == value, (p, phi0, phi1)
             assert repr(got.value) == repr(value)
             assert (got.branch, got.gap) == (branch, gap)
@@ -746,19 +797,41 @@ def test_census_matches_the_fraction_census(two_point):
 
 
 class TestCensusScope:
-    """The census runs iff a member holds its parameters as integers."""
+    """Every member is censused, whatever number types its parameters are
+    given in: each float is held as the ``Fraction`` it equals."""
 
-    def test_float_parameters_on_an_exact_space_are_probed(self, two_point):
+    def test_float_parameters_on_an_exact_space_are_censused(self, two_point):
         p = rd.TwoPointParams((0.25,) * 4, (NEG_INF, 0.0, 0.0, 0.0), rd.ShapeFunction.identity())
-        assert p.scaled is None
         mu = rd.two_point_measure(two_point, p)
-        assert mu.exact_report is None and mu.breakpoints is None
-        # branch 4's slope defect, which the census reported as exact from
-        # float arithmetic, is now found by the probes
+        # branch 4's slope defect, decided by the census
         report = rd.verify_axioms(mu, seed=3)
-        assert not report.ok and report.method == "sampled(seed=3, count=200)"
-        with pytest.raises(InvalidParams):
-            rd.verify_axioms(mu, mode="exact")
+        assert not report.ok and report.method == "exact"
+        assert report is mu.exact_report and mu.breakpoints is None
+        assert_rechecks(report, p)
+
+    def test_a_float_member_equals_its_fraction_twin(self, two_point):
+        identity = rd.ShapeFunction.identity()
+        floats = rd.TwoPointParams((0.25,) * 4, (NEG_INF, 0.0, 0.0, 0.0), identity)
+        twin = rd.TwoPointParams((F(1, 4),) * 4, (NEG_INF, F(0), F(0), F(0)), identity)
+        assert floats == twin
+        assert all(type(x) is F for x in (*floats.alphas, *floats.lambdas[1:]))
+        assert floats.scaled == twin.scaled
+        report = rd.two_point_measure(two_point, floats).exact_report
+        assert report == rd.two_point_measure(two_point, twin).exact_report
+        assert not report.ok and report.method == "exact"
+        # the defect of class C: branch 4's slope passes 1
+        assert {d.cls for d in two_point_census(twin)} == {"C"}
+        for phi0, phi1 in ((0.5, -1.0), (0.1, 0.3), (-2.75, 7.0), (3.0, 3.0)):
+            got = two_point_eval(floats, phi0, phi1)
+            assert got == two_point_eval(twin, F(phi0), F(phi1))
+            assert type(got.value) is F
+
+    def test_float_knots_are_held_as_their_fractions(self):
+        knots = ((-2.5, -1.25), (0.0, 0.0), (0.1, 0.0), (3.0, 2.9))
+        shape = rd.ShapeFunction(knots)
+        assert shape.knots == tuple((F(t), F(y)) for t, y in knots)
+        assert all(type(x) is F for knot in shape.knots for x in knot)
+        assert all(type(s) is F for s in shape._slopes)
 
     def test_int_weights_are_censused_as_fractions(self, two_point):
         for weights in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
