@@ -20,20 +20,18 @@ VaR, CVaR, mixtures, the 0/1 capacities and JSON tables compute their
 entries times D in ``int`` arithmetic (VaR and CVaR from the probability's
 integer subset sums), and the normalization, monotone-cover and
 null-point checks run once, on those integers.  ``table``, each entry as
-the ``Fraction`` it equals, typed as the Fraction arithmetic of the
-definitions types it, is built the first time something reads it: a
-certificate, equality, hashing, ``repr`` or the ``Fraction`` loop of a
-Choquet integral; the distance ladder reads none.  A table given by its
-values (``Capacity(space, table)``, a pushforward) is scaled once on
-construction and checked the same way.  Fractions appear at the JSON edge,
-where a ``choquet`` spec's distinct entries are parsed, and in ``table``.
-The coupling module compares two tables as their ``scaled`` integers lifted
-to one common scale, and a Choquet integral of ``int`` values sums its
-layers in ``int`` and builds a single ``Fraction`` at the end.
-``Fraction`` or mixed values take the ``Fraction`` loop.  A float entry,
-which only a Python caller can give, is lifted to the ``Fraction`` it
-equals on construction, so no comparison of two tables is a float
-comparison.
+the ``Fraction`` it equals, is built the first time something reads it: a
+certificate, equality, hashing or ``repr``; the distance ladder reads
+none.  A table given by its values (``Capacity(space, table)``, a
+pushforward) is lifted (``numerics.rational``: a float entry, which only a
+Python caller can give, becomes the ``Fraction`` it equals), scaled once
+on construction and checked the same way.  Weights are lifted the same
+way before any sum, so no sum or comparison of the module is a float one.
+Fractions appear at the JSON edge, where a ``choquet`` spec's distinct
+entries are parsed, and in ``table``.  The coupling module compares two
+tables as their ``scaled`` integers lifted to one common scale, and a
+Choquet integral sums its layers over ``scaled`` and divides by the scale
+once at the end.
 """
 
 from __future__ import annotations
@@ -46,14 +44,10 @@ from operator import itemgetter, le
 from typing import Sequence
 
 from .errors import InputFormatError, InvalidParams, SpaceMismatch
-from .numerics import Scalar
+from .numerics import Scalar, rational
 from .space import FiniteMetricSpace, PointFunction
 
 MAX_CAPACITY_POINTS = 12  # 2^n table guard
-
-_INT = frozenset((int,))
-_FRACTION = frozenset((Fraction,))
-_RATIONAL = frozenset((int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -68,49 +62,33 @@ class Capacity:
 
     A capacity the package builds is born as those integers
     (``_of_scaled``) and checked on them; its ``table`` is built the first
-    time something reads it, each entry the ``Fraction`` it equals (the
-    empty set's the ``int`` 0 where the Fraction formula gives that), so
-    equality, hashing and ``repr``, which read ``table``, see what
+    time something reads it, each entry the ``Fraction`` it equals, so
+    equality and hashing, which read ``table``, see what
     ``Capacity(space, table)`` of the same values sees.
     """
 
     space: FiniteMetricSpace
     table: tuple[Scalar, ...]
 
-    #: the empty set's entry of a lazily built table, when not Fraction(0)
-    _empty = None
-
     def __post_init__(self):
         n = self.space.n
         check_points(n)
-        table = self.table
-        if len(table) != 1 << n:
+        if len(self.table) != 1 << n:
             raise InvalidParams("capacity table must have 2^n entries")
-        if not _RATIONAL.issuperset(map(type, table)):
-            try:
-                table = tuple([x if type(x) in _RATIONAL else Fraction(x) for x in table])
-            except (ValueError, OverflowError):  # a NaN or an infinity
-                raise InvalidParams("capacity entries must be finite") from None
-            object.__setattr__(self, "table", table)
+        table = tuple([rational(x, "capacity entries must be finite") for x in self.table])
+        object.__setattr__(self, "table", table)
         scale = lcm(*[x.denominator for x in table])
-        scaled = tuple([x.numerator * (scale // x.denominator) for x in table])
-        # the integer sum gives a Fraction for any nonzero layer, which the
-        # Fraction loop does only if every entry a layer can read (a proper
-        # nonempty subset) is a Fraction
-        self._check(scaled, scale, _FRACTION.issuperset(map(type, table[1:-1])))
+        self._check(tuple([x.numerator * (scale // x.denominator) for x in table]), scale)
 
     @classmethod
-    def _of_scaled(cls, space, scaled: tuple, scale: int, empty=None) -> "Capacity":
+    def _of_scaled(cls, space, scaled: tuple, scale: int) -> "Capacity":
         """The capacity with entries scaled[B] / scale, where ``scale`` is
         their least common denominator and ``scaled`` has an entry per
         subset of the space, checked on those ints.  Its table is built
-        when first read, with ``empty``, when given, as the empty set's
-        entry."""
+        when first read."""
         cap = object.__new__(cls)
         object.__setattr__(cap, "space", space)
-        if empty is not None:
-            object.__setattr__(cap, "_empty", empty)
-        cap._check(scaled, scale, True)
+        cap._check(scaled, scale)
         return cap
 
     def __getattr__(self, name):
@@ -121,12 +99,10 @@ class Capacity:
         scaled, scale = self.scaled, self.scale
         value = {s: Fraction(s, scale) for s in set(scaled)}
         table = tuple(map(value.__getitem__, scaled))
-        if self._empty is not None:
-            table = (self._empty, *table[1:])
         object.__setattr__(self, "table", table)
         return table
 
-    def _check(self, scaled: tuple, scale: int, int_layers: bool):
+    def _check(self, scaled: tuple, scale: int):
         """Normalization, monotone covers and null points, on the ints."""
         if scaled[0] != 0:
             raise InvalidParams("capacity of the empty set must be 0")
@@ -134,50 +110,35 @@ class Capacity:
             raise InvalidParams("capacity of the full space must be 1")
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_int_layers", scaled if int_layers else None)
         object.__setattr__(self, "null_mask", _null_points(scaled, scale, self.space.n))
 
     def choquet(self, values: Sequence[Scalar]) -> Scalar:
         """Choquet integral by the decreasing-rearrangement sum.
 
         Ties are broken by point index; the sum is tie-independent because
-        equal adjacent values contribute zero-width layers.  Zero-width
-        layers are skipped (v(X) = 1 absorbs the bottom value).
+        equal adjacent values contribute zero-width layers.
 
-        Integer path: when every value is an ``int`` and the capacity is
-        exact, the layers are summed in ``int`` over ``scaled`` and a single
-        ``Fraction`` is built at the end.  It returns what the ``Fraction``
-        loop returns, type included: the bottom value itself when no layer
-        is nonzero, a ``Fraction`` otherwise.  ``Fraction`` or mixed values
-        take that loop.
+        The values are rationals (``int`` or ``Fraction``).  The layers are
+        summed over ``scaled``, in ``int`` for ``int`` values, and divided
+        by the scale once: the result is a ``Fraction``, or, for a constant
+        input, that constant as given.
         """
-        n = self.space.n
-        order = sorted(range(n), key=values.__getitem__, reverse=True)
-        ints = self._int_layers
-        if ints is not None and _INT.issuperset(map(type, values)):
-            bottom = values[order[-1]]
-            if values[order[0]] == bottom:
-                return bottom
-            # summed by parts: each value times what its point adds to the
-            # scaled capacity of the upper set
-            acc = 0
-            mask = 0
-            below = 0
-            for i in order:
-                mask |= 1 << i
-                t = ints[mask]
-                acc += values[i] * (t - below)
-                below = t
-            return Fraction(acc, self.scale)
-        total = values[order[-1]]
-        table = self.table
+        order = sorted(range(self.space.n), key=values.__getitem__, reverse=True)
+        bottom = values[order[-1]]
+        if values[order[0]] == bottom:
+            return bottom
+        # summed by parts: each value times what its point adds to the
+        # scaled capacity of the upper set
+        scaled = self.scaled
+        acc = 0
         mask = 0
-        for rank in range(n - 1):
-            mask |= 1 << order[rank]
-            d = values[order[rank]] - values[order[rank + 1]]
-            if d:
-                total += d * table[mask]
-        return total
+        below = 0
+        for i in order:
+            mask |= 1 << i
+            t = scaled[mask]
+            acc += values[i] * (t - below)
+            below = t
+        return Fraction(acc, self.scale)
 
     def support_mask(self) -> int:
         """Smallest carrier: the points that are not null."""
@@ -299,20 +260,19 @@ def exhaustive_support_mask(v: Capacity) -> int:
 # constructors
 
 
-def _from_ints(space: FiniteMetricSpace, scaled, scale: int, empty=None) -> Capacity:
+def _from_ints(space: FiniteMetricSpace, scaled, scale: int) -> Capacity:
     """The capacity with entries scaled[B] / scale, born as those integers
     over their least common denominator; its table holds each entry as a
-    Fraction, or ``empty``, when given, for the empty set."""
+    Fraction."""
     g = gcd(scale, *scaled)
     if g > 1:
         scale //= g
         scaled = [s // g for s in scaled]
-    return Capacity._of_scaled(space, tuple(scaled), scale, empty)
+    return Capacity._of_scaled(space, tuple(scaled), scale)
 
 
-def _subset_sums(weights: Sequence) -> list:
-    """Entry B is the sum of the weights over B, added in point order from
-    the int 0, as ``sum`` adds them."""
+def _subset_sums(weights: Sequence[int]) -> list:
+    """Entry B is the sum of the weights over B."""
     sums = [0]
     for w in weights:
         sums += [s + w for s in sums]
@@ -321,37 +281,23 @@ def _subset_sums(weights: Sequence) -> list:
 
 def _probability(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> tuple[list, int]:
     """p(B) times D for every subset B, as ints, and D, the least common
-    denominator of the p(B), for a probability vector p.  A float weight
-    makes each p(B) the float sum, lifted to the rational it equals."""
+    denominator of the p(B), for a probability vector p."""
     if len(weights) != space.n:
         raise InvalidParams("weight vector length must match point count")
     check_points(space.n)
-    if _RATIONAL.issuperset(map(type, weights)):
-        scale = lcm(*[w.denominator for w in weights])
-        ints = [w.numerator * (scale // w.denominator) for w in weights]
-        _check_weights(ints, scale)
-        return _subset_sums(ints), scale
-    _check_weights(weights, 1)
-    sums = [Fraction(s) for s in _subset_sums(weights)]
-    scale = lcm(*[s.denominator for s in sums])
-    return [s.numerator * (scale // s.denominator) for s in sums], scale
-
-
-def _check_weights(weights, total):
-    if any(w < 0 for w in weights):
+    weights = [rational(w, "weights must be finite") for w in weights]
+    scale = lcm(*[w.denominator for w in weights])
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    if any(w < 0 for w in ints):
         raise InvalidParams("weights must be nonnegative")
-    if sum(weights) != total:
+    if sum(ints) != scale:
         raise InvalidParams("weights must sum to 1")
+    return _subset_sums(ints), scale
 
 
 def expectation(space: FiniteMetricSpace, weights: Sequence[Scalar]) -> Capacity:
     """Additive capacity v(B) = sum of weights over B."""
-    sums, scale = _probability(space, weights)
-    if _FRACTION.issuperset(map(type, weights)):
-        # the empty sum is the int 0, as sum() gives it
-        return _from_ints(space, sums, scale, empty=0)
-    # int and float weights keep the types their sums have
-    return Capacity(space, tuple(_subset_sums(weights)))
+    return _from_ints(space, *_probability(space, weights))
 
 
 def dirac_capacity(space: FiniteMetricSpace, point: int) -> Capacity:
@@ -406,40 +352,37 @@ def cvar(
     return _from_ints(space, [min(s * b, scale) for s in sums], scale)
 
 
-def check_mixture(weights: Sequence[Scalar], components: Sequence) -> FiniteMetricSpace:
+def check_mixture(
+    weights: Sequence[Scalar], components: Sequence
+) -> tuple[FiniteMetricSpace, list]:
     """Validate convex weights over components on one space (capacities or
-    measures); returns that space."""
+    measures); returns that space and the weights, lifted to rationals."""
     if len(weights) != len(components) or not components:
         raise InvalidParams("need one weight per component")
     space = components[0].space
     if any(c.space != space for c in components):
         raise SpaceMismatch("mixture components live on different spaces")
+    weights = [rational(w, "mixture weights must be finite") for w in weights]
     if any(w < 0 for w in weights):
         raise InvalidParams("mixture weights must be nonnegative")
     if sum(weights) != 1:
         raise InvalidParams("mixture weights must sum to 1")
-    return space
+    return space, weights
 
 
 def mix_capacities(
     weights: Sequence[Scalar], components: Sequence[Capacity]
 ) -> Capacity:
     """Convex combination of capacities (the Choquet integral is linear in v)."""
-    space = check_mixture(weights, components)
-    if _FRACTION.issuperset(map(type, weights)):
-        # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
-        dens = [w.denominator * c.scale for w, c in zip(weights, components)]
-        scale = lcm(*dens)
-        scaled = [0] * (1 << space.n)
-        for w, d, c in zip(weights, dens, components):
-            coef = w.numerator * (scale // d)
-            scaled = [t + coef * s for t, s in zip(scaled, c.scaled)]
-        return _from_ints(space, scaled, scale)
-    table = tuple(
-        sum(w * c.table[m] for w, c in zip(weights, components))
-        for m in range(1 << space.n)
-    )
-    return Capacity(space, table)
+    space, weights = check_mixture(weights, components)
+    # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
+    dens = [w.denominator * c.scale for w, c in zip(weights, components)]
+    scale = lcm(*dens)
+    scaled = [0] * (1 << space.n)
+    for w, d, c in zip(weights, dens, components):
+        coef = w.numerator * (scale // d)
+        scaled = [t + coef * s for t, s in zip(scaled, c.scaled)]
+    return _from_ints(space, scaled, scale)
 
 
 def pushforward_capacity(

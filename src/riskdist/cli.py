@@ -386,6 +386,8 @@ def cmd_oracle(args) -> int:
         report["distance"] = format_scalar(value)
         _emit(args, report, [format_scalar(value)])
         return 0
+    if args.size < 0:
+        raise InputFormatError("cross-check needs a nonnegative --size")
     result = criterion_cross_check(space, instances=args.size, seed=args.seed)
     report["cross-check"] = {
         "instances": result.instances,

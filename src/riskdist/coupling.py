@@ -716,29 +716,23 @@ def _positive_combination(rows):
 
     Phase one of the simplex method with Bland's rule, on sum_k rows[k][c]
     t_k - s_c + r_c = 1 with surplus s and artificial r, minimising sum r.
-    A positive minimum means no t exists.  Each tableau line is kept as
-    integers over one positive denominator, its last entry, reduced by their
-    gcd; rows that are not all ints start over their common denominator.  A
-    pivot and the ratio test cross-multiply, so every comparison, and with
-    it every pivot, is the one the same simplex makes in ``Fraction``s; t is
-    returned in ``Fraction``s.
+    A positive minimum means no t exists.  The rows are ints.  Each
+    tableau line is kept as integers over one positive denominator, its last
+    entry, reduced by their gcd.  A pivot and the ratio test cross-multiply,
+    so every comparison, and with it every pivot, is the one the same
+    simplex makes in ``Fraction``s; t is returned in ``Fraction``s.
     """
     K, C = len(rows), len(rows[0])
     width = K + 2 * C
-    den = 1
-    if any(type(x) is not int for row in rows for x in row):
-        rows = [list(map(Fraction, row)) for row in rows]
-        den = lcm(*[x.denominator for row in rows for x in row])
-        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     table = []  # per line: the coefficients, the value, the denominator
     for c in range(C):
-        line = [row[c] for row in rows] + [0] * (2 * C) + [den, den]
-        line[K + c] = -den
-        line[K + C + c] = den
+        line = [row[c] for row in rows] + [0] * (2 * C) + [1, 1]
+        line[K + c] = -1
+        line[K + C + c] = 1
         table.append(line)
     basis = [K + C + c for c in range(C)]
     # reduced costs of sum r over the starting basis, the value negated
-    cost = [-sum(line[v] for line in table) for v in range(width + 1)] + [den]
+    cost = [-sum(line[v] for line in table) for v in range(width + 1)] + [1]
     for c in range(C):
         cost[K + C + c] = 0
     while True:

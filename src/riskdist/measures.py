@@ -186,7 +186,7 @@ def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> Ris
     """Convex combination.  Capacity components mix into one capacity (the
     Choquet integral is linear in the capacity); otherwise the weighted sum
     is evaluated term by term."""
-    space = check_mixture(weights, components)
+    space, weights = check_mixture(weights, components)
     caps = [c.capacity for c in components]
     if None not in caps:
         return RiskMeasure(

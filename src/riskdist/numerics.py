@@ -3,11 +3,12 @@
 Every quantity is computed as a :class:`fractions.Fraction` (or an ``int``)
 so that metric audits can distinguish genuine counterexamples from rounding
 noise.  The CLI parses every JSON number to a ``Fraction`` (``parse_scalar``).
-A float that a Python caller gives, as a capacity entry, a two-point
-parameter or a two-point input, is lifted to the ``Fraction`` it equals on
-construction, and a NaN is refused; so a float is held only as a two-point
-shift of ``±inf``.  The float weights of an expectation or a mixture are
-the one exception: they are summed and checked as floats before the lift.
+Every number a Python caller gives is lifted once, by ``rational``:
+capacity entries, the weights of an expectation, a mixture or a
+probability vector, the values of a ``PointFunction``, and the parameters
+and inputs of a two-point member.  A float becomes the ``Fraction`` it
+equals and a NaN or an infinity is refused, so a float is held only as a
+two-point shift of ``±inf``, and every sum and check downstream is exact.
 ``format_scalar`` prints a scalar exactly, or, while ``FLOAT_OUTPUT`` is
 set (the CLI's ``--mode float``), as the nearest float.
 """
@@ -18,7 +19,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputFormatError
+from .errors import InputFormatError, InvalidParams
 
 Scalar = Union[Fraction, float]
 
@@ -68,6 +69,18 @@ def parse_scalar(value) -> Scalar:
         # JSON floats are decimal literals; str() round-trips the literal.
         return Fraction(str(value))
     raise ValueError(f"not a number: {value!r}")
+
+
+def rational(x, error: str):
+    """x as an exact rational: an ``int`` or a ``Fraction`` as given, a
+    float as the ``Fraction`` it equals.  A NaN or an infinity raises
+    ``InvalidParams(error)``."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError):  # a NaN or an infinity
+        raise InvalidParams(error) from None
 
 
 def format_scalar(x: Scalar) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .capacity import MAX_CAPACITY_POINTS
 from .ensembles import random_capacity_measure, random_simplex
 from .errors import CouplingFailure, InvalidParams, OracleDisagreement, SpaceMismatch
-from .numerics import Scalar
+from .numerics import Scalar, rational
 from .space import FiniteMetricSpace, Relation, distance_levels, sublevel_relation
 
 #: verification samples for each witness the cross-check builds
@@ -37,9 +37,11 @@ class ProbabilityVector:
     def __post_init__(self):
         if len(self.weights) != self.space.n:
             raise SpaceMismatch("weight vector length must match point count")
-        if any(w < 0 for w in self.weights):
+        weights = tuple([rational(w, "weights must be finite") for w in self.weights])
+        object.__setattr__(self, "weights", weights)
+        if any(w < 0 for w in weights):
             raise InvalidParams("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        if sum(weights) != 1:
             raise InvalidParams("weights must sum to 1")
 
     def mass(self, mask: int) -> Scalar:
@@ -67,8 +69,8 @@ def _flow_condition(p: ProbabilityVector, q: ProbabilityVector, s: Relation) -> 
     cap = [[Fraction(0)] * size for _ in range(size)]
     big = Fraction(2)
     for i in range(n):
-        cap[source][i] = Fraction(p.weights[i])
-        cap[n + i][sink] = Fraction(q.weights[i])
+        cap[source][i] = p.weights[i]
+        cap[n + i][sink] = q.weights[i]
     for i in range(n):
         for j in range(n):
             if s.matrix[i][j]:

@@ -26,7 +26,7 @@ from .errors import (
     TriangleViolation,
     ZeroOffDiagonal,
 )
-from .numerics import Scalar, parse_scalar
+from .numerics import Scalar, parse_scalar, rational
 
 
 def _hash_once(self) -> int:
@@ -184,7 +184,8 @@ _loaded: WeakValueDictionary = WeakValueDictionary()
 
 @dataclass(frozen=True)
 class PointFunction:
-    """A real-valued function on the points of a space."""
+    """A real-valued function on the points of a space, each value held as
+    a rational (``numerics.rational``)."""
 
     space: FiniteMetricSpace
     values: tuple[Scalar, ...]
@@ -192,6 +193,8 @@ class PointFunction:
     def __post_init__(self):
         if len(self.values) != self.space.n:
             raise SpaceMismatch("function length does not match point count")
+        values = tuple([rational(x, "function values must be finite") for x in self.values])
+        object.__setattr__(self, "values", values)
 
     def __call__(self, i: int) -> Scalar:
         return self.values[i]

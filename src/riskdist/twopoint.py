@@ -52,25 +52,25 @@ the min picks phi0.  Whether that misprint is in the paper or in the
 transcription of its table is unsettled: only the abstract is at hand.
 
 Exact evaluation.  Every member is exact.  ``ShapeFunction`` and
-``TwoPointParams`` lift each float parameter, which only a Python caller
-can give, to the ``Fraction`` it equals on construction, as ``Capacity``
-does with its entries: the weights must then sum to exactly 1, a NaN is
-refused, and only a shift of ``±inf`` stays a float.  A member builds its
-parameters once as integers, ``TwoPointParams.scaled``: with D the least
-common denominator of the weights, the finite shifts and the knots, and E
-that of the slopes, the weights times D*E, the finite shifts, the two
-branch boundaries, the five branch weights and the knot positions times
-D, and each shape piece as an integer line.  One integer core,
-``scaled_eval``, takes phi0 and phi1 as ints on the scale D*q for a
+``TwoPointParams`` lift each parameter once on construction with
+``numerics.rational``, the one lift of every number a Python caller gives:
+a float becomes the ``Fraction`` it equals, so the weights must sum to
+exactly 1, a NaN is refused, and only a shift of ``±inf`` stays a float.
+A member builds its parameters once as integers, ``TwoPointParams.scaled``:
+with D the least common denominator of the weights, the finite shifts and
+the knots, and E that of the slopes, the weights times D*E, the finite
+shifts, the two branch boundaries, the five branch weights and the knot
+positions times D, and each shape piece as an integer line.  One integer
+core, ``scaled_eval``, takes phi0 and phi1 as ints on the scale D*q for a
 common denominator q and does the max and min, the branch comparisons,
 the knot search and the shape term on ints; it returns the value's
 numerator over D*D*E*q and the branch.  Two callers share it.
-``two_point_eval`` lifts a float input as the constructors lift a
-parameter, brings both inputs onto their q and builds one ``Fraction``
-from the numerator, equal to the formula's value.  The axiom census of
-``measures.verify_axioms`` fixes q = 3 and compares the numerators
-themselves.  No float is mixed into this arithmetic: an infinite shift
-never wins its max or min and decides its comparison alone.
+``two_point_eval`` lifts its inputs with the same helper, brings both
+onto their q and builds one ``Fraction`` from the numerator, equal to the
+formula's value.  The axiom census of ``measures.verify_axioms`` fixes
+q = 3 and compares the numerators themselves.  No float is mixed into
+this arithmetic: an infinite shift never wins its max or min and decides
+its comparison alone.
 """
 
 from __future__ import annotations
@@ -83,13 +83,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParams
-from .numerics import NEG_INF, POS_INF, Scalar, is_finite
-
-
-def _rational(x):
-    """x as the ``Fraction`` it equals, an ``int`` or a ``Fraction`` as
-    given; a NaN or an infinity raises ``ValueError`` or ``OverflowError``."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+from .numerics import NEG_INF, POS_INF, Scalar, is_finite, rational
 
 
 @dataclass(frozen=True)
@@ -105,10 +99,8 @@ class ShapeFunction:
     knots: tuple[tuple[Scalar, Scalar], ...]
 
     def __post_init__(self):
-        try:
-            knots = tuple([(_rational(t), _rational(y)) for t, y in self.knots])
-        except (ValueError, OverflowError):  # a NaN or an infinity
-            raise InvalidParams("shape knots must be finite") from None
+        error = "shape knots must be finite"
+        knots = tuple([(rational(t, error), rational(y, error)) for t, y in self.knots])
         object.__setattr__(self, "knots", knots)
         ts = [t for t, _ in knots]
         if not ts:
@@ -188,14 +180,9 @@ class TwoPointParams:
     shape: ShapeFunction
 
     def __post_init__(self):
-        try:
-            a = tuple([_rational(x) for x in self.alphas])
-        except (ValueError, OverflowError):
-            raise InvalidParams("weights must be finite") from None
-        try:
-            lambdas = tuple([_rational(x) if is_finite(x) else x for x in self.lambdas])
-        except (ValueError, OverflowError):
-            raise InvalidParams("shifts must be numbers or ±inf") from None
+        a = tuple([rational(x, "weights must be finite") for x in self.alphas])
+        error = "shifts must be numbers or ±inf"
+        lambdas = tuple([rational(x, error) if is_finite(x) else x for x in self.lambdas])
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "lambdas", lambdas)
         if len(a) != 4 or any(x < 0 for x in a):
@@ -291,7 +278,7 @@ class TwoPointValue:
 def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointValue:
     """Evaluate a family member; infinite shifts never win their max/min.
 
-    A float input is lifted to the ``Fraction`` it equals.  phi0 and phi1
+    Each input is lifted by ``numerics.rational``.  phi0 and phi1
     are brought onto their common denominator q, times D, and evaluated by
     ``scaled_eval`` in ``int`` arithmetic over ``p.scaled``, with one
     ``Fraction`` built at the end.  Branch 5's own condition (not c1,
@@ -299,7 +286,8 @@ def two_point_eval(p: TwoPointParams, phi0: Scalar, phi1: Scalar) -> TwoPointVal
     uncovered region where both comparisons fail strictly.
     """
     k = p.scaled
-    phi0, phi1 = _rational(phi0), _rational(phi1)
+    error = "inputs must be finite"
+    phi0, phi1 = rational(phi0, error), rational(phi1, error)
     d0, d1 = phi0.denominator, phi1.denominator
     q = d0 if d0 == d1 else lcm(d0, d1)
     total, branch = scaled_eval(

@@ -220,8 +220,8 @@ def uniform_space(n: int):
 
 
 def rearrangement_sum(table, values):
-    """The Fraction loop of the decreasing-rearrangement sum, as it ran
-    before the integer kernel: the reference for result types."""
+    """The decreasing-rearrangement sum read off the table, layer by layer:
+    the reference for values, and, over a table of Fractions, for types."""
     order = sorted(range(len(values)), key=values.__getitem__, reverse=True)
     total = values[order[-1]]
     mask = 0
@@ -342,7 +342,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("space", fixture_spaces(), ids=lambda s: f"{s.n}-points")
     def test_integer_built_capacities_sum_as_their_tables(self, space):
         # each constructor that builds its capacity as integers, against the
-        # Fraction loop over Capacity(space, table) of the same values
+        # reference sum over Capacity(space, table) of the same values
         rng = derive_rng(space.n, "integer-built")
         for cap in integer_built(space, rng):
             ref = Capacity(space, cap.table)
@@ -365,17 +365,6 @@ class TestIntegerKernel:
         assert [f.name for f in dataclasses.fields(Capacity)] == ["space", "table"]
         with pytest.raises(TypeError):
             Capacity(space, cap.table, null_mask=0)
-
-    def test_int_entries_keep_the_fraction_loop_types(self, p3, cycle4):
-        # the pushforward of an expectation reads v(empty) = int 0 on
-        # subsets with an empty preimage; an int layer stays an int
-        cap = pushforward_capacity(
-            rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))), (0, 0, 1), cycle4
-        )
-        assert type(cap.table[0b1000]) is int
-        got = cap.choquet((0, 0, 0, 5))
-        assert got == 0 and type(got) is int
-        assert type(cap.choquet((3, 0, 0, 5))) is Fraction
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=150)
@@ -473,10 +462,10 @@ def formula_first_rise(table, n):
 
 
 def same_entries(got, want):
-    """Equal in value and type."""
+    """Equal entry by entry, in value."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert type(a) is type(b) and a == b, (a, b)
+        assert a == b, (a, b)
 
 
 #: Choquet inputs of each kind the kernel tells apart: ints, Fractions,
@@ -489,16 +478,15 @@ def choquet_inputs(n):
 
 
 def assert_built_like(cap: Capacity, want):
-    """``cap`` is the capacity of the table ``want``: it equals, hashes
-    and prints like ``Capacity(space, want)``, holds the same entries in
-    value and type, and integrates to the same values of the same types."""
+    """``cap`` is the capacity of the table ``want``: it equals and hashes
+    like ``Capacity(space, want)``, holds the same entries, and integrates
+    to the same values."""
     space = cap.space
     ref = Capacity(space, want)
-    assert cap == ref and hash(cap) == hash(ref) and repr(cap) == repr(ref)
+    assert cap == ref and hash(cap) == hash(ref)
     same_entries(cap.table, want)
     for values in choquet_inputs(space.n):
-        got, expect = cap.choquet(values), ref.choquet(values)
-        assert got == expect and type(got) is type(expect), values
+        assert cap.choquet(values) == ref.choquet(values), values
     assert cap.null_mask == formula_null_mask(want, space.n)
     scale = lcm(*(x.denominator for x in want))
     assert cap.scale == scale
@@ -616,7 +604,7 @@ class TestConstructorsKeepTheFractionFormulas:
             assert "table" not in vars(cap)
         for read in (lambda c: c.table, lambda c: c == c, hash, repr):
             for cap in built:
-                twin = Capacity._of_scaled(cap.space, cap.scaled, cap.scale, cap._empty)
+                twin = Capacity._of_scaled(cap.space, cap.scaled, cap.scale)
                 assert "table" not in vars(twin)
                 read(twin)
                 assert vars(twin)["table"] == cap.table

@@ -549,6 +549,8 @@ MALFORMED = {
     "dirac point not a label": ["validate", "--measure", '{"type": "dirac", "point": true}'],
     "matrix no measures": ["matrix"],
     "audit size": ["audit", "metric", "--size", "0"],
+    # ran 2 * size + 16 instances, 10 here, and exited 0
+    "cross-check negative size": ["oracle", "cross-check", "--size", "-3"],
     "validate nan": [
         "validate", "--mode", "float",
         "--space", '{"points": ["a", "b"], "dist": [[0, NaN], [NaN, 0]]}',

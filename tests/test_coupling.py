@@ -368,8 +368,9 @@ class TestExactLatticeTier:
         assert decided >= 140
 
     def test_the_integer_lp_returns_what_the_fraction_lp_returns(self):
-        # repeated entries, duplicated columns (a tie in the first ratio
-        # test) and rows of fractions or floats, next to random integer games
+        # repeated entries and duplicated columns (a tie in the first ratio
+        # test), next to random integer games; the rows are ints, as the
+        # chain step builds them
         from riskdist.coupling import _positive_combination
 
         rng = derive_rng(101, "integer-lp")
@@ -383,10 +384,6 @@ class TestExactLatticeTier:
             ]
             if i % 4 == 1:
                 rows = [row + row[:1] for row in rows]
-            elif i % 10 == 2:
-                rows = [[F(x, rng.randint(1, 6)) for x in row] for row in rows]
-            elif i % 10 == 3:  # floats lift to the Fractions they equal
-                rows = [[x / 4 for x in row] for row in rows]
             want = reference_positive_combination(rows)
             got = _positive_combination(rows)
             assert got == want, rows

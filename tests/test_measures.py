@@ -92,6 +92,67 @@ class TestEvaluate:
         assert res.value == 0 and res.tier == "witness-found"
 
 
+#: float weights whose float sum is 1.0 but whose exact sum is not
+FLOAT_WEIGHTS = ((0.1, 0.2, 0.3, 0.4), (0.1, 0.9))
+
+
+def _diracs(space):
+    return [rd.dirac(space, label) for label in space.labels]
+
+
+#: every constructor that takes a weight per point or per component
+WEIGHTED = {
+    "expectation": rd.expectation,
+    "mix_capacities": lambda s, w: rd.mix_capacities(w, [mu.capacity for mu in _diracs(s)]),
+    "mixture of capacities": lambda s, w: rd.mixture(w, _diracs(s)),
+    "mixture term by term": lambda s, w: rd.mixture(
+        w, [rd.lattice_max([mu]) for mu in _diracs(s)]
+    ),
+    "probability vector": rd.ProbabilityVector,
+}
+
+
+class TestCallerNumbersAreLiftedOnce:
+    """A float a Python caller gives is the Fraction it equals, checked and
+    summed as that Fraction."""
+
+    @pytest.mark.parametrize("build", sorted(WEIGHTED))
+    @pytest.mark.parametrize("weights", FLOAT_WEIGHTS)
+    def test_float_weights_that_do_not_sum_to_one_are_refused(self, weights, build):
+        n = len(weights)
+        space = rd.validate_metric(
+            [str(i) for i in range(n)], [[int(i != j) for j in range(n)] for i in range(n)]
+        )
+        assert sum(weights) == 1.0 and sum(map(F, weights)) != 1
+        with pytest.raises(rd.InvalidParams, match="sum to 1"):
+            WEIGHTED[build](space, weights)
+
+    def test_a_float_point_function_evaluates_exactly(self, p3):
+        mu = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(1, 4), F(1, 4))))
+        phi = rd.PointFunction(p3, (0.25, 0.5, 0.5))
+        assert phi.values == (F(1, 4), F(1, 2), F(1, 2))
+        got = rd.evaluate(mu, phi)
+        assert got == F(3, 8) and type(got) is Fraction
+
+    def test_a_float_weighted_mixture_evaluates_exactly(self, two_point):
+        params = rd.TwoPointParams(
+            (F(1, 4),) * 4, (F(0),) * 4, rd.ShapeFunction.identity()
+        )
+        member = rd.two_point_measure(two_point, params)
+        mean = rd.choquet_measure(rd.expectation(two_point, (F(1, 2), F(1, 2))))
+        exact = rd.PointFunction(two_point, (F(1), F(1, 2)))
+        # a family member mixes term by term, two capacities into one
+        for a, b in ((member, rd.dirac(two_point, "x")), (mean, rd.dirac(two_point, "y"))):
+            got = rd.evaluate(rd.mixture((0.25, 0.75), (a, b)), exact)
+            assert got == F(1, 4) * rd.evaluate(a, exact) + F(3, 4) * rd.evaluate(b, exact)
+            assert type(got) is Fraction, got
+
+    def test_a_nan_or_an_infinite_value_is_refused(self, p3):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(rd.InvalidParams, match="finite"):
+                rd.PointFunction(p3, (0, bad, 1))
+
+
 class TestVerifyAxioms:
     def test_choquet_is_exact(self, p3):
         mu = rd.choquet_measure(random_capacity(p3, derive_rng(2, "vx")))

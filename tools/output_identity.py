@@ -1,7 +1,8 @@
 """Fingerprint the CLI's output on every benchmark request of seeds 1-3,
-in exact and in float mode, on a ``couple --threshold 0`` run of each
-exact-distance request, and on ``distance`` and ``couple --threshold 0``
-runs of every pair of each mixed-matrix pool on the two-point space.
+in exact and in float mode, on ``couple`` runs of each exact-distance
+request at threshold 0 and at the smallest positive level of its space,
+and on ``distance`` and ``couple --threshold 0`` runs of every pair of
+each mixed-matrix pool on the two-point space.
 
     python3 tools/output_identity.py --src src > new.txt
     python3 tools/output_identity.py --src ../old/src > old.txt
@@ -15,9 +16,14 @@ compared.  Each request goes through ``riskdist.cli.main`` of the ``src``
 tree given, in this process, once as written (exact mode) and once more
 with ``--mode float``.  One line per request and mode: workload, seed,
 index, mode, exit code and the sha256 of its standard output.  Each
-exact-distance request is also run as ``couple`` with ``--threshold 0``
-on the same space and measures, whose report holds the verdict's
-certificate bytes; its lines name the workload ``exact-distance/couple``.
+exact-distance request is also run as ``couple`` on the same space and
+measures, whose report holds the verdict's certificate bytes: once with
+``--threshold 0``, where the relation is the diagonal and every inner set
+of a certificate is its set itself, and once with the smallest positive
+distance of the space as the threshold, where the relation links
+neighbours and a certificate reads the measures at inner sets that differ
+from their sets.  Their lines name the workloads ``exact-distance/couple``
+and ``exact-distance/couple-min-level``.
 Each pair (a, b), a before b, of a mixed-matrix pool on the two-point space,
 the only benchmark pool with family members and so the only one whose pairs
 reach the two-point tier, is run as ``distance`` and as ``couple
@@ -36,6 +42,7 @@ import json
 import shutil
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -59,8 +66,10 @@ def main(argv=None) -> int:
                 for i, op in enumerate(run.write_inputs(workload, seed, workdir)):
                     runs = [(workload, i, op.argv)]
                     if workload == "exact-distance":
-                        couple = ["couple", *op.argv[1:], "--threshold", "0"]
-                        runs.append((f"{workload}/couple", i, couple))
+                        couple = ["couple", *op.argv[1:], "--threshold"]
+                        runs.append((f"{workload}/couple", i, [*couple, "0"]))
+                        level = str(min_level(op.req["space_json"]))
+                        runs.append((f"{workload}/couple-min-level", i, [*couple, level]))
                     if workload == "mixed-matrix" and op.req["space_json"]["points"] == ["x", "y"]:
                         runs.extend(pair_runs(i, op, workdir))
                     for name, index, argv in runs:
@@ -73,6 +82,11 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
+
+
+def min_level(space_json: dict) -> Fraction:
+    """The smallest positive distance of a space given as JSON."""
+    return min(Fraction(str(d)) for row in space_json["dist"] for d in row if Fraction(str(d)))
 
 
 def pair_runs(i: int, op, workdir: Path) -> list:
