@@ -375,14 +375,22 @@ def mix_capacities(
 ) -> Capacity:
     """Convex combination of capacities (the Choquet integral is linear in v)."""
     space, weights = check_mixture(weights, components)
-    # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
-    dens = [w.denominator * c.scale for w, c in zip(weights, components)]
-    scale = lcm(*dens)
-    scaled = [0] * (1 << space.n)
-    for w, d, c in zip(weights, dens, components):
-        coef = w.numerator * (scale // d)
-        scaled = [t + coef * s for t, s in zip(scaled, c.scaled)]
+    scaled, scale = mix_tables(weights, [(c.scaled, c.scale) for c in components])
     return _from_ints(space, scaled, scale)
+
+
+def mix_tables(weights: Sequence[Fraction], tables) -> tuple[list, int]:
+    """sum_k w_k s_k / D_k over (s_k, D_k) in ``tables``, integer tables
+    over their scales, as integers over one scale, and that scale: the lcm
+    of the w_k denominators times D_k, not reduced."""
+    # sum_k (p_k / q_k) * (s_k / D_k) over the lcm of the q_k * D_k
+    dens = [w.denominator * d for w, (_, d) in zip(weights, tables)]
+    scale = lcm(*dens)
+    mixed = [0] * len(tables[0][0])
+    for w, den, (table, _) in zip(weights, dens, tables):
+        coef = w.numerator * (scale // den)
+        mixed = [t + coef * s for t, s in zip(mixed, table)]
+    return mixed, scale
 
 
 def pushforward_capacity(

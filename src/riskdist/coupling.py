@@ -22,7 +22,7 @@ witness formula the module builds, and every envelope the module takes,
 gluing's included, goes through one section-minimum routine.
 
 One exact decider takes every pair where each measure is a capacity or a
-max/min of capacities (``measures.normal_forms``): two capacities on any
+max, min or mixture of such (``measures.normal_forms``): two capacities on any
 space ("exact-choquet"), any other such pair whose relation's
 projections contain every part's support ("exact-lattice"; the
 reflexive relations of the distance ladder always do).  Take mu1 = max_i
@@ -96,14 +96,22 @@ a lone pair is a pool of two.  ``prepare_pair`` does, once per pair, what
 does not depend on S: the tier dispatch, the (row, group) check lists of
 step 2, which point at the pool's tables, and, on the two-point tier, the
 points T and each measure's mu(a, b) for a and b in {0, t} as integers.
-``decide`` then gives the verdict on one relation; ``admissible`` is
-``decide(prepare_pair(mu1, mu2), s, seed)``, and the distance ladder
-prepares once and decides at every level.  What outlives a pool is built
-where it belongs: each measure's indicator table and reach (the union of
-its parts' supports, ``measures.reach``) with the measure, each relation's
-inner-mask tables and their readers (``Relation.inner_masks`` and
-``inner_readers``) with the relation on first use, and the ladder's levels
-and relations once per space (``space.sublevel_ladder``).
+``refutes`` is then the one exact test on a relation: the indicator scan,
+the chain cover and the LP, or the two-point lookup, or a Dirac pair's
+read of S, returning None when nothing refutes and otherwise the side and
+the psi it found, and building nothing else.  ``decide`` gives the verdict
+on one relation: it checks (a) and the parts' supports against the
+projections, runs ``refutes`` on an exact route and builds the verdict,
+its certificate and its witness from the answer, and probes the rest
+(``probe``); ``admissible`` is ``decide(prepare_pair(mu1, mu2), s,
+seed)``.  The distance ladder prepares once and, its relations holding the
+diagonal, runs ``refutes`` alone per level on an exact route and ``probe``
+where ``decide`` would.  What outlives a pool
+is built where it belongs: each measure's indicator table and reach (the
+union of its parts' supports, ``measures.reach``) with the measure, each
+relation's inner-mask tables and their readers (``Relation.inner_masks``
+and ``inner_readers``) with the relation on first use, and the ladder's
+levels and relations once per space (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds), built when it is first read; a
@@ -171,6 +179,9 @@ REFUTATION_RANDOMS = 90
 #: most chain traces the exact lattice tier keeps while it searches one
 #: check; past it the pair goes to the sampled tier, and is labelled so
 CHAIN_BUDGET = 4096
+
+#: the sides of a refutation, by index: (b) is "left", (c) is "right"
+SIDES = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +317,11 @@ class FeasibilityVerdict:
       section_minima(psi, lists)), mub(psi)) and values[0] > values[1],
       which breaks (b) or (c); re-checks by evaluation on every tier.
 
-    The certificate is built on first read, by ``certify``, and then kept:
-    the distance ladder reads only status, tier and witness, so the
-    infeasible levels of a scan build none.  The exact tiers find, while
-    deciding, only what the decision needs (step 2's psi, a two-point
-    level's refuting index); the certificate's psi and values are found or
+    The certificate is built on first read, by ``certify``, and then kept.
+    The infeasible levels of a ladder scan on an exact route build no
+    verdict at all: the scan runs ``refutes`` alone.  The exact tiers find,
+    while deciding, only what the decision needs (step 2's psi, a two-point
+    level's refuting t); the certificate's psi and values are found or
     evaluated when it is read.  Verdicts compare by status, tier,
     certificate and witness.
     """
@@ -342,10 +353,11 @@ class Pool:
     ``prepare_pair`` for a lone pair, a pool of two.
 
     * ``scale``: one common scale L, the least common multiple of the
-      indicator scales of the measures with normal forms.  A lattice's
-      scale is that of its parts, so L is a multiple of every part
-      capacity's scale too, and every table of the pool is read as
-      integers over L.
+      indicator scales of the measures with normal forms.  A
+      combination's scale is a multiple of its parts' scales (a max's and
+      a min's is theirs, a mixture's carries its weights' denominators
+      too), so L is a multiple of every part capacity's scale, and every
+      table of the pool is read as integers over L.
     * ``table`` and ``forms``: a member's indicator table, and its
       max-of-min rows and min-of-max groups of part tables, lifted to L.
       Each table is lifted once, however many measures and pairs hold it.
@@ -515,38 +527,33 @@ def _value(mu, b: int) -> Scalar:
 
 def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict:
     """The verdict of ``admissible`` on the prepared pair and the relation S:
-    the per-relation part, which every caller, the ladder scan included,
-    goes through."""
+    the per-relation part.  An exact route checks what ``refutes`` takes as
+    given, (a) and the parts inside the projections, and then builds its
+    verdict from that one test's answer; the rest is probed."""
     mu1, mu2 = pair.mu1, pair.mu2
     _check_coupling_spaces(mu1, mu2, s)
     route = pair.route
-    if route == "dirac":
-        if s.matrix[mu1.point][mu2.point]:
-            return FeasibilityVerdict(
-                "feasible", "dirac", witness=lower_coupling(mu1, mu2, s)
-            )
-        return FeasibilityVerdict(
-            "infeasible",
-            "dirac",
-            certify=partial(dict, kind="pair-outside-support", pair=(mu1.point, mu2.point)),
-        )
     projections = s.left_projection, s.right_projection
     if route == "exact-choquet":
-        for side, mask, proj in zip(("left", "right"), pair.reach, projections):
+        for side, mask, proj in zip(SIDES, pair.reach, projections):
             escaped = mask & ~proj
             if escaped:
                 point = (escaped & -escaped).bit_length() - 1
                 return _refuted(route, "support-escape", side, point=point)
-        return _decide(pair, s)
-    if route == "exact-lattice":
-        if not any(mask & ~proj for mask, proj in zip(pair.reach, projections)):
-            try:
-                return _decide(pair, s)
-            except _ChainBudgetExceeded:
-                pass  # too many chains to solve one by one: probe instead
-    elif route == "exact-two-point" and projections == (mu1.space.full_mask,) * 2:
-        return _decide_two_point(pair, s)
-    return _admissible_sampled(mu1, mu2, s, seed)
+    elif route == "exact-lattice":
+        if any(mask & ~proj for mask, proj in zip(pair.reach, projections)):
+            route = "sampled"
+    elif route == "exact-two-point" and projections != (mu1.space.full_mask,) * 2:
+        route = "sampled"
+    if route != "sampled":
+        try:
+            found = refutes(pair, s)
+        except ChainBudgetExceeded:
+            return probe(mu1, mu2, s, seed)  # too many chains
+        if found is None:
+            return FeasibilityVerdict("feasible", route, witness=lower_coupling(mu1, mu2, s))
+        return _certified(pair, s, *found)
+    return probe(mu1, mu2, s, seed)
 
 
 def admissible(
@@ -566,15 +573,15 @@ def admissible(
     projections, any other pair whose measures
     both have breakpoints goes to the second ("exact-two-point").  The
     rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
+    Each exact route is the one test ``refutes``; the verdict, its
+    certificate and its witness are built from that test's answer.
 
     ``prepare_pair`` does the work that depends on the pair alone, once:
     the tier dispatch, the check lists of the chain cover and, on the
     two-point tier, the points and lookup tables; the tables they point at
     come from a pool of the two measures, each lifted once to the pair's
     scale.  Each measure's own indicator table and reach are built with its
-    normal forms, and each relation's inner-mask tables with the relation,
-    so a ladder scan, which prepares once and decides per level, rebuilds
-    none of them.
+    normal forms, and each relation's inner-mask tables with the relation.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -589,64 +596,76 @@ def admissible(
     return decide(prepare_pair(mu1, mu2), s, seed)
 
 
+def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
+    """The exact test of a pair on an exact route: None when (b) and (c)
+    hold on S, else what refutes them, (side, psi) with ``SIDES[side]``
+    the broken condition.  psi is the refuting function where the test
+    found one (a chain's LP, a two-point level) and None where the
+    certificate finds it when read (the indicator scan); two point masses
+    off S give (None, None).
+
+    It builds no verdict: ``decide`` wraps it, and the distance ladder
+    reads only whether it is None.  It takes (a) as given, with every
+    part's support inside the projections of S on "exact-lattice" and
+    full projections on "exact-two-point": ``decide`` checks these first,
+    and every ladder relation, holding the diagonal, has them.  A lattice
+    pair whose uncovered chains outgrow ``CHAIN_BUDGET`` raises
+    ``ChainBudgetExceeded``.
+    """
+    route = pair.route
+    if route == "dirac":
+        return None if s.matrix[pair.mu1.point][pair.mu2.point] else (None, None)
+    if route == "exact-two-point":
+        return _two_point_refutation(pair, s)
+    inner_values = pair.pool.inner_values
+    readers = s.inner_readers
+    # 1. indicator scan: mua(1_(inner U)) against mub(1_U), both tables on
+    # the pool's scale
+    for side, ((a, b), read) in enumerate(zip(pair.scan, readers)):
+        if any(map(gt, inner_values(a, read), b)):
+            return side, None
+    # 2. and 3., one check per (row, group) with more than one column, over
+    # the parts' tables on the pool's scale; a check with one column is a
+    # comparison the scan has made, and two capacities have no other
+    n = pair.mu1.space.n
+    for side, (checks, read) in enumerate(zip(pair.checks, readers)):
+        for check in checks:
+            psi = _refuting_chain([(inner_values(a, read), b) for a, b in check], n)
+            if psi is not None:
+                return side, psi
+    return None
+
+
 def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
     return FeasibilityVerdict(
         "infeasible", tier, certify=partial(dict, kind=kind, side=side, **fields)
     )
 
 
-def _dominated(tier: str, side: str, find) -> FeasibilityVerdict:
-    """An infeasible verdict whose envelope-domination certificate is built
-    on first read from ``find() = (psi, values)``."""
+def _certified(pair: PreparedPair, s: Relation, side, psi) -> FeasibilityVerdict:
+    """The infeasible verdict of what ``refutes`` found, its certificate
+    built on first read."""
+    mu1, mu2, tier = pair.mu1, pair.mu2, pair.route
+    if side is None:
+        certify = partial(dict, kind="pair-outside-support", pair=(mu1.point, mu2.point))
+        return FeasibilityVerdict("infeasible", tier, certify=certify)
+    mua, mub = (mu1, mu2) if side == 0 else (mu2, mu1)
 
     def certify():
-        psi, values = find()
-        return {"kind": "envelope-domination", "side": side, "psi": psi, "values": values}
+        found = psi
+        if found is None:  # the indicator scan: find its first set U
+            n = mu1.space.n
+            a, b = pair.scan[side]
+            inner = pair.pool.inner_values(a, s.inner_readers[side])
+            u = next(u for u in range(1 << n) if inner[u] > b[u])
+            found = tuple([u >> x & 1 for x in range(n)])
+            values = _value(mua, s.inner_masks[side][u]), _value(mub, u)
+        else:
+            lists = (s.section_lists, s.inv_section_lists)[side]
+            values = evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi)
+        return {"kind": "envelope-domination", "side": SIDES[side], "psi": found, "values": values}
 
     return FeasibilityVerdict("infeasible", tier, certify=certify)
-
-
-def _evaluated(mua, mub, lists, psi) -> tuple:
-    """(psi, (mua(section_minima(psi, lists)), mub(psi))): an
-    envelope-domination certificate's psi and values, by evaluation."""
-    return psi, (
-        evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi)
-    )
-
-
-def _decide(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
-    """The exact decider of every pair with normal forms; the module
-    docstring gives the argument."""
-    mu1, mu2, tier = pair.mu1, pair.mu2, pair.route
-    n = mu1.space.n
-    inner_values = pair.pool.inner_values
-    (left_inner, right_inner), (left_read, right_read) = s.inner_masks, s.inner_readers
-    sides = (
-        ("left", mu1, mu2, left_inner, left_read, s.section_lists),
-        ("right", mu2, mu1, right_inner, right_read, s.inv_section_lists),
-    )
-
-    # 1. indicator scan: mua(1_(inner U)) against mub(1_U), both tables on
-    # the pool's scale; the indexed loop only names the first U
-    for (side, mua, mub, inners, read, _), (a, b) in zip(sides, pair.scan):
-        inner = inner_values(a, read)
-        if any(map(gt, inner, b)):
-            def find():
-                u = next(u for u in range(1 << n) if inner[u] > b[u])
-                values = _value(mua, inners[u]), _value(mub, u)
-                return tuple([u >> x & 1 for x in range(n)]), values
-
-            return _dominated(tier, side, find)
-    # 2. and 3., one check per (row, group) with more than one column, over
-    # the parts' tables on the pool's scale; a check with one column is a
-    # comparison the scan has made, and two capacities have no other
-    for (side, mua, mub, _, read, lists), checks in zip(sides, pair.checks):
-        for check in checks:
-            columns = [(inner_values(a, read), b) for a, b in check]
-            psi = _refuting_chain(columns, n)
-            if psi is not None:
-                return _dominated(tier, side, partial(_evaluated, mua, mub, lists, psi))
-    return FeasibilityVerdict("feasible", tier, witness=lower_coupling(mu1, mu2, s))
 
 
 def _refuting_chain(columns, n: int):
@@ -672,7 +691,7 @@ def _refuting_chain(columns, n: int):
     return None
 
 
-class _ChainBudgetExceeded(Exception):
+class ChainBudgetExceeded(Exception):
     """More chain traces than ``CHAIN_BUDGET``; the pair is probed instead."""
 
 
@@ -703,7 +722,7 @@ def _uncovered_traces(covered, n: int, everything: int) -> set:
                     out.update(head + t for t in traces(v, mask & covered[v]))
             kept += len(out)
             if kept > CHAIN_BUDGET:
-                raise _ChainBudgetExceeded
+                raise ChainBudgetExceeded
             memo[key] = out
         return memo[key]
 
@@ -776,7 +795,7 @@ def _reduced(line):
 def _prepare_two_point(mu1, mu2, pool: Pool) -> PreparedPair:
     """The points T, one step past each end, and each measure's lookup
     tables of mu(a, b) for a and b in {0, t}, t in T, as integers over one
-    denominator; ``_decide_two_point`` reads a level from them.  Each
+    denominator; ``_two_point_refutation`` reads a level from them.  Each
     mu(0, t) comes from the pool, which evaluates it once."""
     kinks = {Fraction(0), *mu1.breakpoints, *mu2.breakpoints}
     points = sorted({*kinks, *(-t for t in kinks)})
@@ -794,10 +813,9 @@ def _prepare_two_point(mu1, mu2, pool: Pool) -> PreparedPair:
     return PreparedPair(mu1, mu2, "exact-two-point", points=points, tables=tuple(tables))
 
 
-def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
-    """The exact decider of a pair on a two-point space, with full
-    projections, from the measures' breakpoints; the module docstring gives
-    the argument.
+def _two_point_refutation(pair: PreparedPair, s: Relation) -> Optional[tuple]:
+    """``refutes`` on a two-point space with full projections, from the
+    measures' breakpoints; the module docstring gives the argument.
 
     Each side's gap at psi = (0, t) is read from the pair's lookup tables
     with integer comparisons only: the section minima of psi are 0 or t,
@@ -805,14 +823,12 @@ def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
     table of mua below 0 and one above, and compares it with mub(0, t).
     Nothing is evaluated: a refutation's certificate evaluates when read.
     """
-    mu1, mu2 = pair.mu1, pair.mu2
     points = pair.points
     last = len(points) - 1
     middle = last // 2  # t = 0: the points are symmetric
-    zero = Fraction(0)
-    for side, mua, mub, lists, own, other in (
-        ("left", mu1, mu2, s.section_lists, *pair.tables),
-        ("right", mu2, mu1, s.inv_section_lists, *pair.tables[::-1]),
+    tables = pair.tables
+    for side, lists, (own, other) in (
+        (0, s.section_lists, tables), (1, s.inv_section_lists, tables[::-1])
     ):
         # a section's minimum of psi is t for t < 0 when the section holds
         # point 1, and for t > 0 when it holds point 1 alone
@@ -822,22 +838,23 @@ def _decide_two_point(pair: PreparedPair, s: Relation) -> FeasibilityVerdict:
         lhs, rhs = below[:middle] + above[middle:], other[1]
         k = next(compress(range(last + 1), map(gt, lhs, rhs)), None)
         if k is not None:
-            psi = (zero, points[k])
-            return _dominated("exact-two-point", side, partial(_evaluated, mua, mub, lists, psi))
+            return side, (Fraction(0), points[k])
         # past the outer points the gap is affine: one that rises outwards
         # turns positive some whole number of steps further out
         for end, near, step in ((0, 1, -1), (last, last - 1, 1)):
             gap = lhs[end] - rhs[end]
             rise = gap - (lhs[near] - rhs[near])
             if rise > 0:
-                psi = (zero, points[end] + step * (-gap // rise + 1))
-                return _dominated("exact-two-point", side, partial(_evaluated, mua, mub, lists, psi))
-    return FeasibilityVerdict("feasible", "exact-two-point", witness=lower_coupling(mu1, mu2, s))
+                return side, (Fraction(0), points[end] + step * (-gap // rise + 1))
+    return None
 
 
-def _admissible_sampled(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
-    """Probe (a), (b) and (c) on the fixed grid; with no refutation, return
-    the lower extension as "witness-found".
+def probe(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
+    """The sampled tier: probe (a), (b) and (c) on the fixed grid; with no
+    refutation, return the lower extension as "witness-found".  ``decide``
+    runs it on the sampled route and on a lattice pair past
+    ``CHAIN_BUDGET``, and the distance ladder runs it on those levels
+    directly, its relations being on the pair's space.
 
     (a) is probed only on a side whose projection misses a point: first by
     pairs that differ at one point outside it (each such point is probed

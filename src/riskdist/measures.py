@@ -22,19 +22,22 @@ of its formula.  Only a measure without such structure, a black box, a
 pushforward or a combination with one of them or with a failing part, is
 left to seeded probing, and its report says so.
 
-Lattice normal forms.  A max or min whose parts are capacities, or max and
-min of such, keeps two normal forms over ``Capacity`` objects:
+Lattice normal forms.  A max, min or mixture whose parts are capacities,
+or max, min and mixtures of such, keeps two normal forms over ``Capacity``
+objects:
 
     max-of-min   mu = max_i min_j A_ij      (rows of capacities)
     min-of-max   mu = min_q max_p B_pq      (groups of capacities)
 
 max joins the parts' rows and spreads their groups (one group per choice of
 a group from each part: max distributes over min); min is the dual.  A
-capacity is its own one-entry form.  With its forms a lattice builds its
-indicator table, mu(1_B) for every subset B: the max or min of its parts'
-tables, as integers over their common scale (``indicators``), and its
-reach, the union of its form's supports (``reach``).  The coupling
-module decides pairs of such measures exactly from these forms and tables.
+mixture mixes one pick from each part, row by row and column by column
+(``_mixture_forms``).  A capacity is its own one-entry form.  With its
+forms a combination builds its indicator table, mu(1_B) for every subset
+B: the max, min or weighted sum of its parts' tables, as integers over one
+scale (``indicators``), and its reach, the union of its form's supports
+(``reach``).  The coupling module decides pairs of such measures exactly
+from these forms and tables.
 
 Breakpoints.  On a two-point space a measure is mu(phi) = phi0 +
 g(phi1 - phi0) by translation invariance, and ``RiskMeasure.breakpoints``
@@ -68,6 +71,7 @@ from .capacity import (
     check_mixture,
     dirac_capacity,
     mix_capacities,
+    mix_tables,
     pushforward_capacity,
 )
 from .errors import InvalidParams, SpaceMismatch
@@ -91,7 +95,7 @@ AXIOM_SAMPLES = 200
 #: largest grid a benchmark matrix request fills per measure is about 2500
 EVAL_MEMO_SIZE = 4096
 
-#: most capacities one lattice normal form may list; a nesting whose spread
+#: most capacities one normal form may list; a nesting whose spread or mixed
 #: form would list more keeps no form, and its pairs stay on the sampled tier
 #: except on a two-point space, where its breakpoints decide them
 MAX_FORM_TERMS = 64
@@ -110,9 +114,9 @@ class RiskMeasure:
 
     Capacity-tier measures carry ``capacity``; every other measure carries
     ``evaluator``, and so does a Dirac measure, which reads its point.  A
-    mixture without a capacity, a max and a min keep their ``parts``; a max
-    or min of capacities keeps its ``forms`` (max-of-min, min-of-max,
-    indicator table, reach).
+    mixture without a capacity, a max and a min keep their ``parts``; a
+    max, min or mixture of measures with forms keeps its own ``forms``
+    (max-of-min, min-of-max, indicator table, reach).
     Measures compare by identity: functional equality is ``equal_measures``.
     """
 
@@ -185,7 +189,8 @@ def two_point_measure(space: FiniteMetricSpace, params: TwoPointParams) -> RiskM
 def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> RiskMeasure:
     """Convex combination.  Capacity components mix into one capacity (the
     Choquet integral is linear in the capacity); otherwise the weighted sum
-    is evaluated term by term."""
+    is evaluated term by term, and components that all have normal forms
+    give the mixture its own (``_mixture_forms``)."""
     space, weights = check_mixture(weights, components)
     caps = [c.capacity for c in components]
     if None not in caps:
@@ -198,7 +203,8 @@ def mixture(weights: Sequence[Scalar], components: Sequence[RiskMeasure]) -> Ris
         return sum(w * evaluate_values(c, values) for w, c in terms)
 
     return RiskMeasure(
-        space, "mixture", evaluator=_memo(evaluator), name="mixture", parts=tuple(components)
+        space, "mixture", evaluator=_memo(evaluator), name="mixture",
+        parts=tuple(components), forms=_mixture_forms(terms),
     )
 
 
@@ -248,8 +254,9 @@ def indicators(mu: RiskMeasure) -> Optional[tuple[tuple, Scalar]]:
 def reach(mu: RiskMeasure) -> Optional[int]:
     """The union of the supports of the capacities in mu's max-of-min form,
     a capacity's own support, for a measure with normal forms, or None.  A
-    lattice builds it with its forms, as the union of its parts' reaches:
-    its rows are its parts' rows (max) or unions of one row of each (min)."""
+    combination builds it with its forms, as the union of its parts'
+    reaches: its rows are its parts' rows (max) or unions of one row of
+    each (min, and a mixture over its parts of positive weight)."""
     if mu.capacity is not None:
         return mu.capacity.support_mask()
     return None if mu.forms is None else mu.forms[3]
@@ -334,6 +341,36 @@ def _lattice_forms(kind: str, pick, parts) -> Optional[tuple[Form, Form, tuple, 
     table = lifted[0] if len(lifted) == 1 else tuple(map(pick, *lifted))
     forms = (joined, spread_out) if kind == "max" else (spread_out, joined)
     return (*forms, (table, scale), reduce(or_, map(reach, parts)))
+
+
+def _mixture_forms(terms) -> Optional[tuple[Form, Form, tuple, int]]:
+    """The forms, indicator table and reach of sum_c w_c mu_c, when every
+    mu_c with w_c > 0 has normal forms and the result fits
+    ``MAX_FORM_TERMS``.
+
+    For positive weights, sum_c w_c max_i min_j A^c_ij is the max over row
+    picks (i_c) of the min over column picks (j_c) of sum_c w_c
+    A^c_(i_c j_c), and each such sum is a capacity (``mix_capacities``);
+    min-of-max likewise.  A form then lists the product of its parts' term
+    counts.  The table is sum_c w_c table_c and the reach the union of the
+    parts' reaches.  A part of weight 0 adds nothing and is left out.
+    """
+    terms = [(w, c) for w, c in terms if w]
+    forms = [normal_forms(c) for _, c in terms]
+    if None in forms or any(
+        prod(sum(map(len, f[k])) for f in forms) > MAX_FORM_TERMS for k in (0, 1)
+    ):
+        return None
+    weights = [w for w, _ in terms]
+    mixed = tuple(
+        tuple(
+            tuple(mix_capacities(weights, caps) for caps in product(*lines))
+            for lines in product(*(f[k] for f in forms))
+        )
+        for k in (0, 1)
+    )
+    table, scale = mix_tables(weights, [indicators(c) for _, c in terms])
+    return (*mixed, (tuple(table), scale), reduce(or_, [reach(c) for _, c in terms]))
 
 
 def black_box(

@@ -5,7 +5,10 @@ The distance between mu1 and mu2 is the smallest distance level t whose
 closed sublevel relation admits a coupling of the pair; the witness is the
 lower-extension coupling at that level.  The threshold ladder is scanned
 from 0 upward, so the recorded verdicts show a single infeasible-to-feasible
-switch; the top level (the diameter) is always feasible.
+switch; the top level (the diameter) is always feasible.  A pair on an
+exact route is scanned with one exact test per level
+(``coupling.refutes``), and the witness and the result are built once, at
+the answer; only a probed level builds a verdict (``coupling.probe``).
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coupling import CouplingWitness, decide, pooled, prepare_pair, verify_coupling
+from .coupling import (
+    ChainBudgetExceeded,
+    CouplingWitness,
+    lower_coupling,
+    pooled,
+    prepare_pair,
+    probe,
+    refutes,
+    verify_coupling,
+)
 from .ensembles import derive_rng, derive_seed, extremal_pair, random_measure
 from .errors import AxiomFailure, CouplingFailure, InvalidParams, SpaceMismatch
 from .measures import (
@@ -83,25 +95,25 @@ def bottleneck_distance(
 ) -> DistanceResult:
     """Smallest feasible threshold on the distance ladder, with witness.
 
-    The scan stops at the first feasible level.  Every feasible verdict
-    carries its witness, and nothing re-checks it here: on the Dirac,
-    capacity, lattice and two-point tiers the verdict is a proof, which
-    makes the result "exact"; a "witness-found" verdict says only that no
-    probe of the sampled tier's one fixed grid refuted, which makes it
-    "sampled".  Every ladder relation holds the diagonal, so its
-    projections are full and no level probes a support.
+    The pair is prepared once (``coupling.prepare_pair``) and the levels
+    scanned from 0 upward, each with the verdict ``admissible`` gives
+    there.  Every ladder relation is on the pair's space and holds the
+    diagonal, so its projections are full: (a) holds, no support escapes
+    and every part lies inside, which is what ``coupling.refutes`` takes
+    as given.  So a pair on an exact route is scanned with that one test
+    alone: a refuted level records (level, "infeasible", route) and builds
+    nothing, and only the first feasible level builds the lower extension
+    and the result, "exact".  ``coupling.probe`` runs where ``decide``
+    probes: on the sampled route, whose "witness-found" verdict says only
+    that no probe of its one fixed grid refuted and makes the result
+    "sampled", and on a lattice level past ``CHAIN_BUDGET``.
 
-    The pair is prepared once (``coupling.prepare_pair``) and each level
-    decided from it (``coupling.decide``), which is ``admissible`` at that
-    level.  Its tables come from the pool of the running
-    ``distance_matrix`` call, which holds both measures, or else from a
-    pool of the two: each table is lifted to the pool's scale once and
-    read through a level's inner masks once.  The levels and their
-    relations are built once per space (``sublevel_ladder``), each
-    relation's inner-mask tables once per relation, and each measure's
-    indicator table with the measure.  The scan reads each verdict's
-    status, tier and witness, never its certificate, so the infeasible
-    levels build none: a certificate is built when it is read.
+    The tables come from the pool of the running ``distance_matrix`` call,
+    which holds both measures, or else from a pool of the two: each table
+    is lifted to the pool's scale once and read through a level's inner
+    masks once.  The levels and their relations are built once per space
+    (``sublevel_ladder``), each relation's inner-mask tables once per
+    relation, and each measure's indicator table with the measure.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -109,9 +121,22 @@ def bottleneck_distance(
         gate_axioms(mu1, "first", seed)
         gate_axioms(mu2, "second", seed)
     pair = prepare_pair(mu1, mu2)
+    route = pair.route
     ladder: list[tuple[Scalar, str, str]] = []
     for level, relation in sublevel_ladder(mu1.space):
-        verdict = decide(pair, relation, seed=seed)
+        if route != "sampled":
+            try:
+                refuted = refutes(pair, relation)
+            except ChainBudgetExceeded:
+                pass  # too many chains: this level is probed, as decide does
+            else:
+                if refuted is not None:
+                    ladder.append((level, "infeasible", route))
+                    continue
+                ladder.append((level, "feasible", route))
+                witness = lower_coupling(mu1, mu2, relation)
+                return DistanceResult(level, witness, tuple(ladder), "exact", tier=route)
+        verdict = probe(mu1, mu2, relation, seed)
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
             certification = "sampled" if verdict.tier == "witness-found" else "exact"

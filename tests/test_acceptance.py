@@ -63,11 +63,11 @@ def verdict(criterion: str, ok: bool, detail: str):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def ensemble_pool(space, size=12, seed=100):
+def ensemble_pool(space, size=12, seed=100, depth=1):
     rng = derive_rng(seed, f"acceptance-pool-{space.labels}")
     pool = []
     while len(pool) < size:
-        mu = random_measure(space, rng)
+        mu = random_measure(space, rng, depth)
         if rd.verify_axioms(mu, seed=seed).ok:
             pool.append(mu)
     return pool
@@ -123,38 +123,53 @@ def structured(mu) -> bool:
     return mu.kind != "blackbox" and all(map(structured, mu.parts))
 
 
+def ladder_tiers(scans):
+    """(ladder levels by tier, the sampled pairs without a black box) of
+    the (mu1, mu2, ladder) of some distances."""
+    tiers = Counter()
+    sampled_structured = []
+    for mu1, mu2, ladder in scans:
+        for _, _, tier in ladder:
+            tiers[tier] += 1
+            if tier in ("refutation-sampled", "witness-found") and structured(mu1) and structured(mu2):
+                sampled_structured.append((mu1.kind, mu2.kind, tier))
+    return tiers, sampled_structured
+
+
 @pytest.mark.parametrize("name", list(SPACES))
 def test_criterion_04_metric_axioms(name, monkeypatch):
     from riskdist import metric
 
-    # every ladder verdict, by tier; every pair without a black box must be
-    # decided by a proof
-    tiers = Counter()
-    sampled_structured = []
-    decide = metric.decide
-
-    def counted(pair, s, **kwargs):
-        verdict = decide(pair, s, **kwargs)
-        tiers[verdict.tier] += 1
-        mu1, mu2 = pair.mu1, pair.mu2
-        if verdict.tier in ("refutation-sampled", "witness-found") and structured(mu1) and structured(mu2):
-            sampled_structured.append((mu1.kind, mu2.kind, verdict.tier))
-        return verdict
-
-    monkeypatch.setattr(metric, "decide", counted)
-    levels = []
+    # every ladder level of every distance, by tier, read from the results'
+    # ladders; every pair without a black box must be decided by a proof
+    scans = []
     distance = metric.bottleneck_distance
+    # the levels the scan decided: exact tests that answered, and probes
+    decisions = Counter()
+    refutes, probe = metric.refutes, metric.probe
 
-    def scanned(*args, **kwargs):
-        result = distance(*args, **kwargs)
-        levels.append(len(result.ladder))
+    def scanned(mu1, mu2, *args, **kwargs):
+        result = distance(mu1, mu2, *args, **kwargs)
+        scans.append((mu1, mu2, result.ladder))
         return result
 
+    def refuting(*args):
+        found = refutes(*args)
+        decisions["refutes"] += 1
+        return found
+
+    def probing(*args):
+        decisions["probe"] += 1
+        return probe(*args)
+
     monkeypatch.setattr(metric, "bottleneck_distance", scanned)
+    monkeypatch.setattr(metric, "refutes", refuting)
+    monkeypatch.setattr(metric, "probe", probing)
     space = SPACES[name]()
     report = metric_axiom_audit(space, ensemble_size=100, seed=404)
-    # the hook saw every ladder level the audit scanned
-    assert sum(tiers.values()) == sum(levels) > 0
+    tiers, sampled_structured = ladder_tiers(scans)
+    # the hook saw every ladder level the audit decided, once
+    assert sum(tiers.values()) == decisions.total() > 0
     for payload in report.discrepancies:
         # sampled-tier discrepancies must re-verify from their payloads
         assert reverify_failure(payload, {"measures": report.pool, "seed": 404}) is True
@@ -165,6 +180,22 @@ def test_criterion_04_metric_axioms(name, monkeypatch):
         report.ok,
         f"{report.instances} measures, checks {report.checks}, "
         f"{len(report.discrepancies)} archived sampled-tier discrepancies, "
+        f"ladder tiers {dict(sorted(tiers.items()))}",
+    )
+
+    # a depth-2 pool: mixtures, max and min of combinations, whose pairs
+    # are decided by a proof too
+    scans.clear()
+    pool = ensemble_pool(space, size=16, seed=404, depth=2)
+    _, report = rd.distance_matrix(pool, seed=404)
+    tiers, sampled_structured = ladder_tiers(scans)
+    assert report.ok, report.failures
+    assert not sampled_structured, sampled_structured[:5]
+    kinds = Counter(mu.kind for mu in pool)
+    verdict(
+        f"04 depth-2 pool [{name}]",
+        report.ok,
+        f"{len(pool)} measures {dict(sorted(kinds.items()))}, "
         f"ladder tiers {dict(sorted(tiers.items()))}",
     )
 

@@ -205,15 +205,32 @@ class TestDistance:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("1 (sampled, witness-found)")
 
+    def test_a_mixture_of_a_max_is_decided_exactly(self, space_file, capsys):
+        # the mixture takes its forms from its parts, so no level is probed
+        uniform = ["1/3", "1/3", "1/3"]
+        cv = {"type": "cvar", "level": "1/2", "weights": uniform}
+        lattice = {
+            "type": "max",
+            "components": [DIRAC_A, {"type": "expectation", "weights": uniform}],
+        }
+        mixed = {"type": "mixture", "weights": ["1/2", "1/2"], "components": [lattice, DIRAC_C]}
+        argv = [
+            "distance",
+            "--space", space_file,
+            "--measure", json.dumps(cv),
+            "--measure", json.dumps(mixed),
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "2 (exact, exact-lattice)"
+        assert lines[1:3] == ["  level 0: infeasible [exact-lattice]", "  level 1: infeasible [exact-lattice]"]
+
     def test_undecided_ladder_exits_one(self, space_file, monkeypatch, capsys):
         from riskdist import metric
-        from riskdist.coupling import FeasibilityVerdict
 
-        monkeypatch.setattr(
-            metric,
-            "decide",
-            lambda *args, **kwargs: FeasibilityVerdict("infeasible", "refutation-sampled"),
-        )
+        # two point masses are scanned by the exact test alone: refute
+        # every level
+        monkeypatch.setattr(metric, "refutes", lambda pair, s: (None, None))
         code = main(
             [
                 "distance",

@@ -6,7 +6,7 @@ import pytest
 
 import riskdist as rd
 from riskdist.coupling import (
-    _admissible_sampled,
+    probe,
     section_minima,
     triple_projection_map,
     triple_space,
@@ -427,39 +427,45 @@ class TestExactLatticeTier:
 
 
 def test_a_ladder_scan_builds_no_certificate(monkeypatch):
-    # certificates are built on read: a star5 lattice pair refuted at three
-    # or more levels builds none while it is scanned, and each one read
-    # afterwards re-checks and equals that of a fresh ``admissible``
+    # an exact route is scanned by ``refutes`` alone: a star5 lattice pair
+    # refuted at three or more levels builds no ``FeasibilityVerdict`` while
+    # it is scanned, and ``admissible`` at each refuted level gives a
+    # certificate that re-checks and is built once
     from conftest import make_star5
-    from riskdist import metric
+    from riskdist import coupling
+    from riskdist.space import sublevel_ladder
 
     space = make_star5()
-    seen = []
-    real = metric.decide
+    built = []
+    real = coupling.FeasibilityVerdict
 
-    def recording(pair, s, seed=0):
-        verdict = real(pair, s, seed=seed)
-        seen.append((s, verdict))
-        return verdict
+    def recording(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "decide", recording)
     rng = derive_rng(2021, "lazy-certificates")
     for _ in range(40):
         mu1, mu2 = random_lattice(space, rng), random_lattice(space, rng)
-        seen.clear()
-        res = rd.bottleneck_distance(mu1, mu2, check_axioms=False)
-        refuted = [(s, v) for s, v in seen if not v.feasible]
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(coupling, "FeasibilityVerdict", recording)
+            res = rd.bottleneck_distance(mu1, mu2, check_axioms=False)
+        refuted = [row for row in res.ladder if row[1] == "infeasible"]
         if len(refuted) >= 3:
             break
     assert len(refuted) >= 3 and res.tier == "exact-lattice"
-    assert {v.tier for _, v in refuted} == {"exact-lattice"}
-    # a cached certificate lives in the verdict's __dict__ once built
-    assert not any("certificate" in vars(v) for _, v in seen)
-    for s, verdict in refuted:
+    assert {tier for _, _, tier in refuted} == {"exact-lattice"}
+    assert not built
+    relations = dict(sublevel_ladder(space))
+    for level, _, _ in refuted:
+        s = relations[level]
+        verdict = rd.admissible(mu1, mu2, s)
+        # a cached certificate lives in the verdict's __dict__ once built
+        assert "certificate" not in vars(verdict)
         cert = verdict.certificate
+        assert (verdict.status, verdict.tier) == ("infeasible", "exact-lattice")
         assert cert["kind"] == "envelope-domination"
         assert_certificate_rechecks(mu1, mu2, s, cert)
-        assert cert == rd.admissible(mu1, mu2, s).certificate
         assert verdict.certificate is cert  # built once
         assert verdict == rd.admissible(mu1, mu2, s)
 
@@ -537,7 +543,7 @@ def random_family_combo(space, rng):
 
 def reference_decide_two_point(mu1, mu2, s):
     """The two-point decider by evaluation, the reference for the lookup
-    tables of ``_decide_two_point``: (status, certificate).  Each side's
+    tables of ``_two_point_refutation``: (status, certificate).  Each side's
     gap is evaluated at psi = (0, t) for t in T and one step past each end,
     and a ray on which the gap rises refutes at the first whole step where
     it turns positive."""
@@ -631,7 +637,7 @@ class TestTwoPointTier:
                 verdict = rd.admissible(mu1, mu2, s, seed=3)
                 assert verdict.tier == "exact-two-point"
                 statuses[verdict.status] += 1
-                sampled = _admissible_sampled(mu1, mu2, s, 3)
+                sampled = probe(mu1, mu2, s, 3)
                 if verdict.feasible:
                     assert sampled.feasible
                     for side, mua, mub, lists in (
@@ -787,7 +793,7 @@ class TestPreparedPair:
         got = coupling.decide(pair, rel, seed=3)
         assert got.tier == "refutation-sampled"
         assert verdict_key(got) == verdict_key(rd.admissible(mu1, mu2, rel, seed=3))
-        assert verdict_key(got) == verdict_key(_admissible_sampled(mu1, mu2, rel, 3))
+        assert verdict_key(got) == verdict_key(probe(mu1, mu2, rel, 3))
 
     def test_scan_tables_order_every_entry_pair_as_the_values_do(self, p3):
         # scales 2 and 2 (equal), 2 and 4 (nested), 4 and 3 (coprime), and

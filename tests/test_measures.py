@@ -88,7 +88,12 @@ class TestEvaluate:
         for values in probe_grid(cycle4, 3):
             want = F(1, 3) * evaluate_values(hi, values) + F(2, 3) * evaluate_values(inner, values)
             assert evaluate_values(nested, values) == want
+        # its parts' forms give it forms, so its pairs are decided exactly
         res = rd.bottleneck_distance(nested, nested)
+        assert res.value == 0 and res.tier == "exact-lattice"
+        # a black-box part leaves it to the sampled tier
+        boxed = rd.mixture((F(1, 3), F(2, 3)), (hi, rd.black_box(cycle4, inner.evaluator)))
+        res = rd.bottleneck_distance(boxed, boxed)
         assert res.value == 0 and res.tier == "witness-found"
 
 
@@ -263,13 +268,52 @@ class TestNormalForms:
         a, b = rd.dirac(p3, "a"), rd.dirac(p3, "b")
         assert normal_forms(a) == (((a.capacity,),), ((a.capacity,),))
         assert normal_forms(rd.lattice_max([a, rd.black_box(p3, max)])) is None
-        boxed_mix = rd.mixture((F(1, 2), F(1, 2)), (rd.lattice_max([a, b]), a))
+        boxed = rd.black_box(p3, max)
+        boxed_mix = rd.mixture((F(1, 2), F(1, 2)), (rd.lattice_max([a, b]), boxed))
         assert boxed_mix.capacity is None and normal_forms(boxed_mix) is None
         # a nesting whose spread form outgrows the bound keeps no form
         pair = rd.lattice_min([a, b])
         wide = rd.lattice_max([pair] * 7)
         assert 2 ** 7 * 7 > MAX_FORM_TERMS and normal_forms(wide) is None
         assert normal_forms(rd.lattice_max([pair] * 2)) is not None
+
+    def test_a_mixture_of_lattices_has_the_mixed_forms(self, cycle4):
+        # sum_c w_c max_i min_j A^c_ij is the max over row picks of the min
+        # over column picks of the mixed capacities, and min-of-max likewise
+        from riskdist.measures import MAX_FORM_TERMS, indicators, normal_forms, reach
+
+        rng = derive_rng(9, "mixed-forms")
+        a, b, c, d = (rd.choquet_measure(random_capacity(cycle4, rng)) for _ in range(4))
+        hi, lo = rd.lattice_max([a, b]), rd.lattice_min([c, rd.lattice_max([a, d])])
+        w = (F(1, 3), F(2, 3))
+        mu = rd.mixture(w, (hi, lo))
+        maxmin, minmax = normal_forms(mu)
+        mix = lambda x, y: rd.mix_capacities(w, (x.capacity, y.capacity)).table
+        tables = lambda form: [[v.table for v in line] for line in form]
+        # hi's rows are (a), (b); lo's are (c, a), (c, d)
+        assert tables(maxmin) == [
+            [mix(a, c), mix(a, a)], [mix(a, c), mix(a, d)],
+            [mix(b, c), mix(b, a)], [mix(b, c), mix(b, d)],
+        ]
+        assert [len(group) for group in minmax] == [2, 4]  # (a, b) with (c), (a, d)
+        for _ in range(30):
+            phi = tuple(rng.randint(-9, 9) for _ in range(4))
+            want = evaluate_values(mu, phi)
+            assert max(min(v.choquet(phi) for v in row) for row in maxmin) == want
+            assert min(max(v.choquet(phi) for v in group) for group in minmax) == want
+        table, scale = indicators(mu)
+        for u in range(16):
+            assert F(table[u], scale) == evaluate_values(mu, tuple(u >> x & 1 for x in range(4)))
+        assert reach(mu) == reach(hi) | reach(lo)
+        # a part of weight 0 adds nothing, its support included
+        x, y = rd.dirac(cycle4, 0), rd.dirac(cycle4, 1)
+        light = rd.mixture((F(1), F(0)), (rd.lattice_max([x, x]), rd.lattice_min([y, y])))
+        assert reach(light) == 1 and [len(row) for row in normal_forms(light)[0]] == [1, 1]
+        # the product of the parts' term counts is bounded
+        pair = rd.lattice_min([x, y])  # two terms in each form
+        k = MAX_FORM_TERMS.bit_length() - 1  # 2 ** k <= MAX_FORM_TERMS < 2 ** (k + 1)
+        assert normal_forms(rd.mixture((F(1, k),) * k, [pair] * k)) is not None
+        assert normal_forms(rd.mixture((F(1, k + 1),) * (k + 1), [pair] * (k + 1))) is None
 
 
 class TestSupport:

@@ -13,6 +13,7 @@ from riskdist.ensembles import (
     random_capacity,
     random_capacity_measure,
     random_measure,
+    random_two_point_params,
 )
 from riskdist.cli import main
 from riskdist.coupling import CouplingWitness
@@ -169,6 +170,61 @@ class TestBottleneckDistance:
         assert counts["riskdist.coupling", "times"] == 2 * tables
         assert counts["riskdist.space", "_inner_table"] == built
 
+    def test_every_ladder_row_is_the_verdict_of_admissible(self):
+        # the scan decides exact routes by ``refutes`` alone; each row is
+        # still what ``admissible`` gives at that level, and the witness the
+        # lower extension at the answer
+        from conftest import fixture_spaces
+
+        tiers = Counter()
+        for space in fixture_spaces():
+            for depth in (1, 2):
+                rng = derive_rng(27, f"scan-{space.n}-{depth}")
+                pool = [random_measure(space, rng, depth=depth) for _ in range(7)]
+                pool.append(rd.black_box(space, max, name="max"))  # the sampled route
+                while space.n == 2 and pool[-1].kind != "two-point":
+                    member = rd.two_point_measure(space, random_two_point_params(rng))
+                    if rd.verify_axioms(member).ok:
+                        pool.append(member)
+                pool = [mu for mu in pool if rd.verify_axioms(mu).ok]
+                for i, mu1 in enumerate(pool):
+                    for mu2 in pool[i:]:
+                        tiers.update(assert_scanned_as_admissible(mu1, mu2))
+        for tier in ("dirac", "exact-choquet", "exact-lattice", "exact-two-point",
+                     "refutation-sampled", "witness-found"):
+            assert tiers[tier] >= 2, (tier, tiers)
+
+    def test_a_level_past_the_chain_budget_is_probed_in_the_scan(self, p3, monkeypatch):
+        from riskdist import coupling
+
+        a1 = rd.expectation(p3, (F(1, 2), F(0), F(1, 2)))
+        a2 = rd.dirac_capacity(p3, 1)
+        b = rd.Capacity(p3, tuple(map(min, a1.table, a2.table)))
+        mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
+        mu2 = rd.choquet_measure(b)
+        monkeypatch.setattr(coupling, "CHAIN_BUDGET", 0)
+        tiers = assert_scanned_as_admissible(mu1, mu2)
+        assert tiers["refutation-sampled"] >= 1, tiers
+
+
+def assert_scanned_as_admissible(mu1, mu2) -> Counter:
+    """Each ladder row of the pair's distance is (level, status, tier) of
+    ``admissible`` at that level, and the witness is ``lower_coupling``
+    there; returns the rows by tier."""
+    from riskdist.coupling import lower_coupling
+    from riskdist.space import sublevel_ladder
+
+    res = rd.bottleneck_distance(mu1, mu2)
+    ladder = sublevel_ladder(mu1.space)[: len(res.ladder)]
+    want = []
+    for level, relation in ladder:
+        verdict = rd.admissible(mu1, mu2, relation)
+        want.append((level, verdict.status, verdict.tier))
+    assert list(res.ladder) == want, (mu1.kind, mu2.kind)
+    assert want[-1][1] == "feasible" and res.value == want[-1][0] and res.tier == want[-1][2]
+    assert res.witness == lower_coupling(mu1, mu2, ladder[-1][1])
+    return Counter(tier for _, _, tier in res.ladder)
+
 
 def counting(monkeypatch, counts, module, name):
     """Count the calls of ``module.name`` in ``counts``."""
@@ -317,6 +373,12 @@ class TestDistanceMatrix:
         for space in fixture_spaces():
             rng = derive_rng(4, "m")
             pool = [random_measure(space, rng, depth=2) for _ in range(8)]
+            while space.n == 2 and pool[-1].kind != "two-point":
+                # a family member that passes its axioms: its pairs with the
+                # pool's measures with normal forms reach the two-point tier
+                member = rd.two_point_measure(space, random_two_point_params(rng))
+                if rd.verify_axioms(member).ok:
+                    pool.append(member)
             results, report = rd.distance_matrix(pool)
             assert report.ok
             for i, mu1 in enumerate(pool):

@@ -30,6 +30,13 @@ reach the two-point tier, is run as ``distance`` and as ``couple
 --threshold 0`` on its measures, each written to its own file;
 their lines name the workloads ``mixed-matrix/distance`` and
 ``mixed-matrix/couple``, with the index ``<request>:<a>:<b>``.
+Last, on each space of ``bench/workloads.py``, one fixed mixture with a
+lattice part, half max(Dirac at the first point, uniform expectation) and
+half the Dirac at the last point, which no benchmark pool holds, is run as
+``distance`` against the uniform CVaR at level 1/2 and as ``matrix`` on
+the pool of the mixture, that CVaR, its max part and that Dirac; their
+lines name the workloads ``mixture-lattice/distance`` and
+``mixture-lattice/matrix``, with seed 0 and the space's name as the index.
 """
 
 from __future__ import annotations
@@ -74,14 +81,49 @@ def main(argv=None) -> int:
                         runs.extend(pair_runs(i, op, workdir))
                     for name, index, argv in runs:
                         for mode in MODES:
-                            out = io.StringIO()
-                            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                                code = cli_main(argv + ["--mode", mode])
-                            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                            print(f"{name} {seed} {index} {mode} {code} {digest}")
+                            print(f"{name} {seed} {index} {mode} {cli_run(cli_main, argv + ['--mode', mode])}")
+        for name, index, argv in mixture_runs(workloads, workdir):
+            for mode in MODES:
+                print(f"{name} 0 {index} {mode} {cli_run(cli_main, argv + ['--mode', mode])}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return 0
+
+
+def cli_run(cli_main, argv) -> str:
+    """The exit code and the sha256 of the standard output of one CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()}"
+
+
+def mixture_runs(workloads, workdir: Path) -> list:
+    """(name, index, argv) of ``distance`` and ``matrix`` on the fixed
+    mixture with a lattice part of each benchmark space."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    runs = []
+    for space, (labels, _) in workloads.SPACES.items():
+        uniform = [f"1/{len(labels)}"] * len(labels)
+        last = {"type": "dirac", "point": labels[-1]}
+        lattice = {
+            "type": "max",
+            "components": [{"type": "dirac", "point": labels[0]}, {"type": "expectation", "weights": uniform}],
+        }
+        mixed = {"type": "mixture", "weights": ["1/2", "1/2"], "components": [lattice, last]}
+        cvar = {"type": "cvar", "level": "1/2", "weights": uniform}
+        files = {}
+        for key, obj in (
+            ("space", workloads.space_json(space)), ("mixed", mixed), ("cvar", cvar),
+            ("pool", [mixed, cvar, lattice, last]),
+        ):
+            files[key] = workdir / f"mixture-{space}-{key}.json"
+            files[key].write_text(json.dumps(obj))
+        common = ["--space", str(files["space"]), "--seed", "0", "--format", "json"]
+        pair = ["--measure", str(files["mixed"]), "--measure", str(files["cvar"])]
+        runs.append(("mixture-lattice/distance", space, ["distance", *common, *pair]))
+        runs.append(("mixture-lattice/matrix", space, ["matrix", *common, "--measure", str(files["pool"])]))
+    return runs
 
 
 def min_level(space_json: dict) -> Fraction:
