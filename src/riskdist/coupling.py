@@ -99,14 +99,13 @@ points T and each measure's mu(a, b) for a and b in {0, t} as integers.
 ``refutes`` is then the one exact test on a relation: the indicator scan,
 the chain cover and the LP, or the two-point lookup, or a Dirac pair's
 read of S, returning None when nothing refutes and otherwise the side and
-the psi it found, and building nothing else.  ``decide`` gives the verdict
-on one relation: it checks (a) and the parts' supports against the
-projections, runs ``refutes`` on an exact route and builds the verdict,
-its certificate and its witness from the answer, and probes the rest
-(``probe``); ``admissible`` is ``decide(prepare_pair(mu1, mu2), s,
-seed)``.  The distance ladder prepares once and, its relations holding the
-diagonal, runs ``refutes`` alone per level on an exact route and ``probe``
-where ``decide`` would.  What outlives a pool
+the psi it found, and building nothing else.  ``admissible`` gives the
+verdict on one relation: it prepares the pair, checks (a) and the parts'
+supports against the projections, runs ``refutes`` on an exact route and
+builds the verdict, its certificate and its witness from the answer, and
+probes the rest (``probe``).  The distance ladder prepares once and, its
+relations holding the diagonal, runs ``refutes`` alone per level on an
+exact route and ``probe`` on the rest.  What outlives a pool
 is built where it belongs: each measure's indicator table and reach (the
 union of its parts' supports, ``measures.reach``) with the measure, each
 relation's inner-mask tables and their readers (``Relation.inner_masks``
@@ -114,16 +113,16 @@ and ``inner_readers``) with the relation on first use, and the ladder's
 levels and relations once per space (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
-(``FeasibilityVerdict`` lists the kinds), built when it is first read; a
-feasible one carries the lower extension.  Black boxes, pushforwards and
-combinations with such parts stay on the sampled tier, and so do
-relations with a projection that misses a point, defective family
-members and a pair whose uncovered chains outgrow ``CHAIN_BUDGET``.  That
-tier scans (a), (b) and (c) over one fixed grid, whatever the caller:
-``probe_grid(space, seed, REFUTATION_RANDOMS)``.  A probe that refutes
-gives an infeasible verdict with a certificate, and a scan with no
-refutation gives the lower extension as a "witness-found" verdict, which
-says that no probe refuted and proves nothing more.  ``verify_coupling`` re-checks such a witness with
+(``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
+extension.  Black boxes, pushforwards and combinations with such parts stay
+on the sampled tier, and so do relations with a projection that misses a
+point, defective family members and a pair whose uncovered chains outgrow
+``CHAIN_BUDGET``.  That tier scans (a), (b) and (c) over one fixed grid,
+whatever the caller: ``probe_grid(space, seed, REFUTATION_RANDOMS)``.  A
+probe that refutes gives an infeasible verdict with a certificate, and a
+scan with no refutation gives the lower extension as a "witness-found"
+verdict, which says that no probe refuted and proves nothing more.
+``verify_coupling`` re-checks such a witness with
 ``measures.probe_axioms``, the seeded prober that also checks measures:
 with the default 64 samples, 64 monotone pairs, 32 integer shifts and four
 constants on the product, then the product-point indicators, support
@@ -134,13 +133,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import add, gt, le
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
 from .measures import (
@@ -290,7 +288,7 @@ def _check_coupling_spaces(mu1, mu2, s: Relation):
 # feasibility
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FeasibilityVerdict:
     """The answer of ``admissible``.
 
@@ -317,34 +315,19 @@ class FeasibilityVerdict:
       section_minima(psi, lists)), mub(psi)) and values[0] > values[1],
       which breaks (b) or (c); re-checks by evaluation on every tier.
 
-    The certificate is built on first read, by ``certify``, and then kept.
-    The infeasible levels of a ladder scan on an exact route build no
-    verdict at all: the scan runs ``refutes`` alone.  The exact tiers find,
-    while deciding, only what the decision needs (step 2's psi, a two-point
-    level's refuting t); the certificate's psi and values are found or
-    evaluated when it is read.  Verdicts compare by status, tier,
-    certificate and witness.
+    The exact tiers find, while deciding, only what the decision needs
+    (step 2's psi, a two-point level's refuting t); ``admissible`` finds
+    the rest of the certificate's psi and evaluates its values.
     """
 
     status: str  # "feasible" | "infeasible"
     tier: str
     witness: Optional[CouplingWitness] = None
-    certify: Optional[Callable[[], dict]] = field(default=None, repr=False)
+    certificate: Optional[dict] = None
 
     @property
     def feasible(self) -> bool:
         return self.status == "feasible"
-
-    @cached_property
-    def certificate(self) -> Optional[dict]:
-        return None if self.certify is None else self.certify()
-
-    def __eq__(self, other):
-        if not isinstance(other, FeasibilityVerdict):
-            return NotImplemented
-        return (self.status, self.tier, self.certificate, self.witness) == (
-            other.status, other.tier, other.certificate, other.witness
-        )
 
 
 class Pool:
@@ -476,7 +459,8 @@ class PreparedPair:
 
 def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
     """The level-invariant part of ``admissible``: the tier dispatch and the
-    tables of the pair's tier, for ``decide`` to read on any relation.
+    tables of the pair's tier, for ``admissible`` and the distance ladder
+    to read on any relation.
 
     The tables come from the pool of the running ``distance_matrix`` call
     when it holds both measures, and from a pool of the two otherwise, so
@@ -515,55 +499,13 @@ def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
     return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks, pool=pool)
 
 
-def _value(mu, b: int) -> Scalar:
-    """mu(1_B): a capacity's ``table`` entry, or a lattice's table entry
-    over its scale as a Fraction.  Only a certificate reads it, so a
-    capacity's ``table`` is built only when a certificate is."""
-    if mu.capacity is not None:
-        return mu.capacity.table[b]
-    table, scale = indicators(mu)
-    return Fraction(table[b], scale)
-
-
-def decide(pair: PreparedPair, s: Relation, seed: int = 0) -> FeasibilityVerdict:
-    """The verdict of ``admissible`` on the prepared pair and the relation S:
-    the per-relation part.  An exact route checks what ``refutes`` takes as
-    given, (a) and the parts inside the projections, and then builds its
-    verdict from that one test's answer; the rest is probed."""
-    mu1, mu2 = pair.mu1, pair.mu2
-    _check_coupling_spaces(mu1, mu2, s)
-    route = pair.route
-    projections = s.left_projection, s.right_projection
-    if route == "exact-choquet":
-        for side, mask, proj in zip(SIDES, pair.reach, projections):
-            escaped = mask & ~proj
-            if escaped:
-                point = (escaped & -escaped).bit_length() - 1
-                return _refuted(route, "support-escape", side, point=point)
-    elif route == "exact-lattice":
-        if any(mask & ~proj for mask, proj in zip(pair.reach, projections)):
-            route = "sampled"
-    elif route == "exact-two-point" and projections != (mu1.space.full_mask,) * 2:
-        route = "sampled"
-    if route != "sampled":
-        try:
-            found = refutes(pair, s)
-        except ChainBudgetExceeded:
-            return probe(mu1, mu2, s, seed)  # too many chains
-        if found is None:
-            return FeasibilityVerdict("feasible", route, witness=lower_coupling(mu1, mu2, s))
-        return _certified(pair, s, *found)
-    return probe(mu1, mu2, s, seed)
-
-
 def admissible(
     mu1: RiskMeasure,
     mu2: RiskMeasure,
     s: Relation,
     seed: int = 0,
 ) -> FeasibilityVerdict:
-    """Decide whether some coupling of (mu1, mu2) is supported inside S:
-    ``decide(prepare_pair(mu1, mu2), s, seed)``.
+    """Decide whether some coupling of (mu1, mu2) is supported inside S.
 
     Two point masses read S at their pair.  Every other pair that has
     normal forms goes to one exact decider: two capacities on any space
@@ -573,8 +515,9 @@ def admissible(
     projections, any other pair whose measures
     both have breakpoints goes to the second ("exact-two-point").  The
     rest, and a lattice pair past ``CHAIN_BUDGET``, go to the sampled tier.
-    Each exact route is the one test ``refutes``; the verdict, its
-    certificate and its witness are built from that test's answer.
+    Each exact route checks what ``refutes`` takes as given, (a) and the
+    parts inside the projections, and then runs that one test; the
+    verdict, its certificate and its witness are built from its answer.
 
     ``prepare_pair`` does the work that depends on the pair alone, once:
     the tier dispatch, the check lists of the chain cover and, on the
@@ -593,7 +536,31 @@ def admissible(
     whose projection of S misses a point.  The reflexive relations of the
     distance ladder have full projections, so a ladder scan probes none.
     """
-    return decide(prepare_pair(mu1, mu2), s, seed)
+    pair = prepare_pair(mu1, mu2)
+    _check_coupling_spaces(mu1, mu2, s)
+    route = pair.route
+    projections = s.left_projection, s.right_projection
+    if route == "exact-choquet":
+        for side, mask, proj in zip(SIDES, pair.reach, projections):
+            escaped = mask & ~proj
+            if escaped:
+                point = (escaped & -escaped).bit_length() - 1
+                certificate = {"kind": "support-escape", "side": side, "point": point}
+                return FeasibilityVerdict("infeasible", route, certificate=certificate)
+    elif route == "exact-lattice":
+        if any(mask & ~proj for mask, proj in zip(pair.reach, projections)):
+            route = "sampled"
+    elif route == "exact-two-point" and projections != (mu1.space.full_mask,) * 2:
+        route = "sampled"
+    if route != "sampled":
+        try:
+            found = refutes(pair, s)
+        except ChainBudgetExceeded:
+            return probe(mu1, mu2, s, seed)  # too many chains
+        if found is None:
+            return FeasibilityVerdict("feasible", route, witness=lower_coupling(mu1, mu2, s))
+        return FeasibilityVerdict("infeasible", route, certificate=_certificate(pair, s, *found))
+    return probe(mu1, mu2, s, seed)
 
 
 def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
@@ -601,13 +568,13 @@ def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
     hold on S, else what refutes them, (side, psi) with ``SIDES[side]``
     the broken condition.  psi is the refuting function where the test
     found one (a chain's LP, a two-point level) and None where the
-    certificate finds it when read (the indicator scan); two point masses
-    off S give (None, None).
+    certificate finds it (the indicator scan); two point masses off S give
+    (None, None).
 
-    It builds no verdict: ``decide`` wraps it, and the distance ladder
+    It builds no verdict: ``admissible`` wraps it, and the distance ladder
     reads only whether it is None.  It takes (a) as given, with every
     part's support inside the projections of S on "exact-lattice" and
-    full projections on "exact-two-point": ``decide`` checks these first,
+    full projections on "exact-two-point": ``admissible`` checks these first,
     and every ladder relation, holding the diagonal, has them.  A lattice
     pair whose uncovered chains outgrow ``CHAIN_BUDGET`` raises
     ``ChainBudgetExceeded``.
@@ -636,36 +603,23 @@ def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
     return None
 
 
-def _refuted(tier: str, kind: str, side: str, **fields) -> FeasibilityVerdict:
-    return FeasibilityVerdict(
-        "infeasible", tier, certify=partial(dict, kind=kind, side=side, **fields)
-    )
-
-
-def _certified(pair: PreparedPair, s: Relation, side, psi) -> FeasibilityVerdict:
-    """The infeasible verdict of what ``refutes`` found, its certificate
-    built on first read."""
-    mu1, mu2, tier = pair.mu1, pair.mu2, pair.route
+def _certificate(pair: PreparedPair, s: Relation, side, psi) -> dict:
+    """The certificate of what ``refutes`` found on S."""
+    mu1, mu2 = pair.mu1, pair.mu2
     if side is None:
-        certify = partial(dict, kind="pair-outside-support", pair=(mu1.point, mu2.point))
-        return FeasibilityVerdict("infeasible", tier, certify=certify)
-    mua, mub = (mu1, mu2) if side == 0 else (mu2, mu1)
-
-    def certify():
-        found = psi
-        if found is None:  # the indicator scan: find its first set U
-            n = mu1.space.n
-            a, b = pair.scan[side]
-            inner = pair.pool.inner_values(a, s.inner_readers[side])
-            u = next(u for u in range(1 << n) if inner[u] > b[u])
-            found = tuple([u >> x & 1 for x in range(n)])
-            values = _value(mua, s.inner_masks[side][u]), _value(mub, u)
-        else:
-            lists = (s.section_lists, s.inv_section_lists)[side]
-            values = evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi)
-        return {"kind": "envelope-domination", "side": SIDES[side], "psi": found, "values": values}
-
-    return FeasibilityVerdict("infeasible", tier, certify=certify)
+        return {"kind": "pair-outside-support", "pair": (mu1.point, mu2.point)}
+    if psi is None:  # the indicator scan: its first set U, read on the pool's scale
+        n, scale = mu1.space.n, pair.pool.scale
+        a, b = pair.scan[side]
+        inner = pair.pool.inner_values(a, s.inner_readers[side])
+        u = next(u for u in range(1 << n) if inner[u] > b[u])
+        psi = tuple([u >> x & 1 for x in range(n)])
+        values = Fraction(inner[u], scale), Fraction(b[u], scale)
+    else:
+        mua, mub = (mu1, mu2) if side == 0 else (mu2, mu1)
+        lists = (s.section_lists, s.inv_section_lists)[side]
+        values = evaluate_values(mua, section_minima(psi, lists)), evaluate_values(mub, psi)
+    return {"kind": "envelope-domination", "side": SIDES[side], "psi": psi, "values": values}
 
 
 def _refuting_chain(columns, n: int):
@@ -821,7 +775,8 @@ def _two_point_refutation(pair: PreparedPair, s: Relation) -> Optional[tuple]:
     with integer comparisons only: the section minima of psi are 0 or t,
     by the sign of t and the relation's sections, so each side picks one
     table of mua below 0 and one above, and compares it with mub(0, t).
-    Nothing is evaluated: a refutation's certificate evaluates when read.
+    Nothing is evaluated: ``admissible`` evaluates a refutation's
+    certificate.
     """
     points = pair.points
     last = len(points) - 1
@@ -851,7 +806,7 @@ def _two_point_refutation(pair: PreparedPair, s: Relation) -> Optional[tuple]:
 
 def probe(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
     """The sampled tier: probe (a), (b) and (c) on the fixed grid; with no
-    refutation, return the lower extension as "witness-found".  ``decide``
+    refutation, return the lower extension as "witness-found".  ``admissible``
     runs it on the sampled route and on a lattice pair past
     ``CHAIN_BUDGET``, and the distance ladder runs it on those levels
     directly, its relations being on the pair's space.
@@ -885,9 +840,10 @@ def probe(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
         escape = next(separating_pairs(mu, outside, seed=seed), None)
         if escape is not None:
             point, separating = escape
-            return _refuted(
-                "refutation-sampled", "support-escape", side, point=point, separating=separating
-            )
+            cert = {
+                "kind": "support-escape", "side": side, "point": point, "separating": separating
+            }
+            return FeasibilityVerdict("infeasible", "refutation-sampled", certificate=cert)
     probes = probe_grid(space, seed, REFUTATION_RANDOMS)
     for side, mua, mub, lists in (
         ("left", mu1, mu2, s.section_lists),
@@ -898,9 +854,10 @@ def probe(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
             lhs = evaluate_values(mua, env)
             rhs = evaluate_values(mub, psi)
             if lhs > rhs:
-                return _refuted(
-                    "refutation-sampled", "envelope-domination", side, psi=psi, values=(lhs, rhs)
-                )
+                cert = {
+                    "kind": "envelope-domination", "side": side, "psi": psi, "values": (lhs, rhs)
+                }
+                return FeasibilityVerdict("infeasible", "refutation-sampled", certificate=cert)
     for side, mu, proj in gaps:
         inside = [i for i in range(space.n) if proj >> i & 1] or range(space.n)
         for psi in probes:
@@ -908,10 +865,11 @@ def probe(mu1, mu2, s: Relation, seed) -> FeasibilityVerdict:
             trim = tuple(v if proj >> i & 1 else top for i, v in enumerate(psi))
             a, b = evaluate_values(mu, psi), evaluate_values(mu, trim)
             if a != b:
-                return _refuted(
-                    "refutation-sampled", "support-escape", side,
-                    separating=(psi, trim), values=(a, b),
-                )
+                cert = {
+                    "kind": "support-escape", "side": side,
+                    "separating": (psi, trim), "values": (a, b),
+                }
+                return FeasibilityVerdict("infeasible", "refutation-sampled", certificate=cert)
     return FeasibilityVerdict(
         "feasible", "witness-found", witness=lower_coupling(mu1, mu2, s)
     )

@@ -200,7 +200,9 @@ def drifting_mixture_sequence(
 
     It converges to dirac(base) pointwise while every term keeps mass on
     ``far``, so its bottleneck distance to the limit never drops below the
-    separation of the two points.
+    separation of the two points.  This is why the bottleneck distance
+    cannot generate the pointwise topology: on expectations it is
+    W-infinity, which stays at d(base, far) along this sequence.
     """
     limit = dirac(space, base)
     terms = []

@@ -60,8 +60,13 @@ class DistanceResult:
     value: Scalar
     witness: Optional[CouplingWitness]
     ladder: tuple[tuple[Scalar, str, str], ...]  # (level, status, tier)
-    certification: str  # "exact" | "sampled"
-    tier: str = "exact-choquet"
+    tier: str
+
+    @property
+    def certification(self) -> str:
+        """Whether the tier proves the value: "sampled" on "witness-found",
+        whose verdict says only that no probe refuted, else "exact"."""
+        return "sampled" if self.tier == "witness-found" else "exact"
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ def bottleneck_distance(
     as given.  So a pair on an exact route is scanned with that one test
     alone: a refuted level records (level, "infeasible", route) and builds
     nothing, and only the first feasible level builds the lower extension
-    and the result, "exact".  ``coupling.probe`` runs where ``decide``
+    and the result, "exact".  ``coupling.probe`` runs where ``admissible``
     probes: on the sampled route, whose "witness-found" verdict says only
     that no probe of its one fixed grid refuted and makes the result
     "sampled", and on a lattice level past ``CHAIN_BUDGET``.
@@ -128,21 +133,18 @@ def bottleneck_distance(
             try:
                 refuted = refutes(pair, relation)
             except ChainBudgetExceeded:
-                pass  # too many chains: this level is probed, as decide does
+                pass  # too many chains: this level is probed, as admissible does
             else:
                 if refuted is not None:
                     ladder.append((level, "infeasible", route))
                     continue
                 ladder.append((level, "feasible", route))
                 witness = lower_coupling(mu1, mu2, relation)
-                return DistanceResult(level, witness, tuple(ladder), "exact", tier=route)
+                return DistanceResult(level, witness, tuple(ladder), route)
         verdict = probe(mu1, mu2, relation, seed)
         ladder.append((level, verdict.status, verdict.tier))
         if verdict.feasible:
-            certification = "sampled" if verdict.tier == "witness-found" else "exact"
-            return DistanceResult(
-                level, verdict.witness, tuple(ladder), certification, tier=verdict.tier
-            )
+            return DistanceResult(level, verdict.witness, tuple(ladder), verdict.tier)
     # the diameter level admits every coupling, so only a faulty tier ends here
     raise CouplingFailure("no feasible level found on the ladder")
 
@@ -424,7 +426,11 @@ def convergence_audit(
     supports, and checks the provable inequality gap <= modulus(phi, r)
     per probe.  Whether vanishing pointwise gaps force r and h to vanish is
     reported, not asserted: instances where they do not are archived as
-    flagged discrepancies.
+    flagged discrepancies.  Such instances exist, because the bottleneck
+    distance cannot generate the pointwise topology: on expectations it is
+    W-infinity, and (1 - 1/n) dirac(base) + (1/n) dirac(far) converges
+    pointwise while W-infinity stays at d(base, far)
+    (``drifting_mixture_sequence``).
     """
     space = limit.space
     if any(t.space != space for t in terms):

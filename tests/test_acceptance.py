@@ -458,7 +458,10 @@ def test_criterion_10_convergence_audit():
         "10 convergence audit",
         True,
         "drift instance flagged (gaps shrink, metric and support gaps stay at the diameter); "
-        "gap bound holds on every instance",
+        "gap bound holds on every instance; the bottleneck distance cannot generate the "
+        "pointwise topology, since on expectations it is W-infinity, and "
+        "(1 - 1/n) dirac(base) + (1/n) dirac(far) converges pointwise while W-infinity "
+        "stays at d(base, far)",
     )
 
 

@@ -430,7 +430,7 @@ def test_a_ladder_scan_builds_no_certificate(monkeypatch):
     # an exact route is scanned by ``refutes`` alone: a star5 lattice pair
     # refuted at three or more levels builds no ``FeasibilityVerdict`` while
     # it is scanned, and ``admissible`` at each refuted level gives a
-    # certificate that re-checks and is built once
+    # certificate that re-checks
     from conftest import make_star5
     from riskdist import coupling
     from riskdist.space import sublevel_ladder
@@ -460,13 +460,10 @@ def test_a_ladder_scan_builds_no_certificate(monkeypatch):
     for level, _, _ in refuted:
         s = relations[level]
         verdict = rd.admissible(mu1, mu2, s)
-        # a cached certificate lives in the verdict's __dict__ once built
-        assert "certificate" not in vars(verdict)
         cert = verdict.certificate
         assert (verdict.status, verdict.tier) == ("infeasible", "exact-lattice")
         assert cert["kind"] == "envelope-domination"
         assert_certificate_rechecks(mu1, mu2, s, cert)
-        assert verdict.certificate is cert  # built once
         assert verdict == rd.admissible(mu1, mu2, s)
 
 
@@ -728,15 +725,16 @@ def verdict_key(verdict):
 
 
 class TestPreparedPair:
-    """``decide`` on a pair prepared once is ``admissible`` on every relation."""
+    """``admissible`` decides a pair alike from a pool of the two and from
+    a pool of many measures, on every relation."""
 
     def test_decides_as_admissible_on_every_level_and_relation(self):
-        # each pair is prepared alone, a pool of two, and inside a pool of
-        # every seeded measure, whose common scale is a multiple of the
-        # pair's: both decide as a fresh ``admissible`` does, certificate
-        # (psi and values) and witness support included
+        # each pair is decided alone, from a pool of two, and inside a pool
+        # of every seeded measure, whose common scale is a multiple of the
+        # pair's: both give one verdict, certificate (psi and values) and
+        # witness support included
         from conftest import fixture_spaces
-        from riskdist.coupling import decide, pooled, prepare_pair
+        from riskdist.coupling import pooled, prepare_pair
         from riskdist.oracles import random_relation
         from riskdist.space import sublevel_ladder
 
@@ -746,21 +744,27 @@ class TestPreparedPair:
             ladder = sublevel_ladder(space)
             assert [t for t, _ in ladder] == rd.distance_levels(space)
             pairs = seam_pairs(space, rng)
+            relations = [
+                [*ladder, *((None, random_relation(space, rng)) for _ in range(3))]
+                for _ in pairs
+            ]
             with pooled([mu for pair in pairs for mu in pair]):
                 in_pool = [prepare_pair(mu1, mu2) for mu1, mu2 in pairs]
-            for (mu1, mu2), shared in zip(pairs, in_pool):
+                pooled_verdicts = [
+                    [rd.admissible(mu1, mu2, rel, seed=7) for _, rel in rels]
+                    for (mu1, mu2), rels in zip(pairs, relations)
+                ]
+            for (mu1, mu2), shared, rels, verdicts in zip(
+                pairs, in_pool, relations, pooled_verdicts
+            ):
                 pair = prepare_pair(mu1, mu2)
                 if pair.pool is not None:
                     assert shared.pool is not pair.pool
                     assert shared.pool.scale % pair.pool.scale == 0
-                others = [random_relation(space, rng) for _ in range(3)]
-                for level, rel in [*ladder, *((None, r) for r in others)]:
+                for (level, rel), got in zip(rels, verdicts):
                     if level is not None:
                         assert rel == sublevel_relation(space, level)
-                    got = decide(pair, rel, seed=7)
                     want = rd.admissible(mu1, mu2, rel, seed=7)
-                    assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
-                    got = decide(shared, rel, seed=7)
                     assert verdict_key(got) == verdict_key(want), (mu1.kind, mu2.kind, level)
                     seen[got.tier, (got.certificate or {}).get("kind")] += 1
         for key in (
@@ -788,9 +792,9 @@ class TestPreparedPair:
         mu1 = rd.lattice_min([rd.choquet_measure(a1), rd.choquet_measure(a2)])
         mu2 = rd.choquet_measure(b)
         monkeypatch.setattr(coupling, "CHAIN_BUDGET", 0)
-        pair = coupling.prepare_pair(mu1, mu2)
         rel = sublevel_relation(p3, 0)
-        got = coupling.decide(pair, rel, seed=3)
+        with coupling.pooled([mu1, mu2, rd.choquet_measure(a1)]):
+            got = rd.admissible(mu1, mu2, rel, seed=3)
         assert got.tier == "refutation-sampled"
         assert verdict_key(got) == verdict_key(rd.admissible(mu1, mu2, rel, seed=3))
         assert verdict_key(got) == verdict_key(probe(mu1, mu2, rel, 3))
@@ -798,8 +802,11 @@ class TestPreparedPair:
     def test_scan_tables_order_every_entry_pair_as_the_values_do(self, p3):
         # scales 2 and 2 (equal), 2 and 4 (nested), 4 and 3 (coprime), and
         # a lattice of scale 6 against a capacity of scale 4
-        from riskdist.coupling import _value, prepare_pair
+        from riskdist.coupling import prepare_pair
         from riskdist.measures import indicators
+
+        def value(mu, b):  # mu(1_B), by evaluation
+            return evaluate_values(mu, tuple([F(b >> x & 1) for x in range(3)]))
 
         half = rd.choquet_measure(rd.expectation(p3, (F(1, 2), F(0), F(1, 2))))
         quarter = rd.choquet_measure(rd.expectation(p3, (F(1, 4), F(1, 4), F(1, 2))))
@@ -811,7 +818,7 @@ class TestPreparedPair:
             for (a, b), (ma, mb) in zip(pair.scan, ((mu1, mu2), (mu2, mu1))):
                 for x in range(8):
                     for u in range(8):
-                        va, vb = _value(ma, x), _value(mb, u)
+                        va, vb = value(ma, x), value(mb, u)
                         assert (a[x] > b[u]) == (va > vb), (x, u)
                         assert (a[x] == b[u]) == (va == vb), (x, u)
             if indicators(mu1)[1] == indicators(mu2)[1]:

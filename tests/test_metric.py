@@ -257,6 +257,80 @@ def counting_reads(monkeypatch, counts):
     monkeypatch.setattr(Pool, "inner_values", inner_values)
 
 
+# family members of the two-point space that pass their census
+CENSUS_SOUND_MEMBERS = [
+    {"type": "two-point", "alpha": ["1/2", "1/2", "0", "0"], "lambda": ["0", "0", "0", "0"],
+     "f": {"knots": [["0", "0"], ["1", "1"]]}},
+    {"type": "two-point", "alpha": ["1/4", "1/4", "1/4", "1/4"], "lambda": ["0", "-1", "0", "0"],
+     "f": {"knots": [["-2", "-1"], ["0", "0"], ["3", "1"]]}},
+    {"type": "two-point", "alpha": ["1/3", "1/6", "1/6", "1/3"], "lambda": ["-inf", "0", "2", "0"],
+     "f": {"knots": [["-1", "-1/2"], ["0", "0"], ["2", "1/2"]]}},
+]
+
+
+def cli_kind_specs(labels) -> list:
+    """A JSON spec of every measure kind the CLI loads, on points ``labels``;
+    on two points, census-sound family members too."""
+    n = len(labels)
+    weights = [f"{i + 1}/{n * (n + 1) // 2}" for i in range(n)]
+    table = {  # the distortion |B|^2 / n^2
+        ",".join(l for x, l in enumerate(labels) if m >> x & 1): f"{bin(m).count('1') ** 2}/{n * n}"
+        for m in range(1, 1 << n)
+    }
+    first = {"type": "dirac", "point": labels[0]}
+    expectation = {"type": "expectation", "weights": weights}
+    specs = [
+        first,
+        {"type": "dirac", "point": labels[-1]},
+        {"type": "choquet", "capacity": table},
+        expectation,
+        {"type": "var", "level": "1/2", "weights": weights},
+        {"type": "cvar", "level": "1/2", "weights": weights},
+        {"type": "unanimity"},
+        {"type": "unanimity", "points": labels[:2]},
+        {"type": "possibility", "points": labels[1:]},
+        {"type": "mixture", "weights": ["1/3", "2/3"], "components": [first, expectation]},
+    ]
+    return specs + (CENSUS_SOUND_MEMBERS if n == 2 else [])
+
+
+def combined(op, a, b) -> dict:
+    if op == "mixture":
+        return {"type": "mixture", "weights": ["1/3", "2/3"], "components": [a, b]}
+    return {"type": op, "components": [a, b]}
+
+
+def test_no_cli_kind_to_depth_two_is_sampled():
+    # every kind the CLI loads, and max, min and mixtures of two of them to
+    # depth 2, loaded from JSON, is scanned by a proof on every ladder level
+    from itertools import combinations
+
+    from conftest import fixture_spaces
+    from riskdist.io import load_measure
+
+    ops = ("max", "min", "mixture")
+    seen = Counter()
+    for space in fixture_spaces():
+        rng = derive_rng(808, f"cli-kinds-{space.n}")
+        depth0 = cli_kind_specs(list(space.labels))
+        depth1 = [combined(op, a, b) for op in ops for a, b in combinations(depth0, 2)]
+        depth2 = [
+            combined(rng.choice(ops), rng.choice(depth1), rng.choice(depth0 + depth1))
+            for _ in range(32)
+        ]
+        memo = {}
+        specs = json.loads(json.dumps(depth0 + rng.sample(depth1, 32) + depth2))
+        pool = [load_measure(spec, space, memo) for spec in specs]
+        results, report = rd.distance_matrix(pool)
+        assert report.ok, report.failures
+        tiers = Counter(
+            tier for i, row in enumerate(results) for res in row[i:] for _, _, tier in res.ladder
+        )
+        assert not tiers.keys() & {"witness-found", "refutation-sampled"}, (space.labels, tiers)
+        seen.update(tiers)
+    assert {"dirac", "exact-choquet", "exact-lattice", "exact-two-point"} <= seen.keys(), seen
+
+
 def assert_every_witness_verifies(results):
     k = len(results)
     for i in range(k):
@@ -526,15 +600,14 @@ class TestLipschitzControl:
 
 def _diagonal_witness(mu1, mu2, res):
     # the lower extension on the diagonal fails its marginals unless the
-    # two measures are equal; labelled sampled, since the matrix audit
-    # re-samples only witnesses that no exact tier proved
+    # two measures are equal; labelled witness-found, so sampled, since the
+    # matrix audit re-samples only witnesses that no exact tier proved
     if res.value == 0:
         return res
     w = res.witness
     return dataclasses.replace(
         res,
         witness=CouplingWitness(w.left, w.right, diagonal_relation(w.left.space)),
-        certification="sampled",
         tier="witness-found",
     )
 

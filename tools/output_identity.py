@@ -1,8 +1,8 @@
 """Fingerprint the CLI's output on every benchmark request of seeds 1-3,
 in exact and in float mode, on ``couple`` runs of each exact-distance
 request at threshold 0 and at the smallest positive level of its space,
-and on ``distance`` and ``couple --threshold 0`` runs of every pair of
-each mixed-matrix pool on the two-point space.
+and on ``distance`` and ``couple`` runs, at the same two thresholds, of
+every pair of every mixed-matrix pool.
 
     python3 tools/output_identity.py --src src > new.txt
     python3 tools/output_identity.py --src ../old/src > old.txt
@@ -24,12 +24,14 @@ distance of the space as the threshold, where the relation links
 neighbours and a certificate reads the measures at inner sets that differ
 from their sets.  Their lines name the workloads ``exact-distance/couple``
 and ``exact-distance/couple-min-level``.
-Each pair (a, b), a before b, of a mixed-matrix pool on the two-point space,
-the only benchmark pool with family members and so the only one whose pairs
-reach the two-point tier, is run as ``distance`` and as ``couple
---threshold 0`` on its measures, each written to its own file;
-their lines name the workloads ``mixed-matrix/distance`` and
-``mixed-matrix/couple``, with the index ``<request>:<a>:<b>``.
+Each pair (a, b), a before b, of every mixed-matrix pool is run as
+``distance`` and as ``couple`` at the same two thresholds on its measures,
+each written to its own file.  So every tier's certificates are
+fingerprinted byte for byte: the two-point pool's family members reach
+the two-point tier, and the lattice members of the pools on three to six
+points reach the lattice tier.  Their lines name the workloads
+``mixed-matrix/distance``, ``mixed-matrix/couple`` and
+``mixed-matrix/couple-min-level``, with the index ``<request>:<a>:<b>``.
 Last, on each space of ``bench/workloads.py``, one fixed mixture with a
 lattice part, half max(Dirac at the first point, uniform expectation) and
 half the Dirac at the last point, which no benchmark pool holds, is run as
@@ -77,7 +79,7 @@ def main(argv=None) -> int:
                         runs.append((f"{workload}/couple", i, [*couple, "0"]))
                         level = str(min_level(op.req["space_json"]))
                         runs.append((f"{workload}/couple-min-level", i, [*couple, level]))
-                    if workload == "mixed-matrix" and op.req["space_json"]["points"] == ["x", "y"]:
+                    if workload == "mixed-matrix":
                         runs.extend(pair_runs(i, op, workdir))
                     for name, index, argv in runs:
                         for mode in MODES:
@@ -132,9 +134,11 @@ def min_level(space_json: dict) -> Fraction:
 
 
 def pair_runs(i: int, op, workdir: Path) -> list:
-    """(name, index, argv) of ``distance`` and ``couple --threshold 0`` on
-    every pair of the pool of matrix request ``i``."""
+    """(name, index, argv) of ``distance`` and of ``couple`` at threshold 0
+    and at the smallest positive level on every pair of the pool of matrix
+    request ``i``."""
     space, common = op.argv[1:3], op.argv[-4:]  # --space FILE; --seed 0 --format json
+    level = str(min_level(op.req["space_json"]))
     files = []
     for k, member in enumerate(op.req["pool"]):
         path = workdir / f"pool{i}-member{k}.json"
@@ -145,8 +149,9 @@ def pair_runs(i: int, op, workdir: Path) -> list:
         for b in range(a + 1, len(files)):
             argv = [*space, "--measure", files[a], "--measure", files[b], *common]
             runs.append(("mixed-matrix/distance", f"{i}:{a}:{b}", ["distance", *argv]))
-            couple = ["couple", *argv, "--threshold", "0"]
-            runs.append(("mixed-matrix/couple", f"{i}:{a}:{b}", couple))
+            couple = ["couple", *argv, "--threshold"]
+            runs.append(("mixed-matrix/couple", f"{i}:{a}:{b}", [*couple, "0"]))
+            runs.append(("mixed-matrix/couple-min-level", f"{i}:{a}:{b}", [*couple, level]))
     return runs
 
 
