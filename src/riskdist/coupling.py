@@ -82,34 +82,41 @@ where it turns positive; otherwise the pair is feasible.  Either verdict is
 a proof.  Reading the gap is a lookup, not an evaluation: each section
 minimum (a, b) of psi has a and b in {0, t}, so b - a is 0, t or -t, which
 all lie in T (T is symmetric), and mua(a, b) = a + ga(b - a) is read from
-ga on T.  ``prepare_pair`` reads g of both measures on T from their pool
-and lifts T and those values onto one integer denominator, so that a level
-costs |T| integer comparisons per side.
+ga on T.  Each measure's lookup tables are read at T off its pool's one
+grid, which holds the points T of every pair of the pool, as integers over
+one denominator: comparisons, and the whole step -gap // rise, are the
+same on every common positive scale, so a level costs |T| integer
+comparisons per side.
 
 Deciding is split in three.  A ``Pool`` holds what the pairs of a set of
-measures share: one common scale for every indicator table and part table
-of its measures, each table lifted to it once, each lifted table read
-through a relation's inner masks once, the first time a pair needs it,
-and each measure's g once per point.  ``distance_matrix`` prepares every
-pair of its measures from one pool (``pooled``), which dies with the call;
-a lone pair is a pool of two.  ``prepare_pair`` does, once per pair, what
-does not depend on S: the tier dispatch, the (row, group) check lists of
-step 2, which point at the pool's tables, and, on the two-point tier, the
-points T and each measure's mu(a, b) for a and b in {0, t} as integers.
-``refutes`` is then the one exact test on a relation: the indicator scan,
-the chain cover and the LP, or the two-point lookup, or a Dirac pair's
-read of S, returning None when nothing refutes and otherwise the side and
-the psi it found, and building nothing else.  ``admissible`` gives the
-verdict on one relation: it prepares the pair, checks (a) and the parts'
-supports against the projections, runs ``refutes`` on an exact route and
-builds the verdict, its certificate and its witness from the answer, and
-probes the rest (``probe``).  The distance ladder prepares once and, its
-relations holding the diagonal, runs ``refutes`` alone per level on an
-exact route and ``probe`` on the rest.  What outlives a pool
-is built where it belongs: each measure's indicator table and reach (the
-union of its parts' supports, ``measures.reach``) with the measure, each
-relation's inner-mask tables and their readers (``Relation.inner_masks``
-and ``inner_readers``) with the relation on first use, and the ladder's
+measures share, built the first time a pair needs it.  Each member has one
+entry (``Member``): its route class, its indicator table and the part
+tables of its normal forms, all lifted to one common scale, and its
+reach.  One column memo, ``Pool.covered``, holds whether a(inner U) <=
+b(U) for every U, per two lifted part tables and side of a relation, for
+the chain cover to share across pairs; each lifted table is read through
+a relation's inner masks once.  On two points, one grid holds the points
+T of every pair, and each member's lookup tables are read on it once.
+``distance_matrix`` prepares every pair of its measures from one pool
+(``pooled``), which dies with the call; a lone pair is a pool of two, on
+the same code.  ``prepare_pair`` then does, per pair, what does not
+depend on S: it takes the two entries, the route of their larger rank,
+and on the two-point tier the grid read at the pair's own points.
+``refutes`` is the one exact test on a relation: the indicator scan,
+the chain cover of the two members' rows and groups and the LP, or the
+two-point lookup, or a Dirac pair's read of S, returning None when
+nothing refutes and otherwise the side and the psi it found, and building
+nothing else.  ``admissible`` gives the verdict on one relation: it
+prepares the pair, checks (a) and the parts' supports against the
+projections, runs ``refutes`` on an exact route and builds the verdict,
+its certificate and its witness from the answer, and probes the rest
+(``probe``).  The distance ladder prepares once and, its relations
+holding the diagonal, runs ``refutes`` alone per level on an exact route
+and ``probe`` on the rest.  What outlives a pool is built where it
+belongs: each measure's indicator table and reach (the union of its
+parts' supports, ``measures.reach``) with the measure, each relation's
+inner-mask tables and their readers (``Relation.inner_masks`` and
+``inner_readers``) with the relation on first use, and the ladder's
 levels and relations once per space (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
@@ -137,7 +144,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import add, gt, le
+from operator import add, gt, itemgetter, le
 from typing import Optional
 
 from .errors import EmptySection, InvalidParams, MarginalMismatch, SpaceMismatch
@@ -330,9 +337,59 @@ class FeasibilityVerdict:
         return self.status == "feasible"
 
 
+#: a pair's route, by the larger rank of its two members (``Member.rank``)
+ROUTES = ("dirac", "exact-choquet", "exact-lattice", "exact-two-point", "sampled")
+
+
+class Member:
+    """A pool member's entry: what deciding any pair of the member reads
+    of it, built once per member by ``Pool.entry``.
+
+    * ``rank``: the member's route class, an index into ``ROUTES``: 0 a
+      point mass, 1 a capacity, 2 a measure with normal forms, 3 on a
+      two-point space a measure with ``RiskMeasure.breakpoints``, 4 none of
+      these.  A pair's route is the route of its larger rank.  A point
+      mass without a capacity lives on a space past
+      ``MAX_CAPACITY_POINTS`` points, where every other measure ranks 4.
+    * ``table``, ``reach``, ``rows`` and ``groups``, for ranks 0 to 2: the
+      indicator table on the pool's scale, ``measures.reach``, and the
+      rows of the max-of-min form and the groups of the min-of-max form,
+      each part a table on the pool's scale.
+    * ``kinks``, ``ends`` and ``lookup``, filled in by the pool's two-point
+      grid (``Pool.two_point_tables``) for ranks 0 to 3: the grid indices
+      of {0}, the member's breakpoints and their negatives; the indices of
+      -(m + 1) and m + 1, m the largest of those points; and the lookup
+      tables of mu(a, b) for a and b in {0, t}, t on the whole grid, as
+      integers over the grid's one denominator.
+    """
+
+    __slots__ = ("rank", "table", "reach", "rows", "groups", "kinks", "ends", "lookup")
+
+    def __init__(self, pool: Pool, mu: RiskMeasure):
+        forms = normal_forms(mu)
+        if forms is None:
+            self.table = self.reach = self.rows = self.groups = None
+            if mu.kind == "dirac":
+                self.rank = 0
+            else:
+                self.rank = 3 if mu.space.n == 2 and mu.breakpoints is not None else 4
+            return
+        lift = pool._lift
+        self.table = lift(*indicators(mu))
+        self.reach = reach(mu)
+        if mu.capacity is not None:  # its one form is itself
+            self.rank = 0 if mu.kind == "dirac" else 1
+            self.rows = self.groups = ((self.table,),)
+        else:
+            self.rank = 2
+            self.rows, self.groups = (
+                [[lift(c.scaled, c.scale) for c in part] for part in form] for form in forms
+            )
+
+
 class Pool:
-    """What the pairs of a set of measures share, built once for all of
-    them: by ``pooled`` for one ``distance_matrix`` call, or by
+    """What the pairs of a set of measures on one space share, built once
+    for all of them: by ``pooled`` for one ``distance_matrix`` call, or by
     ``prepare_pair`` for a lone pair, a pool of two.
 
     * ``scale``: one common scale L, the least common multiple of the
@@ -340,16 +397,25 @@ class Pool:
       combination's scale is a multiple of its parts' scales (a max's and
       a min's is theirs, a mixture's carries its weights' denominators
       too), so L is a multiple of every part capacity's scale, and every
-      table of the pool is read as integers over L.
-    * ``table`` and ``forms``: a member's indicator table, and its
-      max-of-min rows and min-of-max groups of part tables, lifted to L.
-      Each table is lifted once, however many measures and pairs hold it.
+      table of the pool is read as integers over L.  Each table is lifted
+      to L once, however many members and pairs hold it.
+    * ``entry``: each member's ``Member`` entry, the first time a pair of
+      it is prepared.
     * ``inner_values``: a lifted table read at one side's inner masks of a
       relation, once per table and side, the first time a pair needs it.
-    * ``g``: on the two-point tier, a member's mu(0, t), once per t.
+    * ``covered``: the column verdict a(inner U) <= b(U) for every U, once
+      per two lifted part tables and side of a relation.  The chain cover
+      reads it for each column of a check, so members that share parts,
+      as lattices built from one set of capacities do, share these
+      verdicts across pairs.
+    * the two-point grid (``two_point_tables``), once per pool: every
+      member's points {0}, its breakpoints and their negatives, and -(m +
+      1) and m + 1 for each member, m its largest point.  It holds the
+      points T of every pair, and each member's lookup tables are read on
+      it once, as integers over one denominator.
 
-    The memos are keyed by identity and hold what they are keyed on, so no
-    key is reused while the pool lives.
+    The memos are keyed by identity, and the pool holds every object a
+    key names, so no key is reused while the pool lives.
     """
 
     def __init__(self, measures):
@@ -357,34 +423,25 @@ class Pool:
         self._members = set(map(id, self.measures))
         self.scale = lcm(*[ind[1] for ind in map(indicators, self.measures) if ind])
         self._lifted: dict = {}
-        self._forms: dict = {}
+        self._entries: dict = {}
         self._inner: dict = {}
-        self._g: dict = {}
+        self._covered: dict = {}
+        self._grid: Optional[tuple] = None
 
     def holds(self, mu1, mu2) -> bool:
         return id(mu1) in self._members and id(mu2) in self._members
+
+    def entry(self, mu) -> Member:
+        got = self._entries.get(id(mu))
+        if got is None:
+            got = self._entries[id(mu)] = Member(self, mu)
+        return got
 
     def _lift(self, table, scale) -> tuple:
         got = self._lifted.get(id(table))
         if got is None:
             got = self._lifted[id(table)] = times(table, self.scale // scale), table
         return got[0]
-
-    def table(self, mu) -> tuple:
-        """The indicator table of a member with normal forms."""
-        return self._lift(*indicators(mu))
-
-    def forms(self, mu) -> tuple:
-        """The rows and the groups of a member's normal forms, each part a
-        table."""
-        got = self._forms.get(id(mu))
-        if got is None:
-            lift = self._lift
-            got = self._forms[id(mu)] = tuple(
-                [[lift(c.scaled, c.scale) for c in part] for part in form]
-                for form in normal_forms(mu)
-            )
-        return got
 
     def inner_values(self, table, read) -> tuple:
         """table[inner B] for every subset B, with ``read`` one side's
@@ -395,22 +452,58 @@ class Pool:
             got = self._inner[key] = read(table), read
         return got[0]
 
-    def g(self, mu, t) -> Scalar:
-        """mu(0, t) of a member.  A measure with normal forms is positively
-        homogeneous and translation invariant, so its indicator table gives
-        mu(0, t) = t mu(1_{1}) for t >= 0 and t (1 - mu(1_{0})) for t < 0
-        without an evaluation."""
-        key = id(mu), t
-        got = self._g.get(key)
+    def covered(self, a, b, read) -> bool:
+        """Whether a(inner U) <= b(U) for every subset U, a and b lifted
+        tables and ``read`` as in ``inner_values``."""
+        key = id(a), id(b), read
+        got = self._covered.get(key)
         if got is None:
-            ind = indicators(mu)
-            if ind is None:
-                got = evaluate_values(mu, (Fraction(0), t))
-            else:
-                table, scale = ind
-                got = t * Fraction(table[2] if t >= 0 else scale - table[1], scale)
-            self._g[key] = got
+            got = self._covered[key] = all(map(le, self.inner_values(a, read), b))
         return got
+
+    def two_point_tables(self, e1: Member, e2: Member) -> tuple:
+        """The points of a pair of members on the two-point tier, its
+        kinks and their negatives with one step past each end, and each
+        member's lookup tables on them: the pool grid read at the pair's
+        own indices."""
+        points = self._grid or self._two_point_grid()
+        lo, hi = min(e1.ends[0], e2.ends[0]), max(e1.ends[1], e2.ends[1])
+        pick = itemgetter(lo, *sorted(e1.kinks | e2.kinks), hi)
+        return pick(points), tuple(tuple(map(pick, e.lookup)) for e in (e1, e2))
+
+    def _two_point_grid(self) -> tuple:
+        """The pool's two-point grid, with each member's ``kinks``,
+        ``ends`` and ``lookup`` filled in.  A member with normal forms is
+        positively homogeneous and translation invariant, so its table
+        gives g(t) = mu(0, t) = t mu(1_{1}) for t >= 0 and t (1 -
+        mu(1_{0})) for t < 0 without an evaluation; any other member is
+        evaluated once per point of the grid."""
+        zero, scale = Fraction(0), self.scale
+        members = {id(mu): (mu, self.entry(mu)) for mu in self.measures}
+        members = [(mu, e) for mu, e in members.values() if e.rank <= 3]
+        kinks = [{zero, *mu.breakpoints} for mu, _ in members]
+        kinks = [k | {-t for t in k} for k in kinks]
+        tops = [max(k) + 1 for k in kinks]
+        points = tuple(sorted({*chain(*kinks), *tops, *(-t for t in tops)}))
+        where = {t: i for i, t in enumerate(points)}
+        gs = [
+            [evaluate_values(mu, (zero, t)) for t in points] if e.table is None else
+            [t * Fraction(e.table[2] if t >= 0 else scale - e.table[1], scale) for t in points]
+            for mu, e in members
+        ]
+        den = lcm(*[x.denominator for x in chain(points, *gs)])
+        ts = [t.numerator * (den // t.denominator) for t in points]
+        zeros = [0] * len(ts)
+        for (_, e), k, top, g in zip(members, kinks, tops, gs):
+            e.kinks = {where[t] for t in k}
+            e.ends = where[-top], where[top]
+            g = [x.numerator * (den // x.denominator) for x in g]
+            # mu(a, b) = a + g(b - a), by which of a and b is t: mu(0, 0) = 0,
+            # mu(0, t) = g(t), mu(t, 0) = t + g(-t), and the grid is symmetric,
+            # so -t is the grid read backwards
+            e.lookup = (zeros, g, list(map(add, ts, reversed(g))), ts)
+        self._grid = points
+        return points
 
 
 #: the pool of the ``distance_matrix`` call running in this context, or None
@@ -428,75 +521,53 @@ def pooled(measures):
         _POOL.reset(token)
 
 
-@dataclass(frozen=True, eq=False)
 class PreparedPair:
-    """What deciding (mu1, mu2) on any relation needs, built once per pair
-    by ``prepare_pair``: the tier ``route`` and, per side, lists that point
-    into the ``pool``'s shared tables.
+    """A pair (mu1, mu2) as ``prepare_pair`` gives it: its two ``Member``
+    entries in its ``pool``, its ``route``, and on the two-point tier its
+    ``points`` and per measure its ``tables``, the pool grid read at the
+    pair's own indices (``Pool.two_point_tables``)."""
 
-    * ``reach``: per side, the measure's own ``measures.reach``, so that
-      the support-escape test and the parts-inside test are one mask test
-      per relation.
-    * ``scan``: per side, the tables (a, b) of the indicator scan, the two
-      measures' indicator tables on the pool's scale.
-    * ``checks``: per side, the (row, group) checks with more than one
-      column, each a list of (a, b) part tables on the pool's scale.
-    * ``points`` and ``tables``: on the two-point tier, the points T with
-      one step past each end, and per measure its lookup tables of mu(a, b)
-      for a and b in {0, t}, as integers over one denominator.
-    """
+    __slots__ = ("mu1", "mu2", "route", "pool", "members", "points", "tables")
 
-    mu1: RiskMeasure
-    mu2: RiskMeasure
-    route: str  # a tier of an exact decider, or "sampled"
-    reach: tuple = ()
-    scan: tuple = ()
-    checks: tuple = ()
-    points: tuple = ()
-    tables: tuple = ()
-    pool: Optional[Pool] = None
+    def __init__(self, mu1, mu2, route, pool, members, points=(), tables=()):
+        self.mu1, self.mu2, self.route, self.pool = mu1, mu2, route, pool
+        self.members, self.points, self.tables = members, points, tables
+
+    @property
+    def reach(self) -> tuple:
+        """Per side, the measure's own ``measures.reach``."""
+        return self.members[0].reach, self.members[1].reach
+
+    @property
+    def scan(self) -> tuple:
+        """Per side, the tables (a, b) of the indicator scan, the two
+        members' indicator tables on the pool's scale."""
+        a, b = self.members[0].table, self.members[1].table
+        return (a, b), (b, a)
 
 
 def prepare_pair(mu1: RiskMeasure, mu2: RiskMeasure) -> PreparedPair:
-    """The level-invariant part of ``admissible``: the tier dispatch and the
-    tables of the pair's tier, for ``admissible`` and the distance ladder
-    to read on any relation.
+    """The level-invariant part of ``admissible``, for ``admissible`` and
+    the distance ladder to read on any relation: the two members' entries
+    and the route of their larger rank, and on the two-point tier the
+    pair's points and lookup tables.
 
-    The tables come from the pool of the running ``distance_matrix`` call
+    The entries come from the pool of the running ``distance_matrix`` call
     when it holds both measures, and from a pool of the two otherwise, so
-    a matrix lifts each table once and a lone pair lifts its own.  What is
-    left per pair is the route and the (row, group) check lists, which
-    point at the pool's tables."""
+    a matrix builds each member's entry, and the two-point grid, once for
+    all its pairs, and a lone pair builds its own.  What is left per pair
+    is the route and, on the two-point tier, reading the pool grid at the
+    pair's points."""
     if mu1.space != mu2.space:
         raise SpaceMismatch("marginals live on different spaces")
-    space = mu1.space
-    if mu1.kind == "dirac" and mu2.kind == "dirac":
-        return PreparedPair(mu1, mu2, "dirac")
-    if mu1.capacity is not None and mu2.capacity is not None:
-        route = "exact-choquet"
-    elif normal_forms(mu1) is not None and normal_forms(mu2) is not None:
-        route = "exact-lattice"
-    elif space.n == 2 and mu1.breakpoints is not None and mu2.breakpoints is not None:
-        route = "exact-two-point"
-    else:
-        return PreparedPair(mu1, mu2, "sampled")
     pool = _POOL.get()
     if pool is None or not pool.holds(mu1, mu2):
         pool = Pool((mu1, mu2))
+    e1, e2 = pool.entry(mu1), pool.entry(mu2)
+    route = ROUTES[max(e1.rank, e2.rank)]
     if route == "exact-two-point":
-        return _prepare_two_point(mu1, mu2, pool)
-    a1, a2 = pool.table(mu1), pool.table(mu2)
-    checks = ((), ())  # two capacities have no check with two columns
-    if route == "exact-lattice":
-        (rows1, groups1), (rows2, groups2) = pool.forms(mu1), pool.forms(mu2)
-        # a check with one column is a comparison the scan makes
-        checks = tuple(
-            [[(a, b) for a in row for b in group] for row in rows for group in groups
-             if len(row) * len(group) > 1]
-            for rows, groups in ((rows1, groups2), (rows2, groups1))
-        )
-    scan = (a1, a2), (a2, a1)
-    return PreparedPair(mu1, mu2, route, (reach(mu1), reach(mu2)), scan, checks, pool=pool)
+        return PreparedPair(mu1, mu2, route, pool, (e1, e2), *pool.two_point_tables(e1, e2))
+    return PreparedPair(mu1, mu2, route, pool, (e1, e2))
 
 
 def admissible(
@@ -519,12 +590,12 @@ def admissible(
     parts inside the projections, and then runs that one test; the
     verdict, its certificate and its witness are built from its answer.
 
-    ``prepare_pair`` does the work that depends on the pair alone, once:
-    the tier dispatch, the check lists of the chain cover and, on the
-    two-point tier, the points and lookup tables; the tables they point at
-    come from a pool of the two measures, each lifted once to the pair's
-    scale.  Each measure's own indicator table and reach are built with its
-    normal forms, and each relation's inner-mask tables with the relation.
+    ``prepare_pair`` does the work that does not depend on S, once: the
+    two members' entries in a pool of the two measures (or of the running
+    ``distance_matrix`` call), their route and, on the two-point tier, the
+    pair's points and lookup tables.  Each measure's own indicator table
+    and reach are built with its normal forms, and each relation's
+    inner-mask tables with the relation.
 
     Both measures must pass their axioms (``verify_axioms``); callers gate
     them first, as ``bottleneck_distance`` and the CLI do.  The lower
@@ -571,6 +642,12 @@ def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
     certificate finds it (the indicator scan); two point masses off S give
     (None, None).
 
+    The indicator scan compares the two members' tables, and the chain
+    cover takes one check per row of one member and group of the other,
+    skipping a check with one column, which the scan has made, and one
+    with a column the pool's memo finds covered (``Pool.covered``), which
+    holds on every chain.
+
     It builds no verdict: ``admissible`` wraps it, and the distance ladder
     reads only whether it is None.  It takes (a) as given, with every
     part's support inside the projections of S on "exact-lattice" and
@@ -586,20 +663,33 @@ def refutes(pair: PreparedPair, s: Relation) -> Optional[tuple]:
         return _two_point_refutation(pair, s)
     inner_values = pair.pool.inner_values
     readers = s.inner_readers
+    e1, e2 = pair.members
+    sides = ((e1, e2), (e2, e1))
     # 1. indicator scan: mua(1_(inner U)) against mub(1_U), both tables on
-    # the pool's scale
-    for side, ((a, b), read) in enumerate(zip(pair.scan, readers)):
-        if any(map(gt, inner_values(a, read), b)):
+    # the pool's scale.  Other pairs seldom compare these two tables, so
+    # the scan keeps no verdict: storing one per pair and level costs more
+    # than the few it would save
+    for side, ((own, other), read) in enumerate(zip(sides, readers)):
+        if any(map(gt, inner_values(own.table, read), other.table)):
             return side, None
-    # 2. and 3., one check per (row, group) with more than one column, over
-    # the parts' tables on the pool's scale; a check with one column is a
-    # comparison the scan has made, and two capacities have no other
+    if route != "exact-lattice":
+        return None  # two capacities have no check with two columns
+    # 2. and 3., one check per row of one side and group of the other, over
+    # the parts' tables on the pool's scale.  A check with one column is a
+    # comparison the scan has made, and one with a covered column holds
+    covered = pair.pool.covered
     n = pair.mu1.space.n
-    for side, (checks, read) in enumerate(zip(pair.checks, readers)):
-        for check in checks:
-            psi = _refuting_chain([(inner_values(a, read), b) for a, b in check], n)
-            if psi is not None:
-                return side, psi
+    for side, ((own, other), read) in enumerate(zip(sides, readers)):
+        for row in own.rows:
+            for group in other.groups:
+                if len(row) * len(group) == 1 or any(
+                    covered(a, b, read) for a in row for b in group
+                ):
+                    continue
+                columns = [(inner_values(a, read), b) for a in row for b in group]
+                psi = _refuting_chain(columns, n)
+                if psi is not None:
+                    return side, psi
     return None
 
 
@@ -625,9 +715,9 @@ def _certificate(pair: PreparedPair, s: Relation, side, psi) -> dict:
 def _refuting_chain(columns, n: int):
     """psi = sum_k t_k 1_(U_k) over the sets U_k of one chain's trace, with
     integers t_k >= 0 and sum_k t_k (a(U_k) - b(U_k)) > 0 for every column
-    (a, b), or None when every maximal chain admits none."""
-    if any(all(map(le, a, b)) for a, b in columns):
-        return None  # one column is nonpositive on every subset
+    (a, b), or None when every maximal chain admits none.  Every column
+    is positive on some subset: ``refutes`` skips a check with a column
+    nonpositive on every subset (``Pool.covered``)."""
     everything = (1 << len(columns)) - 1
     covered = [0] * (1 << n)  # columns with a(U) <= b(U), per subset U
     for c, (a, b) in enumerate(columns):
@@ -744,27 +834,6 @@ def _reduced(line):
     g = gcd(*line)
     if g != 1:
         line[:] = [x // g for x in line]
-
-
-def _prepare_two_point(mu1, mu2, pool: Pool) -> PreparedPair:
-    """The points T, one step past each end, and each measure's lookup
-    tables of mu(a, b) for a and b in {0, t}, t in T, as integers over one
-    denominator; ``_two_point_refutation`` reads a level from them.  Each
-    mu(0, t) comes from the pool, which evaluates it once."""
-    kinks = {Fraction(0), *mu1.breakpoints, *mu2.breakpoints}
-    points = sorted({*kinks, *(-t for t in kinks)})
-    points = (points[0] - 1, *points, points[-1] + 1)
-    gs = [[pool.g(mu, t) for t in points] for mu in (mu1, mu2)]
-    den = lcm(*[x.denominator for x in chain(points, *gs)])
-    ts = [t.numerator * (den // t.denominator) for t in points]
-    zeros = [0] * len(ts)
-    tables = []
-    for g in gs:
-        g = [x.numerator * (den // x.denominator) for x in g]
-        # mu(a, b) = a + g(b - a), by which of a and b is t: mu(0, 0) = 0,
-        # mu(0, t) = g(t), mu(t, 0) = t + g(-t), and -t is T read backwards
-        tables.append((zeros, g, list(map(add, ts, reversed(g))), ts))
-    return PreparedPair(mu1, mu2, "exact-two-point", points=points, tables=tuple(tables))
 
 
 def _two_point_refutation(pair: PreparedPair, s: Relation) -> Optional[tuple]:

@@ -113,12 +113,16 @@ def bottleneck_distance(
     that no probe of its one fixed grid refuted and makes the result
     "sampled", and on a lattice level past ``CHAIN_BUDGET``.
 
-    The tables come from the pool of the running ``distance_matrix`` call,
-    which holds both measures, or else from a pool of the two: each table
-    is lifted to the pool's scale once and read through a level's inner
-    masks once.  The levels and their relations are built once per space
-    (``sublevel_ladder``), each relation's inner-mask tables once per
-    relation, and each measure's indicator table with the measure.
+    The pair is the two measures' entries in the pool of the running
+    ``distance_matrix`` call, which holds both, or else in a pool of the
+    two: each entry's tables are lifted to the pool's scale once, each
+    lifted table is read through a level's inner masks once, and the
+    pool's column memo (``coupling.Pool.covered``) decides each column of
+    a level once for every pair that reads it.  On two points the pair
+    reads the pool's one grid at its own points.  The levels and their
+    relations are built once per space (``sublevel_ladder``), each
+    relation's inner-mask tables once per relation, and each measure's
+    indicator table with the measure.
     """
     if mu1.space != mu2.space:
         raise SpaceMismatch("measures live on different spaces")
@@ -159,13 +163,15 @@ def distance_matrix(
     the exact tiers, "sampled" on the witness-found one, which scans the grid
     every caller scans, so a payload re-verifies as the matrix ran it.  The
     measures are prepared as one pool (``coupling.pooled``), which lives
-    for this call: one common scale for every table, each table lifted to
-    it once, each lifted table read through a ladder relation's inner
-    masks once and each measure's two-point g evaluated once per point,
-    however many pairs read them.  A seeded sample of 24 pairs has its
-    witness costs compared with the distances, and the witnesses of the
-    unproved ones among them (those not certified "exact") re-sampled by
-    ``verify_coupling``.
+    for this call and builds, however many pairs read them, one entry per
+    member (its route class, and its tables lifted to one common scale,
+    each once), each lifted table read through a ladder relation's inner
+    masks once, one column verdict per two part tables and relation, and
+    on two points one grid for every pair, with each member's lookup
+    tables on it, evaluated once per grid point.  A seeded sample of 24
+    pairs has its witness costs compared with the distances, and the
+    witnesses of the unproved ones among them (those not certified
+    "exact") re-sampled by ``verify_coupling``.
     """
     if not measures:
         raise SpaceMismatch("need at least one measure")

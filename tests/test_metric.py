@@ -268,6 +268,46 @@ CENSUS_SOUND_MEMBERS = [
 ]
 
 
+def two_point_pool() -> list:
+    """``CENSUS_SOUND_MEMBERS``, whose breakpoints differ, two capacities,
+    a mixture and a max with a member part, and a min of the capacities,
+    on the two-point space."""
+    from conftest import make_two_point
+    from riskdist.io import load_measure
+
+    space = make_two_point()
+    rng = derive_rng(29, "two-point-pool")
+    members = [load_measure(spec, space, {}) for spec in CENSUS_SOUND_MEMBERS]
+    caps = [random_capacity_measure(space, rng) for _ in range(2)]
+    return [
+        *members,
+        *caps,
+        rd.mixture((F(1, 4), F(3, 4)), [members[0], caps[0]]),
+        rd.lattice_max([members[1], caps[1]]),
+        rd.lattice_min(caps),
+    ]
+
+
+def two_point_grid(pool) -> set:
+    """The points a pool of measures with breakpoints reads: 0, every
+    breakpoint and its negative, and for each measure one step past its
+    largest such point on either side."""
+    grid = set()
+    for mu in pool:
+        kinks = {F(0), *mu.breakpoints}
+        top = max(map(abs, kinks)) + 1
+        grid |= kinks | {-t for t in kinks} | {top, -top}
+    return grid
+
+
+def own_points(mu1, mu2) -> tuple:
+    """The points of a lone pair on the two-point tier: its kinks and
+    their negatives, sorted, with one step past each end."""
+    kinks = {F(0), *mu1.breakpoints, *mu2.breakpoints}
+    points = sorted({*kinks, *(-t for t in kinks)})
+    return (points[0] - 1, *points, points[-1] + 1)
+
+
 def cli_kind_specs(labels) -> list:
     """A JSON spec of every measure kind the CLI loads, on points ``labels``;
     on two points, census-sound family members too."""
@@ -463,6 +503,80 @@ class TestDistanceMatrix:
                     ), (space.n, i, j)
                     tiers[got.tier] += 1
         assert {"exact-choquet", "exact-lattice", "exact-two-point"} <= set(tiers), tiers
+
+    def test_a_two_point_pool_reads_each_pair_at_its_own_points(self):
+        # the pool's grid holds every member's points and more than a pair
+        # of its own; each pair reads the grid at its own points, so its
+        # cell, and what refutes it on each relation, are the lone pair's
+        from test_coupling import full_projection_relations
+        from riskdist.coupling import pooled, prepare_pair, refutes
+        from riskdist.space import sublevel_ladder
+
+        pool = two_point_pool()
+        space = pool[0].space
+        results, report = rd.distance_matrix(pool)
+        assert report.ok, report.failures
+        for i, mu1 in enumerate(pool):
+            for j, mu2 in enumerate(pool):
+                got, want = results[i][j], rd.bottleneck_distance(mu1, mu2)
+                assert (got.value, got.ladder, got.tier) == (want.value, want.ladder, want.tier)
+        rng = derive_rng(29, "two-point-pool-relations")
+        relations = [rel for _, rel in sublevel_ladder(space)]
+        relations += rng.sample(full_projection_relations(space), 3)
+        grid = two_point_grid(pool)
+        with pooled(pool):
+            pairs = [(mu1, mu2, prepare_pair(mu1, mu2)) for mu1 in pool for mu2 in pool]
+            found = [[refutes(pair, rel) for rel in relations] for *_, pair in pairs]
+        smaller, routes = 0, Counter()
+        for (mu1, mu2, shared), got in zip(pairs, found):
+            alone = prepare_pair(mu1, mu2)
+            assert shared.route == alone.route != "sampled"
+            routes[shared.route] += 1
+            if shared.route == "exact-two-point":
+                assert shared.points == alone.points == own_points(mu1, mu2)
+                assert set(shared.points) <= grid
+                smaller += len(shared.points) < len(grid)
+            assert got == [refutes(alone, rel) for rel in relations], (mu1.kind, mu2.kind)
+        assert smaller >= 20, smaller
+        assert routes["exact-two-point"] >= 40 and routes["exact-lattice"] >= 4, routes
+
+    def test_a_matrix_prepares_each_member_once(self, monkeypatch):
+        # one entry per member: its normal forms read once, each table
+        # lifted once, and each member without normal forms evaluated once
+        # per point of the pool's grid, however many pairs read them; per
+        # pair, these counts would grow with the square of the pool
+        from riskdist import coupling
+        from riskdist.measures import indicators, normal_forms
+
+        pool = two_point_pool()
+        with_forms = [mu for mu in pool if normal_forms(mu) is not None]
+        tables = {id(indicators(mu)[0]) for mu in with_forms} | {
+            id(c.scaled)
+            for mu in with_forms
+            for form in normal_forms(mu)
+            for part in form
+            for c in part
+        }
+        counts = Counter()
+        for name in ("normal_forms", "times"):
+            counting(monkeypatch, counts, coupling, name)
+        real = coupling.evaluate_values
+
+        def evaluate_values(mu, values):
+            counts["evaluations"] += 1
+            return real(mu, values)
+
+        monkeypatch.setattr(coupling, "evaluate_values", evaluate_values)
+        results, report = rd.distance_matrix(pool)
+        assert report.ok, report.failures
+        assert {r.tier for row in results for r in row} == {
+            "exact-choquet", "exact-lattice", "exact-two-point"
+        }
+        k = len(pool)
+        assert counts["riskdist.coupling", "normal_forms"] == k
+        assert 0 < counts["riskdist.coupling", "times"] <= len(tables)
+        without = k - len(with_forms)
+        assert 0 < counts["evaluations"] <= without * len(two_point_grid(pool))
 
     def test_ladder_scans_probe_no_supports(self, p3, monkeypatch):
         # every ladder relation holds the diagonal, so both projections are

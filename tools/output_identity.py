@@ -12,10 +12,14 @@ Run from the repository root.  The requests are the rounds of seeds 1, 2
 and 3 of each workload in ``bench/workloads.py``, written by ``bench/run.py``'s
 ``write_inputs`` into one fixed work directory, so that the input paths,
 and with them the input digests in the reports, are the same for every tree
-compared.  Each request goes through ``riskdist.cli.main`` of the ``src``
-tree given, in this process, once as written (exact mode) and once more
-with ``--mode float``.  One line per request and mode: workload, seed,
-index, mode, exit code and the sha256 of its standard output.  Each
+compared.  A run holds an exclusive ``flock`` on the lock file beside that
+directory, ``riskdist-output-identity.lock``, from before it writes its
+first input until it has removed the directory, so a second run started
+meanwhile waits for it instead of overwriting its inputs.  Each request
+goes through ``riskdist.cli.main`` of the ``src`` tree given, in this
+process, once as written (exact mode) and once more with ``--mode
+float``.  One line per request and mode: workload, seed, index, mode,
+exit code and the sha256 of its standard output.  Each
 exact-distance request is also run as ``couple`` on the same space and
 measures, whose report holds the verdict's certificate bytes: once with
 ``--threshold 0``, where the relation is the diagonal and every inner set
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import hashlib
 import io
 import json
@@ -69,6 +74,14 @@ def main(argv=None) -> int:
     from riskdist.cli import main as cli_main  # noqa: E402
 
     workdir = Path(tempfile.gettempdir()) / "riskdist-output-identity"
+    with open(workdir.with_name(f"{workdir.name}.lock"), "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        run_all(run, workloads, cli_main, workdir)
+    return 0
+
+
+def run_all(run, workloads, cli_main, workdir: Path):
+    """Print the line of every request, with ``workdir`` for the inputs."""
     try:
         for workload in sorted(workloads.ROUNDS):
             for seed in SEEDS:
@@ -89,7 +102,6 @@ def main(argv=None) -> int:
                 print(f"{name} 0 {index} {mode} {cli_run(cli_main, argv + ['--mode', mode])}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return 0
 
 
 def cli_run(cli_main, argv) -> str:
