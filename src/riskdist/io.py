@@ -189,7 +189,7 @@ def _load_measure(obj: Any, space: FiniteMetricSpace, memo: dict | None) -> Risk
     kind = obj["type"]
 
     def scalars(values, what):
-        # a list, not a generator: see ``TwoPointParams.scaled``
+        # a list, not a generator: see ``TwoPointParams.__post_init__``
         return tuple([parse_scalar(v) for v in json_list(values, what)])
 
     def components():

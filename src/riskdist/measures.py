@@ -524,10 +524,13 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
     parameters: three non-collinear points per strip, two per line, so
     5k + 3 evaluations for k breakpoints.  They run on one integer grid,
     q = 3: every breakpoint is an int on the scale D of
-    ``TwoPointParams.scaled``, so on the scale 3 * D the thirds of each
+    ``TwoPointParams.scaled``, the integer form the member built and
+    checked on construction, so on the scale 3 * D the thirds of each
     strip and the end probes 1 and 2 beyond the outer breakpoints are ints
     too.  Each evaluation is one call of ``scaled_eval``, past the member's
-    memo, and every value is its numerator over 3 * D * D * E.
+    memo, and every value is its numerator over 3 * D * D * E.  No
+    ``Fraction`` arithmetic runs between a sound member's parameters and
+    its verdict.
 
     mu is then a normed monetary risk measure iff alpha + beta = 1 and
     alpha, beta >= 0 on every strip, the value rises by 1 along every line,
@@ -694,10 +697,11 @@ def verify_axioms(
     already enforced normalization and monotone covers.  Every two-point
     family member is decided by a census of the affine pieces of its
     formula (``_two_point_violations``), on any space: its parameters are
-    exact, ``TwoPointParams.scaled``.  A max, min or mixture whose parts all
-    pass exactly passes exactly too: max, min and convex combinations keep
-    the three axioms.  The verdict is held on the measure, so the census
-    runs once per member however often the gate and ``breakpoints`` ask.
+    exact integers, ``TwoPointParams.scaled``.  A max, min or mixture whose
+    parts all pass exactly passes exactly too: max, min and convex
+    combinations keep the three axioms.  The verdict is held on the
+    measure, so the census runs once per member however often the gate and
+    ``breakpoints`` ask.
 
     Everything else, a black box, a pushforward or a combination with one
     of them or with a failing part, is probed by ``probe_axioms``, the

@@ -56,12 +56,17 @@ Exact evaluation.  Every member is exact.  ``ShapeFunction`` and
 ``numerics.rational``, the one lift of every number a Python caller gives:
 a float becomes the ``Fraction`` it equals, so the weights must sum to
 exactly 1, a NaN is refused, and only a shift of ``±inf`` stays a float.
-A member builds its parameters once as integers, ``TwoPointParams.scaled``:
-with D the least common denominator of the weights, the finite shifts and
-the knots, and E that of the slopes, the weights times D*E, the finite
-shifts, the two branch boundaries, the five branch weights and the knot
-positions times D, and each shape piece as an integer line.  One integer
-core, ``scaled_eval``, takes phi0 and phi1 as ints on the scale D*q for a
+Construction then checks the member and builds its integer form in one
+pass, with no ``Fraction`` arithmetic.  ``ShapeFunction`` puts the knots on
+their least common denominator L and checks each rule on those integers,
+comparing slopes by cross-multiplication.  ``TwoPointParams`` takes D, the
+least common denominator of the weights, the finite shifts and the knots,
+and E, that of the slopes.  It checks the weights as integers over D and
+the shifts by their sign, an infinity by its own, and keeps the result as
+``TwoPointParams.scaled``: the weights times D*E, the finite shifts, the
+two branch boundaries, the five branch weights and the knot positions
+times D, and each shape piece as an integer line.  One integer core,
+``scaled_eval``, takes phi0 and phi1 as ints on the scale D*q for a
 common denominator q and does the max and min, the branch comparisons,
 the knot search and the shape term on ints; it returns the value's
 numerator over D*D*E*q and the branch.  Two callers share it.
@@ -70,7 +75,8 @@ onto their q and builds one ``Fraction`` from the numerator, equal to the
 formula's value.  The axiom census of ``measures.verify_axioms`` fixes
 q = 3 and compares the numerators themselves.  No float is mixed into
 this arithmetic: an infinite shift never wins its max or min and decides
-its comparison alone.
+its comparison alone.  Only ``ShapeFunction.__call__`` reads the shape's
+``Fraction`` slopes, built on its first call.
 """
 
 from __future__ import annotations
@@ -79,11 +85,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .errors import InvalidParams
-from .numerics import NEG_INF, POS_INF, Scalar, is_finite, rational
+from .numerics import Scalar, is_finite, rational
 
 
 @dataclass(frozen=True)
@@ -93,25 +99,35 @@ class ShapeFunction:
 
     Knots are (t, f(t)) pairs sorted by t; beyond the end knots the last
     segment slopes extend linearly.  A single knot means f is constant 0.
-    A float coordinate is held as the ``Fraction`` it equals.
+    A float coordinate is held as the ``Fraction`` it equals.  Construction
+    puts the knots on their least common denominator L and checks every
+    rule on those integers; it keeps them with the shape's pieces as
+    integers for ``TwoPointParams``, which scales them to its own
+    denominator.  Only ``__call__`` reads the ``Fraction`` slopes.
     """
 
     knots: tuple[tuple[Scalar, Scalar], ...]
 
     def __post_init__(self):
+        try:
+            pairs = [(t, y) for t, y in self.knots]
+        except (TypeError, ValueError):
+            raise InvalidParams("shape knots must be (t, f(t)) pairs") from None
         error = "shape knots must be finite"
-        knots = tuple([(rational(t, error), rational(y, error)) for t, y in self.knots])
+        knots = tuple([(rational(t, error), rational(y, error)) for t, y in pairs])
         object.__setattr__(self, "knots", knots)
-        ts = [t for t, _ in knots]
-        if not ts:
+        if not knots:
             raise InvalidParams("shape function needs at least one knot")
+        den = lcm(*[x.denominator for knot in knots for x in knot])
+        ts = [t.numerator * (den // t.denominator) for t, _ in knots]
+        ys = [y.numerator * (den // y.denominator) for _, y in knots]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidParams("shape knots must be strictly increasing in t")
-        self._validate()
+        # (L, E, the knots times L, the pieces): ``TwoPointParams`` scales them
+        object.__setattr__(self, "_ints", (den, *_checked_pieces(ts, ys)))
 
     @cached_property
     def _slopes(self) -> tuple[Fraction, ...]:
-        # derived from the immutable knots once: evaluation is a hot path;
         # a Fraction, where int / int would be a float
         ks = self.knots
         return tuple([Fraction(y2 - y1, t2 - t1) for (t1, y1), (t2, y2) in zip(ks, ks[1:])])
@@ -119,30 +135,6 @@ class ShapeFunction:
     @cached_property
     def _ts(self) -> tuple[Scalar, ...]:
         return tuple([t for t, _ in self.knots])
-
-    def _validate(self):
-        if len(self.knots) == 1 and self.knots[0][1] != 0:
-            raise InvalidParams("a single knot must have value 0")
-        if self(0) != 0:
-            raise InvalidParams("shape function must vanish at 0")
-        slopes = self._slopes
-        if any(s < 0 or s > 1 for s in slopes):
-            # outside [0, 1] the function escapes the identity/zero envelope
-            raise InvalidParams("shape slopes must lie in [0, 1]")
-        # concave left of 0, convex right of 0; a pair of adjacent segments
-        # constrains slopes only when both overlap the same side (the shared
-        # knot strictly off the origin)
-        for i in range(len(slopes) - 1):
-            shared = self.knots[i + 1][0]
-            if shared < 0 and slopes[i + 1] > slopes[i]:
-                raise InvalidParams("shape must be concave left of 0")
-            if shared > 0 and slopes[i + 1] < slopes[i]:
-                raise InvalidParams("shape must be convex right of 0")
-        for t, y in self.knots:
-            if t <= 0 and not (t <= y <= 0):
-                raise InvalidParams("shape must satisfy t <= f(t) <= 0 left of 0")
-            if t >= 0 and not (0 <= y <= t):
-                raise InvalidParams("shape must satisfy 0 <= f(t) <= t right of 0")
 
     def __call__(self, t: Scalar) -> Scalar:
         ks = self.knots
@@ -168,12 +160,56 @@ class ShapeFunction:
         return ShapeFunction(((-s, -s), (Fraction(0), Fraction(0)), (s, s)))
 
 
+def _checked_pieces(ts: list[int], ys: list[int]) -> tuple:
+    """Check a shape given as strictly increasing knots (ts[k], ys[k]) over
+    one denominator L, in the order and with the messages of its rules,
+    and return (E, ts, pieces).  E is the least common denominator of the
+    slopes, and the piece from knot k is the integer line (c, s) with
+    f(t) * L * E = c + s * (t * L) on it.  Each slope dy / dt is compared
+    by cross-multiplication."""
+    if len(ts) == 1:
+        if ys[0] != 0:
+            raise InvalidParams("a single knot must have value 0")
+        return 1, (ts[0],), ()  # constant 0: it vanishes at 0 inside the envelope
+    dts = [b - a for a, b in zip(ts, ts[1:])]
+    dys = [b - a for a, b in zip(ys, ys[1:])]
+    # f(0) = y_i + (dy_i / dt_i) * (0 - t_i) on the segment ``__call__`` picks
+    last = len(ts) - 1
+    i = 0 if ts[0] >= 0 else last - 1 if ts[-1] <= 0 else bisect_left(ts, 0, 1, last) - 1
+    if ys[i] * dts[i] != dys[i] * ts[i]:
+        raise InvalidParams("shape function must vanish at 0")
+    if any(dy < 0 or dy > dt for dy, dt in zip(dys, dts)):
+        # outside [0, 1] the function escapes the identity/zero envelope
+        raise InvalidParams("shape slopes must lie in [0, 1]")
+    # concave left of 0, convex right of 0; a pair of adjacent segments
+    # constrains slopes only when both overlap the same side (the shared
+    # knot strictly off the origin)
+    for k in range(last - 1):
+        shared = ts[k + 1]
+        # s_(k+1) against s_k, as dy_(k+1) * dt_k against dy_k * dt_(k+1)
+        after, before = dys[k + 1] * dts[k], dys[k] * dts[k + 1]
+        if shared < 0 and after > before:
+            raise InvalidParams("shape must be concave left of 0")
+        if shared > 0 and after < before:
+            raise InvalidParams("shape must be convex right of 0")
+    for t, y in zip(ts, ys):
+        if t <= 0 and not (t <= y <= 0):
+            raise InvalidParams("shape must satisfy t <= f(t) <= 0 left of 0")
+        if t >= 0 and not (0 <= y <= t):
+            raise InvalidParams("shape must satisfy 0 <= f(t) <= t right of 0")
+    e = lcm(*[dt // gcd(dy, dt) for dy, dt in zip(dys, dts)])
+    slopes = [dy * e // dt for dy, dt in zip(dys, dts)]
+    return e, tuple(ts), tuple([(y * e - s * t, s) for t, y, s in zip(ts, ys, slopes)])
+
+
 @dataclass(frozen=True)
 class TwoPointParams:
     """A member's weights (a1..a4), shifts (l1..l4) and shape f.  Each
     float among them but a shift of ``±inf`` is held as the ``Fraction`` it
-    equals, and the member also holds them as integers over one
-    denominator, ``scaled``."""
+    equals.  Construction checks the weights and the shifts as integers
+    over one denominator and keeps the member in that form, ``scaled``:
+    a plain attribute, not a field, so equality and reports see the three
+    fields only."""
 
     alphas: tuple[Scalar, Scalar, Scalar, Scalar]
     lambdas: tuple[Scalar, Scalar, Scalar, Scalar]
@@ -185,77 +221,69 @@ class TwoPointParams:
         lambdas = tuple([rational(x, error) if is_finite(x) else x for x in self.lambdas])
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "lambdas", lambdas)
-        if len(a) != 4 or any(x < 0 for x in a):
+        if len(a) != 4:
             raise InvalidParams("weights must be four nonnegative numbers")
-        if sum(a) != 1:
+        # D: the least common denominator of the weights, the finite shifts
+        # and the knots; the shape's pieces are on the scale L * E
+        den, e, knots, pieces = self.shape._ints
+        finite = [x for x in lambdas if not isinstance(x, float)]  # a float is ±inf here
+        d = lcm(den, *[x.denominator for x in (*a, *finite)])
+        a1, a2, a3, a4 = alphas = [x.numerator * (d // x.denominator) for x in a]
+        if a1 < 0 or a2 < 0 or a3 < 0 or a4 < 0:
+            raise InvalidParams("weights must be four nonnegative numbers")
+        if a1 + a2 + a3 + a4 != d:
             raise InvalidParams("weights must sum to 1")
-        l1, l2, l3, l4 = lambdas
-        if not (l1 <= 0 and l2 <= 0):
-            raise InvalidParams("first two shifts must be <= 0")
-        if max(l1, l2) != 0:
-            raise InvalidParams("max of the first two shifts must be 0")
-        if not (l3 >= 0 and l4 >= 0):
-            raise InvalidParams("last two shifts must be >= 0")
-        if min(l3, l4) != 0:
-            raise InvalidParams("min of the last two shifts must be 0")
-
-    @cached_property
-    def scaled(self) -> "ScaledParams":
-        """The parameters as integers over one denominator, built once.
-
-        D is the least common denominator of the weights, the finite shifts
-        and the knots, and E that of the slopes; the module docstring gives
-        the scales.  Not a field: equality and reports see the three fields.
-        """
-        alphas, knots, slopes = self.alphas, self.shape.knots, self.shape._slopes
+        if len(lambdas) != 4:
+            raise InvalidParams("shifts must be four numbers or ±inf")
         # lists, not generators: a tuple built from a generator is allocated
         # at a guessed length and resized, so it never comes from the
         # interpreter's free list of tuples but is freed into it; one per
         # member grew those lists, and peak memory, run after run
-        shifts = [x for x in self.lambdas if is_finite(x)]
-        coords = [x for knot in knots for x in knot]
-        d = lcm(*[x.denominator for x in (*alphas, *shifts, *coords)])
-        e = lcm(*[s.denominator for s in slopes])
-
-        def on(x, scale=d):
-            return x.numerator * (scale // x.denominator)
-
-        a1, a2, a3, a4 = alphas
-        # the shape term's weight on each of the five branches, in order
-        weights = (
-            min(a1, a2),
-            min(a1 + a3 + a4, a2),
-            min(a1 + a3, a2 + a4),
-            min(a1 + a4, a2 + a3),
-            min(a1, a2 + a3 + a4),
-        )
-        l1, l2, l3, l4 = self.lambdas
-        # c1 is t <= l1 - l2 and c2 is t >= l3 - l4; an infinite shift
-        # fixes its comparison
-        c1 = True if l2 == NEG_INF else False if l1 == NEG_INF else None
-        c2 = False if l3 == POS_INF else True if l4 == POS_INF else None
-        ts = [on(t) for t, _ in knots]
-        return ScaledParams(
+        shifts = tuple([
+            None if isinstance(x, float) else x.numerator * (d // x.denominator) for x in lambdas
+        ])
+        # each shift rule compares with 0, where an infinity counts as its sign
+        k1, k2, k3, k4 = [(1 if x > 0 else -1) if s is None else s for x, s in zip(lambdas, shifts)]
+        if not (k1 <= 0 and k2 <= 0):
+            raise InvalidParams("first two shifts must be <= 0")
+        if max(k1, k2) != 0:
+            raise InvalidParams("max of the first two shifts must be 0")
+        if not (k3 >= 0 and k4 >= 0):
+            raise InvalidParams("last two shifts must be >= 0")
+        if min(k3, k4) != 0:
+            raise InvalidParams("min of the last two shifts must be 0")
+        # c1 is t <= l1 - l2 and c2 is t >= l3 - l4; an infinite shift,
+        # -inf among the first two and +inf among the last two, fixes its
+        # comparison
+        l1, l2, l3, l4 = shifts
+        c1 = True if l2 is None else False if l1 is None else None
+        c2 = False if l3 is None else True if l4 is None else None
+        m = d // den
+        scaled = ScaledParams(
             d=d,
             scale=d * d * e,
-            alphas=tuple([on(a) * e for a in alphas]),
-            shifts=tuple([on(x) if is_finite(x) else None for x in self.lambdas]),
-            bounds=(
-                on(l1) - on(l2) if c1 is None else None,
-                on(l3) - on(l4) if c2 is None else None,
-            ),
+            alphas=tuple([x * e for x in alphas]),
+            shifts=shifts,
+            bounds=(l1 - l2 if c1 is None else None, l3 - l4 if c2 is None else None),
             fixed=(c1, c2),
-            weights=tuple([on(w) for w in weights]),
-            knots=tuple(ts),
-            pieces=tuple([
-                (on(y) * e - on(s, e) * t, on(s, e))
-                for (_, y), t, s in zip(knots, ts, slopes)
-            ]),
+            # the shape term's weight on each of the five branches, in order
+            weights=(
+                min(a1, a2),
+                min(a1 + a3 + a4, a2),
+                min(a1 + a3, a2 + a4),
+                min(a1 + a4, a2 + a3),
+                min(a1, a2 + a3 + a4),
+            ),
+            knots=tuple([t * m for t in knots]),
+            pieces=tuple([(c * m, s) for c, s in pieces]),
         )
+        object.__setattr__(self, "scaled", scaled)
 
 
 class ScaledParams(NamedTuple):
-    """A member's parameters as integers; ``TwoPointParams.scaled``."""
+    """A member's parameters as integers, built once with the member:
+    ``TwoPointParams.scaled``.  D is the least common denominator of the
+    weights, the finite shifts and the knots, and E that of the slopes."""
 
     d: int
     scale: int  # D * D * E: a value's denominator is a divisor of scale * q

@@ -132,6 +132,23 @@ class TestValidate:
             assert main([*argv, "--mode", mode]) == 1
             assert "measure #0 (two-point): fail [exact]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lambda": ["0", "0", "0"]}, "shifts must be four numbers or ±inf"),
+            ({"f": {"knots": [["0", "0"], ["1"]]}}, "shape knots must be (t, f(t)) pairs"),
+            ({"alpha": ["1/2", "1/2", "0"]}, "weights must be four nonnegative numbers"),
+        ],
+    )
+    def test_a_member_with_a_wrong_count_fails_its_check(self, change, message, tmp_path, capsys):
+        # each count is the member's check, a fail verdict, not a bad spec
+        space = write(tmp_path, "space.json", TWO_POINT)
+        member = json.dumps(dict(NONMONOTONE_MEMBER, **change))
+        assert main(["validate", "--space", space, "--measure", member, "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["measures"] == [{"index": 0, "verdict": "fail", "violation": message}]
+        assert err == ""
+
 
 class TestDistance:
     def test_point_mass_pair(self, space_file, capsys):

@@ -2,12 +2,16 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import lcm
+from pathlib import Path
 
 import pytest
 
 import riskdist as rd
+import riskdist.twopoint
 from riskdist.ensembles import derive_rng, random_measure, random_two_point_params
 from riskdist.errors import InvalidParams
+from riskdist.io import load_measure
 from riskdist.measures import (
     AXIOM_SAMPLES,
     Violation,
@@ -19,8 +23,14 @@ from riskdist.measures import (
     normal_forms,
     probe_axioms,
 )
-from riskdist.numerics import NEG_INF, POS_INF
-from riskdist.twopoint import branch_boundaries, breakpoints, scaled_eval, two_point_eval
+from riskdist.numerics import NEG_INF, POS_INF, is_finite, rational
+from riskdist.twopoint import (
+    ScaledParams,
+    branch_boundaries,
+    breakpoints,
+    scaled_eval,
+    two_point_eval,
+)
 
 from test_acceptance import Defect, recheck_two_point_violation, two_point_census
 
@@ -185,6 +195,19 @@ class TestParamValidation:
                 (F(-1), F(-1), F(0), F(0)),  # max != 0
                 rd.ShapeFunction.zero(),
             )
+
+    def test_a_shift_count_other_than_four_is_invalid(self):
+        for lambdas in ((F(0), F(0), F(0)), (F(0),) * 5, ()):
+            with pytest.raises(InvalidParams, match=r"shifts must be four numbers or ±inf"):
+                params((F(1, 4),) * 4, lambdas)
+        # the weights are checked first
+        with pytest.raises(InvalidParams, match="weights must be four nonnegative numbers"):
+            params((F(1, 2), F(1, 2), F(0)), (F(0), F(0), F(0)))
+
+    def test_a_knot_that_is_no_pair_is_invalid(self):
+        for knots in (((F(0),),), ((F(0), F(0)), (F(1), F(1), F(1))), (F(0),), ((),)):
+            with pytest.raises(InvalidParams, match=r"shape knots must be \(t, f\(t\)\) pairs"):
+                rd.ShapeFunction(knots)
 
 
 class TestEvaluation:
@@ -646,6 +669,230 @@ def as_float_params(p):
         )
     except InvalidParams:
         return None
+
+
+def reference_member_checks(alphas, lambdas, knots):
+    """Raise ``InvalidParams`` as a member's checks first written raised it:
+    in ``Fraction`` arithmetic, with f(0) read by ``ShapeFunction.__call__``
+    and the shifts compared with 0 as ``Fraction``s and floats."""
+    error = "shape knots must be finite"
+    knots = tuple([(rational(t, error), rational(y, error)) for t, y in knots])
+    ts = [t for t, _ in knots]
+    if not ts:
+        raise InvalidParams("shape function needs at least one knot")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise InvalidParams("shape knots must be strictly increasing in t")
+    shape = object.__new__(rd.ShapeFunction)  # unchecked: for its __call__
+    object.__setattr__(shape, "knots", knots)
+    if len(knots) == 1 and knots[0][1] != 0:
+        raise InvalidParams("a single knot must have value 0")
+    if shape(0) != 0:
+        raise InvalidParams("shape function must vanish at 0")
+    slopes = [F(y2 - y1, t2 - t1) for (t1, y1), (t2, y2) in zip(knots, knots[1:])]
+    if any(s < 0 or s > 1 for s in slopes):
+        raise InvalidParams("shape slopes must lie in [0, 1]")
+    for i in range(len(slopes) - 1):
+        shared = knots[i + 1][0]
+        if shared < 0 and slopes[i + 1] > slopes[i]:
+            raise InvalidParams("shape must be concave left of 0")
+        if shared > 0 and slopes[i + 1] < slopes[i]:
+            raise InvalidParams("shape must be convex right of 0")
+    for t, y in knots:
+        if t <= 0 and not (t <= y <= 0):
+            raise InvalidParams("shape must satisfy t <= f(t) <= 0 left of 0")
+        if t >= 0 and not (0 <= y <= t):
+            raise InvalidParams("shape must satisfy 0 <= f(t) <= t right of 0")
+    a = tuple([rational(x, "weights must be finite") for x in alphas])
+    error = "shifts must be numbers or ±inf"
+    lambdas = tuple([rational(x, error) if is_finite(x) else x for x in lambdas])
+    if len(a) != 4 or any(x < 0 for x in a):
+        raise InvalidParams("weights must be four nonnegative numbers")
+    if sum(a) != 1:
+        raise InvalidParams("weights must sum to 1")
+    l1, l2, l3, l4 = lambdas
+    if not (l1 <= 0 and l2 <= 0):
+        raise InvalidParams("first two shifts must be <= 0")
+    if max(l1, l2) != 0:
+        raise InvalidParams("max of the first two shifts must be 0")
+    if not (l3 >= 0 and l4 >= 0):
+        raise InvalidParams("last two shifts must be >= 0")
+    if min(l3, l4) != 0:
+        raise InvalidParams("min of the last two shifts must be 0")
+
+
+def reference_scaled(p):
+    """``p.scaled`` as first built, lazily from the ``Fraction`` parameters
+    and slopes."""
+    alphas, knots, slopes = p.alphas, p.shape.knots, p.shape._slopes
+    shifts = [x for x in p.lambdas if is_finite(x)]
+    coords = [x for knot in knots for x in knot]
+    d = lcm(*[x.denominator for x in (*alphas, *shifts, *coords)])
+    e = lcm(*[s.denominator for s in slopes])
+
+    def on(x, scale=d):
+        return x.numerator * (scale // x.denominator)
+
+    a1, a2, a3, a4 = alphas
+    weights = (
+        min(a1, a2),
+        min(a1 + a3 + a4, a2),
+        min(a1 + a3, a2 + a4),
+        min(a1 + a4, a2 + a3),
+        min(a1, a2 + a3 + a4),
+    )
+    l1, l2, l3, l4 = p.lambdas
+    c1 = True if l2 == NEG_INF else False if l1 == NEG_INF else None
+    c2 = False if l3 == POS_INF else True if l4 == POS_INF else None
+    ts = [on(t) for t, _ in knots]
+    return ScaledParams(
+        d=d,
+        scale=d * d * e,
+        alphas=tuple([on(a) * e for a in alphas]),
+        shifts=tuple([on(x) if is_finite(x) else None for x in p.lambdas]),
+        bounds=(
+            on(l1) - on(l2) if c1 is None else None,
+            on(l3) - on(l4) if c2 is None else None,
+        ),
+        fixed=(c1, c2),
+        weights=tuple([on(w) for w in weights]),
+        knots=tuple(ts),
+        pieces=tuple([
+            (on(y) * e - on(s, e) * t, on(s, e))
+            for (_, y), t, s in zip(knots, ts, slopes)
+        ]),
+    )
+
+
+#: one member per rule of the checks that breaks it and no rule before it,
+#: from a sound base: weights (1/4, ...), zero shifts and the kinked shape
+RULE_BREAKS = {
+    "shape knots must be finite": {"knots": ((F(0), F(0)), (POS_INF, F(1)))},
+    "shape function needs at least one knot": {"knots": ()},
+    "shape knots must be strictly increasing in t": {"knots": ((F(0), F(0)), (F(0), F(0)))},
+    "a single knot must have value 0": {"knots": ((F(-1), F(-1, 2)),)},
+    "shape function must vanish at 0": {"knots": ((F(1), F(1, 2)), (F(3), F(5, 2)))},
+    "shape slopes must lie in [0, 1]": {"knots": ((F(-1), F(1)), (F(0), F(0)), (F(1), F(0)))},
+    "shape must be concave left of 0": {"knots": ((F(-3), F(-1)), (F(-1), F(-1)), (F(0), F(0)))},
+    "shape must be convex right of 0": {"knots": ((F(0), F(0)), (F(1), F(1)), (F(3), F(1)))},
+    "weights must be finite": {"alphas": (F(1, 4), F(1, 4), F(1, 4), NEG_INF)},
+    "weights must be four nonnegative numbers": {"alphas": (F(3, 4), F(1, 2), F(-1, 4), F(0))},
+    "weights must sum to 1": {"alphas": (F(1, 4), F(1, 4), F(1, 4), F(1, 5))},
+    "shifts must be numbers or ±inf": {"lambdas": (F(0), float("nan"), F(0), F(0))},
+    "first two shifts must be <= 0": {"lambdas": (POS_INF, F(0), F(0), F(0))},
+    "max of the first two shifts must be 0": {"lambdas": (F(-1, 2), NEG_INF, F(0), F(0))},
+    "last two shifts must be >= 0": {"lambdas": (F(0), F(0), F(-1, 3), F(0))},
+    "min of the last two shifts must be 0": {"lambdas": (F(0), F(0), POS_INF, F(1, 3))},
+}
+
+#: further breaks of the weight and shift rules, by infinities and floats
+MORE_BREAKS = [
+    {"alphas": (float("nan"), 0.25, 0.25, 0.25)},
+    {"alphas": (F(1, 2), F(1, 2), F(0))},
+    {"alphas": (0.1, 0.2, 0.3, 0.4)},  # each float is the Fraction it equals
+    {"lambdas": (F(1, 7), F(0), F(0), F(0))},
+    {"lambdas": (F(0), POS_INF, F(0), F(0))},
+    {"lambdas": (NEG_INF, NEG_INF, F(0), F(0))},
+    {"lambdas": (F(-1), F(-2), F(0), F(0))},
+    {"lambdas": (F(0), F(0), NEG_INF, F(0))},
+    {"lambdas": (F(0), F(0), F(0), F(-2))},
+    {"lambdas": (F(0), F(0), POS_INF, POS_INF)},
+    {"lambdas": (F(0), F(0), F(2), F(1, 2))},
+    {"lambdas": (-0.0, NEG_INF, 0.0, POS_INF)},
+]
+
+
+def mutated(rng, alphas, lambdas, knots):
+    """The parameters with one random change: a weight, a shift or a knot
+    coordinate redrawn, a knot dropped, or the shape scaled by a rational
+    factor (which keeps it sound and changes its denominators)."""
+    alphas, lambdas, knots = list(alphas), list(lambdas), [list(k) for k in knots]
+    change = rng.randrange(5)
+    if change == 0:
+        alphas[rng.randrange(4)] = F(rng.randint(-1, 4), rng.randint(1, 6))
+    elif change == 1:
+        shift = F(rng.randint(-3, 3), rng.randint(1, 3))
+        lambdas[rng.randrange(4)] = rng.choice((NEG_INF, POS_INF, shift))
+    elif change == 2:
+        coord = F(rng.randint(-9, 9), rng.randint(1, 4))
+        knots[rng.randrange(len(knots))][rng.randrange(2)] = coord
+    elif change == 3:
+        del knots[rng.randrange(len(knots))]
+    else:
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        knots = [[t * c, y * c] for t, y in knots]
+    return tuple(alphas), tuple(lambdas), tuple(map(tuple, knots))
+
+
+def checked(alphas, lambdas, knots):
+    """The member, or the message of the ``InvalidParams`` it raises."""
+    try:
+        return rd.TwoPointParams(alphas, lambdas, rd.ShapeFunction(knots))
+    except InvalidParams as exc:
+        return str(exc)
+
+
+def test_members_are_checked_and_scaled_as_in_fraction_arithmetic():
+    """Every member is checked and scaled on integers once as the
+    ``Fraction`` checks and the lazy ``scaled`` first did it: the same
+    message, or an equal ``scaled``, on criterion 09's stream, its float
+    twins, a random change of each, and a break of every rule."""
+    rng = derive_rng(30, "two-point-checks")
+    stream = family_stream(2000)
+    floats = [q for q in map(as_float_params, stream[:300]) if q is not None]
+    cases = [(p.alphas, p.lambdas, p.shape.knots) for p in stream + floats]
+    cases += [mutated(rng, *case) for case in cases]
+    base = {"alphas": (F(1, 4),) * 4, "lambdas": ZEROS, "knots": KINKED_KNOTS}
+    breaks = [dict(base, **change) for change in (*RULE_BREAKS.values(), *MORE_BREAKS)]
+    cases += [(b["alphas"], b["lambdas"], b["knots"]) for b in breaks]
+    messages = Counter()
+    for alphas, lambdas, knots in cases:
+        got = checked(alphas, lambdas, knots)
+        try:
+            reference_member_checks(alphas, lambdas, knots)
+        except InvalidParams as exc:
+            assert got == str(exc), (alphas, lambdas, knots)
+            messages[got] += 1
+        else:
+            assert got.scaled == reference_scaled(got), got
+            messages["sound"] += 1
+    for message, change in RULE_BREAKS.items():
+        assert checked(**dict(base, **change)) == message
+    # the envelope holds wherever f(0) = 0 and every slope lies in [0, 1],
+    # so only those rules' messages show
+    assert set(messages) == {"sound", *RULE_BREAKS}
+    assert messages["sound"] > 2000, messages
+
+
+def test_loading_and_deciding_a_member_reads_no_fraction_slope(two_point, monkeypatch):
+    """A member loaded from JSON is checked and scaled once, on integers,
+    and its census reads that form: no ``Fraction`` slope is built on the
+    way from the JSON to the verdict.  On the census-sound members and on
+    the two defective sets of the two-point-validate benchmark workload."""
+    from test_metric import CENSUS_SOUND_MEMBERS
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import FIXED_SETS
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(ScaledParams(*args, **kwargs))
+        return built[-1]
+
+    def no_slopes(shape):
+        raise AssertionError("the Fraction slopes were built")
+
+    monkeypatch.setattr(riskdist.twopoint, "ScaledParams", counted)
+    monkeypatch.setattr(rd.ShapeFunction, "_slopes", property(no_slopes))
+    verdicts = []
+    for spec in [*CENSUS_SOUND_MEMBERS, *FIXED_SETS]:
+        mu = load_measure(spec, two_point)
+        report = rd.verify_axioms(mu, seed=1)
+        assert built == [mu.params.scaled] and built[0] is mu.params.scaled
+        assert report.method == "exact"
+        verdicts.append(report.ok)
+        built.clear()
+    assert verdicts == [True, True, True, False, False]
 
 
 #: every placement of infinite shifts: on the max side, the min side, both

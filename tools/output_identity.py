@@ -43,6 +43,10 @@ half the Dirac at the last point, which no benchmark pool holds, is run as
 the pool of the mixture, that CVaR, its max part and that Dirac; their
 lines name the workloads ``mixture-lattice/distance`` and
 ``mixture-lattice/matrix``, with seed 0 and the space's name as the index.
+Each member of ``INVALID_MEMBERS``, a sound family member changed to
+break one rule of the member checks, is run as ``validate`` on the
+two-point space; their lines name the workload ``two-point-invalid/validate``,
+with seed 0 and the rule's name as the index.
 """
 
 from __future__ import annotations
@@ -62,6 +66,35 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (1, 2, 3)
 MODES = ("exact", "float")
+
+#: a sound family member, and one change of it per rule of the member
+#: checks that a JSON spec can break (a NaN is refused as it is read, so
+#: the rule against a NaN shift is out of reach, and the envelope rule
+#: holds wherever f(0) = 0 and the slopes lie in [0, 1])
+SOUND_MEMBER = {
+    "type": "two-point", "alpha": ["1/4", "1/4", "1/4", "1/4"], "lambda": ["0", "-1", "0", "0"],
+    "f": {"knots": [["-2", "-1"], ["0", "0"], ["3", "1"]]},
+}
+INVALID_MEMBERS = {
+    "knot-not-a-pair": {"f": {"knots": [["-2", "-1"], ["0"], ["3", "1"]]}},
+    "knot-infinite": {"f": {"knots": [["-2", "-1"], ["0", "0"], ["inf", "1"]]}},
+    "no-knot": {"f": {"knots": []}},
+    "knots-not-increasing": {"f": {"knots": [["0", "0"], ["0", "0"]]}},
+    "single-knot-nonzero": {"f": {"knots": [["1", "1/2"]]}},
+    "nonzero-at-0": {"f": {"knots": [["1", "1/2"], ["3", "5/2"]]}},
+    "slope-above-1": {"f": {"knots": [["0", "0"], ["1", "2"]]}},
+    "not-concave-left": {"f": {"knots": [["-3", "-1"], ["-1", "-1"], ["0", "0"]]}},
+    "not-convex-right": {"f": {"knots": [["0", "0"], ["1", "1"], ["3", "1"]]}},
+    "weight-infinite": {"alpha": ["1/4", "1/4", "1/4", "inf"]},
+    "weight-count": {"alpha": ["1/2", "1/2", "0"]},
+    "weight-negative": {"alpha": ["3/4", "1/2", "-1/4", "0"]},
+    "weight-sum": {"alpha": ["1/4", "1/4", "1/4", "1/5"]},
+    "shift-count": {"lambda": ["0", "-1", "0"]},
+    "shift-positive": {"lambda": ["+inf", "0", "0", "0"]},
+    "shift-max": {"lambda": ["-1/2", "-inf", "0", "0"]},
+    "shift-negative": {"lambda": ["0", "-1", "-1/3", "0"]},
+    "shift-min": {"lambda": ["0", "-1", "inf", "1/3"]},
+}
 
 
 def main(argv=None) -> int:
@@ -97,7 +130,8 @@ def run_all(run, workloads, cli_main, workdir: Path):
                     for name, index, argv in runs:
                         for mode in MODES:
                             print(f"{name} {seed} {index} {mode} {cli_run(cli_main, argv + ['--mode', mode])}")
-        for name, index, argv in mixture_runs(workloads, workdir):
+        fixed = mixture_runs(workloads, workdir) + invalid_runs(workloads, workdir)
+        for name, index, argv in fixed:
             for mode in MODES:
                 print(f"{name} 0 {index} {mode} {cli_run(cli_main, argv + ['--mode', mode])}")
     finally:
@@ -137,6 +171,20 @@ def mixture_runs(workloads, workdir: Path) -> list:
         pair = ["--measure", str(files["mixed"]), "--measure", str(files["cvar"])]
         runs.append(("mixture-lattice/distance", space, ["distance", *common, *pair]))
         runs.append(("mixture-lattice/matrix", space, ["matrix", *common, "--measure", str(files["pool"])]))
+    return runs
+
+
+def invalid_runs(workloads, workdir: Path) -> list:
+    """(name, index, argv) of ``validate`` on each of ``INVALID_MEMBERS``."""
+    workdir.mkdir(parents=True, exist_ok=True)
+    space = workdir / "invalid-space.json"
+    space.write_text(json.dumps(workloads.space_json("two-point")))
+    runs = []
+    for rule, change in INVALID_MEMBERS.items():
+        path = workdir / f"invalid-{rule}.json"
+        path.write_text(json.dumps(dict(SOUND_MEMBER, **change)))
+        argv = ["validate", "--space", str(space), "--measure", str(path), "--seed", "0"]
+        runs.append(("two-point-invalid/validate", rule, [*argv, "--format", "json"]))
     return runs
 
 
