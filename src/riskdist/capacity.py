@@ -16,16 +16,17 @@ Tables are stored as full 2^n tuples indexed by subset bitmask, and no
 table is built past ``MAX_CAPACITY_POINTS`` points.  A capacity carries its
 table as integers over their least common denominator D, ``scaled``, and
 every capacity the package builds is born as those integers: expectations,
-VaR, CVaR, mixtures, the 0/1 capacities and JSON tables compute their
-entries times D in ``int`` arithmetic (VaR and CVaR from the probability's
-integer subset sums), and the normalization, monotone-cover and
+VaR, CVaR, mixtures, pushforwards, the 0/1 capacities and JSON tables
+compute their entries times D in ``int`` arithmetic (VaR and CVaR from the
+probability's integer subset sums, a pushforward from its source's
+entries at ``preimages``), and the normalization, monotone-cover and
 null-point checks run once, on those integers.  ``table``, each entry as
 the ``Fraction`` it equals, is built the first time something reads it: a
 certificate, equality, hashing or ``repr``; the distance ladder reads
-none.  A table given by its values (``Capacity(space, table)``, a
-pushforward) is lifted (``numerics.rational``: a float entry, which only a
-Python caller can give, becomes the ``Fraction`` it equals), scaled once
-on construction and checked the same way.  Weights are lifted the same
+none.  A table given by its values (``Capacity(space, table)``) is
+lifted (``numerics.rational``: a float entry, which only a Python caller
+can give, becomes the ``Fraction`` it equals), scaled once on
+construction and checked the same way.  Weights are lifted the same
 way before any sum, so no sum or comparison of the module is a float one.
 Fractions appear at the JSON edge, where a ``choquet`` spec's distinct
 entries are parsed, and in ``table``.  The coupling module compares two
@@ -238,24 +239,6 @@ def choquet_eval(v: Capacity, phi: PointFunction) -> Scalar:
     return v.choquet(phi.values)
 
 
-def restricts_to(v: Capacity, mask: int) -> bool:
-    """True iff v(S) = v(S & mask) for every subset S."""
-    return all(v.table[s] == v.table[s & mask] for s in range(len(v.table)))
-
-
-def exhaustive_support_mask(v: Capacity) -> int:
-    """Smallest carrier found by scanning candidates in increasing cardinality.
-
-    Reference implementation for the null-point fast path; cost 4^n.
-    """
-    n = v.space.n
-    candidates = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    for mask in candidates:
-        if restricts_to(v, mask):
-            return mask
-    return v.space.full_mask
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -393,18 +376,35 @@ def mix_tables(weights: Sequence[Fraction], tables) -> tuple[list, int]:
     return mixed, scale
 
 
+def check_point_map(
+    point_map: Sequence[int], source: FiniteMetricSpace, target: FiniteMetricSpace
+) -> None:
+    """Refuse a point map that is not total on the source or leaves the
+    target."""
+    if len(point_map) != source.n:
+        raise SpaceMismatch("point map must be total on the source points")
+    if any(not 0 <= t < target.n for t in point_map):
+        raise SpaceMismatch("point map hits indices outside the target space")
+
+
+def preimages(point_map: Sequence[int], n: int) -> list:
+    """Entry B is the mask of the points that ``point_map`` sends into B,
+    for every subset B of the n target points."""
+    fibres = [0] * n
+    for i, t in enumerate(point_map):
+        fibres[t] |= 1 << i
+    pre = [0]
+    for fibre in fibres:
+        pre += [p | fibre for p in pre]
+    return pre
+
+
 def pushforward_capacity(
     v: Capacity, point_map: Sequence[int], target: FiniteMetricSpace
 ) -> Capacity:
-    """Image capacity v'(B) = v(preimage of B)."""
-    if len(point_map) != v.space.n:
-        raise SpaceMismatch("point map must be total on the source points")
+    """Image capacity v'(B) = v(preimage of B), read off ``scaled``: the
+    scale of v' divides that of v."""
+    check_point_map(point_map, v.space, target)
     check_points(target.n)
-    table = []
-    for mask in range(1 << target.n):
-        pre = 0
-        for i, fi in enumerate(point_map):
-            if mask >> fi & 1:
-                pre |= 1 << i
-        table.append(v.table[pre])
-    return Capacity(target, tuple(table))
+    scaled = v.scaled
+    return _from_ints(target, [scaled[p] for p in preimages(point_map, target.n)], v.scale)

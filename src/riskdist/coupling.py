@@ -21,13 +21,13 @@ is monotone, translation invariant, normed, reads chi only on S, and under
 witness formula the module builds, and every envelope the module takes,
 gluing's included, goes through one section-minimum routine.
 
-One exact decider takes every pair where each measure is a capacity or a
-max, min or mixture of such (``measures.normal_forms``): two capacities on any
-space ("exact-choquet"), any other such pair whose relation's
-projections contain every part's support ("exact-lattice"; the
-reflexive relations of the distance ladder always do).  Take mu1 = max_i
-min_j A_ij and mu2 = min_q max_p B_pq.  Then (b) holds iff for every check
-(i, q)
+One exact decider takes every pair where each measure has normal forms
+(``measures.normal_forms``): a capacity, a max, min or mixture of such, or
+a pushforward of one.  It takes two capacities on any space
+("exact-choquet"), and any other such pair whose relation's projections
+contain every part's support ("exact-lattice"; the reflexive relations
+of the distance ladder always do).  Take mu1 = max_i min_j A_ij and mu2 =
+min_q max_p B_pq.  Then (b) holds iff for every check (i, q)
 
     min_j A_ij(P_S psi) <= max_p B_pq(psi)   for every psi,
 
@@ -42,15 +42,14 @@ m_c(U_k) > 0 for every column; by Ville's alternative it holds iff some
 convex lambda over the columns has sum_c lambda_c m_c(U_k) <= 0 on every
 set of the chain.  The decider runs three steps:
 
-  1. indicator scan: each measure's table of mu(1_B), a capacity's own
-     ``scaled`` table or the table a lattice builds with its normal forms
-     (``measures.indicators``), lifted to the common scale of its pool, is
-     read at inner U against U for every U.  A subset where the pair
-     compares the wrong way refutes (b) or (c) outright.  A check with one
-     column fails iff some U has m(U) > 0, which this scan sees, so for
-     two capacities it is the whole decision: the subset test A(inner U)
-     <= B(U), cross-validated against independent brute-force oracles in
-     the oracles module;
+  1. indicator scan: each measure's table of mu(1_B), kept with its normal
+     forms (``measures.indicators``; a capacity's own ``scaled`` table),
+     lifted to the common scale of its pool, is read at inner U against U
+     for every U.  A subset where the pair compares the wrong way refutes
+     (b) or (c) outright.  A check with one column fails iff some U has
+     m(U) > 0, which this scan sees, so for two capacities it is the whole
+     decision: the subset test A(inner U) <= B(U), cross-validated against
+     independent brute-force oracles in the oracles module;
   2. chain cover, for checks with more than one column, over the parts'
      tables on the same scale: a search down the chains from the
      full set, with state (U, columns nonpositive on every set so far),
@@ -121,15 +120,15 @@ levels and relations once per space (``space.sublevel_ladder``).
 
 An infeasible verdict carries a certificate that re-checks by evaluation
 (``FeasibilityVerdict`` lists the kinds); a feasible one carries the lower
-extension.  Black boxes, pushforwards and combinations with such parts stay
-on the sampled tier, and so do relations with a projection that misses a
-point, defective family members and a pair whose uncovered chains outgrow
-``CHAIN_BUDGET``.  That tier scans (a), (b) and (c) over one fixed grid,
-whatever the caller: ``probe_grid(space, seed, REFUTATION_RANDOMS)``.  A
-probe that refutes gives an infeasible verdict with a certificate, and a
-scan with no refutation gives the lower extension as a "witness-found"
-verdict, which says that no probe refuted and proves nothing more.
-``verify_coupling`` re-checks such a witness with
+extension.  Black boxes, pushforwards of measures without normal forms and
+combinations with such parts stay on the sampled tier, and so do relations
+with a projection that misses a point, defective family members and a pair
+whose uncovered chains outgrow ``CHAIN_BUDGET``.  That tier scans (a), (b)
+and (c) over one fixed grid, whatever the caller: ``probe_grid(space, seed,
+REFUTATION_RANDOMS)``.  A probe that refutes gives an infeasible verdict
+with a certificate, and a scan with no refutation gives the lower extension
+as a "witness-found" verdict, which says that no probe refuted and proves
+nothing more.  ``verify_coupling`` re-checks such a witness with
 ``measures.probe_axioms``, the seeded prober that also checks measures:
 with the default 64 samples, 64 monotone pairs, 32 integer shifts and four
 constants on the product, then the product-point indicators, support
@@ -262,11 +261,6 @@ class CouplingWitness:
             raise SpaceMismatch("witness expects a function on its product space")
         return self.evaluate_values(chi.values)
 
-    def as_measure(self) -> RiskMeasure:
-        return black_box(
-            self.product, self.evaluate_values, name=f"coupling[{self.formula}]"
-        )
-
     def cost(self) -> Scalar:
         """Maximal base distance over the declared support: the distance
         of the largest rank (``FiniteMetricSpace._ranks``) among its pairs,
@@ -351,10 +345,11 @@ class Member:
       these.  A pair's route is the route of its larger rank.  A point
       mass without a capacity lives on a space past
       ``MAX_CAPACITY_POINTS`` points, where every other measure ranks 4.
-    * ``table``, ``reach``, ``rows`` and ``groups``, for ranks 0 to 2: the
-      indicator table on the pool's scale, ``measures.reach``, and the
-      rows of the max-of-min form and the groups of the min-of-max form,
-      each part a table on the pool's scale.
+    * ``table``, ``reach``, ``rows`` and ``groups``, for a member with
+      normal forms, a capacity's one-entry forms included: the indicator
+      table on the pool's scale, ``measures.reach``, and the rows of the
+      max-of-min form and the groups of the min-of-max form, each part a
+      table on the pool's scale.
     * ``kinks``, ``ends`` and ``lookup``, filled in by the pool's two-point
       grid (``Pool.two_point_tables``) for ranks 0 to 3: the grid indices
       of {0}, the member's breakpoints and their negatives; the indices of
@@ -374,17 +369,13 @@ class Member:
             else:
                 self.rank = 3 if mu.space.n == 2 and mu.breakpoints is not None else 4
             return
+        self.rank = 0 if mu.kind == "dirac" else 1 if mu.capacity is not None else 2
         lift = pool._lift
         self.table = lift(*indicators(mu))
         self.reach = reach(mu)
-        if mu.capacity is not None:  # its one form is itself
-            self.rank = 0 if mu.kind == "dirac" else 1
-            self.rows = self.groups = ((self.table,),)
-        else:
-            self.rank = 2
-            self.rows, self.groups = (
-                [[lift(c.scaled, c.scale) for c in part] for part in form] for form in forms
-            )
+        self.rows, self.groups = (
+            [[lift(c.scaled, c.scale) for c in part] for part in form] for form in forms
+        )
 
 
 class Pool:
@@ -393,12 +384,15 @@ class Pool:
     ``prepare_pair`` for a lone pair, a pool of two.
 
     * ``scale``: one common scale L, the least common multiple of the
-      indicator scales of the measures with normal forms.  A
-      combination's scale is a multiple of its parts' scales (a max's and
-      a min's is theirs, a mixture's carries its weights' denominators
-      too), so L is a multiple of every part capacity's scale, and every
-      table of the pool is read as integers over L.  Each table is lifted
-      to L once, however many members and pairs hold it.
+      indicator scales of the measures with normal forms.  Each
+      indicator scale is a multiple of the scales of the capacities in
+      its forms: a capacity's is its own, a max's and a min's is their
+      parts' lcm, a mixture's carries its weights' denominators too, and
+      a pushforward keeps its source's scale, which each pushed
+      capacity's scale divides.  So L is a multiple of every part
+      capacity's scale, and every table of the pool is read as integers
+      over L; a reduced table scale would floor ``L // scale``.  Each
+      table is lifted to L once, however many members and pairs hold it.
     * ``entry``: each member's ``Member`` entry, the first time a pair of
       it is prepared.
     * ``inner_values``: a lifted table read at one side's inner masks of a

@@ -12,19 +12,20 @@ representations coexist:
 
 Each constructor builds its measure once into the form it is evaluated by.
 Dirac measures, Choquet measures and their mixtures carry a single
-capacity, which unlocks exact axiom checks, supports and equality.  Every
-other measure carries an evaluator: family members and combinations behind
-one bounded memo each, black boxes as given.  Combinations also keep their
-parts, so the axiom check can pass them from their parts: max, min and
-convex combinations keep monotonicity, translation invariance and
-normedness.  Every family member is checked exactly, from the affine pieces
-of its formula.  Only a measure without such structure, a black box, a
-pushforward or a combination with one of them or with a failing part, is
-left to seeded probing, and its report says so.
+capacity, which unlocks exact supports and equality.  Every other measure
+carries an evaluator: family members and combinations behind one bounded
+memo each, black boxes as given.  Combinations also keep their parts, so
+the axiom check can pass them from their parts: max, min and convex
+combinations keep monotonicity, translation invariance and normedness.
+Every family member is checked exactly, from the affine pieces of its
+formula.  Only a measure without such structure, a black box, a
+pushforward of a measure without normal forms or a combination with one
+of them or with a failing part, is left to seeded probing, and its report
+says so.
 
-Lattice normal forms.  A max, min or mixture whose parts are capacities,
-or max, min and mixtures of such, keeps two normal forms over ``Capacity``
-objects:
+Normal forms.  Every measure with normal forms keeps two over
+``Capacity`` objects.  A capacity is their one-entry case, and a max, min,
+mixture or pushforward of measures with forms keeps its own:
 
     max-of-min   mu = max_i min_j A_ij      (rows of capacities)
     min-of-max   mu = min_q max_p B_pq      (groups of capacities)
@@ -32,12 +33,13 @@ objects:
 max joins the parts' rows and spreads their groups (one group per choice of
 a group from each part: max distributes over min); min is the dual.  A
 mixture mixes one pick from each part, row by row and column by column
-(``_mixture_forms``).  A capacity is its own one-entry form.  With its
-forms a combination builds its indicator table, mu(1_B) for every subset
-B: the max, min or weighted sum of its parts' tables, as integers over one
-scale (``indicators``), and its reach, the union of its form's supports
-(``reach``).  The coupling module decides pairs of such measures exactly
-from these forms and tables.
+(``_mixture_forms``); a pushforward pushes each capacity (``pushforward``).
+With its forms a measure keeps its indicator table, mu(1_B) for every
+subset B, as integers over one scale (``indicators``): a capacity's
+``scaled``, the max, min or weighted sum of a combination's parts' tables,
+or a pushforward's source table read at preimages.  It also keeps its
+reach, the union of its form's supports (``reach``).  The coupling module
+decides pairs of such measures exactly from these forms and tables.
 
 Breakpoints.  On a two-point space a measure is mu(phi) = phi0 +
 g(phi1 - phi0) by translation invariance, and ``RiskMeasure.breakpoints``
@@ -47,11 +49,11 @@ homogeneous, so g is affine on each side of 0; a family member that passes
 its exact axiom check breaks at ``twopoint.breakpoints``; a mixture
 without a capacity at its parts' points; a max or min at its parts' points
 and at every crossing of two parts' affine pieces, each piece read from two
-evaluations.  Black boxes, pushforwards and defective family members have
-none, and neither has a combination with one of them among its parts.  So
-a measure with breakpoints passes its axioms exactly, and its g is
-continuous.  The coupling module decides two-point pairs exactly from these
-points.
+evaluations.  Black boxes, pushforwards without forms and defective family
+members have none, and neither has a combination with one of them among
+its parts.  So a measure with breakpoints passes its axioms exactly, and
+its g is continuous.  The coupling module decides two-point pairs exactly
+from these points.
 """
 
 from __future__ import annotations
@@ -69,9 +71,11 @@ from .capacity import (
     MAX_CAPACITY_POINTS,
     Capacity,
     check_mixture,
+    check_point_map,
     dirac_capacity,
     mix_capacities,
     mix_tables,
+    preimages,
     pushforward_capacity,
 )
 from .errors import InvalidParams, SpaceMismatch
@@ -114,9 +118,9 @@ class RiskMeasure:
 
     Capacity-tier measures carry ``capacity``; every other measure carries
     ``evaluator``, and so does a Dirac measure, which reads its point.  A
-    mixture without a capacity, a max and a min keep their ``parts``; a
-    max, min or mixture of measures with forms keeps its own ``forms``
-    (max-of-min, min-of-max, indicator table, reach).
+    mixture without a capacity, a max and a min keep their ``parts``.
+    Every measure with normal forms keeps ``forms`` (max-of-min,
+    min-of-max, indicator table, reach), a capacity its one-entry forms.
     Measures compare by identity: functional equality is ``equal_measures``.
     """
 
@@ -132,15 +136,22 @@ class RiskMeasure:
     parts: tuple["RiskMeasure", ...] = field(default=(), repr=False)
     forms: Optional[tuple[Form, Form, tuple, int]] = field(default=None, repr=False)
 
+    def __post_init__(self):
+        cap = self.capacity
+        if cap is not None:  # the one-entry forms, its table and its support
+            form = ((cap,),)
+            forms = form, form, (cap.scaled, cap.scale), cap.support_mask()
+            object.__setattr__(self, "forms", forms)
+
     def __call__(self, phi: PointFunction) -> Scalar:
         return evaluate(self, phi)
 
     @cached_property
     def breakpoints(self) -> Optional[tuple[Fraction, ...]]:
         """The sorted t between which g(t) = mu(0, t) is affine, on a
-        two-point space, or None for a black box, a pushforward, a
-        defective family member and any combination with one among its
-        parts; the module docstring lists the cases."""
+        two-point space, or None for a black box, a pushforward without
+        forms, a defective family member and any combination with one
+        among its parts; the module docstring lists the cases."""
         return _breakpoints(self)
 
     @cached_property
@@ -236,29 +247,22 @@ def _lattice(kind: str, pick, components: Sequence[RiskMeasure]) -> RiskMeasure:
 def normal_forms(mu: RiskMeasure) -> Optional[tuple[Form, Form]]:
     """mu's (max-of-min, min-of-max) forms over capacities, or None when mu
     is no lattice combination of capacities."""
-    if mu.capacity is not None:
-        form = ((mu.capacity,),)
-        return form, form
     return None if mu.forms is None else mu.forms[:2]
 
 
 def indicators(mu: RiskMeasure) -> Optional[tuple[tuple, Scalar]]:
     """mu(1_B) for every subset B times a scale, and that scale, for a
-    measure with normal forms, or None.  A capacity gives its ``scaled`` and
-    ``scale``; a lattice the table it built with its forms."""
-    if mu.capacity is not None:
-        return mu.capacity.scaled, mu.capacity.scale
+    measure with normal forms, or None.  The scale is a multiple of the
+    scale of every capacity in mu's forms."""
     return None if mu.forms is None else mu.forms[2]
 
 
 def reach(mu: RiskMeasure) -> Optional[int]:
     """The union of the supports of the capacities in mu's max-of-min form,
-    a capacity's own support, for a measure with normal forms, or None.  A
-    combination builds it with its forms, as the union of its parts'
-    reaches: its rows are its parts' rows (max) or unions of one row of
-    each (min, and a mixture over its parts of positive weight)."""
-    if mu.capacity is not None:
-        return mu.capacity.support_mask()
+    for a measure with normal forms, or None.  A combination builds it with
+    its forms, as the union of its parts' reaches: its rows are its parts'
+    rows (max) or unions of one row of each (min, and a mixture over its
+    parts of positive weight)."""
     return None if mu.forms is None else mu.forms[3]
 
 
@@ -637,8 +641,9 @@ def _two_point_violations(mu: RiskMeasure) -> list[Violation]:
 
 def _exact_report(mu: RiskMeasure) -> Optional[AxiomReport]:
     """The exact verdict on mu, or None where only probing can check it."""
-    if mu.capacity is not None:
-        # construction already validated the table; re-assert cheaply
+    if mu.forms is not None:
+        # construction validated every capacity of the forms, and max, min,
+        # mixtures and pushforwards keep the axioms
         return AxiomReport("pass", (), "exact")
     if mu.kind == "two-point":
         found = tuple(_two_point_violations(mu))
@@ -693,19 +698,21 @@ def verify_axioms(
     """Check monotonicity, translation invariance and normedness.
 
     The exact verdict (``RiskMeasure.exact_report``) is returned wherever
-    one exists.  A capacity passes at once: the Capacity constructor has
-    already enforced normalization and monotone covers.  Every two-point
-    family member is decided by a census of the affine pieces of its
-    formula (``_two_point_violations``), on any space: its parameters are
-    exact integers, ``TwoPointParams.scaled``.  A max, min or mixture whose
-    parts all pass exactly passes exactly too: max, min and convex
-    combinations keep the three axioms.  The verdict is held on the
-    measure, so the census runs once per member however often the gate and
-    ``breakpoints`` ask.
+    one exists.  A measure with normal forms passes at once: the Capacity
+    constructor has already enforced normalization and monotone covers on
+    each capacity of its forms.  Every two-point family member is decided
+    by a census of the affine pieces of its formula
+    (``_two_point_violations``), on any space: its parameters are exact
+    integers, ``TwoPointParams.scaled``.  A max, min or mixture whose parts
+    all pass exactly passes exactly too: max, min and convex combinations
+    keep the three axioms.  The verdict is held on the measure, so the
+    census runs once per member however often the gate and ``breakpoints``
+    ask.
 
-    Everything else, a black box, a pushforward or a combination with one
-    of them or with a failing part, is probed by ``probe_axioms``, the
-    prober ``verify_coupling`` runs on witnesses too, on ``seed``:
+    Everything else, a black box, a pushforward without forms or a
+    combination with one of them or with a failing part, is probed by
+    ``probe_axioms``, the prober ``verify_coupling`` runs on witnesses too,
+    on ``seed``:
     ``samples`` monotone pairs, ``samples // 2`` shifts and four constants,
     plus the monotone pairs of each failing part's exact census, shrunk
     until the combination drops across them (``_shrunk_pairs``).  Every
@@ -775,27 +782,40 @@ def pushforward(
 ) -> RiskMeasure:
     """Image measure along a point map: phi |-> mu(phi o f).
 
-    Dirac and capacity measures push forward exactly; other representations
-    wrap the evaluator in a black box, which reads the memo of the measure
-    it wraps.
+    A Dirac measure pushes to the Dirac at the image of its point, and a
+    capacity measure to the Choquet measure of ``pushforward_capacity``.
+    Any other measure with normal forms keeps them: each capacity of both
+    forms is pushed once, the indicator table is the source's read at the
+    preimages (``capacity.preimages``) on the source's scale, which every
+    pushed capacity's scale divides, and the reach is the union of the
+    pushed capacities' supports.  The result keeps mu's kind and reads mu
+    at phi o f, through the memo of mu.  Only a measure without normal forms,
+    or one pushed onto a target past ``MAX_CAPACITY_POINTS`` points, where
+    no capacity table is built, becomes a black box.
     """
-    if len(point_map) != mu.space.n:
-        raise SpaceMismatch("point map must be total on the source points")
-    if any(not 0 <= t < target.n for t in point_map):
-        raise SpaceMismatch("point map hits indices outside the target space")
+    check_point_map(point_map, mu.space, target)
+    name = f"pushforward({mu.name})"
     if mu.kind == "dirac":
         return dirac(target, point_map[mu.point])
-    if mu.capacity is not None:
-        return choquet_measure(
-            pushforward_capacity(mu.capacity, point_map, target),
-            name=f"pushforward({mu.name})",
-        )
-    src = mu
 
     def pulled(values: tuple[Scalar, ...]) -> Scalar:
-        return evaluate_values(src, tuple(values[t] for t in point_map))
+        return evaluate_values(mu, tuple(values[t] for t in point_map))
 
-    return black_box(target, pulled, name=f"pushforward({mu.name})")
+    if mu.forms is None or target.n > MAX_CAPACITY_POINTS:
+        return black_box(target, pulled, name=name)
+    if mu.capacity is not None:
+        return choquet_measure(pushforward_capacity(mu.capacity, point_map, target), name=name)
+    rows, groups, (table, scale), _ = mu.forms
+    pushed = {}  # by the id of a source capacity, which the forms hold
+    for cap in chain.from_iterable(chain(rows, groups)):
+        if id(cap) not in pushed:
+            pushed[id(cap)] = pushforward_capacity(cap, point_map, target)
+    rows, groups = (tuple(tuple(pushed[id(c)] for c in ln) for ln in f) for f in (rows, groups))
+    table = tuple(map(table.__getitem__, preimages(point_map, target.n)))
+    span = reduce(or_, (c.support_mask() for row in rows for c in row))
+    return RiskMeasure(
+        target, mu.kind, evaluator=pulled, name=name, forms=(rows, groups, (table, scale), span)
+    )
 
 
 @dataclass(frozen=True)

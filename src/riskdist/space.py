@@ -225,9 +225,6 @@ class PointSubset:
     def indices(self) -> list[int]:
         return [i for i in range(self.space.n) if self.mask >> i & 1]
 
-    def labels_in(self) -> list[str]:
-        return [self.space.labels[i] for i in self.indices()]
-
     @staticmethod
     def of(space: FiniteMetricSpace, labels: Iterable[str]) -> "PointSubset":
         mask = 0
@@ -318,11 +315,6 @@ class Relation:
             if self.matrix[i][j]
         ]
 
-    def is_subrelation(self, other: "Relation") -> bool:
-        return all(
-            s & ~t == 0 for s, t in zip(self.sections, other.sections)
-        )
-
     @staticmethod
     def from_pairs(
         left: FiniteMetricSpace,
@@ -353,10 +345,6 @@ def _inner_table(sections, n: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def diagonal_relation(space: FiniteMetricSpace) -> Relation:
-    return Relation.from_pairs(space, space, [(i, i) for i in range(space.n)])
-
-
 def full_relation(left: FiniteMetricSpace, right: FiniteMetricSpace) -> Relation:
     return Relation(
         left, right, tuple(tuple([True] * right.n) for _ in range(left.n))
@@ -380,21 +368,6 @@ def _sublevel_cached(space: FiniteMetricSpace, t: Scalar) -> Relation:
             for i in range(space.n)
         ),
     )
-
-
-def compose_relations(s: Relation, r: Relation) -> Relation:
-    """Relation composition: (x, z) related iff some y links x to z."""
-    if s.right is not r.left and s.right != r.left:
-        raise SpaceMismatch("composition needs matching middle spaces")
-    out = []
-    for i in range(s.left.n):
-        mask = 0
-        sec = s.sections[i]
-        for y in range(s.right.n):
-            if sec >> y & 1:
-                mask |= r.sections[y]
-        out.append(tuple(mask >> z & 1 == 1 for z in range(r.right.n)))
-    return Relation(s.left, r.right, tuple(out))
 
 
 def distance_levels(space: FiniteMetricSpace) -> list[Scalar]:

@@ -192,11 +192,7 @@ def _checked_pieces(ts: list[int], ys: list[int]) -> tuple:
             raise InvalidParams("shape must be concave left of 0")
         if shared > 0 and after < before:
             raise InvalidParams("shape must be convex right of 0")
-    for t, y in zip(ts, ys):
-        if t <= 0 and not (t <= y <= 0):
-            raise InvalidParams("shape must satisfy t <= f(t) <= 0 left of 0")
-        if t >= 0 and not (0 <= y <= t):
-            raise InvalidParams("shape must satisfy 0 <= f(t) <= t right of 0")
+    # f(0) = 0 with every slope in [0, 1] keeps f between the identity and 0
     e = lcm(*[dt // gcd(dy, dt) for dy, dt in zip(dys, dts)])
     slopes = [dy * e // dt for dy, dt in zip(dys, dts)]
     return e, tuple(ts), tuple([(y * e - s * t, s) for t, y, s in zip(ts, ys, slopes)])

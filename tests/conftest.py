@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import riskdist as rd
+from riskdist.errors import SpaceMismatch
+from riskdist.space import Relation
 
 
 def make_two_point():
@@ -46,6 +48,44 @@ def make_grid6():
         for a in range(6)
     ]
     return rd.validate_metric(pts, d)
+
+
+def as_measure(witness):
+    """A coupling witness as a black box on its product space."""
+    return rd.black_box(
+        witness.product, witness.evaluate_values, name=f"coupling[{witness.formula}]"
+    )
+
+
+def compose_relations(s, r):
+    """Relation composition: (x, z) related iff some y links x to z."""
+    if s.right is not r.left and s.right != r.left:
+        raise SpaceMismatch("composition needs matching middle spaces")
+    out = []
+    for i in range(s.left.n):
+        mask = 0
+        sec = s.sections[i]
+        for y in range(s.right.n):
+            if sec >> y & 1:
+                mask |= r.sections[y]
+        out.append(tuple(mask >> z & 1 == 1 for z in range(r.right.n)))
+    return Relation(s.left, r.right, tuple(out))
+
+
+def restricts_to(v, mask):
+    """True iff v(S) = v(S & mask) for every subset S."""
+    return all(v.table[s] == v.table[s & mask] for s in range(len(v.table)))
+
+
+def exhaustive_support_mask(v):
+    """Smallest carrier found by scanning candidates in increasing
+    cardinality: the reference for the null-point fast path; cost 4^n."""
+    n = v.space.n
+    candidates = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+    for mask in candidates:
+        if restricts_to(v, mask):
+            return mask
+    return v.space.full_mask
 
 
 def fixture_spaces():

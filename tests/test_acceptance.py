@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 import pytest
 
 import riskdist as rd
-from riskdist.capacity import exhaustive_support_mask
 from riskdist.coupling import triple_projection_map
 from riskdist.ensembles import (
     derive_rng,
@@ -41,6 +40,8 @@ from riskdist.space import (
 from riskdist.twopoint import branch_boundaries, two_point_eval
 
 from conftest import (
+    as_measure,
+    exhaustive_support_mask,
     fixture_spaces,
     make_cycle4,
     make_grid6,
@@ -261,8 +262,8 @@ def test_criterion_08_gluing():
         mu1 = random_capacity_measure(space, rng)
         mu2 = random_capacity_measure(space, rng)
         mu3 = random_capacity_measure(space, rng)
-        m12 = rd.bottleneck_distance(mu1, mu2, seed=808).witness.as_measure()
-        m23 = rd.bottleneck_distance(mu2, mu3, seed=808).witness.as_measure()
+        m12 = as_measure(rd.bottleneck_distance(mu1, mu2, seed=808).witness)
+        m23 = as_measure(rd.bottleneck_distance(mu2, mu3, seed=808).witness)
         glued = rd.glue(m12, m23, space)
         n = space.n
         for phi in probes:

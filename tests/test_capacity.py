@@ -7,16 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import riskdist as rd
-from riskdist.capacity import (
-    Capacity,
-    exhaustive_support_mask,
-    pushforward_capacity,
-)
+from riskdist.capacity import Capacity, pushforward_capacity
 from riskdist.ensembles import derive_rng, random_capacity, random_simplex
 from riskdist.errors import InputFormatError, InvalidParams
 from riskdist.io import load_measure
 
-from conftest import fixture_spaces
+from conftest import exhaustive_support_mask, fixture_spaces
 
 F = Fraction
 

@@ -581,6 +581,18 @@ MALFORMED = {
         "converge", "--sequence", json.dumps({"space": P3, "limit": DIRAC_A, "terms": []}),
     ],
     "dirac point not a label": ["validate", "--measure", '{"type": "dirac", "point": true}'],
+    "measure without a type": ["validate", "--measure", '{"point": "a"}'],
+    "measure of an unknown type": ["validate", "--measure", '{"type": "spiral"}'],
+    "distance one measure": ["distance", "--measure", json.dumps(DIRAC_A)],
+    "couple no relation": ["couple", *PAIR_OF_A],
+    "couple negative threshold": ["couple", *PAIR_OF_A, "--threshold", "-1"],
+    "converge unknown generator": [
+        "converge", "--sequence",
+        json.dumps({"space": P3, "generator": dict(DRIFT, type="spiral")}),
+    ],
+    "oracle strassen one vector": [
+        "oracle", "strassen", "--measure", '{"weights": [1, 0, 0]}', "--threshold", "1",
+    ],
     "matrix no measures": ["matrix"],
     "audit size": ["audit", "metric", "--size", "0"],
     # ran 2 * size + 16 instances, 10 here, and exited 0
@@ -850,7 +862,36 @@ class TestDeterminism:
         assert all(len(d) == 64 for d in report["inputs"].values())
 
 
+class TestRefusedInputs:
+    def test_an_unreadable_space_path_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        for path in (missing, tmp_path):  # no file, and a directory
+            assert main(["validate", "--space", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"input error: cannot read {path}")
+
+    @pytest.mark.parametrize("spec, space, message", [
+        ({"type": "unanimity", "points": []}, P3, "unanimity needs a nonempty subset"),
+        (FAMILY_MEMBER, P3, "the parametric family needs a two-point space"),
+    ])
+    def test_a_readable_spec_that_names_no_measure_fails(self, spec, space, message, capsys):
+        argv = ["validate", "--space", json.dumps(space), "--measure", json.dumps(spec)]
+        assert main(argv) == 1
+        assert f"measure #0: fail ({message})" in capsys.readouterr().out
+
+
 class TestFloatMode:
+    def test_a_value_past_the_float_range_prints_as_infinity(self, capsys):
+        big = 10**400  # an exact JSON integer that no float holds
+        space = {"points": ["a", "b"], "dist": [[0, big], [big, 0]]}
+        argv = [
+            "distance", "--space", json.dumps(space), "--measure", json.dumps(DIRAC_A),
+            "--measure", json.dumps({"type": "dirac", "point": "b"}), "--format", "json",
+        ]
+        assert main([*argv, "--mode", "float"]) == 0
+        assert json.loads(capsys.readouterr().out)["distance"]["value"] == "+inf"
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["distance"]["value"] == str(big)
+
     def test_float_space_distance(self, tmp_path, capsys):
         space = {
             "points": ["a", "b", "c"],

@@ -17,13 +17,14 @@ from riskdist.measures import evaluate_values, pushforward, equal_measures
 from riskdist.oracles import ProbabilityVector, random_relation, strassen_feasible
 from riskdist.space import (
     Relation,
-    diagonal_relation,
     full_relation,
     left_projection_map,
     product_space,
     right_projection_map,
     sublevel_relation,
 )
+
+from conftest import as_measure
 
 F = Fraction
 
@@ -35,7 +36,7 @@ def product_values(space, fn):
 
 class TestMinEnvelope:
     def test_diagonal_restores_the_function(self, p3):
-        diag = diagonal_relation(p3)
+        diag = sublevel_relation(p3, 0)
         prod = product_space(p3, p3)
         chi = rd.PointFunction(prod, product_values(p3, lambda i, j: F(i * 2)))
         env = rd.min_envelope(chi, diag, "left")
@@ -76,7 +77,7 @@ class TestMinEnvelope:
 class TestAdmissible:
     def test_point_masses_on_the_diagonal(self, p3):
         verdict = rd.admissible(
-            rd.dirac(p3, "a"), rd.dirac(p3, "a"), diagonal_relation(p3)
+            rd.dirac(p3, "a"), rd.dirac(p3, "a"), sublevel_relation(p3, 0)
         )
         assert verdict.feasible and verdict.tier == "dirac"
 
@@ -135,7 +136,7 @@ class TestAdmissible:
     def test_composition_stability(self, p3):
         rng = derive_rng(47, "compose")
         levels = rd.distance_levels(p3)
-        from riskdist.space import compose_relations
+        from conftest import compose_relations
 
         for _ in range(25):
             v1 = random_capacity_measure(p3, rng)
@@ -312,7 +313,7 @@ class TestExactLatticeTier:
         # JSON floats are read as the decimals they spell: the space is exact
         space = rd.validate_metric(["a", "b"], [[0, 1.0], [1.0, 0]])
         mu = rd.lattice_min([rd.dirac(space, "a"), rd.dirac(space, "b")])
-        verdict = rd.admissible(mu, mu, diagonal_relation(space))
+        verdict = rd.admissible(mu, mu, sublevel_relation(space, 0))
         assert (verdict.status, verdict.tier) == ("feasible", "exact-lattice")
 
     def test_the_lp_step_refutes(self, p3, counted_lp):
@@ -890,7 +891,7 @@ class TestSampledTier:
             for seed in (0, 5):
                 scanned = probe_grid(space, seed, coupling.REFUTATION_RANDOMS)
                 grids.clear()
-                verdict = rd.admissible(mu, mu, diagonal_relation(space), seed=seed)
+                verdict = rd.admissible(mu, mu, sublevel_relation(space, 0), seed=seed)
                 rd.bottleneck_distance(mu, mu, seed=seed, check_axioms=False)
                 rd.distance_matrix([mu], seed=seed)
                 assert verdict.tier == "witness-found"
@@ -968,7 +969,7 @@ class TestLowerCoupling:
     def test_diagonal_coupling_evaluates_on_the_diagonal(self, p3):
         rng = derive_rng(61, "diag-witness")
         mu = random_capacity_measure(p3, rng)
-        w = rd.lower_coupling(mu, mu, diagonal_relation(p3))
+        w = rd.lower_coupling(mu, mu, sublevel_relation(p3, 0))
         for _ in range(20):
             chi = tuple(rng.randint(-9, 9) for _ in range(9))
             diag = (chi[0], chi[4], chi[8])
@@ -976,12 +977,12 @@ class TestLowerCoupling:
 
     def test_expectation_diagonal_on_a_corner_indicator(self, two_point):
         mu = rd.choquet_measure(rd.expectation(two_point, (F(1, 2), F(1, 2))))
-        w = rd.lower_coupling(mu, mu, diagonal_relation(two_point))
+        w = rd.lower_coupling(mu, mu, sublevel_relation(two_point, 0))
         chi = (1, 0, 0, 0)
         assert w.evaluate_values(chi) == F(1, 2)
 
     def test_the_product_space_is_not_a_field(self, p3):
-        s = diagonal_relation(p3)
+        s = sublevel_relation(p3, 0)
         mu = rd.dirac(p3, "a")
         assert [f.name for f in dataclasses.fields(rd.CouplingWitness)] == [
             "left", "right", "support",
@@ -1031,7 +1032,7 @@ class TestVerifyCoupling:
 
     def test_diagonal_with_distinct_marginals_fails_marginals(self, p3):
         w = rd.lower_coupling(
-            rd.dirac(p3, "a"), rd.dirac(p3, "c"), diagonal_relation(p3)
+            rd.dirac(p3, "a"), rd.dirac(p3, "c"), sublevel_relation(p3, 0)
         )
         report = rd.verify_coupling(w, seed=1)
         assert not report.ok
@@ -1051,7 +1052,7 @@ class TestVerifyCoupling:
             def evaluate_values(self, chi):
                 return change(chi, super().evaluate_values(chi))
 
-        return Broken(mu, mu, diagonal_relation(p3))
+        return Broken(mu, mu, sublevel_relation(p3, 0))
 
     @pytest.mark.parametrize(
         "change, kinds",
@@ -1141,8 +1142,8 @@ class TestGlue:
         mu1 = random_capacity_measure(p3, rng)
         mu2 = random_capacity_measure(p3, rng)
         mu3 = random_capacity_measure(p3, rng)
-        w12 = rd.bottleneck_distance(mu1, mu2).witness.as_measure()
-        w23 = rd.bottleneck_distance(mu2, mu3).witness.as_measure()
+        w12 = as_measure(rd.bottleneck_distance(mu1, mu2).witness)
+        w23 = as_measure(rd.bottleneck_distance(mu2, mu3).witness)
         g = rd.glue(w12, w23, p3)
         prod = product_space(p3, p3)
         t3 = triple_space(p3)
@@ -1159,8 +1160,8 @@ class TestGlue:
         mu1 = random_capacity_measure(p3, rng)
         mu2 = random_capacity_measure(p3, rng)
         mu3 = random_capacity_measure(p3, rng)
-        w12 = rd.bottleneck_distance(mu1, mu2).witness.as_measure()
-        w23 = rd.bottleneck_distance(mu2, mu3).witness.as_measure()
+        w12 = as_measure(rd.bottleneck_distance(mu1, mu2).witness)
+        w23 = as_measure(rd.bottleneck_distance(mu2, mu3).witness)
         g = rd.glue(w12, w23, p3)
         prod = product_space(p3, p3)
         m13 = pushforward(triple_projection_map(p3, (0, 2)), g, prod)

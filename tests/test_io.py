@@ -180,6 +180,12 @@ class TestCapacityTables:
         with pytest.raises(InputFormatError, match=error):
             load_measure({"type": "choquet", "capacity": table}, space)
 
+    def test_a_spec_without_a_known_type_is_refused(self, p3):
+        with pytest.raises(InputFormatError, match='needs a "type"'):
+            load_measure({"point": "a"}, p3)
+        with pytest.raises(InputFormatError, match="unknown measure type 'spiral'"):
+            load_measure({"type": "spiral"}, p3)
+
     def test_keys_past_the_point_guard_are_not_tabulated(self):
         labels = [f"p{i}" for i in range(13)]
         dist = [[0 if i == j else 1 for j in range(13)] for i in range(13)]

@@ -6,7 +6,7 @@ import pytest
 import riskdist as rd
 from riskdist.capacity import Capacity
 from riskdist.ensembles import derive_rng, random_capacity, random_measure
-from riskdist.errors import SpaceMismatch
+from riskdist.errors import InvalidParams, SpaceMismatch
 from riskdist.io import load_measure
 from riskdist.measures import (
     AXIOM_SAMPLES,
@@ -18,6 +18,10 @@ from riskdist.measures import (
 from riskdist.space import left_projection_map, product_space
 
 F = Fraction
+
+
+def labels_in(subset):
+    return [subset.space.labels[i] for i in subset.indices()]
 
 
 class TestEvaluate:
@@ -75,6 +79,16 @@ class TestEvaluate:
         mu = rd.dirac(p3, "a")
         with pytest.raises(SpaceMismatch):
             rd.evaluate(mu, rd.PointFunction(two_point, (1, 2)))
+
+    def test_constructors_refuse_what_names_no_measure(self, p3):
+        with pytest.raises(InvalidParams, match="needs components"):
+            rd.lattice_max([])
+        for index in (3, -1):
+            with pytest.raises(InvalidParams, match=f"point index {index} out of range"):
+                rd.dirac(p3, index)
+        params = rd.TwoPointParams((F(1, 4),) * 4, (F(0),) * 4, rd.ShapeFunction.identity())
+        with pytest.raises(InvalidParams, match="needs a two-point space"):
+            rd.two_point_measure(p3, params)
 
     def test_a_mixture_with_lattice_parts_evaluates_term_by_term(self, cycle4):
         from riskdist.measures import probe_grid
@@ -318,22 +332,22 @@ class TestNormalForms:
 
 class TestSupport:
     def test_dirac_singleton(self, p3):
-        assert rd.support(rd.dirac(p3, "b")).labels_in() == ["b"]
+        assert labels_in(rd.support(rd.dirac(p3, "b"))) == ["b"]
 
     def test_mixture_of_point_masses(self, p3):
         mu = rd.mixture(
             (F(1, 2), F(1, 2)), (rd.dirac(p3, "a"), rd.dirac(p3, "b"))
         )
-        assert rd.support(mu).labels_in() == ["a", "b"]
+        assert labels_in(rd.support(mu)) == ["a", "b"]
 
     def test_choquet_carrier(self, p3):
         table = tuple(F(1) if m & 1 else F(0) for m in range(8))
         mu = rd.choquet_measure(Capacity(p3, table))
-        assert rd.support(mu).labels_in() == ["a"]
+        assert labels_in(rd.support(mu)) == ["a"]
 
     def test_blackbox_probing(self, p3):
         mu = rd.black_box(p3, lambda v: max(v[0], v[2]), name="max-ac")
-        assert rd.support(mu, seed=3).labels_in() == ["a", "c"]
+        assert labels_in(rd.support(mu, seed=3)) == ["a", "c"]
 
 
 class TestPushforward:
@@ -349,6 +363,24 @@ class TestPushforward:
         out = rd.pushforward((1, 1, 1), mu, p3)
         for values in ((3, -1, 4), (0, 7, 2)):
             assert evaluate_values(out, values) == values[1]
+
+    def test_a_target_past_the_table_guard_reads_the_source(self, p3):
+        # no capacity table is built past MAX_CAPACITY_POINTS points, so a
+        # measure with forms pushed there is read through its source
+        big = rd.validate_metric(
+            [f"p{i}" for i in range(13)], [[int(i != j) for j in range(13)] for i in range(13)]
+        )
+        rng = derive_rng(11, "pf-big")
+        fmap = (0, 5, 12)
+        caps = [rd.choquet_measure(random_capacity(p3, rng)) for _ in range(2)]
+        for mu in (caps[0], rd.lattice_max(caps)):
+            out = rd.pushforward(fmap, mu, big)
+            assert out.kind == "blackbox" and out.name == f"pushforward({mu.name})"
+            for _ in range(5):
+                values = tuple(rng.randint(-9, 9) for _ in range(13))
+                assert evaluate_values(out, values) == evaluate_values(
+                    mu, tuple(values[t] for t in fmap)
+                )
 
     def test_swap_moves_dirac(self, p3):
         out = rd.pushforward((2, 1, 0), rd.dirac(p3, "a"), p3)
@@ -375,12 +407,12 @@ class TestPushforward:
             name="corner-or-antidiagonal",
         )
         assert rd.verify_axioms(xi, seed=5).ok
-        assert rd.support(xi, seed=5).labels_in() == ["x*x", "x*y", "y*x"]
+        assert labels_in(rd.support(xi, seed=5)) == ["x*x", "x*y", "y*x"]
         out = rd.pushforward(left_projection_map(two_point, two_point), xi, two_point)
-        assert rd.support(out, seed=5).labels_in() == ["x"]
+        assert labels_in(rd.support(out, seed=5)) == ["x"]
         # image of the support is strictly larger than the support of the image
         image = {"x", "y"}
-        assert set(rd.support(out, seed=5).labels_in()) < image
+        assert set(labels_in(rd.support(out, seed=5))) < image
 
 
 class TestEquality:

@@ -24,7 +24,7 @@ from riskdist.metric import (
     metric_axiom_audit,
     reverify_failure,
 )
-from riskdist.space import diagonal_relation
+from riskdist.space import sublevel_relation
 
 F = Fraction
 
@@ -721,7 +721,7 @@ def _diagonal_witness(mu1, mu2, res):
     w = res.witness
     return dataclasses.replace(
         res,
-        witness=CouplingWitness(w.left, w.right, diagonal_relation(w.left.space)),
+        witness=CouplingWitness(w.left, w.right, sublevel_relation(w.left.space, 0)),
         tier="witness-found",
     )
 
@@ -901,3 +901,140 @@ class TestConvergenceAudit:
         rows = report.stats["rows"]
         assert rows[-1]["metric"] == 0
         assert not report.failures
+
+
+#: three isometric embeddings, then three 1-Lipschitz maps, as (source,
+#: target, point map) over the fixture spaces
+PUSH_MAPS = (
+    ("path3", "cycle4", (0, 1, 2)),
+    ("path3", "grid6", (0, 1, 2)),
+    ("cycle4", "grid6", (0, 1, 4, 3)),
+    ("grid6", "path3", (0, 1, 2, 0, 1, 2)),
+    ("cycle4", "path3", (0, 1, 2, 1)),
+    ("star5", "path3", (1, 0, 2, 2, 2)),
+)
+
+#: the exact tiers; a pair of pushforwards with forms reads no other
+EXACT_TIERS = {"dirac", "exact-choquet", "exact-lattice", "exact-two-point"}
+
+
+def pushed_along_maps():
+    """Per map of ``PUSH_MAPS``: the target, the point map, and each of 12
+    depth-2 ``random_measure``s of the source, on one named stream per
+    source space, with its pushforward."""
+    from conftest import make_cycle4, make_grid6, make_path3, make_star5
+
+    spaces = {
+        "path3": make_path3(), "cycle4": make_cycle4(),
+        "grid6": make_grid6(), "star5": make_star5(),
+    }
+    sources = {}
+    for name in dict.fromkeys(source for source, _, _ in PUSH_MAPS):
+        rng = derive_rng(31, f"pushforward-{name}")
+        sources[name] = [random_measure(spaces[name], rng, depth=2) for _ in range(12)]
+    return [
+        (spaces[target], fmap,
+         [(mu, rd.pushforward(fmap, mu, spaces[target])) for mu in sources[source]])
+        for source, target, fmap in PUSH_MAPS
+    ]
+
+
+def pulled_black_box(target, fmap, mu):
+    """The pushforward as a black box that reads mu at phi o f."""
+    return rd.black_box(
+        target, lambda values: evaluate_values(mu, tuple(values[t] for t in fmap)),
+        name=f"pushforward({mu.name})",
+    )
+
+
+def rebuilt_from_forms(mu):
+    """mu rebuilt from its normal forms by the lattice constructors: a max
+    of mins of Choquet measures of its max-of-min rows, or, where that
+    outgrows ``MAX_FORM_TERMS``, a min of maxes of its min-of-max groups."""
+    from riskdist.measures import normal_forms
+
+    rows, groups = normal_forms(mu)
+    maxmin = rd.lattice_max([rd.lattice_min(list(map(rd.choquet_measure, row))) for row in rows])
+    if normal_forms(maxmin) is not None:
+        return maxmin
+    return rd.lattice_min([rd.lattice_max(list(map(rd.choquet_measure, g))) for g in groups])
+
+
+class TestExactPushforwards:
+    """A pushforward of a measure with normal forms keeps forms: its pairs
+    are decided exactly, with the values of the black-box pushforward."""
+
+    def test_pushforwards_keep_forms_tables_and_exact_axioms(self):
+        from functools import reduce
+        from operator import or_
+
+        from riskdist.measures import indicators, normal_forms, reach
+
+        kept = 0
+        for target, fmap, pushed in pushed_along_maps():
+            for mu, image in pushed:
+                if normal_forms(mu) is None:
+                    assert normal_forms(image) is None and image.kind == "blackbox"
+                    continue
+                assert normal_forms(image) is not None, mu.kind
+                report = rd.verify_axioms(image)
+                assert report.ok and report.method == "exact"
+                table, scale = indicators(image)
+                for u in range(1 << target.n):
+                    ones = tuple(u >> x & 1 for x in range(target.n))
+                    assert F(table[u], scale) == evaluate_values(image, ones)
+                # the scale invariant a pool's lift needs: every part
+                # capacity's scale divides the indicator scale
+                parts = [c for form in normal_forms(image) for line in form for c in line]
+                rows = sum(map(len, normal_forms(image)[0]))
+                assert all(scale % c.scale == 0 for c in parts)
+                assert reach(image) == reduce(or_, (c.support_mask() for c in parts[:rows]))
+                if mu.capacity is None and mu.kind != "dirac":
+                    assert image.kind == mu.kind
+                    assert image.name == f"pushforward({mu.name})"
+                kept += 1
+        assert kept >= 60, kept
+
+    def test_pushed_pairs_are_exact_with_the_black_box_values(self):
+        # each pair of pushforwards with forms reads an exact tier on every
+        # level, with the value of the black-box pushforwards, the ladder
+        # of the same measures rebuilt from their forms, and an infeasible
+        # verdict at each refuted level whose certificate re-checks
+        from riskdist.measures import normal_forms
+        from riskdist.space import sublevel_ladder
+        from test_coupling import assert_certificate_rechecks
+
+        tiers, reference_tiers, pairs = Counter(), Counter(), 0
+        for target, fmap, pushed in pushed_along_maps():
+            ladder = sublevel_ladder(target)
+            kept = [(mu, image) for mu, image in pushed if normal_forms(image) is not None]
+            boxes = [pulled_black_box(target, fmap, mu) for mu, _ in kept]
+            rebuilt = [rebuilt_from_forms(image) for _, image in kept]
+            for i in range(len(kept)):
+                for j in range(i + 1, len(kept)):
+                    (_, a), (_, b) = kept[i], kept[j]
+                    res = rd.bottleneck_distance(a, b)
+                    assert {tier for *_, tier in res.ladder} <= EXACT_TIERS, res.ladder
+                    tiers.update(tier for *_, tier in res.ladder)
+                    # the first test pins that both pass their exact axiom
+                    # check, and the black boxes read the same values
+                    reference = rd.bottleneck_distance(boxes[i], boxes[j], check_axioms=False)
+                    assert res.value == reference.value, (target.n, i, j)
+                    reference_tiers[reference.tier] += 1
+                    oracle = rd.bottleneck_distance(rebuilt[i], rebuilt[j])
+                    assert {tier for *_, tier in oracle.ladder} <= EXACT_TIERS
+                    assert [row[:2] for row in res.ladder] == [row[:2] for row in oracle.ladder]
+                    for (_, status, _), (_, relation) in zip(res.ladder, ladder):
+                        if status == "infeasible":
+                            verdict = rd.admissible(a, b, relation)
+                            assert verdict.tier in EXACT_TIERS and not verdict.feasible
+                            cert = verdict.certificate
+                            if cert["kind"] == "pair-outside-support":
+                                assert not relation.matrix[a.point][b.point]
+                            else:
+                                assert_certificate_rechecks(a, b, relation, cert)
+                    pairs += 1
+        assert pairs >= 300, pairs
+        assert not tiers.keys() & {"witness-found", "refutation-sampled"}, tiers
+        # the black-box pushforwards of the same measures are sampled
+        assert reference_tiers["witness-found"] >= 100, reference_tiers

@@ -14,7 +14,7 @@ from riskdist.oracles import (
     random_probability,
     random_relation,
 )
-from riskdist.space import Relation, diagonal_relation, full_relation, sublevel_relation
+from riskdist.space import Relation, full_relation, sublevel_relation
 
 F = Fraction
 
@@ -30,7 +30,7 @@ class TestProbabilityVector:
 class TestStrassenFeasible:
     def test_equal_masses_on_diagonal(self, p3):
         p = ProbabilityVector(p3, (F(1, 3),) * 3)
-        assert rd.strassen_feasible(p, p, diagonal_relation(p3))
+        assert rd.strassen_feasible(p, p, sublevel_relation(p3, 0))
 
     def test_blocked_mass_within_radius_one(self, p3):
         p = ProbabilityVector(p3, (F(1), F(0), F(0)))

@@ -10,19 +10,20 @@ from riskdist.errors import (
     Asymmetry,
     EmptySubset,
     InputFormatError,
+    NegativeDistance,
     NonzeroDiagonal,
     TriangleViolation,
     ZeroOffDiagonal,
 )
 from riskdist.io import load_space
 from riskdist.space import (
-    compose_relations,
-    diagonal_relation,
     full_relation,
     left_projection_map,
     product_space,
     right_projection_map,
 )
+
+from conftest import compose_relations
 
 
 class TestValidateMetric:
@@ -50,6 +51,23 @@ class TestValidateMetric:
         dist = [[0, entry, 1], [entry, 0, 1], [1, 1, 0]]
         with pytest.raises(InputFormatError, match="not finite"):
             rd.validate_metric(["a", "b", "c"], dist)
+
+    def test_no_points_and_a_non_square_matrix(self):
+        with pytest.raises(InputFormatError, match="at least one point"):
+            rd.validate_metric([], [])
+        with pytest.raises(InputFormatError, match="square"):
+            rd.validate_metric(["a", "b"], [[0, 1]])
+
+    def test_negative_distance_names_indices(self):
+        with pytest.raises(NegativeDistance) as err:
+            rd.validate_metric(["a", "b", "c"], [[0, 1, 1], [1, 0, -1], [1, -1, 0]])
+        assert err.value.indices == (1, 2)
+
+    def test_load_space_refuses_a_non_object_and_non_string_points(self):
+        with pytest.raises(InputFormatError, match='needs "points" and "dist"'):
+            load_space([["a", "b"], [[0, 1], [1, 0]]])
+        with pytest.raises(InputFormatError, match="list of strings"):
+            load_space({"points": [0, 1], "dist": [[0, 1], [1, 0]]})
 
     def test_zero_off_diagonal(self):
         with pytest.raises(ZeroOffDiagonal):
@@ -118,9 +136,11 @@ class TestSublevel:
     def test_monotone_in_threshold(self, a, b):
         space = make_space()
         lo, hi = sorted((Fraction(a, 2), Fraction(b, 2)))
-        assert rd.sublevel_relation(space, lo).is_subrelation(
-            rd.sublevel_relation(space, hi)
-        )
+        assert is_subrelation(rd.sublevel_relation(space, lo), rd.sublevel_relation(space, hi))
+
+
+def is_subrelation(s, other):
+    return all(a & ~b == 0 for a, b in zip(s.sections, other.sections))
 
 
 def make_space():
@@ -243,7 +263,7 @@ class TestProducts:
         composed = compose_relations(s, s)
         # two steps of radius 1 reach everything on the path
         assert len(composed.pairs()) == 9
-        diag = diagonal_relation(p3)
+        diag = rd.sublevel_relation(p3, 0)
         assert compose_relations(diag, s).pairs() == s.pairs()
 
     def test_full_relation(self, p3):
@@ -337,7 +357,7 @@ class TestCachedHashes:
 
     def test_hash_is_the_dataclass_hash_of_the_compared_fields(self):
         space = make_space()
-        rel = diagonal_relation(space)
+        rel = rd.sublevel_relation(space, 0)
         assert hash(space) == hash((space.labels, space.dist))
         assert hash(rel) == hash((rel.left, rel.right, rel.matrix))
 
@@ -346,7 +366,7 @@ class TestCachedHashes:
         import pickle
 
         space = make_space()
-        rel = diagonal_relation(space)
+        rel = rd.sublevel_relation(space, 0)
         for value in (space, rel):
             hash(value)
             for clone in (

@@ -47,6 +47,14 @@ Each member of ``INVALID_MEMBERS``, a sound family member changed to
 break one rule of the member checks, is run as ``validate`` on the
 two-point space; their lines name the workload ``two-point-invalid/validate``,
 with seed 0 and the rule's name as the index.
+
+``tools/output_identity.sha256`` pins the sha256 of the whole output under
+``TMPDIR=/tmp`` (the input paths appear in the reports), which CI compares
+on every interpreter it runs:
+
+    TMPDIR=/tmp python3 tools/output_identity.py --src src | sha256sum
+
+A change that changes any output line updates that digest with it.
 """
 
 from __future__ import annotations
@@ -69,8 +77,8 @@ MODES = ("exact", "float")
 
 #: a sound family member, and one change of it per rule of the member
 #: checks that a JSON spec can break (a NaN is refused as it is read, so
-#: the rule against a NaN shift is out of reach, and the envelope rule
-#: holds wherever f(0) = 0 and the slopes lie in [0, 1])
+#: the rule against a NaN shift is out of reach, and the envelope t <=
+#: f(t) <= 0, 0 <= f(t) <= t follows from f(0) = 0 and slopes in [0, 1])
 SOUND_MEMBER = {
     "type": "two-point", "alpha": ["1/4", "1/4", "1/4", "1/4"], "lambda": ["0", "-1", "0", "0"],
     "f": {"knots": [["-2", "-1"], ["0", "0"], ["3", "1"]]},
